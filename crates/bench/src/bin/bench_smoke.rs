@@ -9,10 +9,11 @@
 //!
 //! Writes a flat JSON report (`--out`, default `BENCH_pr.json`) and, when
 //! `--check` names a baseline report, fails (exit 1) if a gated counter
-//! (`total_sweeps` for maintenance, `merge_steps` for the query kernel)
-//! regressed by more than `--threshold` percent (default 5). The workload
-//! runs maintenance at `MaintenanceThreads::Fixed(2)` — the wave scheduler
-//! is deterministic, so every counter (including the schedule shape) is
+//! (`total_sweeps` for maintenance, `removal_probes` for the DecSPC
+//! removal pass, `merge_steps` for the query kernel) regressed by more
+//! than `--threshold` percent (default 5). The workload runs maintenance
+//! at `MaintenanceThreads::Fixed(2)` — the wave scheduler is
+//! deterministic, so every counter (including the schedule shape) is
 //! identical on any host and at any actual core count.
 //!
 //! After the maintenance epochs each scenario runs a query phase: a seeded
@@ -80,6 +81,7 @@ fn absorb(report: &mut BTreeMap<String, u64>, stats: &UpdateStats) {
     add(report, "removed", stats.removed);
     add(report, "vertices_visited", stats.vertices_visited);
     add(report, "waves", stats.waves);
+    add(report, "removal_probes", stats.removal_probes);
     let w = report.entry("max_wave_width".to_string()).or_insert(0);
     *w = (*w).max(stats.max_wave_width as u64);
 }
@@ -454,12 +456,14 @@ fn main() {
             } else {
                 (now as f64 - base as f64) / base as f64 * 100.0
             };
-            // Gated counters: maintenance work (total_sweeps), shared-far
-            // classification drift (multi_far_sweeps), query kernel work
-            // (merge_steps), recovery coverage (recover_replayed_batches),
-            // and journal write amplification (journal_bytes_per_update).
-            // Everything else is informational.
+            // Gated counters: maintenance work (total_sweeps), removal-pass
+            // work (removal_probes), shared-far classification drift
+            // (multi_far_sweeps), query kernel work (merge_steps), recovery
+            // coverage (recover_replayed_batches), and journal write
+            // amplification (journal_bytes_per_update). Everything else is
+            // informational.
             let gate = key == "total_sweeps"
+                || key == "removal_probes"
                 || key == "multi_far_sweeps"
                 || key == "merge_steps"
                 || key == "recover_replayed_batches"

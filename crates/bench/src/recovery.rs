@@ -23,11 +23,11 @@ use crate::workload::hybrid_stream;
 use dspc::dynamic::GraphUpdate;
 use dspc::{DynamicSpc, MaintenanceThreads, OrderingStrategy};
 use dspc_graph::generators::random::barabasi_albert;
+use dspc_graph::scratch::ScratchDir;
 use dspc_graph::VertexId;
 use dspc_serve::{EpochServer, ServeConfig, ServingEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
 
 /// Scripted recovery-replay knobs. Everything downstream of `seed` is
 /// deterministic.
@@ -139,13 +139,6 @@ fn scheduling_free(stats: Option<dspc::UpdateStats>) -> Option<dspc::UpdateStats
     })
 }
 
-fn scratch_dir(seed: u64) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "dspc_bench_recovery_{seed:x}_{}",
-        std::process::id()
-    ))
-}
-
 /// Runs the scripted crash/recover cycle and returns its deterministic
 /// counters. Panics on any recovery-equivalence violation.
 pub fn replay(config: RecoveryReplayConfig) -> RecoveryReplayReport {
@@ -154,13 +147,16 @@ pub fn replay(config: RecoveryReplayConfig) -> RecoveryReplayReport {
     let serve = ServeConfig {
         shards: config.shards,
     };
-    let dir = scratch_dir(config.seed);
-    let _ = std::fs::remove_dir_all(&dir);
+    // Unique per call: concurrent replays (parallel tests) must never
+    // share, and so delete, each other's journal.
+    let scratch = ScratchDir::new(&format!("dspc_bench_recovery_{:x}", config.seed))
+        .expect("create journal scratch dir");
+    let dir = scratch.path();
 
     // The run that dies: journaled, checkpointed mid-stream, killed with
     // one acknowledged batch still pending.
     let mut crashed =
-        EpochServer::with_journal(engine(&config), serve, &dir).expect("fresh journal dir");
+        EpochServer::with_journal(engine(&config), serve, dir).expect("fresh journal dir");
     // The twin that doesn't: same engine, same batches, no journal.
     let mut twin = EpochServer::new(engine(&config), serve);
     for (epoch, batch) in batches[..config.epochs].iter().enumerate() {
@@ -184,8 +180,7 @@ pub fn replay(config: RecoveryReplayConfig) -> RecoveryReplayReport {
         .expect("plain submit");
     drop(crashed); // the kill: in-memory state gone, fsynced appends stay
 
-    let (mut recovered, report) =
-        EpochServer::<DynamicSpc>::recover(&dir, serve).expect("recovery");
+    let (mut recovered, report) = EpochServer::<DynamicSpc>::recover(dir, serve).expect("recovery");
     assert_eq!(
         report.resumed_epoch,
         twin.epoch(),
@@ -223,7 +218,6 @@ pub fn replay(config: RecoveryReplayConfig) -> RecoveryReplayReport {
     }
 
     let stats = *recovered.stats();
-    let _ = std::fs::remove_dir_all(&dir);
     RecoveryReplayReport {
         rotations: stats.rotations,
         updates_applied: stats.updates_applied,

@@ -34,8 +34,9 @@
 //! counts).
 
 use crate::engine::{
-    aggregate_far_columns, build_endpoint_tasks, FarAggregator, FarColumn, MaintenanceCounters,
-    RepairAgenda, UndirectedTopo, UpdateEngine, REPAIR_PRIMARY,
+    aggregate_far_columns, build_endpoint_tasks, FarAggregator, FarColumn, HubHolders,
+    MaintenanceCounters, RepairAgenda, UndirectedTopo, UpdateEngine, MARK_A, MARK_B,
+    REPAIR_PRIMARY,
 };
 use crate::index::SpcIndex;
 use crate::label::Rank;
@@ -81,6 +82,22 @@ pub enum DecMode {
     /// disabled — used by tests to prove the fast path is a pure
     /// optimization (identical resulting queries).
     SrOnlyNoFastPath,
+}
+
+/// Hub → holder lists over the receivers' label rows (one family).
+fn undirected_holders(
+    index: &SpcIndex,
+    hubs: impl IntoIterator<Item = Rank>,
+    receivers: &[VertexId],
+    stats: &mut MaintenanceCounters,
+) -> HubHolders {
+    HubHolders::build(
+        hubs,
+        receivers,
+        1,
+        |v, _| index.label_set(v).entries(),
+        stats,
+    )
 }
 
 /// Reusable DecSPC driver (Algorithm 4): the undirected deletion policy
@@ -177,6 +194,10 @@ impl DecSpc {
         };
         self.engine
             .set_marks([&srr.sr_a, &srr.r_a], [&srr.sr_b, &srr.r_b]);
+        debug_assert!(
+            !self.engine.sides_overlap(),
+            "SR_a ∪ R_a and SR_b ∪ R_b of one edge are disjoint"
+        );
 
         // Phase boundary — G_{i+1} ← G_i ⊖ (a, b).
         g.delete_edge(a, b)?;
@@ -194,18 +215,20 @@ impl DecSpc {
             sr.extend(srr.r_b.iter().map(|&v| (index.rank(v), false)));
         }
         sr.sort_unstable_by_key(|&(r, _)| r);
+        let holders = undirected_holders(
+            index,
+            sr.iter().map(|&(r, _)| r),
+            self.engine.marked(),
+            &mut stats,
+        );
 
         for &(h_rank, from_a) in &sr {
             let h = index.vertex(h_rank);
             stats.hubs_processed += 1;
-            let (opposite, removal) = if from_a {
-                (crate::engine::MARK_B, [&srr.sr_b[..], &srr.r_b[..]])
-            } else {
-                (crate::engine::MARK_A, [&srr.sr_a[..], &srr.r_a[..]])
-            };
+            let opposite = if from_a { MARK_B } else { MARK_A };
             let mut topo = UndirectedTopo::new(g, index, &mut self.probe);
             self.engine
-                .dec_pass(&mut topo, h, opposite, removal, &mut stats);
+                .dec_pass(&mut topo, h, opposite, holders.of(h_rank, 0), &mut stats);
         }
 
         self.engine.clear_marks();
@@ -400,17 +423,18 @@ impl DecSpc {
             // Phase 2 — one sweep per distinct hub on the residual graph.
             let hubs = self.agenda.take_hubs();
             stats.agenda_hubs += hubs.len();
+            let holders = undirected_holders(
+                index,
+                hubs.iter().map(|&(r, _)| r),
+                self.agenda.receivers(),
+                &mut stats,
+            );
             for (h_rank, _) in hubs {
                 let h = index.vertex(h_rank);
                 stats.hubs_processed += 1;
                 let mut topo = UndirectedTopo::new(g, index, &mut self.probe);
-                self.engine.dec_pass(
-                    &mut topo,
-                    h,
-                    crate::engine::MARK_A,
-                    [self.agenda.receivers(), &[]],
-                    &mut stats,
-                );
+                self.engine
+                    .dec_pass(&mut topo, h, MARK_A, holders.of(h_rank, 0), &mut stats);
             }
 
             self.engine.clear_marks();
@@ -534,6 +558,7 @@ impl DecSpc {
         let hubs = self.agenda.take_hubs();
         stats.agenda_hubs += hubs.len();
         let receivers = self.agenda.receivers();
+        let holders = undirected_holders(index, hubs.iter().map(|&(r, _)| r), receivers, stats);
         let schedule = if hubs.len() < 2 {
             plan_waves(hubs.len(), |_, _| false)
         } else {
@@ -549,17 +574,7 @@ impl DecSpc {
                 },
             );
             stats.interference_probes += probes;
-            let inter = Interference::build(
-                &comp,
-                &hubs,
-                receivers,
-                |r| index.vertex(r),
-                |v, f| {
-                    for e in index.label_set(v).entries() {
-                        f(e.hub);
-                    }
-                },
-            );
+            let inter = Interference::build(&comp, &hubs, |r| index.vertex(r), &holders);
             plan_waves(hubs.len(), |i, j| inter.conflicts(i, j))
         };
         note_schedule(stats, &schedule);
@@ -582,7 +597,7 @@ impl DecSpc {
                     &mut scratch.engine,
                     FrozenUndirected::new(g_ref, index, &mut scratch.probe),
                     index.vertex(h_rank),
-                    receivers,
+                    holders.of(h_rank, 0),
                 )
             },
             |results| {

@@ -20,8 +20,8 @@
 use super::{DirectedSpcIndex, Side};
 use crate::engine::{
     aggregate_far_columns, build_endpoint_tasks, merge_affected, DirectedTopo, FarAggregator,
-    FarColumn, MaintenanceCounters, RepairAgenda, UpdateEngine, MARK_A, MARK_B, REPAIR_PRIMARY,
-    REPAIR_SECONDARY,
+    FarColumn, HubHolders, MaintenanceCounters, RepairAgenda, UpdateEngine, MARK_A, MARK_B,
+    REPAIR_PRIMARY, REPAIR_SECONDARY,
 };
 use crate::label::Rank;
 use crate::parallel::{ClassifyMode, MaintenanceOptions, MaintenanceThreads};
@@ -89,6 +89,33 @@ impl DirectedIncSpc {
     }
 }
 
+/// Holder-list family of a repaired side: `L_in` is family 0, `L_out`
+/// family 1.
+fn family(side: Side) -> usize {
+    match side {
+        Side::In => 0,
+        Side::Out => 1,
+    }
+}
+
+/// Hub → holder lists over both label families of the receivers (see
+/// [`family`]), for every agenda hub whichever families it repairs: the
+/// wave scheduler's removal reach counts a row of either family.
+fn directed_holders(
+    index: &DirectedSpcIndex,
+    hubs: impl IntoIterator<Item = Rank>,
+    receivers: &[VertexId],
+    stats: &mut MaintenanceCounters,
+) -> HubHolders {
+    HubHolders::build(
+        hubs,
+        receivers,
+        2,
+        |v, f| index.label([Side::In, Side::Out][f], v).entries(),
+        stats,
+    )
+}
+
 /// Directed decremental driver: the arc-deletion policy over the shared
 /// [`UpdateEngine`].
 #[derive(Debug)]
@@ -150,19 +177,32 @@ impl DirectedDecSpc {
             .chain(sr_b.iter().map(|&v| (index.rank(v), false)))
             .collect();
         sr.sort_unstable_by_key(|&(r, _)| r);
+        // A hub on a cycle through the arc can sit in both SR_a and SR_b;
+        // it then sweeps twice, but once per family.
+        let holders = directed_holders(
+            index,
+            sr.iter().map(|&(r, _)| r),
+            self.engine.marked(),
+            &mut stats,
+        );
 
         for &(h_rank, upstream) in &sr {
             let h = index.vertex(h_rank);
             stats.hubs_processed += 1;
-            let (repair, opposite, removal) = if upstream {
+            let (repair, opposite) = if upstream {
                 // h tops paths h → … → a → b → …; repair L_in downstream.
-                (Side::In, MARK_B, [&sr_b[..], &r_b[..]])
+                (Side::In, MARK_B)
             } else {
-                (Side::Out, MARK_A, [&sr_a[..], &r_a[..]])
+                (Side::Out, MARK_A)
             };
             let mut topo = DirectedTopo::new(g, index, &mut self.probe, repair);
-            self.engine
-                .dec_pass(&mut topo, h, opposite, removal, &mut stats);
+            self.engine.dec_pass(
+                &mut topo,
+                h,
+                opposite,
+                holders.of(h_rank, family(repair)),
+                &mut stats,
+            );
         }
 
         self.engine.clear_marks();
@@ -335,6 +375,12 @@ impl DirectedDecSpc {
 
             let hubs = self.agenda.take_hubs();
             stats.agenda_hubs += hubs.len();
+            let holders = directed_holders(
+                index,
+                hubs.iter().map(|&(r, _)| r),
+                self.agenda.receivers(),
+                &mut stats,
+            );
             for (h_rank, families) in hubs {
                 let h = index.vertex(h_rank);
                 for (flag, repair) in [(REPAIR_PRIMARY, Side::In), (REPAIR_SECONDARY, Side::Out)] {
@@ -347,7 +393,7 @@ impl DirectedDecSpc {
                         &mut topo,
                         h,
                         MARK_A,
-                        [self.agenda.receivers(), &[]],
+                        holders.of(h_rank, family(repair)),
                         &mut stats,
                     );
                 }
@@ -478,6 +524,7 @@ impl DirectedDecSpc {
         let hubs = self.agenda.take_hubs();
         stats.agenda_hubs += hubs.len();
         let receivers = self.agenda.receivers();
+        let holders = directed_holders(index, hubs.iter().map(|&(r, _)| r), receivers, stats);
         let schedule = if hubs.len() < 2 {
             plan_waves(hubs.len(), |_, _| false)
         } else {
@@ -498,20 +545,7 @@ impl DirectedDecSpc {
                 },
             );
             stats.interference_probes += probes;
-            let inter = Interference::build(
-                &comp,
-                &hubs,
-                receivers,
-                |r| index.vertex(r),
-                |v, f| {
-                    for e in index.label_in(v).entries() {
-                        f(e.hub);
-                    }
-                    for e in index.label_out(v).entries() {
-                        f(e.hub);
-                    }
-                },
-            );
+            let inter = Interference::build(&comp, &hubs, |r| index.vertex(r), &holders);
             plan_waves(hubs.len(), |i, j| inter.conflicts(i, j))
         };
         note_schedule(stats, &schedule);
@@ -537,7 +571,12 @@ impl DirectedDecSpc {
                             Side::Out
                         };
                         let base = FrozenDirected::new(g_ref, index, &mut scratch.probe, repair);
-                        let (log, c) = frozen_dec_sweep(&mut scratch.engine, base, h, receivers);
+                        let (log, c) = frozen_dec_sweep(
+                            &mut scratch.engine,
+                            base,
+                            h,
+                            holders.of(h_rank, family(repair)),
+                        );
                         (repair, log, c)
                     })
                     .collect();

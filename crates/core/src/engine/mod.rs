@@ -16,7 +16,7 @@
 //! * **`dec_pass`** — Algorithm 6's `DecUPDATE`: a rank-pruned counting
 //!   sweep from an affected hub on the post-mutation graph, repairing
 //!   labels of the opposite side's `SR ∪ R`, followed by a removal pass
-//!   over the never-reached candidates.
+//!   over the never-reached receivers that hold the hub's row.
 //!
 //! What varies per variant is captured by [`LabelTopology`]: which
 //! adjacency to walk (undirected, directed-forward, directed-backward,
@@ -43,6 +43,14 @@
 //! inside `G_h` at distance `d = sd(h, v)`, so the sweep reaches `v`
 //! unpruned and marks it updated), so only unjustifiable labels are
 //! dropped.
+//!
+//! Removing unconditionally must not mean *probing* unconditionally:
+//! looking up row `h` at every receiver for every hub costs
+//! `|hubs| × |receivers|` although few receivers hold a given row. Each
+//! deletion repair therefore inverts its receivers' rows once into
+//! [`HubHolders`] (hub → receivers holding it), and `dec_pass` walks only
+//! `h`'s holders. The `removal_probes` counter measures that work: row
+//! entries scanned by the inversion plus holders walked.
 
 use crate::label::{Count, Rank};
 use dspc_graph::VertexId;
@@ -50,11 +58,13 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 mod batch;
+mod holders;
 pub mod parallel;
 mod topology;
 
 pub(crate) use batch::{check_endpoints, duplicate_edge_key, ordered_key};
 pub use batch::{EdgeCoalescer, NetEdgeEffect, NetOp, NetPlan};
+pub use holders::HubHolders;
 pub use topology::{
     DirectedTopo, FrozenDirected, FrozenUndirected, FrozenWeighted, UndirectedTopo, WeightedTopo,
 };
@@ -188,6 +198,10 @@ pub struct MaintenanceCounters {
     /// Hub re-push sweeps run by swap repair (two per undirected/weighted
     /// swap, four per directed swap — both families).
     pub rerank_sweeps: usize,
+    /// Work of the removal pass: receiver label-row entries scanned while
+    /// building the [`HubHolders`] lists, plus holder entries walked by
+    /// [`UpdateEngine::dec_pass`].
+    pub removal_probes: usize,
 }
 
 impl MaintenanceCounters {
@@ -225,6 +239,7 @@ impl MaintenanceCounters {
         self.isolated_fast_path |= other.isolated_fast_path;
         self.rerank_swaps += other.rerank_swaps;
         self.rerank_sweeps += other.rerank_sweeps;
+        self.removal_probes += other.removal_probes;
     }
 }
 
@@ -314,8 +329,8 @@ pub const REPAIR_SECONDARY: u8 = 2;
 /// * one rank-keyed hub agenda (each affected hub appears once, carrying
 ///   the union of label families it must repair), and
 /// * one shared receiver frontier (the union of every classified vertex
-///   across all edges and both sides), which doubles as the removal
-///   candidate list of every sweep.
+///   across all edges and both sides), whose label rows [`HubHolders`]
+///   inverts into the removal candidates of every sweep.
 ///
 /// [`UpdateEngine::dec_pass`] then runs **once per distinct hub** against
 /// the residual graph (all net deletions applied), which is what makes the
@@ -601,7 +616,7 @@ pub struct UpdateEngine<D: EngineDist> {
     /// `SR ∪ R` side membership bits, valid between
     /// [`set_marks`](Self::set_marks) and [`clear_marks`](Self::clear_marks).
     marks: Vec<u8>,
-    marked: Vec<u32>,
+    marked: Vec<VertexId>,
     /// Algorithm 6's `U[·]` visited-and-updated flags (reset per pass).
     updated: Vec<bool>,
 }
@@ -693,9 +708,9 @@ impl<D: EngineDist> UpdateEngine<D> {
     pub fn set_marks(&mut self, side_a: [&[VertexId]; 2], side_b: [&[VertexId]; 2]) {
         for (slices, bit) in [(side_a, MARK_A), (side_b, MARK_B)] {
             for slice in slices {
-                for v in slice {
+                for &v in slice {
                     if self.marks[v.index()] == 0 {
-                        self.marked.push(v.0);
+                        self.marked.push(v);
                     }
                     self.marks[v.index()] |= bit;
                 }
@@ -703,10 +718,26 @@ impl<D: EngineDist> UpdateEngine<D> {
         }
     }
 
+    /// Every vertex marked since the last [`clear_marks`](Self::clear_marks),
+    /// once each, in first-marked order: the receivers of the repair.
+    pub(crate) fn marked(&self) -> &[VertexId] {
+        &self.marked
+    }
+
+    /// Whether some vertex carries both side marks. Never true for a
+    /// single undirected or weighted edge: `sd(v, a) + w = sd(v, b)` and
+    /// `sd(v, b) + w = sd(v, a)` cannot both hold when `w ≥ 1`, so each hub
+    /// sweeps at most once — which [`HubHolders`] relies on.
+    pub(crate) fn sides_overlap(&self) -> bool {
+        self.marked
+            .iter()
+            .any(|v| self.marks[v.index()] == MARK_A | MARK_B)
+    }
+
     /// Clears side marks after the hub loop.
     pub fn clear_marks(&mut self) {
         for &v in &self.marked {
-            self.marks[v as usize] = 0;
+            self.marks[v.index()] = 0;
         }
         self.marked.clear();
     }
@@ -881,14 +912,17 @@ impl<D: EngineDist> UpdateEngine<D> {
 
     /// Algorithm 6 — one decremental repair sweep for hub `h` on the
     /// post-mutation graph, repairing labels of vertices carrying
-    /// `opposite_mark`, then removing every never-reached candidate's
-    /// `(h, ·, ·)` label (unconditionally — see module docs).
+    /// `opposite_mark`, then removing the `(h, ·, ·)` label of every
+    /// opposite-marked receiver the sweep never updated (unconditionally —
+    /// see module docs). `holders` lists the receivers whose repaired row
+    /// held `h` before the repair ([`HubHolders::of`]); no other receiver
+    /// can hold it, so the removal walks only them.
     pub fn dec_pass<T: LabelTopology<Dist = D>>(
         &mut self,
         topo: &mut T,
         h: VertexId,
         opposite_mark: u8,
-        removal_candidates: [&[VertexId]; 2],
+        holders: &[VertexId],
         stats: &mut MaintenanceCounters,
     ) {
         let h_rank = topo.rank(h.0);
@@ -930,15 +964,43 @@ impl<D: EngineDist> UpdateEngine<D> {
             let cv = self.count[v as usize];
             self.expand_ranked(topo, v, dv, cv, h_rank);
         }
-        for side in removal_candidates {
-            for &u in side {
-                if !self.updated[u.index()] && topo.label_remove(u, h_rank) {
-                    stats.removed += 1;
-                }
+        stats.removal_probes += holders.len();
+        for &u in holders {
+            let i = u.index();
+            if self.marks[i] & opposite_mark != 0
+                && !self.updated[i]
+                && topo.label_remove(u, h_rank)
+            {
+                stats.removed += 1;
             }
         }
+        #[cfg(debug_assertions)]
+        self.assert_row_removed(topo, h_rank, opposite_mark, holders);
         for v in visited_marked {
             self.updated[v as usize] = false;
+        }
+    }
+
+    /// Debug check of the removal pass: no opposite-marked receiver the
+    /// sweep left un-updated still holds row `h`. A buffered (parallel)
+    /// view only logs its removals, so a receiver whose row `h` is still
+    /// visible must have been one of the `holders` the pass removed from.
+    #[cfg(debug_assertions)]
+    fn assert_row_removed<T: LabelTopology<Dist = D>>(
+        &self,
+        topo: &T,
+        h_rank: Rank,
+        opposite_mark: u8,
+        holders: &[VertexId],
+    ) {
+        for &u in &self.marked {
+            let i = u.index();
+            if self.marks[i] & opposite_mark != 0 && !self.updated[i] {
+                debug_assert!(
+                    topo.label_get(u, h_rank).is_none() || holders.contains(&u),
+                    "receiver {u:?} still holds row {h_rank:?} after its removal pass"
+                );
+            }
         }
     }
 

@@ -65,8 +65,8 @@
 //! stays conservative for every later wave.
 
 use super::{
-    EngineDist, LabelTopology, MaintenanceCounters, UpdateEngine, MARK_A, REPAIR_PRIMARY,
-    REPAIR_SECONDARY,
+    EngineDist, HubHolders, LabelTopology, MaintenanceCounters, UpdateEngine, MARK_A,
+    REPAIR_PRIMARY, REPAIR_SECONDARY,
 };
 use crate::label::{Count, Rank};
 use dspc_graph::VertexId;
@@ -140,7 +140,7 @@ pub trait FrozenTopology {
 /// Sound for the engine's sweeps because neither `srr_pass` nor `dec_pass`
 /// ever reads a label its own pass previously wrote: every vertex is
 /// settled once, the row-`h` read at a vertex precedes the row-`h` write
-/// there, and removal candidates are exactly the *unvisited* receivers —
+/// there, and removal only touches receivers the sweep never updated —
 /// so reading the frozen index reproduces the sequential values verbatim.
 pub struct Buffered<'a, T: FrozenTopology> {
     base: T,
@@ -266,43 +266,28 @@ pub struct Interference {
 
 impl Interference {
     /// Builds the model. `comp` maps vertex id → residual component,
-    /// `hubs` is the rank-ordered agenda, `receivers` the shared
-    /// receiver/removal frontier, `hub_vertex` resolves a rank to its
-    /// vertex, and `rows_at` enumerates the hub rows present at a receiver
-    /// (across every label family the group repairs).
+    /// `hubs` is the rank-ordered agenda, `hub_vertex` resolves a rank to
+    /// its vertex, and `holders` lists, per agenda hub (slot `i` = agenda
+    /// entry `i`), the receivers carrying its row in any label family.
     pub fn build(
         comp: &[u32],
         hubs: &[(Rank, u8)],
-        receivers: &[VertexId],
         mut hub_vertex: impl FnMut(Rank) -> VertexId,
-        mut rows_at: impl FnMut(VertexId, &mut dyn FnMut(Rank)),
+        holders: &HubHolders,
     ) -> Interference {
-        // rank → agenda slot (rank spaces are dense and small).
-        let mut slot: Vec<u32> = vec![u32::MAX; comp.len()];
-        for (i, &(r, _)) in hubs.iter().enumerate() {
-            slot[r.index()] = i as u32;
-        }
+        debug_assert_eq!(holders.hubs(), hubs.len());
         let hub_comp: Vec<u32> = hubs
             .iter()
             .map(|&(r, _)| comp[hub_vertex(r).index()])
             .collect();
-        let mut removal_comps: Vec<Vec<u32>> = vec![Vec::new(); hubs.len()];
-        for &v in receivers {
-            let cv = comp[v.index()];
-            rows_at(v, &mut |r| {
-                if let Some(&s) = slot.get(r.index()) {
-                    if s != u32::MAX {
-                        let rc = &mut removal_comps[s as usize];
-                        if !rc.contains(&cv) {
-                            rc.push(cv);
-                        }
-                    }
-                }
-            });
-        }
-        for rc in &mut removal_comps {
-            rc.sort_unstable();
-        }
+        let removal_comps: Vec<Vec<u32>> = (0..hubs.len())
+            .map(|i| {
+                let mut rc: Vec<u32> = holders.of_slot(i).iter().map(|v| comp[v.index()]).collect();
+                rc.sort_unstable();
+                rc.dedup();
+                rc
+            })
+            .collect();
         Interference {
             hub_comp,
             removal_comps,
@@ -396,6 +381,11 @@ pub fn note_schedule(stats: &mut MaintenanceCounters, schedule: &WaveSchedule) {
 /// outcome. The commit closure runs on the coordinating thread between
 /// barriers, when no worker touches shared state.
 ///
+/// A panic in `work` is caught on its worker, so the pool still meets at
+/// every barrier; the coordinator then commits nothing of that wave, shuts
+/// the pool down, and resumes the panic on the calling thread — a failing
+/// sweep fails the batch instead of deadlocking it.
+///
 /// Returns the number of successful steals (the `steal_events` counter —
 /// scheduling-dependent, excluded from determinism checks).
 pub fn run_wave_pool<I, S, R>(
@@ -427,7 +417,9 @@ where
     let barrier = Barrier::new(workers + 1);
     let deques: Vec<Mutex<VecDeque<usize>>> =
         (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
+    let results: Vec<Mutex<Option<std::thread::Result<R>>>> =
+        (0..items.len()).map(|_| Mutex::new(None)).collect();
+    let mut panicked = None;
     std::thread::scope(|scope| {
         for k in 0..workers {
             let (barrier, done, deques, results, steals) =
@@ -453,7 +445,9 @@ where
                             }
                         }
                         let Some(i) = item else { break };
-                        let r = work(&mut scratch, &items[i]);
+                        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            work(&mut scratch, &items[i])
+                        }));
                         *results[i].lock().unwrap() = Some(r);
                     }
                     barrier.wait();
@@ -471,21 +465,30 @@ where
             }
             barrier.wait(); // release the pool into this wave
             barrier.wait(); // wait for the wave to drain
-            let collected: Vec<R> = wave
-                .iter()
-                .map(|&i| {
-                    results[i]
-                        .lock()
-                        .unwrap()
-                        .take()
-                        .expect("every wave item produces a result")
-                })
-                .collect();
+            let mut collected: Vec<R> = Vec::with_capacity(wave.len());
+            for &i in *wave {
+                let result = results[i]
+                    .lock()
+                    .expect("workers catch their panics, so no result lock is poisoned")
+                    .take();
+                match result.expect("every wave item produces a result") {
+                    Ok(r) => collected.push(r),
+                    Err(payload) => {
+                        panicked.get_or_insert(payload);
+                    }
+                }
+            }
+            if panicked.is_some() {
+                break;
+            }
             commit(collected);
         }
         done.store(true, Ordering::Release);
         barrier.wait();
     });
+    if let Some(payload) = panicked {
+        std::panic::resume_unwind(payload);
+    }
     steals.into_inner()
 }
 
@@ -509,13 +512,14 @@ impl<D: EngineDist, P> WorkerScratch<D, P> {
 }
 
 /// Shared shape of one parallel repair sweep: runs `dec_pass` for
-/// `h` against a frozen view, returning the write log and the sweep's own
-/// counters (with `hubs_processed = 1`, mirroring the sequential driver).
+/// `h` against a frozen view with `h`'s holder list, returning the write
+/// log and the sweep's own counters (with `hubs_processed = 1`, mirroring
+/// the sequential driver).
 pub fn frozen_dec_sweep<T: FrozenTopology>(
     engine: &mut UpdateEngine<T::Dist>,
     base: T,
     h: VertexId,
-    receivers: &[VertexId],
+    holders: &[VertexId],
 ) -> (LabelWriteLog<T::Dist>, MaintenanceCounters) {
     let mut counters = MaintenanceCounters {
         hubs_processed: 1,
@@ -524,7 +528,7 @@ pub fn frozen_dec_sweep<T: FrozenTopology>(
     let mut log = LabelWriteLog::new();
     {
         let mut topo = Buffered::new(base, &mut log);
-        engine.dec_pass(&mut topo, h, MARK_A, [receivers, &[]], &mut counters);
+        engine.dec_pass(&mut topo, h, MARK_A, holders, &mut counters);
     }
     (log, counters)
 }
@@ -540,6 +544,7 @@ pub fn family_sweeps(families: u8) -> impl Iterator<Item = u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::label::LabelEntry;
 
     #[test]
     fn bounded_bfs_labels_only_touched_components() {
@@ -622,6 +627,30 @@ mod tests {
     }
 
     #[test]
+    fn wave_pool_resumes_a_worker_panic_instead_of_deadlocking() {
+        let items: Vec<usize> = (0..8).collect();
+        let all: Vec<usize> = (0..items.len()).collect();
+        let waves: Vec<&[usize]> = vec![&all[..4], &all[4..]];
+        let mut committed = 0usize;
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_wave_pool(
+                2,
+                &items,
+                &waves,
+                || (),
+                |_, &i| {
+                    assert_ne!(i, 5, "item 5 fails");
+                    i
+                },
+                |r| committed += r.len(),
+            )
+        }));
+        assert!(outcome.is_err(), "the worker's panic reaches the caller");
+        // The first wave committed; the failing wave committed nothing.
+        assert_eq!(committed, 4);
+    }
+
+    #[test]
     fn greedy_waves_respect_conflicts() {
         // 0 conflicts both 1 and 2; 1 and 2 are independent of each other:
         // waves [0], [1, 2].
@@ -647,20 +676,31 @@ mod tests {
         assert_eq!(order, vec![0, 1, 2, 3]);
     }
 
+    /// Holder lists over receivers 1 and 3 with the given label rows.
+    fn holders_of(hubs: &[(Rank, u8)], rows: &[Vec<LabelEntry>]) -> HubHolders {
+        HubHolders::build(
+            hubs.iter().map(|&(r, _)| r),
+            &[VertexId(1), VertexId(3)],
+            1,
+            |v, _| &rows[v.index()][..],
+            &mut MaintenanceCounters::default(),
+        )
+    }
+
+    fn row(hubs: &[u32]) -> Vec<LabelEntry> {
+        hubs.iter()
+            .map(|&h| LabelEntry::new(Rank(h), 1, 1))
+            .collect()
+    }
+
     #[test]
     fn interference_separates_disjoint_components() {
         // comp layout: {0,1} and {2,3}; hubs at 0 (rank 0) and 2 (rank 2);
         // receivers 1 and 3 carry only their own side's rows.
         let comp = vec![0u32, 0, 2, 2];
         let hubs = vec![(Rank(0), 1u8), (Rank(2), 1u8)];
-        let receivers = vec![VertexId(1), VertexId(3)];
-        let inter = Interference::build(
-            &comp,
-            &hubs,
-            &receivers,
-            |r| VertexId(r.0),
-            |v, f| f(Rank(if v.0 < 2 { 0 } else { 2 })),
-        );
+        let rows = vec![row(&[]), row(&[0]), row(&[]), row(&[2])];
+        let inter = Interference::build(&comp, &hubs, |r| VertexId(r.0), &holders_of(&hubs, &rows));
         assert!(!inter.conflicts(0, 1));
         let schedule = plan_waves(2, |i, j| inter.conflicts(i, j));
         assert_eq!(schedule.max_wave_width(), 2);
@@ -673,19 +713,8 @@ mod tests {
         // removal pass reaches into the other hub's component.
         let comp = vec![0u32, 0, 2, 2];
         let hubs = vec![(Rank(0), 1u8), (Rank(2), 1u8)];
-        let receivers = vec![VertexId(1), VertexId(3)];
-        let inter = Interference::build(
-            &comp,
-            &hubs,
-            &receivers,
-            |r| VertexId(r.0),
-            |v, f| {
-                f(Rank(0)); // hub 0's row is everywhere
-                if v.0 >= 2 {
-                    f(Rank(2));
-                }
-            },
-        );
+        let rows = vec![row(&[]), row(&[0]), row(&[]), row(&[0, 2])];
+        let inter = Interference::build(&comp, &hubs, |r| VertexId(r.0), &holders_of(&hubs, &rows));
         assert!(inter.conflicts(0, 1));
     }
 }

@@ -467,6 +467,7 @@ mod tests {
     use crate::query::spc_query;
     use dspc_graph::generators::paper::figure2_g;
     use dspc_graph::generators::random::erdos_renyi_gnm;
+    use dspc_graph::scratch::ScratchDir;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -654,14 +655,12 @@ mod tests {
         let g = erdos_renyi_gnm(50, 120, &mut rng);
         let index = build_index(&g, OrderingStrategy::Degree);
         let flat = FlatIndex::freeze(&index);
-        let dir = std::env::temp_dir().join("dspc_serialize_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("index.dspc2");
+        let dir = ScratchDir::new("dspc_serialize_test").unwrap();
+        let path = dir.path().join("index.dspc2");
         save_flat(&flat, &path).unwrap();
         assert_flat_equiv(&load_flat(&path).unwrap(), &flat);
         // load_index accepts the v2 file too.
         assert_index_equiv(&load_index(&path).unwrap(), &index);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -669,9 +668,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let g = erdos_renyi_gnm(60, 150, &mut rng);
         let index = build_index(&g, OrderingStrategy::Degree);
-        let dir = std::env::temp_dir().join("dspc_serialize_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("index.dspc");
+        let dir = ScratchDir::new("dspc_serialize_test").unwrap();
+        let path = dir.path().join("index.dspc");
         save_index(&index, &path).unwrap();
         let back = load_index(&path).unwrap();
         assert_eq!(index.num_entries(), back.num_entries());
@@ -680,6 +678,5 @@ mod tests {
                 assert_eq!(spc_query(&index, s, t), spc_query(&back, s, t));
             }
         }
-        std::fs::remove_file(path).ok();
     }
 }

@@ -15,7 +15,8 @@
 use super::{WHubProbe, WeightedSpcIndex};
 use crate::engine::{
     aggregate_far_columns, build_endpoint_tasks, merge_affected, FarAggregator, FarColumn,
-    MaintenanceCounters, RepairAgenda, UpdateEngine, WeightedTopo, MARK_A, MARK_B, REPAIR_PRIMARY,
+    HubHolders, MaintenanceCounters, RepairAgenda, UpdateEngine, WeightedTopo, MARK_A, MARK_B,
+    REPAIR_PRIMARY,
 };
 use crate::label::Rank;
 use crate::parallel::{ClassifyMode, MaintenanceOptions, MaintenanceThreads};
@@ -88,6 +89,22 @@ impl WeightedIncSpc {
         }
         stats
     }
+}
+
+/// Hub → holder lists over the receivers' label rows (one family).
+fn weighted_holders(
+    index: &WeightedSpcIndex,
+    hubs: impl IntoIterator<Item = Rank>,
+    receivers: &[VertexId],
+    stats: &mut MaintenanceCounters,
+) -> HubHolders {
+    HubHolders::build(
+        hubs,
+        receivers,
+        1,
+        |v, _| index.label_set(v).entries(),
+        stats,
+    )
 }
 
 /// Weighted decremental driver: the deletion/weight-increase policy over
@@ -263,17 +280,18 @@ impl WeightedDecSpc {
 
             let hubs = self.agenda.take_hubs();
             stats.agenda_hubs += hubs.len();
+            let holders = weighted_holders(
+                index,
+                hubs.iter().map(|&(r, _)| r),
+                self.agenda.receivers(),
+                &mut stats,
+            );
             for (h_rank, _) in hubs {
                 let h = index.vertex(h_rank);
                 stats.hubs_processed += 1;
                 let mut topo = WeightedTopo::new(g, index, &mut self.probe);
-                self.engine.dec_pass(
-                    &mut topo,
-                    h,
-                    MARK_A,
-                    [self.agenda.receivers(), &[]],
-                    &mut stats,
-                );
+                self.engine
+                    .dec_pass(&mut topo, h, MARK_A, holders.of(h_rank, 0), &mut stats);
             }
 
             self.engine.clear_marks();
@@ -415,6 +433,7 @@ impl WeightedDecSpc {
         let hubs = self.agenda.take_hubs();
         stats.agenda_hubs += hubs.len();
         let receivers = self.agenda.receivers();
+        let holders = weighted_holders(index, hubs.iter().map(|&(r, _)| r), receivers, stats);
         let schedule = if hubs.len() < 2 {
             plan_waves(hubs.len(), |_, _| false)
         } else {
@@ -430,17 +449,7 @@ impl WeightedDecSpc {
                 },
             );
             stats.interference_probes += probes;
-            let inter = Interference::build(
-                &comp,
-                &hubs,
-                receivers,
-                |r| index.vertex(r),
-                |v, f| {
-                    for e in index.label_set(v).entries() {
-                        f(e.hub);
-                    }
-                },
-            );
+            let inter = Interference::build(&comp, &hubs, |r| index.vertex(r), &holders);
             plan_waves(hubs.len(), |i, j| inter.conflicts(i, j))
         };
         note_schedule(stats, &schedule);
@@ -460,7 +469,7 @@ impl WeightedDecSpc {
                     &mut scratch.engine,
                     FrozenWeighted::new(g_ref, index, &mut scratch.probe),
                     index.vertex(h_rank),
-                    receivers,
+                    holders.of(h_rank, 0),
                 )
             },
             |results| {
@@ -546,6 +555,10 @@ impl WeightedDecSpc {
                 .srr_pass(&mut topo, b, a, old_w as WDist, &mut stats)
         };
         self.engine.set_marks([&sr_a, &r_a], [&sr_b, &r_b]);
+        debug_assert!(
+            !self.engine.sides_overlap(),
+            "SR_a ∪ R_a and SR_b ∪ R_b of one edge are disjoint"
+        );
 
         match new_w {
             None => {
@@ -562,17 +575,19 @@ impl WeightedDecSpc {
             .chain(sr_b.iter().map(|&v| (index.rank(v), false)))
             .collect();
         sr.sort_unstable_by_key(|&(r, _)| r);
+        let holders = weighted_holders(
+            index,
+            sr.iter().map(|&(r, _)| r),
+            self.engine.marked(),
+            &mut stats,
+        );
         for &(h_rank, from_a) in &sr {
             let h = index.vertex(h_rank);
             stats.hubs_processed += 1;
-            let (mask, removal) = if from_a {
-                (MARK_B, [&sr_b[..], &r_b[..]])
-            } else {
-                (MARK_A, [&sr_a[..], &r_a[..]])
-            };
+            let mask = if from_a { MARK_B } else { MARK_A };
             let mut topo = WeightedTopo::new(g, index, &mut self.probe);
             self.engine
-                .dec_pass(&mut topo, h, mask, removal, &mut stats);
+                .dec_pass(&mut topo, h, mask, holders.of(h_rank, 0), &mut stats);
         }
 
         self.engine.clear_marks();

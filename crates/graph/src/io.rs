@@ -130,12 +130,10 @@ mod tests {
     #[test]
     fn file_round_trip() {
         let g = crate::generators::classic::cycle_graph(5);
-        let dir = std::env::temp_dir().join("dspc_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cycle5.txt");
+        let dir = crate::scratch::ScratchDir::new("dspc_io_test").unwrap();
+        let path = dir.path().join("cycle5.txt");
         save_edge_list(&g, &path).unwrap();
         let g2 = load_edge_list(&path).unwrap();
         assert_eq!(g2.num_edges(), 5);
-        std::fs::remove_file(path).ok();
     }
 }

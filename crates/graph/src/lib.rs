@@ -51,6 +51,7 @@ pub mod error;
 pub mod generators;
 pub mod ids;
 pub mod io;
+pub mod scratch;
 pub mod stats;
 pub mod traversal;
 pub mod undirected;

@@ -1223,24 +1223,22 @@ mod tests {
 
     #[test]
     fn manifest_round_trip_and_corruption() {
-        let dir = std::env::temp_dir().join(format!("dspc-journal-unit-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        write_manifest(&dir, 4, 17).unwrap();
-        assert_eq!(read_manifest(&dir).unwrap(), (4, 17));
+        let scratch = dspc_graph::scratch::ScratchDir::new("dspc-journal-unit").unwrap();
+        let dir = scratch.path();
+        write_manifest(dir, 4, 17).unwrap();
+        assert_eq!(read_manifest(dir).unwrap(), (4, 17));
         // Flip a byte of the generation: crc catches it.
-        let path = manifest_path(&dir);
+        let path = manifest_path(dir);
         let mut bytes = fs::read(&path).unwrap();
         bytes[9] ^= 1;
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            read_manifest(&dir),
+            read_manifest(dir),
             Err(JournalError::Corrupt {
                 section: "manifest",
                 ..
             })
         ));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

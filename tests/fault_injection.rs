@@ -17,6 +17,7 @@ use dspc::query::spc_query;
 use dspc::shard::ShardedFlatIndex;
 use dspc::{DynamicSpc, FlatIndex, MaintenanceThreads, OrderingStrategy, UpdateStats};
 use dspc_graph::generators::random::barabasi_albert;
+use dspc_graph::scratch::ScratchDir;
 use dspc_graph::{UndirectedGraph, VertexId};
 use dspc_serve::{
     current_wal_path, EpochServer, Failpoint, FaultPlan, JournalError, RotateError,
@@ -24,7 +25,7 @@ use dspc_serve::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
+use std::path::Path;
 
 const N: u32 = 40;
 const CFG: ServeConfig = ServeConfig { shards: 2 };
@@ -69,19 +70,17 @@ fn scripted_batches(count: usize) -> Vec<Vec<GraphUpdate>> {
     batches
 }
 
-/// A fresh, empty journal directory unique to `name` (tests run in one
-/// process but must not share directories).
-fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dspc_fault_{}_{}", name, std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// A fresh, empty journal directory, unique per call and removed on drop
+/// (tests run concurrently in one process and must not share directories).
+fn scratch_dir(name: &str) -> ScratchDir {
+    ScratchDir::new(&format!("dspc_fault_{name}")).expect("create scratch dir")
 }
 
 /// A journaled server that ran `rotated` scripted batches (one rotation
 /// each) and then submitted `pending` more without rotating — the
 /// never-crashed reference for most scenarios.
 fn journaled_reference(
-    dir: &PathBuf,
+    dir: &Path,
     rotated: &[Vec<GraphUpdate>],
     pending: &[Vec<GraphUpdate>],
 ) -> EpochServer<DynamicSpc> {
@@ -170,10 +169,10 @@ fn clean_restart_replays_the_full_wal() {
     // Rotate 3 batches, leave the 4th durable-but-pending, then abandon
     // the server (a kill between syncs: everything acknowledged is on
     // disk, the process is gone).
-    let crashed = journaled_reference(&dir, &script[..3], &script[3..4]);
+    let crashed = journaled_reference(dir.path(), &script[..3], &script[3..4]);
     drop(crashed);
 
-    let (mut recovered, report) = EpochServer::recover(&dir, CFG).expect("recovery");
+    let (mut recovered, report) = EpochServer::recover(dir.path(), CFG).expect("recovery");
     assert_eq!(report.generation, 1);
     assert_eq!(report.checkpoint_epoch, 0);
     assert_eq!(report.resumed_epoch, 3);
@@ -184,12 +183,9 @@ fn clean_restart_replays_the_full_wal() {
     assert_eq!(report.dropped_tail_bytes, 0);
     assert_eq!(recovered.stats().replayed_batches, 4);
 
-    let mut reference = journaled_reference(&ref_dir, &script[..3], &script[3..4]);
+    let mut reference = journaled_reference(ref_dir.path(), &script[..3], &script[3..4]);
     assert_bit_identical(&recovered, &reference);
     assert_next_rotation_identical(&mut recovered, &mut reference, &script[4]);
-
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
 #[test]
@@ -198,7 +194,7 @@ fn kill_before_append_loses_only_the_unacknowledged_batch() {
     let dir = scratch_dir("kill_before_append");
     let ref_dir = scratch_dir("kill_before_append_ref");
 
-    let mut crashed = journaled_reference(&dir, &script[..2], &[]);
+    let mut crashed = journaled_reference(dir.path(), &script[..2], &[]);
     crashed.arm_faults(FaultPlan::new().inject(Failpoint::KillBeforeAppend));
     let err = crashed.submit(script[2].clone()).unwrap_err();
     assert!(matches!(
@@ -214,14 +210,11 @@ fn kill_before_append_loses_only_the_unacknowledged_batch() {
 
     // The batch was never acknowledged as durable, so the reference never
     // saw it: recovery loses exactly that batch and nothing else.
-    let (recovered, report) = EpochServer::recover(&dir, CFG).expect("recovery");
+    let (recovered, report) = EpochServer::recover(dir.path(), CFG).expect("recovery");
     assert_eq!(report.replayed_rotations, 2);
     assert_eq!(report.restored_pending_updates, 0);
-    let reference = journaled_reference(&ref_dir, &script[..2], &[]);
+    let reference = journaled_reference(ref_dir.path(), &script[..2], &[]);
     assert_bit_identical(&recovered, &reference);
-
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
 #[test]
@@ -230,7 +223,7 @@ fn kill_after_append_preserves_the_batch_as_pending() {
     let dir = scratch_dir("kill_after_append");
     let ref_dir = scratch_dir("kill_after_append_ref");
 
-    let mut crashed = journaled_reference(&dir, &script[..2], &[]);
+    let mut crashed = journaled_reference(dir.path(), &script[..2], &[]);
     crashed.arm_faults(FaultPlan::new().inject(Failpoint::KillAfterAppend));
     let err = crashed.submit(script[2].clone()).unwrap_err();
     assert!(matches!(
@@ -241,10 +234,10 @@ fn kill_after_append_preserves_the_batch_as_pending() {
 
     // The append hit disk before the kill: the batch is durable and must
     // come back as pending — acknowledged-implies-durable.
-    let (mut recovered, report) = EpochServer::recover(&dir, CFG).expect("recovery");
+    let (mut recovered, report) = EpochServer::recover(dir.path(), CFG).expect("recovery");
     assert_eq!(report.replayed_rotations, 2);
     assert_eq!(report.restored_pending_updates, script[2].len());
-    let mut reference = journaled_reference(&ref_dir, &script[..2], &script[2..3]);
+    let mut reference = journaled_reference(ref_dir.path(), &script[..2], &script[2..3]);
     assert_bit_identical(&recovered, &reference);
 
     // Rotating the restored batch lands both servers on the same epoch.
@@ -252,9 +245,6 @@ fn kill_after_append_preserves_the_batch_as_pending() {
     let rb = reference.rotate().expect("pending batch is valid");
     assert_eq!((ra.epoch, ra.applied), (rb.epoch, rb.applied));
     assert_bit_identical(&recovered, &reference);
-
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
 #[test]
@@ -263,7 +253,7 @@ fn checkpoint_truncates_the_wal_and_recovery_boots_from_it() {
     let dir = scratch_dir("checkpoint");
     let ref_dir = scratch_dir("checkpoint_ref");
 
-    let mut crashed = journaled_reference(&dir, &script[..2], &[]);
+    let mut crashed = journaled_reference(dir.path(), &script[..2], &[]);
     assert_eq!(crashed.checkpoint().expect("checkpoint"), 2);
     assert_eq!(crashed.journal_generation(), Some(2));
     // One more rotation after the checkpoint, then crash.
@@ -271,7 +261,7 @@ fn checkpoint_truncates_the_wal_and_recovery_boots_from_it() {
     crashed.rotate().expect("valid batch");
     drop(crashed);
 
-    let (mut recovered, report) = EpochServer::recover(&dir, CFG).expect("recovery");
+    let (mut recovered, report) = EpochServer::recover(dir.path(), CFG).expect("recovery");
     assert_eq!(report.generation, 2);
     assert_eq!(
         report.checkpoint_epoch, 2,
@@ -285,7 +275,7 @@ fn checkpoint_truncates_the_wal_and_recovery_boots_from_it() {
 
     // Reference: same stream, checkpoint included (checkpoints write
     // journal bytes, so stats only match when both servers checkpoint).
-    let mut reference = journaled_reference(&ref_dir, &script[..2], &[]);
+    let mut reference = journaled_reference(ref_dir.path(), &script[..2], &[]);
     reference.checkpoint().expect("checkpoint");
     reference
         .submit(script[2].clone())
@@ -293,9 +283,6 @@ fn checkpoint_truncates_the_wal_and_recovery_boots_from_it() {
     reference.rotate().expect("valid batch");
     assert_bit_identical(&recovered, &reference);
     assert_next_rotation_identical(&mut recovered, &mut reference, &script[3]);
-
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
 #[test]
@@ -304,7 +291,7 @@ fn kill_mid_checkpoint_keeps_the_old_generation_authoritative() {
     let dir = scratch_dir("kill_mid_checkpoint");
     let ref_dir = scratch_dir("kill_mid_checkpoint_ref");
 
-    let mut crashed = journaled_reference(&dir, &script[..3], &[]);
+    let mut crashed = journaled_reference(dir.path(), &script[..3], &[]);
     crashed.arm_faults(FaultPlan::new().inject(Failpoint::KillAfterStateFile));
     let err = crashed.checkpoint().unwrap_err();
     assert!(matches!(
@@ -313,20 +300,17 @@ fn kill_mid_checkpoint_keeps_the_old_generation_authoritative() {
     ));
     drop(crashed);
     // The orphan next-generation state file is on disk but uncommitted.
-    assert!(dir.join("state-2.dspc").exists());
+    assert!(dir.path().join("state-2.dspc").exists());
 
-    let (recovered, report) = EpochServer::recover(&dir, CFG).expect("recovery");
+    let (recovered, report) = EpochServer::recover(dir.path(), CFG).expect("recovery");
     assert_eq!(report.generation, 1, "MANIFEST never moved");
     assert_eq!(report.replayed_rotations, 3, "the full WAL still replays");
-    let reference = journaled_reference(&ref_dir, &script[..3], &[]);
+    let reference = journaled_reference(ref_dir.path(), &script[..3], &[]);
     assert_bit_identical(&recovered, &reference);
     assert!(
-        !dir.join("state-2.dspc").exists(),
+        !dir.path().join("state-2.dspc").exists(),
         "recovery cleans the orphan generation"
     );
-
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
 #[test]
@@ -334,7 +318,7 @@ fn kill_after_manifest_commits_the_new_generation() {
     let script = scripted_batches(4);
     let dir = scratch_dir("kill_after_manifest");
 
-    let mut crashed = journaled_reference(&dir, &script[..3], &[]);
+    let mut crashed = journaled_reference(dir.path(), &script[..3], &[]);
     let stats_at_crash = *crashed.stats();
     crashed.arm_faults(FaultPlan::new().inject(Failpoint::KillAfterManifest));
     let err = crashed.checkpoint().unwrap_err();
@@ -344,9 +328,10 @@ fn kill_after_manifest_commits_the_new_generation() {
     ));
     drop(crashed);
     // Old generation's files still on disk (cleanup never ran)…
-    assert!(dir.join("state-1.dspc").exists());
+    assert!(dir.path().join("state-1.dspc").exists());
 
-    let (recovered, report) = EpochServer::<DynamicSpc>::recover(&dir, CFG).expect("recovery");
+    let (recovered, report) =
+        EpochServer::<DynamicSpc>::recover(dir.path(), CFG).expect("recovery");
     // …but the MANIFEST rename was the commit point: generation 2 wins.
     assert_eq!(report.generation, 2);
     assert_eq!(
@@ -360,10 +345,14 @@ fn kill_after_manifest_commits_the_new_generation() {
         recovered.stats().updates_applied,
         stats_at_crash.updates_applied
     );
-    assert!(!dir.join("state-1.dspc").exists(), "old generation cleaned");
+    assert!(
+        !dir.path().join("state-1.dspc").exists(),
+        "old generation cleaned"
+    );
 
     // Answers survive the generation switch bit-for-bit.
-    let reference = journaled_reference(&scratch_dir("kam_ref"), &script[..3], &[]);
+    let ref_dir = scratch_dir("kam_ref");
+    let reference = journaled_reference(ref_dir.path(), &script[..3], &[]);
     for s in 0..N {
         for t in 0..N {
             let (s, t) = (VertexId(s), VertexId(t));
@@ -373,9 +362,6 @@ fn kill_after_manifest_commits_the_new_generation() {
             );
         }
     }
-
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(scratch_dir("kam_ref"));
 }
 
 #[test]
@@ -387,13 +373,14 @@ fn torn_final_record_is_dropped_not_fatal() {
     // Two committed epochs, then a durable pending batch whose record we
     // tear mid-write (a real torn append: the kill landed inside the
     // kernel's writeback).
-    let crashed = journaled_reference(&dir, &script[..2], &script[2..3]);
+    let crashed = journaled_reference(dir.path(), &script[..2], &script[2..3]);
     drop(crashed);
-    let wal = current_wal_path(&dir).expect("manifest is readable");
+    let wal = current_wal_path(dir.path()).expect("manifest is readable");
     let bytes = std::fs::read(&wal).unwrap();
     std::fs::write(&wal, &bytes[..bytes.len() - 3]).unwrap();
 
-    let (mut recovered, report) = EpochServer::recover(&dir, CFG).expect("torn tail recovers");
+    let (mut recovered, report) =
+        EpochServer::recover(dir.path(), CFG).expect("torn tail recovers");
     assert_eq!(report.replayed_rotations, 2, "committed epochs are intact");
     assert_eq!(
         report.restored_pending_updates, 0,
@@ -401,13 +388,10 @@ fn torn_final_record_is_dropped_not_fatal() {
     );
     assert!(report.dropped_tail_bytes > 0);
     // Equivalent to a server that never submitted the torn batch.
-    let mut reference = journaled_reference(&ref_dir, &script[..2], &[]);
+    let mut reference = journaled_reference(ref_dir.path(), &script[..2], &[]);
     assert_bit_identical(&recovered, &reference);
     // The WAL was truncated back to its valid prefix: appends keep working.
     assert_next_rotation_identical(&mut recovered, &mut reference, &script[2]);
-
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
 #[test]
@@ -417,9 +401,9 @@ fn final_record_bit_flip_is_dropped_but_mid_file_damage_is_fatal() {
 
     // WAL layout here: checkpoint header record, batch record, epoch
     // marker, batch record, epoch marker.
-    let crashed = journaled_reference(&dir, &script[..2], &[]);
+    let crashed = journaled_reference(dir.path(), &script[..2], &[]);
     drop(crashed);
-    let wal = current_wal_path(&dir).expect("manifest is readable");
+    let wal = current_wal_path(dir.path()).expect("manifest is readable");
     let pristine = std::fs::read(&wal).unwrap();
 
     // Flip a bit in the FINAL record (the last epoch marker): that record
@@ -430,7 +414,7 @@ fn final_record_bit_flip_is_dropped_but_mid_file_damage_is_fatal() {
     flipped[last] ^= 0x10;
     std::fs::write(&wal, &flipped).unwrap();
     let (recovered, report) =
-        EpochServer::<DynamicSpc>::recover(&dir, CFG).expect("final-record damage recovers");
+        EpochServer::<DynamicSpc>::recover(dir.path(), CFG).expect("final-record damage recovers");
     assert_eq!(report.replayed_rotations, 1);
     assert_eq!(report.restored_pending_updates, script[1].len());
     assert!(report.dropped_tail_bytes > 0);
@@ -444,7 +428,7 @@ fn final_record_bit_flip_is_dropped_but_mid_file_damage_is_fatal() {
     let mut flipped = pristine.clone();
     flipped[90] ^= 0x10;
     std::fs::write(&wal, &flipped).unwrap();
-    match EpochServer::<DynamicSpc>::recover(&dir, CFG) {
+    match EpochServer::<DynamicSpc>::recover(dir.path(), CFG) {
         Err(JournalError::Corrupt { section, offset }) => {
             assert_eq!(section, "wal-record");
             assert!(offset > 0, "corruption is located, not just reported");
@@ -452,8 +436,6 @@ fn final_record_bit_flip_is_dropped_but_mid_file_damage_is_fatal() {
         Err(other) => panic!("expected wal-record corruption, got {other:?}"),
         Ok(_) => panic!("mid-file corruption must be fatal"),
     }
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -462,7 +444,7 @@ fn quarantined_batches_are_voided_in_the_wal_and_skipped_by_replay() {
     let dir = scratch_dir("quarantine_replay");
     let ref_dir = scratch_dir("quarantine_replay_ref");
 
-    let run = |dir: &PathBuf| -> EpochServer<DynamicSpc> {
+    let run = |dir: &Path| -> EpochServer<DynamicSpc> {
         let mut server = journaled_reference(dir, &script[..1], &[]);
         // A poisoned batch: its duplicate insert fails validation AFTER
         // the batch was journaled. The quarantine record voids it.
@@ -481,32 +463,29 @@ fn quarantined_batches_are_voided_in_the_wal_and_skipped_by_replay() {
         server
     };
 
-    let crashed = run(&dir);
+    let crashed = run(dir.path());
     let stats_at_crash = *crashed.stats();
     assert_eq!(stats_at_crash.quarantined_rotations, 1);
     assert_eq!(stats_at_crash.rejected_updates, 2);
     drop(crashed);
 
-    let (mut recovered, report) = EpochServer::recover(&dir, CFG).expect("recovery");
+    let (mut recovered, report) = EpochServer::recover(dir.path(), CFG).expect("recovery");
     assert_eq!(
         report.quarantined_updates_skipped, 2,
         "replay skips exactly the voided batch"
     );
     assert_eq!(report.replayed_rotations, 2);
-    let mut reference = run(&ref_dir);
+    let mut reference = run(ref_dir.path());
     assert_bit_identical(&recovered, &reference);
     assert_next_rotation_identical(&mut recovered, &mut reference, &script[2]);
-
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
 #[test]
 fn with_journal_refuses_an_initialized_directory() {
     let dir = scratch_dir("refuse_reinit");
-    let server = EpochServer::with_journal(engine(), CFG, &dir).expect("fresh dir");
+    let server = EpochServer::with_journal(engine(), CFG, dir.path()).expect("fresh dir");
     drop(server);
-    match EpochServer::with_journal(engine(), CFG, &dir) {
+    match EpochServer::with_journal(engine(), CFG, dir.path()) {
         Err(JournalError::Io(e)) => {
             assert_eq!(e.kind(), std::io::ErrorKind::AlreadyExists)
         }
@@ -515,10 +494,7 @@ fn with_journal_refuses_an_initialized_directory() {
     }
     // And recovering a directory that was never initialized fails too.
     let empty = scratch_dir("refuse_empty");
-    std::fs::create_dir_all(&empty).unwrap();
-    assert!(EpochServer::<DynamicSpc>::recover(&empty, CFG).is_err());
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&empty);
+    assert!(EpochServer::<DynamicSpc>::recover(empty.path(), CFG).is_err());
 }
 
 #[test]
@@ -527,7 +503,7 @@ fn threaded_shutdown_flushes_the_journal() {
     let dir = scratch_dir("threaded_shutdown");
     let ref_dir = scratch_dir("threaded_shutdown_ref");
 
-    let server = EpochServer::with_journal(engine(), CFG, &dir).expect("fresh dir");
+    let server = EpochServer::with_journal(engine(), CFG, dir.path()).expect("fresh dir");
     let handle = server.spawn();
     handle.submit(script[0].clone()).expect("writer is alive");
     handle.rotate().expect("valid batch");
@@ -536,14 +512,11 @@ fn threaded_shutdown_flushes_the_journal() {
     let server = handle.shutdown().expect("clean shutdown");
     drop(server);
 
-    let (recovered, report) = EpochServer::recover(&dir, CFG).expect("recovery");
+    let (recovered, report) = EpochServer::recover(dir.path(), CFG).expect("recovery");
     assert_eq!(report.replayed_rotations, 1);
     assert_eq!(report.restored_pending_updates, script[1].len());
-    let reference = journaled_reference(&ref_dir, &script[..1], &script[1..2]);
+    let reference = journaled_reference(ref_dir.path(), &script[..1], &script[1..2]);
     assert_bit_identical(&recovered, &reference);
-
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
 /// A [`DynamicSpc`] that panics when asked to apply a batch containing the

@@ -192,6 +192,7 @@ fn warm_start_server_matches_live_built_server() {
     use dspc::serialize::{load_flat, save_flat};
     use dspc::{DynamicSpc, ShardedFlatIndex};
     use dspc_graph::generators::random::barabasi_albert;
+    use dspc_graph::scratch::ScratchDir;
     use dspc_serve::{EpochServer, ServeConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -200,13 +201,13 @@ fn warm_start_server_matches_live_built_server() {
     let g = barabasi_albert(n as usize, 3, &mut StdRng::seed_from_u64(0xB007));
     let live_engine = DynamicSpc::build(g.clone(), OrderingStrategy::Degree);
     let flat = FlatIndex::freeze(live_engine.index());
-    let path = std::env::temp_dir().join(format!("dspc_warm_start_{}.v2", std::process::id()));
+    let dir = ScratchDir::new("dspc_warm_start").expect("scratch dir");
+    let path = dir.path().join("index.v2");
     save_flat(&flat, &path).expect("write snapshot file");
 
     // Boot from disk: the loaded columns go straight into serving position
     // (sharded, epoch 0), the engine thaws from the same columns.
     let loaded = load_flat(&path).expect("read snapshot file");
-    std::fs::remove_file(&path).ok();
     let warm_engine = DynamicSpc::from_parts(g.clone(), loaded.thaw(), OrderingStrategy::Degree);
     let mut warm = EpochServer::warm_start(
         warm_engine,
