@@ -1,5 +1,5 @@
 //! The deterministic CI perf lane: a small, seeded update workload whose
-//! *engine counters* (sweeps, label operations, wave schedule) are
+//! *engine counters* (sweeps, label operations, removal probes) are
 //! machine-independent — unlike wall-clock numbers, they can gate a PR
 //! without flakiness.
 //!
@@ -12,8 +12,8 @@
 //! (`total_sweeps` for maintenance, `removal_probes` for the DecSPC
 //! removal pass, `merge_steps` for the query kernel) regressed by more
 //! than `--threshold` percent (default 5). The workload runs maintenance
-//! at `MaintenanceThreads::Fixed(2)` — the wave scheduler is
-//! deterministic, so every counter (including the schedule shape) is
+//! at `MaintenanceThreads::Fixed(2)`: only read-only classification fans
+//! out, and its results merge in task order, so every counter is
 //! identical on any host and at any actual core count.
 //!
 //! After the maintenance epochs each scenario runs a query phase: a seeded
@@ -80,10 +80,7 @@ fn absorb(report: &mut BTreeMap<String, u64>, stats: &UpdateStats) {
     add(report, "inserted", stats.inserted);
     add(report, "removed", stats.removed);
     add(report, "vertices_visited", stats.vertices_visited);
-    add(report, "waves", stats.waves);
     add(report, "removal_probes", stats.removal_probes);
-    let w = report.entry("max_wave_width".to_string()).or_insert(0);
-    *w = (*w).max(stats.max_wave_width as u64);
 }
 
 /// Seeded query pairs over an `n`-vertex id space.
@@ -247,10 +244,9 @@ fn weighted(report: &mut BTreeMap<String, u64>) {
 }
 
 /// Bridged scenario: a cut vertex joins four wheels; severing every
-/// bridge in one epoch leaves the wheels in disjoint residual components,
-/// so the wave scheduler must find genuine width (the report's
-/// `max_wave_width` guards that the interference test stays sharp enough
-/// to parallelize disjoint components).
+/// bridge in one epoch leaves the wheels in disjoint residual components —
+/// one agenda whose hubs span four components, each repaired and each
+/// removal pass walked in rank order.
 fn bridged(report: &mut BTreeMap<String, u64>) {
     let rim = 10u32;
     let wheels = 4u32;
@@ -269,7 +265,7 @@ fn bridged(report: &mut BTreeMap<String, u64>) {
     let n = 1 + wheels * (rim + 1);
     let g = dspc_graph::UndirectedGraph::from_edges(n as usize, &edges);
     // Identity order ranks the cut vertex 0 highest: all four bridge
-    // deletions share it as their group key and repair as one agenda.
+    // deletions share it as an endpoint and repair as one agenda.
     let mut d = DynamicSpc::build(g, OrderingStrategy::Identity);
     d.set_maintenance_threads(THREADS);
     absorb(report, &d.apply_batch(&ops).expect("valid epoch"));
@@ -470,21 +466,14 @@ fn main() {
                 || key == "journal_bytes_per_update"
                 || key == "churn_rerank_sweeps"
                 || key == "churn_entries_tiered";
-            // max_wave_width gates in the opposite direction: it is a max
-            // over epochs (rotation-agnostic by construction) and the
-            // regression is the wave schedule LOSING width — disjoint
-            // residual components that used to repair side by side
-            // serializing into narrow waves.
-            let width_gate = key == "max_wave_width";
-            let effective = if width_gate { -delta } else { delta };
-            let verdict = if (gate || width_gate) && effective > threshold {
+            let verdict = if gate && delta > threshold {
                 failed = true;
                 "FAIL"
-            } else if (gate || width_gate) && effective < -threshold {
+            } else if gate && delta < -threshold {
                 // An improvement beyond the threshold silently widens the
                 // slack future regressions hide in — demand a refresh.
                 "IMPROVED — refresh BENCH_baseline.json to lock it in"
-            } else if gate || width_gate {
+            } else if gate {
                 "gate"
             } else {
                 "info"

@@ -128,17 +128,6 @@ fn scripted_batches(config: &RecoveryReplayConfig) -> Vec<Vec<GraphUpdate>> {
         .collect()
 }
 
-/// Strips the scheduling-dependent counters (`steal_events`,
-/// `interference_probes` are a function of worker timing, not of the
-/// repaired index) so twin runs can be compared for determinism.
-fn scheduling_free(stats: Option<dspc::UpdateStats>) -> Option<dspc::UpdateStats> {
-    stats.map(|mut s| {
-        s.counters.steal_events = 0;
-        s.counters.interference_probes = 0;
-        s
-    })
-}
-
 /// Runs the scripted crash/recover cycle and returns its deterministic
 /// counters. Panics on any recovery-equivalence violation.
 pub fn replay(config: RecoveryReplayConfig) -> RecoveryReplayReport {
@@ -164,11 +153,7 @@ pub fn replay(config: RecoveryReplayConfig) -> RecoveryReplayReport {
         twin.submit(batch.clone()).expect("plain submit");
         let a = crashed.rotate().expect("scripted batch is valid");
         let b = twin.rotate().expect("scripted batch is valid");
-        assert_eq!(
-            scheduling_free(a.applied),
-            scheduling_free(b.applied),
-            "twin divergence before the crash"
-        );
+        assert_eq!(a.applied, b.applied, "twin divergence before the crash");
         if epoch + 1 == config.checkpoint_after {
             crashed.checkpoint().expect("mid-stream checkpoint");
         }
@@ -197,8 +182,7 @@ pub fn replay(config: RecoveryReplayConfig) -> RecoveryReplayReport {
     let final_a = recovered.rotate().expect("restored batch is valid");
     let final_b = twin.rotate().expect("pending batch is valid");
     assert_eq!(
-        scheduling_free(final_a.applied),
-        scheduling_free(final_b.applied),
+        final_a.applied, final_b.applied,
         "post-recovery maintenance counters diverged"
     );
     assert_eq!(recovered.epoch(), twin.epoch());

@@ -33,37 +33,11 @@
 //! anywhere uses as a hub (tracked exactly by the index's hub-entry
 //! counts).
 
-use crate::engine::{
-    aggregate_far_columns, build_endpoint_tasks, FarAggregator, FarColumn, HubHolders,
-    MaintenanceCounters, RepairAgenda, UndirectedTopo, UpdateEngine, MARK_A, MARK_B,
-    REPAIR_PRIMARY,
-};
+use crate::engine::{DecPipeline, MaintenanceCounters, Undirected};
 use crate::index::SpcIndex;
-use crate::label::Rank;
-use crate::parallel::{ClassifyMode, MaintenanceOptions, MaintenanceThreads};
-use crate::query::HubProbe;
 use dspc_graph::{UndirectedGraph, VertexId};
 
-/// Former name of the deletion driver's counter block — now the unified
-/// [`MaintenanceCounters`] (the `isolated_fast_path` flag lives there).
-#[deprecated(
-    note = "renamed to `MaintenanceCounters` (one counter type across engine, drivers, and facades)"
-)]
-pub type DecStats = MaintenanceCounters;
-
-/// The affected-vertex sets computed by `SrrSEARCH` — Table 5 reports their
-/// cardinalities.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SrrOutcome {
-    /// Affected hubs on `a`'s side (`SR_a`).
-    pub sr_a: Vec<VertexId>,
-    /// Affected hubs on `b`'s side (`SR_b`).
-    pub sr_b: Vec<VertexId>,
-    /// Receiver-only vertices on `a`'s side (`R_a`).
-    pub r_a: Vec<VertexId>,
-    /// Receiver-only vertices on `b`'s side (`R_b`).
-    pub r_b: Vec<VertexId>,
-}
+pub use crate::engine::SrrOutcome;
 
 /// Which affected-hub set drives the update BFSs — the ablation knob
 /// behind the paper's §2.3 argument that prior SD-Index definitions of
@@ -84,44 +58,27 @@ pub enum DecMode {
     SrOnlyNoFastPath,
 }
 
-/// Hub → holder lists over the receivers' label rows (one family).
-fn undirected_holders(
-    index: &SpcIndex,
-    hubs: impl IntoIterator<Item = Rank>,
-    receivers: &[VertexId],
-    stats: &mut MaintenanceCounters,
-) -> HubHolders {
-    HubHolders::build(
-        hubs,
-        receivers,
-        1,
-        |v, _| index.label_set(v).entries(),
-        stats,
-    )
+/// Whether deleting an edge at `x` strands it under §3.2.3: `x` has degree
+/// one and no label anywhere uses it as a hub (checked exactly via the
+/// index's hub-entry counts — `x`'s own self label is the single permitted
+/// occurrence).
+fn strands_unused_pendant(g: &UndirectedGraph, index: &mut SpcIndex, x: VertexId) -> bool {
+    g.degree(x) == 1 && index.hub_entry_count(index.rank(x)) == 1
 }
 
 /// Reusable DecSPC driver (Algorithm 4): the undirected deletion policy
-/// over the shared [`UpdateEngine`].
+/// over the shared [`DecPipeline`], plus the §3.2.3 isolated-vertex fast
+/// path.
 #[derive(Debug)]
 pub struct DecSpc {
-    engine: UpdateEngine<u32>,
-    probe: HubProbe,
-    /// Probe pool for multi-far classification (one probe per pinned far
-    /// of the widest task seen), grown on demand.
-    probes: Vec<HubProbe>,
-    agenda: RepairAgenda,
-    agg: FarAggregator,
+    pipeline: DecPipeline<Undirected>,
 }
 
 impl DecSpc {
     /// Creates an engine for graphs up to `capacity` ids.
     pub fn new(capacity: usize) -> Self {
         DecSpc {
-            engine: UpdateEngine::new(capacity),
-            probe: HubProbe::new(capacity),
-            probes: Vec::new(),
-            agenda: RepairAgenda::new(capacity),
-            agg: FarAggregator::new(capacity),
+            pipeline: DecPipeline::new(capacity),
         }
     }
 
@@ -152,22 +109,19 @@ impl DecSpc {
         if !g.has_edge(a, b) {
             return Err(dspc_graph::GraphError::MissingEdge(a, b));
         }
-        self.engine.ensure_capacity(g.capacity());
 
-        // §3.2.3 isolated-vertex fast path: the deletion strands a
-        // degree-one endpoint `x` that no label anywhere uses as a hub
-        // (checked exactly via the index's hub-entry counts — `x`'s own
-        // self label is the single permitted occurrence), so emptying L(x)
-        // is the entire repair. The count check replaces the paper's
-        // rank-comparison precondition: rank(y) < rank(x) guarantees a
-        // *freshly built* index has no (x, ·, ·) labels, but stale labels
-        // from earlier updates can violate that — and conversely the count
-        // check also fires for higher-ranked pendants whose hub entries
-        // happen to have been cleaned up, so it is both sound and broader.
-        for x in [b, a] {
-            if mode != DecMode::SrOnlyNoFastPath
-                && g.degree(x) == 1
-                && index.hub_entry_count(index.rank(x)) == 1
+        // §3.2.3 isolated-vertex fast path: emptying L(x) of a stranded,
+        // unused pendant `x` is the entire repair. The hub-count check
+        // replaces the paper's rank-comparison precondition: rank(y) <
+        // rank(x) guarantees a *freshly built* index has no (x, ·, ·)
+        // labels, but stale labels from earlier updates can violate that —
+        // and conversely the count check also fires for higher-ranked
+        // pendants whose hub entries happen to have been cleaned up, so it
+        // is both sound and broader.
+        if mode != DecMode::SrOnlyNoFastPath {
+            if let Some(x) = [b, a]
+                .into_iter()
+                .find(|&x| strands_unused_pendant(g, index, x))
             {
                 g.delete_edge(a, b)?;
                 let stats = MaintenanceCounters {
@@ -179,470 +133,79 @@ impl DecSpc {
             }
         }
 
-        // Phase 1 — SrrSEARCH on G_i (edge still present).
-        let mut stats = MaintenanceCounters::default();
-        let srr = {
-            let mut topo = UndirectedTopo::new(g, index, &mut self.probe);
-            let (sr_a, r_a) = self.engine.srr_pass(&mut topo, a, b, 1, &mut stats);
-            let (sr_b, r_b) = self.engine.srr_pass(&mut topo, b, a, 1, &mut stats);
-            SrrOutcome {
-                sr_a,
-                sr_b,
-                r_a,
-                r_b,
-            }
-        };
-        self.engine
-            .set_marks([&srr.sr_a, &srr.r_a], [&srr.sr_b, &srr.r_b]);
-        debug_assert!(
-            !self.engine.sides_overlap(),
-            "SR_a ∪ R_a and SR_b ∪ R_b of one edge are disjoint"
-        );
-
-        // Phase boundary — G_{i+1} ← G_i ⊖ (a, b).
-        g.delete_edge(a, b)?;
-
-        // SR = SR_a ∪ SR_b sorted by descending rank (ascending position).
-        // NaiveAffected additionally promotes every R vertex to hub status.
-        let mut sr: Vec<(Rank, bool)> = srr
-            .sr_a
-            .iter()
-            .map(|&v| (index.rank(v), true))
-            .chain(srr.sr_b.iter().map(|&v| (index.rank(v), false)))
-            .collect();
-        if mode == DecMode::NaiveAffected {
-            sr.extend(srr.r_a.iter().map(|&v| (index.rank(v), true)));
-            sr.extend(srr.r_b.iter().map(|&v| (index.rank(v), false)));
-        }
-        sr.sort_unstable_by_key(|&(r, _)| r);
-        let holders = undirected_holders(
-            index,
-            sr.iter().map(|&(r, _)| r),
-            self.engine.marked(),
-            &mut stats,
-        );
-
-        for &(h_rank, from_a) in &sr {
-            let h = index.vertex(h_rank);
-            stats.hubs_processed += 1;
-            let opposite = if from_a { MARK_B } else { MARK_A };
-            let mut topo = UndirectedTopo::new(g, index, &mut self.probe);
-            self.engine
-                .dec_pass(&mut topo, h, opposite, holders.of(h_rank, 0), &mut stats);
-        }
-
-        self.engine.clear_marks();
-        Ok((stats, srr))
-    }
-
-    /// Multi-edge `SrrSEARCH` repair (the batch generalization of
-    /// Algorithm 4), sequential. Equivalent to [`DecSpc::delete_edges_with`]
-    /// with [`MaintenanceOptions::sequential`].
-    #[deprecated(note = "use `delete_edges_with` with `MaintenanceOptions::sequential()`")]
-    pub fn delete_edges(
-        &mut self,
-        g: &mut UndirectedGraph,
-        index: &mut SpcIndex,
-        edges: &[(VertexId, VertexId)],
-    ) -> dspc_graph::Result<MaintenanceCounters> {
-        self.delete_edges_with(g, index, edges, &MaintenanceOptions::sequential())
-    }
-
-    /// Multi-edge deletion with an explicit thread budget. Equivalent to
-    /// [`DecSpc::delete_edges_with`] with
-    /// [`MaintenanceOptions::with_threads`].
-    #[deprecated(note = "use `delete_edges_with` with `MaintenanceOptions::with_threads(..)`")]
-    pub fn delete_edges_with_threads(
-        &mut self,
-        g: &mut UndirectedGraph,
-        index: &mut SpcIndex,
-        edges: &[(VertexId, VertexId)],
-        threads: usize,
-    ) -> dspc_graph::Result<MaintenanceCounters> {
-        self.delete_edges_with(
+        self.pipeline.delete_one(
             g,
             index,
-            edges,
-            &MaintenanceOptions::with_threads(MaintenanceThreads::Fixed(threads)),
+            (a, b),
+            |g| g.delete_edge(a, b),
+            mode == DecMode::NaiveAffected,
         )
     }
 
     /// Multi-edge `SrrSEARCH` repair (the batch generalization of
     /// Algorithm 4): deletes every edge of `edges` from `g` and repairs
     /// `index` with **one** `DecUPDATE` sweep per distinct affected hub,
-    /// instead of one per edge per hub.
-    ///
-    /// Phase 1 classifies the whole set on the *group-pre* graph (all of
-    /// `edges` still present). Under the default
-    /// [`ClassifyMode::MultiFar`] this costs **one**
-    /// [`UpdateEngine::multi_far_pass`] sweep per *distinct endpoint* of
-    /// the set (not two per edge), with per-far count columns summed per
-    /// shared far endpoint — which also fixes the mixed-frontier
-    /// condition-**B** undercount the legacy per-edge comparison suffers
-    /// when several doomed edges share a far endpoint. The mutation then
-    /// removes the whole set; phase 2 sweeps each hub of `⋃ SR`
-    /// (descending rank, deduplicated) against the residual graph, so
-    /// every repaired label is RenewC/RenewD relative to the graph with
-    /// the *entire* deleted set absent. The receiver/removal candidate
-    /// list is the union of every classified vertex — a superset of each
-    /// edge's opposite side, safe under the unconditional removal pass
-    /// (see [`crate::engine`] module docs).
-    ///
-    /// A thread budget above 1 classifies endpoint tasks in parallel
-    /// (read-only on the pre-mutation graph) and runs the repair sweeps
-    /// as rank-independent waves on a persistent worker pool
-    /// ([`crate::engine::parallel::run_wave_pool`]). Results are
-    /// deterministic: the repaired index, query answers, and
-    /// label-operation counters are identical at every thread count —
-    /// only the `waves` / `max_wave_width` / `interference_probes` /
-    /// `steal_events` schedule counters distinguish the parallel path.
+    /// instead of one per edge per hub, classifying on up to `threads`
+    /// threads ([`DecPipeline::delete_batch`]).
     ///
     /// Edges eligible for the §3.2.3 isolated-vertex fast path (a pendant
-    /// endpoint no label uses as a hub) are peeled off the group first and
+    /// endpoint no label uses as a hub) are peeled off the set first and
     /// deleted through [`DecSpc::delete_edge`] — they cost zero sweeps
-    /// there, so routing them through the group machinery would only *add*
+    /// there, so routing them through the batch would only *add*
     /// classification work.
     ///
     /// All edges are validated present (and pairwise distinct) before the
     /// first mutation; on error nothing is applied.
-    pub fn delete_edges_with(
+    pub fn delete_edges(
         &mut self,
         g: &mut UndirectedGraph,
         index: &mut SpcIndex,
         edges: &[(VertexId, VertexId)],
-        options: &MaintenanceOptions,
+        threads: usize,
     ) -> dspc_graph::Result<MaintenanceCounters> {
         match edges {
             [] => return Ok(MaintenanceCounters::default()),
             &[(a, b)] => return self.delete_edge(g, index, a, b).map(|(s, _)| s),
             _ => {}
         }
-        let mut keys: Vec<(u32, u32)> = Vec::with_capacity(edges.len());
-        for &(a, b) in edges {
-            if !g.has_edge(a, b) {
-                return Err(dspc_graph::GraphError::MissingEdge(a, b));
-            }
-            keys.push(crate::engine::ordered_key(a, b));
-        }
-        if let Some((x, y)) = crate::engine::duplicate_edge_key(&mut keys) {
-            return Err(dspc_graph::GraphError::MissingEdge(
-                VertexId(x),
-                VertexId(y),
-            ));
-        }
+        DecPipeline::<Undirected>::validate(g, edges)?;
 
-        // Peel fast-path-eligible edges off the group (checked against the
+        // Peel fast-path-eligible edges off the set (checked against the
         // evolving graph, since each peeled deletion can strand the next
         // pendant).
         let mut total = MaintenanceCounters::default();
-        let mut group: Vec<(VertexId, VertexId)> = Vec::with_capacity(edges.len());
+        let mut rest: Vec<(VertexId, VertexId)> = Vec::with_capacity(edges.len());
         for &(a, b) in edges {
-            let eligible = [a, b].into_iter().any(|x| {
-                let r = index.rank(x);
-                g.degree(x) == 1 && index.hub_entry_count(r) == 1
-            });
-            if eligible {
+            if strands_unused_pendant(g, index, a) || strands_unused_pendant(g, index, b) {
                 let (s, _) = self.delete_edge(g, index, a, b)?;
                 total.absorb(&s);
             } else {
-                group.push((a, b));
+                rest.push((a, b));
             }
         }
-        match group[..] {
-            [] => return Ok(total),
-            [(a, b)] => {
-                let (s, _) = self.delete_edge(g, index, a, b)?;
-                total.absorb(&s);
-                return Ok(total);
-            }
-            _ => {}
-        }
-
-        self.engine.ensure_capacity(g.capacity());
-        self.agenda.ensure_capacity(g.capacity());
-        self.agg.ensure_capacity(g.capacity());
-        let threads = options.threads.resolve();
-        let mut stats = MaintenanceCounters::default();
-
-        if threads <= 1 {
-            // Phase 1 — classification on the group-pre graph, outcomes
-            // merged into the shared agenda.
-            match options.classify {
-                ClassifyMode::PerEdge => {
-                    for &(a, b) in &group {
-                        let mut topo = UndirectedTopo::new(g, index, &mut self.probe);
-                        let (sr_a, r_a) = self.engine.srr_pass(&mut topo, a, b, 1, &mut stats);
-                        let (sr_b, r_b) = self.engine.srr_pass(&mut topo, b, a, 1, &mut stats);
-                        self.agenda
-                            .note_side(&sr_a, &r_a, REPAIR_PRIMARY, |v| index.rank(v));
-                        self.agenda
-                            .note_side(&sr_b, &r_b, REPAIR_PRIMARY, |v| index.rank(v));
-                    }
-                }
-                ClassifyMode::MultiFar => {
-                    let tasks = build_endpoint_tasks(
-                        group.iter().flat_map(|&(a, b)| [(a, b, 1u32), (b, a, 1)]),
-                    );
-                    let mut columns: Vec<FarColumn> = Vec::new();
-                    {
-                        use crate::engine::FrozenUndirected;
-                        let (g_ref, index_ref): (&UndirectedGraph, &SpcIndex) = (g, index);
-                        let engine = &mut self.engine;
-                        let probes = &mut self.probes;
-                        for task in &tasks {
-                            while probes.len() < task.fars.len() {
-                                probes.push(HubProbe::new(g_ref.capacity()));
-                            }
-                            let mut views: Vec<FrozenUndirected> = probes[..task.fars.len()]
-                                .iter_mut()
-                                .map(|p| FrozenUndirected::new(g_ref, index_ref, p))
-                                .collect();
-                            columns.extend(
-                                engine
-                                    .multi_far_pass(&mut views, task.near, &task.fars, &mut stats),
-                            );
-                        }
-                    }
-                    aggregate_far_columns(
-                        &mut self.agg,
-                        &columns,
-                        &mut self.agenda,
-                        REPAIR_PRIMARY,
-                        |v| index.rank(v),
-                    );
-                }
-            }
-            self.engine
-                .set_marks([self.agenda.receivers(), &[]], [&[], &[]]);
-
-            // Phase boundary — G_{i+1} ← G_i ⊖ group (the whole set at once).
-            for &(a, b) in &group {
-                g.delete_edge(a, b)?;
-            }
-
-            // Phase 2 — one sweep per distinct hub on the residual graph.
-            let hubs = self.agenda.take_hubs();
-            stats.agenda_hubs += hubs.len();
-            let holders = undirected_holders(
-                index,
-                hubs.iter().map(|&(r, _)| r),
-                self.agenda.receivers(),
-                &mut stats,
-            );
-            for (h_rank, _) in hubs {
-                let h = index.vertex(h_rank);
-                stats.hubs_processed += 1;
-                let mut topo = UndirectedTopo::new(g, index, &mut self.probe);
-                self.engine
-                    .dec_pass(&mut topo, h, MARK_A, holders.of(h_rank, 0), &mut stats);
-            }
-
-            self.engine.clear_marks();
-        } else {
-            self.delete_group_parallel(g, index, &group, threads, options.classify, &mut stats)?;
-        }
-        self.agenda.clear();
-        total.absorb(&stats);
+        let s = match rest[..] {
+            [(a, b)] => self.delete_edge(g, index, a, b)?.0,
+            _ => self.pipeline.delete_batch(g, index, &rest, threads)?,
+        };
+        total.absorb(&s);
         Ok(total)
-    }
-
-    /// The wave-parallel twin of the sequential group body: classification
-    /// fans out over the group's endpoint tasks (read-only on the
-    /// pre-mutation graph and index), the whole set is deleted, and the
-    /// deduplicated hub agenda runs as rank-independent waves of frozen
-    /// sweeps on a persistent worker pool, with buffered label writes
-    /// committed at each wave boundary.
-    fn delete_group_parallel(
-        &mut self,
-        g: &mut UndirectedGraph,
-        index: &mut SpcIndex,
-        group: &[(VertexId, VertexId)],
-        threads: usize,
-        classify: ClassifyMode,
-        stats: &mut MaintenanceCounters,
-    ) -> dspc_graph::Result<()> {
-        use crate::engine::parallel::{
-            agenda_components, frozen_dec_sweep, note_schedule, plan_waves, run_wave_pool,
-            Buffered, Interference, LabelWriteLog, WorkerScratch,
-        };
-        use crate::engine::FrozenUndirected;
-
-        let cap = g.capacity();
-
-        // Phase 1 — parallel classification on the group-pre graph, merged
-        // in task order so the agenda and counters end up exactly as the
-        // sequential classification would have left them.
-        match classify {
-            ClassifyMode::PerEdge => {
-                let outcomes = {
-                    let (g_ref, index_ref): (&UndirectedGraph, &SpcIndex) = (g, index);
-                    crate::parallel::fan_out(
-                        group,
-                        threads,
-                        || {
-                            (
-                                UpdateEngine::<u32>::new(cap),
-                                HubProbe::new(cap),
-                                LabelWriteLog::<u32>::new(),
-                            )
-                        },
-                        |(engine, probe, log), &(a, b)| {
-                            let mut c = MaintenanceCounters::default();
-                            let mut topo =
-                                Buffered::new(FrozenUndirected::new(g_ref, index_ref, probe), log);
-                            let (sr_a, r_a) = engine.srr_pass(&mut topo, a, b, 1, &mut c);
-                            let (sr_b, r_b) = engine.srr_pass(&mut topo, b, a, 1, &mut c);
-                            debug_assert!(log.is_empty(), "classification never writes");
-                            (sr_a, r_a, sr_b, r_b, c)
-                        },
-                    )
-                };
-                for (sr_a, r_a, sr_b, r_b, c) in &outcomes {
-                    stats.absorb(c);
-                    self.agenda
-                        .note_side(sr_a, r_a, REPAIR_PRIMARY, |v| index.rank(v));
-                    self.agenda
-                        .note_side(sr_b, r_b, REPAIR_PRIMARY, |v| index.rank(v));
-                }
-            }
-            ClassifyMode::MultiFar => {
-                let tasks = build_endpoint_tasks(
-                    group.iter().flat_map(|&(a, b)| [(a, b, 1u32), (b, a, 1)]),
-                );
-                let outcomes = {
-                    let (g_ref, index_ref): (&UndirectedGraph, &SpcIndex) = (g, index);
-                    crate::parallel::fan_out(
-                        &tasks,
-                        threads,
-                        || (UpdateEngine::<u32>::new(cap), Vec::<HubProbe>::new()),
-                        |(engine, probes), task| {
-                            while probes.len() < task.fars.len() {
-                                probes.push(HubProbe::new(cap));
-                            }
-                            let mut c = MaintenanceCounters::default();
-                            let mut views: Vec<FrozenUndirected> = probes[..task.fars.len()]
-                                .iter_mut()
-                                .map(|p| FrozenUndirected::new(g_ref, index_ref, p))
-                                .collect();
-                            let cols =
-                                engine.multi_far_pass(&mut views, task.near, &task.fars, &mut c);
-                            (cols, c)
-                        },
-                    )
-                };
-                let mut columns: Vec<FarColumn> = Vec::new();
-                for (cols, c) in outcomes {
-                    stats.absorb(&c);
-                    columns.extend(cols);
-                }
-                aggregate_far_columns(
-                    &mut self.agg,
-                    &columns,
-                    &mut self.agenda,
-                    REPAIR_PRIMARY,
-                    |v| index.rank(v),
-                );
-            }
-        }
-
-        // Phase boundary — G_{i+1} ← G_i ⊖ group (the whole set at once).
-        for &(a, b) in group {
-            g.delete_edge(a, b)?;
-        }
-
-        // Phase 2 — wave-scheduled repair on the residual graph. The
-        // interference model is only worth building when the agenda could
-        // actually share a wave; its component labeling is a bounded BFS
-        // seeded at the agenda's hubs and receivers, so untouched residual
-        // components cost nothing.
-        let hubs = self.agenda.take_hubs();
-        stats.agenda_hubs += hubs.len();
-        let receivers = self.agenda.receivers();
-        let holders = undirected_holders(index, hubs.iter().map(|&(r, _)| r), receivers, stats);
-        let schedule = if hubs.len() < 2 {
-            plan_waves(hubs.len(), |_, _| false)
-        } else {
-            let (comp, probes) = agenda_components(
-                cap,
-                hubs.iter()
-                    .map(|&(r, _)| index.vertex(r))
-                    .chain(receivers.iter().copied()),
-                |v, f| {
-                    for &w in g.neighbors(VertexId(v)) {
-                        f(w);
-                    }
-                },
-            );
-            stats.interference_probes += probes;
-            let inter = Interference::build(&comp, &hubs, |r| index.vertex(r), &holders);
-            plan_waves(hubs.len(), |i, j| inter.conflicts(i, j))
-        };
-        note_schedule(stats, &schedule);
-        let items: Vec<Rank> = hubs.iter().map(|&(r, _)| r).collect();
-        let waves: Vec<&[usize]> = schedule.iter().collect();
-        let g_ref: &UndirectedGraph = g;
-        let index_lock = std::sync::RwLock::new(&mut *index);
-        let steals = run_wave_pool(
-            threads,
-            &items,
-            &waves,
-            || WorkerScratch::for_group(cap, receivers, HubProbe::new(cap)),
-            |scratch, &h_rank| {
-                // A shared read lock per sweep: writes only ever happen in
-                // the commit closure below, between waves, when every
-                // worker is parked at the pool barrier.
-                let guard = index_lock.read().unwrap();
-                let index: &SpcIndex = &guard;
-                frozen_dec_sweep(
-                    &mut scratch.engine,
-                    FrozenUndirected::new(g_ref, index, &mut scratch.probe),
-                    index.vertex(h_rank),
-                    holders.of(h_rank, 0),
-                )
-            },
-            |results| {
-                // Commit in rank order. Distinct hubs write distinct label
-                // rows, so the order only matters for matching the
-                // sequential counter accumulation.
-                let mut guard = index_lock.write().unwrap();
-                for (mut log, c) in results {
-                    stats.absorb(&c);
-                    for (v, hub, op) in log.drain() {
-                        match op {
-                            Some((d, cnt)) => {
-                                guard.upsert_entry(v, crate::label::LabelEntry::new(hub, d, cnt));
-                            }
-                            None => {
-                                guard.remove_entry(v, hub);
-                            }
-                        }
-                    }
-                }
-            },
-        );
-        stats.steal_events += steals;
-        Ok(())
     }
 
     /// Algorithm 5 — computes `SR_a, R_a` (BFS from `a`, classifying against
     /// queries to `b`) and symmetrically `SR_b, R_b`, on the pre-deletion
     /// graph. (Callers wanting the sets alongside a real deletion use
     /// [`crate::DynamicSpc::delete_edge_with_sets`]; this standalone entry
-    /// backs the paper-example tests. `index` is taken mutably only because
-    /// the engine's topology view unifies read and repair passes.)
+    /// backs the paper-example tests.)
     #[cfg(test)]
-    fn srr_search(
-        &mut self,
-        g: &UndirectedGraph,
-        index: &mut SpcIndex,
-        a: VertexId,
-        b: VertexId,
-    ) -> SrrOutcome {
-        self.engine.ensure_capacity(g.capacity());
+    fn srr_search(g: &UndirectedGraph, index: &SpcIndex, a: VertexId, b: VertexId) -> SrrOutcome {
+        use crate::engine::{UndirectedTopo, UpdateEngine};
+        use crate::query::HubProbe;
+        let mut engine = UpdateEngine::new(g.capacity());
+        let mut probe = HubProbe::new(g.capacity());
         let mut stats = MaintenanceCounters::default();
-        let mut topo = UndirectedTopo::new(g, index, &mut self.probe);
-        let (sr_a, r_a) = self.engine.srr_pass(&mut topo, a, b, 1, &mut stats);
-        let (sr_b, r_b) = self.engine.srr_pass(&mut topo, b, a, 1, &mut stats);
+        let mut topo = UndirectedTopo::new(g, index, &mut probe);
+        let (sr_a, r_a) = engine.srr_pass(&mut topo, a, b, 1, &mut stats);
+        let (sr_b, r_b) = engine.srr_pass(&mut topo, b, a, 1, &mut stats);
         SrrOutcome {
             sr_a,
             sr_b,
@@ -684,9 +247,8 @@ mod tests {
         // Deleting (v1, v2) from Figure 2's G: SR_v1 = {v1, v6, v10},
         // SR_v2 = {v2}, R_v2 = {v3, v7}, R_v1 = ∅.
         let g = figure2_g();
-        let mut index = build_index(&g, OrderingStrategy::Identity);
-        let mut engine = DecSpc::new(g.capacity());
-        let srr = engine.srr_search(&g, &mut index, VertexId(1), VertexId(2));
+        let index = build_index(&g, OrderingStrategy::Identity);
+        let srr = DecSpc::srr_search(&g, &index, VertexId(1), VertexId(2));
         let as_set = |v: &[VertexId]| {
             let mut s: Vec<u32> = v.iter().map(|x| x.0).collect();
             s.sort_unstable();

@@ -11,46 +11,43 @@
 //! receiver's row prefix (entries ranked at or above the lowest-ranked
 //! agenda hub) plus one step per holder.
 //!
+//! One list covers one label family, over only the hubs that repair that
+//! family — a directed repair builds one for `L_in` and one for `L_out`.
 //! The lists are exact for the removal of every hub, not only the first:
-//! a sweep for `h` writes and removes row `h` only, and each `(hub,
-//! family)` pair sweeps at most once per repair. So when `h`'s removal
-//! runs, the receivers holding row `h` are the ones that held it before the
-//! repair started, plus the ones `h`'s own sweep just wrote — and those are
-//! marked updated, which the removal skips anyway.
+//! a sweep for `h` writes and removes row `h` of its family only, and each
+//! `(hub, family)` pair sweeps at most once per repair. So when `h`'s
+//! removal runs, the receivers holding row `h` are the ones that held it
+//! before the repair started, plus the ones `h`'s own sweep just wrote —
+//! and those are marked updated, which the removal skips anyway.
 
 use super::{HubBearing, MaintenanceCounters};
 use crate::label::Rank;
 use dspc_graph::VertexId;
 
-/// Hub → holder lists for one repair, in one flat CSR: bucket
-/// `slot * families + family` lists the receivers whose `family` row holds
-/// the agenda hub in `slot`, in receiver order. Owned by the caller for
-/// the duration of one repair and dropped after it; nothing persists in
-/// the index.
+/// Hub → holder lists of one label family for one repair, in one flat
+/// CSR: bucket `slot` lists the receivers whose row holds the agenda hub
+/// in `slot`, in receiver order. Owned by the caller for the duration of
+/// one repair and dropped after it; nothing persists in the index.
 #[derive(Debug)]
 pub struct HubHolders {
     /// Rank position → agenda slot (`u32::MAX` off the agenda), covering
     /// ranks up to the lowest-ranked agenda hub.
     slot: Vec<u32>,
-    /// Label families per receiver (1, or 2 for `L_in` / `L_out`).
-    families: usize,
-    /// Bucket boundaries into `holders` (`slots * families + 1` entries).
+    /// Bucket boundaries into `holders` (`slots + 1` entries).
     offsets: Vec<u32>,
     holders: Vec<VertexId>,
 }
 
 impl HubHolders {
     /// Inverts the receivers' label rows over the agenda `hubs` (duplicate
-    /// ranks share one slot; slots follow first occurrence). `row(v, f)`
-    /// returns `v`'s rank-sorted row of family `f < families`. Rows are
-    /// scanned twice (count, then fill), each scan stopping past the
-    /// lowest-ranked agenda hub; every scanned entry counts as one
-    /// `removal_probes` step.
+    /// ranks share one slot; slots follow first occurrence). `row(v)`
+    /// returns `v`'s rank-sorted row of the family. Rows are scanned twice
+    /// (count, then fill), each scan stopping past the lowest-ranked agenda
+    /// hub; every scanned entry counts as one `removal_probes` step.
     pub fn build<'a, E: HubBearing + 'a>(
         hubs: impl IntoIterator<Item = Rank>,
         receivers: &[VertexId],
-        families: usize,
-        mut row: impl FnMut(VertexId, usize) -> &'a [E],
+        mut row: impl FnMut(VertexId) -> &'a [E],
         stats: &mut MaintenanceCounters,
     ) -> HubHolders {
         let hubs: Vec<Rank> = hubs.into_iter().collect();
@@ -67,19 +64,20 @@ impl HubHolders {
         // bucket, the second fills the CSR sized from those counts (in
         // receiver order within each bucket) — no intermediate buffer, so
         // the transient memory is the holder list itself.
-        let buckets = slots as usize * families;
+        let buckets = slots as usize;
         let mut offsets = vec![0u32; buckets + 1];
         let mut scan = |visit: &mut dyn FnMut(usize, VertexId)| {
+            if buckets == 0 {
+                return;
+            }
             for &v in receivers {
-                for f in 0..families {
-                    for e in row(v, f) {
-                        let Some(&s) = slot.get(e.hub_rank().index()) else {
-                            break; // rows are rank-sorted: no agenda hub follows
-                        };
-                        stats.removal_probes += 1;
-                        if s != u32::MAX {
-                            visit(s as usize * families + f, v);
-                        }
+                for e in row(v) {
+                    let Some(&s) = slot.get(e.hub_rank().index()) else {
+                        break; // rows are rank-sorted: no agenda hub follows
+                    };
+                    stats.removal_probes += 1;
+                    if s != u32::MAX {
+                        visit(s as usize, v);
                     }
                 }
             }
@@ -96,36 +94,21 @@ impl HubHolders {
         });
         HubHolders {
             slot,
-            families,
             offsets,
             holders,
         }
     }
 
-    /// Number of distinct agenda hubs.
-    pub fn hubs(&self) -> usize {
-        (self.offsets.len() - 1) / self.families
-    }
-
-    /// Receivers whose `family` row held `hub` when the lists were built
-    /// (empty for a hub not on the agenda).
-    pub fn of(&self, hub: Rank, family: usize) -> &[VertexId] {
+    /// Receivers whose row held `hub` when the lists were built (empty for
+    /// a hub not on the agenda).
+    pub fn of(&self, hub: Rank) -> &[VertexId] {
         match self.slot.get(hub.index()) {
-            Some(&s) if s != u32::MAX => self.bucket(s as usize * self.families + family),
+            Some(&s) if s != u32::MAX => {
+                let s = s as usize;
+                &self.holders[self.offsets[s] as usize..self.offsets[s + 1] as usize]
+            }
             _ => &[],
         }
-    }
-
-    /// Holders of the hub in agenda `slot` across every family (a receiver
-    /// holding the row in two families appears twice).
-    pub fn of_slot(&self, slot: usize) -> &[VertexId] {
-        let lo = self.offsets[slot * self.families] as usize;
-        let hi = self.offsets[(slot + 1) * self.families] as usize;
-        &self.holders[lo..hi]
-    }
-
-    fn bucket(&self, b: usize) -> &[VertexId] {
-        &self.holders[self.offsets[b] as usize..self.offsets[b + 1] as usize]
     }
 }
 
@@ -142,8 +125,9 @@ mod tests {
 
     #[test]
     fn buckets_receivers_by_hub_and_family() {
-        // Receivers 0..3 with two families each; agenda hubs ranks 1 and 3
-        // (rank 3 listed twice — one slot).
+        // Receivers 0..3 with two families each, one list per family:
+        // family 0 repairs hubs of ranks 1 and 3 (rank 3 listed twice —
+        // one slot), family 1 only the hub of rank 1.
         let rows: Vec<[Vec<LabelEntry>; 2]> = vec![
             [row(&[0, 1, 3, 7]), row(&[3])],
             [row(&[2, 5]), row(&[])],
@@ -151,27 +135,31 @@ mod tests {
         ];
         let receivers = [VertexId(0), VertexId(1), VertexId(2)];
         let mut stats = MaintenanceCounters::default();
-        let h = HubHolders::build(
-            [Rank(3), Rank(1), Rank(3)],
-            &receivers,
-            2,
-            |v, f| &rows[v.index()][f][..],
-            &mut stats,
-        );
-        assert_eq!(h.hubs(), 2);
-        assert_eq!(h.of(Rank(1), 0), &[VertexId(0), VertexId(2)]);
-        assert_eq!(h.of(Rank(1), 1), &[VertexId(2)]);
-        assert_eq!(h.of(Rank(3), 0), &[VertexId(0)]);
-        assert_eq!(h.of(Rank(3), 1), &[VertexId(0), VertexId(2)]);
+        let family = |f: usize, hubs: &[u32], stats: &mut MaintenanceCounters| {
+            HubHolders::build(
+                hubs.iter().map(|&h| Rank(h)),
+                &receivers,
+                |v| &rows[v.index()][f][..],
+                stats,
+            )
+        };
+        let l0 = family(0, &[3, 1, 3], &mut stats);
+        assert_eq!(l0.of(Rank(1)), &[VertexId(0), VertexId(2)]);
+        assert_eq!(l0.of(Rank(3)), &[VertexId(0)]);
         // Off-agenda ranks, inside and beyond the slot table, hold nothing.
-        assert!(h.of(Rank(2), 0).is_empty());
-        assert!(h.of(Rank(9), 1).is_empty());
-        // Slot 0 is rank 3 (first occurrence), across both families.
-        assert_eq!(h.of_slot(0), &[VertexId(0), VertexId(0), VertexId(2)]);
-        // Each of the two scans stops past rank 3: 0,1,3 | 3 | 2 | - | 1 |
-        // 1,3 = 8 entries (rank 7 at receiver 0, rank 5 at receiver 1 and
-        // rank 4 at receiver 2 are never read).
-        assert_eq!(stats.removal_probes, 16);
+        assert!(l0.of(Rank(2)).is_empty());
+        assert!(l0.of(Rank(9)).is_empty());
+        // Each of the two family-0 scans stops past rank 3: 0,1,3 | 2 | 1
+        // = 5 entries (rank 7 at receiver 0, rank 5 at receiver 1 and rank
+        // 4 at receiver 2 are never read).
+        assert_eq!(stats.removal_probes, 10);
+
+        let l1 = family(1, &[1], &mut stats);
+        assert_eq!(l1.of(Rank(1)), &[VertexId(2)]);
+        // Rank 3 is not on family 1's agenda, although receivers hold it.
+        assert!(l1.of(Rank(3)).is_empty());
+        // Family 1's scans stop past rank 1: - | - | 1 = 1 entry each.
+        assert_eq!(stats.removal_probes, 12);
     }
 
     #[test]
@@ -181,12 +169,10 @@ mod tests {
         let h = HubHolders::build(
             std::iter::empty(),
             &[VertexId(0)],
-            1,
-            |v, _| &rows[v.index()][..],
+            |v| &rows[v.index()][..],
             &mut stats,
         );
-        assert_eq!(h.hubs(), 0);
-        assert!(h.of(Rank(0), 0).is_empty());
+        assert!(h.of(Rank(0)).is_empty());
         assert_eq!(stats.removal_probes, 0);
     }
 }

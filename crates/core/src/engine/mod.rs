@@ -18,15 +18,16 @@
 //!   labels of the opposite side's `SR ∪ R`, followed by a removal pass
 //!   over the never-reached receivers that hold the hub's row.
 //!
-//! What varies per variant is captured by [`LabelTopology`]: which
-//! adjacency to walk (undirected, directed-forward, directed-backward,
-//! weighted), which label family to read/repair (`L`, `L_in`, `L_out`,
-//! weighted `L`), the distance domain (`u32` hops vs `u64` accumulated
-//! weight — the latter switches the frontier from a FIFO queue to a binary
-//! heap), and the hub-membership test behind condition **A**. The engine
-//! owns every piece of scratch state (distance/count arrays, frontier,
-//! side marks, visited flags) plus the RenewC/RenewD/Insert/Remove
-//! counters ([`MaintenanceCounters`]) feeding Figures 8–9.
+//! What varies per variant is captured by the [`ReadTopology`] /
+//! [`LabelTopology`] views: which adjacency to walk (undirected,
+//! directed-forward, directed-backward, weighted), which label family to
+//! read/repair (`L`, `L_in`, `L_out`, weighted `L`), the distance domain
+//! (`u32` hops vs `u64` accumulated weight — the latter switches the
+//! frontier from a FIFO queue to a binary heap), and the hub-membership
+//! test behind condition **A**. The engine owns every piece of scratch
+//! state (distance/count arrays, frontier, side marks, visited flags) plus
+//! the RenewC/RenewD/Insert/Remove counters ([`MaintenanceCounters`])
+//! feeding Figures 8–9.
 //!
 //! ## Departure from the paper: the removal pass is unconditional
 //!
@@ -51,6 +52,15 @@
 //! [`HubHolders`] (hub → receivers holding it), and `dec_pass` walks only
 //! `h`'s holders. The `removal_probes` counter measures that work: row
 //! entries scanned by the inversion plus holders walked.
+//!
+//! ## One deletion pipeline
+//!
+//! [`DecPipeline`] drives these passes for every variant: single-edge
+//! deletion (Algorithm 4) and batch deletion (classify the whole set, delete
+//! it, repair one global agenda). A [`DecVariant`] supplies what differs —
+//! graph, index and probe types, the edge length, and one view per label
+//! family — so the undirected, directed and weighted drivers keep only their
+//! own extras.
 
 use crate::label::{Count, Rank};
 use dspc_graph::VertexId;
@@ -58,16 +68,15 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 mod batch;
+mod delete;
 mod holders;
-pub mod parallel;
 mod topology;
 
-pub(crate) use batch::{check_endpoints, duplicate_edge_key, ordered_key};
+pub(crate) use batch::{check_endpoints, ordered_key};
 pub use batch::{EdgeCoalescer, NetEdgeEffect, NetOp, NetPlan};
+pub use delete::{DecPipeline, DecVariant, SrrOutcome};
 pub use holders::HubHolders;
-pub use topology::{
-    DirectedTopo, FrozenDirected, FrozenUndirected, FrozenWeighted, UndirectedTopo, WeightedTopo,
-};
+pub use topology::{Directed, DirectedTopo, Undirected, UndirectedTopo, Weighted, WeightedTopo};
 
 /// Distance domain of one index variant.
 pub trait EngineDist: Copy + Ord + std::fmt::Debug {
@@ -101,10 +110,11 @@ impl EngineDist for u64 {
     }
 }
 
-/// One variant's view of "graph + index + pinned-hub probe" as the engine
-/// traverses it. Implementations borrow the graph immutably and the index
-/// mutably for the duration of one update.
-pub trait LabelTopology {
+/// The read half of one variant's view of "graph + index + pinned-hub
+/// probe": everything a classification sweep needs. A view over a shared
+/// index borrow implements only this, so classification can fan out across
+/// threads.
+pub trait ReadTopology {
     /// Distance domain (`u32` hops or `u64` accumulated weight).
     type Dist: EngineDist;
 
@@ -132,25 +142,27 @@ pub trait LabelTopology {
     /// Entry `(hub, ·, ·)` of the repaired family at `v`, if present.
     fn label_get(&self, v: VertexId, hub: Rank) -> Option<(Self::Dist, Count)>;
 
+    /// Condition **A** of Definition 3.10: is `hub` a common hub of both
+    /// endpoints (in the variant's membership family)?
+    fn is_common_hub(&self, hub: Rank, near: VertexId, far: VertexId) -> bool;
+}
+
+/// A view that can also write the repaired label family: what the repair
+/// sweeps need. Views over a mutable index borrow implement it.
+pub trait LabelTopology: ReadTopology {
     /// Inserts or replaces `(hub, d, c)` in the repaired family at `v`.
     fn label_upsert(&mut self, v: VertexId, hub: Rank, d: Self::Dist, c: Count);
 
     /// Removes `(hub, ·, ·)` from the repaired family at `v`; returns
     /// whether an entry existed.
     fn label_remove(&mut self, v: VertexId, hub: Rank) -> bool;
-
-    /// Condition **A** of Definition 3.10: is `hub` a common hub of both
-    /// endpoints (in the variant's membership family)?
-    fn is_common_hub(&self, hub: Rank, near: VertexId, far: VertexId) -> bool;
 }
 
 /// The unified maintenance counter block: the RenewC / RenewD / Insert /
-/// Remove label-operation series of Figures 8–9 plus the sweep, schedule,
-/// and agenda counters every batch path reports. One type serves every
-/// layer — the engine passes it to its sweeps, the per-variant drivers
-/// return it, and the facades wrap it in
-/// [`crate::dynamic::UpdateStats`] — replacing the former
-/// `OpCounters` / `DecStats` / flat-`UpdateStats` triplet.
+/// Remove label-operation series of Figures 8–9 plus the sweep and agenda
+/// counters every batch path reports. One type serves every layer — the
+/// engine passes it to its sweeps, the per-variant drivers return it, and
+/// the facades wrap it in [`crate::dynamic::UpdateStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MaintenanceCounters {
     /// Labels whose count changed at unchanged distance (RenewC).
@@ -174,20 +186,16 @@ pub struct MaintenanceCounters {
     /// Vertices dequeued across update sweeps.
     pub vertices_visited: usize,
     /// Distinct hubs drained from the global repair agenda (after
-    /// cross-group deduplication).
+    /// deduplication across the batch's edges).
     pub agenda_hubs: usize,
-    /// Repair waves executed by the parallel scheduler
-    /// ([`parallel::plan_waves`]); 0 on the sequential path.
+    /// Always 0: repair sweeps run one hub at a time in rank order. Kept
+    /// only because the wall-clock benchmark (`perfbench/`) reads it.
     pub waves: usize,
-    /// Width of the widest wave scheduled (≥ 2 means at least two hub
-    /// sweeps were found rank-independent); 0 on the sequential path.
+    /// Always 0, like [`waves`](Self::waves); kept only because the
+    /// wall-clock benchmark reads it.
     pub max_wave_width: usize,
-    /// Vertices labeled by the bounded interference BFS
-    /// ([`parallel::agenda_components`]); 0 on the sequential path.
-    pub interference_probes: usize,
-    /// Successful work-steal events in the persistent worker pool
-    /// ([`parallel::run_wave_pool`]). Scheduling-dependent — excluded
-    /// from determinism comparisons and CI gates.
+    /// Always 0, like [`waves`](Self::waves); kept only because the
+    /// wall-clock benchmark reads it.
     pub steal_events: usize,
     /// Whether the §3.2.3 isolated-vertex fast path handled (part of)
     /// the update.
@@ -234,7 +242,6 @@ impl MaintenanceCounters {
         self.agenda_hubs += other.agenda_hubs;
         self.waves += other.waves;
         self.max_wave_width = self.max_wave_width.max(other.max_wave_width);
-        self.interference_probes += other.interference_probes;
         self.steal_events += other.steal_events;
         self.isolated_fast_path |= other.isolated_fast_path;
         self.rerank_swaps += other.rerank_swaps;
@@ -242,12 +249,6 @@ impl MaintenanceCounters {
         self.removal_probes += other.removal_probes;
     }
 }
-
-/// Former name of [`MaintenanceCounters`].
-#[deprecated(
-    note = "renamed to `MaintenanceCounters` (one counter type across engine, drivers, and facades)"
-)]
-pub type OpCounters = MaintenanceCounters;
 
 /// An entry that knows its hub rank — lets [`merge_affected`] run over both
 /// unweighted [`crate::label::LabelEntry`] and weighted
@@ -319,12 +320,12 @@ pub const REPAIR_PRIMARY: u8 = 1;
 /// (`L_out`; unused by single-family variants).
 pub const REPAIR_SECONDARY: u8 = 2;
 
-/// The deduplicated repair agenda of one multi-edge `SrrSEARCH` group.
+/// The deduplicated repair agenda of one deletion batch.
 ///
 /// The single-edge deletion path (Algorithm 4) runs one `DecUPDATE` sweep
 /// per hub in `SR_a ∪ SR_b` *per edge*, so a hub affected by `k` deleted
 /// edges of a batch is swept `k` times. This accumulator merges the
-/// per-edge classification outcomes of a whole net-deletion group into
+/// classification outcomes of a whole deletion set into
 ///
 /// * one rank-keyed hub agenda (each affected hub appears once, carrying
 ///   the union of label families it must repair), and
@@ -420,7 +421,7 @@ impl RepairAgenda {
         out
     }
 
-    /// Resets the receiver set for the next group.
+    /// Resets the receiver set for the next batch.
     pub fn clear(&mut self) {
         for v in self.marked.drain(..) {
             self.noted[v.index()] = false;
@@ -464,7 +465,7 @@ pub struct MultiFarTask<D> {
     /// The shared endpoint the sweep is seeded at.
     pub near: VertexId,
     /// The doomed partner endpoints with their edge lengths, in
-    /// deterministic (group-noted) order.
+    /// deterministic (batch) order.
     pub fars: Vec<(VertexId, D)>,
 }
 
@@ -796,7 +797,7 @@ impl<D: EngineDist> UpdateEngine<D> {
     /// Algorithm 5 (one side) — full counting sweep from `near` on the
     /// pre-mutation graph, classifying every vertex with a shortest path to
     /// `far` through the edge (of length `edge_len`) into `(SR, R)`.
-    pub fn srr_pass<T: LabelTopology<Dist = D>>(
+    pub fn srr_pass<T: ReadTopology<Dist = D>>(
         &mut self,
         topo: &mut T,
         near: VertexId,
@@ -839,8 +840,7 @@ impl<D: EngineDist> UpdateEngine<D> {
     ///
     /// `views[j]` answers `SpcQUERY(fars[j], ·)` (each view gets its own
     /// pinned probe); rank, adjacency, and the condition-**A** test are
-    /// read through `views[0]` — all three are probe-independent on every
-    /// frozen view. A popped vertex `v` is a *candidate* for far `j` when
+    /// read through `views[0]` — all three are probe-independent. A popped vertex `v` is a *candidate* for far `j` when
     /// `D[v] + len_j = SpcQUERY(v, far_j) ≠ ∞` (some shortest `v`–`far_j`
     /// path crosses edge `j`), and the sweep expands `v` iff it is a
     /// candidate for at least one far. The candidate set of each far is
@@ -857,7 +857,7 @@ impl<D: EngineDist> UpdateEngine<D> {
     /// the per-edge condition-**B** comparison `spc(v, near) = spc(v, far)`
     /// undercounts when several doomed last hops share `far`, misreading
     /// SR as R (see `tests/mixed_frontier.rs`).
-    pub fn multi_far_pass<T: parallel::FrozenTopology<Dist = D>>(
+    pub fn multi_far_pass<T: ReadTopology<Dist = D>>(
         &mut self,
         views: &mut [T],
         near: VertexId,
@@ -904,7 +904,7 @@ impl<D: EngineDist> UpdateEngine<D> {
                 });
             }
             if expand {
-                self.expand_all_frozen(&views[0], v, dv, cv);
+                self.expand_all(&views[0], v, dv, cv);
             }
         }
         columns
@@ -975,29 +975,27 @@ impl<D: EngineDist> UpdateEngine<D> {
             }
         }
         #[cfg(debug_assertions)]
-        self.assert_row_removed(topo, h_rank, opposite_mark, holders);
+        self.assert_row_removed(topo, h_rank, opposite_mark);
         for v in visited_marked {
             self.updated[v as usize] = false;
         }
     }
 
     /// Debug check of the removal pass: no opposite-marked receiver the
-    /// sweep left un-updated still holds row `h`. A buffered (parallel)
-    /// view only logs its removals, so a receiver whose row `h` is still
-    /// visible must have been one of the `holders` the pass removed from.
+    /// sweep left un-updated still holds row `h` — the holder lists missed
+    /// no receiver.
     #[cfg(debug_assertions)]
     fn assert_row_removed<T: LabelTopology<Dist = D>>(
         &self,
         topo: &T,
         h_rank: Rank,
         opposite_mark: u8,
-        holders: &[VertexId],
     ) {
         for &u in &self.marked {
             let i = u.index();
             if self.marks[i] & opposite_mark != 0 && !self.updated[i] {
                 debug_assert!(
-                    topo.label_get(u, h_rank).is_none() || holders.contains(&u),
+                    topo.label_get(u, h_rank).is_none(),
                     "receiver {u:?} still holds row {h_rank:?} after its removal pass"
                 );
             }
@@ -1006,7 +1004,7 @@ impl<D: EngineDist> UpdateEngine<D> {
 
     /// Relaxes every neighbor inside `G_h` (rank pruning).
     #[inline]
-    fn expand_ranked<T: LabelTopology<Dist = D>>(
+    fn expand_ranked<T: ReadTopology<Dist = D>>(
         &mut self,
         topo: &T,
         v: u32,
@@ -1025,23 +1023,7 @@ impl<D: EngineDist> UpdateEngine<D> {
     /// Relaxes every neighbor (no rank pruning — SrrSEARCH sweeps the full
     /// graph).
     #[inline]
-    fn expand_all<T: LabelTopology<Dist = D>>(&mut self, topo: &T, v: u32, dv: D, cv: Count) {
-        topo.for_each_neighbor(v, |w, len| {
-            self.relax(T::DIJKSTRA, w, dv.extend(len), cv);
-        });
-    }
-
-    /// [`expand_all`](Self::expand_all) against a read-only frozen view
-    /// (multi-far classification never writes, so it needs no
-    /// [`LabelTopology`] write half).
-    #[inline]
-    fn expand_all_frozen<T: parallel::FrozenTopology<Dist = D>>(
-        &mut self,
-        topo: &T,
-        v: u32,
-        dv: D,
-        cv: Count,
-    ) {
+    fn expand_all<T: ReadTopology<Dist = D>>(&mut self, topo: &T, v: u32, dv: D, cv: Count) {
         topo.for_each_neighbor(v, |w, len| {
             self.relax(T::DIJKSTRA, w, dv.extend(len), cv);
         });

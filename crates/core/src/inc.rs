@@ -131,14 +131,14 @@ impl IncSpc {
             // already have refreshed it.
             if in_a && h_rank <= rank_b {
                 if let Some(seed) = index.label_of(a, h).copied() {
-                    let mut topo = UndirectedTopo::new(g, index, &mut self.probe);
+                    let mut topo = UndirectedTopo::new(g, &mut *index, &mut self.probe);
                     self.engine
                         .inc_pass(&mut topo, h, b, seed.dist + 1, seed.count, &mut stats);
                 }
             }
             if in_b && h_rank <= rank_a {
                 if let Some(seed) = index.label_of(b, h).copied() {
-                    let mut topo = UndirectedTopo::new(g, index, &mut self.probe);
+                    let mut topo = UndirectedTopo::new(g, &mut *index, &mut self.probe);
                     self.engine
                         .inc_pass(&mut topo, h, a, seed.dist + 1, seed.count, &mut stats);
                 }

@@ -84,9 +84,7 @@ pub use flat::{DirectedFlatIndex, FlatIndex, FlatScratch, KernelCounters, Weight
 pub use index::{IndexStats, SpcIndex};
 pub use label::{Count, LabelEntry, LabelSet, Rank, INF_DIST};
 pub use order::{OrderingStrategy, RankMap};
-pub use parallel::{
-    AgendaScope, ClassifyMode, MaintenanceOptions, MaintenanceThreads, QueryEngine,
-};
+pub use parallel::{MaintenanceThreads, QueryEngine};
 pub use query::{pre_query, spc_query, QueryResult};
 pub use reorder::{
     rerank_adjacent, rerank_adjacent_directed, rerank_adjacent_weighted, swap_and_repair,

@@ -8,11 +8,12 @@
 //! serving deployment of the paper's system would use between update
 //! epochs.
 //!
-//! The same scoped-thread fan-out now also backs the *maintenance* side:
-//! [`crate::engine::parallel`] partitions a repair agenda into
-//! rank-independent waves and runs each wave through the crate-internal
-//! `fan_out` helper below, governed by the [`MaintenanceThreads`] knob on
-//! the dynamic facades.
+//! The same scoped-thread fan-out backs the read-only parts of
+//! *maintenance*, governed by the [`MaintenanceThreads`] knob on the
+//! dynamic facades: the classification sweeps of a deletion batch
+//! ([`crate::engine::DecPipeline::delete_batch`]) and the swap pairs of a
+//! batched re-rank ([`crate::reorder::rerank_adjacent`]). Repair sweeps stay
+//! sequential, for the reason §6 gives.
 
 use crate::flat::{FlatIndex, FlatScratch};
 use crate::index::SpcIndex;
@@ -36,18 +37,17 @@ pub const QUERY_CHUNK_ALIGN: usize = 8;
 
 /// Thread budget for intra-batch index maintenance (the knob behind
 /// `DynamicSpc::set_maintenance_threads` and the directed/weighted
-/// equivalents).
+/// equivalents): how many threads a deletion batch classifies its endpoint
+/// tasks on, and a batched re-rank repairs its swap pairs on.
 ///
 /// * [`MaintenanceThreads::Auto`] (the default) resolves to
 ///   `std::thread::available_parallelism()`.
-/// * [`MaintenanceThreads::Fixed(1)`](MaintenanceThreads::Fixed)
-///   degenerates to the sequential repair path exactly — same sweeps, same
-///   counters, same code.
+/// * [`MaintenanceThreads::Fixed(1)`](MaintenanceThreads::Fixed) runs
+///   everything on the calling thread.
 ///
-/// Any resolved count is only a *budget*: the wave scheduler never runs
-/// two rank-dependent hub sweeps concurrently, so results (index contents,
-/// query answers, and label-operation counters) are identical at every
-/// thread count.
+/// Only read-only work fans out, and results merge in input order, so the
+/// index, query answers, and every counter are identical at every thread
+/// count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MaintenanceThreads {
     /// Use `std::thread::available_parallelism()` (fallback 1).
@@ -69,74 +69,6 @@ impl MaintenanceThreads {
     }
 }
 
-/// How a deletion batch classifies affected vertices.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ClassifyMode {
-    /// One multi-far sweep per distinct doomed endpoint
-    /// ([`crate::engine::UpdateEngine::multi_far_pass`]): per-far count
-    /// columns are summed per shared far endpoint, so condition **B**
-    /// sees the *total* doomed path count. The default, and the only
-    /// sound mode for batches whose doomed edges share endpoints.
-    #[default]
-    MultiFar,
-    /// The legacy two-sweeps-per-edge classification (`srr_pass` per
-    /// side). Kept as an ablation/regression knob: on batches with
-    /// shared endpoints its per-edge condition-**B** comparison
-    /// undercounts `spc(v, far)` and can misread SR as R (see
-    /// `tests/mixed_frontier.rs`) — do not use it outside tests.
-    PerEdge,
-}
-
-/// How a coalesced batch scopes its repair agenda.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum AgendaScope {
-    /// One agenda for the entire net-deletion set: hubs and receivers
-    /// deduplicate across former per-endpoint groups, repair waves span
-    /// group boundaries, and every sweep observes the whole deleted set
-    /// as absent. The default.
-    #[default]
-    Global,
-    /// The pre-unification behavior: one agenda (and one wave schedule)
-    /// per higher-ranked-endpoint deletion group. Kept as an ablation
-    /// knob for comparing sweep counts.
-    PerGroup,
-}
-
-/// The unified batch-maintenance configuration accepted by every
-/// `*_with` entry point (`apply_batch_with`, `delete_edges_with`,
-/// `delete_arcs_with`) — replacing the former `delete_*` /
-/// `delete_*_with_threads` method pairs.
-///
-/// `MaintenanceOptions::default()` is the recommended configuration:
-/// auto thread budget, multi-far classification, global agenda.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MaintenanceOptions {
-    /// Worker-thread budget for classification fan-out and repair waves.
-    pub threads: MaintenanceThreads,
-    /// Classification strategy (multi-far vs legacy per-edge).
-    pub classify: ClassifyMode,
-    /// Agenda scope (global vs legacy per-group).
-    pub scope: AgendaScope,
-}
-
-impl MaintenanceOptions {
-    /// Default options with an explicit thread budget — what the facade
-    /// `maintenance_threads` knob and the deprecated `*_with_threads`
-    /// shims translate to.
-    pub fn with_threads(threads: MaintenanceThreads) -> Self {
-        MaintenanceOptions {
-            threads,
-            ..MaintenanceOptions::default()
-        }
-    }
-
-    /// Default options pinned to one worker thread (the exact sequential
-    /// path).
-    pub fn sequential() -> Self {
-        Self::with_threads(MaintenanceThreads::Fixed(1))
-    }
-}
-
 /// Splits `len` items into exactly `min(parts, len)` contiguous chunk
 /// lengths differing by at most one — so every spawned thread has work
 /// (a naive `len.div_ceil(parts)` chunk size can leave trailing threads
@@ -151,7 +83,9 @@ pub(crate) fn chunk_lengths(len: usize, parts: usize) -> impl Iterator<Item = us
 /// Runs `work` over `items` on up to `threads` scoped worker threads, each
 /// with its own scratch from `make_scratch`, returning results in input
 /// order. `threads <= 1` (or a single item) runs inline on the caller's
-/// thread with one scratch — the degenerate sequential path.
+/// thread with one scratch — the degenerate sequential path. A panicking
+/// worker fails the call: the scope joins every thread, then panics on the
+/// caller's thread.
 pub(crate) fn fan_out<T, S, R, FS, FW>(
     items: &[T],
     threads: usize,
@@ -465,6 +399,49 @@ mod tests {
         assert_eq!(MaintenanceThreads::Fixed(0).resolve(), 1);
         assert_eq!(MaintenanceThreads::Fixed(6).resolve(), 6);
         assert_eq!(MaintenanceThreads::default(), MaintenanceThreads::Auto);
+    }
+
+    #[test]
+    fn fan_out_makes_one_scratch_per_worker() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let items: Vec<usize> = (0..23).collect();
+        for threads in [1usize, 2, 4, 8] {
+            let scratches = AtomicUsize::new(0);
+            let out = fan_out(
+                &items,
+                threads,
+                || scratches.fetch_add(1, Ordering::Relaxed),
+                |_, &i| i * 10,
+            );
+            assert_eq!(out, items.iter().map(|&i| i * 10).collect::<Vec<_>>());
+            assert_eq!(
+                scratches.load(Ordering::Relaxed),
+                threads,
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn fan_out_resumes_a_worker_panic() {
+        let items: Vec<usize> = (0..8).collect();
+        for threads in [1usize, 2, 4] {
+            let outcome = std::panic::catch_unwind(|| {
+                fan_out(
+                    &items,
+                    threads,
+                    || (),
+                    |_, &i| {
+                        assert_ne!(i, 5, "item 5 fails");
+                        i
+                    },
+                )
+            });
+            assert!(
+                outcome.is_err(),
+                "threads={threads}: the panic reaches the caller"
+            );
+        }
     }
 
     #[test]

@@ -30,7 +30,6 @@
 use crate::dynamic::{DynamicSpc, GraphUpdate, UpdateStats};
 use crate::engine::MaintenanceCounters;
 use crate::order::{degree_order_staleness, plan_adjacent_swaps, StalenessTracker};
-use crate::parallel::MaintenanceOptions;
 use dspc_graph::Result;
 
 /// When — and how hard — to push back against ordering staleness.
@@ -240,17 +239,7 @@ impl ManagedSpc {
     /// frozen snapshot cache is dropped, so the next
     /// [`ManagedSpc::frozen_queries`] freezes the post-epoch index.
     pub fn apply_batch(&mut self, updates: &[GraphUpdate]) -> Result<UpdateStats> {
-        self.apply_batch_with(updates, &self.inner.maintenance_options())
-    }
-
-    /// [`ManagedSpc::apply_batch`] with explicit [`MaintenanceOptions`]
-    /// (see [`DynamicSpc::apply_batch_with`]).
-    pub fn apply_batch_with(
-        &mut self,
-        updates: &[GraphUpdate],
-        options: &MaintenanceOptions,
-    ) -> Result<UpdateStats> {
-        match self.inner.apply_batch_with(updates, options) {
+        match self.inner.apply_batch(updates) {
             Ok(mut stats) => {
                 self.note_updates(updates);
                 stats.counters.absorb(&self.maybe_maintain());
@@ -263,11 +252,6 @@ impl ManagedSpc {
                 Err(e)
             }
         }
-    }
-
-    /// The wrapped facade's default [`MaintenanceOptions`].
-    pub fn maintenance_options(&self) -> MaintenanceOptions {
-        self.inner.maintenance_options()
     }
 
     /// Feeds the applied updates to the staleness tracker. Edge endpoints

@@ -24,13 +24,11 @@
 //! under one agenda: every pair's two sweeps read a frozen snapshot of the
 //! pre-repair labels (own-pair entries masked, the promoted hub's fresh
 //! entries carried in a task-local overlay) and only the commit mutates
-//! the index, in ascending rank order. Tasks are scheduled on the PR 9
-//! wave pool ([`crate::engine::parallel::run_wave_pool`]), so the repair
-//! parallelizes across pairs while the committed result stays the same at
-//! every thread count.
+//! the index, in ascending rank order. The pairs are independent, so they
+//! fan out over scoped threads and the repair parallelizes across pairs
+//! while the committed result stays the same at every thread count.
 
 use crate::directed::{DirectedSpcIndex, Side};
-use crate::engine::parallel::{note_schedule, plan_waves, run_wave_pool};
 use crate::engine::MaintenanceCounters;
 use crate::index::SpcIndex;
 use crate::label::{Count, LabelEntry, Rank, INF_DIST};
@@ -302,8 +300,8 @@ fn run_task(
 /// [`crate::build::rebuild_index`] at the swapped order.
 ///
 /// `threads` ≤ 1 runs the pair sweeps inline; larger values fan them out
-/// over the persistent wave pool. The committed index is identical at
-/// every thread count: sweeps read only the frozen pre-repair snapshot,
+/// over up to `threads` scoped threads. The committed index is identical
+/// at every thread count: sweeps read only the frozen pre-repair snapshot,
 /// and the commit applies results in ascending pair order.
 pub fn rerank_adjacent(
     g: &UndirectedGraph,
@@ -340,24 +338,15 @@ pub fn rerank_adjacent(
         purge_budget += index.hub_entry_count(Rank(t.r.0 + 1)) as u64;
     }
 
-    // Non-overlapping pairs share no rank rows, so every task can run in
-    // one wave; the schedule is still planned through the PR 9 machinery
-    // so its counters stay comparable with batch deletion's.
-    let schedule = plan_waves(tasks.len(), |_, _| false);
-    let waves: Vec<&[usize]> = schedule.iter().collect();
-    if threads > 1 && tasks.len() > 1 {
-        note_schedule(&mut counters, &schedule);
-    }
+    // Non-overlapping pairs share no rank rows, so every task runs at
+    // once against the frozen snapshot.
     let n = index.ranks().len();
-    let mut results: Vec<TaskResult> = Vec::with_capacity(tasks.len());
     let frozen: &SpcIndex = index;
-    counters.steal_events += run_wave_pool(
-        threads,
+    let results = crate::parallel::fan_out(
         &tasks,
-        &waves,
+        threads,
         || ReorderScratch::new(n),
         |scratch, task| run_task(g, frozen, scratch, task),
-        |wave_results| results.extend(wave_results),
     );
 
     // Commit: purge every doomed rank's stale entries in one early-exiting

@@ -317,25 +317,18 @@ fn random_weighted_pure_deletion_batches_match_oracle() {
 fn facade_delete_edges_validates_before_mutating() {
     let g = wheel(5);
     let mut d = DynamicSpc::build(g, OrderingStrategy::Degree);
-    let opts = d.maintenance_options();
     let edges_before = d.graph().num_edges();
     // Second edge missing: nothing at all may be applied.
-    let err = d.delete_edges_with(
-        &[(VertexId(0), VertexId(1)), (VertexId(2), VertexId(5))],
-        &opts,
-    );
+    let err = d.delete_edges(&[(VertexId(0), VertexId(1)), (VertexId(2), VertexId(5))]);
     assert!(err.is_err());
     assert_eq!(d.graph().num_edges(), edges_before);
     // Duplicate edge in one set: rejected up front, naming the actual
     // duplicated edge — not an arbitrary member of the set.
-    let err = d.delete_edges_with(
-        &[
-            (VertexId(1), VertexId(2)),
-            (VertexId(0), VertexId(1)),
-            (VertexId(1), VertexId(0)),
-        ],
-        &opts,
-    );
+    let err = d.delete_edges(&[
+        (VertexId(1), VertexId(2)),
+        (VertexId(0), VertexId(1)),
+        (VertexId(1), VertexId(0)),
+    ]);
     match err {
         Err(dspc_graph::GraphError::MissingEdge(a, b)) => {
             assert_eq!((a, b), (VertexId(0), VertexId(1)));

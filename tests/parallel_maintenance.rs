@@ -1,44 +1,17 @@
-//! Tests for wave-scheduled parallel intra-batch maintenance: repair at
-//! any thread count must be *bit-identical* to the sequential path — same
-//! queries, same index, same label-operation counters — with the wave
-//! schedule observable through the new `waves` / `max_wave_width` stats.
+//! Intra-batch maintenance at any thread count must be *bit-identical* to
+//! the sequential path — same queries, same index, same counters. Only
+//! classification fans out; repair sweeps run in rank order either way.
 
 use dspc::directed::{ArcUpdate, DynamicDirectedSpc};
 use dspc::dynamic::GraphUpdate;
 use dspc::verify::{verify_all_pairs, verify_directed_all_pairs, verify_weighted_all_pairs};
 use dspc::weighted::{DynamicWeightedSpc, WeightedUpdate};
-use dspc::{DynamicSpc, MaintenanceThreads, OrderingStrategy, UpdateStats};
+use dspc::{DynamicSpc, MaintenanceThreads, OrderingStrategy};
 use dspc_graph::generators::random::{erdos_renyi_gnm, random_orientation, random_weights};
 use dspc_graph::{DirectedGraph, UndirectedGraph, VertexId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Asserts the deterministic-counter contract: everything except the wave
-/// schedule fields (which only the parallel path fills in) must match the
-/// sequential run exactly.
-fn assert_same_counters(seq: &UpdateStats, par: &UpdateStats, ctx: &str) {
-    assert_eq!(seq.renew_count, par.renew_count, "{ctx}: renew_count");
-    assert_eq!(seq.renew_dist, par.renew_dist, "{ctx}: renew_dist");
-    assert_eq!(seq.inserted, par.inserted, "{ctx}: inserted");
-    assert_eq!(seq.removed, par.removed, "{ctx}: removed");
-    assert_eq!(seq.hubs_processed, par.hubs_processed, "{ctx}: hubs");
-    assert_eq!(seq.classify_sweeps, par.classify_sweeps, "{ctx}: classify");
-    assert_eq!(
-        seq.multi_far_sweeps, par.multi_far_sweeps,
-        "{ctx}: multi_far_sweeps"
-    );
-    assert_eq!(seq.agenda_hubs, par.agenda_hubs, "{ctx}: agenda_hubs");
-    assert_eq!(
-        seq.vertices_visited, par.vertices_visited,
-        "{ctx}: vertices_visited"
-    );
-    assert_eq!(seq.total_sweeps(), par.total_sweeps(), "{ctx}: sweeps");
-    assert_eq!(
-        seq.isolated_fast_path, par.isolated_fast_path,
-        "{ctx}: fast path"
-    );
-}
 
 /// Two disjoint wheels bridged through a single cut vertex `0`: center 1
 /// with rim {2..=5} and center 6 with rim {7..=10}, plus bridge edges
@@ -56,15 +29,12 @@ fn double_wheel_bridge() -> UndirectedGraph {
     UndirectedGraph::from_edges(11, &edges)
 }
 
-/// Acceptance: a multi-group deletion batch on the 2×-wheel graph must
-/// schedule at least two hubs into the same wave (the two wheels repair
-/// concurrently), while staying query- and counter-identical to the
-/// sequential path.
+/// A deletion batch spanning both wheels and the bridge, whose residual
+/// graph splits into three components, repairs identically at every
+/// thread count.
 #[test]
-fn two_wheels_repair_in_the_same_wave() {
+fn two_wheels_batch_is_identical_at_any_thread_count() {
     let g = double_wheel_bridge();
-    // Severing both bridges forms one group (shared top endpoint 0); the
-    // rim deletion (3, 4) forms a second group — a multi-group batch.
     let ops = [
         GraphUpdate::DeleteEdge(VertexId(0), VertexId(1)),
         GraphUpdate::DeleteEdge(VertexId(0), VertexId(6)),
@@ -74,55 +44,27 @@ fn two_wheels_repair_in_the_same_wave() {
     let mut seq = DynamicSpc::build(g.clone(), OrderingStrategy::Identity);
     seq.set_maintenance_threads(MaintenanceThreads::Fixed(1));
     let seq_stats = seq.apply_batch(&ops).unwrap();
-    assert_eq!(seq_stats.waves, 0, "sequential path schedules no waves");
+    assert_eq!(seq_stats.waves, 0, "repair schedules no waves");
     assert_eq!(seq_stats.max_wave_width, 0);
 
     for threads in [2usize, 4, 8] {
         let mut par = DynamicSpc::build(g.clone(), OrderingStrategy::Identity);
         par.set_maintenance_threads(MaintenanceThreads::Fixed(threads));
         let par_stats = par.apply_batch(&ops).unwrap();
-
-        // The wheels live in disjoint residual components, so their hub
-        // sweeps are rank-independent and share waves.
-        assert!(
-            par_stats.max_wave_width >= 2,
-            "threads={threads}: expected a wave of ≥ 2 hubs, got width {}",
-            par_stats.max_wave_width
-        );
-        assert!(par_stats.waves >= 2, "bridge hub 0 serializes before them");
-
-        assert_same_counters(&seq_stats, &par_stats, &format!("threads={threads}"));
+        assert_eq!(par_stats, seq_stats, "threads={threads}");
         for s in par.graph().vertices() {
             for t in par.graph().vertices() {
                 assert_eq!(par.query(s, t), seq.query(s, t), "({s:?},{t:?})");
             }
         }
+        assert_eq!(par.query(VertexId(2), VertexId(7)), None, "wheels severed");
         verify_all_pairs(par.graph(), par.index()).unwrap();
         par.index().check_invariants().unwrap();
     }
 }
 
-/// The wave stats surface through the deprecated `delete_edges` shim too —
-/// shim coverage: the old name must keep delegating to `delete_edges_with`
-/// under the facade's configured options.
-#[test]
-fn delete_edges_reports_schedule_shape() {
-    let g = double_wheel_bridge();
-    let mut d = DynamicSpc::build(g, OrderingStrategy::Identity);
-    d.set_maintenance_threads(MaintenanceThreads::Fixed(4));
-    #[allow(deprecated)]
-    let stats = d
-        .delete_edges(&[(VertexId(0), VertexId(1)), (VertexId(0), VertexId(6))])
-        .unwrap();
-    assert!(stats.waves >= 2);
-    assert!(stats.max_wave_width >= 2);
-    assert_eq!(d.query(VertexId(2), VertexId(7)), None, "wheels severed");
-    verify_all_pairs(d.graph(), d.index()).unwrap();
-}
-
 /// Deleting every spoke of a wheel in one epoch at several thread counts:
-/// the removal-heavy, fully-conflicting case (every hub shares the rim
-/// component) must serialize into width-1 waves and still match.
+/// the removal-heavy case must match the sequential run exactly.
 #[test]
 fn hub_disconnect_batch_is_identical_at_any_thread_count() {
     let n = 6u32;
@@ -136,12 +78,13 @@ fn hub_disconnect_batch_is_identical_at_any_thread_count() {
         .collect();
 
     let mut seq = DynamicSpc::build(g.clone(), OrderingStrategy::Degree);
+    seq.set_maintenance_threads(MaintenanceThreads::Fixed(1));
     let seq_stats = seq.apply_batch(&ops).unwrap();
     for threads in [2usize, 4, 8] {
         let mut par = DynamicSpc::build(g.clone(), OrderingStrategy::Degree);
         par.set_maintenance_threads(MaintenanceThreads::Fixed(threads));
         let par_stats = par.apply_batch(&ops).unwrap();
-        assert_same_counters(&seq_stats, &par_stats, &format!("threads={threads}"));
+        assert_eq!(par_stats, seq_stats, "threads={threads}");
         for s in par.graph().vertices() {
             for t in par.graph().vertices() {
                 assert_eq!(par.query(s, t), seq.query(s, t));
@@ -212,7 +155,7 @@ proptest! {
             let mut par = DynamicSpc::build(g.clone(), OrderingStrategy::Degree);
             par.set_maintenance_threads(MaintenanceThreads::Fixed(threads));
             let par_stats = par.apply_batch(&ops).unwrap();
-            assert_same_counters(&seq_stats, &par_stats, &format!("threads={threads}"));
+            prop_assert_eq!(par_stats, seq_stats, "threads={}", threads);
             for s in par.graph().vertices() {
                 for t in par.graph().vertices() {
                     prop_assert_eq!(par.query(s, t), seq.query(s, t));
@@ -253,11 +196,7 @@ fn directed_parallel_batches_match_sequential_and_oracle() {
             let mut par = DynamicDirectedSpc::build(g.clone(), OrderingStrategy::Degree);
             par.set_maintenance_threads(MaintenanceThreads::Fixed(threads));
             let par_stats = par.apply_batch(&ops).unwrap();
-            assert_same_counters(
-                &seq_stats,
-                &par_stats,
-                &format!("trial={trial} threads={threads}"),
-            );
+            assert_eq!(par_stats, seq_stats, "trial={trial} threads={threads}");
             for s in par.graph().vertices() {
                 for t in par.graph().vertices() {
                     assert_eq!(par.query(s, t), seq.query(s, t), "({s:?}→{t:?})");
@@ -298,11 +237,7 @@ fn weighted_parallel_batches_match_sequential_and_oracle() {
             let mut par = DynamicWeightedSpc::build(g.clone(), OrderingStrategy::Degree);
             par.set_maintenance_threads(MaintenanceThreads::Fixed(threads));
             let par_stats = par.apply_batch(&ops).unwrap();
-            assert_same_counters(
-                &seq_stats,
-                &par_stats,
-                &format!("trial={trial} threads={threads}"),
-            );
+            assert_eq!(par_stats, seq_stats, "trial={trial} threads={threads}");
             for s in par.graph().vertices() {
                 for t in par.graph().vertices() {
                     assert_eq!(par.query(s, t), seq.query(s, t), "({s:?},{t:?})");

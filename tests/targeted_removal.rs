@@ -9,7 +9,7 @@ use dspc::directed::{ArcUpdate, DynamicDirectedSpc};
 use dspc::dynamic::GraphUpdate;
 use dspc::verify::{verify_all_pairs, verify_directed_all_pairs, verify_weighted_all_pairs};
 use dspc::weighted::{DynamicWeightedSpc, WeightedUpdate};
-use dspc::{DynamicSpc, MaintenanceThreads, OrderingStrategy, UpdateStats};
+use dspc::{DynamicSpc, MaintenanceThreads, OrderingStrategy};
 use dspc_graph::generators::paper::figure2_g;
 use dspc_graph::generators::random::{random_orientation, random_weights};
 use dspc_graph::{DirectedGraph, VertexId};
@@ -18,16 +18,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 mod common;
-
-/// The counters with the wave-schedule fields cleared: only the parallel
-/// path schedules waves, and steals and interference probes depend on it.
-fn deterministic(mut s: UpdateStats) -> UpdateStats {
-    s.counters.waves = 0;
-    s.counters.max_wave_width = 0;
-    s.counters.interference_probes = 0;
-    s.counters.steal_events = 0;
-    s
-}
 
 /// Distinct picks from `0..len`, in selection order.
 fn distinct(sel: &[usize], len: usize) -> Vec<usize> {
@@ -115,7 +105,7 @@ proptest! {
             let stats = d.apply_batch(&ops).unwrap();
             verify_all_pairs(d.graph(), d.index()).unwrap();
             d.index().check_invariants().unwrap();
-            deterministic(stats)
+            stats
         };
         prop_assert_eq!(run(1), run(2));
     }
@@ -139,7 +129,7 @@ proptest! {
             let stats = d.apply_batch(&ops).unwrap();
             verify_directed_all_pairs(d.graph(), d.index()).unwrap();
             d.index().check_invariants().unwrap();
-            deterministic(stats)
+            stats
         };
         prop_assert_eq!(run(1), run(2));
     }
@@ -163,7 +153,7 @@ proptest! {
             let stats = d.apply_batch(&ops).unwrap();
             verify_weighted_all_pairs(d.graph(), d.index()).unwrap();
             d.index().check_invariants().unwrap();
-            deterministic(stats)
+            stats
         };
         prop_assert_eq!(run(1), run(2));
     }
