@@ -17,19 +17,21 @@
 //! identical on any host and at any actual core count.
 //!
 //! After the maintenance epochs each scenario runs a query phase: a seeded
-//! pair workload evaluated through both the live label sets and the frozen
-//! [`dspc::FlatIndex`] columns. The phase panics on any result divergence
-//! (the flat kernel must be bit-identical) and reports the kernel's
-//! deterministic work units — `merge_steps`, `common_hubs`, and the flat
-//! layout's `label_bytes_per_entry`.
+//! pair workload evaluated through both the live label sets and the
+//! facade's frozen snapshot (the [`dspc::FlatIndex`] columns for the
+//! undirected scenario, the published rows for the others). The phase
+//! panics on any result divergence and reports the kernel's deterministic
+//! work units — `merge_steps`, `common_hubs`, and the columnar layout's
+//! `label_bytes_per_entry`.
 //!
 //! A final serving phase replays the scripted epoch-rotation loop of
 //! [`dspc_bench::serving`]: a seeded hybrid stream drained through
 //! `EpochServer` rotations while a reader fleet on a scripted refresh
 //! cadence answers from published snapshots. Its `serve_*` counters are
-//! deterministic; the gate on this phase is `serve_merge_steps`
-//! *normalized by* `serve_rotations`, so adding rotations to the scenario
-//! never masks a per-epoch kernel regression.
+//! deterministic; the gates on this phase are `serve_merge_steps` and
+//! `serve_rows_copied` (label rows each rotation's publication copied
+//! instead of sharing), both *normalized by* `serve_rotations`, so adding
+//! rotations to the scenario never masks a per-epoch regression.
 //!
 //! A recovery phase then runs the scripted crash/recover cycle of
 //! [`dspc_bench::recovery`]: a journaled server checkpointed mid-stream
@@ -342,6 +344,7 @@ fn serving(report: &mut BTreeMap<String, u64>) {
     report.insert("serve_queries".to_string(), replay.queries_served);
     report.insert("serve_stale_reads".to_string(), replay.stale_epoch_reads);
     report.insert("serve_merge_steps".to_string(), replay.merge_steps());
+    report.insert("serve_rows_copied".to_string(), replay.rows_copied);
     for (shard, &steps) in replay.shard_merge_steps.iter().enumerate() {
         report.insert(format!("serve_shard{shard}_merge_steps"), steps);
     }
@@ -480,27 +483,31 @@ fn main() {
             };
             eprintln!("[bench_smoke] {key}: baseline {base}, now {now} ({delta:+.2}%) [{verdict}]");
         }
-        // Serving gate: merge steps per rotation. Normalizing keeps the
-        // gate honest if the scenario's rotation count ever changes —
-        // more epochs of work must not dilute a per-epoch regression.
-        let ratio = |r: &BTreeMap<String, u64>| -> Option<f64> {
-            let steps = *r.get("serve_merge_steps")?;
-            let rotations = *r.get("serve_rotations")?;
-            (rotations > 0).then(|| steps as f64 / rotations as f64)
-        };
-        if let (Some(base), Some(now)) = (ratio(&baseline), ratio(&report)) {
-            let delta = (now - base) / base * 100.0;
-            let verdict = if delta > threshold {
-                failed = true;
-                "FAIL"
-            } else if delta < -threshold {
-                "IMPROVED — refresh BENCH_baseline.json to lock it in"
-            } else {
-                "gate"
+        // Serving gates, per rotation: kernel merge steps, and label rows
+        // copied by publication (a return to whole-index copies fails here
+        // without any wall clock). Normalizing keeps the gates honest if
+        // the scenario's rotation count ever changes — more epochs of work
+        // must not dilute a per-epoch regression.
+        for key in ["serve_merge_steps", "serve_rows_copied"] {
+            let ratio = |r: &BTreeMap<String, u64>| -> Option<f64> {
+                let work = *r.get(key)?;
+                let rotations = *r.get("serve_rotations")?;
+                (rotations > 0).then(|| work as f64 / rotations as f64)
             };
-            eprintln!(
-                "[bench_smoke] serve_merge_steps/rotation: baseline {base:.1}, now {now:.1} ({delta:+.2}%) [{verdict}]"
-            );
+            if let (Some(base), Some(now)) = (ratio(&baseline), ratio(&report)) {
+                let delta = (now - base) / base * 100.0;
+                let verdict = if delta > threshold {
+                    failed = true;
+                    "FAIL"
+                } else if delta < -threshold {
+                    "IMPROVED — refresh BENCH_baseline.json to lock it in"
+                } else {
+                    "gate"
+                };
+                eprintln!(
+                    "[bench_smoke] {key}/rotation: baseline {base:.1}, now {now:.1} ({delta:+.2}%) [{verdict}]"
+                );
+            }
         }
         if failed {
             eprintln!(

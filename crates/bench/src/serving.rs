@@ -5,8 +5,9 @@
 //! serving layer under *real* thread interleavings is proven by the
 //! workspace-level `tests/serving_epochs.rs` harness; this driver instead
 //! scripts the reader refresh cadence so every counter — rotations,
-//! queries served, stale-epoch reads, per-shard merge steps — is a pure
-//! function of the seed and can gate CI like the maintenance counters do.
+//! queries served, stale-epoch reads, per-shard merge steps, rows copied
+//! by publication — is a pure function of the seed and can gate CI like
+//! the maintenance counters do.
 //!
 //! Each epoch: the writer drains a seeded [`hybrid_stream`] slice through
 //! one coalesced rotation, then every reader answers a seeded query batch
@@ -83,6 +84,9 @@ pub struct ServingReplayReport {
     /// Kernel work per snapshot shard, summed across the fleet (index =
     /// shard id; attribution follows the source vertex's shard).
     pub shard_merge_steps: Vec<u64>,
+    /// Label rows the rotations copied into their snapshots (the rest
+    /// were shared with the previous epoch), summed over rotations.
+    pub rows_copied: u64,
 }
 
 impl ServingReplayReport {
@@ -109,6 +113,7 @@ pub fn replay(config: ServingReplayConfig) -> ServingReplayReport {
         },
     );
     let mut readers: Vec<Reader<_>> = (0..config.readers).map(|_| server.reader()).collect();
+    let mut rows_copied = 0u64;
 
     for epoch in 0..config.epochs {
         // Write side: sample this epoch's stream against the live graph
@@ -123,7 +128,8 @@ pub fn replay(config: ServingReplayConfig) -> ServingReplayReport {
         server
             .submit(stream)
             .expect("unjournaled submit cannot fail");
-        server.rotate().expect("scripted epoch batch is valid");
+        let report = server.rotate().expect("scripted epoch batch is valid");
+        rows_copied += report.rows_copied as u64;
 
         // Read side: scripted refresh cadence, then a seeded query batch
         // per reader from whatever epoch it is pinned at.
@@ -165,6 +171,7 @@ pub fn replay(config: ServingReplayConfig) -> ServingReplayReport {
         queries_served,
         stale_epoch_reads,
         shard_merge_steps,
+        rows_copied,
     }
 }
 
@@ -181,6 +188,7 @@ mod tests {
         assert_eq!(a.queries_served, b.queries_served);
         assert_eq!(a.stale_epoch_reads, b.stale_epoch_reads);
         assert_eq!(a.shard_merge_steps, b.shard_merge_steps);
+        assert_eq!(a.rows_copied, b.rows_copied);
     }
 
     #[test]
@@ -200,6 +208,13 @@ mod tests {
         assert!(
             report.shard_merge_steps.iter().all(|&s| s > 0),
             "every shard should see kernel work"
+        );
+        // Rotations share the rows their batch left unchanged: each copies
+        // fewer rows than the index holds.
+        let per_rotation = report.rows_copied / report.rotations;
+        assert!(
+            report.rows_copied > 0 && per_rotation < u64::from(cfg.vertices),
+            "{per_rotation} rows copied per rotation"
         );
     }
 }

@@ -19,10 +19,10 @@ pub use update::{DirectedDecSpc, DirectedIncSpc};
 
 use crate::dynamic::{UpdateKind, UpdateStats};
 use crate::engine::EdgeCoalescer;
-use crate::label::{Count, LabelEntry, LabelSet, Rank, INF_DIST};
+use crate::label::{Count, LabelEntry, LabelSet, Rank, SharedRows};
 use crate::order::OrderingStrategy;
 use crate::parallel::MaintenanceThreads;
-use crate::query::QueryResult;
+use crate::query::{pre_query_rows, query_rows, QueryResult};
 use dspc_graph::{DirectedGraph, VertexId};
 use serde::{Deserialize, Serialize};
 
@@ -220,6 +220,16 @@ impl DirectedSpcIndex {
         }
     }
 
+    /// Publishes one label family for readers — the directed twin of
+    /// [`crate::index::SpcIndex::publish`]: written rows become shared,
+    /// one handle per vertex comes back.
+    pub fn publish(&mut self, side: Side) -> SharedRows<LabelEntry> {
+        SharedRows::publish(match side {
+            Side::In => &mut self.labels_in,
+            Side::Out => &mut self.labels_out,
+        })
+    }
+
     /// Swaps the vertices at ranks `r` and `r + 1` without touching either
     /// label family — the directed twin of
     /// [`crate::index::SpcIndex::swap_adjacent_ranks`]; the caller
@@ -272,46 +282,20 @@ impl DirectedSpcIndex {
 
 /// `SPC(s → t)`: merge `L_out(s)` with `L_in(t)`.
 pub fn directed_spc_query(index: &DirectedSpcIndex, s: VertexId, t: VertexId) -> QueryResult {
-    merge_directed(index.label_out(s), index.label_in(t), None)
+    let (dist, count) = query_rows(index.label_out(s).entries(), index.label_in(t).entries());
+    QueryResult { dist, count }
 }
 
 /// `PreQUERY(s → t)`: [`directed_spc_query`] restricted to hubs ranked
 /// strictly above `s` — the directed analogue of
 /// [`crate::query::pre_query`].
 pub fn directed_pre_query(index: &DirectedSpcIndex, s: VertexId, t: VertexId) -> QueryResult {
-    merge_directed(index.label_out(s), index.label_in(t), Some(index.rank(s)))
-}
-
-fn merge_directed(ls: &LabelSet, lt: &LabelSet, limit: Option<Rank>) -> QueryResult {
-    let a = ls.entries();
-    let b = lt.entries();
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut best = INF_DIST;
-    let mut count: Count = 0;
-    while i < a.len() && j < b.len() {
-        let (ha, hb) = (a[i].hub, b[j].hub);
-        if let Some(lim) = limit {
-            if ha >= lim || hb >= lim {
-                break;
-            }
-        }
-        if ha == hb {
-            let d = a[i].dist.saturating_add(b[j].dist);
-            if d < best {
-                best = d;
-                count = a[i].count.saturating_mul(b[j].count);
-            } else if d == best && d != INF_DIST {
-                count = count.saturating_add(a[i].count.saturating_mul(b[j].count));
-            }
-            i += 1;
-            j += 1;
-        } else if ha < hb {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    QueryResult { dist: best, count }
+    let (dist, count) = pre_query_rows(
+        index.label_out(s).entries(),
+        index.label_in(t).entries(),
+        index.rank(s),
+    );
+    QueryResult { dist, count }
 }
 
 /// A directed topological update, for batch application.
@@ -355,7 +339,14 @@ impl DynamicDirectedSpc {
     /// as [`crate::dynamic::DynamicSpc::frozen_queries`]).
     pub fn frozen_queries(&mut self) -> &crate::flat::DirectedFlatIndex {
         self.flat
-            .get_or_insert_with(|| crate::flat::DirectedFlatIndex::freeze(&self.index))
+            .get_or_insert_with(|| crate::flat::DirectedFlatIndex::publish(&mut self.index))
+    }
+
+    /// Publishes the current epoch's snapshot, sharing every row that
+    /// is unchanged since the previous publish
+    /// ([`crate::flat::DirectedFlatIndex::publish`]).
+    pub fn publish(&mut self) -> crate::flat::DirectedFlatIndex {
+        crate::flat::DirectedFlatIndex::publish(&mut self.index)
     }
 
     /// Whether a flat snapshot is currently cached.

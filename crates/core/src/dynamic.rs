@@ -244,6 +244,15 @@ impl DynamicSpc {
         self.flat.is_some()
     }
 
+    /// Publishes the current epoch's serving snapshot over `shards`
+    /// counter-attribution ranges: every label row written since the
+    /// previous publish becomes shared, every other row is handed out
+    /// again as is ([`crate::shard::ShardedFlatIndex::publish`]). Costs
+    /// `O(n)` handle clones plus the rows the epoch changed.
+    pub fn publish(&mut self, shards: usize) -> crate::shard::ShardedFlatIndex {
+        crate::shard::ShardedFlatIndex::publish(&mut self.index, shards)
+    }
+
     /// Sets the worker-thread budget for intra-batch maintenance: the
     /// classification sweeps of [`DynamicSpc::delete_edges`] and of the
     /// deletion segments of [`DynamicSpc::apply_batch`], and batched

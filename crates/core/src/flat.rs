@@ -1,87 +1,57 @@
-//! Read-optimized flat index snapshots: structure-of-arrays CSR label
-//! storage plus a vectorization-friendly merge-join query kernel.
+//! Published query snapshots, and the columnar form of the v2 file.
 //!
-//! The live [`SpcIndex`] stores one `Vec<LabelEntry>` per vertex — ideal
-//! for the update engine's point mutations, but a query then walks
-//! `Vec<LabelSet>` → `Vec<LabelEntry>`, a pointer-chasing merge over
-//! 16-byte array-of-structs entries. A [`FlatIndex`] is a frozen snapshot
-//! of the same labels in CSR form: one `offsets` array per vertex plus
-//! three contiguous columns (`hubs`, `dists`, `counts`) shared by the whole
-//! index. A query touches exactly two column slices, scanned sequentially.
+//! The serving layer publishes one immutable snapshot per epoch. The
+//! snapshot types here (and [`crate::shard::ShardedFlatIndex`]) hold
+//! [`SharedRows`]: one `Arc<[E]>` handle per vertex, *shared* with the
+//! live index rather than copied out of it. An index's publish step
+//! (`SpcIndex::publish`, `DirectedSpcIndex::publish`,
+//! `WeightedSpcIndex::publish`) turns every row written since the last
+//! publish into a shared row and hands out one handle per vertex, so a
+//! rotation costs `O(n)` handle clones plus the entries the epoch changed;
+//! the live index copies a shared row back to an owned one on its first
+//! write (see [`crate::label::LabelRow`]). The copying constructors
+//! (`freeze`) remain for callers that must not touch the live index.
 //!
-//! The merge kernel is split into two phases so the compiler can keep the
-//! hot loop branch-light:
+//! The published types keep their `Flat` names from the columnar design
+//! they replace: the wall-clock benchmark (`perfbench/`) compiles against
+//! these names and methods.
 //!
-//! 1. **Compare phase** — a two-pointer scan over the *hub columns only*
-//!    (no dist/count loads, no multiplications), recording the positions of
-//!    common hubs. Pointer advances are computed arithmetically
-//!    (`i += (x <= y)`), which autovectorizes/predicates well.
-//! 2. **Accumulate phase** — a short pass over just the common-hub
-//!    positions, computing `min(d_s + d_t)` and `Σ σ·σ` exactly as the live
-//!    kernel does.
+//! [`FlatIndex`] keeps the CSR columns (`offsets`, `hubs`, `dists`,
+//! `counts`) as the in-memory form of the v2 file format
+//! ([`crate::serialize`]), and serves queries straight off them.
 //!
-//! Results are **bit-identical** to [`crate::query::spc_query`] /
-//! [`crate::query::pre_query`] on the index the snapshot was frozen from —
-//! the test suite and the `bench_smoke` CI lane both enforce this.
-//!
-//! A scan (not a galloping search) is used deliberately: label sets are
-//! short and cache-resident, so the predictable sequential scan beats
-//! branchy exponential probing and keeps `merge_steps` deterministic.
+//! Every query — live rows, shared rows, columns — runs the single merge
+//! kernel in [`crate::query`], so results and the deterministic
+//! [`KernelCounters`] are **bit-identical** across all of them; the test
+//! suite and the `bench_smoke` CI lane both enforce this.
 //!
 //! ## Freshness contract
 //!
 //! A snapshot is immutable and does **not** follow later updates to the
-//! index it was frozen from. The dynamic facades own that lifecycle:
+//! index it was published from. The dynamic facades own that lifecycle:
 //! [`crate::dynamic::DynamicSpc::frozen_queries`] (and the directed /
 //! weighted equivalents) cache a snapshot per epoch and invalidate it on
 //! any mutation, so a facade-obtained snapshot is always exact.
 
-use crate::directed::DirectedSpcIndex;
+use crate::directed::{DirectedRankMap, DirectedSpcIndex, Side};
 use crate::index::SpcIndex;
-use crate::label::{Count, LabelEntry, Rank, INF_DIST};
+use crate::label::{Count, LabelEntry, Rank, SharedRows};
 use crate::order::RankMap;
-use crate::query::QueryResult;
-use crate::weighted::{WQueryResult, WeightedSpcIndex};
-use dspc_graph::weighted::{WDist, WDIST_INF};
+use crate::query::{counted_query_rows, pre_query_rows, query_rows, HubRow, QueryResult};
+use crate::weighted::{WLabelEntry, WQueryResult, WeightedSpcIndex};
 use dspc_graph::VertexId;
 
-/// Distance field of a flat column set: `u32` hop counts for the
-/// unweighted variants, `u64` accumulated weights for the weighted one.
-/// Implemented for exactly those two types; not intended for user impls.
-pub trait FlatDist: Copy + Ord {
-    /// The "unreachable" sentinel ([`INF_DIST`] / [`WDIST_INF`]).
-    const INF: Self;
-    /// Saturating addition, matching the live kernels' overflow behavior.
-    fn sat_add(self, other: Self) -> Self;
-}
-
-impl FlatDist for u32 {
-    const INF: Self = INF_DIST;
-    #[inline]
-    fn sat_add(self, other: Self) -> Self {
-        self.saturating_add(other)
-    }
-}
-
-impl FlatDist for u64 {
-    const INF: Self = WDIST_INF;
-    #[inline]
-    fn sat_add(self, other: Self) -> Self {
-        self.saturating_add(other)
-    }
-}
-
-/// Deterministic work counters of the flat (and counted live) query
-/// kernels. Machine-independent, so the `bench-smoke` CI lane can gate on
-/// them exactly — no wall-clock flakiness.
+/// Deterministic work counters of the counted query kernel.
+/// Machine-independent, so the `bench-smoke` CI lane can gate on them
+/// exactly — no wall-clock flakiness.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelCounters {
     /// Queries evaluated through a counted kernel.
     pub queries: u64,
-    /// Compare-phase loop iterations across all counted queries — the
+    /// Merge loop iterations across all counted queries — the
     /// wall-clock-independent unit of merge work.
     pub merge_steps: u64,
-    /// Common hubs found (accumulate-phase work items).
+    /// Common hubs found.
     pub common_hubs: u64,
 }
 
@@ -92,123 +62,89 @@ impl KernelCounters {
     }
 }
 
-/// Reusable scratch for the two-phase kernel: the common-hub position
-/// pairs found by the compare phase. One per querying thread; the batch
-/// entry points in [`crate::parallel`] allocate one per worker and reuse it
-/// across the whole chunk.
-#[derive(Clone, Debug, Default)]
-pub struct FlatScratch {
-    pub(crate) pairs: Vec<(u32, u32)>,
-}
+/// Per-thread query scratch. The single-pass merge kernel needs none; the
+/// type remains because the snapshot query signatures (and the code
+/// compiled against them) take one.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct FlatScratch;
 
 impl FlatScratch {
-    /// Fresh empty scratch.
+    /// Fresh scratch.
     pub fn new() -> Self {
-        Self::default()
+        FlatScratch
     }
 }
 
-/// Compare phase: scan the two hub columns, record positions of common
-/// hubs. `LIMITED` monomorphizes the `PreQUERY` rank cut-off away from the
-/// common no-limit kernel; `COUNTED` likewise compiles the counters out of
-/// the production path.
-#[inline]
-pub(crate) fn compare_phase<const LIMITED: bool, const COUNTED: bool>(
-    ha: &[u32],
-    hb: &[u32],
-    limit: u32,
-    pairs: &mut Vec<(u32, u32)>,
-    counters: &mut KernelCounters,
-) {
-    pairs.clear();
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut steps = 0u64;
-    while i < ha.len() && j < hb.len() {
-        let (x, y) = (ha[i], hb[j]);
-        if LIMITED && (x >= limit || y >= limit) {
-            // Columns are sorted ascending by hub rank: once either head
-            // reaches the limit, no common hub strictly above it remains.
-            break;
-        }
-        if COUNTED {
-            steps += 1;
-        }
-        if x == y {
-            pairs.push((i as u32, j as u32));
-        }
-        i += usize::from(x <= y);
-        j += usize::from(y <= x);
+/// One vertex's slice of the flat columns, read by the merge kernel.
+#[derive(Clone, Copy)]
+pub(crate) struct ColumnRow<'a> {
+    hubs: &'a [u32],
+    dists: &'a [u32],
+    counts: &'a [Count],
+}
+
+impl HubRow for ColumnRow<'_> {
+    type Dist = u32;
+    #[inline]
+    fn len(self) -> usize {
+        self.hubs.len()
     }
-    if COUNTED {
-        counters.queries += 1;
-        counters.merge_steps += steps;
-        counters.common_hubs += pairs.len() as u64;
+    #[inline]
+    fn hub(self, i: usize) -> u32 {
+        self.hubs[i]
+    }
+    #[inline]
+    fn dist(self, i: usize) -> u32 {
+        self.dists[i]
+    }
+    #[inline]
+    fn count(self, i: usize) -> Count {
+        self.counts[i]
     }
 }
 
-/// Accumulate phase: fold the recorded common hubs into `(sd, spc)`,
-/// identically to the live merge kernel (Equations (1)–(2)).
-#[inline]
-pub(crate) fn accumulate_phase<D: FlatDist>(
-    da: &[D],
-    ca: &[Count],
-    db: &[D],
-    cb: &[Count],
-    pairs: &[(u32, u32)],
-) -> (D, Count) {
-    let mut best = D::INF;
-    let mut count: Count = 0;
-    for &(i, j) in pairs {
-        let (i, j) = (i as usize, j as usize);
-        let d = da[i].sat_add(db[j]);
-        if d < best {
-            best = d;
-            count = ca[i].saturating_mul(cb[j]);
-        } else if d == best && d != D::INF {
-            count = count.saturating_add(ca[i].saturating_mul(cb[j]));
-        }
+impl<'a> ColumnRow<'a> {
+    /// The row's entries.
+    pub(crate) fn entries(self) -> impl Iterator<Item = LabelEntry> + 'a {
+        (0..self.hubs.len())
+            .map(move |k| LabelEntry::new(Rank(self.hubs[k]), self.dists[k], self.counts[k]))
     }
-    (best, count)
 }
 
 /// One CSR column set: per-vertex label slices over three contiguous
 /// columns. `offsets[v]..offsets[v + 1]` is vertex `v`'s slice in each
 /// column; entries within a slice are sorted ascending by hub rank, exactly
-/// like the live label sets they were frozen from.
+/// like the live label rows they were frozen from.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FlatColumns<D> {
+pub(crate) struct FlatColumns {
     offsets: Vec<u32>,
     hubs: Vec<u32>,
-    dists: Vec<D>,
+    dists: Vec<u32>,
     counts: Vec<Count>,
 }
 
-impl<D: FlatDist> FlatColumns<D> {
-    /// Packs `rows` (one sorted entry iterator per vertex, in id order)
-    /// into columns. `entry_hint` pre-sizes the columns.
-    fn build<I, J>(n: usize, entry_hint: usize, rows: I) -> Self
-    where
-        I: Iterator<Item = J>,
-        J: Iterator<Item = (u32, D, Count)>,
-    {
+impl FlatColumns {
+    /// Packs every label row of `index` into columns, in id order.
+    fn build(index: &SpcIndex) -> Self {
+        let n = index.num_vertices();
+        let entries = index.num_entries();
+        assert!(
+            entries <= u32::MAX as usize,
+            "flat index exceeds u32 offset space"
+        );
         let mut offsets = Vec::with_capacity(n + 1);
-        let mut hubs = Vec::with_capacity(entry_hint);
-        let mut dists = Vec::with_capacity(entry_hint);
-        let mut counts = Vec::with_capacity(entry_hint);
+        let mut hubs = Vec::with_capacity(entries);
+        let mut dists = Vec::with_capacity(entries);
+        let mut counts = Vec::with_capacity(entries);
         offsets.push(0);
-        for row in rows {
-            for (h, d, c) in row {
-                hubs.push(h);
-                dists.push(d);
-                counts.push(c);
+        for v in 0..n {
+            for e in index.label_set(VertexId(v as u32)).entries() {
+                hubs.push(e.hub.0);
+                dists.push(e.dist);
+                counts.push(e.count);
             }
-            assert!(
-                hubs.len() <= u32::MAX as usize,
-                "flat index exceeds u32 offset space"
-            );
             offsets.push(hubs.len() as u32);
         }
-        assert_eq!(offsets.len(), n + 1, "one offset row per vertex");
         FlatColumns {
             offsets,
             hubs,
@@ -221,7 +157,7 @@ impl<D: FlatDist> FlatColumns<D> {
     pub(crate) fn from_raw(
         offsets: Vec<u32>,
         hubs: Vec<u32>,
-        dists: Vec<D>,
+        dists: Vec<u32>,
         counts: Vec<Count>,
     ) -> Result<Self, &'static str> {
         if offsets.first() != Some(&0) {
@@ -250,50 +186,22 @@ impl<D: FlatDist> FlatColumns<D> {
         self.offsets.len() - 1
     }
 
-    /// Total entries across all vertices.
+    /// Vertex `v`'s slice of the three columns.
     #[inline]
-    fn num_entries(&self) -> usize {
-        self.hubs.len()
-    }
-
-    /// The three column slices of vertex `v`.
-    #[inline]
-    pub(crate) fn slice(&self, v: usize) -> (&[u32], &[D], &[Count]) {
+    pub(crate) fn row(&self, v: usize) -> ColumnRow<'_> {
         let lo = self.offsets[v] as usize;
         let hi = self.offsets[v + 1] as usize;
-        (
-            &self.hubs[lo..hi],
-            &self.dists[lo..hi],
-            &self.counts[lo..hi],
-        )
+        ColumnRow {
+            hubs: &self.hubs[lo..hi],
+            dists: &self.dists[lo..hi],
+            counts: &self.counts[lo..hi],
+        }
     }
 
     /// Bytes occupied by the entry columns alone (`hubs` + `dists` +
     /// `counts`), excluding the per-vertex offsets.
     fn entry_column_bytes(&self) -> usize {
-        self.hubs.len() * 4 + self.dists.len() * std::mem::size_of::<D>() + self.counts.len() * 8
-    }
-
-    /// Total bytes of the snapshot (entry columns + offsets).
-    fn column_bytes(&self) -> usize {
-        self.entry_column_bytes() + self.offsets.len() * 4
-    }
-
-    /// Full merge-join query between the slices of `s` and `t`, optionally
-    /// limited to hubs ranked strictly above `limit`.
-    #[inline]
-    fn merge<const LIMITED: bool, const COUNTED: bool>(
-        &self,
-        s: usize,
-        t: usize,
-        limit: u32,
-        scratch: &mut FlatScratch,
-        counters: &mut KernelCounters,
-    ) -> (D, Count) {
-        let (ha, da, ca) = self.slice(s);
-        let (hb, db, cb) = self.slice(t);
-        compare_phase::<LIMITED, COUNTED>(ha, hb, limit, &mut scratch.pairs, counters);
-        accumulate_phase(da, ca, db, cb, &scratch.pairs)
+        self.hubs.len() * 16
     }
 
     pub(crate) fn offsets(&self) -> &[u32] {
@@ -304,7 +212,7 @@ impl<D: FlatDist> FlatColumns<D> {
         &self.hubs
     }
 
-    pub(crate) fn dists(&self) -> &[D] {
+    pub(crate) fn dists(&self) -> &[u32] {
         &self.dists
     }
 
@@ -313,41 +221,30 @@ impl<D: FlatDist> FlatColumns<D> {
     }
 }
 
-/// A read-only flat snapshot of an undirected [`SpcIndex`].
+/// A read-only columnar snapshot of an undirected [`SpcIndex`] — the
+/// in-memory form of the v2 file.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FlatIndex {
-    cols: FlatColumns<u32>,
+    cols: FlatColumns,
     ranks: RankMap,
 }
 
 impl FlatIndex {
-    /// Freezes `index` into a flat snapshot in one pass over its labels.
+    /// Freezes `index` into columns in one pass over its labels (a copy).
     pub fn freeze(index: &SpcIndex) -> Self {
-        let n = index.num_vertices();
-        let cols = FlatColumns::build(
-            n,
-            index.num_entries(),
-            (0..n).map(|v| {
-                index
-                    .label_set(VertexId(v as u32))
-                    .entries()
-                    .iter()
-                    .map(|e| (e.hub.0, e.dist, e.count))
-            }),
-        );
         FlatIndex {
-            cols,
+            cols: FlatColumns::build(index),
             ranks: index.ranks().clone(),
         }
     }
 
     /// Reassembles a snapshot from decoded parts (the serialization codec).
-    pub(crate) fn from_parts(cols: FlatColumns<u32>, ranks: RankMap) -> Self {
+    pub(crate) fn from_parts(cols: FlatColumns, ranks: RankMap) -> Self {
         assert_eq!(cols.num_vertices(), ranks.len(), "rank space mismatch");
         FlatIndex { cols, ranks }
     }
 
-    pub(crate) fn columns(&self) -> &FlatColumns<u32> {
+    pub(crate) fn columns(&self) -> &FlatColumns {
         &self.cols
     }
 
@@ -372,7 +269,7 @@ impl FlatIndex {
     /// Total label entries.
     #[inline]
     pub fn num_entries(&self) -> usize {
-        self.cols.num_entries()
+        self.cols.hubs.len()
     }
 
     /// Bytes of the entry columns alone — `16 × entries` (4-byte hub +
@@ -383,44 +280,40 @@ impl FlatIndex {
 
     /// Total snapshot bytes (entry columns + per-vertex offsets).
     pub fn column_bytes(&self) -> usize {
-        self.cols.column_bytes()
+        self.cols.entry_column_bytes() + self.cols.offsets.len() * 4
     }
 
-    /// `SpcQUERY(s, t)` against the snapshot. Allocates a transient
-    /// scratch; batch callers should prefer [`FlatIndex::query_with`].
+    /// `SpcQUERY(s, t)` against the snapshot.
     pub fn query(&self, s: VertexId, t: VertexId) -> QueryResult {
-        self.query_with(&mut FlatScratch::new(), s, t)
+        self.query_with(&mut FlatScratch, s, t)
     }
 
-    /// `SpcQUERY(s, t)` reusing `scratch` across calls.
+    /// `SpcQUERY(s, t)`; `scratch` is unused (see [`FlatScratch`]).
     #[inline]
-    pub fn query_with(&self, scratch: &mut FlatScratch, s: VertexId, t: VertexId) -> QueryResult {
-        let mut sink = KernelCounters::new();
-        let (dist, count) =
-            self.cols
-                .merge::<false, false>(s.index(), t.index(), 0, scratch, &mut sink);
+    pub fn query_with(&self, _scratch: &mut FlatScratch, s: VertexId, t: VertexId) -> QueryResult {
+        let (dist, count) = query_rows(self.cols.row(s.index()), self.cols.row(t.index()));
         QueryResult { dist, count }
     }
 
     /// `PreQUERY(s, t)`: only hubs ranked strictly above `rank(s)`
     /// participate, matching [`crate::query::pre_query`].
     pub fn pre_query(&self, s: VertexId, t: VertexId) -> QueryResult {
-        self.pre_query_with(&mut FlatScratch::new(), s, t)
+        self.pre_query_with(&mut FlatScratch, s, t)
     }
 
-    /// [`FlatIndex::pre_query`] reusing `scratch`.
+    /// [`FlatIndex::pre_query`]; `scratch` is unused.
     #[inline]
     pub fn pre_query_with(
         &self,
-        scratch: &mut FlatScratch,
+        _scratch: &mut FlatScratch,
         s: VertexId,
         t: VertexId,
     ) -> QueryResult {
-        let mut sink = KernelCounters::new();
-        let limit = self.ranks.rank(s).0;
-        let (dist, count) =
-            self.cols
-                .merge::<true, false>(s.index(), t.index(), limit, scratch, &mut sink);
+        let (dist, count) = pre_query_rows(
+            self.cols.row(s.index()),
+            self.cols.row(t.index()),
+            self.rank(s),
+        );
         QueryResult { dist, count }
     }
 
@@ -428,30 +321,19 @@ impl FlatIndex {
     /// deterministic work units are accumulated into `counters`.
     pub fn query_counted(
         &self,
-        scratch: &mut FlatScratch,
+        _scratch: &mut FlatScratch,
         counters: &mut KernelCounters,
         s: VertexId,
         t: VertexId,
     ) -> QueryResult {
         let (dist, count) =
-            self.cols
-                .merge::<false, true>(s.index(), t.index(), 0, scratch, counters);
+            counted_query_rows(self.cols.row(s.index()), self.cols.row(t.index()), counters);
         QueryResult { dist, count }
     }
 
-    /// Counted [`FlatIndex::pre_query_with`].
-    pub fn pre_query_counted(
-        &self,
-        scratch: &mut FlatScratch,
-        counters: &mut KernelCounters,
-        s: VertexId,
-        t: VertexId,
-    ) -> QueryResult {
-        let limit = self.ranks.rank(s).0;
-        let (dist, count) =
-            self.cols
-                .merge::<true, true>(s.index(), t.index(), limit, scratch, counters);
-        QueryResult { dist, count }
+    /// Vertex `v`'s entries, in hub-rank order.
+    pub(crate) fn row_entries(&self, v: usize) -> impl Iterator<Item = LabelEntry> + '_ {
+        self.cols.row(v).entries()
     }
 
     /// Reconstructs a live [`SpcIndex`] with identical labels — the
@@ -460,47 +342,46 @@ impl FlatIndex {
     pub fn thaw(&self) -> SpcIndex {
         let mut index = SpcIndex::self_labeled(self.ranks.clone());
         for v in 0..self.num_vertices() {
-            let (hubs, dists, counts) = self.cols.slice(v);
             let ls = index.label_set_mut(VertexId(v as u32));
             ls.clear_all();
-            for k in 0..hubs.len() {
-                ls.push_descending(LabelEntry::new(Rank(hubs[k]), dists[k], counts[k]));
+            for e in self.row_entries(v) {
+                ls.push_descending(e);
             }
         }
         index
     }
 }
 
-/// A read-only flat snapshot of a [`DirectedSpcIndex`]: two column sets,
-/// one per label family. `SPC(s → t)` merges the `L_out(s)` slice with the
-/// `L_in(t)` slice.
-#[derive(Clone, Debug, PartialEq)]
+/// The published snapshot of a [`DirectedSpcIndex`]: one shared row per
+/// vertex in each label family. `SPC(s → t)` merges `L_out(s)` with
+/// `L_in(t)`.
+#[derive(Clone, Debug)]
 pub struct DirectedFlatIndex {
-    out_cols: FlatColumns<u32>,
-    in_cols: FlatColumns<u32>,
-    ranks: crate::directed::DirectedRankMap,
+    out_rows: SharedRows<LabelEntry>,
+    in_rows: SharedRows<LabelEntry>,
+    ranks: DirectedRankMap,
 }
 
 impl DirectedFlatIndex {
-    /// Freezes `index` into a flat snapshot in one pass per family.
+    /// Copies `index` into a fresh snapshot, leaving the live rows alone.
     pub fn freeze(index: &DirectedSpcIndex) -> Self {
         let n = index.ranks().len();
-        let family = |side: crate::directed::Side| {
-            FlatColumns::build(
-                n,
-                0,
-                (0..n).map(move |v| {
-                    index
-                        .label(side, VertexId(v as u32))
-                        .entries()
-                        .iter()
-                        .map(|e| (e.hub.0, e.dist, e.count))
-                }),
-            )
+        let family = |side| {
+            SharedRows::copied_from((0..n).map(|v| index.label(side, VertexId(v as u32)).entries()))
         };
         DirectedFlatIndex {
-            out_cols: family(crate::directed::Side::Out),
-            in_cols: family(crate::directed::Side::In),
+            out_rows: family(Side::Out),
+            in_rows: family(Side::In),
+            ranks: index.ranks().clone(),
+        }
+    }
+
+    /// Publishes `index`: shares both families' rows (see
+    /// [`DirectedSpcIndex::publish`]).
+    pub fn publish(index: &mut DirectedSpcIndex) -> Self {
+        DirectedFlatIndex {
+            out_rows: index.publish(Side::Out),
+            in_rows: index.publish(Side::In),
             ranks: index.ranks().clone(),
         }
     }
@@ -511,54 +392,49 @@ impl DirectedFlatIndex {
         self.ranks.rank(v)
     }
 
+    /// One label family's rows.
+    pub fn rows(&self, side: Side) -> &SharedRows<LabelEntry> {
+        match side {
+            Side::Out => &self.out_rows,
+            Side::In => &self.in_rows,
+        }
+    }
+
+    /// Rows copied (rather than shared) when this snapshot was made, both
+    /// families.
+    pub fn rows_copied(&self) -> usize {
+        self.out_rows.rows_copied() + self.in_rows.rows_copied()
+    }
+
     /// Total entries across both families.
     pub fn num_entries(&self) -> usize {
-        self.out_cols.num_entries() + self.in_cols.num_entries()
+        self.out_rows.num_entries() + self.in_rows.num_entries()
     }
 
-    /// Total snapshot bytes across both families.
+    /// Bytes of both families in the columnar layout
+    /// ([`SharedRows::column_bytes`]).
     pub fn column_bytes(&self) -> usize {
-        self.out_cols.column_bytes() + self.in_cols.column_bytes()
-    }
-
-    /// Bytes of the entry columns alone, both families.
-    pub fn entry_column_bytes(&self) -> usize {
-        self.out_cols.entry_column_bytes() + self.in_cols.entry_column_bytes()
+        self.out_rows.column_bytes() + self.in_rows.column_bytes()
     }
 
     /// `SPC(s → t)` against the snapshot.
     pub fn query(&self, s: VertexId, t: VertexId) -> QueryResult {
-        self.query_with(&mut FlatScratch::new(), s, t)
+        self.query_with(&mut FlatScratch, s, t)
     }
 
-    /// [`DirectedFlatIndex::query`] reusing `scratch`.
+    /// [`DirectedFlatIndex::query`]; `scratch` is unused.
     #[inline]
-    pub fn query_with(&self, scratch: &mut FlatScratch, s: VertexId, t: VertexId) -> QueryResult {
-        let mut sink = KernelCounters::new();
-        let (dist, count) = merge_across::<false, false>(
-            &self.out_cols,
-            &self.in_cols,
-            s,
-            t,
-            0,
-            scratch,
-            &mut sink,
-        );
+    pub fn query_with(&self, _scratch: &mut FlatScratch, s: VertexId, t: VertexId) -> QueryResult {
+        let (dist, count) = query_rows(self.out_rows.row(s.index()), self.in_rows.row(t.index()));
         QueryResult { dist, count }
     }
 
     /// `PreQUERY(s → t)`: hubs ranked strictly above `rank(s)` only.
     pub fn pre_query(&self, s: VertexId, t: VertexId) -> QueryResult {
-        let mut sink = KernelCounters::new();
-        let limit = self.ranks.rank(s).0;
-        let (dist, count) = merge_across::<true, false>(
-            &self.out_cols,
-            &self.in_cols,
-            s,
-            t,
-            limit,
-            &mut FlatScratch::new(),
-            &mut sink,
+        let (dist, count) = pre_query_rows(
+            self.out_rows.row(s.index()),
+            self.in_rows.row(t.index()),
+            self.rank(s),
         );
         QueryResult { dist, count }
     }
@@ -566,60 +442,45 @@ impl DirectedFlatIndex {
     /// Counted [`DirectedFlatIndex::query_with`].
     pub fn query_counted(
         &self,
-        scratch: &mut FlatScratch,
+        _scratch: &mut FlatScratch,
         counters: &mut KernelCounters,
         s: VertexId,
         t: VertexId,
     ) -> QueryResult {
-        let (dist, count) =
-            merge_across::<false, true>(&self.out_cols, &self.in_cols, s, t, 0, scratch, counters);
+        let (dist, count) = counted_query_rows(
+            self.out_rows.row(s.index()),
+            self.in_rows.row(t.index()),
+            counters,
+        );
         QueryResult { dist, count }
     }
 }
 
-/// Merge between a slice of one column set and a slice of another (the
-/// directed `L_out(s)` × `L_in(t)` shape).
-#[inline]
-fn merge_across<const LIMITED: bool, const COUNTED: bool>(
-    a: &FlatColumns<u32>,
-    b: &FlatColumns<u32>,
-    s: VertexId,
-    t: VertexId,
-    limit: u32,
-    scratch: &mut FlatScratch,
-    counters: &mut KernelCounters,
-) -> (u32, Count) {
-    let (ha, da, ca) = a.slice(s.index());
-    let (hb, db, cb) = b.slice(t.index());
-    compare_phase::<LIMITED, COUNTED>(ha, hb, limit, &mut scratch.pairs, counters);
-    accumulate_phase(da, ca, db, cb, &scratch.pairs)
-}
-
-/// A read-only flat snapshot of a [`WeightedSpcIndex`]: same CSR layout
-/// with a `u64` distance column.
-#[derive(Clone, Debug, PartialEq)]
+/// The published snapshot of a [`WeightedSpcIndex`]: one shared row of
+/// `u64`-distance entries per vertex.
+#[derive(Clone, Debug)]
 pub struct WeightedFlatIndex {
-    cols: FlatColumns<WDist>,
+    rows: SharedRows<WLabelEntry>,
     ranks: RankMap,
 }
 
 impl WeightedFlatIndex {
-    /// Freezes `index` into a flat snapshot in one pass.
+    /// Copies `index` into a fresh snapshot, leaving the live rows alone.
     pub fn freeze(index: &WeightedSpcIndex) -> Self {
         let n = index.ranks().len();
-        let cols = FlatColumns::build(
-            n,
-            index.num_entries(),
-            (0..n).map(|v| {
-                index
-                    .label_set(VertexId(v as u32))
-                    .entries()
-                    .iter()
-                    .map(|e| (e.hub.0, e.dist, e.count))
-            }),
-        );
         WeightedFlatIndex {
-            cols,
+            rows: SharedRows::copied_from(
+                (0..n).map(|v| index.label_set(VertexId(v as u32)).entries()),
+            ),
+            ranks: index.ranks().clone(),
+        }
+    }
+
+    /// Publishes `index`: shares its rows (see
+    /// [`WeightedSpcIndex::publish`]).
+    pub fn publish(index: &mut WeightedSpcIndex) -> Self {
+        WeightedFlatIndex {
+            rows: index.publish(),
             ranks: index.ranks().clone(),
         }
     }
@@ -630,47 +491,45 @@ impl WeightedFlatIndex {
         self.ranks.rank(v)
     }
 
+    /// The published rows.
+    pub fn rows(&self) -> &SharedRows<WLabelEntry> {
+        &self.rows
+    }
+
+    /// Rows copied (rather than shared) when this snapshot was made.
+    pub fn rows_copied(&self) -> usize {
+        self.rows.rows_copied()
+    }
+
     /// Total label entries.
     pub fn num_entries(&self) -> usize {
-        self.cols.num_entries()
+        self.rows.num_entries()
     }
 
-    /// Total snapshot bytes.
-    pub fn column_bytes(&self) -> usize {
-        self.cols.column_bytes()
-    }
-
-    /// Bytes of the entry columns alone (`20 × entries` here: the
+    /// Bytes in the columnar layout (`20 × entries` plus offsets: the
     /// distance column is 8-byte).
-    pub fn entry_column_bytes(&self) -> usize {
-        self.cols.entry_column_bytes()
+    pub fn column_bytes(&self) -> usize {
+        self.rows.column_bytes()
     }
 
     /// Weighted `SpcQUERY(s, t)` against the snapshot.
     pub fn query(&self, s: VertexId, t: VertexId) -> WQueryResult {
-        self.query_with(&mut FlatScratch::new(), s, t)
+        self.query_with(&mut FlatScratch, s, t)
     }
 
-    /// [`WeightedFlatIndex::query`] reusing `scratch`.
+    /// [`WeightedFlatIndex::query`]; `scratch` is unused.
     #[inline]
-    pub fn query_with(&self, scratch: &mut FlatScratch, s: VertexId, t: VertexId) -> WQueryResult {
-        let mut sink = KernelCounters::new();
-        let (dist, count) =
-            self.cols
-                .merge::<false, false>(s.index(), t.index(), 0, scratch, &mut sink);
+    pub fn query_with(&self, _scratch: &mut FlatScratch, s: VertexId, t: VertexId) -> WQueryResult {
+        let (dist, count) = query_rows(self.rows.row(s.index()), self.rows.row(t.index()));
         WQueryResult { dist, count }
     }
 
     /// Weighted `PreQUERY(s, t)`: hubs ranked strictly above `rank(s)`.
     pub fn pre_query(&self, s: VertexId, t: VertexId) -> WQueryResult {
-        let mut sink = KernelCounters::new();
-        let limit = self.ranks.rank(s).0;
-        let (dist, count) = self.cols.merge::<true, false>(
-            s.index(),
-            t.index(),
-            limit,
-            &mut FlatScratch::new(),
-            &mut sink,
+        let (dist, count) = pre_query_rows(
+            self.rows.row(s.index()),
+            self.rows.row(t.index()),
+            self.rank(s),
         );
         WQueryResult { dist, count }
     }
@@ -678,14 +537,13 @@ impl WeightedFlatIndex {
     /// Counted [`WeightedFlatIndex::query_with`].
     pub fn query_counted(
         &self,
-        scratch: &mut FlatScratch,
+        _scratch: &mut FlatScratch,
         counters: &mut KernelCounters,
         s: VertexId,
         t: VertexId,
     ) -> WQueryResult {
         let (dist, count) =
-            self.cols
-                .merge::<false, true>(s.index(), t.index(), 0, scratch, counters);
+            counted_query_rows(self.rows.row(s.index()), self.rows.row(t.index()), counters);
         WQueryResult { dist, count }
     }
 }

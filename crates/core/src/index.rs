@@ -5,7 +5,7 @@
 //! (ESPC) constraint — `spc(s, t)` is computable for every pair from
 //! `L(s)` and `L(t)` alone via Equations (1)–(2).
 
-use crate::label::{LabelEntry, LabelSet, Rank};
+use crate::label::{LabelEntry, LabelSet, Rank, SharedRows};
 use crate::order::RankMap;
 use dspc_graph::VertexId;
 use serde::{Deserialize, Serialize};
@@ -145,6 +145,17 @@ impl SpcIndex {
             }
         }
         self.labels[v.index()].reset_to_self(self_rank)
+    }
+
+    /// Publishes the labels for readers: every row written since the last
+    /// publish becomes an immutable shared row, and one handle per vertex
+    /// comes back. Costs `O(n)` handle clones plus one copy of each
+    /// written row; a row untouched since the last publish is already
+    /// shared, so no dirty list is needed. The next write to a published
+    /// row copies it first (see [`LabelSet`]). Label content, and with it
+    /// the hub-entry counts, is unchanged.
+    pub fn publish(&mut self) -> SharedRows<LabelEntry> {
+        SharedRows::publish(&mut self.labels)
     }
 
     /// Number of label entries anywhere in the index whose hub has rank

@@ -13,6 +13,7 @@
 //! packed form is provided for storage parity and serialization.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A position in the vertex total order; `Rank(0)` is the highest rank.
 ///
@@ -109,59 +110,211 @@ pub mod packed {
     }
 }
 
-/// A vertex's label set `L(v)`: entries sorted by hub rank ascending
+/// Distance field of a label entry: `u32` hop counts for the unweighted
+/// variants, `u64` accumulated weights for the weighted one. Implemented
+/// for exactly those two types.
+pub trait LabelDist: Copy + Ord + std::fmt::Debug + Send + Sync + 'static {
+    /// The "unreachable" sentinel ([`INF_DIST`] /
+    /// [`dspc_graph::weighted::WDIST_INF`]).
+    const INF: Self;
+    /// Saturating addition, so an unreachable side stays unreachable.
+    fn sat_add(self, other: Self) -> Self;
+}
+
+impl LabelDist for u32 {
+    const INF: Self = INF_DIST;
+    #[inline]
+    fn sat_add(self, other: Self) -> Self {
+        self.saturating_add(other)
+    }
+}
+
+impl LabelDist for u64 {
+    const INF: Self = dspc_graph::weighted::WDIST_INF;
+    #[inline]
+    fn sat_add(self, other: Self) -> Self {
+        self.saturating_add(other)
+    }
+}
+
+/// A hub label `(hub, dist, count)` over some distance type: what a
+/// [`LabelRow`] stores and the query kernel reads. Implemented by
+/// [`LabelEntry`] and the weighted `WLabelEntry`.
+pub trait HubEntry: Copy + PartialEq + std::fmt::Debug + Send + Sync + 'static {
+    /// The distance field's type.
+    type Dist: LabelDist;
+    /// Rank of the hub vertex.
+    fn hub(&self) -> Rank;
+    /// Shortest distance from the hub.
+    fn dist(&self) -> Self::Dist;
+    /// Shortest paths on which the hub is the highest-ranked vertex.
+    fn count(&self) -> Count;
+    /// The self label `(rank, 0, 1)`.
+    fn self_label(rank: Rank) -> Self;
+}
+
+impl HubEntry for LabelEntry {
+    type Dist = u32;
+    #[inline]
+    fn hub(&self) -> Rank {
+        self.hub
+    }
+    #[inline]
+    fn dist(&self) -> u32 {
+        self.dist
+    }
+    #[inline]
+    fn count(&self) -> Count {
+        self.count
+    }
+    fn self_label(rank: Rank) -> Self {
+        LabelEntry::new(rank, 0, 1)
+    }
+}
+
+/// A vertex's label row `L(v)`: entries sorted by hub rank ascending
 /// (highest-ranked hub first), unique hubs.
 ///
 /// Sorted order gives `O(log l)` point lookups, `O(l_s + l_t)` merge
 /// queries, and a natural prefix for the paper's `PreQUERY` (stop at the
 /// first hub not higher-ranked than the query source).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LabelSet {
-    entries: Vec<LabelEntry>,
+///
+/// Rows are stored copy-on-write. While the writer mutates a row it owns a
+/// `Vec`; the indexes' publish step ([`SharedRows::publish`]) turns it
+/// into an immutable `Arc<[E]>` that published snapshots hold too.
+/// The first mutation after that copies the row back into an owned `Vec`,
+/// so a snapshot never observes a later write, and a row nobody wrote
+/// since the last publish is handed out again without a copy. Mutators
+/// that would leave the row unchanged (upserting an identical entry,
+/// removing an absent hub) do not copy. Either form is 24 bytes, the size
+/// of a bare `Vec`.
+pub struct LabelRow<E> {
+    row: Row<E>,
 }
 
-impl LabelSet {
-    /// An empty label set.
+enum Row<E> {
+    Owned(Vec<E>),
+    Shared(Arc<[E]>),
+}
+
+/// The unweighted label row (undirected `L(v)`, directed `L_in` / `L_out`).
+pub type LabelSet = LabelRow<LabelEntry>;
+
+impl<E> Default for LabelRow<E> {
+    fn default() -> Self {
+        LabelRow {
+            row: Row::Owned(Vec::new()),
+        }
+    }
+}
+
+impl<E: Clone> Clone for LabelRow<E> {
+    fn clone(&self) -> Self {
+        let row = match &self.row {
+            Row::Owned(v) => Row::Owned(v.clone()),
+            Row::Shared(a) => Row::Shared(Arc::clone(a)),
+        };
+        LabelRow { row }
+    }
+}
+
+impl<E: HubEntry> PartialEq for LabelRow<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries() == other.entries()
+    }
+}
+
+impl<E: HubEntry + Eq> Eq for LabelRow<E> {}
+
+impl<E: HubEntry> std::fmt::Debug for LabelRow<E> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.entries()).finish()
+    }
+}
+
+impl<E: HubEntry> LabelRow<E> {
+    /// An empty row.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Label set containing only the self label `(rank, 0, 1)` — every
-    /// vertex carries its own hub (Table 2's diagonal).
+    /// Row containing only the self label `(rank, 0, 1)` — every vertex
+    /// carries its own hub (Table 2's diagonal).
     pub fn self_only(rank: Rank) -> Self {
-        LabelSet {
-            entries: vec![LabelEntry::new(rank, 0, 1)],
+        LabelRow {
+            row: Row::Owned(vec![E::self_label(rank)]),
         }
     }
 
     /// Number of entries.
     #[inline]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries().len()
     }
 
-    /// Whether the set is empty.
+    /// Whether the row is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries().is_empty()
     }
 
     /// Sorted entry slice.
     #[inline]
-    pub fn entries(&self) -> &[LabelEntry] {
-        &self.entries
+    pub fn entries(&self) -> &[E] {
+        match &self.row {
+            Row::Owned(v) => v,
+            Row::Shared(a) => a,
+        }
+    }
+
+    /// Whether the row is currently shared with published snapshots (the
+    /// next mutation copies it).
+    #[cfg(test)]
+    fn is_shared(&self) -> bool {
+        matches!(self.row, Row::Shared(_))
+    }
+
+    /// The owned entries, copying a shared row first.
+    fn owned(&mut self) -> &mut Vec<E> {
+        if let Row::Shared(shared) = &self.row {
+            // One slot of headroom: the commonest first write is an insert.
+            let mut v = Vec::with_capacity(shared.len() + 1);
+            v.extend_from_slice(shared);
+            self.row = Row::Owned(v);
+        }
+        match &mut self.row {
+            Row::Owned(v) => v,
+            Row::Shared(_) => unreachable!("row was just made owned"),
+        }
+    }
+
+    /// Publishes the row: an owned row becomes an immutable shared one.
+    /// Returns the shared handle and whether this call made it (copying
+    /// the row once); a row untouched since its last publication is
+    /// handed out again as is.
+    fn share(&mut self) -> (Arc<[E]>, bool) {
+        let mut copied = false;
+        if let Row::Owned(v) = &mut self.row {
+            let shared: Arc<[E]> = std::mem::take(v).into();
+            self.row = Row::Shared(shared);
+            copied = true;
+        }
+        match &self.row {
+            Row::Shared(a) => (Arc::clone(a), copied),
+            Row::Owned(_) => unreachable!("row was just shared"),
+        }
     }
 
     /// Position of `hub`, if present.
     #[inline]
     pub fn position(&self, hub: Rank) -> Option<usize> {
-        self.entries.binary_search_by_key(&hub, |e| e.hub).ok()
+        self.entries().binary_search_by_key(&hub, |e| e.hub()).ok()
     }
 
     /// Entry for `hub`, if present.
     #[inline]
-    pub fn get(&self, hub: Rank) -> Option<&LabelEntry> {
-        self.position(hub).map(|i| &self.entries[i])
+    pub fn get(&self, hub: Rank) -> Option<&E> {
+        self.position(hub).map(|i| &self.entries()[i])
     }
 
     /// Whether `hub` labels this vertex (the paper's `h ∈ L(v)`).
@@ -170,82 +323,164 @@ impl LabelSet {
         self.position(hub).is_some()
     }
 
-    /// Inserts or replaces the entry for `e.hub`. Returns the previous
+    /// Inserts or replaces the entry for `e.hub()`. Returns the previous
     /// entry if one existed.
-    pub fn upsert(&mut self, e: LabelEntry) -> Option<LabelEntry> {
-        match self.entries.binary_search_by_key(&e.hub, |x| x.hub) {
-            Ok(i) => Some(std::mem::replace(&mut self.entries[i], e)),
+    pub fn upsert(&mut self, e: E) -> Option<E> {
+        match self.entries().binary_search_by_key(&e.hub(), |x| x.hub()) {
+            Ok(i) if self.entries()[i] == e => Some(e),
+            Ok(i) => Some(std::mem::replace(&mut self.owned()[i], e)),
             Err(i) => {
-                self.entries.insert(i, e);
+                self.owned().insert(i, e);
                 None
             }
         }
     }
 
     /// Removes the entry for `hub`, returning it if present.
-    pub fn remove(&mut self, hub: Rank) -> Option<LabelEntry> {
-        match self.entries.binary_search_by_key(&hub, |x| x.hub) {
-            Ok(i) => Some(self.entries.remove(i)),
-            Err(_) => None,
-        }
+    pub fn remove(&mut self, hub: Rank) -> Option<E> {
+        let i = self.position(hub)?;
+        Some(self.owned().remove(i))
     }
 
     /// Appends an entry that must have a hub rank larger than every current
     /// entry — the construction algorithm emits labels in descending hub
     /// rank, so this is its `O(1)` fast path.
-    pub fn push_descending(&mut self, e: LabelEntry) {
+    pub fn push_descending(&mut self, e: E) {
         debug_assert!(
-            self.entries.last().is_none_or(|last| last.hub < e.hub),
+            self.entries()
+                .last()
+                .is_none_or(|last| last.hub() < e.hub()),
             "push_descending out of order"
         );
-        self.entries.push(e);
+        self.owned().push(e);
     }
 
     /// Clears all entries except a fresh self label — used by the isolated
     /// vertex deletion optimization (§3.2.3). Returns how many non-self
     /// entries were dropped.
     pub fn reset_to_self(&mut self, rank: Rank) -> usize {
+        let fresh = E::self_label(rank);
+        if self.entries() == [fresh] {
+            return 0;
+        }
         // One binary search instead of a full counting pass: everything
         // drops except a present self label.
-        let dropped = self.entries.len() - usize::from(self.contains(rank));
-        self.entries.clear();
-        self.entries.push(LabelEntry::new(rank, 0, 1));
+        let dropped = self.len() - usize::from(self.contains(rank));
+        self.clear_all();
+        self.owned().push(fresh);
         dropped
     }
 
     /// Removes every entry (the construction algorithm re-emits all labels
     /// from scratch, including self labels).
     pub fn clear_all(&mut self) {
-        self.entries.clear();
+        match &mut self.row {
+            Row::Owned(v) => v.clear(),
+            Row::Shared(_) => self.row = Row::Owned(Vec::new()),
+        }
     }
 
     /// In-memory size in bytes (wide format) of the *live* entries alone —
-    /// `len × 16`. See [`LabelSet::memory_byte_size`] for the real heap
-    /// footprint.
+    /// `len × size_of::<E>()`. See [`LabelRow::memory_byte_size`] for the
+    /// real heap footprint.
     #[inline]
     pub fn byte_size(&self) -> usize {
-        self.entries.len() * std::mem::size_of::<LabelEntry>()
+        self.len() * std::mem::size_of::<E>()
     }
 
-    /// Actual in-memory footprint of this set: the `LabelSet` struct itself
-    /// (the `Vec` header) plus the heap block the `Vec` owns — which is
-    /// sized by *capacity*, not length. After churn-heavy maintenance,
-    /// capacity routinely exceeds length, so this is what resident memory
-    /// actually pays per vertex.
+    /// Actual in-memory footprint of this row: the `LabelRow` itself plus
+    /// the heap block behind it. An owned row's block is sized by
+    /// *capacity*, not length — after churn-heavy maintenance capacity
+    /// routinely exceeds length. A shared row's block is exact, plus the
+    /// two reference counts (and may be shared with published snapshots).
     #[inline]
     pub fn memory_byte_size(&self) -> usize {
-        std::mem::size_of::<Self>() + self.entries.capacity() * std::mem::size_of::<LabelEntry>()
+        let heap = match &self.row {
+            Row::Owned(v) => v.capacity() * std::mem::size_of::<E>(),
+            Row::Shared(a) => a.len() * std::mem::size_of::<E>() + 2 * std::mem::size_of::<usize>(),
+        };
+        std::mem::size_of::<Self>() + heap
     }
 
     /// Size in bytes under the paper's packed 64-bit encoding.
     #[inline]
     pub fn packed_byte_size(&self) -> usize {
-        self.entries.len() * 8
+        self.len() * 8
     }
 
     /// Structural invariants: strictly increasing hub ranks.
     pub fn is_sorted_strict(&self) -> bool {
-        self.entries.windows(2).all(|w| w[0].hub < w[1].hub)
+        self.entries().windows(2).all(|w| w[0].hub() < w[1].hub())
+    }
+}
+
+/// One label family as published to readers: an immutable shared handle
+/// per vertex, produced by an index's publish step (sharing every row
+/// written since the previous publish) or by a copying constructor.
+#[derive(Clone, Debug)]
+pub struct SharedRows<E> {
+    rows: Vec<Arc<[E]>>,
+    copied: usize,
+}
+
+impl<E: HubEntry> SharedRows<E> {
+    /// Publishes `rows` in place: owned rows become shared, and every row
+    /// contributes one handle. Costs one handle clone per row plus one
+    /// copy of each row written since the last publish.
+    pub fn publish(rows: &mut [LabelRow<E>]) -> Self {
+        let mut copied = 0;
+        let rows = rows
+            .iter_mut()
+            .map(|row| {
+                let (shared, fresh) = row.share();
+                copied += usize::from(fresh);
+                shared
+            })
+            .collect();
+        SharedRows { rows, copied }
+    }
+
+    /// Copies each row into a fresh allocation (the copying constructors:
+    /// warm start, tests, freezes that must not touch the live index).
+    pub fn copied_from<R: Into<Arc<[E]>>>(rows: impl Iterator<Item = R>) -> Self {
+        let rows: Vec<Arc<[E]>> = rows.map(Into::into).collect();
+        let copied = rows.len();
+        SharedRows { rows, copied }
+    }
+
+    /// Vertex `v`'s sorted entries.
+    #[inline]
+    pub fn row(&self, v: usize) -> &[E] {
+        &self.rows[v]
+    }
+
+    /// Vertex `v`'s shared handle (pointer identity shows sharing).
+    pub fn handle(&self, v: usize) -> &Arc<[E]> {
+        &self.rows[v]
+    }
+
+    /// Number of vertices covered.
+    pub fn num_vertices(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Total entries across all rows.
+    pub fn num_entries(&self) -> usize {
+        self.rows.iter().map(|r| r.len()).sum()
+    }
+
+    /// Rows this family copied when it was made; the rest are shared with
+    /// the previous publication.
+    pub fn rows_copied(&self) -> usize {
+        self.copied
+    }
+
+    /// Bytes the family occupies in the columnar (v2 file) layout: a
+    /// 4-byte hub, the distance and an 8-byte count per entry, plus one
+    /// `u32` offset per vertex and a terminator.
+    pub fn column_bytes(&self) -> usize {
+        let per_entry = 4 + std::mem::size_of::<E::Dist>() + 8;
+        self.num_entries() * per_entry + (self.rows.len() + 1) * 4
     }
 }
 
@@ -325,6 +560,85 @@ mod tests {
         l.upsert(e(1, 1, 1));
         assert_eq!(l.packed_byte_size(), 16);
         assert_eq!(l.byte_size(), 2 * std::mem::size_of::<LabelEntry>());
+    }
+
+    #[test]
+    fn row_is_the_size_of_a_vec() {
+        let vec = std::mem::size_of::<Vec<LabelEntry>>();
+        assert_eq!(std::mem::size_of::<LabelSet>(), vec);
+        assert_eq!(
+            std::mem::size_of::<LabelRow<crate::weighted::WLabelEntry>>(),
+            vec
+        );
+    }
+
+    #[test]
+    fn first_write_after_share_copies_once() {
+        let mut l = LabelSet::self_only(Rank(5));
+        l.upsert(e(1, 2, 3));
+        let (first, copied) = l.share();
+        assert!(copied && l.is_shared());
+        // Untouched since the last share: the same allocation again.
+        let (again, copied) = l.share();
+        assert!(!copied && Arc::ptr_eq(&first, &again));
+        // No-op writes keep sharing.
+        assert_eq!(l.upsert(e(1, 2, 3)), Some(e(1, 2, 3)));
+        assert_eq!(l.remove(Rank(0)), None);
+        assert!(l.is_shared());
+        // A real write copies; the published row does not see it.
+        assert_eq!(l.upsert(e(1, 1, 1)), Some(e(1, 2, 3)));
+        assert!(!l.is_shared());
+        assert_eq!(&first[..], &[e(1, 2, 3), e(5, 0, 1)]);
+        assert_eq!(l.entries(), &[e(1, 1, 1), e(5, 0, 1)]);
+        let (next, copied) = l.share();
+        assert!(copied && !Arc::ptr_eq(&first, &next));
+    }
+
+    #[test]
+    fn every_mutator_copies_a_shared_row() {
+        let mut base = LabelSet::self_only(Rank(5));
+        base.upsert(e(1, 2, 3));
+        let (published, _) = base.share();
+        let writes: [fn(&mut LabelSet); 5] = [
+            |l| {
+                l.upsert(e(0, 1, 1));
+            },
+            |l| {
+                l.remove(Rank(1));
+            },
+            |l| l.push_descending(e(9, 1, 1)),
+            |l| {
+                l.reset_to_self(Rank(5));
+            },
+            |l| l.clear_all(),
+        ];
+        for write in writes {
+            let mut l = base.clone();
+            assert!(l.is_shared());
+            write(&mut l);
+            assert!(!l.is_shared());
+            assert_eq!(&published[..], &[e(1, 2, 3), e(5, 0, 1)]);
+        }
+        // Equality is by content, whatever the storage.
+        let mut owned = LabelSet::new();
+        owned.push_descending(e(1, 2, 3));
+        owned.push_descending(e(5, 0, 1));
+        assert_eq!(owned, base);
+    }
+
+    #[test]
+    fn publish_counts_only_written_rows() {
+        let mut rows: Vec<LabelSet> = (0..4).map(|r| LabelSet::self_only(Rank(r))).collect();
+        let first = SharedRows::publish(&mut rows);
+        assert_eq!(first.rows_copied(), 4);
+        rows[2].upsert(e(0, 1, 1));
+        let second = SharedRows::publish(&mut rows);
+        assert_eq!(second.rows_copied(), 1);
+        for v in 0..4 {
+            assert_eq!(Arc::ptr_eq(first.handle(v), second.handle(v)), v != 2);
+        }
+        assert_eq!(second.num_entries(), 5);
+        assert_eq!(second.row(2), &[e(0, 1, 1), e(2, 0, 1)]);
     }
 
     #[test]

@@ -369,6 +369,12 @@ impl ManagedSpc {
         self.inner.has_frozen_snapshot()
     }
 
+    /// Publishes the current epoch's serving snapshot (delegates to
+    /// [`DynamicSpc::publish`]).
+    pub fn publish(&mut self, shards: usize) -> crate::shard::ShardedFlatIndex {
+        self.inner.publish(shards)
+    }
+
     /// Unwraps.
     pub fn into_inner(self) -> DynamicSpc {
         self.inner

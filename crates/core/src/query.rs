@@ -12,7 +12,7 @@
 
 use crate::flat::KernelCounters;
 use crate::index::SpcIndex;
-use crate::label::{Count, LabelEntry, LabelSet, Rank, INF_DIST};
+use crate::label::{Count, HubEntry, LabelDist, LabelSet, Rank, INF_DIST};
 use dspc_graph::VertexId;
 
 /// Result of a shortest-path-counting query.
@@ -44,54 +44,128 @@ impl QueryResult {
     }
 }
 
-/// Core label-merge kernel shared by `SpcQUERY` and `PreQUERY`,
-/// monomorphized over whether a rank limit applies. The common no-limit
-/// case (`LIMITED = false`) compiles with the limit comparison removed
-/// entirely — no per-iteration `Option` test in the hot loop.
+/// A sorted label row the merge kernel reads: a live or published entry
+/// slice, or one vertex's slice of the flat columns.
+pub(crate) trait HubRow: Copy {
+    /// The distance field's type.
+    type Dist: LabelDist;
+    /// Number of entries.
+    fn len(self) -> usize;
+    /// Hub rank of entry `i`.
+    fn hub(self, i: usize) -> u32;
+    /// Distance of entry `i`.
+    fn dist(self, i: usize) -> Self::Dist;
+    /// Count of entry `i`.
+    fn count(self, i: usize) -> Count;
+}
+
+impl<E: HubEntry> HubRow for &[E] {
+    type Dist = E::Dist;
+    #[inline]
+    fn len(self) -> usize {
+        <[E]>::len(self)
+    }
+    #[inline]
+    fn hub(self, i: usize) -> u32 {
+        self[i].hub().0
+    }
+    #[inline]
+    fn dist(self, i: usize) -> E::Dist {
+        self[i].dist()
+    }
+    #[inline]
+    fn count(self, i: usize) -> Count {
+        self[i].count()
+    }
+}
+
+/// The one label-merge kernel behind every query path — live and published
+/// rows of all three variants, and the flat columns. It merges two rows
+/// sorted by hub rank; among common hubs it keeps the minimum
+/// `d_a + d_b` and accumulates `Σ c_a · c_b` over the hubs attaining it
+/// (Equations (1)–(2)), all with saturating arithmetic.
+///
+/// `LIMITED` stops at the first hub not strictly above `limit`
+/// (`PreQUERY`); `COUNTED` tallies the deterministic work units into
+/// `counters`: one `merge_steps` per loop iteration that passed the limit
+/// check and one `common_hubs` per equal-hub hit. Both are const so the
+/// production path compiles without either test.
 #[inline]
-fn merge_kernel<const LIMITED: bool>(
-    a: &[LabelEntry],
-    b: &[LabelEntry],
+pub(crate) fn merge<R: HubRow, const LIMITED: bool, const COUNTED: bool>(
+    a: R,
+    b: R,
     limit: Rank,
-) -> QueryResult {
+    counters: &mut KernelCounters,
+) -> (R::Dist, Count) {
+    let inf = <R::Dist as LabelDist>::INF;
     let (mut i, mut j) = (0usize, 0usize);
-    let mut best = INF_DIST;
+    let mut best = inf;
     let mut count: Count = 0;
+    let (mut steps, mut common) = (0u64, 0u64);
     while i < a.len() && j < b.len() {
-        let ha = a[i].hub;
-        let hb = b[j].hub;
-        if LIMITED && (ha >= limit || hb >= limit) {
+        let (x, y) = (a.hub(i), b.hub(j));
+        if LIMITED && (x >= limit.0 || y >= limit.0) {
             // Sorted ascending: once either side's head reaches the limit,
             // no common hub strictly above the limit remains.
             break;
         }
-        if ha == hb {
-            let d = a[i].dist.saturating_add(b[j].dist);
+        if COUNTED {
+            steps += 1;
+        }
+        if x == y {
+            if COUNTED {
+                common += 1;
+            }
+            let d = a.dist(i).sat_add(b.dist(j));
             if d < best {
                 best = d;
-                count = a[i].count.saturating_mul(b[j].count);
-            } else if d == best && d != INF_DIST {
-                count = count.saturating_add(a[i].count.saturating_mul(b[j].count));
+                count = a.count(i).saturating_mul(b.count(j));
+            } else if d == best && d != inf {
+                count = count.saturating_add(a.count(i).saturating_mul(b.count(j)));
             }
             i += 1;
             j += 1;
-        } else if ha < hb {
+        } else if x < y {
             i += 1;
         } else {
             j += 1;
         }
     }
-    QueryResult { dist: best, count }
+    if COUNTED {
+        counters.queries += 1;
+        counters.merge_steps += steps;
+        counters.common_hubs += common;
+    }
+    (best, count)
+}
+
+/// `SpcQUERY` over two rows.
+#[inline]
+pub(crate) fn query_rows<R: HubRow>(a: R, b: R) -> (R::Dist, Count) {
+    merge::<R, false, false>(a, b, Rank(0), &mut KernelCounters::new())
+}
+
+/// `PreQUERY` over two rows: hubs ranked strictly above `limit` only.
+#[inline]
+pub(crate) fn pre_query_rows<R: HubRow>(a: R, b: R, limit: Rank) -> (R::Dist, Count) {
+    merge::<R, true, false>(a, b, limit, &mut KernelCounters::new())
+}
+
+/// Counted `SpcQUERY` over two rows.
+#[inline]
+pub(crate) fn counted_query_rows<R: HubRow>(
+    a: R,
+    b: R,
+    counters: &mut KernelCounters,
+) -> (R::Dist, Count) {
+    merge::<R, false, true>(a, b, Rank(0), counters)
 }
 
 /// `SpcQUERY(s, t)` — Algorithm 1. Returns the shortest distance and the
 /// exact number of shortest paths, or [`QueryResult::DISCONNECTED`].
 pub fn spc_query(index: &SpcIndex, s: VertexId, t: VertexId) -> QueryResult {
-    merge_kernel::<false>(
-        index.label_set(s).entries(),
-        index.label_set(t).entries(),
-        Rank(0),
-    )
+    let (dist, count) = query_rows(index.label_set(s).entries(), index.label_set(t).entries());
+    QueryResult { dist, count }
 }
 
 /// [`spc_query`] with the kernel's deterministic work units tallied into
@@ -104,38 +178,12 @@ pub fn spc_query_counted(
     s: VertexId,
     t: VertexId,
 ) -> QueryResult {
-    let a = index.label_set(s).entries();
-    let b = index.label_set(t).entries();
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut best = INF_DIST;
-    let mut count: Count = 0;
-    let mut steps = 0u64;
-    let mut common = 0u64;
-    while i < a.len() && j < b.len() {
-        let ha = a[i].hub;
-        let hb = b[j].hub;
-        steps += 1;
-        if ha == hb {
-            common += 1;
-            let d = a[i].dist.saturating_add(b[j].dist);
-            if d < best {
-                best = d;
-                count = a[i].count.saturating_mul(b[j].count);
-            } else if d == best && d != INF_DIST {
-                count = count.saturating_add(a[i].count.saturating_mul(b[j].count));
-            }
-            i += 1;
-            j += 1;
-        } else if ha < hb {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    counters.queries += 1;
-    counters.merge_steps += steps;
-    counters.common_hubs += common;
-    QueryResult { dist: best, count }
+    let (dist, count) = counted_query_rows(
+        index.label_set(s).entries(),
+        index.label_set(t).entries(),
+        counters,
+    );
+    QueryResult { dist, count }
 }
 
 /// `PreQUERY(s, t)` — `SpcQUERY` restricted to hubs strictly higher-ranked
@@ -158,11 +206,12 @@ pub fn spc_query_counted(
 /// assert!(!pre_query(&idx, VertexId(1), VertexId(2)).is_connected());
 /// ```
 pub fn pre_query(index: &SpcIndex, s: VertexId, t: VertexId) -> QueryResult {
-    merge_kernel::<true>(
+    let (dist, count) = pre_query_rows(
         index.label_set(s).entries(),
         index.label_set(t).entries(),
         index.rank(s),
-    )
+    );
+    QueryResult { dist, count }
 }
 
 /// Distance-only convenience wrapper over [`spc_query`].

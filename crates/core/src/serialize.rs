@@ -210,7 +210,10 @@ fn decode_index_v1(mut data: &[u8]) -> Result<SpcIndex, CodecError> {
     let flags = data.get_u32_le();
     let is_packed = flags & FLAG_PACKED != 0;
     let n = data.get_u64_le() as usize;
-    if data.remaining() < n * 4 {
+    // Lengths come from the file and are unverified: overflow is damage.
+    if n.checked_mul(4)
+        .is_none_or(|bytes| data.remaining() < bytes)
+    {
         return Err(CodecError::Truncated);
     }
     let mut vertex_at = Vec::with_capacity(n);
@@ -234,7 +237,10 @@ fn decode_index_v1(mut data: &[u8]) -> Result<SpcIndex, CodecError> {
         }
         let len = data.get_u32_le() as usize;
         let entry_size = if is_packed { 8 } else { 16 };
-        if data.remaining() < len * entry_size {
+        if len
+            .checked_mul(entry_size)
+            .is_none_or(|bytes| data.remaining() < bytes)
+        {
             return Err(CodecError::Truncated);
         }
         let mut restored = LabelSet::new();
@@ -368,7 +374,13 @@ fn decode_flat_v2(data: &[u8]) -> Result<FlatIndex, CodecError> {
     };
     let _flags = read_u32(&mut pos)?;
     let n = read_u64(&mut pos)? as usize;
-    if body.len().saturating_sub(pos) < n * 4 {
+    // Lengths are read before the checksums are verified: an overflowing
+    // product is damage, not a size.
+    let fits = |pos: usize, len: usize, width: usize| {
+        len.checked_mul(width)
+            .is_some_and(|bytes| body.len().saturating_sub(pos) >= bytes)
+    };
+    if !fits(pos, n, 4) {
         return Err(CodecError::Truncated);
     }
     let mut vertex_at = Vec::with_capacity(n);
@@ -380,7 +392,7 @@ fn decode_flat_v2(data: &[u8]) -> Result<FlatIndex, CodecError> {
     ends[0] = pos;
     let read_u32_col = |pos: &mut usize| -> Result<Vec<u32>, CodecError> {
         let len = read_u64(pos)? as usize;
-        if body.len().saturating_sub(*pos) < len * 4 {
+        if !fits(*pos, len, 4) {
             return Err(CodecError::Truncated);
         }
         let mut col = Vec::with_capacity(len);
@@ -397,7 +409,7 @@ fn decode_flat_v2(data: &[u8]) -> Result<FlatIndex, CodecError> {
     let dists = read_u32_col(&mut pos)?;
     ends[3] = pos;
     let counts_len = read_u64(&mut pos)? as usize;
-    if body.len().saturating_sub(pos) < counts_len * 8 {
+    if !fits(pos, counts_len, 8) {
         return Err(CodecError::Truncated);
     }
     let mut counts: Vec<Count> = Vec::with_capacity(counts_len);

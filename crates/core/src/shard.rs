@@ -1,31 +1,34 @@
-//! Shared-nothing sharding of flat snapshots, plus the epoch-stamped
-//! snapshot wrapper the serving layer publishes.
+//! Vertex-range shard attribution for the published undirected snapshot,
+//! plus the epoch-stamped snapshot wrapper the serving layer publishes.
 //!
-//! A [`crate::flat::FlatIndex`] is one contiguous CSR column set. For a
-//! serving deployment that pins shards to cores (or ships them to separate
-//! processes), [`ShardedFlatIndex`] splits the same columns by **vertex
-//! range**: shard `i` owns the label slices of vertices
-//! `bounds[i] .. bounds[i + 1]`, stored in its own rebased CSR columns with
-//! no pointers into any other shard. A query `SPC(s, t)` reads the slice of
-//! `s` from `shard_of(s)` and the slice of `t` from `shard_of(t)` and runs
-//! the exact same two-phase merge kernel as the unsharded snapshot — so
-//! answers (and the kernel's deterministic `merge_steps`) are
-//! **bit-identical** to [`crate::flat::FlatIndex`], which is itself
-//! bit-identical to the live label sets. The test suite
-//! (`tests/shard_equivalence.rs`) enforces the whole chain.
+//! [`ShardedFlatIndex`] is what the serving layer hands readers for an
+//! undirected engine: one shared label row per vertex
+//! ([`crate::label::SharedRows`]) plus the rank map. It keeps vertex-range
+//! `bounds` only to attribute the kernel's deterministic work counters to
+//! the shard that owns the query's source vertex (`bounds[i] ..
+//! bounds[i + 1]`); the rows themselves are not split, so a rotation
+//! publishes by sharing unchanged rows instead of re-slicing the index.
+//! A query runs the same merge kernel as the live index and
+//! [`crate::flat::FlatIndex`], so answers and `merge_steps` are
+//! **bit-identical** to both (`tests/shard_equivalence.rs`).
+//!
+//! The type keeps its name (and its copying constructors
+//! [`ShardedFlatIndex::from_flat`] / [`ShardedFlatIndex::with_bounds`])
+//! because the wall-clock benchmark in `perfbench/` compiles against them;
+//! the serving path uses [`ShardedFlatIndex::publish`].
 //!
 //! [`EpochSnapshot`] stamps any snapshot with the epoch that froze it. The
 //! serving layer (`dspc-serve`) publishes `Arc<EpochSnapshot<_>>` values at
 //! epoch boundaries; the stamp is what lets a concurrent test harness check
 //! every answer against the exact epoch the reader observed.
 
-use crate::flat::{
-    accumulate_phase, compare_phase, FlatColumns, FlatIndex, FlatScratch, KernelCounters,
-};
-use crate::label::{Count, Rank};
+use crate::flat::{FlatIndex, FlatScratch, KernelCounters};
+use crate::index::SpcIndex;
+use crate::label::{LabelEntry, Rank, SharedRows};
 use crate::order::RankMap;
-use crate::query::QueryResult;
+use crate::query::{counted_query_rows, pre_query_rows, query_rows, QueryResult};
 use dspc_graph::VertexId;
+use std::sync::Arc;
 
 /// Evenly spaced shard boundaries over an `n`-vertex id space: `shards + 1`
 /// non-decreasing values from `0` to `n`, ranges differing in size by at
@@ -44,30 +47,38 @@ pub fn even_bounds(n: usize, shards: usize) -> Vec<u32> {
     bounds
 }
 
-/// A [`FlatIndex`] split into shared-nothing vertex-range shards.
-///
-/// Each shard holds its own rebased CSR columns; nothing is shared between
-/// shards except the global rank map (needed for `PreQUERY` limits).
-/// Queries spanning two shards read one slice from each — the merge kernel
-/// itself is oblivious to sharding, so results are bit-identical to the
-/// unsharded snapshot.
-#[derive(Clone, Debug, PartialEq)]
+/// The published undirected snapshot: shared label rows, the rank map, and
+/// vertex-range shard bounds for per-shard counter attribution.
+#[derive(Clone, Debug)]
 pub struct ShardedFlatIndex {
-    shards: Vec<FlatColumns<u32>>,
+    rows: SharedRows<LabelEntry>,
     bounds: Vec<u32>,
     ranks: RankMap,
 }
 
 impl ShardedFlatIndex {
-    /// Splits `flat` into `shards` evenly sized vertex ranges.
+    /// Publishes `index` over `shards` evenly sized vertex ranges: every
+    /// row written since the last publish becomes shared, every other row
+    /// is the previous snapshot's ([`SpcIndex::publish`]).
+    pub fn publish(index: &mut SpcIndex, shards: usize) -> Self {
+        ShardedFlatIndex {
+            bounds: even_bounds(index.num_vertices(), shards),
+            rows: index.publish(),
+            ranks: index.ranks().clone(),
+        }
+    }
+
+    /// Copies `flat` into a snapshot over `shards` evenly sized vertex
+    /// ranges.
     pub fn from_flat(flat: &FlatIndex, shards: usize) -> Self {
         Self::with_bounds(flat, &even_bounds(flat.num_vertices(), shards))
             .expect("even bounds are always valid")
     }
 
-    /// Splits `flat` at explicit `bounds` (`bounds[0] = 0`, non-decreasing,
-    /// last element = vertex count) — uneven ranges and empty shards are
-    /// allowed. Errors on malformed bounds.
+    /// Copies `flat` into a snapshot split at explicit `bounds`
+    /// (`bounds[0] = 0`, non-decreasing, last element = vertex count) —
+    /// uneven ranges and empty shards are allowed. Errors on malformed
+    /// bounds.
     pub fn with_bounds(flat: &FlatIndex, bounds: &[u32]) -> Result<Self, &'static str> {
         let n = flat.num_vertices();
         if bounds.len() < 2 {
@@ -82,27 +93,9 @@ impl ShardedFlatIndex {
         if *bounds.last().unwrap() as usize != n {
             return Err("bounds must end at the vertex count");
         }
-        let cols = flat.columns();
-        let (offsets, hubs, dists, counts) =
-            (cols.offsets(), cols.hubs(), cols.dists(), cols.counts());
-        let shards = bounds
-            .windows(2)
-            .map(|w| {
-                let (lo, hi) = (w[0] as usize, w[1] as usize);
-                let base = offsets[lo];
-                let local_offsets: Vec<u32> = offsets[lo..=hi].iter().map(|&o| o - base).collect();
-                let (elo, ehi) = (offsets[lo] as usize, offsets[hi] as usize);
-                FlatColumns::from_raw(
-                    local_offsets,
-                    hubs[elo..ehi].to_vec(),
-                    dists[elo..ehi].to_vec(),
-                    counts[elo..ehi].to_vec(),
-                )
-                .expect("rebased columns keep CSR shape")
-            })
-            .collect();
+        let rows = (0..n).map(|v| flat.row_entries(v).collect::<Arc<[LabelEntry]>>());
         Ok(ShardedFlatIndex {
-            shards,
+            rows: SharedRows::copied_from(rows),
             bounds: bounds.to_vec(),
             ranks: flat.ranks().clone(),
         })
@@ -111,18 +104,28 @@ impl ShardedFlatIndex {
     /// Number of shards.
     #[inline]
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.bounds.len() - 1
     }
 
     /// Number of vertices covered (all shards together).
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        *self.bounds.last().unwrap() as usize
+        self.rows.num_vertices()
     }
 
-    /// Total label entries across all shards.
+    /// Total label entries.
     pub fn num_entries(&self) -> usize {
-        self.shards.iter().map(|s| s.hubs().len()).sum()
+        self.rows.num_entries()
+    }
+
+    /// The published rows.
+    pub fn rows(&self) -> &SharedRows<LabelEntry> {
+        &self.rows
+    }
+
+    /// Rows copied (rather than shared) when this snapshot was made.
+    pub fn rows_copied(&self) -> usize {
+        self.rows.rows_copied()
     }
 
     /// The shard boundaries (`num_shards() + 1` values, first 0, last
@@ -131,7 +134,7 @@ impl ShardedFlatIndex {
         &self.bounds
     }
 
-    /// The vertex total order (global — shared by every shard).
+    /// The vertex total order.
     #[inline]
     pub fn ranks(&self) -> &RankMap {
         &self.ranks
@@ -143,71 +146,52 @@ impl ShardedFlatIndex {
         self.ranks.rank(v)
     }
 
-    /// Which shard owns vertex `v`'s label slice.
+    /// Which shard owns vertex `v`.
     #[inline]
     pub fn shard_of(&self, v: VertexId) -> usize {
         debug_assert!((v.0 as usize) < self.num_vertices());
         self.bounds.partition_point(|&b| b <= v.0) - 1
     }
 
-    /// Label entries held by shard `i`.
+    /// Label entries of the vertices shard `i` owns.
     pub fn shard_entries(&self, i: usize) -> usize {
-        self.shards[i].hubs().len()
+        (self.bounds[i]..self.bounds[i + 1])
+            .map(|v| self.rows.row(v as usize).len())
+            .sum()
     }
 
-    /// The three column slices of vertex `v`, read from its owning shard.
-    #[inline]
-    fn slice(&self, v: VertexId) -> (&[u32], &[u32], &[Count]) {
-        let shard = self.shard_of(v);
-        self.shards[shard].slice((v.0 - self.bounds[shard]) as usize)
-    }
-
-    #[inline]
-    fn merge<const LIMITED: bool, const COUNTED: bool>(
-        &self,
-        s: VertexId,
-        t: VertexId,
-        limit: u32,
-        scratch: &mut FlatScratch,
-        counters: &mut KernelCounters,
-    ) -> QueryResult {
-        let (ha, da, ca) = self.slice(s);
-        let (hb, db, cb) = self.slice(t);
-        compare_phase::<LIMITED, COUNTED>(ha, hb, limit, &mut scratch.pairs, counters);
-        let (dist, count) = accumulate_phase(da, ca, db, cb, &scratch.pairs);
-        QueryResult { dist, count }
-    }
-
-    /// `SpcQUERY(s, t)` against the sharded snapshot. Allocates a transient
-    /// scratch; batch callers should prefer [`ShardedFlatIndex::query_with`].
+    /// `SpcQUERY(s, t)` against the snapshot.
     pub fn query(&self, s: VertexId, t: VertexId) -> QueryResult {
-        self.query_with(&mut FlatScratch::new(), s, t)
+        self.query_with(&mut FlatScratch, s, t)
     }
 
-    /// `SpcQUERY(s, t)` reusing `scratch` across calls.
+    /// `SpcQUERY(s, t)`; `scratch` is unused (see [`FlatScratch`]).
     #[inline]
-    pub fn query_with(&self, scratch: &mut FlatScratch, s: VertexId, t: VertexId) -> QueryResult {
-        let mut sink = KernelCounters::new();
-        self.merge::<false, false>(s, t, 0, scratch, &mut sink)
+    pub fn query_with(&self, _scratch: &mut FlatScratch, s: VertexId, t: VertexId) -> QueryResult {
+        let (dist, count) = query_rows(self.rows.row(s.index()), self.rows.row(t.index()));
+        QueryResult { dist, count }
     }
 
     /// `PreQUERY(s, t)`: only hubs ranked strictly above `rank(s)`
     /// participate, matching [`crate::query::pre_query`].
     pub fn pre_query(&self, s: VertexId, t: VertexId) -> QueryResult {
-        self.pre_query_with(&mut FlatScratch::new(), s, t)
+        self.pre_query_with(&mut FlatScratch, s, t)
     }
 
-    /// [`ShardedFlatIndex::pre_query`] reusing `scratch`.
+    /// [`ShardedFlatIndex::pre_query`]; `scratch` is unused.
     #[inline]
     pub fn pre_query_with(
         &self,
-        scratch: &mut FlatScratch,
+        _scratch: &mut FlatScratch,
         s: VertexId,
         t: VertexId,
     ) -> QueryResult {
-        let mut sink = KernelCounters::new();
-        let limit = self.ranks.rank(s).0;
-        self.merge::<true, false>(s, t, limit, scratch, &mut sink)
+        let (dist, count) = pre_query_rows(
+            self.rows.row(s.index()),
+            self.rows.row(t.index()),
+            self.rank(s),
+        );
+        QueryResult { dist, count }
     }
 
     /// Counted [`ShardedFlatIndex::query_with`]: kernel work units are
@@ -216,13 +200,18 @@ impl ShardedFlatIndex {
     /// `merge_steps` accounting.
     pub fn query_counted(
         &self,
-        scratch: &mut FlatScratch,
+        _scratch: &mut FlatScratch,
         per_shard: &mut [KernelCounters],
         s: VertexId,
         t: VertexId,
     ) -> QueryResult {
         assert_eq!(per_shard.len(), self.num_shards(), "one counter per shard");
-        self.merge::<false, true>(s, t, 0, scratch, &mut per_shard[self.shard_of(s)])
+        let (dist, count) = counted_query_rows(
+            self.rows.row(s.index()),
+            self.rows.row(t.index()),
+            &mut per_shard[self.shard_of(s)],
+        );
+        QueryResult { dist, count }
     }
 }
 

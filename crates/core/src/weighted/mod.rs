@@ -6,9 +6,11 @@
 //! are decremental, with the affected-vertex condition becoming
 //! `|sd(v, a) − sd(v, b)| = w_ab`.
 //!
-//! The weighted label machinery is a parallel implementation rather than a
-//! generic one: the unweighted hot path keeps its compact `u32` distances,
-//! while weighted labels carry `u64` accumulated weights.
+//! Weighted labels carry `u64` accumulated weights in their own entry
+//! type, [`WLabelEntry`]; the row storage ([`crate::label::LabelRow`]) and
+//! the query kernel ([`crate::query`]) are the generic ones the unweighted
+//! variants use, so the unweighted hot path keeps its compact `u32`
+//! distances.
 
 pub mod build;
 pub mod update;
@@ -18,9 +20,10 @@ pub use update::{WeightedDecSpc, WeightedIncSpc};
 
 use crate::dynamic::{UpdateKind, UpdateStats};
 use crate::engine::{ordered_key, EdgeCoalescer};
-use crate::label::{Count, Rank};
+use crate::label::{Count, HubEntry, LabelRow, Rank, SharedRows};
 use crate::order::OrderingStrategy;
 use crate::parallel::MaintenanceThreads;
+use crate::query::{pre_query_rows, query_rows};
 use dspc_graph::weighted::{WDist, Weight, WeightedGraph, WDIST_INF};
 use dspc_graph::VertexId;
 use serde::{Deserialize, Serialize};
@@ -43,83 +46,28 @@ impl WLabelEntry {
     }
 }
 
-/// A weighted label set, sorted by hub rank ascending.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WLabelSet {
-    entries: Vec<WLabelEntry>,
-}
-
-impl WLabelSet {
-    /// Set with only the self label.
-    pub fn self_only(rank: Rank) -> Self {
-        WLabelSet {
-            entries: vec![WLabelEntry::new(rank, 0, 1)],
-        }
+impl HubEntry for WLabelEntry {
+    type Dist = WDist;
+    #[inline]
+    fn hub(&self) -> Rank {
+        self.hub
     }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
+    #[inline]
+    fn dist(&self) -> WDist {
+        self.dist
     }
-
-    /// Whether empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    #[inline]
+    fn count(&self) -> Count {
+        self.count
     }
-
-    /// Sorted entries.
-    pub fn entries(&self) -> &[WLabelEntry] {
-        &self.entries
-    }
-
-    /// Entry for `hub`, if present.
-    pub fn get(&self, hub: Rank) -> Option<&WLabelEntry> {
-        self.entries
-            .binary_search_by_key(&hub, |e| e.hub)
-            .ok()
-            .map(|i| &self.entries[i])
-    }
-
-    /// Whether `hub` labels this vertex.
-    pub fn contains(&self, hub: Rank) -> bool {
-        self.get(hub).is_some()
-    }
-
-    /// Inserts or replaces.
-    pub fn upsert(&mut self, e: WLabelEntry) -> Option<WLabelEntry> {
-        match self.entries.binary_search_by_key(&e.hub, |x| x.hub) {
-            Ok(i) => Some(std::mem::replace(&mut self.entries[i], e)),
-            Err(i) => {
-                self.entries.insert(i, e);
-                None
-            }
-        }
-    }
-
-    /// Removes the entry for `hub`.
-    pub fn remove(&mut self, hub: Rank) -> Option<WLabelEntry> {
-        match self.entries.binary_search_by_key(&hub, |x| x.hub) {
-            Ok(i) => Some(self.entries.remove(i)),
-            Err(_) => None,
-        }
-    }
-
-    /// Append fast path (hub ranks arrive ascending during construction).
-    pub fn push_descending(&mut self, e: WLabelEntry) {
-        debug_assert!(self.entries.last().is_none_or(|l| l.hub < e.hub));
-        self.entries.push(e);
-    }
-
-    /// Clears all entries.
-    pub fn clear_all(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Strictly-sorted invariant.
-    pub fn is_sorted_strict(&self) -> bool {
-        self.entries.windows(2).all(|w| w[0].hub < w[1].hub)
+    fn self_label(rank: Rank) -> Self {
+        WLabelEntry::new(rank, 0, 1)
     }
 }
+
+/// A weighted label row, sorted by hub rank ascending — the same
+/// copy-on-write storage as [`crate::label::LabelSet`].
+pub type WLabelSet = LabelRow<WLabelEntry>;
 
 /// The weighted SPC-Index.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -161,6 +109,13 @@ impl WeightedSpcIndex {
     /// Total label entries.
     pub fn num_entries(&self) -> usize {
         self.labels.iter().map(WLabelSet::len).sum()
+    }
+
+    /// Publishes the labels for readers — the weighted twin of
+    /// [`crate::index::SpcIndex::publish`]: written rows become shared,
+    /// one handle per vertex comes back.
+    pub fn publish(&mut self) -> SharedRows<WLabelEntry> {
+        SharedRows::publish(&mut self.labels)
     }
 
     /// Registers a freshly added isolated vertex at the lowest rank.
@@ -224,58 +179,21 @@ impl WQueryResult {
     }
 }
 
-/// Weighted label-merge kernel, monomorphized over the `PreQUERY` rank
-/// limit like the unweighted one in [`crate::query`].
-#[inline]
-fn merge_weighted<const LIMITED: bool>(
-    a: &[WLabelEntry],
-    b: &[WLabelEntry],
-    limit: Rank,
-) -> WQueryResult {
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut best = WDIST_INF;
-    let mut count: Count = 0;
-    while i < a.len() && j < b.len() {
-        let (ha, hb) = (a[i].hub, b[j].hub);
-        if LIMITED && (ha >= limit || hb >= limit) {
-            break;
-        }
-        if ha == hb {
-            let d = a[i].dist.saturating_add(b[j].dist);
-            if d < best {
-                best = d;
-                count = a[i].count.saturating_mul(b[j].count);
-            } else if d == best && d != WDIST_INF {
-                count = count.saturating_add(a[i].count.saturating_mul(b[j].count));
-            }
-            i += 1;
-            j += 1;
-        } else if ha < hb {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    WQueryResult { dist: best, count }
-}
-
 /// Weighted `SpcQUERY(s, t)`.
 pub fn weighted_spc_query(index: &WeightedSpcIndex, s: VertexId, t: VertexId) -> WQueryResult {
-    merge_weighted::<false>(
-        index.label_set(s).entries(),
-        index.label_set(t).entries(),
-        Rank(0),
-    )
+    let (dist, count) = query_rows(index.label_set(s).entries(), index.label_set(t).entries());
+    WQueryResult { dist, count }
 }
 
 /// Weighted `PreQUERY(s, t)`: [`weighted_spc_query`] restricted to hubs
 /// ranked strictly above `s`.
 pub fn weighted_pre_query(index: &WeightedSpcIndex, s: VertexId, t: VertexId) -> WQueryResult {
-    merge_weighted::<true>(
+    let (dist, count) = pre_query_rows(
         index.label_set(s).entries(),
         index.label_set(t).entries(),
         index.rank(s),
-    )
+    );
+    WQueryResult { dist, count }
 }
 
 /// Rank-indexed probe for repeated weighted queries against one hub.
@@ -377,7 +295,14 @@ impl DynamicWeightedSpc {
     /// as [`crate::dynamic::DynamicSpc::frozen_queries`]).
     pub fn frozen_queries(&mut self) -> &crate::flat::WeightedFlatIndex {
         self.flat
-            .get_or_insert_with(|| crate::flat::WeightedFlatIndex::freeze(&self.index))
+            .get_or_insert_with(|| crate::flat::WeightedFlatIndex::publish(&mut self.index))
+    }
+
+    /// Publishes the current epoch's snapshot, sharing every row that
+    /// is unchanged since the previous publish
+    /// ([`crate::flat::WeightedFlatIndex::publish`]).
+    pub fn publish(&mut self) -> crate::flat::WeightedFlatIndex {
+        crate::flat::WeightedFlatIndex::publish(&mut self.index)
     }
 
     /// Whether a flat snapshot is currently cached.

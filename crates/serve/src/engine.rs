@@ -1,4 +1,4 @@
-//! The two capability traits the server is generic over: what a frozen
+//! The two capability traits the server is generic over: what a published
 //! snapshot can answer, and what a live engine can do between rotations.
 
 use dspc::directed::{directed_spc_query, DynamicDirectedSpc};
@@ -23,8 +23,12 @@ pub trait ServingSnapshot: Send + Sync + 'static {
     /// `WQueryResult` for accumulated weights).
     type Answer: Copy + PartialEq + std::fmt::Debug + Send + 'static;
 
-    /// Number of shared-nothing shards this snapshot fans out over.
+    /// Number of shards this snapshot attributes kernel counters to.
     fn shard_count(&self) -> usize;
+
+    /// Label rows this snapshot copied when it was made; every other row
+    /// is shared with the previous publication.
+    fn rows_copied(&self) -> usize;
 
     /// `SPC(s, t)` against the snapshot, accumulating kernel work into
     /// `per_shard` (length [`ServingSnapshot::shard_count`]).
@@ -42,6 +46,10 @@ impl ServingSnapshot for ShardedFlatIndex {
 
     fn shard_count(&self) -> usize {
         self.num_shards()
+    }
+
+    fn rows_copied(&self) -> usize {
+        ShardedFlatIndex::rows_copied(self)
     }
 
     #[inline]
@@ -63,6 +71,11 @@ impl ServingSnapshot for FlatIndex {
         1
     }
 
+    /// Columns are always a full copy.
+    fn rows_copied(&self) -> usize {
+        self.num_vertices()
+    }
+
     #[inline]
     fn query_counted(
         &self,
@@ -82,6 +95,10 @@ impl ServingSnapshot for DirectedFlatIndex {
         1
     }
 
+    fn rows_copied(&self) -> usize {
+        DirectedFlatIndex::rows_copied(self)
+    }
+
     #[inline]
     fn query_counted(
         &self,
@@ -99,6 +116,10 @@ impl ServingSnapshot for WeightedFlatIndex {
 
     fn shard_count(&self) -> usize {
         1
+    }
+
+    fn rows_copied(&self) -> usize {
+        WeightedFlatIndex::rows_copied(self)
     }
 
     #[inline]
@@ -132,10 +153,13 @@ pub trait ServingEngine: Send + 'static {
     /// and the facade's [`dspc::MaintenanceThreads`] budget.
     fn apply_batch(&mut self, updates: &[Self::Update]) -> dspc_graph::Result<UpdateStats>;
 
-    /// Freezes the current epoch's serving snapshot, fanned out over
-    /// `shards` where the representation supports it (unsharded
-    /// representations ignore the hint).
-    fn freeze(&self, shards: usize) -> Self::Snapshot;
+    /// Publishes the current epoch's serving snapshot, attributing
+    /// counters over `shards` where the representation supports it
+    /// (unsharded representations ignore the hint). Implementations
+    /// publish through the index's publish step: rows written since the
+    /// last call become shared, every other row is handed out again, so
+    /// the cost is `O(n)` plus the entries the epoch changed.
+    fn freeze(&mut self, shards: usize) -> Self::Snapshot;
 
     /// `SPC(s, t)` straight off the live label sets — bit-identical to
     /// what a freshly frozen snapshot answers.
@@ -150,8 +174,8 @@ impl ServingEngine for DynamicSpc {
         DynamicSpc::apply_batch(self, updates)
     }
 
-    fn freeze(&self, shards: usize) -> ShardedFlatIndex {
-        ShardedFlatIndex::from_flat(&FlatIndex::freeze(self.index()), shards)
+    fn freeze(&mut self, shards: usize) -> ShardedFlatIndex {
+        self.publish(shards)
     }
 
     fn query_live(&self, s: VertexId, t: VertexId) -> QueryResult {
@@ -171,8 +195,8 @@ impl ServingEngine for ManagedSpc {
         ManagedSpc::apply_batch(self, updates)
     }
 
-    fn freeze(&self, shards: usize) -> ShardedFlatIndex {
-        ShardedFlatIndex::from_flat(&FlatIndex::freeze(self.inner().index()), shards)
+    fn freeze(&mut self, shards: usize) -> ShardedFlatIndex {
+        self.publish(shards)
     }
 
     fn query_live(&self, s: VertexId, t: VertexId) -> QueryResult {
@@ -191,8 +215,8 @@ impl ServingEngine for DynamicDirectedSpc {
         DynamicDirectedSpc::apply_batch(self, updates)
     }
 
-    fn freeze(&self, _shards: usize) -> DirectedFlatIndex {
-        DirectedFlatIndex::freeze(self.index())
+    fn freeze(&mut self, _shards: usize) -> DirectedFlatIndex {
+        self.publish()
     }
 
     fn query_live(&self, s: VertexId, t: VertexId) -> QueryResult {
@@ -208,8 +232,8 @@ impl ServingEngine for DynamicWeightedSpc {
         DynamicWeightedSpc::apply_batch(self, updates)
     }
 
-    fn freeze(&self, _shards: usize) -> WeightedFlatIndex {
-        WeightedFlatIndex::freeze(self.index())
+    fn freeze(&mut self, _shards: usize) -> WeightedFlatIndex {
+        self.publish()
     }
 
     fn query_live(&self, s: VertexId, t: VertexId) -> WQueryResult {

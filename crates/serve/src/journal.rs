@@ -944,7 +944,9 @@ pub(crate) fn parse_wal<U: JournalUpdate>(data: &[u8]) -> Result<WalReplay<U>, J
             }
             (OP_BATCH, true) => {
                 let count = take_u32(&mut body).ok_or_else(|| corrupt("wal-batch"))?;
-                let mut batch = Vec::with_capacity(count as usize);
+                // Every update takes at least one byte: a damaged count
+                // must not size the allocation.
+                let mut batch = Vec::with_capacity((count as usize).min(body.len()));
                 for _ in 0..count {
                     batch.push(U::decode(&mut body).ok_or_else(|| corrupt("wal-batch"))?);
                 }

@@ -6,18 +6,19 @@
 //! a snapshot-rotation server. This crate productionizes that contract:
 //!
 //! * **Readers** hold a [`Reader`] handle onto an atomically published
-//!   chain of [`EpochSnapshot`]-stamped frozen indexes (the flat columnar
-//!   representation of `dspc::flat`, optionally fanned out over
-//!   shared-nothing vertex-range shards — [`dspc::ShardedFlatIndex`]).
+//!   chain of [`EpochSnapshot`]-stamped snapshots: immutable label rows
+//!   shared with the live index (`dspc::flat`, with per-shard counter
+//!   attribution for the undirected [`dspc::ShardedFlatIndex`]).
 //!   Queries are served from the reader's pinned snapshot with **no locks
 //!   anywhere on the read path**; advancing to a newer epoch is a wait-free
 //!   walk of atomically-set forward pointers.
 //! * **A single writer** ([`EpochServer`]) owns the live dynamic facade,
 //!   buffers incoming updates, applies them off the read path as one
 //!   coalesced batch per rotation (`apply_batch` → the `NetPlan` batch
-//!   planner), freezes the repaired index, and publishes the new snapshot
-//!   by appending to the chain — a pointer swap, never a rebuild of
-//!   anything a reader is holding.
+//!   planner), publishes the repaired index — sharing every label row the
+//!   batch left unchanged, so a rotation costs `O(n + entries changed)` —
+//!   and appends the new snapshot to the chain: a pointer swap, never a
+//!   rebuild of anything a reader is holding.
 //! * **Epoch stamps make serving testable.** Every answer carries the
 //!   epoch of the snapshot that produced it, so a concurrent test harness
 //!   can check each answer against the *exact* epoch the reader legally

@@ -39,6 +39,9 @@ pub struct RotationReport {
     /// had no pending updates (the rotation still publishes, so readers
     /// can observe an explicit epoch boundary).
     pub applied: Option<UpdateStats>,
+    /// Label rows the publication copied; every other row is shared with
+    /// the previous epoch's snapshot. Not checkpointed.
+    pub rows_copied: usize,
 }
 
 /// Aggregate write-side counters across a server's lifetime. For a
@@ -170,7 +173,7 @@ pub struct EpochServer<E: ServingEngine> {
 impl<E: ServingEngine> EpochServer<E> {
     /// Wraps `engine` and publishes its current state as the epoch-0
     /// snapshot.
-    pub fn new(engine: E, config: ServeConfig) -> Self {
+    pub fn new(mut engine: E, config: ServeConfig) -> Self {
         let initial = engine.freeze(config.shards);
         EpochServer::assemble(
             engine,
@@ -314,8 +317,9 @@ impl<E: ServingEngine> EpochServer<E> {
 
     /// Ends the current epoch: drains the pending buffer, applies it as
     /// one coalesced batch through the engine (off the read path — readers
-    /// keep serving from published snapshots throughout), freezes the
-    /// repaired index, and publishes it as the next epoch.
+    /// keep serving from published snapshots throughout), publishes the
+    /// repaired index through [`ServingEngine::freeze`] (sharing every row
+    /// the batch left unchanged), and appends it as the next epoch.
     ///
     /// An empty pending buffer still rotates (publishing an identical
     /// snapshot under a new stamp) so callers can force epoch boundaries.
@@ -340,9 +344,9 @@ impl<E: ServingEngine> EpochServer<E> {
                 }
             }
         };
-        let epoch = self
-            .publisher
-            .publish(self.engine.freeze(self.config.shards));
+        let snapshot = self.engine.freeze(self.config.shards);
+        let rows_copied = snapshot.rows_copied();
+        let epoch = self.publisher.publish(snapshot);
         self.stats.rotations += 1;
         self.stats.updates_applied += batch.len() as u64;
         if let Some(journal) = self.journal.as_mut() {
@@ -366,6 +370,7 @@ impl<E: ServingEngine> EpochServer<E> {
             epoch,
             batched_updates: batch.len(),
             applied,
+            rows_copied,
         })
     }
 
@@ -489,7 +494,7 @@ impl<E: DurableEngine> EpochServer<E> {
     ) -> Result<(Self, RecoveryReport), JournalError> {
         let dir = dir.as_ref();
         let (generation, epoch, state, wal) = load_generation(dir)?;
-        let engine = E::decode_state(&state)?;
+        let mut engine = E::decode_state(&state)?;
         let replay = parse_wal::<E::Update>(&wal)?;
         if replay.header.generation != generation || replay.header.epoch != epoch {
             return Err(JournalError::Corrupt {

@@ -15,7 +15,7 @@
 use dspc::dynamic::GraphUpdate;
 use dspc::query::spc_query;
 use dspc::shard::ShardedFlatIndex;
-use dspc::{DynamicSpc, FlatIndex, MaintenanceThreads, OrderingStrategy, UpdateStats};
+use dspc::{DynamicSpc, MaintenanceThreads, OrderingStrategy, UpdateStats};
 use dspc_graph::generators::random::barabasi_albert;
 use dspc_graph::scratch::ScratchDir;
 use dspc_graph::{UndirectedGraph, VertexId};
@@ -529,8 +529,8 @@ impl ServingEngine for PanicEngine {
         self.0.apply_batch(updates)
     }
 
-    fn freeze(&self, shards: usize) -> ShardedFlatIndex {
-        ShardedFlatIndex::from_flat(&FlatIndex::freeze(self.0.index()), shards)
+    fn freeze(&mut self, shards: usize) -> ShardedFlatIndex {
+        self.0.publish(shards)
     }
 
     fn query_live(&self, s: VertexId, t: VertexId) -> dspc::QueryResult {

@@ -4,18 +4,120 @@
 //! label sets, which in turn must match the brute-force counting oracle.
 //! Also covers the `PreQUERY` rank-limited kernels and the dynamic
 //! facades' snapshot invalidation contract around `apply_batch`.
+//!
+//! The directed and weighted servers publish by sharing every label row
+//! an epoch left unchanged: after random batches the published snapshot
+//! must answer and count exactly like the copying `freeze` and the oracle,
+//! only written rows may be fresh allocations, and a reader pinned at
+//! epoch 0 must keep answering epoch 0's oracle.
 
-use dspc::directed::{directed_pre_query, directed_spc_query, DynamicDirectedSpc};
-use dspc::weighted::{weighted_pre_query, weighted_spc_query, DynamicWeightedSpc};
-use dspc::{pre_query, spc_query, DynamicSpc, FlatIndex, GraphUpdate, OrderingStrategy};
+use dspc::directed::{directed_pre_query, directed_spc_query, ArcUpdate, DynamicDirectedSpc, Side};
+use dspc::label::{HubEntry, SharedRows};
+use dspc::weighted::{weighted_pre_query, weighted_spc_query, DynamicWeightedSpc, WeightedUpdate};
+use dspc::{
+    pre_query, spc_query, DirectedFlatIndex, DynamicSpc, FlatIndex, FlatScratch, GraphUpdate,
+    KernelCounters, OrderingStrategy, WeightedFlatIndex,
+};
 use dspc_graph::traversal::bfs::BfsCounter;
 use dspc_graph::traversal::dbfs::DirectedBfsCounter;
 use dspc_graph::traversal::dijkstra::DijkstraCounter;
-use dspc_graph::VertexId;
+use dspc_graph::{DirectedGraph, VertexId, WeightedGraph};
+use dspc_serve::{EpochServer, ServeConfig};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 mod common;
 use common::graph_strategy;
+
+/// Every ordered pair of an `n`-vertex id space.
+fn all_pairs(n: usize) -> impl Iterator<Item = (VertexId, VertexId)> {
+    (0..n as u32).flat_map(move |s| (0..n as u32).map(move |t| (VertexId(s), VertexId(t))))
+}
+
+/// Compares two publications family by family: a row whose labels changed
+/// is never shared, and with `strict` (a single-kind batch) an unchanged
+/// row is never copied. Returns how many rows are fresh allocations.
+fn fresh_rows<E: HubEntry>(prev: &[&SharedRows<E>], now: &[&SharedRows<E>], strict: bool) -> usize {
+    let mut fresh = 0;
+    for (prev, now) in prev.iter().zip(now) {
+        for v in 0..now.num_vertices() {
+            let shared = Arc::ptr_eq(prev.handle(v), now.handle(v));
+            let changed = prev.row(v) != now.row(v);
+            assert!(!(changed && shared), "row {v} changed but shared");
+            assert!(!strict || changed || shared, "row {v} copied unchanged");
+            fresh += usize::from(!shared);
+        }
+    }
+    fresh
+}
+
+/// Valid-in-sequence arc batches from `picks`: an even pick deletes an
+/// existing arc, an odd pick inserts the non-arc it names (or nothing).
+fn arc_batches(g: &DirectedGraph, picks: &[usize]) -> Vec<Vec<ArcUpdate>> {
+    let mut shadow = g.clone();
+    let n = g.capacity();
+    picks
+        .chunks(3)
+        .map(|chunk| {
+            let mut batch = Vec::new();
+            for &pick in chunk {
+                let m = shadow.num_arcs();
+                if pick % 2 == 0 && m > 0 {
+                    let (a, b) = shadow.arcs().nth(pick / 2 % m).unwrap();
+                    shadow.delete_arc(a, b).unwrap();
+                    batch.push(ArcUpdate::DeleteArc(a, b));
+                } else {
+                    let (a, b) = (
+                        VertexId((pick / 2 % n) as u32),
+                        VertexId((pick / 7 % n) as u32),
+                    );
+                    if a != b && !shadow.has_arc(a, b) {
+                        shadow.insert_arc(a, b).unwrap();
+                        batch.push(ArcUpdate::InsertArc(a, b));
+                    }
+                }
+            }
+            batch
+        })
+        .collect()
+}
+
+/// Valid-in-sequence weighted batches from `picks`: deletions, weight
+/// changes of existing edges, and insertions of weight 1–5.
+fn weighted_batches(g: &WeightedGraph, picks: &[usize]) -> Vec<Vec<WeightedUpdate>> {
+    let mut shadow = g.clone();
+    let n = g.capacity();
+    picks
+        .chunks(3)
+        .map(|chunk| {
+            let mut batch = Vec::new();
+            for &pick in chunk {
+                let m = shadow.num_edges();
+                let w = 1 + (pick / 3 % 5) as u32;
+                if pick % 3 != 2 && m > 0 {
+                    let (a, b, old) = shadow.edges().nth(pick / 3 % m).unwrap();
+                    if pick % 3 == 0 {
+                        shadow.delete_edge(a, b).unwrap();
+                        batch.push(WeightedUpdate::DeleteEdge(a, b));
+                    } else if w != old {
+                        shadow.set_weight(a, b, w).unwrap();
+                        batch.push(WeightedUpdate::SetWeight(a, b, w));
+                    }
+                } else {
+                    let (a, b) = (
+                        VertexId((pick / 2 % n) as u32),
+                        VertexId((pick / 7 % n) as u32),
+                    );
+                    if a != b && !shadow.has_edge(a, b) {
+                        shadow.insert_edge(a, b, w).unwrap();
+                        batch.push(WeightedUpdate::InsertEdge(a, b, w));
+                    }
+                }
+            }
+            batch
+        })
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
@@ -117,6 +219,115 @@ proptest! {
                 }
             }
             prop_assert!(d.has_frozen_snapshot());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Directed rotations publish both families by sharing: snapshot ≡
+    /// copying `freeze` ≡ live ≡ directed BFS after every batch, answers
+    /// and counters; `rows_copied` counts the fresh rows; a pinned reader
+    /// keeps epoch 0.
+    #[test]
+    fn directed_publication_shares_unchanged_rows(
+        n in 3usize..12,
+        arcs in proptest::collection::vec((0u32..12, 0u32..12), 0..40),
+        picks in proptest::collection::vec(0usize..1 << 12, 1..10),
+    ) {
+        let arcs: Vec<(u32, u32)> = arcs
+            .into_iter()
+            .map(|(u, v)| (u % n as u32, v % n as u32))
+            .collect();
+        let g = DirectedGraph::from_arcs(n, &arcs);
+        let mut bfs = DirectedBfsCounter::new(n);
+        let epoch0: Vec<_> = all_pairs(n).map(|(s, t)| bfs.count(&g, s, t)).collect();
+        let batches = arc_batches(&g, &picks);
+        let engine = DynamicDirectedSpc::build(g, OrderingStrategy::Degree);
+        let mut server = EpochServer::new(engine, ServeConfig::default());
+        let (mut pinned, mut fresh) = (server.reader(), server.reader());
+        for batch in batches {
+            let inserts = batch.iter().filter(|u| matches!(u, ArcUpdate::InsertArc(..))).count();
+            let prev = fresh.snapshot().index().clone();
+            server.submit(batch.iter().copied()).unwrap();
+            let report = server.rotate().unwrap();
+            fresh.refresh();
+            let now = fresh.snapshot().index();
+            let engine = server.engine();
+            let copied = DirectedFlatIndex::freeze(engine.index());
+            let (mut got, mut want) = (KernelCounters::new(), KernelCounters::new());
+            let mut scratch = FlatScratch::new();
+            for (s, t) in all_pairs(n) {
+                let answer = now.query_counted(&mut scratch, &mut got, s, t);
+                prop_assert_eq!(answer, copied.query_counted(&mut scratch, &mut want, s, t));
+                prop_assert_eq!(answer, directed_spc_query(engine.index(), s, t));
+                prop_assert_eq!(answer.as_option(), bfs.count(engine.graph(), s, t));
+                prop_assert_eq!(now.pre_query(s, t), directed_pre_query(engine.index(), s, t));
+            }
+            prop_assert_eq!(got, want);
+            let families = |x: &DirectedFlatIndex| [Side::Out, Side::In].map(|side| x.rows(side).clone());
+            let (before, after) = (families(&prev), families(now));
+            let strict = inserts == 0 || inserts == batch.len();
+            let copies = fresh_rows(&[&before[0], &before[1]], &[&after[0], &after[1]], strict);
+            prop_assert_eq!(report.rows_copied, copies);
+        }
+        for ((s, t), truth) in all_pairs(n).zip(epoch0) {
+            let (epoch, answer) = pinned.query(s, t);
+            prop_assert_eq!((epoch, answer.as_option()), (0, truth));
+        }
+    }
+
+    /// Weighted rotations publish by sharing: snapshot ≡ copying `freeze`
+    /// ≡ live ≡ counting Dijkstra after every batch (deletions, weight
+    /// changes, insertions); `rows_copied` counts the fresh rows; a pinned
+    /// reader keeps epoch 0.
+    #[test]
+    fn weighted_publication_shares_unchanged_rows(
+        g in graph_strategy(12),
+        weights in proptest::collection::vec(1u32..6, 40),
+        picks in proptest::collection::vec(0usize..1 << 12, 1..10),
+    ) {
+        let triples: Vec<(u32, u32, u32)> = g
+            .edges()
+            .enumerate()
+            .map(|(i, (u, v))| (u.0, v.0, weights[i % weights.len()]))
+            .collect();
+        let n = g.capacity();
+        let wg = WeightedGraph::from_weighted_edges(n, &triples);
+        let mut dj = DijkstraCounter::new(n);
+        let epoch0: Vec<_> = all_pairs(n).map(|(s, t)| dj.count(&wg, s, t)).collect();
+        let batches = weighted_batches(&wg, &picks);
+        let engine = DynamicWeightedSpc::build(wg, OrderingStrategy::Degree);
+        let mut server = EpochServer::new(engine, ServeConfig::default());
+        let (mut pinned, mut fresh) = (server.reader(), server.reader());
+        for batch in batches {
+            let inserts = batch.iter().filter(|u| matches!(u, WeightedUpdate::InsertEdge(..))).count();
+            let deletes = batch.iter().filter(|u| matches!(u, WeightedUpdate::DeleteEdge(..))).count();
+            let prev = fresh.snapshot().index().clone();
+            server.submit(batch.iter().copied()).unwrap();
+            let report = server.rotate().unwrap();
+            fresh.refresh();
+            let now = fresh.snapshot().index();
+            let engine = server.engine();
+            let copied = WeightedFlatIndex::freeze(engine.index());
+            let (mut got, mut want) = (KernelCounters::new(), KernelCounters::new());
+            let mut scratch = FlatScratch::new();
+            for (s, t) in all_pairs(n) {
+                let answer = now.query_counted(&mut scratch, &mut got, s, t);
+                prop_assert_eq!(answer, copied.query_counted(&mut scratch, &mut want, s, t));
+                prop_assert_eq!(answer, weighted_spc_query(engine.index(), s, t));
+                prop_assert_eq!(answer.as_option(), dj.count(engine.graph(), s, t));
+                prop_assert_eq!(now.pre_query(s, t), weighted_pre_query(engine.index(), s, t));
+            }
+            prop_assert_eq!(got, want);
+            let strict = inserts == batch.len() || deletes == batch.len();
+            let copies = fresh_rows(&[prev.rows()], &[now.rows()], strict);
+            prop_assert_eq!(report.rows_copied, copies);
+        }
+        for ((s, t), truth) in all_pairs(n).zip(epoch0) {
+            let (epoch, answer) = pinned.query(s, t);
+            prop_assert_eq!((epoch, answer.as_option()), (0, truth));
         }
     }
 }

@@ -58,6 +58,29 @@ fn golden_v1_fixture_decodes() {
     );
 }
 
+/// v1 files carry no checksums, so damage may decode into a different
+/// index — but a damaged length field must come back as an error, never
+/// as an arithmetic overflow or an oversized allocation.
+#[test]
+fn damaged_v1_lengths_never_panic() {
+    use dspc::serialize::CodecError;
+
+    let v1 = golden_v1_bytes();
+    for at in 0..v1.len() {
+        for bit in [0x04u8, 0x40, 0x80] {
+            let mut bad = v1.clone();
+            bad[at] ^= bit;
+            let _ = decode_index(&bad);
+        }
+    }
+    // The top byte of `n` and of the first row length.
+    for at in [19, 32 + 3] {
+        let mut bad = v1.clone();
+        bad[at] ^= 0x80;
+        assert_eq!(decode_index(&bad).err(), Some(CodecError::Truncated));
+    }
+}
+
 #[test]
 fn v1_to_v2_migration_preserves_labels() {
     let v1 = golden_v1_bytes();
@@ -160,14 +183,18 @@ fn v2_corruption_always_fails_loudly() {
     bad[v2.len() - 1] ^= 0x01;
     assert_eq!(decode_flat(&bad), Err(CodecError::Corrupt("footer")));
 
-    // Exhaustive: flipping any single bit anywhere in the file fails.
+    // Exhaustive: flipping a low or a high bit anywhere in the file fails
+    // with an error — a damaged length field included, which must not
+    // overflow or size an allocation before the checksums are verified.
     for at in 0..v2.len() {
-        let mut bad = v2.to_vec();
-        bad[at] ^= 0x04;
-        assert!(
-            decode_flat(&bad).is_err(),
-            "bit flip at byte {at} decoded silently"
-        );
+        for bit in [0x04u8, 0x40, 0x80] {
+            let mut bad = v2.to_vec();
+            bad[at] ^= bit;
+            assert!(
+                decode_flat(&bad).is_err(),
+                "bit {bit:#04x} flip at byte {at} decoded silently"
+            );
+        }
     }
 
     // Compatibility floor: a footer-less v2 file (written before checksums
