@@ -279,7 +279,9 @@ fn bridged(report: &mut BTreeMap<String, u64>) {
 /// baseline, and the NEVER policy. The phase hard-fails unless the tiered
 /// maintainer (a) never full-rebuilds and (b) holds its index within 5%
 /// of the rebuild-fresh twin's label entries, while its whole response is
-/// bounded re-rank work (`churn_rerank_swaps` / `churn_rerank_sweeps`).
+/// bounded re-rank work (`churn_rerank_swaps` / `churn_rerank_sweeps`, and
+/// `churn_rerank_visited`: the vertices those re-push sweeps dequeued, so a
+/// sweep that prunes less shows even when it emits the same labels).
 /// The NEVER twin's entry count is reported alongside as the bloat the
 /// re-ranks avoided.
 fn churn(report: &mut BTreeMap<String, u64>) {
@@ -328,6 +330,10 @@ fn churn(report: &mut BTreeMap<String, u64>) {
     let rr = tiered.rerank_totals();
     report.insert("churn_rerank_swaps".to_string(), rr.rerank_swaps as u64);
     report.insert("churn_rerank_sweeps".to_string(), rr.rerank_sweeps as u64);
+    report.insert(
+        "churn_rerank_visited".to_string(),
+        rr.vertices_visited as u64,
+    );
     report.insert("churn_rebuilds".to_string(), tiered.rebuilds() as u64);
     report.insert("churn_entries_tiered".to_string(), entries_tiered);
     report.insert("churn_entries_fresh".to_string(), entries_fresh);
@@ -458,8 +464,9 @@ fn main() {
             // Gated counters: maintenance work (total_sweeps), removal-pass
             // work (removal_probes), shared-far classification drift
             // (multi_far_sweeps), query kernel work (merge_steps), recovery
-            // coverage (recover_replayed_batches), and journal write
-            // amplification (journal_bytes_per_update). Everything else is
+            // coverage (recover_replayed_batches), journal write
+            // amplification (journal_bytes_per_update), and the churn
+            // phase's re-rank work and index drift. Everything else is
             // informational.
             let gate = key == "total_sweeps"
                 || key == "removal_probes"
@@ -468,6 +475,7 @@ fn main() {
                 || key == "recover_replayed_batches"
                 || key == "journal_bytes_per_update"
                 || key == "churn_rerank_sweeps"
+                || key == "churn_rerank_visited"
                 || key == "churn_entries_tiered";
             let verdict = if gate && delta > threshold {
                 failed = true;

@@ -5,7 +5,11 @@
 //! counting BFS inside `G_h` — the subgraph induced by vertices ranked no
 //! higher than `h` — and a label `(h, D[w], C[w])` is pushed into `L(w)` for
 //! every vertex `w` the BFS reaches *unless* the partial index already
-//! certifies a strictly shorter `h`–`w` distance.
+//! certifies a strictly shorter `h`–`w` distance. The sweep is IncSPC's
+//! [`crate::engine::UpdateEngine::inc_pass`] seeded at `h` with `(0, 1)`:
+//! no row holds an `(h, ·, ·)` entry yet, so every emission is an
+//! insertion. The directed and weighted builds and adjacent-rank re-rank
+//! run on the same sweep.
 //!
 //! The pruning is **strict** (`query(h, w) < D[w]`), unlike distance-PLL's
 //! `<=`: when the existing index ties the BFS distance, the tying paths run
@@ -15,150 +19,21 @@
 //! of the paper's *non-canonical* labels, e.g. `(v2, 2, 1) ∈ L(v8)` in
 //! Table 2).
 
+use crate::engine::{PushPipeline, Undirected};
 use crate::index::SpcIndex;
-use crate::label::{Count, LabelEntry, Rank, INF_DIST};
 use crate::order::{OrderingStrategy, RankMap};
-use crate::query::HubProbe;
-use dspc_graph::{UndirectedGraph, VertexId};
+use dspc_graph::UndirectedGraph;
 
-/// Reusable HP-SPC construction engine.
-///
-/// Keeping the engine around lets the reconstruction baseline amortize its
-/// workspace allocations across repeated rebuilds, which is only fair to
-/// the baseline the dynamic algorithms are compared against.
-#[derive(Debug)]
-pub struct HpSpcBuilder {
-    dist: Vec<u32>,
-    count: Vec<Count>,
-    queue: Vec<u32>,
-    touched: Vec<u32>,
-    probe: HubProbe,
-}
-
-impl HpSpcBuilder {
-    /// Creates a builder for graphs up to `capacity` ids.
-    pub fn new(capacity: usize) -> Self {
-        HpSpcBuilder {
-            dist: vec![INF_DIST; capacity],
-            count: vec![0; capacity],
-            queue: Vec::new(),
-            touched: Vec::new(),
-            probe: HubProbe::new(capacity),
-        }
-    }
-
-    fn ensure_capacity(&mut self, capacity: usize) {
-        if self.dist.len() < capacity {
-            self.dist.resize(capacity, INF_DIST);
-            self.count.resize(capacity, 0);
-        }
-        self.probe.ensure_capacity(capacity);
-    }
-
-    fn reset_workspace(&mut self) {
-        for &v in &self.touched {
-            self.dist[v as usize] = INF_DIST;
-            self.count[v as usize] = 0;
-        }
-        self.touched.clear();
-        self.queue.clear();
-    }
-
-    /// Builds the SPC-Index of `g` under a freshly computed ordering.
-    pub fn build(&mut self, g: &UndirectedGraph, strategy: OrderingStrategy) -> SpcIndex {
-        let ranks = RankMap::build(g, strategy);
-        self.build_with_ranks(g, ranks)
-    }
-
-    /// Builds the SPC-Index of `g` under a given ordering — the
-    /// reconstruction baseline reuses the maintained index's ordering so
-    /// that query-equivalence comparisons are label-for-label meaningful.
-    pub fn build_with_ranks(&mut self, g: &UndirectedGraph, ranks: RankMap) -> SpcIndex {
-        let cap = g.capacity();
-        assert_eq!(ranks.len(), cap, "rank map must cover the graph id space");
-        self.ensure_capacity(cap);
-        let mut index = SpcIndex::self_labeled(ranks);
-        // Strip the pre-seeded self labels: HP-SPC emits every label —
-        // including self labels — in descending hub-rank order so the O(1)
-        // append fast path applies.
-        for v in 0..cap {
-            index.label_set_mut(VertexId(v as u32)).clear_all();
-        }
-        for r in 0..cap as u32 {
-            let h = index.vertex(Rank(r));
-            if h.index() >= cap || !g.contains_vertex(h) {
-                continue;
-            }
-            self.push_hub(g, &mut index, h);
-        }
-        // Deleted vertices never ran a BFS; give them a bare self label so
-        // the structural invariants hold uniformly.
-        for v in 0..cap {
-            let vid = VertexId(v as u32);
-            if index.label_set(vid).is_empty() {
-                let rank = index.rank(vid);
-                index
-                    .label_set_mut(vid)
-                    .push_descending(LabelEntry::new(rank, 0, 1));
-            }
-        }
-        index
-    }
-
-    /// Runs the pruned counting BFS rooted at hub `h` (one iteration of
-    /// HP-SPC's outer loop), pushing labels into `index`.
-    fn push_hub(&mut self, g: &UndirectedGraph, index: &mut SpcIndex, h: VertexId) {
-        let hr = index.rank(h);
-        self.reset_workspace();
-        self.probe.load(index, h);
-        self.dist[h.index()] = 0;
-        self.count[h.index()] = 1;
-        self.touched.push(h.0);
-        self.queue.push(h.0);
-        let mut head = 0usize;
-        while head < self.queue.len() {
-            let v = self.queue[head];
-            head += 1;
-            let dv = self.dist[v as usize];
-            // Prune: the partial index (hubs ranked above h) certifies a
-            // strictly shorter path, so no shortest h–v path stays within
-            // G_h; neither v nor anything behind it needs an h-label.
-            let q = self.probe.query(index.label_set(VertexId(v)));
-            if q.dist < dv {
-                continue;
-            }
-            index
-                .label_set_mut(VertexId(v))
-                .push_descending(LabelEntry::new(hr, dv, self.count[v as usize]));
-            let cv = self.count[v as usize];
-            for &w in g.neighbors(VertexId(v)) {
-                // Rank pruning: stay inside G_h (strictly lower-ranked
-                // vertices; h itself is already settled).
-                if index.rank(VertexId(w)) <= hr {
-                    continue;
-                }
-                let dw = self.dist[w as usize];
-                if dw == INF_DIST {
-                    self.dist[w as usize] = dv + 1;
-                    self.count[w as usize] = cv;
-                    self.touched.push(w);
-                    self.queue.push(w);
-                } else if dw == dv + 1 {
-                    self.count[w as usize] = self.count[w as usize].saturating_add(cv);
-                }
-            }
-        }
-    }
-}
-
-/// One-shot convenience wrapper: builds the SPC-Index of `g`.
+/// One-shot build: the SPC-Index of `g` under a fresh `strategy` order.
+/// [`crate::DynamicSpc`] builds and rebuilds through the
+/// [`PushPipeline`] it owns instead, reusing its scratch.
 pub fn build_index(g: &UndirectedGraph, strategy: OrderingStrategy) -> SpcIndex {
-    HpSpcBuilder::new(g.capacity()).build(g, strategy)
+    PushPipeline::<Undirected>::new(g.capacity()).build(g, strategy)
 }
 
 /// One-shot build under an existing ordering (the reconstruction baseline).
 pub fn rebuild_index(g: &UndirectedGraph, ranks: RankMap) -> SpcIndex {
-    HpSpcBuilder::new(g.capacity()).build_with_ranks(g, ranks)
+    PushPipeline::<Undirected>::new(g.capacity()).rebuild(g, ranks)
 }
 
 #[cfg(test)]
@@ -169,6 +44,7 @@ mod tests {
     use dspc_graph::generators::paper::figure2_g;
     use dspc_graph::generators::random::*;
     use dspc_graph::traversal::bfs::BfsCounter;
+    use dspc_graph::VertexId;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -281,13 +157,15 @@ mod tests {
 
     #[test]
     fn builder_reuse_is_clean() {
-        let mut b = HpSpcBuilder::new(0);
+        let mut b = PushPipeline::<Undirected>::new(0);
         let g1 = cycle_graph(7);
         let i1 = b.build(&g1, OrderingStrategy::Degree);
         let g2 = grid_graph(3, 3);
         let i2 = b.build(&g2, OrderingStrategy::Degree);
         assert_matches_bfs(&g1, &i1);
         assert_matches_bfs(&g2, &i2);
+        assert_eq!(i1, build_index(&g1, OrderingStrategy::Degree));
+        assert_eq!(i2, build_index(&g2, OrderingStrategy::Degree));
     }
 
     #[test]

@@ -5,155 +5,24 @@
 //! in-arcs emits into `L_out(w)`. Pruning compares against the partial
 //! index in the matching direction (`L_out(h) ⋈ L_in(w)` forward,
 //! `L_out(w) ⋈ L_in(h)` backward), strictly, as in the undirected build.
+//! Both sweeps are [`crate::engine::UpdateEngine::inc_pass`] seeded at the
+//! hub, through a [`crate::engine::DirectedTopo`] view of the family they
+//! write.
 
-use super::{DirectedRankMap, DirectedSpcIndex, Side};
-use crate::label::{Count, LabelEntry, Rank, INF_DIST};
-use crate::order::OrderingStrategy;
-use crate::query::HubProbe;
-use dspc_graph::{DirectedGraph, VertexId};
+use super::DirectedSpcIndex;
+use crate::engine::{Directed, PushPipeline};
+use crate::order::{OrderingStrategy, RankMap};
+use dspc_graph::DirectedGraph;
 
-/// Reusable directed construction engine.
-#[derive(Debug)]
-pub struct DirectedBuilder {
-    dist: Vec<u32>,
-    count: Vec<Count>,
-    queue: Vec<u32>,
-    touched: Vec<u32>,
-    probe: HubProbe,
-}
-
-impl DirectedBuilder {
-    /// Creates a builder for graphs up to `capacity` ids.
-    pub fn new(capacity: usize) -> Self {
-        DirectedBuilder {
-            dist: vec![INF_DIST; capacity],
-            count: vec![0; capacity],
-            queue: Vec::new(),
-            touched: Vec::new(),
-            probe: HubProbe::new(capacity),
-        }
-    }
-
-    fn reset(&mut self) {
-        for &v in &self.touched {
-            self.dist[v as usize] = INF_DIST;
-            self.count[v as usize] = 0;
-        }
-        self.touched.clear();
-        self.queue.clear();
-    }
-
-    /// Builds the directed SPC-Index of `g`.
-    pub fn build(&mut self, g: &DirectedGraph, strategy: OrderingStrategy) -> DirectedSpcIndex {
-        self.build_with_ranks(g, DirectedRankMap::build(g, strategy))
-    }
-
-    /// Builds the directed SPC-Index of `g` over an explicit rank map —
-    /// the comparison target for [`crate::reorder`]'s directed swap repair.
-    pub fn build_with_ranks(
-        &mut self,
-        g: &DirectedGraph,
-        ranks: DirectedRankMap,
-    ) -> DirectedSpcIndex {
-        let cap = g.capacity();
-        assert_eq!(ranks.len(), cap, "rank map does not cover the graph");
-        if self.dist.len() < cap {
-            self.dist.resize(cap, INF_DIST);
-            self.count.resize(cap, 0);
-        }
-        self.probe.ensure_capacity(cap);
-        let mut index = DirectedSpcIndex::self_labeled(ranks);
-        for v in 0..cap {
-            index.label_mut(Side::In, VertexId(v as u32)).clear_all();
-            index.label_mut(Side::Out, VertexId(v as u32)).clear_all();
-        }
-        for r in 0..cap as u32 {
-            let h = index.vertex(Rank(r));
-            if !g.contains_vertex(h) {
-                continue;
-            }
-            // Forward: emits L_in labels; prune against L_out(h) ⋈ L_in(w).
-            self.push_hub(g, &mut index, h, Side::In);
-            // Backward: emits L_out labels; prune against L_in(h) ⋈ L_out(w).
-            self.push_hub(g, &mut index, h, Side::Out);
-        }
-        for v in 0..cap {
-            let vid = VertexId(v as u32);
-            let rank = index.rank(vid);
-            for side in [Side::In, Side::Out] {
-                if index.label(side, vid).is_empty() {
-                    index
-                        .label_mut(side, vid)
-                        .push_descending(super::self_entry(rank));
-                }
-            }
-        }
-        index
-    }
-
-    /// One sweep of hub `h` writing into `target` labels of reached
-    /// vertices. `target == Side::In` sweeps forward, `Side::Out` backward.
-    fn push_hub(
-        &mut self,
-        g: &DirectedGraph,
-        index: &mut DirectedSpcIndex,
-        h: VertexId,
-        target: Side,
-    ) {
-        let hr = index.rank(h);
-        self.reset();
-        // Pinned side of the prune query: the hub's *opposite* family —
-        // forward prune is L_out(h) ⋈ L_in(w), so pin L_out(h).
-        let pinned = target.opposite();
-        self.probe
-            .load_labels(index.label(pinned, h), index.ranks().len());
-        self.dist[h.index()] = 0;
-        self.count[h.index()] = 1;
-        self.touched.push(h.0);
-        self.queue.push(h.0);
-        let mut head = 0usize;
-        while head < self.queue.len() {
-            let v = self.queue[head];
-            head += 1;
-            let dv = self.dist[v as usize];
-            let q = self.probe.query(index.label(target, VertexId(v)));
-            if q.dist < dv {
-                continue;
-            }
-            index
-                .label_mut(target, VertexId(v))
-                .push_descending(LabelEntry::new(hr, dv, self.count[v as usize]));
-            let cv = self.count[v as usize];
-            let neighbors = match target {
-                Side::In => g.out_neighbors(VertexId(v)),
-                Side::Out => g.in_neighbors(VertexId(v)),
-            };
-            for &w in neighbors {
-                if index.rank(VertexId(w)) <= hr {
-                    continue;
-                }
-                let dw = self.dist[w as usize];
-                if dw == INF_DIST {
-                    self.dist[w as usize] = dv + 1;
-                    self.count[w as usize] = cv;
-                    self.touched.push(w);
-                    self.queue.push(w);
-                } else if dw == dv + 1 {
-                    self.count[w as usize] = self.count[w as usize].saturating_add(cv);
-                }
-            }
-        }
-    }
-}
-
-/// One-shot directed build.
+/// One-shot directed build (ranked by in + out degree under `Degree`).
 pub fn build_directed_index(g: &DirectedGraph, strategy: OrderingStrategy) -> DirectedSpcIndex {
-    DirectedBuilder::new(g.capacity()).build(g, strategy)
+    PushPipeline::<Directed>::new(g.capacity()).build(g, strategy)
 }
 
-/// One-shot directed build over an explicit rank map.
-pub fn rebuild_directed_index(g: &DirectedGraph, ranks: DirectedRankMap) -> DirectedSpcIndex {
-    DirectedBuilder::new(g.capacity()).build_with_ranks(g, ranks)
+/// One-shot directed build over an explicit rank map — the comparison
+/// target for [`crate::reorder::rerank_adjacent`].
+pub fn rebuild_directed_index(g: &DirectedGraph, ranks: RankMap) -> DirectedSpcIndex {
+    PushPipeline::<Directed>::new(g.capacity()).rebuild(g, ranks)
 }
 
 #[cfg(test)]
@@ -162,6 +31,7 @@ mod tests {
     use crate::directed::directed_spc_query;
     use dspc_graph::generators::random::{erdos_renyi_gnm, random_orientation};
     use dspc_graph::traversal::dbfs::DirectedBfsCounter;
+    use dspc_graph::VertexId;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -219,5 +89,20 @@ mod tests {
             Some((2, 1))
         );
         assert!(!directed_spc_query(&idx, VertexId(2), VertexId(0)).is_connected());
+    }
+
+    #[test]
+    fn deleted_vertex_gets_bare_self_labels() {
+        let mut rng = StdRng::seed_from_u64(405);
+        let base = erdos_renyi_gnm(20, 50, &mut rng);
+        let mut g = random_orientation(&base, 0.3, &mut rng);
+        g.delete_vertex(VertexId(4)).unwrap();
+        for strategy in [OrderingStrategy::Degree, OrderingStrategy::Identity] {
+            let idx = build_directed_index(&g, strategy);
+            idx.check_invariants().unwrap();
+            assert_matches_dbfs(&g, &idx);
+            assert_eq!(idx.label_in(VertexId(4)).len(), 1);
+            assert_eq!(idx.label_out(VertexId(4)).len(), 1);
+        }
     }
 }

@@ -14,13 +14,13 @@
 pub mod build;
 pub mod update;
 
-pub use build::{build_directed_index, DirectedBuilder};
+pub use build::{build_directed_index, rebuild_directed_index};
 pub use update::{DirectedDecSpc, DirectedIncSpc};
 
 use crate::dynamic::{UpdateKind, UpdateStats};
 use crate::engine::EdgeCoalescer;
 use crate::label::{Count, LabelEntry, LabelSet, Rank, SharedRows};
-use crate::order::OrderingStrategy;
+use crate::order::{OrderingStrategy, RankMap};
 use crate::parallel::MaintenanceThreads;
 use crate::query::{pre_query_rows, query_rows, QueryResult};
 use dspc_graph::{DirectedGraph, VertexId};
@@ -46,120 +46,28 @@ impl Side {
     }
 }
 
-/// Bijection between vertex ids and ranks for directed graphs (degree =
-/// in + out, descending; ties by id).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DirectedRankMap {
-    rank_of: Vec<u32>,
-    vertex_at: Vec<u32>,
-}
-
-impl DirectedRankMap {
-    /// Computes the order of `g`'s id space.
-    pub fn build(g: &DirectedGraph, strategy: OrderingStrategy) -> Self {
-        let n = g.capacity();
-        let mut ids: Vec<u32> = (0..n as u32).collect();
-        match strategy {
-            OrderingStrategy::Degree => ids.sort_by_key(|&v| {
-                let vid = VertexId(v);
-                (std::cmp::Reverse(g.out_degree(vid) + g.in_degree(vid)), v)
-            }),
-            OrderingStrategy::Identity => {}
-            OrderingStrategy::Random(seed) => {
-                let key = |v: u32| -> u64 {
-                    let mut z = seed.wrapping_add(0x9E3779B97F4A7C15).wrapping_add(v as u64);
-                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-                    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-                    z ^ (z >> 31)
-                };
-                ids.sort_by_key(|&v| (key(v), v));
-            }
-        }
-        let mut rank_of = vec![0u32; n];
-        for (r, &v) in ids.iter().enumerate() {
-            rank_of[v as usize] = r as u32;
-        }
-        DirectedRankMap {
-            rank_of,
-            vertex_at: ids,
-        }
-    }
-
-    /// Rank of `v`.
-    #[inline]
-    pub fn rank(&self, v: VertexId) -> Rank {
-        Rank(self.rank_of[v.index()])
-    }
-
-    /// Vertex at rank `r`.
-    #[inline]
-    pub fn vertex(&self, r: Rank) -> VertexId {
-        VertexId(self.vertex_at[r.index()])
-    }
-
-    /// Rank-space size.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.vertex_at.len()
-    }
-
-    /// Builds a map from an explicit rank order (`order[r]` = vertex id at
-    /// rank `r`); must be a permutation of `0..order.len()`.
-    pub fn from_rank_order(order: &[u32]) -> Self {
-        let n = order.len();
-        let mut rank_of = vec![u32::MAX; n];
-        for (r, &v) in order.iter().enumerate() {
-            assert!(
-                (v as usize) < n && rank_of[v as usize] == u32::MAX,
-                "not a permutation"
-            );
-            rank_of[v as usize] = r as u32;
-        }
-        DirectedRankMap {
-            rank_of,
-            vertex_at: order.to_vec(),
-        }
-    }
-
-    /// Swaps the vertices at ranks `r` and `r + 1` (see
-    /// [`crate::order::RankMap::swap_adjacent`]).
-    pub fn swap_adjacent(&mut self, r: Rank) {
-        let hi = r.index();
-        let lo = hi + 1;
-        assert!(lo < self.vertex_at.len(), "swap_adjacent out of range");
-        self.vertex_at.swap(hi, lo);
-        self.rank_of[self.vertex_at[hi] as usize] = hi as u32;
-        self.rank_of[self.vertex_at[lo] as usize] = lo as u32;
-    }
-
-    /// Appends a fresh vertex at the lowest rank; `v` must be the next
-    /// dense id.
-    pub fn append_vertex(&mut self, v: VertexId) -> Rank {
-        assert_eq!(v.index(), self.rank_of.len(), "non-dense vertex id");
-        let r = Rank(self.vertex_at.len() as u32);
-        self.rank_of.push(r.0);
-        self.vertex_at.push(v.0);
-        r
-    }
-
-    /// Whether empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.vertex_at.is_empty()
-    }
-}
-
 /// The directed SPC-Index: `L_in` and `L_out` per vertex.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct DirectedSpcIndex {
     labels_in: Vec<LabelSet>,
     labels_out: Vec<LabelSet>,
-    ranks: DirectedRankMap,
+    ranks: RankMap,
 }
 
 impl DirectedSpcIndex {
+    /// Index whose every row, on both sides, is empty: where construction
+    /// starts.
+    pub(crate) fn with_empty_rows(ranks: RankMap) -> Self {
+        let n = ranks.len();
+        DirectedSpcIndex {
+            labels_in: vec![LabelSet::default(); n],
+            labels_out: vec![LabelSet::default(); n],
+            ranks,
+        }
+    }
+
     /// Index with only self labels on both sides.
-    pub fn self_labeled(ranks: DirectedRankMap) -> Self {
+    pub fn self_labeled(ranks: RankMap) -> Self {
         let n = ranks.len();
         let mk = |_| {
             (0..n)
@@ -174,7 +82,7 @@ impl DirectedSpcIndex {
     }
 
     /// The vertex total order.
-    pub fn ranks(&self) -> &DirectedRankMap {
+    pub fn ranks(&self) -> &RankMap {
         &self.ranks
     }
 
@@ -322,12 +230,13 @@ pub struct DynamicDirectedSpc {
 impl DynamicDirectedSpc {
     /// Builds the index and wraps both.
     pub fn build(graph: DirectedGraph, strategy: OrderingStrategy) -> Self {
-        let index = build_directed_index(&graph, strategy);
         let cap = graph.capacity();
+        let mut inc = DirectedIncSpc::new(cap);
+        let index = inc.build(&graph, strategy);
         DynamicDirectedSpc {
             graph,
             index,
-            inc: DirectedIncSpc::new(cap),
+            inc,
             dec: DirectedDecSpc::new(cap),
             maintenance_threads: MaintenanceThreads::default(),
             flat: None,
@@ -386,7 +295,7 @@ impl DynamicDirectedSpc {
     pub fn insert_arc(&mut self, a: VertexId, b: VertexId) -> dspc_graph::Result<UpdateStats> {
         self.graph.insert_arc(a, b)?;
         self.flat = None;
-        let c = self.inc.insert_arc(&self.graph, &mut self.index, a, b);
+        let c = self.inc.insert_edge(&self.graph, &mut self.index, a, b);
         Ok(UpdateStats::from_counters(UpdateKind::InsertEdge, c))
     }
 
@@ -492,11 +401,6 @@ impl DynamicDirectedSpc {
     }
 }
 
-/// Ensures the self label exists on both sides for isolated additions.
-pub(crate) fn self_entry(rank: Rank) -> LabelEntry {
-    LabelEntry::new(rank, 0, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,16 +408,15 @@ mod tests {
     #[test]
     fn rank_map_total_degree() {
         let g = DirectedGraph::from_arcs(4, &[(0, 1), (2, 1), (1, 3)]);
-        let rm = DirectedRankMap::build(&g, OrderingStrategy::Degree);
+        let idx = build_directed_index(&g, OrderingStrategy::Degree);
         // Vertex 1 has total degree 3 → highest rank.
-        assert_eq!(rm.vertex(Rank(0)), VertexId(1));
+        assert_eq!(idx.vertex(Rank(0)), VertexId(1));
     }
 
     #[test]
     fn self_labeled_queries() {
-        let g = DirectedGraph::with_vertices(3);
-        let idx =
-            DirectedSpcIndex::self_labeled(DirectedRankMap::build(&g, OrderingStrategy::Identity));
+        let ranks = RankMap::from_rank_order(&[0, 1, 2], OrderingStrategy::Identity);
+        let idx = DirectedSpcIndex::self_labeled(ranks);
         idx.check_invariants().unwrap();
         assert_eq!(
             directed_spc_query(&idx, VertexId(0), VertexId(0)).as_option(),

@@ -17,73 +17,15 @@
 //!   `SR_a ∪ R_a` by backward BFS, with the same `PreQUERY` pruning and
 //!   removal pass as the undirected Algorithm 6.
 
-use super::{DirectedSpcIndex, Side};
-use crate::engine::{
-    merge_affected, DecPipeline, Directed, DirectedTopo, MaintenanceCounters, UpdateEngine,
-};
-use crate::query::HubProbe;
+use super::DirectedSpcIndex;
+use crate::engine::{DecPipeline, Directed, MaintenanceCounters, PushPipeline};
 use dspc_graph::{DirectedGraph, VertexId};
 
-/// Directed incremental driver: the arc-insertion policy over the shared
-/// [`UpdateEngine`], running the forward (`L_in`) and backward (`L_out`)
-/// halves through [`DirectedTopo`] views.
-#[derive(Debug)]
-pub struct DirectedIncSpc {
-    engine: UpdateEngine<u32>,
-    probe: HubProbe,
-}
-
-impl DirectedIncSpc {
-    /// Creates an engine for graphs up to `capacity` ids.
-    pub fn new(capacity: usize) -> Self {
-        DirectedIncSpc {
-            engine: UpdateEngine::new(capacity),
-            probe: HubProbe::new(capacity),
-        }
-    }
-
-    /// Repairs `index` after arc `a → b` was inserted into `g`. Returns the
-    /// label-operation counters.
-    pub fn insert_arc(
-        &mut self,
-        g: &DirectedGraph,
-        index: &mut DirectedSpcIndex,
-        a: VertexId,
-        b: VertexId,
-    ) -> MaintenanceCounters {
-        debug_assert!(g.has_arc(a, b));
-        self.engine.ensure_capacity(g.capacity());
-        let mut stats = MaintenanceCounters::default();
-        // Snapshot AFF = hubs(L_in(a)) ∪ hubs(L_out(b)) with side flags,
-        // merged in descending rank order.
-        let aff = merge_affected(index.label_in(a).entries(), index.label_out(b).entries());
-        let rank_a = index.rank(a);
-        let rank_b = index.rank(b);
-        for (h_rank, from_in_a, from_out_b) in aff {
-            let h = index.vertex(h_rank);
-            stats.hubs_processed += 1;
-            // The seed label lives on the same family as the repaired side:
-            // L_in(a) when repairing L_in, L_out(b) when repairing L_out.
-            if from_in_a && h_rank <= rank_b {
-                // New paths h → … → a → b → …: forward from b, L_in side.
-                if let Some(seed) = index.label_in(a).get(h_rank).copied() {
-                    let mut topo = DirectedTopo::new(g, &mut *index, &mut self.probe, Side::In);
-                    self.engine
-                        .inc_pass(&mut topo, h, b, seed.dist + 1, seed.count, &mut stats);
-                }
-            }
-            if from_out_b && h_rank <= rank_a {
-                // New paths … → a → b → … → h: backward from a, L_out side.
-                if let Some(seed) = index.label_out(b).get(h_rank).copied() {
-                    let mut topo = DirectedTopo::new(g, &mut *index, &mut self.probe, Side::Out);
-                    self.engine
-                        .inc_pass(&mut topo, h, a, seed.dist + 1, seed.count, &mut stats);
-                }
-            }
-        }
-        stats
-    }
-}
+/// Directed incremental driver: the shared [`PushPipeline`] over arcs. Its
+/// [`insert_edge`](PushPipeline::insert_edge) takes hubs from
+/// `L_in(a) ∪ L_out(b)` and runs the forward (`L_in`) and backward
+/// (`L_out`) halves through [`crate::engine::DirectedTopo`] views.
+pub type DirectedIncSpc = PushPipeline<Directed>;
 
 /// Directed decremental driver: the arc-deletion policy over the shared
 /// [`DecPipeline`]. A deleted arc `a → b` sends hubs upstream of `a` to

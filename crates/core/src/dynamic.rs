@@ -51,11 +51,10 @@
 //! assert_eq!(stats.kind, dspc::dynamic::UpdateKind::Batch);
 //! ```
 
-use crate::build::HpSpcBuilder;
 use crate::dec::{DecSpc, SrrOutcome};
 use crate::engine::{ordered_key, MaintenanceCounters};
 use crate::flat::FlatIndex;
-use crate::inc::{IncSpc, IncStats};
+use crate::inc::IncSpc;
 use crate::index::{IndexStats, SpcIndex};
 use crate::label::Count;
 use crate::order::OrderingStrategy;
@@ -128,13 +127,6 @@ impl UpdateStats {
         UpdateStats { kind, counters }
     }
 
-    fn from_inc(s: IncStats) -> Self {
-        UpdateStats {
-            kind: UpdateKind::InsertEdge,
-            counters: s.into(),
-        }
-    }
-
     fn from_dec(c: MaintenanceCounters) -> Self {
         UpdateStats::from_counters(UpdateKind::DeleteEdge, c)
     }
@@ -165,9 +157,10 @@ pub enum GraphUpdate {
 pub struct DynamicSpc {
     graph: UndirectedGraph,
     index: SpcIndex,
+    /// Insertion repair, and the scratch every build, rebuild and re-rank
+    /// runs on.
     inc: IncSpc,
     dec: DecSpc,
-    builder: HpSpcBuilder,
     strategy: OrderingStrategy,
     updates_since_build: usize,
     maintenance_threads: MaintenanceThreads,
@@ -181,14 +174,13 @@ impl DynamicSpc {
     /// Builds the index for `graph` under `strategy` and wraps both.
     pub fn build(graph: UndirectedGraph, strategy: OrderingStrategy) -> Self {
         let cap = graph.capacity();
-        let mut builder = HpSpcBuilder::new(cap);
-        let index = builder.build(&graph, strategy);
+        let mut inc = IncSpc::new(cap);
+        let index = inc.build(&graph, strategy);
         DynamicSpc {
             graph,
             index,
-            inc: IncSpc::new(cap),
+            inc,
             dec: DecSpc::new(cap),
-            builder,
             strategy,
             updates_since_build: 0,
             maintenance_threads: MaintenanceThreads::default(),
@@ -216,7 +208,6 @@ impl DynamicSpc {
             index,
             inc: IncSpc::new(cap),
             dec: DecSpc::new(cap),
-            builder: HpSpcBuilder::new(cap),
             strategy,
             updates_since_build: 0,
             maintenance_threads: MaintenanceThreads::default(),
@@ -255,9 +246,8 @@ impl DynamicSpc {
 
     /// Sets the worker-thread budget for intra-batch maintenance: the
     /// classification sweeps of [`DynamicSpc::delete_edges`] and of the
-    /// deletion segments of [`DynamicSpc::apply_batch`], and batched
-    /// re-ranks. Every thread count produces the same index, queries, and
-    /// counters.
+    /// deletion segments of [`DynamicSpc::apply_batch`]. Every thread count
+    /// produces the same index, queries, and counters.
     pub fn set_maintenance_threads(&mut self, threads: MaintenanceThreads) {
         self.maintenance_threads = threads;
     }
@@ -312,7 +302,7 @@ impl DynamicSpc {
         self.flat = None;
         let stats = self.inc.insert_edge(&self.graph, &mut self.index, a, b);
         self.updates_since_build += 1;
-        Ok(UpdateStats::from_inc(stats))
+        Ok(UpdateStats::from_counters(UpdateKind::InsertEdge, stats))
     }
 
     /// Deletes edge `(a, b)` and repairs the index with DecSPC.
@@ -521,22 +511,18 @@ impl DynamicSpc {
     /// [`DynamicSpc::rebuild`]. The post-repair index is bit-identical to
     /// a fresh build at the swapped order; like every mutation, a
     /// non-empty re-rank drops the cached frozen snapshot.
-    pub fn rerank_adjacent(
-        &mut self,
-        swaps: &[crate::label::Rank],
-        threads: usize,
-    ) -> MaintenanceCounters {
+    pub fn rerank_adjacent(&mut self, swaps: &[crate::label::Rank]) -> MaintenanceCounters {
         if swaps.is_empty() {
             return MaintenanceCounters::default();
         }
         self.flat = None;
-        crate::reorder::rerank_adjacent(&self.graph, &mut self.index, swaps, threads)
+        self.inc.rerank(&self.graph, &mut self.index, swaps)
     }
 
     /// Rebuilds from scratch with a *fresh* ordering — the paper's lazy
     /// answer to ordering staleness (§6).
     pub fn rebuild(&mut self) {
-        self.index = self.builder.build(&self.graph, self.strategy);
+        self.index = self.inc.build(&self.graph, self.strategy);
         self.flat = None;
         self.updates_since_build = 0;
     }
@@ -544,9 +530,7 @@ impl DynamicSpc {
     /// Rebuilds from scratch keeping the current ordering — the
     /// reconstruction baseline the dynamic algorithms race against.
     pub fn rebuild_same_order(&mut self) {
-        self.index = self
-            .builder
-            .build_with_ranks(&self.graph, self.index.ranks().clone());
+        self.index = self.inc.rebuild(&self.graph, self.index.ranks().clone());
         self.flat = None;
         self.updates_since_build = 0;
     }

@@ -29,12 +29,14 @@
 //! higher-ranked hubs write.
 
 use super::batch::duplicate_edge_key;
+use super::topology::side_families;
 use super::{
-    aggregate_far_columns, build_endpoint_tasks, EngineDist, FarAggregator, FarColumn, HubBearing,
-    HubHolders, LabelTopology, MaintenanceCounters, MultiFarTask, ReadTopology, RepairAgenda,
-    UpdateEngine, MARK_A, MARK_B, REPAIR_PRIMARY, REPAIR_SECONDARY,
+    aggregate_far_columns, build_endpoint_tasks, FarAggregator, FarColumn, HubHolders,
+    MaintenanceCounters, MultiFarTask, RepairAgenda, UpdateEngine, Variant, MARK_A, MARK_B,
+    REPAIR_PRIMARY, REPAIR_SECONDARY,
 };
 use crate::label::Rank;
+use crate::query::HubProbe;
 use dspc_graph::{GraphError, VertexId};
 
 /// The affected-vertex sets computed by `SrrSEARCH` — Table 5 reports their
@@ -51,89 +53,10 @@ pub struct SrrOutcome {
     pub r_b: Vec<VertexId>,
 }
 
-/// What the deletion pipeline needs of one index variant. Label families
-/// are named by the [`RepairAgenda`] flags: [`REPAIR_PRIMARY`] is `L` (or
-/// `L_in` for arcs) and [`REPAIR_SECONDARY`] is `L_out`; single-family
-/// variants ignore the flag.
-pub trait DecVariant {
-    /// The graph.
-    type Graph: Sync;
-    /// The index.
-    type Index: Sync;
-    /// The pinned-hub probe a view queries through.
-    type Probe: Send + std::fmt::Debug;
-    /// The distance domain.
-    type Dist: EngineDist + Send + Sync;
-    /// A label-row entry.
-    type Entry: HubBearing;
-    /// A view over a shared index borrow (classification).
-    type Read<'a>: ReadTopology<Dist = Self::Dist>
-    where
-        Self: 'a;
-    /// A view over a mutable index borrow (repair).
-    type Write<'a>: LabelTopology<Dist = Self::Dist>
-    where
-        Self: 'a;
-
-    /// Arcs with `L_in` / `L_out` rather than edges with one `L`.
-    const DIRECTED: bool;
-
-    /// A probe for graphs up to `capacity` ids.
-    fn probe(capacity: usize) -> Self::Probe;
-
-    /// The graph's id-space size.
-    fn capacity(g: &Self::Graph) -> usize;
-
-    /// Rank of `v`.
-    fn rank(index: &Self::Index, v: VertexId) -> Rank;
-
-    /// Vertex at rank `r`.
-    fn vertex(index: &Self::Index, r: Rank) -> VertexId;
-
-    /// Length of edge `(a, b)`, or `None` when it is absent.
-    fn edge_len(g: &Self::Graph, a: VertexId, b: VertexId) -> Option<Self::Dist>;
-
-    /// The key under which two deletions name the same edge.
-    fn edge_key(a: VertexId, b: VertexId) -> (u32, u32);
-
-    /// Removes edge `(a, b)` from the graph.
-    fn delete(g: &mut Self::Graph, a: VertexId, b: VertexId) -> dspc_graph::Result<()>;
-
-    /// The read view of `family`.
-    fn read<'a>(
-        g: &'a Self::Graph,
-        index: &'a Self::Index,
-        probe: &'a mut Self::Probe,
-        family: u8,
-    ) -> Self::Read<'a>;
-
-    /// The repair view of `family`.
-    fn write<'a>(
-        g: &'a Self::Graph,
-        index: &'a mut Self::Index,
-        probe: &'a mut Self::Probe,
-        family: u8,
-    ) -> Self::Write<'a>;
-
-    /// `v`'s rank-sorted label row of `family`.
-    fn row(index: &Self::Index, v: VertexId, family: u8) -> &[Self::Entry];
-}
-
-/// The label families of a variant's `SR_a` and `SR_b` hubs: for an arc
-/// `a → b`, hubs upstream of the tail repair `L_in` and hubs downstream of
-/// the head repair `L_out`; otherwise both repair `L`.
-fn side_families<V: DecVariant>() -> [u8; 2] {
-    if V::DIRECTED {
-        [REPAIR_PRIMARY, REPAIR_SECONDARY]
-    } else {
-        [REPAIR_PRIMARY; 2]
-    }
-}
-
 /// The family whose view classifies the endpoint side whose hubs repair
 /// `family`: the sweep from an arc's tail walks in-arcs (the `L_out`
 /// view), the sweep from its head out-arcs (the `L_in` view).
-fn classify_view<V: DecVariant>(family: u8) -> u8 {
+fn classify_view<V: Variant>(family: u8) -> u8 {
     if V::DIRECTED && family == REPAIR_PRIMARY {
         REPAIR_SECONDARY
     } else {
@@ -143,7 +66,7 @@ fn classify_view<V: DecVariant>(family: u8) -> u8 {
 
 /// One holder list per label family, each over the `hubs` flagged for that
 /// family.
-fn family_holders<V: DecVariant>(
+fn family_holders<V: Variant>(
     index: &V::Index,
     hubs: &[(Rank, u8)],
     receivers: &[VertexId],
@@ -169,19 +92,19 @@ fn slot(family: u8) -> usize {
 /// The scratch of the deletion pipeline for one variant: the engine arena,
 /// the repair probe, and the batch agenda.
 #[derive(Debug)]
-pub struct DecPipeline<V: DecVariant> {
+pub struct DecPipeline<V: Variant> {
     engine: UpdateEngine<V::Dist>,
-    probe: V::Probe,
+    probe: HubProbe<V::Entry>,
     agenda: RepairAgenda,
     agg: FarAggregator,
 }
 
-impl<V: DecVariant> DecPipeline<V> {
+impl<V: Variant> DecPipeline<V> {
     /// A pipeline for graphs up to `capacity` ids.
     pub fn new(capacity: usize) -> Self {
         DecPipeline {
             engine: UpdateEngine::new(capacity),
-            probe: V::probe(capacity),
+            probe: HubProbe::new(capacity),
             agenda: RepairAgenda::new(capacity),
             agg: FarAggregator::new(capacity),
         }
@@ -264,12 +187,12 @@ impl<V: DecVariant> DecPipeline<V> {
         let mut sr: Vec<(Rank, bool)> = srr
             .sr_a
             .iter()
-            .map(|&v| (V::rank(index, v), true))
-            .chain(srr.sr_b.iter().map(|&v| (V::rank(index, v), false)))
+            .map(|&v| (V::ranks(index).rank(v), true))
+            .chain(srr.sr_b.iter().map(|&v| (V::ranks(index).rank(v), false)))
             .collect();
         if promote_receivers {
-            sr.extend(srr.r_a.iter().map(|&v| (V::rank(index, v), true)));
-            sr.extend(srr.r_b.iter().map(|&v| (V::rank(index, v), false)));
+            sr.extend(srr.r_a.iter().map(|&v| (V::ranks(index).rank(v), true)));
+            sr.extend(srr.r_b.iter().map(|&v| (V::ranks(index).rank(v), false)));
         }
         sr.sort_unstable_by_key(|&(r, _)| r);
         let family = |from_a: bool| if from_a { fam_a } else { fam_b };
@@ -277,7 +200,7 @@ impl<V: DecVariant> DecPipeline<V> {
         let holders = family_holders::<V>(index, &flagged, self.engine.marked(), &mut stats);
 
         for &(h_rank, from_a) in &sr {
-            let h = V::vertex(index, h_rank);
+            let h = V::ranks(index).vertex(h_rank);
             stats.hubs_processed += 1;
             let opposite = if from_a { MARK_B } else { MARK_A };
             let family = family(from_a);
@@ -348,7 +271,7 @@ impl<V: DecVariant> DecPipeline<V> {
         stats.agenda_hubs += hubs.len();
         let holders = family_holders::<V>(index, &hubs, self.agenda.receivers(), &mut stats);
         for (h_rank, families) in hubs {
-            let h = V::vertex(index, h_rank);
+            let h = V::ranks(index).vertex(h_rank);
             for family in [REPAIR_PRIMARY, REPAIR_SECONDARY] {
                 if families & family == 0 {
                     continue;
@@ -407,10 +330,10 @@ impl<V: DecVariant> DecPipeline<V> {
             let outcomes = crate::parallel::fan_out(
                 &tasks,
                 threads,
-                || (UpdateEngine::<V::Dist>::new(cap), Vec::<V::Probe>::new()),
+                || (UpdateEngine::<V::Dist>::new(cap), Vec::new()),
                 |(engine, probes), task| {
                     while probes.len() < task.fars.len() {
-                        probes.push(V::probe(cap));
+                        probes.push(HubProbe::new(cap));
                     }
                     let mut views: Vec<V::Read<'_>> = probes[..task.fars.len()]
                         .iter_mut()
@@ -427,7 +350,7 @@ impl<V: DecVariant> DecPipeline<V> {
                 columns.extend(cols);
             }
             aggregate_far_columns(&mut self.agg, &columns, &mut self.agenda, family, |v| {
-                V::rank(index, v)
+                V::ranks(index).rank(v)
             });
         }
     }

@@ -20,8 +20,8 @@
 //! before the repair started, plus the ones `h`'s own sweep just wrote —
 //! and those are marked updated, which the removal skips anyway.
 
-use super::{HubBearing, MaintenanceCounters};
-use crate::label::Rank;
+use super::MaintenanceCounters;
+use crate::label::{HubEntry, Rank};
 use dspc_graph::VertexId;
 
 /// Hub → holder lists of one label family for one repair, in one flat
@@ -44,7 +44,7 @@ impl HubHolders {
     /// returns `v`'s rank-sorted row of the family. Rows are scanned twice
     /// (count, then fill), each scan stopping past the lowest-ranked agenda
     /// hub; every scanned entry counts as one `removal_probes` step.
-    pub fn build<'a, E: HubBearing + 'a>(
+    pub fn build<'a, E: HubEntry>(
         hubs: impl IntoIterator<Item = Rank>,
         receivers: &[VertexId],
         mut row: impl FnMut(VertexId) -> &'a [E],
@@ -72,7 +72,7 @@ impl HubHolders {
             }
             for &v in receivers {
                 for e in row(v) {
-                    let Some(&s) = slot.get(e.hub_rank().index()) else {
+                    let Some(&s) = slot.get(e.hub().index()) else {
                         break; // rows are rank-sorted: no agenda hub follows
                     };
                     stats.removal_probes += 1;

@@ -1,14 +1,15 @@
-//! The shared update engine behind IncSPC and DecSPC — one implementation
-//! of the paper's hub-ordered renew/insert/remove machinery, reused by the
-//! undirected core and both extensions.
+//! The shared update engine behind HP-SPC construction, IncSPC and DecSPC —
+//! one implementation of the paper's hub-ordered push/renew/insert/remove
+//! machinery, reused by the undirected core and both extensions.
 //!
-//! Before this module existed, `inc`/`dec` (undirected), `directed::update`
-//! and `weighted::update` were three hand-copied variants of the same three
-//! traversals:
+//! Each traversal is written once here, for every variant:
 //!
 //! * **`inc_pass`** — Algorithm 3's `IncUPDATE`: a pruned counting sweep
 //!   seeded across the new edge, renewing or inserting `(h, ·, ·)` labels
 //!   wherever the index does not already certify a strictly shorter path.
+//!   Seeded at the hub itself with `(0, 1)` over rows that hold no
+//!   `(h, ·, ·)` entry, it is HP-SPC's hub-pushing sweep (§2.2):
+//!   construction and adjacent-rank re-rank run on it.
 //! * **`srr_pass`** — Algorithm 5's `SrrSEARCH` (one side): a full counting
 //!   sweep on the pre-mutation graph classifying every vertex with a
 //!   shortest path through the edge into `SR` (hub must re-sweep) or `R`
@@ -53,16 +54,17 @@
 //! `h`'s holders. The `removal_probes` counter measures that work: row
 //! entries scanned by the inversion plus holders walked.
 //!
-//! ## One deletion pipeline
+//! ## Two pipelines, written once
 //!
-//! [`DecPipeline`] drives these passes for every variant: single-edge
-//! deletion (Algorithm 4) and batch deletion (classify the whole set, delete
-//! it, repair one global agenda). A [`DecVariant`] supplies what differs —
-//! graph, index and probe types, the edge length, and one view per label
-//! family — so the undirected, directed and weighted drivers keep only their
-//! own extras.
+//! [`PushPipeline`] drives the passes that only add labels, for every
+//! variant: edge insertion (Algorithm 2), construction, and adjacent-rank
+//! re-rank. [`DecPipeline`] drives deletion: single-edge (Algorithm 4) and
+//! batch (classify the whole set, delete it, repair one global agenda). A
+//! [`Variant`] supplies what differs — graph, index and entry types, the
+//! edge length, the ordering degree, and one view per label family — so the
+//! undirected, directed and weighted drivers keep only their own extras.
 
-use crate::label::{Count, Rank};
+use crate::label::{Count, HubEntry, Rank};
 use dspc_graph::VertexId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -70,13 +72,17 @@ use std::collections::BinaryHeap;
 mod batch;
 mod delete;
 mod holders;
+mod push;
 mod topology;
 
 pub(crate) use batch::{check_endpoints, ordered_key};
 pub use batch::{EdgeCoalescer, NetEdgeEffect, NetOp, NetPlan};
-pub use delete::{DecPipeline, DecVariant, SrrOutcome};
+pub use delete::{DecPipeline, SrrOutcome};
 pub use holders::HubHolders;
-pub use topology::{Directed, DirectedTopo, Undirected, UndirectedTopo, Weighted, WeightedTopo};
+pub use push::PushPipeline;
+pub use topology::{
+    Directed, DirectedTopo, Undirected, UndirectedTopo, Variant, Weighted, WeightedTopo,
+};
 
 /// Distance domain of one index variant.
 pub trait EngineDist: Copy + Ord + std::fmt::Debug {
@@ -250,56 +256,34 @@ impl MaintenanceCounters {
     }
 }
 
-/// An entry that knows its hub rank — lets [`merge_affected`] run over both
-/// unweighted [`crate::label::LabelEntry`] and weighted
-/// [`crate::weighted::WLabelEntry`] slices.
-pub trait HubBearing {
-    /// Hub rank of the entry.
-    fn hub_rank(&self) -> Rank;
-}
-
-impl HubBearing for crate::label::LabelEntry {
-    #[inline]
-    fn hub_rank(&self) -> Rank {
-        self.hub
-    }
-}
-
-impl HubBearing for crate::weighted::WLabelEntry {
-    #[inline]
-    fn hub_rank(&self) -> Rank {
-        self.hub
-    }
-}
-
 /// Merges two rank-sorted label slices into the affected-hub list
 /// `AFF = hubs(L(a)) ∪ hubs(L(b))` with per-side membership flags,
 /// in descending rank order (ascending rank position) — the snapshot every
 /// incremental update starts from (Algorithm 2 line 2).
-pub fn merge_affected<E: HubBearing>(la: &[E], lb: &[E]) -> Vec<(Rank, bool, bool)> {
+pub fn merge_affected<E: HubEntry>(la: &[E], lb: &[E]) -> Vec<(Rank, bool, bool)> {
     let mut aff = Vec::with_capacity(la.len() + lb.len());
     let (mut i, mut j) = (0usize, 0usize);
     while i < la.len() || j < lb.len() {
         match (la.get(i), lb.get(j)) {
-            (Some(x), Some(y)) if x.hub_rank() == y.hub_rank() => {
-                aff.push((x.hub_rank(), true, true));
+            (Some(x), Some(y)) if x.hub() == y.hub() => {
+                aff.push((x.hub(), true, true));
                 i += 1;
                 j += 1;
             }
-            (Some(x), Some(y)) if x.hub_rank() < y.hub_rank() => {
-                aff.push((x.hub_rank(), true, false));
+            (Some(x), Some(y)) if x.hub() < y.hub() => {
+                aff.push((x.hub(), true, false));
                 i += 1;
             }
             (Some(_), Some(y)) => {
-                aff.push((y.hub_rank(), false, true));
+                aff.push((y.hub(), false, true));
                 j += 1;
             }
             (Some(x), None) => {
-                aff.push((x.hub_rank(), true, false));
+                aff.push((x.hub(), true, false));
                 i += 1;
             }
             (None, Some(y)) => {
-                aff.push((y.hub_rank(), false, true));
+                aff.push((y.hub(), false, true));
                 j += 1;
             }
             (None, None) => unreachable!(),
@@ -751,6 +735,11 @@ impl<D: EngineDist> UpdateEngine<D> {
     /// not certify a strictly shorter path (the relaxed prune of Lemma 3.4
     /// that keeps count-only changes reachable), expanding under rank
     /// pruning (`rank(w) ≥ rank(h)` stays inside `G_h`).
+    ///
+    /// Seeded at `h` with `(0, 1)` over rows that hold no `(h, ·, ·)`
+    /// entry, every emission is an insertion and the sweep is HP-SPC's
+    /// hub push (§2.2, the counting form of pruned landmark labeling's
+    /// pruned BFS; [`crate::build`] explains why its prune is strict too).
     pub fn inc_pass<T: LabelTopology<Dist = D>>(
         &mut self,
         topo: &mut T,
@@ -775,21 +764,14 @@ impl<D: EngineDist> UpdateEngine<D> {
                 continue;
             }
             let cv = self.count[v as usize];
-            match topo.label_get(VertexId(v), h_rank) {
-                Some((ed, ec)) if ed == dv => {
-                    // Same length: additional shortest paths, counts add.
-                    topo.label_upsert(VertexId(v), h_rank, dv, cv.saturating_add(ec));
-                    stats.renew_count += 1;
-                }
-                Some(_) => {
-                    topo.label_upsert(VertexId(v), h_rank, dv, cv);
-                    stats.renew_dist += 1;
-                }
-                None => {
-                    topo.label_upsert(VertexId(v), h_rank, dv, cv);
-                    stats.inserted += 1;
-                }
-            }
+            let (label_count, tally) = match topo.label_get(VertexId(v), h_rank) {
+                // Same length: additional shortest paths, counts add.
+                Some((ed, ec)) if ed == dv => (cv.saturating_add(ec), &mut stats.renew_count),
+                Some(_) => (cv, &mut stats.renew_dist),
+                None => (cv, &mut stats.inserted),
+            };
+            *tally += 1;
+            topo.label_upsert(VertexId(v), h_rank, dv, label_count);
             self.expand_ranked(topo, v, dv, cv, h_rank);
         }
     }

@@ -1,6 +1,7 @@
 //! Label-family views: how each index variant exposes its graph, label
-//! family, and pinned-hub probe to the generic engine, and the
-//! [`DecVariant`] glue the deletion pipeline builds them through.
+//! family, and pinned-hub probe to the generic engine, and the [`Variant`]
+//! glue the shared drivers ([`super::PushPipeline`],
+//! [`super::DecPipeline`]) build them through.
 //!
 //! A view borrows the graph immutably and the index through `I`. Over a
 //! shared borrow (`&Index`) it implements [`ReadTopology`] only — what a
@@ -15,15 +16,111 @@
 //! walks in-arcs and pins `L_in` — which makes the same view type serve the
 //! forward and backward halves of every directed update.
 
-use super::{DecVariant, LabelTopology, ReadTopology, REPAIR_PRIMARY};
+use super::{EngineDist, LabelTopology, ReadTopology, REPAIR_PRIMARY, REPAIR_SECONDARY};
 use crate::directed::{DirectedSpcIndex, Side};
 use crate::index::SpcIndex;
-use crate::label::{Count, LabelEntry, Rank};
+use crate::label::{Count, HubEntry, LabelEntry, Rank};
+use crate::order::RankMap;
 use crate::query::HubProbe;
-use crate::weighted::{WHubProbe, WLabelEntry, WeightedSpcIndex};
+use crate::weighted::{WLabelEntry, WLabelSet, WeightedSpcIndex};
 use dspc_graph::weighted::{WDist, WeightedGraph};
 use dspc_graph::{DirectedGraph, UndirectedGraph, VertexId};
 use std::ops::{Deref, DerefMut};
+
+/// What the shared drivers need of one index variant. Label families are
+/// named by the [`super::RepairAgenda`] flags: [`REPAIR_PRIMARY`] is `L`
+/// (or `L_in` for arcs) and [`REPAIR_SECONDARY`] is `L_out`; single-family
+/// variants ignore the flag.
+pub trait Variant {
+    /// The graph.
+    type Graph: Sync;
+    /// The index.
+    type Index: Sync;
+    /// The distance domain.
+    type Dist: EngineDist + Send + Sync;
+    /// A label-row entry.
+    type Entry: HubEntry<Dist = Self::Dist>;
+    /// A view over a shared index borrow (classification).
+    type Read<'a>: ReadTopology<Dist = Self::Dist>
+    where
+        Self: 'a;
+    /// A view over a mutable index borrow (repair).
+    type Write<'a>: LabelTopology<Dist = Self::Dist>
+    where
+        Self: 'a;
+
+    /// Arcs with `L_in` / `L_out` rather than edges with one `L`.
+    const DIRECTED: bool;
+
+    /// The graph's id-space size.
+    fn capacity(g: &Self::Graph) -> usize;
+
+    /// Whether `v` is a live vertex of `g`.
+    fn contains(g: &Self::Graph, v: VertexId) -> bool;
+
+    /// The degree [`crate::order::OrderingStrategy::Degree`] ranks `v` by
+    /// (in + out for arcs).
+    fn degree(g: &Self::Graph, v: VertexId) -> usize;
+
+    /// Length of edge `(a, b)`, or `None` when it is absent.
+    fn edge_len(g: &Self::Graph, a: VertexId, b: VertexId) -> Option<Self::Dist>;
+
+    /// The key under which two deletions name the same edge.
+    fn edge_key(a: VertexId, b: VertexId) -> (u32, u32);
+
+    /// Removes edge `(a, b)` from the graph.
+    fn delete(g: &mut Self::Graph, a: VertexId, b: VertexId) -> dspc_graph::Result<()>;
+
+    /// The index's vertex order.
+    fn ranks(index: &Self::Index) -> &RankMap;
+
+    /// Swaps the vertices at ranks `r` and `r + 1` without touching any
+    /// label row.
+    fn swap_adjacent_ranks(index: &mut Self::Index, r: Rank);
+
+    /// An index over `ranks` whose every row is empty: where construction
+    /// starts.
+    fn empty_index(ranks: RankMap) -> Self::Index;
+
+    /// The read view of `family`.
+    fn read<'a>(
+        g: &'a Self::Graph,
+        index: &'a Self::Index,
+        probe: &'a mut HubProbe<Self::Entry>,
+        family: u8,
+    ) -> Self::Read<'a>;
+
+    /// The repair view of `family`.
+    fn write<'a>(
+        g: &'a Self::Graph,
+        index: &'a mut Self::Index,
+        probe: &'a mut HubProbe<Self::Entry>,
+        family: u8,
+    ) -> Self::Write<'a>;
+
+    /// `v`'s rank-sorted label row of `family`.
+    fn row(index: &Self::Index, v: VertexId, family: u8) -> &[Self::Entry];
+}
+
+/// The label families a variant's hubs write: `L`, or `L_in` then `L_out`.
+pub(super) fn families<V: Variant>() -> &'static [u8] {
+    if V::DIRECTED {
+        &[REPAIR_PRIMARY, REPAIR_SECONDARY]
+    } else {
+        &[REPAIR_PRIMARY]
+    }
+}
+
+/// The label families of the hubs on an edge's `a` and `b` sides: for an
+/// arc `a → b`, hubs upstream of the tail repair `L_in` and hubs downstream
+/// of the head repair `L_out`; otherwise both repair `L`.
+pub(super) fn side_families<V: Variant>() -> [u8; 2] {
+    if V::DIRECTED {
+        [REPAIR_PRIMARY, REPAIR_SECONDARY]
+    } else {
+        [REPAIR_PRIMARY; 2]
+    }
+}
 
 /// The paper's primary setting: undirected unit-length edges, one label
 /// set per vertex, hub-entry counts maintained through the index.
@@ -56,14 +153,12 @@ impl<I: Deref<Target = SpcIndex>> ReadTopology for UndirectedTopo<'_, I> {
 
     #[inline]
     fn probe_query(&self, v: VertexId) -> (u32, Count) {
-        let q = self.probe.query(self.index.label_set(v));
-        (q.dist, q.count)
+        self.probe.query(self.index.label_set(v))
     }
 
     #[inline]
     fn probe_pre_query(&self, v: VertexId, limit: Rank) -> (u32, Count) {
-        let q = self.probe.pre_query(self.index.label_set(v), limit);
-        (q.dist, q.count)
+        self.probe.pre_query(self.index.label_set(v), limit)
     }
 
     #[inline]
@@ -143,16 +238,13 @@ impl<I: Deref<Target = DirectedSpcIndex>> ReadTopology for DirectedTopo<'_, I> {
 
     #[inline]
     fn probe_query(&self, v: VertexId) -> (u32, Count) {
-        let q = self.probe.query(self.index.label(self.repair, v));
-        (q.dist, q.count)
+        self.probe.query(self.index.label(self.repair, v))
     }
 
     #[inline]
     fn probe_pre_query(&self, v: VertexId, limit: Rank) -> (u32, Count) {
-        let q = self
-            .probe
-            .pre_query(self.index.label(self.repair, v), limit);
-        (q.dist, q.count)
+        self.probe
+            .pre_query(self.index.label(self.repair, v), limit)
     }
 
     #[inline]
@@ -200,12 +292,12 @@ impl<I: DerefMut<Target = DirectedSpcIndex>> LabelTopology for DirectedTopo<'_, 
 pub struct WeightedTopo<'a, I> {
     g: &'a WeightedGraph,
     index: I,
-    probe: &'a mut WHubProbe,
+    probe: &'a mut HubProbe<WLabelEntry>,
 }
 
 impl<'a, I: Deref<Target = WeightedSpcIndex>> WeightedTopo<'a, I> {
     /// Borrows graph, index, and probe for one sweep.
-    pub fn new(g: &'a WeightedGraph, index: I, probe: &'a mut WHubProbe) -> Self {
+    pub fn new(g: &'a WeightedGraph, index: I, probe: &'a mut HubProbe<WLabelEntry>) -> Self {
         WeightedTopo { g, index, probe }
     }
 }
@@ -221,21 +313,18 @@ impl<I: Deref<Target = WeightedSpcIndex>> ReadTopology for WeightedTopo<'_, I> {
     }
 
     fn load_probe(&mut self, x: VertexId) {
-        self.probe.load(&self.index, x);
+        self.probe
+            .load_labels(self.index.label_set(x), self.index.ranks().len());
     }
 
     #[inline]
     fn probe_query(&self, v: VertexId) -> (WDist, Count) {
-        let q = self.probe.query_limited(self.index.label_set(v), None);
-        (q.dist, q.count)
+        self.probe.query(self.index.label_set(v))
     }
 
     #[inline]
     fn probe_pre_query(&self, v: VertexId, limit: Rank) -> (WDist, Count) {
-        let q = self
-            .probe
-            .query_limited(self.index.label_set(v), Some(limit));
-        (q.dist, q.count)
+        self.probe.pre_query(self.index.label_set(v), limit)
     }
 
     #[inline]
@@ -277,10 +366,9 @@ impl<I: DerefMut<Target = WeightedSpcIndex>> LabelTopology for WeightedTopo<'_, 
 #[derive(Debug)]
 pub enum Undirected {}
 
-impl DecVariant for Undirected {
+impl Variant for Undirected {
     type Graph = UndirectedGraph;
     type Index = SpcIndex;
-    type Probe = HubProbe;
     type Dist = u32;
     type Entry = LabelEntry;
     type Read<'a> = UndirectedTopo<'a, &'a SpcIndex>;
@@ -288,20 +376,16 @@ impl DecVariant for Undirected {
 
     const DIRECTED: bool = false;
 
-    fn probe(capacity: usize) -> HubProbe {
-        HubProbe::new(capacity)
-    }
-
     fn capacity(g: &UndirectedGraph) -> usize {
         g.capacity()
     }
 
-    fn rank(index: &SpcIndex, v: VertexId) -> Rank {
-        index.rank(v)
+    fn contains(g: &UndirectedGraph, v: VertexId) -> bool {
+        g.contains_vertex(v)
     }
 
-    fn vertex(index: &SpcIndex, r: Rank) -> VertexId {
-        index.vertex(r)
+    fn degree(g: &UndirectedGraph, v: VertexId) -> usize {
+        g.degree(v)
     }
 
     fn edge_len(g: &UndirectedGraph, a: VertexId, b: VertexId) -> Option<u32> {
@@ -314,6 +398,18 @@ impl DecVariant for Undirected {
 
     fn delete(g: &mut UndirectedGraph, a: VertexId, b: VertexId) -> dspc_graph::Result<()> {
         g.delete_edge(a, b)
+    }
+
+    fn ranks(index: &SpcIndex) -> &RankMap {
+        index.ranks()
+    }
+
+    fn swap_adjacent_ranks(index: &mut SpcIndex, r: Rank) {
+        index.swap_adjacent_ranks(r);
+    }
+
+    fn empty_index(ranks: RankMap) -> SpcIndex {
+        SpcIndex::with_empty_rows(ranks)
     }
 
     fn read<'a>(
@@ -354,10 +450,9 @@ fn side(family: u8) -> Side {
 #[derive(Debug)]
 pub enum Directed {}
 
-impl DecVariant for Directed {
+impl Variant for Directed {
     type Graph = DirectedGraph;
     type Index = DirectedSpcIndex;
-    type Probe = HubProbe;
     type Dist = u32;
     type Entry = LabelEntry;
     type Read<'a> = DirectedTopo<'a, &'a DirectedSpcIndex>;
@@ -365,20 +460,16 @@ impl DecVariant for Directed {
 
     const DIRECTED: bool = true;
 
-    fn probe(capacity: usize) -> HubProbe {
-        HubProbe::new(capacity)
-    }
-
     fn capacity(g: &DirectedGraph) -> usize {
         g.capacity()
     }
 
-    fn rank(index: &DirectedSpcIndex, v: VertexId) -> Rank {
-        index.rank(v)
+    fn contains(g: &DirectedGraph, v: VertexId) -> bool {
+        g.contains_vertex(v)
     }
 
-    fn vertex(index: &DirectedSpcIndex, r: Rank) -> VertexId {
-        index.vertex(r)
+    fn degree(g: &DirectedGraph, v: VertexId) -> usize {
+        g.out_degree(v) + g.in_degree(v)
     }
 
     fn edge_len(g: &DirectedGraph, a: VertexId, b: VertexId) -> Option<u32> {
@@ -391,6 +482,18 @@ impl DecVariant for Directed {
 
     fn delete(g: &mut DirectedGraph, a: VertexId, b: VertexId) -> dspc_graph::Result<()> {
         g.delete_arc(a, b)
+    }
+
+    fn ranks(index: &DirectedSpcIndex) -> &RankMap {
+        index.ranks()
+    }
+
+    fn swap_adjacent_ranks(index: &mut DirectedSpcIndex, r: Rank) {
+        index.swap_adjacent_ranks(r);
+    }
+
+    fn empty_index(ranks: RankMap) -> DirectedSpcIndex {
+        DirectedSpcIndex::with_empty_rows(ranks)
     }
 
     fn read<'a>(
@@ -421,10 +524,9 @@ impl DecVariant for Directed {
 #[derive(Debug)]
 pub enum Weighted {}
 
-impl DecVariant for Weighted {
+impl Variant for Weighted {
     type Graph = WeightedGraph;
     type Index = WeightedSpcIndex;
-    type Probe = WHubProbe;
     type Dist = WDist;
     type Entry = WLabelEntry;
     type Read<'a> = WeightedTopo<'a, &'a WeightedSpcIndex>;
@@ -432,20 +534,16 @@ impl DecVariant for Weighted {
 
     const DIRECTED: bool = false;
 
-    fn probe(capacity: usize) -> WHubProbe {
-        WHubProbe::new(capacity)
-    }
-
     fn capacity(g: &WeightedGraph) -> usize {
         g.capacity()
     }
 
-    fn rank(index: &WeightedSpcIndex, v: VertexId) -> Rank {
-        index.rank(v)
+    fn contains(g: &WeightedGraph, v: VertexId) -> bool {
+        g.contains_vertex(v)
     }
 
-    fn vertex(index: &WeightedSpcIndex, r: Rank) -> VertexId {
-        index.vertex(r)
+    fn degree(g: &WeightedGraph, v: VertexId) -> usize {
+        g.degree(v)
     }
 
     fn edge_len(g: &WeightedGraph, a: VertexId, b: VertexId) -> Option<WDist> {
@@ -460,10 +558,23 @@ impl DecVariant for Weighted {
         g.delete_edge(a, b).map(drop)
     }
 
+    fn ranks(index: &WeightedSpcIndex) -> &RankMap {
+        index.ranks()
+    }
+
+    fn swap_adjacent_ranks(index: &mut WeightedSpcIndex, r: Rank) {
+        index.swap_adjacent_ranks(r);
+    }
+
+    fn empty_index(ranks: RankMap) -> WeightedSpcIndex {
+        let n = ranks.len();
+        WeightedSpcIndex::new(vec![WLabelSet::default(); n], ranks)
+    }
+
     fn read<'a>(
         g: &'a WeightedGraph,
         index: &'a WeightedSpcIndex,
-        probe: &'a mut WHubProbe,
+        probe: &'a mut HubProbe<WLabelEntry>,
         _family: u8,
     ) -> Self::Read<'a> {
         WeightedTopo::new(g, index, probe)
@@ -472,7 +583,7 @@ impl DecVariant for Weighted {
     fn write<'a>(
         g: &'a WeightedGraph,
         index: &'a mut WeightedSpcIndex,
-        probe: &'a mut WHubProbe,
+        probe: &'a mut HubProbe<WLabelEntry>,
         _family: u8,
     ) -> Self::Write<'a> {
         WeightedTopo::new(g, index, probe)

@@ -33,7 +33,7 @@
 //! weighted equivalents) cache a snapshot per epoch and invalidate it on
 //! any mutation, so a facade-obtained snapshot is always exact.
 
-use crate::directed::{DirectedRankMap, DirectedSpcIndex, Side};
+use crate::directed::{DirectedSpcIndex, Side};
 use crate::index::SpcIndex;
 use crate::label::{Count, LabelEntry, Rank, SharedRows};
 use crate::order::RankMap;
@@ -359,7 +359,7 @@ impl FlatIndex {
 pub struct DirectedFlatIndex {
     out_rows: SharedRows<LabelEntry>,
     in_rows: SharedRows<LabelEntry>,
-    ranks: DirectedRankMap,
+    ranks: RankMap,
 }
 
 impl DirectedFlatIndex {

@@ -20,143 +20,26 @@
 //! distance is now an overestimate loses every query to some fresher hub,
 //! so correctness survives and update time drops.
 
-use crate::engine::{merge_affected, MaintenanceCounters, UndirectedTopo, UpdateEngine};
-use crate::index::SpcIndex;
-use crate::query::HubProbe;
-use dspc_graph::{UndirectedGraph, VertexId};
+use crate::engine::{PushPipeline, Undirected};
 
-/// Per-update label-operation counters (Figure 8's RenewC / RenewD /
-/// Insert series).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IncStats {
-    /// Labels whose count changed but distance did not (RenewC).
-    pub renew_count: usize,
-    /// Labels whose distance changed (RenewD).
-    pub renew_dist: usize,
-    /// Newly inserted labels (Insert).
-    pub inserted: usize,
-    /// Affected hubs processed (|AFF|, counting both-side hubs once).
-    pub hubs_processed: usize,
-    /// Total vertices dequeued across all pruned BFSs.
-    pub vertices_visited: usize,
-}
-
-impl IncStats {
-    /// Total label operations.
-    pub fn total_ops(&self) -> usize {
-        self.renew_count + self.renew_dist + self.inserted
-    }
-
-    /// Merges counters (for streams).
-    pub fn absorb(&mut self, other: &IncStats) {
-        self.renew_count += other.renew_count;
-        self.renew_dist += other.renew_dist;
-        self.inserted += other.inserted;
-        self.hubs_processed += other.hubs_processed;
-        self.vertices_visited += other.vertices_visited;
-    }
-}
-
-impl From<MaintenanceCounters> for IncStats {
-    fn from(c: MaintenanceCounters) -> Self {
-        IncStats {
-            renew_count: c.renew_count,
-            renew_dist: c.renew_dist,
-            inserted: c.inserted,
-            hubs_processed: c.hubs_processed,
-            vertices_visited: c.vertices_visited,
-        }
-    }
-}
-
-impl From<IncStats> for MaintenanceCounters {
-    fn from(s: IncStats) -> Self {
-        MaintenanceCounters {
-            renew_count: s.renew_count,
-            renew_dist: s.renew_dist,
-            inserted: s.inserted,
-            hubs_processed: s.hubs_processed,
-            vertices_visited: s.vertices_visited,
-            ..MaintenanceCounters::default()
-        }
-    }
-}
-
-/// Reusable IncSPC driver (Algorithm 2): the undirected insertion policy
-/// over the shared [`UpdateEngine`].
-#[derive(Debug)]
-pub struct IncSpc {
-    engine: UpdateEngine<u32>,
-    probe: HubProbe,
-}
-
-impl IncSpc {
-    /// Creates an engine for graphs up to `capacity` ids.
-    pub fn new(capacity: usize) -> Self {
-        IncSpc {
-            engine: UpdateEngine::new(capacity),
-            probe: HubProbe::new(capacity),
-        }
-    }
-
-    /// Updates `index` for the insertion of `(a, b)`.
-    ///
-    /// `g` must already contain the new edge (Algorithm 2 line 1 performs
-    /// `G_{i+1} ← G_i ⊕ (a, b)` before any BFS; [`crate::DynamicSpc`]
-    /// sequences this for you).
-    pub fn insert_edge(
-        &mut self,
-        g: &UndirectedGraph,
-        index: &mut SpcIndex,
-        a: VertexId,
-        b: VertexId,
-    ) -> IncStats {
-        debug_assert!(g.has_edge(a, b), "IncSPC runs after the graph mutation");
-        self.engine.ensure_capacity(g.capacity());
-        let mut stats = MaintenanceCounters::default();
-
-        // AFF = {h | h ∈ L_i(a) ∪ L_i(b)}, membership snapshotted *before*
-        // any label mutation, processed in descending rank order (ascending
-        // rank position). Flags record which side(s) contributed the hub.
-        let aff = merge_affected(index.label_set(a).entries(), index.label_set(b).entries());
-
-        let rank_a = index.rank(a);
-        let rank_b = index.rank(b);
-        for (h_rank, in_a, in_b) in aff {
-            let h = index.vertex(h_rank);
-            stats.hubs_processed += 1;
-            // IncUPDATE(h, v_a, v_b): sweep from v_b as if stepping over
-            // the new edge, seeded from the *live* label (h, d, c) ∈
-            // L(v_a) — a same-hub pass in the opposite direction may
-            // already have refreshed it.
-            if in_a && h_rank <= rank_b {
-                if let Some(seed) = index.label_of(a, h).copied() {
-                    let mut topo = UndirectedTopo::new(g, &mut *index, &mut self.probe);
-                    self.engine
-                        .inc_pass(&mut topo, h, b, seed.dist + 1, seed.count, &mut stats);
-                }
-            }
-            if in_b && h_rank <= rank_a {
-                if let Some(seed) = index.label_of(b, h).copied() {
-                    let mut topo = UndirectedTopo::new(g, &mut *index, &mut self.probe);
-                    self.engine
-                        .inc_pass(&mut topo, h, a, seed.dist + 1, seed.count, &mut stats);
-                }
-            }
-        }
-        IncStats::from(stats)
-    }
-}
+/// Reusable IncSPC driver (Algorithm 2): the shared [`PushPipeline`] over
+/// the undirected variant. [`insert_edge`](PushPipeline::insert_edge)
+/// repairs the index after the graph gained the edge
+/// ([`crate::DynamicSpc`] sequences the two for you).
+pub type IncSpc = PushPipeline<Undirected>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::build_index;
+    use crate::engine::MaintenanceCounters;
+    use crate::index::SpcIndex;
     use crate::order::OrderingStrategy;
     use crate::query::spc_query;
     use crate::verify::verify_all_pairs;
     use dspc_graph::generators::paper::figure2_g;
     use dspc_graph::generators::random::{barabasi_albert, erdos_renyi_gnm};
+    use dspc_graph::{UndirectedGraph, VertexId};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -166,7 +49,7 @@ mod tests {
         engine: &mut IncSpc,
         a: u32,
         b: u32,
-    ) -> IncStats {
+    ) -> MaintenanceCounters {
         g.insert_edge(VertexId(a), VertexId(b)).unwrap();
         let stats = engine.insert_edge(g, index, VertexId(a), VertexId(b));
         verify_all_pairs(g, index).unwrap();

@@ -63,10 +63,8 @@ pub struct IndexStats {
 }
 
 impl SpcIndex {
-    /// Creates an index whose every vertex has only its self label.
-    ///
-    /// This is the correct index for an edgeless graph; [`crate::build`]
-    /// populates the rest.
+    /// Creates an index whose every vertex has only its self label: the
+    /// correct index for an edgeless graph.
     pub fn self_labeled(ranks: RankMap) -> Self {
         let labels: Vec<LabelSet> = (0..ranks.len())
             .map(|v| LabelSet::self_only(ranks.rank(VertexId(v as u32))))
@@ -76,6 +74,19 @@ impl SpcIndex {
             labels,
             ranks,
             hub_counts: vec![1; n],
+            hub_counts_valid: true,
+        }
+    }
+
+    /// An index over `ranks` whose every row is empty, with exact (zero)
+    /// hub-entry counts: where construction starts, since HP-SPC emits
+    /// every label, self labels included.
+    pub(crate) fn with_empty_rows(ranks: RankMap) -> Self {
+        let n = ranks.len();
+        SpcIndex {
+            labels: vec![LabelSet::default(); n],
+            ranks,
+            hub_counts: vec![0; n],
             hub_counts_valid: true,
         }
     }
@@ -98,9 +109,9 @@ impl SpcIndex {
         &self.labels[v.index()]
     }
 
-    /// Raw mutable `L(v)` — wholesale construction/replacement (the
-    /// builder, the codec, tests). Invalidates the hub-entry counts; the
-    /// update engine uses the tracked mutators below instead.
+    /// Raw mutable `L(v)` — wholesale replacement (the codec, thawing a
+    /// flat snapshot, tests). Invalidates the hub-entry counts; the engine
+    /// uses the tracked mutators below instead.
     #[inline]
     pub fn label_set_mut(&mut self, v: VertexId) -> &mut LabelSet {
         self.hub_counts_valid = false;
@@ -192,9 +203,9 @@ impl SpcIndex {
     /// label entries and hub-entry counts are keyed by *rank*, so neither
     /// moves — but every entry at the two ranks now attributes its paths
     /// to the wrong hub vertex, which is why the caller
-    /// ([`crate::reorder`]) purges both ranks' entries before the swap and
-    /// re-pushes both hubs after it. This method only performs the O(1)
-    /// order remap.
+    /// ([`crate::engine::PushPipeline::rerank`]) swaps, purges both ranks'
+    /// entries from every label family, then re-pushes both hubs. This
+    /// method only performs the O(1) order remap.
     pub fn swap_adjacent_ranks(&mut self, r: Rank) {
         self.ranks.swap_adjacent(r);
     }

@@ -305,10 +305,22 @@ impl<E: HubEntry> LabelRow<E> {
         }
     }
 
+    /// Where `hub` is (`Ok`) or would be inserted (`Err`). A hub ranked
+    /// below every entry skips the binary search: construction pushes hubs
+    /// in rank order, so each of its lookups and inserts lands there.
+    #[inline]
+    fn search(&self, hub: Rank) -> Result<usize, usize> {
+        let entries = self.entries();
+        match entries.last() {
+            Some(last) if last.hub() >= hub => entries.binary_search_by_key(&hub, |e| e.hub()),
+            _ => Err(entries.len()),
+        }
+    }
+
     /// Position of `hub`, if present.
     #[inline]
     pub fn position(&self, hub: Rank) -> Option<usize> {
-        self.entries().binary_search_by_key(&hub, |e| e.hub()).ok()
+        self.search(hub).ok()
     }
 
     /// Entry for `hub`, if present.
@@ -326,7 +338,7 @@ impl<E: HubEntry> LabelRow<E> {
     /// Inserts or replaces the entry for `e.hub()`. Returns the previous
     /// entry if one existed.
     pub fn upsert(&mut self, e: E) -> Option<E> {
-        match self.entries().binary_search_by_key(&e.hub(), |x| x.hub()) {
+        match self.search(e.hub()) {
             Ok(i) if self.entries()[i] == e => Some(e),
             Ok(i) => Some(std::mem::replace(&mut self.owned()[i], e)),
             Err(i) => {
@@ -343,8 +355,8 @@ impl<E: HubEntry> LabelRow<E> {
     }
 
     /// Appends an entry that must have a hub rank larger than every current
-    /// entry — the construction algorithm emits labels in descending hub
-    /// rank, so this is its `O(1)` fast path.
+    /// entry — the `O(1)` path for rows restored in sorted order (the
+    /// codec, thawing a flat snapshot).
     pub fn push_descending(&mut self, e: E) {
         debug_assert!(
             self.entries()
@@ -371,8 +383,8 @@ impl<E: HubEntry> LabelRow<E> {
         dropped
     }
 
-    /// Removes every entry (the construction algorithm re-emits all labels
-    /// from scratch, including self labels).
+    /// Removes every entry, self label included (a row about to be
+    /// restored from scratch).
     pub fn clear_all(&mut self) {
         match &mut self.row {
             Row::Owned(v) => v.clear(),

@@ -77,7 +77,7 @@ pub mod shard;
 pub mod verify;
 pub mod weighted;
 
-pub use build::{build_index, rebuild_index, HpSpcBuilder};
+pub use build::{build_index, rebuild_index};
 pub use dynamic::{DynamicSpc, GraphUpdate, UpdateStats};
 pub use engine::MaintenanceCounters;
 pub use flat::{DirectedFlatIndex, FlatIndex, FlatScratch, KernelCounters, WeightedFlatIndex};
@@ -86,7 +86,5 @@ pub use label::{Count, LabelEntry, LabelSet, Rank, INF_DIST};
 pub use order::{OrderingStrategy, RankMap};
 pub use parallel::{MaintenanceThreads, QueryEngine};
 pub use query::{pre_query, spc_query, QueryResult};
-pub use reorder::{
-    rerank_adjacent, rerank_adjacent_directed, rerank_adjacent_weighted, swap_and_repair,
-};
+pub use reorder::rerank_adjacent;
 pub use shard::{EpochSnapshot, ShardedFlatIndex};

@@ -76,11 +76,22 @@ impl RankMap {
     /// Deleted vertices still receive ranks (at the tail for `Degree`,
     /// since their degree is 0) — harmless, since nothing references them.
     pub fn build(g: &UndirectedGraph, strategy: OrderingStrategy) -> Self {
-        let n = g.capacity();
+        Self::from_degrees(g.capacity(), strategy, |v| g.degree(v))
+    }
+
+    /// Computes the order of an id space of `n` vertices under `strategy`,
+    /// with `degree` ranking [`OrderingStrategy::Degree`] — the structural
+    /// degree for undirected and weighted graphs, in + out degree for
+    /// directed ones.
+    pub fn from_degrees(
+        n: usize,
+        strategy: OrderingStrategy,
+        degree: impl Fn(VertexId) -> usize,
+    ) -> Self {
         let mut ids: Vec<u32> = (0..n as u32).collect();
         match strategy {
             OrderingStrategy::Degree => {
-                ids.sort_by_key(|&v| (std::cmp::Reverse(g.degree(VertexId(v))), v));
+                ids.sort_by_key(|&v| (std::cmp::Reverse(degree(VertexId(v))), v));
             }
             OrderingStrategy::Identity => {}
             OrderingStrategy::Random(seed) => {
@@ -94,15 +105,7 @@ impl RankMap {
                 ids.sort_by_key(|&v| (key(v), v));
             }
         }
-        let mut rank_of = vec![0u32; n];
-        for (r, &v) in ids.iter().enumerate() {
-            rank_of[v as usize] = r as u32;
-        }
-        RankMap {
-            rank_of,
-            vertex_at: ids,
-            strategy,
-        }
+        Self::from_rank_order(&ids, strategy)
     }
 
     /// Builds a map from an explicit rank order (`order[r]` = vertex id at

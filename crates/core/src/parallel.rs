@@ -8,12 +8,11 @@
 //! serving deployment of the paper's system would use between update
 //! epochs.
 //!
-//! The same scoped-thread fan-out backs the read-only parts of
+//! The same scoped-thread fan-out backs the one read-only part of
 //! *maintenance*, governed by the [`MaintenanceThreads`] knob on the
 //! dynamic facades: the classification sweeps of a deletion batch
-//! ([`crate::engine::DecPipeline::delete_batch`]) and the swap pairs of a
-//! batched re-rank ([`crate::reorder::rerank_adjacent`]). Repair sweeps stay
-//! sequential, for the reason §6 gives.
+//! ([`crate::engine::DecPipeline::delete_batch`]). Repair sweeps, builds
+//! and re-ranks stay sequential, for the reason §6 gives.
 
 use crate::flat::{FlatIndex, FlatScratch};
 use crate::index::SpcIndex;
@@ -38,7 +37,7 @@ pub const QUERY_CHUNK_ALIGN: usize = 8;
 /// Thread budget for intra-batch index maintenance (the knob behind
 /// `DynamicSpc::set_maintenance_threads` and the directed/weighted
 /// equivalents): how many threads a deletion batch classifies its endpoint
-/// tasks on, and a batched re-rank repairs its swap pairs on.
+/// tasks on.
 ///
 /// * [`MaintenanceThreads::Auto`] (the default) resolves to
 ///   `std::thread::available_parallelism()`.

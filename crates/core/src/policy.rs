@@ -16,7 +16,8 @@
 //! 2. **Batched re-rank** — staleness crossed
 //!    [`MaintenancePolicy::batched_staleness`]: plan up to
 //!    [`MaintenancePolicy::batched_swap_budget`] non-overlapping swaps and
-//!    repair them under one agenda on the maintenance thread pool.
+//!    repair them together: one purge scan, then each pair's re-push in
+//!    rank order.
 //! 3. **Full rebuild** — the update cliff
 //!    ([`MaintenancePolicy::max_updates`]) or the staleness cliff
 //!    ([`MaintenancePolicy::max_staleness`]) fired; reconstruct with a
@@ -50,8 +51,8 @@ pub struct MaintenancePolicy {
     /// Most adjacent swaps one local-tier response may repair (sequential,
     /// one committed swap at a time).
     pub local_swap_budget: usize,
-    /// Most adjacent swaps one batched-tier response may repair (one
-    /// agenda on the maintenance thread pool).
+    /// Most adjacent swaps one batched-tier response may repair (planned
+    /// rounds, each repaired with one purge scan).
     pub batched_swap_budget: usize,
 }
 
@@ -60,9 +61,10 @@ pub struct MaintenancePolicy {
 pub enum MaintenanceAction {
     /// Nothing due.
     None,
-    /// Repair a few inversions sequentially ([`crate::reorder::swap_and_repair`]).
+    /// Repair a few inversions one swap at a time
+    /// ([`crate::reorder::rerank_adjacent`] with single-swap plans).
     LocalRerank,
-    /// Repair a planned swap run under one agenda
+    /// Repair a planned run of non-overlapping swaps together
     /// ([`crate::reorder::rerank_adjacent`]).
     BatchedRerank,
     /// Reconstruct with a fresh order ([`DynamicSpc::rebuild`]).
@@ -303,7 +305,7 @@ impl ManagedSpc {
                     let plan =
                         plan_adjacent_swaps(self.inner.graph(), self.inner.index().ranks(), 1);
                     let Some(&r) = plan.first() else { break };
-                    extra.absorb(&self.inner.rerank_adjacent(&[r], 1));
+                    extra.absorb(&self.inner.rerank_adjacent(&[r]));
                     let ManagedSpc { inner, tracker, .. } = self;
                     tracker.note_swap(inner.index().ranks(), r);
                     if self
@@ -320,7 +322,6 @@ impl ManagedSpc {
                 // a non-overlapping plan moves each vertex at most one
                 // position, so replanning after each committed round lets a
                 // badly displaced vertex keep climbing within one response.
-                let threads = self.inner.maintenance_threads().resolve();
                 let mut budget = self.policy.batched_swap_budget;
                 while budget > 0 {
                     let plan =
@@ -329,7 +330,7 @@ impl ManagedSpc {
                         break;
                     }
                     budget -= plan.len();
-                    extra.absorb(&self.inner.rerank_adjacent(&plan, threads));
+                    extra.absorb(&self.inner.rerank_adjacent(&plan));
                     let ManagedSpc { inner, tracker, .. } = self;
                     for &r in &plan {
                         tracker.note_swap(inner.index().ranks(), r);

@@ -12,7 +12,7 @@
 
 use crate::flat::KernelCounters;
 use crate::index::SpcIndex;
-use crate::label::{Count, HubEntry, LabelDist, LabelSet, Rank, INF_DIST};
+use crate::label::{Count, HubEntry, LabelDist, LabelEntry, LabelRow, Rank, INF_DIST};
 use dspc_graph::VertexId;
 
 /// Result of a shortest-path-counting query.
@@ -220,28 +220,29 @@ pub fn dist_query(index: &SpcIndex, s: VertexId, t: VertexId) -> Option<u32> {
     r.is_connected().then_some(r.dist)
 }
 
-/// Fast repeated queries against one pinned hub-side label set.
+/// Fast repeated queries against one pinned hub-side label row, over any
+/// entry type (`u32` hop or `u64` weighted distances).
 ///
 /// Loading `L(h)` scatters its entries into rank-indexed arrays; each
 /// subsequent query then scans only `L(v)` — `O(|L(v)|)` instead of
-/// `O(|L(h)| + |L(v)|)`. Every BFS step in IncSPC/DecSPC issues such a
-/// query, so this is the reproduction's hottest path.
+/// `O(|L(h)| + |L(v)|)`. Every sweep step of construction, IncSPC and
+/// DecSPC issues such a query, so this is the reproduction's hottest path.
 ///
-/// Loading is sound for the duration of one rooted update BFS: the BFS for
+/// Loading is sound for the duration of one rooted sweep: the sweep for
 /// hub `h` only rewrites `(h, ·, ·)` entries in *other* vertices' label
 /// sets, never the pinned `L(h)` itself (see module tests).
 #[derive(Clone, Debug)]
-pub struct HubProbe {
-    dist: Vec<u32>,
+pub struct HubProbe<E: HubEntry = LabelEntry> {
+    dist: Vec<E::Dist>,
     count: Vec<Count>,
     loaded: Vec<Rank>,
 }
 
-impl HubProbe {
+impl<E: HubEntry> HubProbe<E> {
     /// Creates a probe for rank spaces up to `capacity`.
     pub fn new(capacity: usize) -> Self {
         HubProbe {
-            dist: vec![INF_DIST; capacity],
+            dist: vec![E::Dist::INF; capacity],
             count: vec![0; capacity],
             loaded: Vec::new(),
         }
@@ -250,7 +251,7 @@ impl HubProbe {
     /// Grows the probe if the rank space expanded.
     pub fn ensure_capacity(&mut self, capacity: usize) {
         if self.dist.len() < capacity {
-            self.dist.resize(capacity, INF_DIST);
+            self.dist.resize(capacity, E::Dist::INF);
             self.count.resize(capacity, 0);
         }
     }
@@ -258,65 +259,68 @@ impl HubProbe {
     /// Unloads the previous pin.
     pub fn clear(&mut self) {
         for &r in &self.loaded {
-            self.dist[r.index()] = INF_DIST;
+            self.dist[r.index()] = E::Dist::INF;
             self.count[r.index()] = 0;
         }
         self.loaded.clear();
     }
 
-    /// Pins `L(h)`.
-    pub fn load(&mut self, index: &SpcIndex, h: VertexId) {
-        self.load_labels(index.label_set(h), index.ranks().len());
-    }
-
-    /// Pins an arbitrary label set (used by the directed extension, whose
-    /// queries pin `L_out(h)` or `L_in(h)` depending on sweep direction).
-    pub fn load_labels(&mut self, labels: &LabelSet, rank_capacity: usize) {
+    /// Pins a label row (`L(h)`, or `L_out(h)` / `L_in(h)` for the directed
+    /// extension, whose sweeps pin the family opposite the one they repair).
+    pub fn load_labels(&mut self, labels: &LabelRow<E>, rank_capacity: usize) {
         self.ensure_capacity(rank_capacity);
         self.clear();
         for e in labels.entries() {
-            self.dist[e.hub.index()] = e.dist;
-            self.count[e.hub.index()] = e.count;
-            self.loaded.push(e.hub);
+            self.dist[e.hub().index()] = e.dist();
+            self.count[e.hub().index()] = e.count();
+            self.loaded.push(e.hub());
         }
     }
 
-    /// `SpcQUERY(h, v)` against the pinned `L(h)`.
+    /// `SpcQUERY(h, v)` against the pinned `L(h)`: `(distance, count)`.
     #[inline]
-    pub fn query(&self, lv: &LabelSet) -> QueryResult {
+    pub fn query(&self, lv: &LabelRow<E>) -> (E::Dist, Count) {
         self.query_limited(lv, None)
     }
 
     /// `PreQUERY(h, v)` against the pinned `L(h)`: only hubs with rank
     /// strictly above `limit` participate.
     #[inline]
-    pub fn pre_query(&self, lv: &LabelSet, limit: Rank) -> QueryResult {
+    pub fn pre_query(&self, lv: &LabelRow<E>, limit: Rank) -> (E::Dist, Count) {
         self.query_limited(lv, Some(limit))
     }
 
     #[inline]
-    fn query_limited(&self, lv: &LabelSet, limit: Option<Rank>) -> QueryResult {
-        let mut best = INF_DIST;
+    fn query_limited(&self, lv: &LabelRow<E>, limit: Option<Rank>) -> (E::Dist, Count) {
+        let inf = E::Dist::INF;
+        let mut best = inf;
         let mut count: Count = 0;
         for e in lv.entries() {
             if let Some(lim) = limit {
-                if e.hub >= lim {
+                if e.hub() >= lim {
                     break; // sorted ascending — nothing below can qualify
                 }
             }
-            let hd = self.dist[e.hub.index()];
-            if hd == INF_DIST {
+            let hd = self.dist[e.hub().index()];
+            if hd == inf {
                 continue;
             }
-            let d = hd.saturating_add(e.dist);
+            let d = hd.sat_add(e.dist());
             if d < best {
                 best = d;
-                count = self.count[e.hub.index()].saturating_mul(e.count);
-            } else if d == best && d != INF_DIST {
-                count = count.saturating_add(self.count[e.hub.index()].saturating_mul(e.count));
+                count = self.count[e.hub().index()].saturating_mul(e.count());
+            } else if d == best && d != inf {
+                count = count.saturating_add(self.count[e.hub().index()].saturating_mul(e.count()));
             }
         }
-        QueryResult { dist: best, count }
+        (best, count)
+    }
+}
+
+impl HubProbe {
+    /// Pins `L(h)` of an undirected index.
+    pub fn load(&mut self, index: &SpcIndex, h: VertexId) {
+        self.load_labels(index.label_set(h), index.ranks().len());
     }
 }
 
@@ -324,7 +328,6 @@ impl HubProbe {
 pub(crate) mod tests {
     use super::*;
     use crate::index::SpcIndex;
-    use crate::label::LabelEntry;
     use crate::order::{OrderingStrategy, RankMap};
     use dspc_graph::generators::paper::figure2_g;
 
@@ -452,14 +455,16 @@ pub(crate) mod tests {
         for h in 0..12u32 {
             probe.load(&idx, VertexId(h));
             for v in 0..12u32 {
+                let full = spc_query(&idx, VertexId(h), VertexId(v));
                 assert_eq!(
                     probe.query(idx.label_set(VertexId(v))),
-                    spc_query(&idx, VertexId(h), VertexId(v)),
+                    (full.dist, full.count),
                     "h=v{h}, v=v{v}"
                 );
+                let pre = pre_query(&idx, VertexId(h), VertexId(v));
                 assert_eq!(
                     probe.pre_query(idx.label_set(VertexId(v)), idx.rank(VertexId(h))),
-                    pre_query(&idx, VertexId(h), VertexId(v)),
+                    (pre.dist, pre.count),
                     "pre h=v{h}, v=v{v}"
                 );
             }
@@ -475,6 +480,6 @@ pub(crate) mod tests {
         probe.load(&idx, VertexId(11));
         let with_v11 = probe.query(idx.label_set(VertexId(9)));
         assert_ne!(with_v0, with_v11);
-        assert_eq!(with_v11.dist, 1 + 4); // via common hub v0 only
+        assert_eq!(with_v11.0, 1 + 4); // via common hub v0 only
     }
 }

@@ -3,160 +3,26 @@
 //! Identical structure to the unweighted build with Dijkstra in place of
 //! BFS: vertices settle in weighted-distance order, the settle step carries
 //! the strict prune (`query(h, v) < D[v]`), labels are emitted at settle
-//! time when not pruned, and relaxations observe rank pruning.
+//! time when not pruned, and relaxations observe rank pruning — the same
+//! [`crate::engine::UpdateEngine::inc_pass`] seeded at the hub, over a
+//! [`crate::engine::WeightedTopo`] view.
 
-use super::{WHubProbe, WLabelEntry, WLabelSet, WeightedSpcIndex};
-use crate::label::{Count, Rank};
+use super::WeightedSpcIndex;
+use crate::engine::{PushPipeline, Weighted};
 use crate::order::{OrderingStrategy, RankMap};
-use dspc_graph::weighted::{WDist, WeightedGraph, WDIST_INF};
-use dspc_graph::VertexId;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use dspc_graph::weighted::WeightedGraph;
 
-/// Reusable weighted construction engine.
-#[derive(Debug)]
-pub struct WeightedBuilder {
-    dist: Vec<WDist>,
-    count: Vec<Count>,
-    settled: Vec<bool>,
-    heap: BinaryHeap<Reverse<(WDist, u32)>>,
-    touched: Vec<u32>,
-    probe: WHubProbe,
-}
-
-impl WeightedBuilder {
-    /// Creates a builder.
-    pub fn new(capacity: usize) -> Self {
-        WeightedBuilder {
-            dist: vec![WDIST_INF; capacity],
-            count: vec![0; capacity],
-            settled: vec![false; capacity],
-            heap: BinaryHeap::new(),
-            touched: Vec::new(),
-            probe: WHubProbe::new(capacity),
-        }
-    }
-
-    pub(crate) fn ensure_capacity(&mut self, capacity: usize) {
-        if self.dist.len() < capacity {
-            self.dist.resize(capacity, WDIST_INF);
-            self.count.resize(capacity, 0);
-            self.settled.resize(capacity, false);
-        }
-        self.probe.ensure_capacity(capacity);
-    }
-
-    fn reset(&mut self) {
-        for &v in &self.touched {
-            self.dist[v as usize] = WDIST_INF;
-            self.count[v as usize] = 0;
-            self.settled[v as usize] = false;
-        }
-        self.touched.clear();
-        self.heap.clear();
-    }
-
-    /// Builds the weighted SPC-Index of `g`.
-    pub fn build(&mut self, g: &WeightedGraph, strategy: OrderingStrategy) -> WeightedSpcIndex {
-        let cap = g.capacity();
-        self.ensure_capacity(cap);
-        // Degree ordering uses structural degree (same heuristic the paper
-        // inherits; weights don't change who the likely hubs are).
-        let mut ids: Vec<u32> = (0..cap as u32).collect();
-        match strategy {
-            OrderingStrategy::Degree => {
-                ids.sort_by_key(|&v| (std::cmp::Reverse(g.degree(VertexId(v))), v));
-            }
-            OrderingStrategy::Identity => {}
-            OrderingStrategy::Random(seed) => {
-                let key = |v: u32| -> u64 {
-                    let mut z = seed.wrapping_add(0x9E3779B97F4A7C15).wrapping_add(v as u64);
-                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-                    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-                    z ^ (z >> 31)
-                };
-                ids.sort_by_key(|&v| (key(v), v));
-            }
-        }
-        self.build_with_ranks(g, RankMap::from_rank_order(&ids, strategy))
-    }
-
-    /// Builds the weighted SPC-Index of `g` over an explicit rank map —
-    /// the comparison target for [`crate::reorder`]'s weighted swap repair.
-    pub fn build_with_ranks(&mut self, g: &WeightedGraph, ranks: RankMap) -> WeightedSpcIndex {
-        let cap = g.capacity();
-        assert_eq!(ranks.len(), cap, "rank map does not cover the graph");
-        self.ensure_capacity(cap);
-        let mut index = WeightedSpcIndex::new(vec![WLabelSet::default(); cap], ranks);
-        for r in 0..cap as u32 {
-            let h = index.vertex(Rank(r));
-            if !g.contains_vertex(h) {
-                continue;
-            }
-            self.push_hub(g, &mut index, h);
-        }
-        for v in 0..cap {
-            let vid = VertexId(v as u32);
-            if index.label_set(vid).is_empty() {
-                let rank = index.rank(vid);
-                index
-                    .label_set_mut(vid)
-                    .push_descending(WLabelEntry::new(rank, 0, 1));
-            }
-        }
-        index
-    }
-
-    fn push_hub(&mut self, g: &WeightedGraph, index: &mut WeightedSpcIndex, h: VertexId) {
-        let hr = index.rank(h);
-        self.reset();
-        self.probe.load(index, h);
-        self.dist[h.index()] = 0;
-        self.count[h.index()] = 1;
-        self.touched.push(h.0);
-        self.heap.push(Reverse((0, h.0)));
-        while let Some(Reverse((d, v))) = self.heap.pop() {
-            if self.settled[v as usize] {
-                continue;
-            }
-            self.settled[v as usize] = true;
-            let q = self.probe.query_limited(index.label_set(VertexId(v)), None);
-            if q.dist < d {
-                continue;
-            }
-            index
-                .label_set_mut(VertexId(v))
-                .push_descending(WLabelEntry::new(hr, d, self.count[v as usize]));
-            let cv = self.count[v as usize];
-            for &(w, wt) in g.neighbors(VertexId(v)) {
-                if index.rank(VertexId(w)) <= hr {
-                    continue;
-                }
-                let nd = d + wt as WDist;
-                let dw = self.dist[w as usize];
-                if nd < dw {
-                    if dw == WDIST_INF {
-                        self.touched.push(w);
-                    }
-                    self.dist[w as usize] = nd;
-                    self.count[w as usize] = cv;
-                    self.heap.push(Reverse((nd, w)));
-                } else if nd == dw {
-                    self.count[w as usize] = self.count[w as usize].saturating_add(cv);
-                }
-            }
-        }
-    }
-}
-
-/// One-shot weighted build.
+/// One-shot weighted build. `Degree` ranks by structural degree: the
+/// heuristic the paper inherits, since weights do not change who the
+/// likely hubs are.
 pub fn build_weighted_index(g: &WeightedGraph, strategy: OrderingStrategy) -> WeightedSpcIndex {
-    WeightedBuilder::new(g.capacity()).build(g, strategy)
+    PushPipeline::<Weighted>::new(g.capacity()).build(g, strategy)
 }
 
-/// One-shot weighted build over an explicit rank map.
+/// One-shot weighted build over an explicit rank map — the comparison
+/// target for [`crate::reorder::rerank_adjacent`].
 pub fn rebuild_weighted_index(g: &WeightedGraph, ranks: RankMap) -> WeightedSpcIndex {
-    WeightedBuilder::new(g.capacity()).build_with_ranks(g, ranks)
+    PushPipeline::<Weighted>::new(g.capacity()).rebuild(g, ranks)
 }
 
 #[cfg(test)]
@@ -165,6 +31,7 @@ mod tests {
     use crate::weighted::weighted_spc_query;
     use dspc_graph::generators::random::{erdos_renyi_gnm, random_weights};
     use dspc_graph::traversal::dijkstra::DijkstraCounter;
+    use dspc_graph::VertexId;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -225,6 +92,20 @@ mod tests {
                     .map(|(d, c)| (d as u64, c));
                 assert_eq!(w, u);
             }
+        }
+    }
+
+    #[test]
+    fn deleted_vertex_gets_bare_self_label() {
+        let mut rng = StdRng::seed_from_u64(32);
+        let base = erdos_renyi_gnm(20, 50, &mut rng);
+        let mut g = random_weights(&base, 5, &mut rng);
+        g.delete_vertex(VertexId(4)).unwrap();
+        for strategy in [OrderingStrategy::Degree, OrderingStrategy::Identity] {
+            let idx = build_weighted_index(&g, strategy);
+            idx.check_invariants().unwrap();
+            assert_matches_dijkstra(&g, &idx);
+            assert_eq!(idx.label_set(VertexId(4)).len(), 1);
         }
     }
 }

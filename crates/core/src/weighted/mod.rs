@@ -7,15 +7,15 @@
 //! `|sd(v, a) − sd(v, b)| = w_ab`.
 //!
 //! Weighted labels carry `u64` accumulated weights in their own entry
-//! type, [`WLabelEntry`]; the row storage ([`crate::label::LabelRow`]) and
-//! the query kernel ([`crate::query`]) are the generic ones the unweighted
-//! variants use, so the unweighted hot path keeps its compact `u32`
-//! distances.
+//! type, [`WLabelEntry`]; the row storage ([`crate::label::LabelRow`]), the
+//! query kernel and the pinned probe ([`crate::query`]) are the generic
+//! ones the unweighted variants use, so the unweighted hot path keeps its
+//! compact `u32` distances.
 
 pub mod build;
 pub mod update;
 
-pub use build::{build_weighted_index, WeightedBuilder};
+pub use build::{build_weighted_index, rebuild_weighted_index};
 pub use update::{WeightedDecSpc, WeightedIncSpc};
 
 use crate::dynamic::{UpdateKind, UpdateStats};
@@ -196,73 +196,6 @@ pub fn weighted_pre_query(index: &WeightedSpcIndex, s: VertexId, t: VertexId) ->
     WQueryResult { dist, count }
 }
 
-/// Rank-indexed probe for repeated weighted queries against one hub.
-#[derive(Clone, Debug)]
-pub struct WHubProbe {
-    dist: Vec<WDist>,
-    count: Vec<Count>,
-    loaded: Vec<Rank>,
-}
-
-impl WHubProbe {
-    /// Creates a probe.
-    pub fn new(capacity: usize) -> Self {
-        WHubProbe {
-            dist: vec![WDIST_INF; capacity],
-            count: vec![0; capacity],
-            loaded: Vec::new(),
-        }
-    }
-
-    /// Grows if needed.
-    pub fn ensure_capacity(&mut self, capacity: usize) {
-        if self.dist.len() < capacity {
-            self.dist.resize(capacity, WDIST_INF);
-            self.count.resize(capacity, 0);
-        }
-    }
-
-    /// Pins `L(h)`.
-    pub fn load(&mut self, index: &WeightedSpcIndex, h: VertexId) {
-        self.ensure_capacity(index.ranks().len());
-        for &r in &self.loaded {
-            self.dist[r.index()] = WDIST_INF;
-            self.count[r.index()] = 0;
-        }
-        self.loaded.clear();
-        for e in index.label_set(h).entries() {
-            self.dist[e.hub.index()] = e.dist;
-            self.count[e.hub.index()] = e.count;
-            self.loaded.push(e.hub);
-        }
-    }
-
-    /// Weighted `SpcQUERY(h, v)` with optional rank limit (`PreQUERY`).
-    pub fn query_limited(&self, lv: &WLabelSet, limit: Option<Rank>) -> WQueryResult {
-        let mut best = WDIST_INF;
-        let mut count: Count = 0;
-        for e in lv.entries() {
-            if let Some(lim) = limit {
-                if e.hub >= lim {
-                    break;
-                }
-            }
-            let hd = self.dist[e.hub.index()];
-            if hd == WDIST_INF {
-                continue;
-            }
-            let d = hd.saturating_add(e.dist);
-            if d < best {
-                best = d;
-                count = self.count[e.hub.index()].saturating_mul(e.count);
-            } else if d == best && d != WDIST_INF {
-                count = count.saturating_add(self.count[e.hub.index()].saturating_mul(e.count));
-            }
-        }
-        WQueryResult { dist: best, count }
-    }
-}
-
 /// Weighted facade keeping a [`WeightedGraph`] and its index in lockstep.
 #[derive(Debug)]
 pub struct DynamicWeightedSpc {
@@ -278,12 +211,13 @@ pub struct DynamicWeightedSpc {
 impl DynamicWeightedSpc {
     /// Builds and wraps.
     pub fn build(graph: WeightedGraph, strategy: OrderingStrategy) -> Self {
-        let index = build_weighted_index(&graph, strategy);
         let cap = graph.capacity();
+        let mut inc = WeightedIncSpc::new(cap);
+        let index = inc.build(&graph, strategy);
         DynamicWeightedSpc {
             graph,
             index,
-            inc: WeightedIncSpc::new(cap),
+            inc,
             dec: WeightedDecSpc::new(cap),
             maintenance_threads: MaintenanceThreads::default(),
             flat: None,
@@ -347,7 +281,7 @@ impl DynamicWeightedSpc {
     ) -> dspc_graph::Result<UpdateStats> {
         self.graph.insert_edge(a, b, w)?;
         self.flat = None;
-        let c = self.inc.apply(&self.graph, &mut self.index, a, b, w);
+        let c = self.inc.insert_edge(&self.graph, &mut self.index, a, b);
         Ok(UpdateStats::from_counters(UpdateKind::InsertEdge, c))
     }
 
@@ -425,7 +359,7 @@ impl DynamicWeightedSpc {
         if w < old {
             self.graph.set_weight(a, b, w)?;
             self.flat = None;
-            let c = self.inc.apply(&self.graph, &mut self.index, a, b, w);
+            let c = self.inc.insert_edge(&self.graph, &mut self.index, a, b);
             Ok(UpdateStats::from_counters(UpdateKind::WeightChange, c))
         } else {
             let c = self

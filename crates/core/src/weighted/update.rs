@@ -1,6 +1,6 @@
 //! Weighted IncSPC / DecSPC (Appendix C.2).
 //!
-//! * **Incremental** (`apply`): edge insertion, or weight decrease
+//! * **Incremental** (`insert_edge`): edge insertion, or weight decrease
 //!   `w_ab → w'_ab`. For each hub `h ∈ L(a) ∪ L(b)` a partial Dijkstra
 //!   starts across the edge with initial distance `d_{h,a} + w'_ab` and
 //!   count `c_{h,a}`, renewing/inserting labels under the strict
@@ -12,80 +12,16 @@
 //!   `PreQUERY` pruning and the (unconditional — see [`crate::engine`])
 //!   removal pass.
 
-use super::{WHubProbe, WeightedSpcIndex};
-use crate::engine::{
-    merge_affected, DecPipeline, MaintenanceCounters, UpdateEngine, Weighted, WeightedTopo,
-};
-use dspc_graph::weighted::{WDist, Weight, WeightedGraph};
+use super::WeightedSpcIndex;
+use crate::engine::{DecPipeline, MaintenanceCounters, PushPipeline, Weighted};
+use dspc_graph::weighted::{Weight, WeightedGraph};
 use dspc_graph::VertexId;
 
-/// Weighted incremental driver: the insertion/weight-decrease policy over
-/// the shared [`UpdateEngine`], running partial Dijkstras through
-/// [`WeightedTopo`] views.
-#[derive(Debug)]
-pub struct WeightedIncSpc {
-    engine: UpdateEngine<WDist>,
-    probe: WHubProbe,
-}
-
-impl WeightedIncSpc {
-    /// Creates an engine.
-    pub fn new(capacity: usize) -> Self {
-        WeightedIncSpc {
-            engine: UpdateEngine::new(capacity),
-            probe: WHubProbe::new(capacity),
-        }
-    }
-
-    /// Repairs `index` after edge `(a, b)` was inserted with weight `w`, or
-    /// after its weight *decreased* to `w`. `g` must already reflect the
-    /// change. Returns the label-operation counters.
-    pub fn apply(
-        &mut self,
-        g: &WeightedGraph,
-        index: &mut WeightedSpcIndex,
-        a: VertexId,
-        b: VertexId,
-        w: Weight,
-    ) -> MaintenanceCounters {
-        debug_assert_eq!(g.weight(a, b), Some(w));
-        self.engine.ensure_capacity(g.capacity());
-        let mut stats = MaintenanceCounters::default();
-        let aff = merge_affected(index.label_set(a).entries(), index.label_set(b).entries());
-        let (rank_a, rank_b) = (index.rank(a), index.rank(b));
-        for (h_rank, in_a, in_b) in aff {
-            let h = index.vertex(h_rank);
-            stats.hubs_processed += 1;
-            if in_a && h_rank <= rank_b {
-                if let Some(seed) = index.label_set(a).get(h_rank).copied() {
-                    let mut topo = WeightedTopo::new(g, &mut *index, &mut self.probe);
-                    self.engine.inc_pass(
-                        &mut topo,
-                        h,
-                        b,
-                        seed.dist + w as WDist,
-                        seed.count,
-                        &mut stats,
-                    );
-                }
-            }
-            if in_b && h_rank <= rank_a {
-                if let Some(seed) = index.label_set(b).get(h_rank).copied() {
-                    let mut topo = WeightedTopo::new(g, &mut *index, &mut self.probe);
-                    self.engine.inc_pass(
-                        &mut topo,
-                        h,
-                        a,
-                        seed.dist + w as WDist,
-                        seed.count,
-                        &mut stats,
-                    );
-                }
-            }
-        }
-        stats
-    }
-}
+/// Weighted incremental driver: the shared [`PushPipeline`] over weighted
+/// edges, running partial Dijkstras through [`crate::engine::WeightedTopo`]
+/// views. Its [`insert_edge`](PushPipeline::insert_edge) also repairs a
+/// weight decrease, seeding each sweep across the edge's current weight.
+pub type WeightedIncSpc = PushPipeline<Weighted>;
 
 /// Weighted decremental driver: the deletion/weight-increase policy over
 /// the shared [`DecPipeline`].

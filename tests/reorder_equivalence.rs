@@ -1,15 +1,15 @@
 //! Equivalence proofs for incremental re-ranking: for arbitrary graphs
 //! and arbitrary non-overlapping adjacent-swap plans, the repaired index
 //! must be bit-identical to a fresh build at the swapped order — for the
-//! undirected core (at every maintenance thread count), the directed
-//! extension, and the weighted extension — and must still answer exactly
-//! like the brute-force oracle. Plus the [`ManagedSpc`] tier transitions:
+//! undirected core, the directed extension, and the weighted extension —
+//! and must still answer exactly like the brute-force oracle. Plus the [`ManagedSpc`] tier transitions:
 //! each maintenance tier (local re-rank, batched re-rank, full rebuild)
 //! fires at its staleness band and drops the frozen query snapshot.
 
+use dspc::engine::{Directed, Undirected, Weighted};
 use dspc::order::{degree_order_staleness, plan_adjacent_swaps};
 use dspc::policy::{MaintenanceAction, MaintenancePolicy, ManagedSpc};
-use dspc::reorder::{rerank_adjacent, rerank_adjacent_directed, rerank_adjacent_weighted};
+use dspc::reorder::rerank_adjacent;
 use dspc::verify::{verify_all_pairs, verify_directed_all_pairs, verify_weighted_all_pairs};
 use dspc::{rebuild_index, DynamicSpc, GraphUpdate, OrderingStrategy, Rank, RankMap};
 use dspc_graph::{UndirectedGraph, VertexId};
@@ -51,8 +51,8 @@ fn decode_swaps(picks: &[u32], n: u32) -> Vec<Rank> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Undirected: re-rank ≡ rebuild at the swapped order, at every
-    /// thread count, and the result still matches counting BFS.
+    /// Undirected: re-rank ≡ rebuild at the swapped order, and the result
+    /// still matches counting BFS.
     #[test]
     fn undirected_rerank_equals_rebuild(
         g in graph_strategy(28),
@@ -66,46 +66,39 @@ proptest! {
             &g,
             RankMap::from_rank_order(&swapped_order(&base, &swaps), base.strategy()),
         );
-        for threads in [1usize, 2, 4, 8] {
-            let mut index = rebuild_index(&g, base.clone());
-            let c = rerank_adjacent(&g, &mut index, &swaps, threads);
-            prop_assert_eq!(c.rerank_swaps, swaps.len());
-            index.check_invariants().unwrap();
-            prop_assert_eq!(&index, &fresh, "threads={} differs from rebuild", threads);
-        }
+        let mut index = rebuild_index(&g, base.clone());
+        let c = rerank_adjacent::<Undirected>(&g, &mut index, &swaps);
+        prop_assert_eq!(c.rerank_swaps, swaps.len());
+        index.check_invariants().unwrap();
+        prop_assert_eq!(&index, &fresh, "re-rank differs from rebuild");
         verify_all_pairs(&g, &fresh).unwrap();
     }
 
-    /// Directed: sequential re-rank ≡ rebuild, oracle-checked.
+    /// Directed: re-rank ≡ rebuild, oracle-checked.
     #[test]
     fn directed_rerank_equals_rebuild(
         arcs in proptest::collection::vec((0u32..18, 0u32..18), 0..70),
         picks in proptest::collection::vec(0u32..1 << 16, 1..5),
     ) {
-        use dspc::directed::build::rebuild_directed_index;
-        use dspc::directed::DirectedRankMap;
+        use dspc::directed::build::{build_directed_index, rebuild_directed_index};
 
         let n = 18usize;
         let g = dspc_graph::DirectedGraph::from_arcs(n, &arcs);
-        let base: Vec<u32> = {
-            let r = DirectedRankMap::build(&g, OrderingStrategy::Degree);
-            (0..n as u32).map(|i| r.vertex(Rank(i)).0).collect()
-        };
+        let base = build_directed_index(&g, OrderingStrategy::Degree).ranks().clone();
         let swaps = decode_swaps(&picks, n as u32);
         assert!(!swaps.is_empty(), "decode_swaps always yields at least one swap");
-        let mut index = rebuild_directed_index(&g, DirectedRankMap::from_rank_order(&base));
-        rerank_adjacent_directed(&g, &mut index, &swaps);
+        let mut index = rebuild_directed_index(&g, base.clone());
+        rerank_adjacent::<Directed>(&g, &mut index, &swaps);
         index.check_invariants().unwrap();
-        let mut order = base.clone();
-        for &r in &swaps {
-            order.swap(r.index(), r.index() + 1);
-        }
-        let fresh = rebuild_directed_index(&g, DirectedRankMap::from_rank_order(&order));
+        let fresh = rebuild_directed_index(
+            &g,
+            RankMap::from_rank_order(&swapped_order(&base, &swaps), base.strategy()),
+        );
         prop_assert_eq!(&index, &fresh, "directed re-rank differs from rebuild");
         verify_directed_all_pairs(&g, &fresh).unwrap();
     }
 
-    /// Weighted: sequential re-rank ≡ rebuild, oracle-checked.
+    /// Weighted: re-rank ≡ rebuild, oracle-checked.
     #[test]
     fn weighted_rerank_equals_rebuild(
         edges in proptest::collection::vec((0u32..16, 0u32..16, 1u32..7), 0..50),
@@ -120,7 +113,7 @@ proptest! {
         let swaps = decode_swaps(&picks, n as u32);
         assert!(!swaps.is_empty(), "decode_swaps always yields at least one swap");
         let mut index = rebuild_weighted_index(&g, base.clone());
-        rerank_adjacent_weighted(&g, &mut index, &swaps);
+        rerank_adjacent::<Weighted>(&g, &mut index, &swaps);
         index.check_invariants().unwrap();
         let fresh = rebuild_weighted_index(
             &g,
