@@ -27,11 +27,14 @@
 //! A final serving phase replays the scripted epoch-rotation loop of
 //! [`dspc_bench::serving`]: a seeded hybrid stream drained through
 //! `EpochServer` rotations while a reader fleet on a scripted refresh
-//! cadence answers from published snapshots. Its `serve_*` counters are
-//! deterministic; the gates on this phase are `serve_merge_steps` and
-//! `serve_rows_copied` (label rows each rotation's publication copied
-//! instead of sharing), both *normalized by* `serve_rotations`, so adding
-//! rotations to the scenario never masks a per-epoch regression.
+//! cadence answers from published snapshots, and one 64-target fan-out
+//! per epoch runs on a separate reader. Its `serve_*` counters are
+//! deterministic; the gates on this phase are `serve_merge_steps`,
+//! `serve_fanout_merge_steps` (the fan-outs, where a reader's pinned
+//! source row is kept across lookups) and `serve_rows_copied` (label rows
+//! each rotation's publication copied instead of sharing), all
+//! *normalized by* `serve_rotations`, so adding rotations to the scenario
+//! never masks a per-epoch regression.
 //!
 //! A recovery phase then runs the scripted crash/recover cycle of
 //! [`dspc_bench::recovery`]: a journaled server checkpointed mid-stream
@@ -351,6 +354,10 @@ fn serving(report: &mut BTreeMap<String, u64>) {
     report.insert("serve_stale_reads".to_string(), replay.stale_epoch_reads);
     report.insert("serve_merge_steps".to_string(), replay.merge_steps());
     report.insert("serve_rows_copied".to_string(), replay.rows_copied);
+    report.insert(
+        "serve_fanout_merge_steps".to_string(),
+        replay.fanout_merge_steps,
+    );
     for (shard, &steps) in replay.shard_merge_steps.iter().enumerate() {
         report.insert(format!("serve_shard{shard}_merge_steps"), steps);
     }
@@ -491,12 +498,17 @@ fn main() {
             };
             eprintln!("[bench_smoke] {key}: baseline {base}, now {now} ({delta:+.2}%) [{verdict}]");
         }
-        // Serving gates, per rotation: kernel merge steps, and label rows
-        // copied by publication (a return to whole-index copies fails here
-        // without any wall clock). Normalizing keeps the gates honest if
-        // the scenario's rotation count ever changes — more epochs of work
-        // must not dilute a per-epoch regression.
-        for key in ["serve_merge_steps", "serve_rows_copied"] {
+        // Serving gates, per rotation: kernel merge steps of the reader
+        // fleet and of the fan-outs, and label rows copied by publication
+        // (a return to whole-index copies fails here without any wall
+        // clock). Normalizing keeps the gates honest if the scenario's
+        // rotation count ever changes — more epochs of work must not
+        // dilute a per-epoch regression.
+        for key in [
+            "serve_merge_steps",
+            "serve_fanout_merge_steps",
+            "serve_rows_copied",
+        ] {
             let ratio = |r: &BTreeMap<String, u64>| -> Option<f64> {
                 let work = *r.get(key)?;
                 let rotations = *r.get("serve_rotations")?;

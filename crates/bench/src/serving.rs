@@ -14,13 +14,20 @@
 //! from whatever snapshot it is pinned at. Reader `i` refreshes only every
 //! `i + 1` rotations, so the fleet deterministically spans fresh and
 //! kept-stale epochs (the paper's between-epoch stale-label serving, made
-//! observable). Reader 0 is always fresh and is cross-checked against the
-//! live engine on every answer.
+//! observable). Reader 0 is always fresh and is cross-checked on every
+//! answer: against the live engine, and — answer and per-shard counters —
+//! against the two-row merge on its snapshot.
+//!
+//! Readers answer through a pinned source row, which uniform pairs reuse
+//! only about once per `vertices` lookups. So each epoch also runs one
+//! fan-out — one source against 64 targets, drawn from a generator of its
+//! own — on a separate fresh reader, cross-checked the same way: the path
+//! a kept pin takes is counted and checked too.
 //!
 //! [`hybrid_stream`]: crate::workload::hybrid_stream
 
 use crate::workload::hybrid_stream;
-use dspc::{DynamicSpc, MaintenanceThreads, OrderingStrategy};
+use dspc::{DynamicSpc, FlatScratch, KernelCounters, MaintenanceThreads, OrderingStrategy};
 use dspc_graph::generators::random::barabasi_albert;
 use dspc_graph::VertexId;
 use dspc_serve::{EpochServer, Reader, ServeConfig, ServingEngine, ServingSnapshot};
@@ -87,6 +94,9 @@ pub struct ServingReplayReport {
     /// Label rows the rotations copied into their snapshots (the rest
     /// were shared with the previous epoch), summed over rotations.
     pub rows_copied: u64,
+    /// Kernel merge steps of the per-epoch fan-outs (not in
+    /// `shard_merge_steps`).
+    pub fanout_merge_steps: u64,
 }
 
 impl ServingReplayReport {
@@ -96,13 +106,60 @@ impl ServingReplayReport {
     }
 }
 
+/// Seed offset of the fan-out generator, so the fan-outs leave the main
+/// stream (and every counter drawn from it) untouched.
+const FANOUT_STREAM: u64 = 0xFA40;
+
+/// Targets of the one fan-out per epoch: the serving `fanout` request's
+/// shape, one source against 64 targets.
+const FANOUT_TARGETS: usize = 64;
+
+/// `reader.query(s, t)` for a fresh reader, checked against the live
+/// engine, and — answer and per-shard counter growth — against the
+/// two-row merge on the reader's snapshot. Returns the answer's epoch.
+fn checked_query<E: ServingEngine>(
+    reader: &mut Reader<E::Snapshot>,
+    server: &EpochServer<E>,
+    s: VertexId,
+    t: VertexId,
+) -> u64 {
+    let mut merged = vec![KernelCounters::new(); reader.shard_counters().len()];
+    let expected =
+        reader
+            .snapshot()
+            .index()
+            .query_counted(&mut FlatScratch::new(), &mut merged, s, t);
+    let before = reader.shard_counters().to_vec();
+    let (stamp, answer) = reader.query(s, t);
+    assert_eq!(
+        answer,
+        server.engine().query_live(s, t),
+        "snapshot/live divergence at {s:?}->{t:?}"
+    );
+    assert_eq!(answer, expected, "pinned/merge divergence at {s:?}->{t:?}");
+    for ((now, was), merge) in reader.shard_counters().iter().zip(&before).zip(&merged) {
+        assert_eq!(
+            (
+                now.queries - was.queries,
+                now.merge_steps - was.merge_steps,
+                now.common_hubs - was.common_hubs,
+            ),
+            (merge.queries, merge.merge_steps, merge.common_hubs),
+            "pinned/merge counters at {s:?}->{t:?}"
+        );
+    }
+    stamp
+}
+
 /// Runs the scripted replay and returns its deterministic counters.
 ///
-/// Panics if any fresh reader's answer diverges from the live engine —
-/// the replay doubles as an end-to-end agreement check between the
-/// serving snapshots and the label sets they froze from.
+/// Panics if any fresh reader's answer diverges from the live engine, or
+/// its answer or counters from the merge — the replay doubles as an
+/// end-to-end agreement check between the serving snapshots and the label
+/// sets they froze from.
 pub fn replay(config: ServingReplayConfig) -> ServingReplayReport {
     let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut fanout_rng = StdRng::seed_from_u64(config.seed ^ FANOUT_STREAM);
     let g = barabasi_albert(config.vertices as usize, config.attach, &mut rng);
     let mut engine = DynamicSpc::build(g, OrderingStrategy::Degree);
     engine.set_maintenance_threads(MaintenanceThreads::Fixed(2));
@@ -113,6 +170,7 @@ pub fn replay(config: ServingReplayConfig) -> ServingReplayReport {
         },
     );
     let mut readers: Vec<Reader<_>> = (0..config.readers).map(|_| server.reader()).collect();
+    let mut fanout = server.reader();
     let mut rows_copied = 0u64;
 
     for epoch in 0..config.epochs {
@@ -140,18 +198,24 @@ pub fn replay(config: ServingReplayConfig) -> ServingReplayReport {
             for _ in 0..config.queries_per_reader {
                 let s = VertexId(rng.gen_range(0..config.vertices));
                 let t = VertexId(rng.gen_range(0..config.vertices));
-                let (stamp, answer) = reader.query(s, t);
                 if i == 0 {
                     // Reader 0 refreshes every rotation: its answers must
-                    // match the live engine bit-for-bit.
+                    // match the live engine and the merge bit-for-bit.
+                    let stamp = checked_query(reader, &server, s, t);
                     assert_eq!(stamp, server.epoch(), "reader 0 is always fresh");
-                    assert_eq!(
-                        answer,
-                        server.engine().query_live(s, t),
-                        "snapshot/live divergence at {s:?}->{t:?}"
-                    );
+                } else {
+                    reader.query(s, t);
                 }
             }
+        }
+
+        // One fan-out on its own fresh reader: the source stays pinned
+        // for every target after the first.
+        fanout.refresh();
+        let s = VertexId(fanout_rng.gen_range(0..config.vertices));
+        for _ in 0..FANOUT_TARGETS {
+            let t = VertexId(fanout_rng.gen_range(0..config.vertices));
+            checked_query(&mut fanout, &server, s, t);
         }
     }
 
@@ -172,6 +236,7 @@ pub fn replay(config: ServingReplayConfig) -> ServingReplayReport {
         stale_epoch_reads,
         shard_merge_steps,
         rows_copied,
+        fanout_merge_steps: fanout.shard_counters().iter().map(|c| c.merge_steps).sum(),
     }
 }
 
@@ -189,6 +254,7 @@ mod tests {
         assert_eq!(a.stale_epoch_reads, b.stale_epoch_reads);
         assert_eq!(a.shard_merge_steps, b.shard_merge_steps);
         assert_eq!(a.rows_copied, b.rows_copied);
+        assert_eq!(a.fanout_merge_steps, b.fanout_merge_steps);
     }
 
     #[test]
@@ -209,6 +275,7 @@ mod tests {
             report.shard_merge_steps.iter().all(|&s| s > 0),
             "every shard should see kernel work"
         );
+        assert!(report.fanout_merge_steps > 0, "fan-outs see kernel work");
         // Rotations share the rows their batch left unchanged: each copies
         // fewer rows than the index holds.
         let per_rotation = report.rows_copied / report.rotations;

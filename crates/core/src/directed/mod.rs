@@ -19,7 +19,7 @@ pub use update::{DirectedDecSpc, DirectedIncSpc};
 
 use crate::dynamic::{UpdateKind, UpdateStats};
 use crate::engine::EdgeCoalescer;
-use crate::label::{Count, LabelEntry, LabelSet, Rank, SharedRows};
+use crate::label::{Count, LabelEntry, LabelSet, Rank, SharedRows, INF_DIST};
 use crate::order::{OrderingStrategy, RankMap};
 use crate::parallel::MaintenanceThreads;
 use crate::query::{pre_query_rows, query_rows, QueryResult};
@@ -141,7 +141,8 @@ impl DirectedSpcIndex {
     /// Swaps the vertices at ranks `r` and `r + 1` without touching either
     /// label family — the directed twin of
     /// [`crate::index::SpcIndex::swap_adjacent_ranks`]; the caller
-    /// ([`crate::reorder`]) purges both ranks' entries around the remap.
+    /// ([`crate::engine::PushPipeline::rerank`]) purges both ranks' entries
+    /// from both families and re-pushes both hubs.
     pub fn swap_adjacent_ranks(&mut self, r: Rank) {
         self.ranks.swap_adjacent(r);
     }
@@ -161,7 +162,8 @@ impl DirectedSpcIndex {
             + self.labels_out.iter().map(LabelSet::len).sum::<usize>()
     }
 
-    /// Structural invariants on both sides.
+    /// Structural invariants on both sides: sorted rows, self labels,
+    /// upward hubs, finite distances, positive counts.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (name, family) in [("L_in", &self.labels_in), ("L_out", &self.labels_out)] {
             for (vi, ls) in family.iter().enumerate() {
@@ -177,6 +179,9 @@ impl DirectedSpcIndex {
                 for e in ls.entries() {
                     if e.hub > self_rank {
                         return Err(format!("{name}({v}) hub ranked below owner"));
+                    }
+                    if e.dist == INF_DIST {
+                        return Err(format!("{name}({v}) infinite distance"));
                     }
                     if e.count == 0 {
                         return Err(format!("{name}({v}) zero-count label"));
@@ -423,5 +428,14 @@ mod tests {
             Some((0, 1))
         );
         assert!(!directed_spc_query(&idx, VertexId(0), VertexId(1)).is_connected());
+    }
+
+    #[test]
+    fn invariant_checker_catches_infinite_distance() {
+        let ranks = RankMap::from_rank_order(&[0, 1, 2], OrderingStrategy::Identity);
+        let mut idx = DirectedSpcIndex::self_labeled(ranks);
+        idx.label_mut(Side::In, VertexId(2))
+            .upsert(LabelEntry::new(Rank(0), INF_DIST, 1));
+        assert!(idx.check_invariants().is_err());
     }
 }

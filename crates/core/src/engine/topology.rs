@@ -231,7 +231,7 @@ impl<I: Deref<Target = DirectedSpcIndex>> ReadTopology for DirectedTopo<'_, I> {
 
     fn load_probe(&mut self, x: VertexId) {
         self.probe.load_labels(
-            self.index.label(self.pin_side(), x),
+            self.index.label(self.pin_side(), x).entries(),
             self.index.ranks().len(),
         );
     }
@@ -314,7 +314,7 @@ impl<I: Deref<Target = WeightedSpcIndex>> ReadTopology for WeightedTopo<'_, I> {
 
     fn load_probe(&mut self, x: VertexId) {
         self.probe
-            .load_labels(self.index.label_set(x), self.index.ranks().len());
+            .load_labels(self.index.label_set(x).entries(), self.index.ranks().len());
     }
 
     #[inline]

@@ -21,9 +21,12 @@
 //! ([`crate::serialize`]), and serves queries straight off them.
 //!
 //! Every query — live rows, shared rows, columns — runs the single merge
-//! kernel in [`crate::query`], so results and the deterministic
-//! [`KernelCounters`] are **bit-identical** across all of them; the test
-//! suite and the `bench_smoke` CI lane both enforce this.
+//! kernel in [`crate::query`], except the serving readers' `query_pinned`,
+//! which scans the target row against a pinned source row
+//! ([`crate::query::RowPin`]) and reports the merge's counters. Results
+//! and the deterministic [`KernelCounters`] are **bit-identical** across
+//! all of them; the test suite and the `bench_smoke` CI lane both enforce
+//! this.
 //!
 //! ## Freshness contract
 //!
@@ -37,7 +40,7 @@ use crate::directed::{DirectedSpcIndex, Side};
 use crate::index::SpcIndex;
 use crate::label::{Count, LabelEntry, Rank, SharedRows};
 use crate::order::RankMap;
-use crate::query::{counted_query_rows, pre_query_rows, query_rows, HubRow, QueryResult};
+use crate::query::{counted_query_rows, pre_query_rows, query_rows, HubRow, QueryResult, RowPin};
 use crate::weighted::{WLabelEntry, WQueryResult, WeightedSpcIndex};
 use dspc_graph::VertexId;
 
@@ -454,6 +457,23 @@ impl DirectedFlatIndex {
         );
         QueryResult { dist, count }
     }
+
+    /// [`DirectedFlatIndex::query_counted`] through a reader's `pin`:
+    /// `L_out(s)` is loaded into the pin's probe unless it is already
+    /// pinned, then only `L_in(t)` is scanned. Answers and counters are
+    /// bit-identical to the merge.
+    #[inline]
+    pub fn query_pinned(
+        &self,
+        pin: &mut RowPin,
+        counters: &mut KernelCounters,
+        s: VertexId,
+        t: VertexId,
+    ) -> QueryResult {
+        let (dist, count) =
+            pin.query_counted(&self.out_rows, s, self.in_rows.row(t.index()), counters);
+        QueryResult { dist, count }
+    }
 }
 
 /// The published snapshot of a [`WeightedSpcIndex`]: one shared row of
@@ -544,6 +564,22 @@ impl WeightedFlatIndex {
     ) -> WQueryResult {
         let (dist, count) =
             counted_query_rows(self.rows.row(s.index()), self.rows.row(t.index()), counters);
+        WQueryResult { dist, count }
+    }
+
+    /// [`WeightedFlatIndex::query_counted`] through a reader's `pin`:
+    /// `L(s)` is loaded into the pin's probe unless it is already pinned,
+    /// then only `L(t)` is scanned. Answers and counters are bit-identical
+    /// to the merge.
+    #[inline]
+    pub fn query_pinned(
+        &self,
+        pin: &mut RowPin<WLabelEntry>,
+        counters: &mut KernelCounters,
+        s: VertexId,
+        t: VertexId,
+    ) -> WQueryResult {
+        let (dist, count) = pin.query_counted(&self.rows, s, self.rows.row(t.index()), counters);
         WQueryResult { dist, count }
     }
 }

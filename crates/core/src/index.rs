@@ -5,7 +5,7 @@
 //! (ESPC) constraint — `spc(s, t)` is computable for every pair from
 //! `L(s)` and `L(t)` alone via Equations (1)–(2).
 
-use crate::label::{LabelEntry, LabelSet, Rank, SharedRows};
+use crate::label::{LabelEntry, LabelSet, Rank, SharedRows, INF_DIST};
 use crate::order::RankMap;
 use dspc_graph::VertexId;
 use serde::{Deserialize, Serialize};
@@ -246,7 +246,9 @@ impl SpcIndex {
 
     /// Structural invariants: every label set strictly sorted, every vertex
     /// carries its self label, every entry's hub ranks at least as high as
-    /// the owner (labels only point "up" the order), counts positive.
+    /// the owner (labels only point "up" the order), distances finite
+    /// (the hub probe reads an `INF` slot as "hub absent"), counts
+    /// positive.
     pub fn check_invariants(&self) -> Result<(), String> {
         if !self.ranks.validate() {
             return Err("rank map is not a bijection".into());
@@ -273,6 +275,9 @@ impl SpcIndex {
                         "L({v}) contains hub ranked lower than the owner: {:?}",
                         e.hub
                     ));
+                }
+                if e.dist == INF_DIST {
+                    return Err(format!("infinite distance in L({v}): hub {:?}", e.hub));
                 }
                 if e.count == 0 {
                     return Err(format!("zero-count label in L({v}): hub {:?}", e.hub));
@@ -381,6 +386,15 @@ mod tests {
         let owner = idx.vertex(Rank(0));
         idx.label_set_mut(owner)
             .upsert(LabelEntry::new(low_rank, 1, 1));
+        assert!(idx.check_invariants().is_err());
+    }
+
+    #[test]
+    fn invariant_checker_catches_infinite_distance() {
+        let mut idx = fresh();
+        let owner = idx.vertex(Rank(3));
+        idx.label_set_mut(owner)
+            .upsert(LabelEntry::new(Rank(0), INF_DIST, 1));
         assert!(idx.check_invariants().is_err());
     }
 

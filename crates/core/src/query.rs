@@ -1,5 +1,6 @@
 //! Query evaluation: `SpcQUERY` (Algorithm 1), `PreQUERY` (§3.2.2), and the
-//! hub-probe fast path used inside the update algorithms.
+//! hub-probe fast path behind the update algorithms and the serving
+//! readers.
 //!
 //! `SpcQUERY(s, t)` merges `L(s)` and `L(t)` by hub rank; among common hubs
 //! it keeps the minimum `sd(h,s) + sd(h,t)` and accumulates
@@ -9,11 +10,21 @@
 //! higher-ranked than `s` — it upper-bounds `sd(s, t)` using only hubs the
 //! decremental update has already repaired (processing is in descending
 //! rank order, so those labels are trustworthy).
+//!
+//! [`HubProbe`] answers the same query by scattering one row into
+//! rank-indexed arrays and scanning the other, as pruned landmark labeling
+//! does inside its pruned BFS (Akiba, Iwata & Yoshida, SIGMOD 2013). Every
+//! sweep step of construction, IncSPC and DecSPC queries through it, and so
+//! does every serving read: a [`RowPin`] keeps a reader's last source row
+//! loaded, so consecutive queries from one source scan only `L(t)`. Its
+//! counted scan reports the merge's own [`KernelCounters`], so the two paths
+//! are interchangeable under the exact counter gates.
 
 use crate::flat::KernelCounters;
 use crate::index::SpcIndex;
-use crate::label::{Count, HubEntry, LabelDist, LabelEntry, LabelRow, Rank, INF_DIST};
+use crate::label::{Count, HubEntry, LabelDist, LabelEntry, LabelRow, Rank, SharedRows, INF_DIST};
 use dspc_graph::VertexId;
+use std::sync::Arc;
 
 /// Result of a shortest-path-counting query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -231,11 +242,23 @@ pub fn dist_query(index: &SpcIndex, s: VertexId, t: VertexId) -> Option<u32> {
 /// Loading is sound for the duration of one rooted sweep: the sweep for
 /// hub `h` only rewrites `(h, ·, ·)` entries in *other* vertices' label
 /// sets, never the pinned `L(h)` itself (see module tests).
+///
+/// A slot holding the distance sentinel `INF` means "hub absent", so a
+/// stored entry must never carry `INF`; the indexes' `check_invariants`
+/// reject one.
 #[derive(Clone, Debug)]
 pub struct HubProbe<E: HubEntry = LabelEntry> {
     dist: Vec<E::Dist>,
     count: Vec<Count>,
+    /// The pinned row's hubs, in row order (ascending rank).
     loaded: Vec<Rank>,
+}
+
+impl<E: HubEntry> Default for HubProbe<E> {
+    /// An empty probe: nothing allocated until the first load.
+    fn default() -> Self {
+        HubProbe::new(0)
+    }
 }
 
 impl<E: HubEntry> HubProbe<E> {
@@ -265,12 +288,13 @@ impl<E: HubEntry> HubProbe<E> {
         self.loaded.clear();
     }
 
-    /// Pins a label row (`L(h)`, or `L_out(h)` / `L_in(h)` for the directed
-    /// extension, whose sweeps pin the family opposite the one they repair).
-    pub fn load_labels(&mut self, labels: &LabelRow<E>, rank_capacity: usize) {
+    /// Pins a sorted label row (`L(h)`, or `L_out(h)` / `L_in(h)` for the
+    /// directed extension, whose sweeps pin the family opposite the one
+    /// they repair) whose hubs all rank below `rank_capacity`.
+    pub fn load_labels(&mut self, entries: &[E], rank_capacity: usize) {
         self.ensure_capacity(rank_capacity);
         self.clear();
-        for e in labels.entries() {
+        for e in entries {
             self.dist[e.hub().index()] = e.dist();
             self.count[e.hub().index()] = e.count();
             self.loaded.push(e.hub());
@@ -315,12 +339,117 @@ impl<E: HubEntry> HubProbe<E> {
         }
         (best, count)
     }
+
+    /// Counted `SpcQUERY(h, v)` against the pinned `L(h)`: the answer and
+    /// the [`KernelCounters`] of the two-row merge ([`spc_query_counted`])
+    /// over `(L(h), lv)`, bit for bit.
+    ///
+    /// With `a = L(h)`, `b = lv` and `m` the smaller of the two rows' last
+    /// hubs, the merge consumes exactly the entries ranked at most `m` on
+    /// each side, one step per entry except that a common hub's two
+    /// entries share one: `merge_steps = #{a ≤ m} + #{b ≤ m} − common`
+    /// (0 when either row is empty). So the scan of `b` stops past `a`'s
+    /// last hub (which also keeps it inside the probe when `lv` comes from
+    /// a larger rank space), and `#{a ≤ m}` needs a binary search only
+    /// when `b` ends first. Probe hits are the common hubs.
+    pub(crate) fn query_counted(
+        &self,
+        lv: &[E],
+        counters: &mut KernelCounters,
+    ) -> (E::Dist, Count) {
+        let inf = E::Dist::INF;
+        let mut best = inf;
+        let mut count: Count = 0;
+        counters.queries += 1;
+        let Some(&last) = self.loaded.last() else {
+            return (best, count);
+        };
+        let (mut scanned, mut common) = (0usize, 0usize);
+        for e in lv {
+            if e.hub() > last {
+                break;
+            }
+            scanned += 1;
+            let hd = self.dist[e.hub().index()];
+            if hd == inf {
+                continue;
+            }
+            common += 1;
+            let d = hd.sat_add(e.dist());
+            if d < best {
+                best = d;
+                count = self.count[e.hub().index()].saturating_mul(e.count());
+            } else if d == best && d != inf {
+                count = count.saturating_add(self.count[e.hub().index()].saturating_mul(e.count()));
+            }
+        }
+        let pinned = match lv.get(scanned) {
+            // `lv` runs past the pinned row: the merge consumed all of it.
+            Some(_) => self.loaded.len(),
+            None => lv
+                .last()
+                .map_or(0, |e| self.loaded.partition_point(|&h| h <= e.hub())),
+        };
+        counters.merge_steps += (pinned + scanned - common) as u64;
+        counters.common_hubs += common as u64;
+        (best, count)
+    }
 }
 
 impl HubProbe {
     /// Pins `L(h)` of an undirected index.
     pub fn load(&mut self, index: &SpcIndex, h: VertexId) {
-        self.load_labels(index.label_set(h), index.ranks().len());
+        self.load_labels(index.label_set(h).entries(), index.ranks().len());
+    }
+}
+
+/// A reader's pinned source row over published rows: a [`HubProbe`]
+/// loaded with the row, and a handle that keeps the row alive.
+///
+/// A query whose source row is the pinned handle (`Arc::ptr_eq`) scans
+/// only the target row; any other query reloads the probe first. Pointer
+/// identity is exact: the pin keeps the row alive so its address cannot
+/// be reused, published rows never change, and a publication shares every
+/// unchanged row's handle with the previous one, so a pin survives epoch
+/// rotations that leave its row alone. The probe is allocated on the
+/// first query, sized to that snapshot's rank space.
+#[derive(Debug)]
+pub struct RowPin<E: HubEntry = LabelEntry> {
+    probe: HubProbe<E>,
+    row: Option<Arc<[E]>>,
+}
+
+impl<E: HubEntry> Default for RowPin<E> {
+    /// An empty pin: the first query loads (and allocates) the probe.
+    fn default() -> Self {
+        RowPin {
+            probe: HubProbe::default(),
+            row: None,
+        }
+    }
+}
+
+impl<E: HubEntry> RowPin<E> {
+    /// Counted `SpcQUERY` of source row `sources[s]` against `target`,
+    /// pinning the source row first unless it is already pinned.
+    #[inline]
+    pub(crate) fn query_counted(
+        &mut self,
+        sources: &SharedRows<E>,
+        s: VertexId,
+        target: &[E],
+        counters: &mut KernelCounters,
+    ) -> (E::Dist, Count) {
+        let row = sources.handle(s.index());
+        if !self
+            .row
+            .as_ref()
+            .is_some_and(|pinned| Arc::ptr_eq(pinned, row))
+        {
+            self.probe.load_labels(row, sources.num_vertices());
+            self.row = Some(Arc::clone(row));
+        }
+        self.probe.query_counted(target, counters)
     }
 }
 
@@ -467,6 +596,50 @@ pub(crate) mod tests {
                     (pre.dist, pre.count),
                     "pre h=v{h}, v=v{v}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn counted_probe_matches_merge_counters() {
+        let idx = table2_index();
+        let mut probe = HubProbe::default();
+        for h in 0..12u32 {
+            probe.load_labels(idx.label_set(VertexId(h)).entries(), idx.ranks().len());
+            for v in 0..12u32 {
+                let (a, b) = (
+                    idx.label_set(VertexId(h)).entries(),
+                    idx.label_set(VertexId(v)).entries(),
+                );
+                let (mut merged, mut probed) = (KernelCounters::new(), KernelCounters::new());
+                let want = counted_query_rows(a, b, &mut merged);
+                assert_eq!(probe.query_counted(b, &mut probed), want, "h=v{h}, v=v{v}");
+                assert_eq!(probed, merged, "h=v{h}, v=v{v}");
+            }
+        }
+    }
+
+    #[test]
+    fn counted_probe_edge_rows() {
+        let e = |h: u32| LabelEntry::new(Rank(h), 1, 2);
+        let rows: [&[LabelEntry]; 6] = [
+            &[],
+            &[e(0)],
+            &[e(3)],
+            &[e(0), e(2), e(5)],
+            &[e(1), e(2), e(4)],
+            &[e(6), e(7)],
+        ];
+        // A probe sized to ranks 0..6: target hubs 6 and 7 lie past it and
+        // past every pinned row's last hub, so the scan never reaches them.
+        let mut probe = HubProbe::new(6);
+        for a in &rows[..5] {
+            probe.load_labels(a, 6);
+            for b in rows {
+                let (mut merged, mut probed) = (KernelCounters::new(), KernelCounters::new());
+                let want = counted_query_rows(*a, b, &mut merged);
+                assert_eq!(probe.query_counted(b, &mut probed), want, "{a:?} / {b:?}");
+                assert_eq!(probed, merged, "{a:?} / {b:?}");
             }
         }
     }

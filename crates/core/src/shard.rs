@@ -8,9 +8,12 @@
 //! the shard that owns the query's source vertex (`bounds[i] ..
 //! bounds[i + 1]`); the rows themselves are not split, so a rotation
 //! publishes by sharing unchanged rows instead of re-slicing the index.
-//! A query runs the same merge kernel as the live index and
-//! [`crate::flat::FlatIndex`], so answers and `merge_steps` are
-//! **bit-identical** to both (`tests/shard_equivalence.rs`).
+//! [`ShardedFlatIndex::query_counted`] runs the same merge kernel as the
+//! live index and [`crate::flat::FlatIndex`]; the serving readers answer
+//! through [`ShardedFlatIndex::query_pinned`], the pinned hub probe of
+//! [`crate::query::RowPin`]. Answers and `merge_steps` are
+//! **bit-identical** across all of them (`tests/shard_equivalence.rs`,
+//! `tests/pinned_reads.rs`).
 //!
 //! The type keeps its name (and its copying constructors
 //! [`ShardedFlatIndex::from_flat`] / [`ShardedFlatIndex::with_bounds`])
@@ -26,7 +29,7 @@ use crate::flat::{FlatIndex, FlatScratch, KernelCounters};
 use crate::index::SpcIndex;
 use crate::label::{LabelEntry, Rank, SharedRows};
 use crate::order::RankMap;
-use crate::query::{counted_query_rows, pre_query_rows, query_rows, QueryResult};
+use crate::query::{counted_query_rows, pre_query_rows, query_rows, QueryResult, RowPin};
 use dspc_graph::VertexId;
 use std::sync::Arc;
 
@@ -208,6 +211,28 @@ impl ShardedFlatIndex {
         assert_eq!(per_shard.len(), self.num_shards(), "one counter per shard");
         let (dist, count) = counted_query_rows(
             self.rows.row(s.index()),
+            self.rows.row(t.index()),
+            &mut per_shard[self.shard_of(s)],
+        );
+        QueryResult { dist, count }
+    }
+
+    /// [`ShardedFlatIndex::query_counted`] through a reader's `pin`:
+    /// `L(s)` is loaded into the pin's probe unless it is already pinned,
+    /// then only `L(t)` is scanned. Answers and per-shard counters are
+    /// bit-identical to the merge.
+    #[inline]
+    pub fn query_pinned(
+        &self,
+        pin: &mut RowPin,
+        per_shard: &mut [KernelCounters],
+        s: VertexId,
+        t: VertexId,
+    ) -> QueryResult {
+        assert_eq!(per_shard.len(), self.num_shards(), "one counter per shard");
+        let (dist, count) = pin.query_counted(
+            &self.rows,
+            s,
             self.rows.row(t.index()),
             &mut per_shard[self.shard_of(s)],
         );

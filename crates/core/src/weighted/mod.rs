@@ -128,12 +128,14 @@ impl WeightedSpcIndex {
     /// Swaps the vertices at ranks `r` and `r + 1` without touching the
     /// label sets — the weighted twin of
     /// [`crate::index::SpcIndex::swap_adjacent_ranks`]; the caller
-    /// ([`crate::reorder`]) purges both ranks' entries around the remap.
+    /// ([`crate::engine::PushPipeline::rerank`]) purges both ranks' entries
+    /// and re-pushes both hubs.
     pub fn swap_adjacent_ranks(&mut self, r: Rank) {
         self.ranks.swap_adjacent(r);
     }
 
-    /// Structural invariants (sorted, self labels, upward hubs).
+    /// Structural invariants (sorted, self labels, upward hubs, finite
+    /// distances, positive counts).
     pub fn check_invariants(&self) -> Result<(), String> {
         for (vi, ls) in self.labels.iter().enumerate() {
             let v = VertexId(vi as u32);
@@ -148,6 +150,9 @@ impl WeightedSpcIndex {
             for e in ls.entries() {
                 if e.hub > sr {
                     return Err(format!("L({v}) hub below owner"));
+                }
+                if e.dist == WDIST_INF {
+                    return Err(format!("L({v}) infinite distance"));
                 }
                 if e.count == 0 {
                     return Err(format!("L({v}) zero count"));
@@ -460,5 +465,17 @@ mod tests {
             Some((0, 1))
         );
         assert!(!weighted_spc_query(&idx, VertexId(0), VertexId(2)).is_connected());
+    }
+
+    #[test]
+    fn invariant_checker_catches_infinite_distance() {
+        let g = path_graph(3);
+        let ranks = RankMap::build(&g, OrderingStrategy::Identity);
+        let mut labels: Vec<WLabelSet> = (0..3)
+            .map(|v| WLabelSet::self_only(ranks.rank(VertexId(v))))
+            .collect();
+        labels[2].upsert(WLabelEntry::new(ranks.rank(VertexId(0)), WDIST_INF, 1));
+        let idx = WeightedSpcIndex::new(labels, ranks);
+        assert!(idx.check_invariants().is_err());
     }
 }

@@ -4,12 +4,14 @@
 use dspc::directed::{directed_spc_query, DynamicDirectedSpc};
 use dspc::dynamic::GraphUpdate;
 use dspc::policy::ManagedSpc;
-use dspc::query::spc_query;
+use dspc::query::{spc_query, RowPin};
 use dspc::shard::ShardedFlatIndex;
-use dspc::weighted::{weighted_spc_query, DynamicWeightedSpc, WQueryResult, WeightedUpdate};
+use dspc::weighted::{
+    weighted_spc_query, DynamicWeightedSpc, WLabelEntry, WQueryResult, WeightedUpdate,
+};
 use dspc::{
-    DirectedFlatIndex, DynamicSpc, FlatIndex, FlatScratch, KernelCounters, QueryResult,
-    UpdateStats, WeightedFlatIndex,
+    DirectedFlatIndex, DynamicSpc, FlatScratch, KernelCounters, QueryResult, UpdateStats,
+    WeightedFlatIndex,
 };
 use dspc_graph::VertexId;
 
@@ -23,6 +25,10 @@ pub trait ServingSnapshot: Send + Sync + 'static {
     /// `WQueryResult` for accumulated weights).
     type Answer: Copy + PartialEq + std::fmt::Debug + Send + 'static;
 
+    /// What a reader keeps between queries: its last source row, loaded
+    /// into a hub probe ([`dspc::query::RowPin`]). A default pin is empty.
+    type Pin: Default + Send + 'static;
+
     /// Number of shards this snapshot attributes kernel counters to.
     fn shard_count(&self) -> usize;
 
@@ -31,10 +37,24 @@ pub trait ServingSnapshot: Send + Sync + 'static {
     fn rows_copied(&self) -> usize;
 
     /// `SPC(s, t)` against the snapshot, accumulating kernel work into
-    /// `per_shard` (length [`ServingSnapshot::shard_count`]).
+    /// `per_shard` (length [`ServingSnapshot::shard_count`]). This is the
+    /// two-row merge: the reference [`ServingSnapshot::query_pinned`]
+    /// must match.
     fn query_counted(
         &self,
         scratch: &mut FlatScratch,
+        per_shard: &mut [KernelCounters],
+        s: VertexId,
+        t: VertexId,
+    ) -> Self::Answer;
+
+    /// [`ServingSnapshot::query_counted`] through `pin`: the source row is
+    /// loaded into the pin unless it is already pinned, then only the
+    /// target row is scanned. Answers and counters are bit-identical to
+    /// the merge.
+    fn query_pinned(
+        &self,
+        pin: &mut Self::Pin,
         per_shard: &mut [KernelCounters],
         s: VertexId,
         t: VertexId,
@@ -43,6 +63,7 @@ pub trait ServingSnapshot: Send + Sync + 'static {
 
 impl ServingSnapshot for ShardedFlatIndex {
     type Answer = QueryResult;
+    type Pin = RowPin;
 
     fn shard_count(&self) -> usize {
         self.num_shards()
@@ -62,34 +83,22 @@ impl ServingSnapshot for ShardedFlatIndex {
     ) -> QueryResult {
         ShardedFlatIndex::query_counted(self, scratch, per_shard, s, t)
     }
-}
-
-impl ServingSnapshot for FlatIndex {
-    type Answer = QueryResult;
-
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    /// Columns are always a full copy.
-    fn rows_copied(&self) -> usize {
-        self.num_vertices()
-    }
 
     #[inline]
-    fn query_counted(
+    fn query_pinned(
         &self,
-        scratch: &mut FlatScratch,
+        pin: &mut RowPin,
         per_shard: &mut [KernelCounters],
         s: VertexId,
         t: VertexId,
     ) -> QueryResult {
-        FlatIndex::query_counted(self, scratch, &mut per_shard[0], s, t)
+        ShardedFlatIndex::query_pinned(self, pin, per_shard, s, t)
     }
 }
 
 impl ServingSnapshot for DirectedFlatIndex {
     type Answer = QueryResult;
+    type Pin = RowPin;
 
     fn shard_count(&self) -> usize {
         1
@@ -109,10 +118,22 @@ impl ServingSnapshot for DirectedFlatIndex {
     ) -> QueryResult {
         DirectedFlatIndex::query_counted(self, scratch, &mut per_shard[0], s, t)
     }
+
+    #[inline]
+    fn query_pinned(
+        &self,
+        pin: &mut RowPin,
+        per_shard: &mut [KernelCounters],
+        s: VertexId,
+        t: VertexId,
+    ) -> QueryResult {
+        DirectedFlatIndex::query_pinned(self, pin, &mut per_shard[0], s, t)
+    }
 }
 
 impl ServingSnapshot for WeightedFlatIndex {
     type Answer = WQueryResult;
+    type Pin = RowPin<WLabelEntry>;
 
     fn shard_count(&self) -> usize {
         1
@@ -131,6 +152,17 @@ impl ServingSnapshot for WeightedFlatIndex {
         t: VertexId,
     ) -> WQueryResult {
         WeightedFlatIndex::query_counted(self, scratch, &mut per_shard[0], s, t)
+    }
+
+    #[inline]
+    fn query_pinned(
+        &self,
+        pin: &mut RowPin<WLabelEntry>,
+        per_shard: &mut [KernelCounters],
+        s: VertexId,
+        t: VertexId,
+    ) -> WQueryResult {
+        WeightedFlatIndex::query_pinned(self, pin, &mut per_shard[0], s, t)
     }
 }
 

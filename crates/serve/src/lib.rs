@@ -11,7 +11,9 @@
 //!   attribution for the undirected [`dspc::ShardedFlatIndex`]).
 //!   Queries are served from the reader's pinned snapshot with **no locks
 //!   anywhere on the read path**; advancing to a newer epoch is a wait-free
-//!   walk of atomically-set forward pointers.
+//!   walk of atomically-set forward pointers. Each reader keeps its last
+//!   source row loaded in a hub probe (`dspc::query::RowPin`), so lookups
+//!   from one source scan only the target's row.
 //! * **A single writer** ([`EpochServer`]) owns the live dynamic facade,
 //!   buffers incoming updates, applies them off the read path as one
 //!   coalesced batch per rotation (`apply_batch` → the `NetPlan` batch

@@ -9,7 +9,7 @@ use crate::journal::{
 };
 use crate::publish::{Publisher, Subscription};
 use dspc::shard::EpochSnapshot;
-use dspc::{FlatScratch, KernelCounters, UpdateStats};
+use dspc::{KernelCounters, UpdateStats};
 use dspc_graph::VertexId;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -563,12 +563,18 @@ impl<E: DurableEngine> EpochServer<E> {
 /// between epochs only when asked, and keeps deterministic serving
 /// counters (queries served, stale-epoch reads, per-shard kernel work).
 ///
+/// Queries run through a hub probe loaded with the last query's source
+/// row ([`ServingSnapshot::Pin`]): the next query from the same source
+/// scans only the target's row, also after a refresh to an epoch that
+/// left that row unchanged. The probe is allocated on the first query, at
+/// 12 bytes per vertex (16 for the weighted variant).
+///
 /// Handles are `Send` — create them on the writer thread, move them into
 /// reader threads. Queries never lock: the pinned snapshot is immutable
 /// and refreshing is a wait-free pointer walk.
 pub struct Reader<S: ServingSnapshot> {
     sub: Subscription<S>,
-    scratch: FlatScratch,
+    pin: S::Pin,
     per_shard: Vec<KernelCounters>,
     queries_served: u64,
     stale_epoch_reads: u64,
@@ -579,7 +585,7 @@ impl<S: ServingSnapshot> Reader<S> {
         let shards = sub.snapshot().index().shard_count();
         Reader {
             sub,
-            scratch: FlatScratch::new(),
+            pin: S::Pin::default(),
             per_shard: vec![KernelCounters::new(); shards],
             queries_served: 0,
             stale_epoch_reads: 0,
@@ -587,7 +593,7 @@ impl<S: ServingSnapshot> Reader<S> {
     }
 
     /// An independent reader pinned at this reader's current snapshot,
-    /// with zeroed counters.
+    /// with zeroed counters and an empty source pin.
     pub fn fork(&self) -> Reader<S> {
         Reader::new(self.sub.clone())
     }
@@ -618,6 +624,10 @@ impl<S: ServingSnapshot> Reader<S> {
     /// stale-epoch read if a newer snapshot was already visible when the
     /// query ran (the reader chose staleness — the paper's kept-stale
     /// labels, one epoch coarser).
+    ///
+    /// Answered through [`ServingSnapshot::query_pinned`]: `s`'s row stays
+    /// loaded for the next query, and the per-shard counters grow exactly
+    /// as [`ServingSnapshot::query_counted`]'s merge would grow them.
     pub fn query(&mut self, s: VertexId, t: VertexId) -> (u64, S::Answer) {
         if self.sub.is_stale() {
             self.stale_epoch_reads += 1;
@@ -626,7 +636,7 @@ impl<S: ServingSnapshot> Reader<S> {
         let snap = self.sub.snapshot();
         let answer = snap
             .index()
-            .query_counted(&mut self.scratch, &mut self.per_shard, s, t);
+            .query_pinned(&mut self.pin, &mut self.per_shard, s, t);
         (snap.epoch(), answer)
     }
 

@@ -27,7 +27,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 mod common;
-use common::graph_strategy;
+use common::{arc_batches, graph_strategy, weighted_batches};
 
 /// Every ordered pair of an `n`-vertex id space.
 fn all_pairs(n: usize) -> impl Iterator<Item = (VertexId, VertexId)> {
@@ -49,74 +49,6 @@ fn fresh_rows<E: HubEntry>(prev: &[&SharedRows<E>], now: &[&SharedRows<E>], stri
         }
     }
     fresh
-}
-
-/// Valid-in-sequence arc batches from `picks`: an even pick deletes an
-/// existing arc, an odd pick inserts the non-arc it names (or nothing).
-fn arc_batches(g: &DirectedGraph, picks: &[usize]) -> Vec<Vec<ArcUpdate>> {
-    let mut shadow = g.clone();
-    let n = g.capacity();
-    picks
-        .chunks(3)
-        .map(|chunk| {
-            let mut batch = Vec::new();
-            for &pick in chunk {
-                let m = shadow.num_arcs();
-                if pick % 2 == 0 && m > 0 {
-                    let (a, b) = shadow.arcs().nth(pick / 2 % m).unwrap();
-                    shadow.delete_arc(a, b).unwrap();
-                    batch.push(ArcUpdate::DeleteArc(a, b));
-                } else {
-                    let (a, b) = (
-                        VertexId((pick / 2 % n) as u32),
-                        VertexId((pick / 7 % n) as u32),
-                    );
-                    if a != b && !shadow.has_arc(a, b) {
-                        shadow.insert_arc(a, b).unwrap();
-                        batch.push(ArcUpdate::InsertArc(a, b));
-                    }
-                }
-            }
-            batch
-        })
-        .collect()
-}
-
-/// Valid-in-sequence weighted batches from `picks`: deletions, weight
-/// changes of existing edges, and insertions of weight 1–5.
-fn weighted_batches(g: &WeightedGraph, picks: &[usize]) -> Vec<Vec<WeightedUpdate>> {
-    let mut shadow = g.clone();
-    let n = g.capacity();
-    picks
-        .chunks(3)
-        .map(|chunk| {
-            let mut batch = Vec::new();
-            for &pick in chunk {
-                let m = shadow.num_edges();
-                let w = 1 + (pick / 3 % 5) as u32;
-                if pick % 3 != 2 && m > 0 {
-                    let (a, b, old) = shadow.edges().nth(pick / 3 % m).unwrap();
-                    if pick % 3 == 0 {
-                        shadow.delete_edge(a, b).unwrap();
-                        batch.push(WeightedUpdate::DeleteEdge(a, b));
-                    } else if w != old {
-                        shadow.set_weight(a, b, w).unwrap();
-                        batch.push(WeightedUpdate::SetWeight(a, b, w));
-                    }
-                } else {
-                    let (a, b) = (
-                        VertexId((pick / 2 % n) as u32),
-                        VertexId((pick / 7 % n) as u32),
-                    );
-                    if a != b && !shadow.has_edge(a, b) {
-                        shadow.insert_edge(a, b, w).unwrap();
-                        batch.push(WeightedUpdate::InsertEdge(a, b, w));
-                    }
-                }
-            }
-            batch
-        })
-        .collect()
 }
 
 proptest! {

@@ -253,7 +253,9 @@ proptest! {
 /// with C(70, 35) ≈ 1.1·10²⁰ shortest paths. The live kernel, the flat
 /// columns and the published snapshot must all saturate to `u64::MAX`
 /// (not wrap), before and after a rotation that inserts a chord two
-/// corners see at equal distance.
+/// corners see at equal distance. A reader answers through its pinned
+/// source row, so each epoch asks `(corner, far)` twice — a reload, then a
+/// kept pin — and `(far, corner)` once (a reload again).
 #[test]
 fn saturated_counts_survive_publication() {
     let side = 36;
@@ -285,11 +287,17 @@ fn saturated_counts_survive_publication() {
         let flat = FlatIndex::freeze(engine.index());
         assert_eq!(flat.query(corner, far), saturated, "flat, epoch {epoch}");
         assert_eq!(reader.refresh(), epoch);
-        assert_eq!(
-            reader.query(corner, far).1,
-            saturated,
-            "published, epoch {epoch}"
-        );
+        for (s, t, path) in [
+            (corner, far, "reload"),
+            (corner, far, "kept pin"),
+            (far, corner, "reload"),
+        ] {
+            assert_eq!(
+                reader.query(s, t).1,
+                saturated,
+                "published, epoch {epoch}, {path}"
+            );
+        }
     }
 }
 
