@@ -9,12 +9,14 @@
 //!
 //! Writes a flat JSON report (`--out`, default `BENCH_pr.json`) and, when
 //! `--check` names a baseline report, fails (exit 1) if a gated counter
-//! (`total_sweeps` for maintenance, `removal_probes` for the DecSPC
-//! removal pass, `merge_steps` for the query kernel) regressed by more
-//! than `--threshold` percent (default 5). The workload runs maintenance
-//! at `MaintenanceThreads::Fixed(2)`: only read-only classification fans
-//! out, and its results merge in task order, so every counter is
-//! identical on any host and at any actual core count.
+//! (`total_sweeps` and `multi_far_sweeps` for maintenance,
+//! `removal_probes` for the DecSPC removal pass, `prune_probes` for the
+//! label entries the repair sweeps' prune tests read, `merge_steps` for
+//! the query kernel, and the churn, serving and recovery gates below)
+//! regressed by more than `--threshold` percent (default 5). The workload
+//! runs maintenance at `MaintenanceThreads::Fixed(2)`: only read-only
+//! classification fans out, and its results merge in task order, so every
+//! counter is identical on any host and at any actual core count.
 //!
 //! After the maintenance epochs each scenario runs a query phase: a seeded
 //! pair workload evaluated through both the live label sets and the
@@ -23,6 +25,12 @@
 //! panics on any result divergence and reports the kernel's deterministic
 //! work units — `merge_steps`, `common_hubs`, and the columnar layout's
 //! `label_bytes_per_entry`.
+//!
+//! A churn phase drives a degree-migrating stream through a tiered re-rank
+//! policy, a rebuild-every-epoch twin and a never-maintained twin. Gated
+//! counters: `churn_rerank_sweeps` and `churn_rerank_visited` (the re-rank
+//! work, and the vertices its re-push sweeps dequeue) and
+//! `churn_entries_tiered` (index size against the rebuilt twin's).
 //!
 //! A final serving phase replays the scripted epoch-rotation loop of
 //! [`dspc_bench::serving`]: a seeded hybrid stream drained through
@@ -86,6 +94,7 @@ fn absorb(report: &mut BTreeMap<String, u64>, stats: &UpdateStats) {
     add(report, "removed", stats.removed);
     add(report, "vertices_visited", stats.vertices_visited);
     add(report, "removal_probes", stats.removal_probes);
+    add(report, "prune_probes", stats.prune_probes);
 }
 
 /// Seeded query pairs over an `n`-vertex id space.
@@ -286,7 +295,8 @@ fn bridged(report: &mut BTreeMap<String, u64>) {
 /// `churn_rerank_visited`: the vertices those re-push sweeps dequeued, so a
 /// sweep that prunes less shows even when it emits the same labels).
 /// The NEVER twin's entry count is reported alongside as the bloat the
-/// re-ranks avoided.
+/// re-ranks avoided. Gated counters: `churn_rerank_sweeps`,
+/// `churn_rerank_visited` and `churn_entries_tiered`.
 fn churn(report: &mut BTreeMap<String, u64>) {
     let mut rng = StdRng::seed_from_u64(0xC4DE);
     let g = barabasi_albert(300, 3, &mut rng);
@@ -469,7 +479,8 @@ fn main() {
                 (now as f64 - base as f64) / base as f64 * 100.0
             };
             // Gated counters: maintenance work (total_sweeps), removal-pass
-            // work (removal_probes), shared-far classification drift
+            // work (removal_probes), repair-sweep prune work
+            // (prune_probes), shared-far classification drift
             // (multi_far_sweeps), query kernel work (merge_steps), recovery
             // coverage (recover_replayed_batches), journal write
             // amplification (journal_bytes_per_update), and the churn
@@ -477,6 +488,7 @@ fn main() {
             // informational.
             let gate = key == "total_sweeps"
                 || key == "removal_probes"
+                || key == "prune_probes"
                 || key == "multi_far_sweeps"
                 || key == "merge_steps"
                 || key == "recover_replayed_batches"

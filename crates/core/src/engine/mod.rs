@@ -117,8 +117,9 @@ impl EngineDist for u64 {
 }
 
 /// The read half of one variant's view of "graph + index + pinned-hub
-/// probe": everything a classification sweep needs. A view over a shared
-/// index borrow implements only this, so classification can fan out across
+/// probe": everything a classification sweep needs, plus the early-exit
+/// prune test the repair sweeps read through. A view over a shared index
+/// borrow implements only this, so classification can fan out across
 /// threads.
 pub trait ReadTopology {
     /// Distance domain (`u32` hops or `u64` accumulated weight).
@@ -132,15 +133,27 @@ pub trait ReadTopology {
     fn rank(&self, v: u32) -> Rank;
 
     /// Pins the hub-side label set of `x` for subsequent
-    /// [`probe_query`](Self::probe_query) calls. Directed views pin the
-    /// family opposite to the one being repaired.
+    /// [`probe_query`](Self::probe_query) and
+    /// [`probe_certifies_shorter`](Self::probe_certifies_shorter) calls.
+    /// Directed views pin the family opposite to the one being repaired.
     fn load_probe(&mut self, x: VertexId);
 
-    /// `SpcQUERY(pinned, v)` against the repaired family.
+    /// `SpcQUERY(pinned, v)` against the repaired family: what the
+    /// classification sweeps need, since condition **B** reads the count.
     fn probe_query(&self, v: VertexId) -> (Self::Dist, Count);
 
-    /// `PreQUERY(pinned, v)`: hubs ranked strictly above `limit` only.
-    fn probe_pre_query(&self, v: VertexId, limit: Rank) -> (Self::Dist, Count);
+    /// The prune test of the label-writing sweeps: whether a pinned hub
+    /// ranked strictly above `limit` (any pinned hub when `None`) reaches
+    /// `v` by a path strictly shorter than `bound`, with the `v` entries
+    /// read ([`crate::query::HubProbe::certifies_shorter`]). The verdict
+    /// equals `SpcQUERY(pinned, v).0 < bound`, or `PreQUERY`'s with a
+    /// limit, but the scan stops at the first witnessing hub.
+    fn probe_certifies_shorter(
+        &self,
+        v: VertexId,
+        bound: Self::Dist,
+        limit: Option<Rank>,
+    ) -> (bool, usize);
 
     /// Visits each traversal neighbor of `v` with its edge length.
     fn for_each_neighbor<F: FnMut(u32, Self::Dist)>(&self, v: u32, f: F);
@@ -216,6 +229,10 @@ pub struct MaintenanceCounters {
     /// building the [`HubHolders`] lists, plus holder entries walked by
     /// [`UpdateEngine::dec_pass`].
     pub removal_probes: usize,
+    /// Work of the prune tests of [`UpdateEngine::inc_pass`] and
+    /// [`UpdateEngine::dec_pass`]: label entries of the visited vertices
+    /// read before each verdict.
+    pub prune_probes: usize,
 }
 
 impl MaintenanceCounters {
@@ -253,6 +270,7 @@ impl MaintenanceCounters {
         self.rerank_swaps += other.rerank_swaps;
         self.rerank_sweeps += other.rerank_sweeps;
         self.removal_probes += other.removal_probes;
+        self.prune_probes += other.prune_probes;
     }
 }
 
@@ -759,8 +777,9 @@ impl<D: EngineDist> UpdateEngine<D> {
             let dv = self.dist[v as usize];
             // The index already covers a strictly shorter path: the new
             // paths through the mutated edge are not shortest here.
-            let (qd, _) = topo.probe_query(VertexId(v));
-            if qd < dv {
+            let (shorter, read) = topo.probe_certifies_shorter(VertexId(v), dv, None);
+            stats.prune_probes += read;
+            if shorter {
                 continue;
             }
             let cv = self.count[v as usize];
@@ -919,8 +938,9 @@ impl<D: EngineDist> UpdateEngine<D> {
             // PreQUERY prune: hubs ranked strictly above h (repaired this
             // round or untouched-and-valid) certify a strictly shorter
             // path — h tops no shortest path here.
-            let (qd, _) = topo.probe_pre_query(VertexId(v), h_rank);
-            if qd < dv {
+            let (shorter, read) = topo.probe_certifies_shorter(VertexId(v), dv, Some(h_rank));
+            stats.prune_probes += read;
+            if shorter {
                 continue;
             }
             if self.marks[v as usize] & opposite_mark != 0 {

@@ -157,8 +157,14 @@ impl<I: Deref<Target = SpcIndex>> ReadTopology for UndirectedTopo<'_, I> {
     }
 
     #[inline]
-    fn probe_pre_query(&self, v: VertexId, limit: Rank) -> (u32, Count) {
-        self.probe.pre_query(self.index.label_set(v), limit)
+    fn probe_certifies_shorter(
+        &self,
+        v: VertexId,
+        bound: u32,
+        limit: Option<Rank>,
+    ) -> (bool, usize) {
+        self.probe
+            .certifies_shorter(self.index.label_set(v).entries(), bound, limit)
     }
 
     #[inline]
@@ -242,9 +248,14 @@ impl<I: Deref<Target = DirectedSpcIndex>> ReadTopology for DirectedTopo<'_, I> {
     }
 
     #[inline]
-    fn probe_pre_query(&self, v: VertexId, limit: Rank) -> (u32, Count) {
+    fn probe_certifies_shorter(
+        &self,
+        v: VertexId,
+        bound: u32,
+        limit: Option<Rank>,
+    ) -> (bool, usize) {
         self.probe
-            .pre_query(self.index.label(self.repair, v), limit)
+            .certifies_shorter(self.index.label(self.repair, v).entries(), bound, limit)
     }
 
     #[inline]
@@ -323,8 +334,14 @@ impl<I: Deref<Target = WeightedSpcIndex>> ReadTopology for WeightedTopo<'_, I> {
     }
 
     #[inline]
-    fn probe_pre_query(&self, v: VertexId, limit: Rank) -> (WDist, Count) {
-        self.probe.pre_query(self.index.label_set(v), limit)
+    fn probe_certifies_shorter(
+        &self,
+        v: VertexId,
+        bound: WDist,
+        limit: Option<Rank>,
+    ) -> (bool, usize) {
+        self.probe
+            .certifies_shorter(self.index.label_set(v).entries(), bound, limit)
     }
 
     #[inline]

@@ -14,8 +14,13 @@
 //! [`HubProbe`] answers the same query by scattering one row into
 //! rank-indexed arrays and scanning the other, as pruned landmark labeling
 //! does inside its pruned BFS (Akiba, Iwata & Yoshida, SIGMOD 2013). Every
-//! sweep step of construction, IncSPC and DecSPC queries through it, and so
-//! does every serving read: a [`RowPin`] keeps a reader's last source row
+//! sweep step of construction, IncSPC and DecSPC probes through it. The
+//! classification sweeps need the count for condition **B**, so they run
+//! the counting query; the label-writing sweeps need only the prune verdict
+//! (is some hub's path strictly shorter than the sweep's?), and
+//! [`HubProbe::certifies_shorter`] leaves the scan at the first hub that
+//! witnesses it, as pruned landmark labeling does. Every serving read goes
+//! through the probe too: a [`RowPin`] keeps a reader's last source row
 //! loaded, so consecutive queries from one source scan only `L(t)`. Its
 //! counted scan reports the merge's own [`KernelCounters`], so the two paths
 //! are interchangeable under the exact counter gates.
@@ -237,7 +242,10 @@ pub fn dist_query(index: &SpcIndex, s: VertexId, t: VertexId) -> Option<u32> {
 /// Loading `L(h)` scatters its entries into rank-indexed arrays; each
 /// subsequent query then scans only `L(v)` — `O(|L(v)|)` instead of
 /// `O(|L(h)| + |L(v)|)`. Every sweep step of construction, IncSPC and
-/// DecSPC issues such a query, so this is the reproduction's hottest path.
+/// DecSPC probes it, so this is the reproduction's hottest path: the
+/// classification sweeps through the counting [`query`](Self::query), the
+/// label-writing sweeps through the early-exit
+/// [`certifies_shorter`](Self::certifies_shorter).
 ///
 /// Loading is sound for the duration of one rooted sweep: the sweep for
 /// hub `h` only rewrites `(h, ·, ·)` entries in *other* vertices' label
@@ -304,22 +312,69 @@ impl<E: HubEntry> HubProbe<E> {
     /// `SpcQUERY(h, v)` against the pinned `L(h)`: `(distance, count)`.
     #[inline]
     pub fn query(&self, lv: &LabelRow<E>) -> (E::Dist, Count) {
-        self.query_limited(lv, None)
+        self.query_limited(lv.entries(), None)
     }
 
-    /// `PreQUERY(h, v)` against the pinned `L(h)`: only hubs with rank
-    /// strictly above `limit` participate.
+    /// The prune test of the label-writing sweeps: whether some pinned hub
+    /// ranked strictly above `limit` (any pinned hub when `limit` is
+    /// `None`) certifies a path strictly shorter than `bound`, that is
+    /// `dist[h] ⊕ d_v(h) < bound`. Returns the verdict and the number of
+    /// `lv` entries read.
+    ///
+    /// The scan stops at the first witnessing hub, at `limit`, or past the
+    /// pinned row's last hub, whichever comes first: no entry beyond those
+    /// can witness. The verdict always equals
+    /// `SpcQUERY(h, v).0 < bound` (`PreQUERY` with a limit), because both
+    /// distance domains saturate at the `INF` sentinel, which no bound
+    /// exceeds.
     #[inline]
-    pub fn pre_query(&self, lv: &LabelRow<E>, limit: Rank) -> (E::Dist, Count) {
-        self.query_limited(lv, Some(limit))
+    pub fn certifies_shorter(
+        &self,
+        lv: &[E],
+        bound: E::Dist,
+        limit: Option<Rank>,
+    ) -> (bool, usize) {
+        let verdict = self.first_witness(lv, bound, limit);
+        debug_assert_eq!(
+            verdict.0,
+            self.query_limited(lv, limit).0 < bound,
+            "early-exit prune disagrees with the full probe query"
+        );
+        verdict
     }
 
     #[inline]
-    fn query_limited(&self, lv: &LabelRow<E>, limit: Option<Rank>) -> (E::Dist, Count) {
+    fn first_witness(&self, lv: &[E], bound: E::Dist, limit: Option<Rank>) -> (bool, usize) {
+        let Some(&last) = self.loaded.last() else {
+            return (false, 0);
+        };
+        let top = match limit {
+            Some(Rank(0)) => return (false, 0),
+            Some(lim) => last.min(Rank(lim.0 - 1)),
+            None => last,
+        };
+        for (read, e) in lv.iter().enumerate() {
+            if e.hub() > top {
+                return (false, read);
+            }
+            // An absent hub reads `INF`, and `INF ⊕ d = INF` never
+            // undercuts a bound.
+            if self.dist[e.hub().index()].sat_add(e.dist()) < bound {
+                return (true, read + 1);
+            }
+        }
+        (false, lv.len())
+    }
+
+    /// The full probe query over hubs ranked strictly above `limit`:
+    /// the reference [`certifies_shorter`](Self::certifies_shorter) is
+    /// checked against.
+    #[inline]
+    fn query_limited(&self, lv: &[E], limit: Option<Rank>) -> (E::Dist, Count) {
         let inf = E::Dist::INF;
         let mut best = inf;
         let mut count: Count = 0;
-        for e in lv.entries() {
+        for e in lv {
             if let Some(lim) = limit {
                 if e.hub() >= lim {
                     break; // sorted ascending — nothing below can qualify
@@ -591,11 +646,93 @@ pub(crate) mod tests {
                     "h=v{h}, v=v{v}"
                 );
                 let pre = pre_query(&idx, VertexId(h), VertexId(v));
-                assert_eq!(
-                    probe.pre_query(idx.label_set(VertexId(v)), idx.rank(VertexId(h))),
-                    (pre.dist, pre.count),
-                    "pre h=v{h}, v=v{v}"
-                );
+                for bound in [pre.dist, pre.dist.saturating_add(1)] {
+                    assert_eq!(
+                        probe
+                            .certifies_shorter(
+                                idx.label_set(VertexId(v)).entries(),
+                                bound,
+                                Some(idx.rank(VertexId(h)))
+                            )
+                            .0,
+                        pre.dist < bound,
+                        "pre h=v{h}, v=v{v}, bound {bound}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Checks [`HubProbe::certifies_shorter`] against the full probe query
+    /// for one pinned row and target, at every limit (none, and each rank
+    /// in `0..=ranks`) and every bound in `bounds`, and that a positive
+    /// verdict's last entry read is its witness.
+    fn assert_prune_matches_query<E: HubEntry>(
+        probe: &HubProbe<E>,
+        lv: &[E],
+        ranks: u32,
+        bounds: &[E::Dist],
+    ) {
+        let limits = std::iter::once(None).chain((0..=ranks).map(|r| Some(Rank(r))));
+        for limit in limits {
+            let (best, _) = probe.query_limited(lv, limit);
+            for &bound in bounds {
+                let (verdict, read) = probe.certifies_shorter(lv, bound, limit);
+                assert_eq!(verdict, best < bound, "limit {limit:?}, bound {bound:?}");
+                assert!(read <= lv.len());
+                if verdict {
+                    let witness = lv[read - 1];
+                    assert!(probe.dist[witness.hub().index()].sat_add(witness.dist()) < bound);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn early_exit_prune_matches_probe_query() {
+        let idx = table2_index();
+        let n = idx.ranks().len() as u32;
+        let mut probe = HubProbe::new(idx.ranks().len());
+        let mut max = 0;
+        for h in 0..n {
+            probe.load(&idx, VertexId(h));
+            for v in 0..n {
+                let (d, _) = probe.query(idx.label_set(VertexId(v)));
+                if d != INF_DIST {
+                    max = max.max(d);
+                }
+            }
+        }
+        let bounds: Vec<u32> = (0..=max + 1).chain([INF_DIST]).collect();
+        for h in 0..n {
+            probe.load(&idx, VertexId(h));
+            for v in 0..n {
+                let lv = idx.label_set(VertexId(v)).entries();
+                assert_prune_matches_query(&probe, lv, n, &bounds);
+            }
+        }
+    }
+
+    #[test]
+    fn early_exit_prune_saturates_at_weighted_inf() {
+        use crate::weighted::WLabelEntry;
+        let big = u64::MAX - 2;
+        let e = |h: u32, d: u64| WLabelEntry::new(Rank(h), d, 1);
+        // Sums through hubs 0 and 3 saturate at u64::MAX; hub 1's stays
+        // finite, and hub 2 is absent from the first pinned row.
+        let pinned: [&[WLabelEntry]; 2] = [&[e(0, big), e(1, 5), e(3, 7)], &[e(2, big)]];
+        let targets: [&[WLabelEntry]; 4] = [
+            &[e(0, 9), e(1, 9), e(3, big)],
+            &[e(0, 3), e(3, big)],
+            &[e(1, u64::MAX - 14), e(2, 3)],
+            &[],
+        ];
+        let bounds = [0, 1, 13, 14, 15, big, u64::MAX - 1, u64::MAX];
+        let mut probe = HubProbe::<WLabelEntry>::new(4);
+        for row in pinned {
+            probe.load_labels(row, 4);
+            for lv in targets {
+                assert_prune_matches_query(&probe, lv, 4, &bounds);
             }
         }
     }

@@ -364,10 +364,14 @@ pub trait DurableEngine: ServingEngine {
         Self: Sized;
 }
 
+/// Upper bound on a state image's bytes outside the vertex slots, edge
+/// list and v2 image: magic, version, kind, strategy, threads, update
+/// pressure, the managed policy, the three length prefixes and the CRC.
+const STATE_FIXED_LEN: usize = 160;
 const STATE_KIND_DYNAMIC: u8 = 1;
 const STATE_KIND_MANAGED: u8 = 2;
 
-fn encode_strategy(buf: &mut BytesMut, s: OrderingStrategy) {
+fn encode_strategy(buf: &mut Vec<u8>, s: OrderingStrategy) {
     let (tag, seed) = match s {
         OrderingStrategy::Degree => (0u8, 0u64),
         OrderingStrategy::Identity => (1, 0),
@@ -377,10 +381,14 @@ fn encode_strategy(buf: &mut BytesMut, s: OrderingStrategy) {
     buf.put_u64_le(seed);
 }
 
+/// Builds the state image in one `Vec` sized up front: at its peak it holds
+/// the encoded v2 image and the state that embeds it, two copies of the
+/// index rather than three.
 fn encode_dynamic_state(d: &DynamicSpc, managed: Option<(MaintenancePolicy, usize)>) -> Vec<u8> {
     let flat_bytes = encode_flat(&FlatIndex::freeze(d.index()));
     let g = d.graph();
-    let mut buf = BytesMut::with_capacity(flat_bytes.len() + 16 * g.num_edges() + 128);
+    let mut buf =
+        Vec::with_capacity(flat_bytes.len() + g.capacity() + 8 * g.num_edges() + STATE_FIXED_LEN);
     buf.put_slice(STATE_MAGIC);
     buf.put_u32_le(STATE_VERSION);
     buf.put_u8(if managed.is_some() {
@@ -442,9 +450,10 @@ fn encode_dynamic_state(d: &DynamicSpc, managed: Option<(MaintenancePolicy, usiz
     }
     buf.put_u64_le(flat_bytes.len() as u64);
     buf.put_slice(&flat_bytes);
+    drop(flat_bytes);
     let crc = crc64(&buf);
     buf.put_u64_le(crc);
-    buf.freeze().to_vec()
+    buf
 }
 
 fn decode_dynamic_state(
@@ -1306,5 +1315,20 @@ mod tests {
         assert_eq!(r.inner().strategy(), OrderingStrategy::Random(42));
         // Kind confusion is rejected.
         assert!(DynamicSpc::decode_state(&bytes).is_err());
+    }
+
+    #[test]
+    fn state_fits_its_up_front_capacity() {
+        use dspc_graph::UndirectedGraph;
+        // The managed kind carries the most fixed fields. Were the image to
+        // outgrow the capacity the encoder reserves, the final push would
+        // reallocate and hold the index a third time.
+        let g = UndirectedGraph::from_edges(7, &[(0, 1), (1, 2), (2, 3)]);
+        let d = DynamicSpc::build(g, OrderingStrategy::Random(7));
+        let m = ManagedSpc::new(d, MaintenancePolicy::every(3));
+        let g = m.inner().graph();
+        let flat_len = encode_flat(&FlatIndex::freeze(m.inner().index())).len();
+        let payload = flat_len + g.capacity() + 8 * g.num_edges();
+        assert!(m.encode_state().len() <= payload + STATE_FIXED_LEN);
     }
 }
