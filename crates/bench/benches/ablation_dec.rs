@@ -32,7 +32,7 @@ fn bench_dec_modes(c: &mut Criterion) {
                     let (a, bb) = deletions[i % deletions.len()];
                     i += 1;
                     engine
-                        .delete_edge_with_mode(&mut g, &mut index, a, bb, mode)
+                        .delete_edge_with_mode(&mut g, &mut index, a, bb, mode, 1)
                         .unwrap();
                     index
                 },

@@ -46,7 +46,7 @@ fn bench_updates(c: &mut Criterion) {
                 |(mut g, mut index)| {
                     let (a, bb) = deletions[i % deletions.len()];
                     i += 1;
-                    engine.delete_edge(&mut g, &mut index, a, bb).unwrap();
+                    engine.delete_edge(&mut g, &mut index, a, bb, 1).unwrap();
                     index
                 },
                 BatchSize::LargeInput,

@@ -13,10 +13,16 @@
 //! `removal_probes` for the DecSPC removal pass, `prune_probes` for the
 //! label entries the repair sweeps' prune tests read, `merge_steps` for
 //! the query kernel, and the churn, serving and recovery gates below)
-//! regressed by more than `--threshold` percent (default 5). The workload
-//! runs maintenance at `MaintenanceThreads::Fixed(2)`: only read-only
-//! classification fans out, and its results merge in task order, so every
-//! counter is identical on any host and at any actual core count.
+//! regressed by more than `--threshold` percent (default 5).
+//!
+//! The workload runs maintenance at `MaintenanceThreads::Fixed(2)`, and
+//! then again at `Fixed(1)`. The two follow different schedules: at one
+//! thread each repair sweep runs alone, at two they speculate in blocks of
+//! sixteen and commit in rank order, re-running the sweeps an earlier
+//! commit invalidated. Both must leave every report key equal, and the
+//! tool exits 1 naming each key that differs. So every counter is
+//! identical on any host and at any actual core count, and the written
+//! report is the `Fixed(2)` run's.
 //!
 //! After the maintenance epochs each scenario runs a query phase: a seeded
 //! pair workload evaluated through both the live label sets and the
@@ -61,6 +67,7 @@ use dspc::weighted::{weighted_spc_query, DynamicWeightedSpc, WeightedUpdate};
 use dspc::{
     DynamicSpc, FlatScratch, KernelCounters, MaintenanceThreads, OrderingStrategy, UpdateStats,
 };
+use dspc_bench::recovery::RecoveryReplayConfig;
 use dspc_bench::serving::ServingReplayConfig;
 use dspc_graph::generators::random::{
     barabasi_albert, erdos_renyi_gnm, random_orientation, random_weights,
@@ -68,8 +75,10 @@ use dspc_graph::generators::random::{
 use dspc_graph::VertexId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
+/// The budget the written report runs at; the thread-independence check
+/// replays the workload at `Fixed(1)`.
 const THREADS: MaintenanceThreads = MaintenanceThreads::Fixed(2);
 
 fn usage() -> ! {
@@ -114,11 +123,11 @@ fn absorb_queries(report: &mut BTreeMap<String, u64>, counters: &KernelCounters)
 
 /// Undirected scenario: a scale-free graph under mixed deletion epochs —
 /// hub-incident batches (the amortization case) plus scattered edges.
-fn undirected(report: &mut BTreeMap<String, u64>) {
+fn undirected(report: &mut BTreeMap<String, u64>, threads: MaintenanceThreads) {
     let mut rng = StdRng::seed_from_u64(0xD59C);
     let g = barabasi_albert(420, 3, &mut rng);
     let mut d = DynamicSpc::build(g, OrderingStrategy::Degree);
-    d.set_maintenance_threads(THREADS);
+    d.set_maintenance_threads(threads);
     for epoch in 0..6 {
         let mut ops = Vec::new();
         let m = d.graph().num_edges();
@@ -174,12 +183,12 @@ fn undirected(report: &mut BTreeMap<String, u64>) {
 }
 
 /// Directed scenario: pure arc-deletion epochs on a sparse digraph.
-fn directed(report: &mut BTreeMap<String, u64>) {
+fn directed(report: &mut BTreeMap<String, u64>, threads: MaintenanceThreads) {
     let mut rng = StdRng::seed_from_u64(0xD1AC);
     let base = erdos_renyi_gnm(160, 480, &mut rng);
     let g = random_orientation(&base, 0.25, &mut rng);
     let mut d = DynamicDirectedSpc::build(g, OrderingStrategy::Degree);
-    d.set_maintenance_threads(THREADS);
+    d.set_maintenance_threads(threads);
     for epoch in 0..4 {
         let arcs: Vec<_> = d.graph().arcs().collect();
         let mut ops = Vec::new();
@@ -216,12 +225,12 @@ fn directed(report: &mut BTreeMap<String, u64>) {
 }
 
 /// Weighted scenario: deletion epochs on a weighted sparse graph.
-fn weighted(report: &mut BTreeMap<String, u64>) {
+fn weighted(report: &mut BTreeMap<String, u64>, threads: MaintenanceThreads) {
     let mut rng = StdRng::seed_from_u64(0x3E1);
     let base = erdos_renyi_gnm(140, 420, &mut rng);
     let g = random_weights(&base, 5, &mut rng);
     let mut d = DynamicWeightedSpc::build(g, OrderingStrategy::Degree);
-    d.set_maintenance_threads(THREADS);
+    d.set_maintenance_threads(threads);
     for epoch in 0..4 {
         let edges: Vec<_> = d.graph().edges().collect();
         let mut ops = Vec::new();
@@ -261,7 +270,7 @@ fn weighted(report: &mut BTreeMap<String, u64>) {
 /// bridge in one epoch leaves the wheels in disjoint residual components —
 /// one agenda whose hubs span four components, each repaired and each
 /// removal pass walked in rank order.
-fn bridged(report: &mut BTreeMap<String, u64>) {
+fn bridged(report: &mut BTreeMap<String, u64>, threads: MaintenanceThreads) {
     let rim = 10u32;
     let wheels = 4u32;
     let mut edges: Vec<(u32, u32)> = Vec::new();
@@ -281,7 +290,7 @@ fn bridged(report: &mut BTreeMap<String, u64>) {
     // Identity order ranks the cut vertex 0 highest: all four bridge
     // deletions share it as an endpoint and repair as one agenda.
     let mut d = DynamicSpc::build(g, OrderingStrategy::Identity);
-    d.set_maintenance_threads(THREADS);
+    d.set_maintenance_threads(threads);
     absorb(report, &d.apply_batch(&ops).expect("valid epoch"));
     *report.entry("label_entries".to_string()).or_insert(0) += d.index().num_entries() as u64;
 }
@@ -297,14 +306,14 @@ fn bridged(report: &mut BTreeMap<String, u64>) {
 /// The NEVER twin's entry count is reported alongside as the bloat the
 /// re-ranks avoided. Gated counters: `churn_rerank_sweeps`,
 /// `churn_rerank_visited` and `churn_entries_tiered`.
-fn churn(report: &mut BTreeMap<String, u64>) {
+fn churn(report: &mut BTreeMap<String, u64>, threads: MaintenanceThreads) {
     let mut rng = StdRng::seed_from_u64(0xC4DE);
     let g = barabasi_albert(300, 3, &mut rng);
     let epochs = dspc_bench::workload::churn_stream(&g, 30, 6, &mut rng);
 
     let managed = |policy: MaintenancePolicy| {
         let mut d = DynamicSpc::build(g.clone(), OrderingStrategy::Degree);
-        d.set_maintenance_threads(THREADS);
+        d.set_maintenance_threads(threads);
         ManagedSpc::new(d, policy)
     };
     // The churn displaces rising vertices by ~100 rank positions per epoch
@@ -317,7 +326,7 @@ fn churn(report: &mut BTreeMap<String, u64>) {
     });
     let mut never = managed(MaintenancePolicy::NEVER);
     let mut fresh = DynamicSpc::build(g.clone(), OrderingStrategy::Degree);
-    fresh.set_maintenance_threads(THREADS);
+    fresh.set_maintenance_threads(threads);
     for batch in &epochs {
         tiered.apply_batch(batch).expect("valid churn epoch");
         never.apply_batch(batch).expect("valid churn epoch");
@@ -356,8 +365,11 @@ fn churn(report: &mut BTreeMap<String, u64>) {
 /// Serving phase: the deterministic epoch-rotation replay. Counters land
 /// under the `serve_` prefix; per-shard kernel work is reported per shard
 /// so a partitioning skew shows up in the lane output.
-fn serving(report: &mut BTreeMap<String, u64>) {
-    let replay = dspc_bench::serving::replay(ServingReplayConfig::smoke());
+fn serving(report: &mut BTreeMap<String, u64>, threads: MaintenanceThreads) {
+    let replay = dspc_bench::serving::replay(ServingReplayConfig {
+        threads,
+        ..ServingReplayConfig::smoke()
+    });
     report.insert("serve_rotations".to_string(), replay.rotations);
     report.insert("serve_updates_applied".to_string(), replay.updates_applied);
     report.insert("serve_queries".to_string(), replay.queries_served);
@@ -376,8 +388,11 @@ fn serving(report: &mut BTreeMap<String, u64>) {
 /// Recovery phase: the deterministic crash/recover cycle. The replay
 /// itself panics on any recovery-equivalence violation, so reaching the
 /// report at all is the correctness half; the counters gate the perf half.
-fn recovery(report: &mut BTreeMap<String, u64>) {
-    let replay = dspc_bench::recovery::replay(dspc_bench::recovery::RecoveryReplayConfig::smoke());
+fn recovery(report: &mut BTreeMap<String, u64>, threads: MaintenanceThreads) {
+    let replay = dspc_bench::recovery::replay(RecoveryReplayConfig {
+        threads,
+        ..RecoveryReplayConfig::smoke()
+    });
     report.insert("recover_rotations".to_string(), replay.rotations);
     report.insert(
         "recover_replayed_batches".to_string(),
@@ -396,6 +411,19 @@ fn recovery(report: &mut BTreeMap<String, u64>) {
         "journal_bytes_per_update".to_string(),
         replay.journal_bytes_per_update(),
     );
+}
+
+/// Runs every scenario at `threads` into one flat report.
+fn run(threads: MaintenanceThreads) -> BTreeMap<String, u64> {
+    let mut report = BTreeMap::new();
+    undirected(&mut report, threads);
+    directed(&mut report, threads);
+    weighted(&mut report, threads);
+    bridged(&mut report, threads);
+    churn(&mut report, threads);
+    serving(&mut report, threads);
+    recovery(&mut report, threads);
+    report
 }
 
 fn render_json(report: &BTreeMap<String, u64>) -> String {
@@ -454,19 +482,30 @@ fn main() {
         i += 1;
     }
 
-    let mut report = BTreeMap::new();
-    undirected(&mut report);
-    directed(&mut report);
-    weighted(&mut report);
-    bridged(&mut report);
-    churn(&mut report);
-    serving(&mut report);
-    recovery(&mut report);
-
+    let report = run(THREADS);
     let json = render_json(&report);
     std::fs::write(&out_path, &json).expect("write report");
     eprintln!("[bench_smoke] wrote {out_path}");
     print!("{json}");
+
+    let sequential = run(MaintenanceThreads::Fixed(1));
+    let mut thread_dependent = false;
+    for key in report
+        .keys()
+        .chain(sequential.keys())
+        .collect::<BTreeSet<_>>()
+    {
+        let (two, one) = (report.get(key), sequential.get(key));
+        if two != one {
+            thread_dependent = true;
+            eprintln!("[bench_smoke] {key}: {two:?} at Fixed(2), {one:?} at Fixed(1) [FAIL]");
+        }
+    }
+    if thread_dependent {
+        eprintln!("[bench_smoke] the report depends on the maintenance thread count — failing");
+        std::process::exit(1);
+    }
+    eprintln!("[bench_smoke] Fixed(1) replay matches every key");
 
     if let Some(path) = baseline_path {
         let baseline = parse_json(&std::fs::read_to_string(&path).expect("read baseline"));

@@ -49,6 +49,8 @@ pub struct RecoveryReplayConfig {
     pub shards: usize,
     /// Master seed.
     pub seed: u64,
+    /// The engine's maintenance thread budget.
+    pub threads: MaintenanceThreads,
 }
 
 impl RecoveryReplayConfig {
@@ -64,6 +66,7 @@ impl RecoveryReplayConfig {
             checkpoint_after: 3,
             shards: 2,
             seed: 0x2EC0F,
+            threads: MaintenanceThreads::Fixed(2),
         }
     }
 }
@@ -97,7 +100,7 @@ fn engine(config: &RecoveryReplayConfig) -> DynamicSpc {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let g = barabasi_albert(config.vertices as usize, config.attach, &mut rng);
     let mut engine = DynamicSpc::build(g, OrderingStrategy::Degree);
-    engine.set_maintenance_threads(MaintenanceThreads::Fixed(2));
+    engine.set_maintenance_threads(config.threads);
     engine
 }
 

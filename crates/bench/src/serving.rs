@@ -57,6 +57,8 @@ pub struct ServingReplayConfig {
     pub shards: usize,
     /// Master seed.
     pub seed: u64,
+    /// The engine's maintenance thread budget.
+    pub threads: MaintenanceThreads,
 }
 
 impl ServingReplayConfig {
@@ -73,6 +75,7 @@ impl ServingReplayConfig {
             queries_per_reader: 64,
             shards: 4,
             seed: 0x5E12E,
+            threads: MaintenanceThreads::Fixed(2),
         }
     }
 }
@@ -162,7 +165,7 @@ pub fn replay(config: ServingReplayConfig) -> ServingReplayReport {
     let mut fanout_rng = StdRng::seed_from_u64(config.seed ^ FANOUT_STREAM);
     let g = barabasi_albert(config.vertices as usize, config.attach, &mut rng);
     let mut engine = DynamicSpc::build(g, OrderingStrategy::Degree);
-    engine.set_maintenance_threads(MaintenanceThreads::Fixed(2));
+    engine.set_maintenance_threads(config.threads);
     let mut server = EpochServer::new(
         engine,
         ServeConfig {

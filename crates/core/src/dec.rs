@@ -82,9 +82,12 @@ impl DecSpc {
         }
     }
 
-    /// Deletes `(a, b)` from `g` and repairs `index`. The engine performs
-    /// the graph mutation itself because Algorithm 4 interleaves it between
-    /// the two phases (`SrrSEARCH` sees `G_i`, `DecUPDATE` sees `G_{i+1}`).
+    /// Deletes `(a, b)` from `g` and repairs `index`, speculating the
+    /// repair sweeps over up to `threads` threads
+    /// ([`DecPipeline::delete_one`]; the result is the same at any count).
+    /// The engine performs the graph mutation itself because Algorithm 4
+    /// interleaves it between the two phases (`SrrSEARCH` sees `G_i`,
+    /// `DecUPDATE` sees `G_{i+1}`).
     ///
     /// Returns the operation counters and the affected sets (for Table 5).
     pub fn delete_edge(
@@ -93,8 +96,9 @@ impl DecSpc {
         index: &mut SpcIndex,
         a: VertexId,
         b: VertexId,
+        threads: usize,
     ) -> dspc_graph::Result<(MaintenanceCounters, SrrOutcome)> {
-        self.delete_edge_with_mode(g, index, a, b, DecMode::SrOnly)
+        self.delete_edge_with_mode(g, index, a, b, DecMode::SrOnly, threads)
     }
 
     /// [`DecSpc::delete_edge`] with an explicit [`DecMode`] (ablation hook).
@@ -105,6 +109,7 @@ impl DecSpc {
         a: VertexId,
         b: VertexId,
         mode: DecMode,
+        threads: usize,
     ) -> dspc_graph::Result<(MaintenanceCounters, SrrOutcome)> {
         if !g.has_edge(a, b) {
             return Err(dspc_graph::GraphError::MissingEdge(a, b));
@@ -139,14 +144,15 @@ impl DecSpc {
             (a, b),
             |g| g.delete_edge(a, b),
             mode == DecMode::NaiveAffected,
+            threads,
         )
     }
 
     /// Multi-edge `SrrSEARCH` repair (the batch generalization of
     /// Algorithm 4): deletes every edge of `edges` from `g` and repairs
     /// `index` with **one** `DecUPDATE` sweep per distinct affected hub,
-    /// instead of one per edge per hub, classifying on up to `threads`
-    /// threads ([`DecPipeline::delete_batch`]).
+    /// instead of one per edge per hub, classifying and repairing on up to
+    /// `threads` threads ([`DecPipeline::delete_batch`]).
     ///
     /// Edges eligible for the §3.2.3 isolated-vertex fast path (a pendant
     /// endpoint no label uses as a hub) are peeled off the set first and
@@ -165,7 +171,7 @@ impl DecSpc {
     ) -> dspc_graph::Result<MaintenanceCounters> {
         match edges {
             [] => return Ok(MaintenanceCounters::default()),
-            &[(a, b)] => return self.delete_edge(g, index, a, b).map(|(s, _)| s),
+            &[(a, b)] => return self.delete_edge(g, index, a, b, threads).map(|(s, _)| s),
             _ => {}
         }
         DecPipeline::<Undirected>::validate(g, edges)?;
@@ -177,14 +183,14 @@ impl DecSpc {
         let mut rest: Vec<(VertexId, VertexId)> = Vec::with_capacity(edges.len());
         for &(a, b) in edges {
             if strands_unused_pendant(g, index, a) || strands_unused_pendant(g, index, b) {
-                let (s, _) = self.delete_edge(g, index, a, b)?;
+                let (s, _) = self.delete_edge(g, index, a, b, threads)?;
                 total.absorb(&s);
             } else {
                 rest.push((a, b));
             }
         }
         let s = match rest[..] {
-            [(a, b)] => self.delete_edge(g, index, a, b)?.0,
+            [(a, b)] => self.delete_edge(g, index, a, b, threads)?.0,
             _ => self.pipeline.delete_batch(g, index, &rest, threads)?,
         };
         total.absorb(&s);
@@ -235,7 +241,7 @@ mod tests {
         b: u32,
     ) -> (MaintenanceCounters, SrrOutcome) {
         let out = engine
-            .delete_edge(g, index, VertexId(a), VertexId(b))
+            .delete_edge(g, index, VertexId(a), VertexId(b), 2)
             .unwrap();
         verify_all_pairs(g, index).unwrap();
         index.check_invariants().unwrap();
@@ -356,7 +362,7 @@ mod tests {
         let mut index = build_index(&g, OrderingStrategy::Identity);
         let mut engine = DecSpc::new(g.capacity());
         assert!(engine
-            .delete_edge(&mut g, &mut index, VertexId(0), VertexId(9))
+            .delete_edge(&mut g, &mut index, VertexId(0), VertexId(9), 1)
             .is_err());
     }
 
@@ -374,7 +380,7 @@ mod tests {
                     break;
                 }
                 let (a, b) = g.nth_edge(rng.gen_range(0..m)).unwrap();
-                engine.delete_edge(&mut g, &mut index, a, b).unwrap();
+                engine.delete_edge(&mut g, &mut index, a, b, 2).unwrap();
                 verify_all_pairs(&g, &index).unwrap();
                 index.check_invariants().unwrap();
             }
@@ -414,7 +420,7 @@ mod tests {
                 let mut slow_idx = build_index(&slow_g, OrderingStrategy::Degree);
                 let mut engine = DecSpc::new(g0.capacity());
                 engine
-                    .delete_edge_with_mode(&mut fast_g, &mut fast_idx, a, b, DecMode::SrOnly)
+                    .delete_edge_with_mode(&mut fast_g, &mut fast_idx, a, b, DecMode::SrOnly, 1)
                     .unwrap();
                 engine
                     .delete_edge_with_mode(
@@ -423,6 +429,7 @@ mod tests {
                         a,
                         b,
                         DecMode::SrOnlyNoFastPath,
+                        1,
                     )
                     .unwrap();
                 for s in fast_g.vertices() {
@@ -453,7 +460,7 @@ mod tests {
                 let mut index = build_index(&g, OrderingStrategy::Degree);
                 let mut engine = DecSpc::new(g.capacity());
                 let (stats, _) = engine
-                    .delete_edge_with_mode(&mut g, &mut index, a, b, mode)
+                    .delete_edge_with_mode(&mut g, &mut index, a, b, mode, 1)
                     .unwrap();
                 verify_all_pairs(&g, &index).unwrap();
                 match mode {
@@ -478,7 +485,7 @@ mod tests {
         let mut engine = DecSpc::new(g.capacity());
         while g.num_edges() > 0 {
             let (a, b) = g.nth_edge(0).unwrap();
-            engine.delete_edge(&mut g, &mut index, a, b).unwrap();
+            engine.delete_edge(&mut g, &mut index, a, b, 1).unwrap();
         }
         verify_all_pairs(&g, &index).unwrap();
         assert_eq!(index.num_entries(), 12);

@@ -268,10 +268,14 @@ impl DynamicDirectedSpc {
         self.flat.is_some()
     }
 
-    /// Sets the worker-thread budget for the classification sweeps of
-    /// [`DynamicDirectedSpc::delete_arcs`] and of the deletion segments of
-    /// [`DynamicDirectedSpc::apply_batch`]. Every thread count produces the
-    /// same index, queries, and counters.
+    /// Sets the worker-thread budget for deletion maintenance: the
+    /// classification sweeps of [`DynamicDirectedSpc::delete_arcs`] and of
+    /// the deletion segments of [`DynamicDirectedSpc::apply_batch`], and
+    /// the repair sweeps of every deletion,
+    /// [`DynamicDirectedSpc::delete_arc`] included. Repair sweeps
+    /// speculate read-only in blocks and commit in rank order, re-running
+    /// any sweep an earlier commit invalidated, so every thread count
+    /// produces the same index, queries, and counters.
     pub fn set_maintenance_threads(&mut self, threads: MaintenanceThreads) {
         self.maintenance_threads = threads;
     }
@@ -306,9 +310,13 @@ impl DynamicDirectedSpc {
 
     /// Deletes arc `a → b` and repairs the index.
     pub fn delete_arc(&mut self, a: VertexId, b: VertexId) -> dspc_graph::Result<UpdateStats> {
-        let c = self
-            .dec
-            .delete_arc(&mut self.graph, &mut self.index, a, b)?;
+        let c = self.dec.delete_arc(
+            &mut self.graph,
+            &mut self.index,
+            a,
+            b,
+            self.maintenance_threads.resolve(),
+        )?;
         self.flat = None;
         Ok(UpdateStats::from_counters(UpdateKind::DeleteEdge, c))
     }
@@ -316,9 +324,9 @@ impl DynamicDirectedSpc {
     /// Deletes a *set* of arcs as one epoch through the multi-arc
     /// `SrrSEARCH` repair path ([`DirectedDecSpc::delete_arcs`]): one
     /// repair sweep per distinct affected hub per label family, against the
-    /// residual graph with the whole set already absent, classifying on the
-    /// configured [`MaintenanceThreads`]. All arcs are validated present
-    /// before the first mutation.
+    /// residual graph with the whole set already absent, classifying and
+    /// repairing on the configured [`MaintenanceThreads`]. All arcs are
+    /// validated present before the first mutation.
     pub fn delete_arcs(
         &mut self,
         arcs: &[(VertexId, VertexId)],

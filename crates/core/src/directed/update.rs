@@ -44,25 +44,27 @@ impl DirectedDecSpc {
         }
     }
 
-    /// Deletes arc `a → b` from `g` and repairs `index`. Returns the
-    /// label-operation counters.
+    /// Deletes arc `a → b` from `g` and repairs `index`, speculating the
+    /// repair sweeps over up to `threads` threads
+    /// ([`DecPipeline::delete_one`]). Returns the label-operation counters.
     pub fn delete_arc(
         &mut self,
         g: &mut DirectedGraph,
         index: &mut DirectedSpcIndex,
         a: VertexId,
         b: VertexId,
+        threads: usize,
     ) -> dspc_graph::Result<MaintenanceCounters> {
         self.pipeline
-            .delete_one(g, index, (a, b), |g| g.delete_arc(a, b), false)
+            .delete_one(g, index, (a, b), |g| g.delete_arc(a, b), false, threads)
             .map(|(stats, _)| stats)
     }
 
     /// Multi-arc `SrrSEARCH` repair: deletes every arc of `arcs` from `g`
     /// and repairs `index` with at most one `DecUPDATE` sweep per distinct
     /// affected hub *per label family*, classifying one multi-far sweep per
-    /// distinct tail and one per distinct head on up to `threads` threads
-    /// ([`DecPipeline::delete_batch`]). All arcs are validated present
+    /// distinct tail and one per distinct head, and repairing, on up to
+    /// `threads` threads ([`DecPipeline::delete_batch`]). All arcs are validated present
     /// (and pairwise distinct) before the first mutation.
     pub fn delete_arcs(
         &mut self,

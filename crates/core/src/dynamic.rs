@@ -244,10 +244,13 @@ impl DynamicSpc {
         crate::shard::ShardedFlatIndex::publish(&mut self.index, shards)
     }
 
-    /// Sets the worker-thread budget for intra-batch maintenance: the
+    /// Sets the worker-thread budget for deletion maintenance: the
     /// classification sweeps of [`DynamicSpc::delete_edges`] and of the
-    /// deletion segments of [`DynamicSpc::apply_batch`]. Every thread count
-    /// produces the same index, queries, and counters.
+    /// deletion segments of [`DynamicSpc::apply_batch`], and the repair
+    /// sweeps of every deletion, [`DynamicSpc::delete_edge`] included.
+    /// Repair sweeps speculate read-only in blocks and commit in rank
+    /// order, re-running any sweep an earlier commit invalidated, so every
+    /// thread count produces the same index, queries, and counters.
     pub fn set_maintenance_threads(&mut self, threads: MaintenanceThreads) {
         self.maintenance_threads = threads;
     }
@@ -317,9 +320,13 @@ impl DynamicSpc {
         a: VertexId,
         b: VertexId,
     ) -> Result<(UpdateStats, SrrOutcome)> {
-        let (stats, srr) = self
-            .dec
-            .delete_edge(&mut self.graph, &mut self.index, a, b)?;
+        let (stats, srr) = self.dec.delete_edge(
+            &mut self.graph,
+            &mut self.index,
+            a,
+            b,
+            self.maintenance_threads.resolve(),
+        )?;
         self.flat = None;
         self.updates_since_build += 1;
         Ok((UpdateStats::from_dec(stats), srr))
@@ -328,11 +335,11 @@ impl DynamicSpc {
     /// Deletes a *set* of edges as one epoch through the multi-edge
     /// `SrrSEARCH` repair path ([`crate::dec::DecSpc::delete_edges`]):
     /// every edge is classified against the pre-mutation graph (one
-    /// multi-far sweep per distinct endpoint, on the configured
-    /// [`MaintenanceThreads`]), the whole set is removed at once, and each
-    /// distinct affected hub is repaired with a single sweep of the
-    /// residual graph — strictly fewer engine sweeps than deleting the
-    /// edges one by one whenever their affected hub sets overlap.
+    /// multi-far sweep per distinct endpoint), the whole set is removed at
+    /// once, and each distinct affected hub is repaired with a single sweep
+    /// of the residual graph — strictly fewer engine sweeps than deleting
+    /// the edges one by one whenever their affected hub sets overlap. Both
+    /// phases run on the configured [`MaintenanceThreads`].
     ///
     /// All edges are validated present before the first mutation; on error
     /// nothing is applied. Returns aggregated counters tagged

@@ -17,7 +17,9 @@
 //! * **`dec_pass`** — Algorithm 6's `DecUPDATE`: a rank-pruned counting
 //!   sweep from an affected hub on the post-mutation graph, repairing
 //!   labels of the opposite side's `SR ∪ R`, followed by a removal pass
-//!   over the never-reached receivers that hold the hub's row.
+//!   over the never-reached receivers that hold the hub's row. It only
+//!   reads: it records its writes in a [`RepairLog`], which the deletion
+//!   pipeline commits in rank order.
 //!
 //! What varies per variant is captured by the [`ReadTopology`] /
 //! [`LabelTopology`] views: which adjacency to walk (undirected,
@@ -25,10 +27,11 @@
 //! read/repair (`L`, `L_in`, `L_out`, weighted `L`), the distance domain
 //! (`u32` hops vs `u64` accumulated weight — the latter switches the
 //! frontier from a FIFO queue to a binary heap), and the hub-membership
-//! test behind condition **A**. The engine owns every piece of scratch
-//! state (distance/count arrays, frontier, side marks, visited flags) plus
-//! the RenewC/RenewD/Insert/Remove counters ([`MaintenanceCounters`])
-//! feeding Figures 8–9.
+//! test behind condition **A**. The engine owns the per-sweep scratch
+//! (distance/count arrays, frontier, visited flags) and reports the
+//! RenewC/RenewD/Insert/Remove counters ([`MaintenanceCounters`]) feeding
+//! Figures 8–9; the `SR ∪ R` side marks of a repair live in one shared
+//! [`Marks`].
 //!
 //! ## Departure from the paper: the removal pass is unconditional
 //!
@@ -53,6 +56,19 @@
 //! [`HubHolders`] (hub → receivers holding it), and `dec_pass` walks only
 //! `h`'s holders. The `removal_probes` counter measures that work: row
 //! entries scanned by the inversion plus holders walked.
+//!
+//! ## Repair sweeps speculate, then commit in rank order
+//!
+//! A `DecUPDATE` sweep prunes against the labels of every higher-ranked
+//! hub, which the sweeps before it have just repaired (the paper's §6
+//! reason to leave parallel updates open). But a sweep writes only row `h`
+//! of the receivers it repairs, so what an earlier sweep can change for a
+//! later one is narrow: the prune outcome at a marked receiver the later
+//! sweep dequeued, or the later hub's own pinned row. [`DecPipeline`] runs
+//! blocks of sweeps read-only side by side against the index as of the
+//! block start, then commits their logs in rank order, re-running a sweep
+//! whose recorded reads an earlier commit of its block changed. The result
+//! is the sequential repair's, label for label and counter for counter.
 //!
 //! ## Two pipelines, written once
 //!
@@ -117,10 +133,10 @@ impl EngineDist for u64 {
 }
 
 /// The read half of one variant's view of "graph + index + pinned-hub
-/// probe": everything a classification sweep needs, plus the early-exit
-/// prune test the repair sweeps read through. A view over a shared index
-/// borrow implements only this, so classification can fan out across
-/// threads.
+/// probe": everything a classification or `DecUPDATE` sweep needs,
+/// including the early-exit prune test the label-writing sweeps read
+/// through. A view over a shared index borrow implements only this, so
+/// those sweeps can fan out across threads.
 pub trait ReadTopology {
     /// Distance domain (`u32` hops or `u64` accumulated weight).
     type Dist: EngineDist;
@@ -166,8 +182,9 @@ pub trait ReadTopology {
     fn is_common_hub(&self, hub: Rank, near: VertexId, far: VertexId) -> bool;
 }
 
-/// A view that can also write the repaired label family: what the repair
-/// sweeps need. Views over a mutable index borrow implement it.
+/// A view that can also write the repaired label family: what the hub-push
+/// sweeps and the commit of a `DecUPDATE` log need. Views over a mutable
+/// index borrow implement it.
 pub trait LabelTopology: ReadTopology {
     /// Inserts or replaces `(hub, d, c)` in the repaired family at `v`.
     fn label_upsert(&mut self, v: VertexId, hub: Rank, d: Self::Dist, c: Count);
@@ -207,7 +224,8 @@ pub struct MaintenanceCounters {
     /// Distinct hubs drained from the global repair agenda (after
     /// deduplication across the batch's edges).
     pub agenda_hubs: usize,
-    /// Always 0: repair sweeps run one hub at a time in rank order. Kept
+    /// Always 0: the repair schedules no waves of independent hubs (it
+    /// speculates blocks of sweeps and commits them in rank order). Kept
     /// only because the wall-clock benchmark (`perfbench/`) reads it.
     pub waves: usize,
     /// Always 0, like [`waves`](Self::waves); kept only because the
@@ -314,6 +332,185 @@ pub fn merge_affected<E: HubEntry>(la: &[E], lb: &[E]) -> Vec<(Rank, bool, bool)
 pub const MARK_A: u8 = 1;
 /// Second side marker.
 pub const MARK_B: u8 = 2;
+
+/// The `SR ∪ R` side marks of one deletion repair: the receivers whose
+/// labels its sweeps may rewrite, each tagged with the side of the deleted
+/// edge it lies on ([`MARK_A`], [`MARK_B`]). Set once after classification
+/// and only read while the repair runs, so every speculating worker shares
+/// the same marks.
+#[derive(Debug, Default)]
+pub struct Marks {
+    bits: Vec<u8>,
+    /// Every marked vertex once, in first-marked order.
+    marked: Vec<VertexId>,
+}
+
+impl Marks {
+    /// No marks, for graphs up to `capacity` ids.
+    pub fn new(capacity: usize) -> Self {
+        Marks {
+            bits: vec![0; capacity],
+            marked: Vec::new(),
+        }
+    }
+
+    /// Grows the mark array when the id space expanded.
+    pub fn ensure_capacity(&mut self, capacity: usize) {
+        if self.bits.len() < capacity {
+            self.bits.resize(capacity, 0);
+        }
+    }
+
+    /// Marks the vertices of `side_a` with [`MARK_A`] and those of
+    /// `side_b` with [`MARK_B`].
+    pub fn set(&mut self, side_a: [&[VertexId]; 2], side_b: [&[VertexId]; 2]) {
+        for (slices, bit) in [(side_a, MARK_A), (side_b, MARK_B)] {
+            for slice in slices {
+                for &v in slice {
+                    if self.bits[v.index()] == 0 {
+                        self.marked.push(v);
+                    }
+                    self.bits[v.index()] |= bit;
+                }
+            }
+        }
+    }
+
+    /// `v`'s side bits (0 when unmarked).
+    #[inline]
+    pub fn of(&self, v: VertexId) -> u8 {
+        self.bits[v.index()]
+    }
+
+    /// Every marked vertex once, in first-marked order: the receivers of
+    /// the repair.
+    pub fn marked(&self) -> &[VertexId] {
+        &self.marked
+    }
+
+    /// Whether some vertex carries both side marks. Never true for a
+    /// single undirected or weighted edge: `sd(v, a) + w = sd(v, b)` and
+    /// `sd(v, b) + w = sd(v, a)` cannot both hold when `w ≥ 1`, so each hub
+    /// sweeps at most once — which [`HubHolders`] relies on.
+    pub fn sides_overlap(&self) -> bool {
+        self.marked.iter().any(|&v| self.of(v) == MARK_A | MARK_B)
+    }
+
+    /// Clears every mark after the repair.
+    pub fn clear(&mut self) {
+        for &v in &self.marked {
+            self.bits[v.index()] = 0;
+        }
+        self.marked.clear();
+    }
+}
+
+/// A marked receiver one repair sweep dequeued: the distance it reached
+/// it at, and its prune test's outcome and cost. Another sweep's writes
+/// can change the sweep only through these.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Visit<D> {
+    v: VertexId,
+    /// `D[v]`, the bound of the prune test.
+    dist: D,
+    /// Label entries the prune test read (a row length, so `u32` holds it
+    /// and the log stays compact).
+    read: u32,
+    pruned: bool,
+}
+
+/// What one read-only [`UpdateEngine::dec_pass`] sweep for hub `h` would
+/// write — its row-`h` upserts, in visit order, and its row-`h` removals —
+/// with its counters, and every marked receiver it dequeued, recorded as
+/// `(v, D[v], entries read, prune outcome)`.
+///
+/// The sweep writes only row `h` of marked receivers, and it reads only the
+/// rows of the vertices it dequeues and `h`'s pinned row. So the log still
+/// describes the sweep after another sweep's writes unless they landed on
+/// the pinned row or flipped the prune outcome at a receiver it records;
+/// when the outcome holds, a re-read count replaces the recorded one in
+/// `prune_probes` ([`DecPipeline`] checks this before it commits a log).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RepairLog<D> {
+    upserts: Vec<(VertexId, D, Count)>,
+    removals: Vec<VertexId>,
+    counters: MaintenanceCounters,
+    visits: Vec<Visit<D>>,
+}
+
+impl<D> Default for RepairLog<D> {
+    fn default() -> Self {
+        RepairLog {
+            upserts: Vec::new(),
+            removals: Vec::new(),
+            counters: MaintenanceCounters::default(),
+            visits: Vec::new(),
+        }
+    }
+}
+
+impl<D: EngineDist> RepairLog<D> {
+    /// Empties the log, keeping its buffers.
+    fn clear(&mut self) {
+        self.upserts.clear();
+        self.removals.clear();
+        self.counters = MaintenanceCounters::default();
+        self.visits.clear();
+    }
+
+    /// Re-runs the prune test of hub `h`'s sweep, against `topo`'s current
+    /// index, at every recorded receiver whose row `written` names. The
+    /// caller guarantees that `h`'s pinned row is unchanged. Returns
+    /// whether every outcome held. If so, the sweep dequeues the same
+    /// vertices at the same distances and writes the same entries, so with
+    /// the re-read entry counts substituted the log is the one the sweep
+    /// records against the current index. Otherwise the log is stale and
+    /// must be discarded.
+    fn revalidate<T: ReadTopology<Dist = D>>(
+        &mut self,
+        topo: &mut T,
+        h: VertexId,
+        written: impl Fn(VertexId) -> bool,
+    ) -> bool {
+        let h_rank = topo.rank(h.0);
+        let mut pinned = false;
+        for visit in &mut self.visits {
+            if !written(visit.v) {
+                continue;
+            }
+            if !pinned {
+                topo.load_probe(h);
+                pinned = true;
+            }
+            let (pruned, read) = topo.probe_certifies_shorter(visit.v, visit.dist, Some(h_rank));
+            if pruned != visit.pruned {
+                return false;
+            }
+            self.counters.prune_probes = self.counters.prune_probes - visit.read as usize + read;
+            visit.read = read as u32;
+        }
+        true
+    }
+
+    /// Applies the logged writes to `topo`'s index as row-`hub` entries,
+    /// naming each written vertex to `wrote`.
+    fn apply<T: LabelTopology<Dist = D>>(
+        &self,
+        topo: &mut T,
+        hub: Rank,
+        mut wrote: impl FnMut(VertexId),
+    ) {
+        for &(v, d, c) in &self.upserts {
+            topo.label_upsert(v, hub, d, c);
+            wrote(v);
+        }
+        for &u in &self.removals {
+            let held = topo.label_remove(u, hub);
+            debug_assert!(held, "a logged removal found no row {hub:?} at {u:?}");
+            wrote(u);
+        }
+    }
+}
 
 /// [`RepairAgenda`] hub flag: the hub must re-sweep the variant's primary
 /// label family (`L` for undirected/weighted, `L_in` for directed).
@@ -616,10 +813,6 @@ pub struct UpdateEngine<D: EngineDist> {
     heap: BinaryHeap<Reverse<(D, u32)>>,
     settled: Vec<bool>,
     touched: Vec<u32>,
-    /// `SR ∪ R` side membership bits, valid between
-    /// [`set_marks`](Self::set_marks) and [`clear_marks`](Self::clear_marks).
-    marks: Vec<u8>,
-    marked: Vec<VertexId>,
     /// Algorithm 6's `U[·]` visited-and-updated flags (reset per pass).
     updated: Vec<bool>,
 }
@@ -634,8 +827,6 @@ impl<D: EngineDist> UpdateEngine<D> {
             heap: BinaryHeap::new(),
             settled: vec![false; capacity],
             touched: Vec::new(),
-            marks: vec![0; capacity],
-            marked: Vec::new(),
             updated: vec![false; capacity],
         }
     }
@@ -646,7 +837,6 @@ impl<D: EngineDist> UpdateEngine<D> {
             self.dist.resize(capacity, D::INF);
             self.count.resize(capacity, 0);
             self.settled.resize(capacity, false);
-            self.marks.resize(capacity, 0);
             self.updated.resize(capacity, false);
         }
     }
@@ -705,44 +895,6 @@ impl<D: EngineDist> UpdateEngine<D> {
             }
             None
         }
-    }
-
-    /// Records the `SR ∪ R` sides for one decremental update.
-    pub fn set_marks(&mut self, side_a: [&[VertexId]; 2], side_b: [&[VertexId]; 2]) {
-        for (slices, bit) in [(side_a, MARK_A), (side_b, MARK_B)] {
-            for slice in slices {
-                for &v in slice {
-                    if self.marks[v.index()] == 0 {
-                        self.marked.push(v);
-                    }
-                    self.marks[v.index()] |= bit;
-                }
-            }
-        }
-    }
-
-    /// Every vertex marked since the last [`clear_marks`](Self::clear_marks),
-    /// once each, in first-marked order: the receivers of the repair.
-    pub(crate) fn marked(&self) -> &[VertexId] {
-        &self.marked
-    }
-
-    /// Whether some vertex carries both side marks. Never true for a
-    /// single undirected or weighted edge: `sd(v, a) + w = sd(v, b)` and
-    /// `sd(v, b) + w = sd(v, a)` cannot both hold when `w ≥ 1`, so each hub
-    /// sweeps at most once — which [`HubHolders`] relies on.
-    pub(crate) fn sides_overlap(&self) -> bool {
-        self.marked
-            .iter()
-            .any(|v| self.marks[v.index()] == MARK_A | MARK_B)
-    }
-
-    /// Clears side marks after the hub loop.
-    pub fn clear_marks(&mut self) {
-        for &v in &self.marked {
-            self.marks[v.index()] = 0;
-        }
-        self.marked.clear();
     }
 
     /// Algorithm 3 — one incremental repair sweep for hub `h`, seeded at
@@ -912,25 +1064,34 @@ impl<D: EngineDist> UpdateEngine<D> {
     }
 
     /// Algorithm 6 — one decremental repair sweep for hub `h` on the
-    /// post-mutation graph, repairing labels of vertices carrying
-    /// `opposite_mark`, then removing the `(h, ·, ·)` label of every
-    /// opposite-marked receiver the sweep never updated (unconditionally —
-    /// see module docs). `holders` lists the receivers whose repaired row
-    /// held `h` before the repair ([`HubHolders::of`]); no other receiver
-    /// can hold it, so the removal walks only them.
-    pub fn dec_pass<T: LabelTopology<Dist = D>>(
+    /// post-mutation graph, run read-only: `log` receives the row-`h`
+    /// upserts of the receivers carrying `opposite_mark` that the sweep
+    /// reaches unpruned, then the removal of row `h` at every such receiver
+    /// it never updated (unconditionally — see module docs), its counters,
+    /// and every marked receiver it dequeues. `holders` lists the receivers
+    /// whose repaired row held `h` before the repair ([`HubHolders::of`]);
+    /// no other receiver can hold it, so the removal walks only them.
+    ///
+    /// Deferring the writes changes nothing for the sweep itself: they all
+    /// land in row `h`, which its prune tests never read (they consult
+    /// only hubs ranked above `h`), and it looks each receiver's row `h` up
+    /// once. Applying the log therefore leaves the index exactly as the
+    /// writing sweep of Algorithm 6 would.
+    pub fn dec_pass<T: ReadTopology<Dist = D>>(
         &mut self,
         topo: &mut T,
         h: VertexId,
+        marks: &Marks,
         opposite_mark: u8,
         holders: &[VertexId],
-        stats: &mut MaintenanceCounters,
+        log: &mut RepairLog<D>,
     ) {
+        log.clear();
+        let stats = &mut log.counters;
         let h_rank = topo.rank(h.0);
         topo.load_probe(h);
         self.reset_sweep();
         self.seed(T::DIJKSTRA, h, D::ZERO, 1);
-        let mut visited_marked: Vec<u32> = Vec::new();
         let mut head = 0usize;
         while let Some(v) = self.pop_frontier(T::DIJKSTRA, &mut head) {
             stats.vertices_visited += 1;
@@ -938,67 +1099,70 @@ impl<D: EngineDist> UpdateEngine<D> {
             // PreQUERY prune: hubs ranked strictly above h (repaired this
             // round or untouched-and-valid) certify a strictly shorter
             // path — h tops no shortest path here.
-            let (shorter, read) = topo.probe_certifies_shorter(VertexId(v), dv, Some(h_rank));
+            let (pruned, read) = topo.probe_certifies_shorter(VertexId(v), dv, Some(h_rank));
             stats.prune_probes += read;
-            if shorter {
+            let mark = marks.of(VertexId(v));
+            if mark != 0 {
+                log.visits.push(Visit {
+                    v: VertexId(v),
+                    dist: dv,
+                    read: read as u32,
+                    pruned,
+                });
+            }
+            if pruned {
                 continue;
             }
-            if self.marks[v as usize] & opposite_mark != 0 {
-                let cv = self.count[v as usize];
-                match topo.label_get(VertexId(v), h_rank) {
-                    None => {
-                        topo.label_upsert(VertexId(v), h_rank, dv, cv);
-                        stats.inserted += 1;
-                    }
-                    Some((ed, _)) if ed != dv => {
-                        topo.label_upsert(VertexId(v), h_rank, dv, cv);
-                        stats.renew_dist += 1;
-                    }
-                    Some((_, ec)) if ec != cv => {
-                        topo.label_upsert(VertexId(v), h_rank, dv, cv);
-                        stats.renew_count += 1;
-                    }
-                    Some(_) => {}
+            let cv = self.count[v as usize];
+            if mark & opposite_mark != 0 {
+                let tally = match topo.label_get(VertexId(v), h_rank) {
+                    None => Some(&mut stats.inserted),
+                    Some((ed, _)) if ed != dv => Some(&mut stats.renew_dist),
+                    Some((_, ec)) if ec != cv => Some(&mut stats.renew_count),
+                    Some(_) => None,
+                };
+                if let Some(tally) = tally {
+                    *tally += 1;
+                    log.upserts.push((VertexId(v), dv, cv));
                 }
                 self.updated[v as usize] = true;
-                visited_marked.push(v);
             }
-            let cv = self.count[v as usize];
             self.expand_ranked(topo, v, dv, cv, h_rank);
         }
         stats.removal_probes += holders.len();
         for &u in holders {
-            let i = u.index();
-            if self.marks[i] & opposite_mark != 0
-                && !self.updated[i]
-                && topo.label_remove(u, h_rank)
+            if marks.of(u) & opposite_mark != 0
+                && !self.updated[u.index()]
+                && topo.label_get(u, h_rank).is_some()
             {
+                log.removals.push(u);
                 stats.removed += 1;
             }
         }
         #[cfg(debug_assertions)]
-        self.assert_row_removed(topo, h_rank, opposite_mark);
-        for v in visited_marked {
-            self.updated[v as usize] = false;
+        self.assert_row_removed(topo, h_rank, marks, opposite_mark, &log.removals);
+        for visit in &log.visits {
+            self.updated[visit.v.index()] = false;
         }
     }
 
-    /// Debug check of the removal pass: no opposite-marked receiver the
-    /// sweep left un-updated still holds row `h` — the holder lists missed
-    /// no receiver.
+    /// Debug check of the removal pass: every opposite-marked receiver the
+    /// sweep left un-updated and still holding row `h` is among the
+    /// removals — the holder lists missed no receiver.
     #[cfg(debug_assertions)]
-    fn assert_row_removed<T: LabelTopology<Dist = D>>(
+    fn assert_row_removed<T: ReadTopology<Dist = D>>(
         &self,
         topo: &T,
         h_rank: Rank,
+        marks: &Marks,
         opposite_mark: u8,
+        removals: &[VertexId],
     ) {
-        for &u in &self.marked {
-            let i = u.index();
-            if self.marks[i] & opposite_mark != 0 && !self.updated[i] {
+        for &u in marks.marked() {
+            if marks.of(u) & opposite_mark != 0 && !self.updated[u.index()] {
                 debug_assert!(
-                    topo.label_get(u, h_rank).is_none(),
-                    "receiver {u:?} still holds row {h_rank:?} after its removal pass"
+                    topo.label_get(u, h_rank).is_none() || removals.contains(&u),
+                    "receiver {u:?} keeps row {h_rank:?} through its removal pass"
                 );
             }
         }

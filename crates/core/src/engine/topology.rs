@@ -4,12 +4,12 @@
 //! [`super::DecPipeline`]) build them through.
 //!
 //! A view borrows the graph immutably and the index through `I`. Over a
-//! shared borrow (`&Index`) it implements [`ReadTopology`] only — what a
-//! classification sweep reads, shareable across threads. Over a mutable
-//! borrow (`&mut Index`) it adds the two label writes of [`LabelTopology`]
-//! that repair sweeps need. One implementation of the read methods serves
-//! both, so a classification sweep and a repair sweep always read the index
-//! the same way.
+//! shared borrow (`&Index`) it implements [`ReadTopology`] only — what the
+//! classification and `DecUPDATE` sweeps read, shareable across threads.
+//! Over a mutable borrow (`&mut Index`) it adds the two label writes of
+//! [`LabelTopology`], which the hub-push sweeps and the commit of a
+//! `DecUPDATE` log need. One implementation of the read methods serves
+//! both, so every sweep reads the index the same way.
 //!
 //! The directed view is parameterized by the label family being repaired:
 //! repairing `L_in` walks out-arcs and pins `L_out` hubs, repairing `L_out`
@@ -40,11 +40,13 @@ pub trait Variant {
     type Dist: EngineDist + Send + Sync;
     /// A label-row entry.
     type Entry: HubEntry<Dist = Self::Dist>;
-    /// A view over a shared index borrow (classification).
+    /// A view over a shared index borrow (classification and `DecUPDATE`
+    /// sweeps).
     type Read<'a>: ReadTopology<Dist = Self::Dist>
     where
         Self: 'a;
-    /// A view over a mutable index borrow (repair).
+    /// A view over a mutable index borrow (hub pushes and `DecUPDATE`
+    /// commits).
     type Write<'a>: LabelTopology<Dist = Self::Dist>
     where
         Self: 'a;
@@ -90,7 +92,7 @@ pub trait Variant {
         family: u8,
     ) -> Self::Read<'a>;
 
-    /// The repair view of `family`.
+    /// The writing view of `family`.
     fn write<'a>(
         g: &'a Self::Graph,
         index: &'a mut Self::Index,
@@ -119,6 +121,17 @@ pub(super) fn side_families<V: Variant>() -> [u8; 2] {
         [REPAIR_PRIMARY, REPAIR_SECONDARY]
     } else {
         [REPAIR_PRIMARY; 2]
+    }
+}
+
+/// The label family a view of `family` pins its hub's row from: the
+/// opposite family for arcs (a view repairing `L_in` pins `L_out`), the
+/// one family otherwise.
+pub(super) fn pinned_family<V: Variant>(family: u8) -> u8 {
+    if V::DIRECTED && family == REPAIR_PRIMARY {
+        REPAIR_SECONDARY
+    } else {
+        REPAIR_PRIMARY
     }
 }
 

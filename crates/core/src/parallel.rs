@@ -1,23 +1,30 @@
-//! Parallel batch query evaluation and shared thread-pool plumbing.
+//! Parallel batch query evaluation and the fan-out maintenance runs on.
 //!
-//! §6 of the paper explains why parallel *updates* are hard (strict rank
-//! order dependencies between hubs) and leaves them as future work. Query
-//! evaluation, by contrast, is embarrassingly parallel: the index is
-//! immutable between updates, and each `SpcQUERY` touches only two label
-//! sets. This module fans a query batch across scoped threads — the shape a
-//! serving deployment of the paper's system would use between update
-//! epochs.
+//! Query evaluation is embarrassingly parallel: the index is immutable
+//! between updates, and each `SpcQUERY` touches only two label sets. This
+//! module fans a query batch across scoped threads — the shape a serving
+//! deployment of the paper's system would use between update epochs.
 //!
-//! The same scoped-thread fan-out backs the one read-only part of
-//! *maintenance*, governed by the [`MaintenanceThreads`] knob on the
-//! dynamic facades: the classification sweeps of a deletion batch
-//! ([`crate::engine::DecPipeline::delete_batch`]). Repair sweeps, builds
-//! and re-ranks stay sequential, for the reason §6 gives.
+//! The same fan-out (`fan_out`) runs the two parallel parts of deletion
+//! maintenance, under the [`MaintenanceThreads`] budget of the dynamic
+//! facades ([`crate::engine::DecPipeline`]):
+//!
+//! * the classification sweeps of a deletion batch, which only read;
+//! * the `DecUPDATE` repair sweeps. §6 of the paper leaves parallel updates
+//!   open because each sweep prunes against labels the higher-ranked sweeps
+//!   before it have just repaired. The pipeline therefore runs blocks of
+//!   sweeps read-only against the index as of the block start, commits
+//!   their logs in rank order on the calling thread, and re-runs a sweep
+//!   whose reads an earlier commit of its block changed. So the result is
+//!   the sequential one at every thread count.
+//!
+//! Builds, re-ranks and insertions stay on the calling thread.
 
 use crate::flat::{FlatIndex, FlatScratch};
 use crate::index::SpcIndex;
 use crate::query::{spc_query, QueryResult};
 use dspc_graph::VertexId;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Target number of query pairs per worker thread for
 /// [`par_batch_query_auto`]. Spawning an OS thread costs on the order of
@@ -34,19 +41,21 @@ pub const PAIRS_PER_THREAD: usize = 256;
 /// final chunk may be shorter.
 pub const QUERY_CHUNK_ALIGN: usize = 8;
 
-/// Thread budget for intra-batch index maintenance (the knob behind
+/// Thread budget for index maintenance (the knob behind
 /// `DynamicSpc::set_maintenance_threads` and the directed/weighted
-/// equivalents): how many threads a deletion batch classifies its endpoint
-/// tasks on.
+/// equivalents): how many threads a deletion — one edge or a batch —
+/// classifies its endpoint tasks and speculates its repair sweeps on.
 ///
 /// * [`MaintenanceThreads::Auto`] (the default) resolves to
 ///   `std::thread::available_parallelism()`.
 /// * [`MaintenanceThreads::Fixed(1)`](MaintenanceThreads::Fixed) runs
-///   everything on the calling thread.
+///   everything on the calling thread, one repair sweep at a time.
 ///
-/// Only read-only work fans out, and results merge in input order, so the
-/// index, query answers, and every counter are identical at every thread
-/// count.
+/// Classification only reads, and its results merge in input order.
+/// Repair sweeps speculate read-only in blocks of 16 and commit in rank
+/// order, re-running any sweep an earlier commit of its block invalidated;
+/// a deletion therefore uses at most 16 threads. So the index, query
+/// answers, and every counter are identical at every thread count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MaintenanceThreads {
     /// Use `std::thread::available_parallelism()` (fallback 1).
@@ -68,79 +77,71 @@ impl MaintenanceThreads {
     }
 }
 
-/// Splits `len` items into exactly `min(parts, len)` contiguous chunk
-/// lengths differing by at most one — so every spawned thread has work
-/// (a naive `len.div_ceil(parts)` chunk size can leave trailing threads
-/// without a chunk when `len % parts` is small).
-pub(crate) fn chunk_lengths(len: usize, parts: usize) -> impl Iterator<Item = usize> {
-    let parts = parts.clamp(1, len.max(1));
-    let base = len / parts;
-    let extra = len % parts;
-    (0..parts).map(move |i| base + usize::from(i < extra))
-}
-
-/// Runs `work` over `items` on up to `threads` scoped worker threads, each
-/// with its own scratch from `make_scratch`, returning results in input
-/// order. `threads <= 1` (or a single item) runs inline on the caller's
-/// thread with one scratch — the degenerate sequential path. A panicking
-/// worker fails the call: the scope joins every thread, then panics on the
-/// caller's thread.
-pub(crate) fn fan_out<T, S, R, FS, FW>(
+/// Runs `work` over `items` on the caller's `workers`, one thread per
+/// worker, returning results in input order. The first worker runs on the
+/// calling thread and the others on scoped threads, as many as there are
+/// items beyond the first. Workers claim items one at a time through a
+/// shared atomic cursor, so a worker that drew cheap items takes more of
+/// them. One worker (or one item) runs everything inline. Workers keep
+/// their scratch across calls, so a call allocates only the result
+/// storage. A panicking worker fails the call: the scope joins every
+/// thread, then the panic resumes on the calling thread.
+///
+/// # Panics
+/// If `workers` is empty.
+pub(crate) fn fan_out<T, S, R>(
     items: &[T],
-    threads: usize,
-    make_scratch: FS,
-    work: FW,
+    workers: &mut [S],
+    work: impl Fn(&mut S, &T) -> R + Sync,
 ) -> Vec<R>
 where
     T: Sync,
+    S: Send,
     R: Send,
-    FS: Fn() -> S + Sync,
-    FW: Fn(&mut S, &T) -> R + Sync,
 {
-    let chunks: Vec<usize> = chunk_lengths(items.len(), threads).collect();
-    fan_out_chunks(items, &chunks, make_scratch, work)
-}
-
-/// [`fan_out`] with explicit precomputed chunk lengths (one spawned thread
-/// per chunk). A single chunk — or a single item — runs inline on the
-/// caller's thread. The chunk lengths must sum to `items.len()`.
-pub(crate) fn fan_out_chunks<T, S, R, FS, FW>(
-    items: &[T],
-    chunks: &[usize],
-    make_scratch: FS,
-    work: FW,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    FS: Fn() -> S + Sync,
-    FW: Fn(&mut S, &T) -> R + Sync,
-{
-    debug_assert_eq!(chunks.iter().sum::<usize>(), items.len());
-    if chunks.len() <= 1 || items.len() <= 1 {
-        let mut scratch = make_scratch();
-        return items.iter().map(|t| work(&mut scratch, t)).collect();
+    let active = workers.len().min(items.len()).max(1);
+    let (first, helpers) = workers[..active]
+        .split_first_mut()
+        .expect("fan_out needs a worker");
+    if helpers.is_empty() {
+        return items.iter().map(|t| work(first, t)).collect();
     }
-    let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    let (make_scratch, work) = (&make_scratch, &work);
+    // `Relaxed` suffices: the cursor only hands out indices, each once.
+    // The items reach the threads through the scope's spawn, and the
+    // results come back through its join.
+    let cursor = AtomicUsize::new(0);
+    let drain = |worker: &mut S| {
+        let mut claimed = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return claimed;
+            };
+            claimed.push((i, work(worker, item)));
+        }
+    };
+    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    let place = |slots: &mut Vec<Option<R>>, claimed: Vec<(usize, R)>| {
+        for (i, r) in claimed {
+            slots[i] = Some(r);
+        }
+    };
     std::thread::scope(|scope| {
-        let mut rest_items = items;
-        let mut rest_out = &mut out[..];
-        for &chunk in chunks {
-            let (item_chunk, next_items) = rest_items.split_at(chunk);
-            let (out_chunk, next_out) = rest_out.split_at_mut(chunk);
-            rest_items = next_items;
-            rest_out = next_out;
-            scope.spawn(move || {
-                let mut scratch = make_scratch();
-                for (item, slot) in item_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(work(&mut scratch, item));
-                }
-            });
+        let handles: Vec<_> = helpers
+            .iter_mut()
+            .map(|worker| scope.spawn(|| drain(worker)))
+            .collect();
+        place(&mut slots, drain(first));
+        for handle in handles {
+            match handle.join() {
+                Ok(claimed) => place(&mut slots, claimed),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
         }
     });
-    out.into_iter()
-        .map(|r| r.expect("worker completed"))
+    slots
+        .into_iter()
+        .map(|r| r.expect("every item claimed"))
         .collect()
 }
 
@@ -207,21 +208,30 @@ impl QueryEngine for FlatIndex {
 /// Evaluates `pairs` in parallel on `threads` OS threads (clamped to the
 /// batch size; `threads == 1` degenerates to the sequential path). Results
 /// are in input order. Chunks are [`QUERY_CHUNK_ALIGN`]-aligned and
-/// balanced, so every spawned thread has work and streams a contiguous
-/// range of the batch.
+/// balanced, one per thread, so every thread has work and streams a
+/// contiguous range of the batch.
 pub fn par_batch_query<E: QueryEngine>(
     engine: &E,
     pairs: &[(VertexId, VertexId)],
     threads: usize,
 ) -> Vec<QueryResult> {
     let threads = threads.clamp(1, pairs.len().max(1));
-    let chunks = aligned_chunk_lengths(pairs.len(), threads);
-    fan_out_chunks(
-        pairs,
-        &chunks,
-        || engine.make_scratch(),
-        |scratch, &(s, t)| engine.query_one(scratch, s, t),
-    )
+    let mut start = 0;
+    let chunks: Vec<&[(VertexId, VertexId)]> = aligned_chunk_lengths(pairs.len(), threads)
+        .into_iter()
+        .map(|len| {
+            start += len;
+            &pairs[start - len..start]
+        })
+        .collect();
+    let mut scratch: Vec<E::Scratch> = chunks.iter().map(|_| engine.make_scratch()).collect();
+    fan_out(&chunks, &mut scratch, |scratch, chunk| {
+        chunk
+            .iter()
+            .map(|&(s, t)| engine.query_one(scratch, s, t))
+            .collect::<Vec<_>>()
+    })
+    .concat()
 }
 
 /// [`par_batch_query`] with the thread count derived from the machine and
@@ -333,18 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn chunk_lengths_cover_everything_without_empty_chunks() {
-        for (len, parts) in [(9usize, 8usize), (3, 16), (16, 4), (1, 1), (7, 7), (10, 3)] {
-            let chunks: Vec<usize> = chunk_lengths(len, parts).collect();
-            assert_eq!(chunks.iter().sum::<usize>(), len, "len={len} parts={parts}");
-            assert_eq!(chunks.len(), parts.min(len).max(1));
-            assert!(chunks.iter().all(|&c| c >= 1) || len == 0);
-            let (min, max) = (chunks.iter().min(), chunks.iter().max());
-            assert!(max.unwrap() - min.unwrap() <= 1, "balanced split");
-        }
-    }
-
-    #[test]
     fn aligned_chunks_cover_everything() {
         for (len, parts) in [
             (1000usize, 4usize),
@@ -401,23 +399,24 @@ mod tests {
     }
 
     #[test]
-    fn fan_out_makes_one_scratch_per_worker() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
+    fn fan_out_runs_on_the_callers_workers() {
+        // Every item runs on one of the caller's workers, whose scratch
+        // outlives the call: nothing per call, nothing per thread.
         let items: Vec<usize> = (0..23).collect();
         for threads in [1usize, 2, 4, 8] {
-            let scratches = AtomicUsize::new(0);
-            let out = fan_out(
-                &items,
-                threads,
-                || scratches.fetch_add(1, Ordering::Relaxed),
-                |_, &i| i * 10,
-            );
-            assert_eq!(out, items.iter().map(|&i| i * 10).collect::<Vec<_>>());
-            assert_eq!(
-                scratches.load(Ordering::Relaxed),
-                threads,
-                "threads={threads}"
-            );
+            let mut workers = vec![0usize; threads];
+            for round in 1..=2 {
+                let out = fan_out(&items, &mut workers, |runs, &i| {
+                    *runs += 1;
+                    i * 10
+                });
+                assert_eq!(out, items.iter().map(|&i| i * 10).collect::<Vec<_>>());
+                assert_eq!(
+                    workers.iter().sum::<usize>(),
+                    round * items.len(),
+                    "threads={threads}"
+                );
+            }
         }
     }
 
@@ -426,15 +425,10 @@ mod tests {
         let items: Vec<usize> = (0..8).collect();
         for threads in [1usize, 2, 4] {
             let outcome = std::panic::catch_unwind(|| {
-                fan_out(
-                    &items,
-                    threads,
-                    || (),
-                    |_, &i| {
-                        assert_ne!(i, 5, "item 5 fails");
-                        i
-                    },
-                )
+                fan_out(&items, &mut vec![(); threads], |_, &i| {
+                    assert_ne!(i, 5, "item 5 fails");
+                    i
+                })
             });
             assert!(
                 outcome.is_err(),
@@ -447,16 +441,12 @@ mod tests {
     fn fan_out_preserves_input_order() {
         let items: Vec<usize> = (0..37).collect();
         for threads in [1usize, 2, 5, 64] {
-            let out = fan_out(
-                &items,
-                threads,
-                || 0usize,
-                |scratch, &i| {
-                    *scratch += 1;
-                    i * 3
-                },
-            );
+            let out = fan_out(&items, &mut vec![0usize; threads], |scratch, &i| {
+                *scratch += 1;
+                i * 3
+            });
             assert_eq!(out, items.iter().map(|&i| i * 3).collect::<Vec<_>>());
         }
+        assert!(fan_out(&[] as &[usize], &mut [()], |_, &i| i).is_empty());
     }
 }

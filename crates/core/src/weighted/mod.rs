@@ -249,10 +249,14 @@ impl DynamicWeightedSpc {
         self.flat.is_some()
     }
 
-    /// Sets the worker-thread budget for the classification sweeps of
-    /// [`DynamicWeightedSpc::delete_edges`] and of the deletion segments of
-    /// [`DynamicWeightedSpc::apply_batch`]. Every thread count produces the
-    /// same index, queries, and counters.
+    /// Sets the worker-thread budget for deletion maintenance: the
+    /// classification sweeps of [`DynamicWeightedSpc::delete_edges`] and
+    /// of the deletion segments of [`DynamicWeightedSpc::apply_batch`], and
+    /// the repair sweeps of every deletion and weight increase,
+    /// [`DynamicWeightedSpc::delete_edge`] included. Repair sweeps
+    /// speculate read-only in blocks and commit in rank order, re-running
+    /// any sweep an earlier commit invalidated, so every thread count
+    /// produces the same index, queries, and counters.
     pub fn set_maintenance_threads(&mut self, threads: MaintenanceThreads) {
         self.maintenance_threads = threads;
     }
@@ -292,9 +296,13 @@ impl DynamicWeightedSpc {
 
     /// Deletes edge `(a, b)` (decremental update).
     pub fn delete_edge(&mut self, a: VertexId, b: VertexId) -> dspc_graph::Result<UpdateStats> {
-        let c = self
-            .dec
-            .delete_edge(&mut self.graph, &mut self.index, a, b)?;
+        let c = self.dec.delete_edge(
+            &mut self.graph,
+            &mut self.index,
+            a,
+            b,
+            self.maintenance_threads.resolve(),
+        )?;
         self.flat = None;
         Ok(UpdateStats::from_counters(UpdateKind::DeleteEdge, c))
     }
@@ -302,9 +310,9 @@ impl DynamicWeightedSpc {
     /// Deletes a *set* of edges as one epoch through the multi-edge
     /// `SrrSEARCH` repair path ([`WeightedDecSpc::delete_edges`]): one
     /// rank-pruned Dijkstra per distinct affected hub against the residual
-    /// graph with the whole set already absent, classifying on the
-    /// configured [`MaintenanceThreads`]. All edges are validated present
-    /// before the first mutation.
+    /// graph with the whole set already absent, classifying and repairing
+    /// on the configured [`MaintenanceThreads`]. All edges are validated
+    /// present before the first mutation.
     pub fn delete_edges(
         &mut self,
         edges: &[(VertexId, VertexId)],
@@ -367,9 +375,14 @@ impl DynamicWeightedSpc {
             let c = self.inc.insert_edge(&self.graph, &mut self.index, a, b);
             Ok(UpdateStats::from_counters(UpdateKind::WeightChange, c))
         } else {
-            let c = self
-                .dec
-                .increase_weight(&mut self.graph, &mut self.index, a, b, w)?;
+            let c = self.dec.increase_weight(
+                &mut self.graph,
+                &mut self.index,
+                a,
+                b,
+                w,
+                self.maintenance_threads.resolve(),
+            )?;
             self.flat = None;
             Ok(UpdateStats::from_counters(UpdateKind::WeightChange, c))
         }

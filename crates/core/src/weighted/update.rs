@@ -38,23 +38,33 @@ impl WeightedDecSpc {
         }
     }
 
-    /// Deletes edge `(a, b)` and repairs the index. Returns the counters.
+    /// Deletes edge `(a, b)` and repairs the index, speculating the repair
+    /// sweeps over up to `threads` threads ([`DecPipeline::delete_one`]).
+    /// Returns the counters.
     pub fn delete_edge(
         &mut self,
         g: &mut WeightedGraph,
         index: &mut WeightedSpcIndex,
         a: VertexId,
         b: VertexId,
+        threads: usize,
     ) -> dspc_graph::Result<MaintenanceCounters> {
         self.pipeline
-            .delete_one(g, index, (a, b), |g| g.delete_edge(a, b).map(drop), false)
+            .delete_one(
+                g,
+                index,
+                (a, b),
+                |g| g.delete_edge(a, b).map(drop),
+                false,
+                threads,
+            )
             .map(|(stats, _)| stats)
     }
 
     /// Increases the weight of `(a, b)` to `new_w` and repairs the index:
     /// the single-edge deletion pipeline with the weight raise as its
-    /// mutation, classifying with the old weight as the edge length.
-    /// Returns the counters.
+    /// mutation, classifying with the old weight as the edge length, on up
+    /// to `threads` threads. Returns the counters.
     pub fn increase_weight(
         &mut self,
         g: &mut WeightedGraph,
@@ -62,6 +72,7 @@ impl WeightedDecSpc {
         a: VertexId,
         b: VertexId,
         new_w: Weight,
+        threads: usize,
     ) -> dspc_graph::Result<MaintenanceCounters> {
         let w = g
             .weight(a, b)
@@ -77,6 +88,7 @@ impl WeightedDecSpc {
                 (a, b),
                 |g| g.set_weight(a, b, new_w).map(drop),
                 false,
+                threads,
             )
             .map(|(stats, _)| stats)
     }
@@ -84,7 +96,7 @@ impl WeightedDecSpc {
     /// Multi-edge `SrrSEARCH` repair: deletes every edge of `edges` from
     /// `g` and repairs `index` with one rank-pruned Dijkstra per distinct
     /// affected hub, classifying with each edge's pre-deletion weight as
-    /// its length, on up to `threads` threads
+    /// its length, and repairing, on up to `threads` threads
     /// ([`DecPipeline::delete_batch`]). All edges are validated present
     /// (and pairwise distinct) before the first mutation.
     pub fn delete_edges(

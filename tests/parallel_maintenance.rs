@@ -1,13 +1,17 @@
-//! Intra-batch maintenance at any thread count must be *bit-identical* to
-//! the sequential path — same queries, same index, same counters. Only
-//! classification fans out; repair sweeps run in rank order either way.
+//! Maintenance at any thread count must be *bit-identical* to the
+//! sequential path — same label rows, same queries, same counters.
+//! Classification fans out; repair sweeps speculate in blocks and commit in
+//! rank order, re-running any sweep an earlier commit of its block
+//! invalidated, while one thread repairs one sweep at a time.
 
 use dspc::directed::{ArcUpdate, DynamicDirectedSpc};
 use dspc::dynamic::GraphUpdate;
 use dspc::verify::{verify_all_pairs, verify_directed_all_pairs, verify_weighted_all_pairs};
 use dspc::weighted::{DynamicWeightedSpc, WeightedUpdate};
 use dspc::{DynamicSpc, MaintenanceThreads, OrderingStrategy};
-use dspc_graph::generators::random::{erdos_renyi_gnm, random_orientation, random_weights};
+use dspc_graph::generators::random::{
+    barabasi_albert, erdos_renyi_gnm, random_orientation, random_weights,
+};
 use dspc_graph::{DirectedGraph, UndirectedGraph, VertexId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -52,6 +56,7 @@ fn two_wheels_batch_is_identical_at_any_thread_count() {
         par.set_maintenance_threads(MaintenanceThreads::Fixed(threads));
         let par_stats = par.apply_batch(&ops).unwrap();
         assert_eq!(par_stats, seq_stats, "threads={threads}");
+        assert_eq!(par.index(), seq.index(), "threads={threads}");
         for s in par.graph().vertices() {
             for t in par.graph().vertices() {
                 assert_eq!(par.query(s, t), seq.query(s, t), "({s:?},{t:?})");
@@ -85,6 +90,7 @@ fn hub_disconnect_batch_is_identical_at_any_thread_count() {
         par.set_maintenance_threads(MaintenanceThreads::Fixed(threads));
         let par_stats = par.apply_batch(&ops).unwrap();
         assert_eq!(par_stats, seq_stats, "threads={threads}");
+        assert_eq!(par.index(), seq.index(), "threads={threads}");
         for s in par.graph().vertices() {
             for t in par.graph().vertices() {
                 assert_eq!(par.query(s, t), seq.query(s, t));
@@ -156,6 +162,7 @@ proptest! {
             par.set_maintenance_threads(MaintenanceThreads::Fixed(threads));
             let par_stats = par.apply_batch(&ops).unwrap();
             prop_assert_eq!(par_stats, seq_stats, "threads={}", threads);
+            prop_assert!(par.index() == seq.index(), "threads={}", threads);
             for s in par.graph().vertices() {
                 for t in par.graph().vertices() {
                     prop_assert_eq!(par.query(s, t), seq.query(s, t));
@@ -197,6 +204,7 @@ fn directed_parallel_batches_match_sequential_and_oracle() {
             par.set_maintenance_threads(MaintenanceThreads::Fixed(threads));
             let par_stats = par.apply_batch(&ops).unwrap();
             assert_eq!(par_stats, seq_stats, "trial={trial} threads={threads}");
+            assert_eq!(par.index(), seq.index(), "trial={trial} threads={threads}");
             for s in par.graph().vertices() {
                 for t in par.graph().vertices() {
                     assert_eq!(par.query(s, t), seq.query(s, t), "({s:?}→{t:?})");
@@ -238,6 +246,7 @@ fn weighted_parallel_batches_match_sequential_and_oracle() {
             par.set_maintenance_threads(MaintenanceThreads::Fixed(threads));
             let par_stats = par.apply_batch(&ops).unwrap();
             assert_eq!(par_stats, seq_stats, "trial={trial} threads={threads}");
+            assert_eq!(par.index(), seq.index(), "trial={trial} threads={threads}");
             for s in par.graph().vertices() {
                 for t in par.graph().vertices() {
                     assert_eq!(par.query(s, t), seq.query(s, t), "({s:?},{t:?})");
@@ -245,6 +254,169 @@ fn weighted_parallel_batches_match_sequential_and_oracle() {
             }
             verify_weighted_all_pairs(par.graph(), par.index()).unwrap();
             par.index().check_invariants().unwrap();
+        }
+    }
+}
+
+/// Single-edge deletions take the same repair path as batches: at every
+/// thread count, each deletion leaves the same rows and counters.
+#[test]
+fn single_edge_deletes_are_identical_at_any_thread_count() {
+    let mut rng = StdRng::seed_from_u64(8_642);
+    let g = barabasi_albert(300, 3, &mut rng);
+    let doomed: Vec<(VertexId, VertexId)> = (0..12)
+        .map(|i| g.nth_edge((i * 71) % g.num_edges()).unwrap())
+        .collect();
+    let mut seq = DynamicSpc::build(g.clone(), OrderingStrategy::Degree);
+    seq.set_maintenance_threads(MaintenanceThreads::Fixed(1));
+    let seq_stats: Vec<_> = doomed
+        .iter()
+        .map(|&(a, b)| seq.delete_edge(a, b).unwrap())
+        .collect();
+    for threads in [2usize, 4, 8] {
+        let mut par = DynamicSpc::build(g.clone(), OrderingStrategy::Degree);
+        par.set_maintenance_threads(MaintenanceThreads::Fixed(threads));
+        for (&(a, b), seq_stats) in doomed.iter().zip(&seq_stats) {
+            assert_eq!(
+                &par.delete_edge(a, b).unwrap(),
+                seq_stats,
+                "({a:?},{b:?}) threads={threads}"
+            );
+        }
+        assert_eq!(par.index(), seq.index(), "threads={threads}");
+    }
+    verify_all_pairs(seq.graph(), seq.index()).unwrap();
+}
+
+/// Single-arc deletions, one repair per arc, at every thread count.
+#[test]
+fn directed_single_arc_deletes_are_identical_at_any_thread_count() {
+    let mut rng = StdRng::seed_from_u64(97_531);
+    let base = erdos_renyi_gnm(40, 140, &mut rng);
+    let g: DirectedGraph = random_orientation(&base, 0.3, &mut rng);
+    let arcs: Vec<_> = g.arcs().collect();
+    let doomed: Vec<_> = (0..10).map(|i| arcs[(i * 37) % arcs.len()]).collect();
+    let mut seq = DynamicDirectedSpc::build(g.clone(), OrderingStrategy::Degree);
+    seq.set_maintenance_threads(MaintenanceThreads::Fixed(1));
+    let seq_stats: Vec<_> = doomed
+        .iter()
+        .map(|&(a, b)| seq.delete_arc(a, b).unwrap())
+        .collect();
+    for threads in [2usize, 4, 8] {
+        let mut par = DynamicDirectedSpc::build(g.clone(), OrderingStrategy::Degree);
+        par.set_maintenance_threads(MaintenanceThreads::Fixed(threads));
+        for (&(a, b), seq_stats) in doomed.iter().zip(&seq_stats) {
+            assert_eq!(
+                &par.delete_arc(a, b).unwrap(),
+                seq_stats,
+                "threads={threads}"
+            );
+        }
+        assert_eq!(par.index(), seq.index(), "threads={threads}");
+    }
+    verify_directed_all_pairs(seq.graph(), seq.index()).unwrap();
+}
+
+/// Weighted single-edge deletions and weight increases (both repair
+/// through the single-edge pipeline) at every thread count.
+#[test]
+fn weighted_single_edge_repairs_are_identical_at_any_thread_count() {
+    let mut rng = StdRng::seed_from_u64(11_235);
+    let base = erdos_renyi_gnm(40, 120, &mut rng);
+    let g = random_weights(&base, 5, &mut rng);
+    let edges: Vec<_> = g.edges().collect();
+    // Even steps raise a weight, odd steps delete an edge.
+    let steps: Vec<_> = (0..12)
+        .map(|i| {
+            let (a, b, w) = edges[(i * 29) % edges.len()];
+            (a, b, (i % 2 == 0).then_some(w + 3))
+        })
+        .collect();
+    let run = |threads: usize| {
+        let mut d = DynamicWeightedSpc::build(g.clone(), OrderingStrategy::Degree);
+        d.set_maintenance_threads(MaintenanceThreads::Fixed(threads));
+        let stats: Vec<_> = steps
+            .iter()
+            .map(|&(a, b, raise)| match raise {
+                Some(w) => d.set_weight(a, b, w).unwrap(),
+                None => d.delete_edge(a, b).unwrap(),
+            })
+            .collect();
+        (d, stats)
+    };
+    let (seq, seq_stats) = run(1);
+    assert!(
+        seq_stats.iter().any(|s| s.hubs_processed > 0),
+        "the steps repair something"
+    );
+    for threads in [2usize, 4, 8] {
+        let (par, par_stats) = run(threads);
+        assert_eq!(par_stats, seq_stats, "threads={threads}");
+        assert_eq!(par.index(), seq.index(), "threads={threads}");
+    }
+    verify_weighted_all_pairs(seq.graph(), seq.index()).unwrap();
+}
+
+/// Hybrid epochs on a scale-free graph, the shape where consecutive repair
+/// sweeps share receivers: at two threads some speculated sweeps are
+/// invalidated by an earlier commit of their block and re-run, and every
+/// epoch still leaves the sequential rows and counters.
+#[test]
+fn scale_free_hybrid_epochs_are_identical_at_any_thread_count() {
+    let mut rng = StdRng::seed_from_u64(4_711);
+    let g = barabasi_albert(1000, 3, &mut rng);
+    let mut shadow = g.clone();
+    let epochs: Vec<Vec<GraphUpdate>> = (0..20)
+        .map(|e| {
+            let mut ops = Vec::new();
+            while ops.len() < 10 {
+                let (a, b) = (
+                    VertexId(rng.gen_range(0..1000)),
+                    VertexId(rng.gen_range(0..1000)),
+                );
+                if a != b && !shadow.has_edge(a, b) {
+                    shadow.insert_edge(a, b).unwrap();
+                    ops.push(GraphUpdate::InsertEdge(a, b));
+                }
+            }
+            for _ in 0..1 + e % 3 {
+                let (a, b) = shadow
+                    .nth_edge(rng.gen_range(0..shadow.num_edges()))
+                    .unwrap();
+                shadow.delete_edge(a, b).unwrap();
+                ops.push(GraphUpdate::DeleteEdge(a, b));
+            }
+            ops
+        })
+        .collect();
+    let mut seq = DynamicSpc::build(g.clone(), OrderingStrategy::Degree);
+    seq.set_maintenance_threads(MaintenanceThreads::Fixed(1));
+    let seq_stats: Vec<_> = epochs
+        .iter()
+        .map(|ops| seq.apply_batch(ops).unwrap())
+        .collect();
+    for threads in [2usize, 4, 8] {
+        let mut par = DynamicSpc::build(g.clone(), OrderingStrategy::Degree);
+        par.set_maintenance_threads(MaintenanceThreads::Fixed(threads));
+        for (e, (ops, seq_stats)) in epochs.iter().zip(&seq_stats).enumerate() {
+            assert_eq!(
+                &par.apply_batch(ops).unwrap(),
+                seq_stats,
+                "epoch {e} threads={threads}"
+            );
+        }
+        assert_eq!(par.index(), seq.index(), "threads={threads}");
+    }
+    spot_check_against_bfs(&seq);
+}
+
+/// Spot-checks a large maintained index against BFS counting from a few
+/// sources (all pairs would dominate the test's run time).
+fn spot_check_against_bfs(d: &DynamicSpc) {
+    let mut bfs = dspc_graph::traversal::bfs::BfsCounter::new(d.graph().capacity());
+    for s in (0..1000).step_by(97).map(VertexId) {
+        for t in d.graph().vertices() {
+            assert_eq!(d.query(s, t), bfs.count(d.graph(), s, t), "({s:?},{t:?})");
         }
     }
 }
