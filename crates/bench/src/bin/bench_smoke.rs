@@ -25,9 +25,9 @@
 //! report is the `Fixed(2)` run's.
 //!
 //! After the maintenance epochs each scenario runs a query phase: a seeded
-//! pair workload evaluated through both the live label sets and the
-//! facade's frozen snapshot (the [`dspc::FlatIndex`] columns for the
-//! undirected scenario, the published rows for the others). The phase
+//! pair workload evaluated through both the live label sets and a
+//! snapshot (a [`dspc::FlatIndex`] copy of the columns for the undirected
+//! scenario, the facade's published rows for the others). The phase
 //! panics on any result divergence and reports the kernel's deterministic
 //! work units — `merge_steps`, `common_hubs`, and the columnar layout's
 //! `label_bytes_per_entry`.
@@ -65,7 +65,8 @@ use dspc::policy::{MaintenancePolicy, ManagedSpc};
 use dspc::query::spc_query_counted;
 use dspc::weighted::{weighted_spc_query, DynamicWeightedSpc, WeightedUpdate};
 use dspc::{
-    DynamicSpc, FlatScratch, KernelCounters, MaintenanceThreads, OrderingStrategy, UpdateStats,
+    DynamicSpc, FlatIndex, FlatScratch, KernelCounters, MaintenanceThreads, OrderingStrategy,
+    UpdateStats,
 };
 use dspc_bench::recovery::RecoveryReplayConfig;
 use dspc_bench::serving::ServingReplayConfig;
@@ -155,16 +156,16 @@ fn undirected(report: &mut BTreeMap<String, u64>, threads: MaintenanceThreads) {
     }
     *report.entry("label_entries".to_string()).or_insert(0) += d.index().num_entries() as u64;
 
-    // Query phase: the live counted kernel and the frozen flat snapshot
-    // must produce identical results AND identical deterministic work
-    // counters (merge steps, common hubs) on a seeded pair workload.
+    // Query phase: the live counted kernel and a columnar copy of the
+    // index must produce identical results AND identical deterministic
+    // work counters (merge steps, common hubs) on a seeded pair workload.
     let pairs = query_pairs(420, 512, 0xF1A7);
     let mut live_c = KernelCounters::new();
     let live: Vec<_> = pairs
         .iter()
         .map(|&(s, t)| spc_query_counted(d.index(), &mut live_c, s, t))
         .collect();
-    let flat = d.frozen_queries();
+    let flat = FlatIndex::freeze(d.index());
     let mut flat_c = KernelCounters::new();
     let mut scratch = FlatScratch::new();
     for (k, &(s, t)) in pairs.iter().enumerate() {
@@ -205,13 +206,13 @@ fn directed(report: &mut BTreeMap<String, u64>, threads: MaintenanceThreads) {
     }
     *report.entry("label_entries".to_string()).or_insert(0) += d.index().num_entries() as u64;
 
-    // Query phase against the frozen `L_out(s) × L_in(t)` snapshot.
+    // Query phase against the published `L_out(s) × L_in(t)` snapshot.
     let pairs = query_pairs(160, 384, 0xDA7A);
     let live: Vec<_> = pairs
         .iter()
         .map(|&(s, t)| directed_spc_query(d.index(), s, t))
         .collect();
-    let flat = d.frozen_queries();
+    let flat = d.publish(1);
     let mut flat_c = KernelCounters::new();
     let mut scratch = FlatScratch::new();
     for (k, &(s, t)) in pairs.iter().enumerate() {
@@ -247,13 +248,13 @@ fn weighted(report: &mut BTreeMap<String, u64>, threads: MaintenanceThreads) {
     }
     *report.entry("label_entries".to_string()).or_insert(0) += d.index().num_entries() as u64;
 
-    // Query phase against the frozen weighted (u64-distance) snapshot.
+    // Query phase against the published weighted (u64-distance) snapshot.
     let pairs = query_pairs(140, 384, 0x5EED);
     let live: Vec<_> = pairs
         .iter()
         .map(|&(s, t)| weighted_spc_query(d.index(), s, t))
         .collect();
-    let flat = d.frozen_queries();
+    let flat = d.publish(1);
     let mut flat_c = KernelCounters::new();
     let mut scratch = FlatScratch::new();
     for (k, &(s, t)) in pairs.iter().enumerate() {

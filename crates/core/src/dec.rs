@@ -31,181 +31,39 @@
 //! The isolated-vertex optimization (§3.2.3) short-circuits the whole
 //! procedure when the deletion strands a degree-one endpoint that no label
 //! anywhere uses as a hub (tracked exactly by the index's hub-entry
-//! counts).
+//! counts; [`crate::engine::Variant::pendant_fast_path`]).
 
-use crate::engine::{DecPipeline, MaintenanceCounters, Undirected};
-use crate::index::SpcIndex;
-use dspc_graph::{UndirectedGraph, VertexId};
+use crate::engine::{DecPipeline, Undirected};
 
-pub use crate::engine::SrrOutcome;
+pub use crate::engine::{DecMode, SrrOutcome};
 
-/// Which affected-hub set drives the update BFSs — the ablation knob
-/// behind the paper's §2.3 argument that prior SD-Index definitions of
-/// "affected" give no reduction for SPC.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum DecMode {
-    /// The paper's DecSPC: BFS only from `SR` hubs (Definition 3.10).
-    #[default]
-    SrOnly,
-    /// Naive baseline: treat *every* affected vertex (`SR ∪ R`, the
-    /// `|sd(v,a) − sd(v,b)| = 1` set of \[8\]) as a hub to update from.
-    /// Correct but wasteful — the extra BFSs only insert redundant
-    /// (accurate) labels; benchmarked in `ablation_dec`.
-    NaiveAffected,
-    /// The paper's DecSPC with the §3.2.3 isolated-vertex fast path
-    /// disabled — used by tests to prove the fast path is a pure
-    /// optimization (identical resulting queries).
-    SrOnlyNoFastPath,
-}
+/// Reusable DecSPC driver (Algorithm 4): the shared [`DecPipeline`] over the
+/// undirected variant, with the §3.2.3 isolated-vertex fast path and the
+/// [`DecMode`] ablation hook ([`DecPipeline::delete_edge_with_mode`]).
+/// [`crate::DynamicSpc`] sequences it with the graph for you.
+pub type DecSpc = DecPipeline<Undirected>;
 
-/// Whether deleting an edge at `x` strands it under §3.2.3: `x` has degree
-/// one and no label anywhere uses it as a hub (checked exactly via the
-/// index's hub-entry counts — `x`'s own self label is the single permitted
-/// occurrence).
-fn strands_unused_pendant(g: &UndirectedGraph, index: &mut SpcIndex, x: VertexId) -> bool {
-    g.degree(x) == 1 && index.hub_entry_count(index.rank(x)) == 1
-}
-
-/// Reusable DecSPC driver (Algorithm 4): the undirected deletion policy
-/// over the shared [`DecPipeline`], plus the §3.2.3 isolated-vertex fast
-/// path.
-#[derive(Debug)]
-pub struct DecSpc {
-    pipeline: DecPipeline<Undirected>,
-}
-
-impl DecSpc {
-    /// Creates an engine for graphs up to `capacity` ids.
-    pub fn new(capacity: usize) -> Self {
-        DecSpc {
-            pipeline: DecPipeline::new(capacity),
-        }
-    }
-
-    /// Deletes `(a, b)` from `g` and repairs `index`, speculating the
-    /// repair sweeps over up to `threads` threads
-    /// ([`DecPipeline::delete_one`]; the result is the same at any count).
-    /// The engine performs the graph mutation itself because Algorithm 4
-    /// interleaves it between the two phases (`SrrSEARCH` sees `G_i`,
-    /// `DecUPDATE` sees `G_{i+1}`).
-    ///
-    /// Returns the operation counters and the affected sets (for Table 5).
-    pub fn delete_edge(
-        &mut self,
-        g: &mut UndirectedGraph,
-        index: &mut SpcIndex,
-        a: VertexId,
-        b: VertexId,
-        threads: usize,
-    ) -> dspc_graph::Result<(MaintenanceCounters, SrrOutcome)> {
-        self.delete_edge_with_mode(g, index, a, b, DecMode::SrOnly, threads)
-    }
-
-    /// [`DecSpc::delete_edge`] with an explicit [`DecMode`] (ablation hook).
-    pub fn delete_edge_with_mode(
-        &mut self,
-        g: &mut UndirectedGraph,
-        index: &mut SpcIndex,
-        a: VertexId,
-        b: VertexId,
-        mode: DecMode,
-        threads: usize,
-    ) -> dspc_graph::Result<(MaintenanceCounters, SrrOutcome)> {
-        if !g.has_edge(a, b) {
-            return Err(dspc_graph::GraphError::MissingEdge(a, b));
-        }
-
-        // §3.2.3 isolated-vertex fast path: emptying L(x) of a stranded,
-        // unused pendant `x` is the entire repair. The hub-count check
-        // replaces the paper's rank-comparison precondition: rank(y) <
-        // rank(x) guarantees a *freshly built* index has no (x, ·, ·)
-        // labels, but stale labels from earlier updates can violate that —
-        // and conversely the count check also fires for higher-ranked
-        // pendants whose hub entries happen to have been cleaned up, so it
-        // is both sound and broader.
-        if mode != DecMode::SrOnlyNoFastPath {
-            if let Some(x) = [b, a]
-                .into_iter()
-                .find(|&x| strands_unused_pendant(g, index, x))
-            {
-                g.delete_edge(a, b)?;
-                let stats = MaintenanceCounters {
-                    removed: index.reset_vertex_to_self(x),
-                    isolated_fast_path: true,
-                    ..MaintenanceCounters::default()
-                };
-                return Ok((stats, SrrOutcome::default()));
-            }
-        }
-
-        self.pipeline.delete_one(
-            g,
-            index,
-            (a, b),
-            |g| g.delete_edge(a, b),
-            mode == DecMode::NaiveAffected,
-            threads,
-        )
-    }
-
-    /// Multi-edge `SrrSEARCH` repair (the batch generalization of
-    /// Algorithm 4): deletes every edge of `edges` from `g` and repairs
-    /// `index` with **one** `DecUPDATE` sweep per distinct affected hub,
-    /// instead of one per edge per hub, classifying and repairing on up to
-    /// `threads` threads ([`DecPipeline::delete_batch`]).
-    ///
-    /// Edges eligible for the §3.2.3 isolated-vertex fast path (a pendant
-    /// endpoint no label uses as a hub) are peeled off the set first and
-    /// deleted through [`DecSpc::delete_edge`] — they cost zero sweeps
-    /// there, so routing them through the batch would only *add*
-    /// classification work.
-    ///
-    /// All edges are validated present (and pairwise distinct) before the
-    /// first mutation; on error nothing is applied.
-    pub fn delete_edges(
-        &mut self,
-        g: &mut UndirectedGraph,
-        index: &mut SpcIndex,
-        edges: &[(VertexId, VertexId)],
-        threads: usize,
-    ) -> dspc_graph::Result<MaintenanceCounters> {
-        match edges {
-            [] => return Ok(MaintenanceCounters::default()),
-            &[(a, b)] => return self.delete_edge(g, index, a, b, threads).map(|(s, _)| s),
-            _ => {}
-        }
-        DecPipeline::<Undirected>::validate(g, edges)?;
-
-        // Peel fast-path-eligible edges off the set (checked against the
-        // evolving graph, since each peeled deletion can strand the next
-        // pendant).
-        let mut total = MaintenanceCounters::default();
-        let mut rest: Vec<(VertexId, VertexId)> = Vec::with_capacity(edges.len());
-        for &(a, b) in edges {
-            if strands_unused_pendant(g, index, a) || strands_unused_pendant(g, index, b) {
-                let (s, _) = self.delete_edge(g, index, a, b, threads)?;
-                total.absorb(&s);
-            } else {
-                rest.push((a, b));
-            }
-        }
-        let s = match rest[..] {
-            [(a, b)] => self.delete_edge(g, index, a, b, threads)?.0,
-            _ => self.pipeline.delete_batch(g, index, &rest, threads)?,
-        };
-        total.absorb(&s);
-        Ok(total)
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::build::build_index;
+    use crate::engine::{MaintenanceCounters, UndirectedTopo, UpdateEngine};
+    use crate::index::SpcIndex;
+    use crate::order::OrderingStrategy;
+    use crate::query::{spc_query, HubProbe};
+    use crate::verify::verify_all_pairs;
+    use dspc_graph::generators::paper::{figure2_g, figure4_toy, figure5_chain};
+    use dspc_graph::generators::random::erdos_renyi_gnm;
+    use dspc_graph::{UndirectedGraph, VertexId};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Algorithm 5 — computes `SR_a, R_a` (BFS from `a`, classifying against
     /// queries to `b`) and symmetrically `SR_b, R_b`, on the pre-deletion
     /// graph. (Callers wanting the sets alongside a real deletion use
-    /// [`crate::DynamicSpc::delete_edge_with_sets`]; this standalone entry
-    /// backs the paper-example tests.)
-    #[cfg(test)]
+    /// [`crate::dynamic::Dynamic::delete_edge_with_sets`]; this standalone
+    /// entry backs the paper-example tests.)
     fn srr_search(g: &UndirectedGraph, index: &SpcIndex, a: VertexId, b: VertexId) -> SrrOutcome {
-        use crate::engine::{UndirectedTopo, UpdateEngine};
-        use crate::query::HubProbe;
         let mut engine = UpdateEngine::new(g.capacity());
         let mut probe = HubProbe::new(g.capacity());
         let mut stats = MaintenanceCounters::default();
@@ -219,19 +77,6 @@ impl DecSpc {
             r_b,
         }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::build::build_index;
-    use crate::order::OrderingStrategy;
-    use crate::query::spc_query;
-    use crate::verify::verify_all_pairs;
-    use dspc_graph::generators::paper::{figure2_g, figure4_toy, figure5_chain};
-    use dspc_graph::generators::random::erdos_renyi_gnm;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     fn delete_and_verify(
         g: &mut UndirectedGraph,
@@ -254,7 +99,7 @@ mod tests {
         // SR_v2 = {v2}, R_v2 = {v3, v7}, R_v1 = ∅.
         let g = figure2_g();
         let index = build_index(&g, OrderingStrategy::Identity);
-        let srr = DecSpc::srr_search(&g, &index, VertexId(1), VertexId(2));
+        let srr = srr_search(&g, &index, VertexId(1), VertexId(2));
         let as_set = |v: &[VertexId]| {
             let mut s: Vec<u32> = v.iter().map(|x| x.0).collect();
             s.sort_unstable();

@@ -9,21 +9,38 @@
 //! Construction runs two rank-pruned BFSs per hub — forward (emitting
 //! `L_in` labels of reached vertices) and backward (emitting `L_out`) — and
 //! the update algorithms mirror the undirected ones with directions
-//! attached (see [`update`]).
+//! attached. [`DynamicDirectedSpc`] is the facade over [`Directed`]; the
+//! shared pipelines run both halves through [`crate::engine::DirectedTopo`]
+//! views.
+//!
+//! ## IncSPC / DecSPC over arcs
+//!
+//! * **Insertion of arc `a → b`.** Affected hubs come from
+//!   `L_in(a) ∪ L_out(b)`. A hub `h ∈ L_in(a)` (it tops paths `h → … → a`)
+//!   runs a *forward* pruned BFS from `b`, seeded across the new arc,
+//!   repairing `L_in` labels downstream. A hub `h ∈ L_out(b)` runs the
+//!   mirror-image *backward* BFS from `a`, repairing `L_out` labels
+//!   upstream.
+//! * **Deletion of arc `a → b`.** `SR_a/R_a` are found by a backward
+//!   counting sweep from `a` (vertices with shortest paths `v → a → b`),
+//!   classified per Definition 3.10 with in-side hub membership;
+//!   `SR_b/R_b` symmetrically by a forward sweep from `b` with out-side
+//!   membership. Then hubs in `SR_a` repair `L_in` labels of
+//!   `SR_b ∪ R_b` by forward BFS, hubs in `SR_b` repair `L_out` labels of
+//!   `SR_a ∪ R_a` by backward BFS, with the same `PreQUERY` pruning and
+//!   removal pass as the undirected Algorithm 6. A hub on a cycle through
+//!   the arc does both, once per family.
 
 pub mod build;
-pub mod update;
 
 pub use build::{build_directed_index, rebuild_directed_index};
-pub use update::{DirectedDecSpc, DirectedIncSpc};
 
-use crate::dynamic::{UpdateKind, UpdateStats};
-use crate::engine::EdgeCoalescer;
-use crate::label::{Count, LabelEntry, LabelSet, Rank, SharedRows, INF_DIST};
-use crate::order::{OrderingStrategy, RankMap};
-use crate::parallel::MaintenanceThreads;
+use crate::dynamic::{Dynamic, UpdateStats};
+use crate::engine::Directed;
+use crate::label::{LabelEntry, LabelSet, Rank, SharedRows, INF_DIST};
+use crate::order::RankMap;
 use crate::query::{pre_query_rows, query_rows, QueryResult};
-use dspc_graph::{DirectedGraph, VertexId};
+use dspc_graph::VertexId;
 use serde::{Deserialize, Serialize};
 
 /// Which label family a sweep writes into.
@@ -220,203 +237,37 @@ pub enum ArcUpdate {
     DeleteArc(VertexId, VertexId),
 }
 
-/// Directed facade: a [`DirectedGraph`] and its index kept in lockstep.
-#[derive(Debug)]
-pub struct DynamicDirectedSpc {
-    graph: DirectedGraph,
-    index: DirectedSpcIndex,
-    inc: DirectedIncSpc,
-    dec: DirectedDecSpc,
-    maintenance_threads: MaintenanceThreads,
-    /// Flat snapshot of the current epoch; dropped on any mutation.
-    flat: Option<crate::flat::DirectedFlatIndex>,
-}
+/// Directed facade: a [`DirectedGraph`](dspc_graph::DirectedGraph) and its
+/// index kept in lockstep, [`Dynamic`] over [`Directed`].
+pub type DynamicDirectedSpc = Dynamic<Directed>;
 
-impl DynamicDirectedSpc {
-    /// Builds the index and wraps both.
-    pub fn build(graph: DirectedGraph, strategy: OrderingStrategy) -> Self {
-        let cap = graph.capacity();
-        let mut inc = DirectedIncSpc::new(cap);
-        let index = inc.build(&graph, strategy);
-        DynamicDirectedSpc {
-            graph,
-            index,
-            inc,
-            dec: DirectedDecSpc::new(cap),
-            maintenance_threads: MaintenanceThreads::default(),
-            flat: None,
-        }
-    }
-
-    /// The read-optimized flat snapshot of the current epoch (frozen on
-    /// first use, reused until the next mutation drops it — same contract
-    /// as [`crate::dynamic::DynamicSpc::frozen_queries`]).
-    pub fn frozen_queries(&mut self) -> &crate::flat::DirectedFlatIndex {
-        self.flat
-            .get_or_insert_with(|| crate::flat::DirectedFlatIndex::publish(&mut self.index))
-    }
-
-    /// Publishes the current epoch's snapshot, sharing every row that
-    /// is unchanged since the previous publish
-    /// ([`crate::flat::DirectedFlatIndex::publish`]).
-    pub fn publish(&mut self) -> crate::flat::DirectedFlatIndex {
-        crate::flat::DirectedFlatIndex::publish(&mut self.index)
-    }
-
-    /// Whether a flat snapshot is currently cached.
-    pub fn has_frozen_snapshot(&self) -> bool {
-        self.flat.is_some()
-    }
-
-    /// Sets the worker-thread budget for deletion maintenance: the
-    /// classification sweeps of [`DynamicDirectedSpc::delete_arcs`] and of
-    /// the deletion segments of [`DynamicDirectedSpc::apply_batch`], and
-    /// the repair sweeps of every deletion,
-    /// [`DynamicDirectedSpc::delete_arc`] included. Repair sweeps
-    /// speculate read-only in blocks and commit in rank order, re-running
-    /// any sweep an earlier commit invalidated, so every thread count
-    /// produces the same index, queries, and counters.
-    pub fn set_maintenance_threads(&mut self, threads: MaintenanceThreads) {
-        self.maintenance_threads = threads;
-    }
-
-    /// The configured maintenance thread budget.
-    pub fn maintenance_threads(&self) -> MaintenanceThreads {
-        self.maintenance_threads
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &DirectedGraph {
-        &self.graph
-    }
-
-    /// The maintained index.
-    pub fn index(&self) -> &DirectedSpcIndex {
-        &self.index
-    }
-
-    /// `SPC(s → t)` as `Some((sd, spc))`, `None` when unreachable.
-    pub fn query(&self, s: VertexId, t: VertexId) -> Option<(u32, Count)> {
-        directed_spc_query(&self.index, s, t).as_option()
-    }
-
+impl Dynamic<Directed> {
     /// Inserts arc `a → b` and repairs the index.
     pub fn insert_arc(&mut self, a: VertexId, b: VertexId) -> dspc_graph::Result<UpdateStats> {
-        self.graph.insert_arc(a, b)?;
-        self.flat = None;
-        let c = self.inc.insert_edge(&self.graph, &mut self.index, a, b);
-        Ok(UpdateStats::from_counters(UpdateKind::InsertEdge, c))
+        self.insert(a, b, ())
     }
 
-    /// Deletes arc `a → b` and repairs the index.
+    /// Deletes arc `a → b` and repairs the index ([`Dynamic::delete_edge`]).
     pub fn delete_arc(&mut self, a: VertexId, b: VertexId) -> dspc_graph::Result<UpdateStats> {
-        let c = self.dec.delete_arc(
-            &mut self.graph,
-            &mut self.index,
-            a,
-            b,
-            self.maintenance_threads.resolve(),
-        )?;
-        self.flat = None;
-        Ok(UpdateStats::from_counters(UpdateKind::DeleteEdge, c))
+        self.delete_edge(a, b)
     }
 
-    /// Deletes a *set* of arcs as one epoch through the multi-arc
-    /// `SrrSEARCH` repair path ([`DirectedDecSpc::delete_arcs`]): one
-    /// repair sweep per distinct affected hub per label family, against the
-    /// residual graph with the whole set already absent, classifying and
-    /// repairing on the configured [`MaintenanceThreads`]. All arcs are
-    /// validated present before the first mutation.
+    /// Deletes a *set* of arcs as one epoch ([`Dynamic::delete_edges`]):
+    /// one repair sweep per distinct affected hub per label family, against
+    /// the residual graph with the whole set already absent.
     pub fn delete_arcs(
         &mut self,
         arcs: &[(VertexId, VertexId)],
     ) -> dspc_graph::Result<UpdateStats> {
-        let c = self.dec.delete_arcs(
-            &mut self.graph,
-            &mut self.index,
-            arcs,
-            self.maintenance_threads.resolve(),
-        )?;
-        self.flat = None;
-        Ok(UpdateStats::from_counters(UpdateKind::Batch, c))
-    }
-
-    /// Applies `updates` as one epoch: arc operations are deduplicated and
-    /// coalesced (insert + delete of the same arc cancels, delete +
-    /// re-insert is a topological no-op), the surviving net operations run
-    /// through the engine in rank-friendly order (deletions before
-    /// insertions, each ordered by the higher-ranked endpoint), and the
-    /// aggregated counters come back as one [`UpdateStats`]. The whole
-    /// net-deletion set repairs through one agenda. Validation mirrors
-    /// applying the arcs one by one.
-    pub fn apply_batch(&mut self, updates: &[ArcUpdate]) -> dspc_graph::Result<UpdateStats> {
-        let mut co: EdgeCoalescer<()> = EdgeCoalescer::new();
-        for &u in updates {
-            match u {
-                ArcUpdate::InsertArc(a, b) => {
-                    let graph = &self.graph;
-                    crate::engine::check_endpoints(a, b, |v| graph.contains_vertex(v))?;
-                    co.fold_insert((a.0, b.0), (), || graph.has_arc(a, b).then_some(()))?;
-                }
-                ArcUpdate::DeleteArc(a, b) => {
-                    let graph = &self.graph;
-                    crate::engine::check_endpoints(a, b, |v| graph.contains_vertex(v))?;
-                    co.fold_remove((a.0, b.0), || graph.has_arc(a, b).then_some(()))?;
-                }
-            }
-        }
-        let index = &self.index;
-        let plan = crate::engine::NetPlan::build(co.drain(), |v| index.rank(VertexId(v)));
-        let mut total = UpdateStats::empty(UpdateKind::Batch);
-        let deletions = plan.vertex_deletions();
-        if !deletions.is_empty() {
-            total.absorb(&self.delete_arcs(&deletions)?);
-        }
-        for op in plan.into_post_deletion_ops() {
-            total.absorb(&match op {
-                crate::engine::NetOp::Insert(a, b, ()) => self.insert_arc(a, b)?,
-                crate::engine::NetOp::Rewrite(..) => {
-                    unreachable!("unit payloads cannot rewrite")
-                }
-            });
-        }
-        Ok(total)
-    }
-
-    /// Adds an isolated vertex at the lowest rank (O(1) on the index, as in
-    /// the undirected case §3).
-    pub fn add_vertex(&mut self) -> VertexId {
-        let v = self.graph.add_vertex();
-        self.flat = None;
-        let r = self.index.append_vertex(v);
-        debug_assert_eq!(self.index.vertex(r), v);
-        v
-    }
-
-    /// Deletes vertex `v` — the incident arcs are removed as one epoch
-    /// through the multi-arc repair path (one global agenda instead of a
-    /// per-arc DecSPC cascade), then the id is retired.
-    pub fn delete_vertex(&mut self, v: VertexId) -> dspc_graph::Result<()> {
-        if !self.graph.contains_vertex(v) {
-            return Err(dspc_graph::GraphError::UnknownVertex(v));
-        }
-        let mut arcs: Vec<(VertexId, VertexId)> = self
-            .graph
-            .out_neighbors(v)
-            .iter()
-            .map(|&w| (v, VertexId(w)))
-            .collect();
-        arcs.extend(self.graph.in_neighbors(v).iter().map(|&w| (VertexId(w), v)));
-        self.delete_arcs(&arcs)?;
-        self.graph.delete_vertex(v)?;
-        self.flat = None;
-        Ok(())
+        self.delete_edges(arcs)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::order::OrderingStrategy;
+    use dspc_graph::DirectedGraph;
 
     #[test]
     fn rank_map_total_degree() {
@@ -445,5 +296,128 @@ mod tests {
         idx.label_mut(Side::In, VertexId(2))
             .upsert(LabelEntry::new(Rank(0), INF_DIST, 1));
         assert!(idx.check_invariants().is_err());
+    }
+}
+
+/// Appendix C.1's IncSPC / DecSPC, tested through the facade.
+#[cfg(test)]
+mod update {
+    mod tests {
+        use crate::directed::{directed_spc_query, DirectedSpcIndex, DynamicDirectedSpc};
+        use crate::order::OrderingStrategy;
+        use dspc_graph::generators::random::{erdos_renyi_gnm, random_orientation};
+        use dspc_graph::traversal::dbfs::DirectedBfsCounter;
+        use dspc_graph::{DirectedGraph, VertexId};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        fn assert_matches_oracle(g: &DirectedGraph, index: &DirectedSpcIndex) {
+            let mut bfs = DirectedBfsCounter::new(g.capacity());
+            for s in g.vertices() {
+                for t in g.vertices() {
+                    assert_eq!(
+                        directed_spc_query(index, s, t).as_option(),
+                        bfs.count(g, s, t),
+                        "pair ({s:?} → {t:?})"
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn insert_creates_reachability() {
+            let g = DirectedGraph::from_arcs(4, &[(0, 1), (2, 3)]);
+            let mut d = DynamicDirectedSpc::build(g, OrderingStrategy::Degree);
+            assert_eq!(d.query(VertexId(0), VertexId(3)), None);
+            d.insert_arc(VertexId(1), VertexId(2)).unwrap();
+            assert_eq!(d.query(VertexId(0), VertexId(3)), Some((3, 1)));
+            assert_matches_oracle(d.graph(), d.index());
+        }
+
+        #[test]
+        fn insert_parallel_path_updates_counts() {
+            let g = DirectedGraph::from_arcs(4, &[(0, 1), (1, 3), (0, 2)]);
+            let mut d = DynamicDirectedSpc::build(g, OrderingStrategy::Degree);
+            d.insert_arc(VertexId(2), VertexId(3)).unwrap();
+            assert_eq!(d.query(VertexId(0), VertexId(3)), Some((2, 2)));
+            assert_matches_oracle(d.graph(), d.index());
+        }
+
+        #[test]
+        fn delete_reroutes_and_disconnects() {
+            let g = DirectedGraph::from_arcs(5, &[(0, 1), (1, 2), (2, 3), (0, 4), (4, 3)]);
+            let mut d = DynamicDirectedSpc::build(g, OrderingStrategy::Degree);
+            assert_eq!(d.query(VertexId(0), VertexId(3)), Some((2, 1)));
+            d.delete_arc(VertexId(4), VertexId(3)).unwrap();
+            assert_eq!(d.query(VertexId(0), VertexId(3)), Some((3, 1)));
+            assert_matches_oracle(d.graph(), d.index());
+            d.delete_arc(VertexId(2), VertexId(3)).unwrap();
+            assert_eq!(d.query(VertexId(0), VertexId(3)), None);
+            assert_matches_oracle(d.graph(), d.index());
+        }
+
+        #[test]
+        fn reciprocal_arcs_are_independent() {
+            let g = DirectedGraph::from_arcs(3, &[(0, 1), (1, 0), (1, 2), (2, 1)]);
+            let mut d = DynamicDirectedSpc::build(g, OrderingStrategy::Degree);
+            d.delete_arc(VertexId(1), VertexId(2)).unwrap();
+            assert_eq!(d.query(VertexId(0), VertexId(2)), None);
+            assert_eq!(d.query(VertexId(2), VertexId(0)), Some((2, 1)));
+            assert_matches_oracle(d.graph(), d.index());
+        }
+
+        #[test]
+        fn random_hybrid_streams_match_oracle() {
+            let mut rng = StdRng::seed_from_u64(777);
+            for trial in 0..5 {
+                let base = erdos_renyi_gnm(22 + trial, 50, &mut rng);
+                let g = random_orientation(&base, 0.25, &mut rng);
+                let mut d = DynamicDirectedSpc::build(g, OrderingStrategy::Degree);
+                for step in 0..24 {
+                    if rng.gen_bool(0.6) || d.graph().num_arcs() == 0 {
+                        loop {
+                            let a = rng.gen_range(0..d.graph().capacity() as u32);
+                            let b = rng.gen_range(0..d.graph().capacity() as u32);
+                            if a != b && !d.graph().has_arc(VertexId(a), VertexId(b)) {
+                                d.insert_arc(VertexId(a), VertexId(b)).unwrap();
+                                break;
+                            }
+                        }
+                    } else {
+                        let arcs: Vec<_> = d.graph().arcs().collect();
+                        let (a, b) = arcs[rng.gen_range(0..arcs.len())];
+                        d.delete_arc(a, b).unwrap();
+                    }
+                    if step % 6 == 5 {
+                        assert_matches_oracle(d.graph(), d.index());
+                        d.index().check_invariants().unwrap();
+                    }
+                }
+                assert_matches_oracle(d.graph(), d.index());
+            }
+        }
+
+        #[test]
+        fn delete_missing_arc_errors() {
+            let g = DirectedGraph::from_arcs(2, &[(0, 1)]);
+            let mut d = DynamicDirectedSpc::build(g, OrderingStrategy::Degree);
+            assert!(d.delete_arc(VertexId(1), VertexId(0)).is_err());
+        }
+
+        #[test]
+        fn vertex_lifecycle_directed() {
+            let g = DirectedGraph::from_arcs(3, &[(0, 1), (1, 2)]);
+            let mut d = DynamicDirectedSpc::build(g, OrderingStrategy::Degree);
+            let v = d.add_vertex();
+            assert_eq!(v, VertexId(3));
+            d.insert_arc(VertexId(2), v).unwrap();
+            d.insert_arc(v, VertexId(0)).unwrap();
+            assert_eq!(d.query(VertexId(0), v), Some((3, 1)));
+            assert_eq!(d.query(v, VertexId(1)), Some((2, 1)));
+            assert_matches_oracle(d.graph(), d.index());
+            d.delete_vertex(v).unwrap();
+            assert_matches_oracle(d.graph(), d.index());
+            d.index().check_invariants().unwrap();
+        }
     }
 }

@@ -1,5 +1,10 @@
-//! `DynamicSpc` — the user-facing facade: a graph and its SPC-Index kept in
-//! lockstep under topological updates.
+//! `Dynamic<V>` — the user-facing facade: a graph and its SPC-Index kept in
+//! lockstep under topological updates, written once for every
+//! [`Variant`]. [`DynamicSpc`] (undirected),
+//! [`crate::directed::DynamicDirectedSpc`] and
+//! [`crate::weighted::DynamicWeightedSpc`] are its three instances; each
+//! adds only the entry points whose names or signatures differ
+//! (`insert_arc`, `insert_edge(a, b, w)`, `set_weight`, …).
 //!
 //! This is the object the paper's experiments drive: build once (HP-SPC),
 //! then stream edge/vertex insertions and deletions through IncSPC/DecSPC
@@ -11,22 +16,25 @@
 //!
 //! There are two write APIs with one consistency story:
 //!
-//! * **Streaming** ([`DynamicSpc::insert_edge`], [`DynamicSpc::delete_edge`],
-//!   [`DynamicSpc::apply_stream`]) repairs the index after every single
+//! * **Streaming** ([`DynamicSpc::insert_edge`], [`Dynamic::delete_edge`],
+//!   [`Dynamic::apply_stream`]) repairs the index after every single
 //!   update — the index is exact after each call.
-//! * **Epochs** ([`DynamicSpc::apply_batch`], [`DynamicSpc::delete_edges`])
+//! * **Epochs** ([`Dynamic::apply_batch`], [`Dynamic::delete_edges`])
 //!   treat a whole update slice as one atomic step: ops fold to their net
 //!   effect (an insert and a delete of the same edge cancel, a delete
 //!   followed by a re-insert is a topological no-op), the net deletions
 //!   are repaired together through the multi-edge `SrrSEARCH` path (one
 //!   repair sweep per distinct affected hub), and the index is exact again
-//!   when the call returns.
+//!   when the call returns. A batch that fails applies nothing.
 //!
 //! The index is never observed mid-epoch: readers query either the
-//! pre-batch or the post-batch state. That boundary is what makes query
-//! fan-out safe — [`crate::parallel::par_batch_query_auto`] may spread a
-//! read burst across threads against the immutable index *between*
-//! epochs, with no locking anywhere.
+//! pre-batch or the post-batch state. [`Dynamic::publish`] hands that
+//! state to readers as an immutable snapshot, sharing every label row the
+//! epoch left unchanged with the previous one; a snapshot does not follow
+//! later updates, so each epoch publishes its own. The same boundary is
+//! what makes query fan-out safe — [`crate::parallel::par_batch_query_auto`]
+//! may spread a read burst across threads against the immutable index
+//! *between* epochs, with no locking anywhere.
 //!
 //! ```
 //! use dspc::dynamic::GraphUpdate;
@@ -49,18 +57,21 @@
 //! assert!(!d.graph().has_edge(VertexId(0), VertexId(3)));
 //! assert_eq!(d.query(VertexId(0), VertexId(3)), Some((2, 1))); // 0–1–3
 //! assert_eq!(stats.kind, dspc::dynamic::UpdateKind::Batch);
+//! let snapshot = d.publish(1);
+//! assert_eq!(snapshot.query(VertexId(0), VertexId(3)).as_option(), Some((2, 1)));
 //! ```
 
-use crate::dec::{DecSpc, SrrOutcome};
-use crate::engine::{ordered_key, MaintenanceCounters};
-use crate::flat::FlatIndex;
-use crate::inc::IncSpc;
-use crate::index::{IndexStats, SpcIndex};
-use crate::label::Count;
+use crate::dec::SrrOutcome;
+use crate::engine::{
+    check_endpoints, DecPipeline, EdgeCoalescer, MaintenanceCounters, NetOp, NetPlan, PushPipeline,
+    Undirected, UpdateOp, Variant,
+};
+use crate::index::IndexStats;
+use crate::label::{Count, LabelDist, Rank};
 use crate::order::OrderingStrategy;
 use crate::parallel::MaintenanceThreads;
-use crate::query::spc_query;
-use dspc_graph::{Result, UndirectedGraph, VertexId};
+use dspc_graph::{GraphError, Result, VertexId};
+use std::cmp::Ordering;
 use std::ops::{Deref, DerefMut};
 
 /// What kind of update produced an [`UpdateStats`].
@@ -77,8 +88,7 @@ pub enum UpdateKind {
     /// Edge-weight change on the weighted facade (incremental machinery
     /// for decreases, decremental for increases).
     WeightChange,
-    /// A coalesced batch ([`DynamicSpc::apply_batch`] and the directed and
-    /// weighted equivalents).
+    /// A coalesced batch ([`Dynamic::apply_batch`]).
     Batch,
 }
 
@@ -127,10 +137,6 @@ impl UpdateStats {
         UpdateStats { kind, counters }
     }
 
-    fn from_dec(c: MaintenanceCounters) -> Self {
-        UpdateStats::from_counters(UpdateKind::DeleteEdge, c)
-    }
-
     /// Accumulates another update's counters (the kind keeps the
     /// receiver's value; see [`MaintenanceCounters::absorb`] for the
     /// per-field semantics).
@@ -152,39 +158,38 @@ pub enum GraphUpdate {
     DeleteVertex(VertexId),
 }
 
-/// A dynamic graph with an always-consistent SPC-Index.
+/// A dynamic graph with an always-consistent SPC-Index, for the
+/// [`Variant`] `V`.
 #[derive(Debug)]
-pub struct DynamicSpc {
-    graph: UndirectedGraph,
-    index: SpcIndex,
+pub struct Dynamic<V: Variant> {
+    graph: V::Graph,
+    index: V::Index,
     /// Insertion repair, and the scratch every build, rebuild and re-rank
     /// runs on.
-    inc: IncSpc,
-    dec: DecSpc,
+    inc: PushPipeline<V>,
+    dec: DecPipeline<V>,
     strategy: OrderingStrategy,
     updates_since_build: usize,
     maintenance_threads: MaintenanceThreads,
-    /// Cached flat snapshot of `index` for the current epoch; `None` until
-    /// [`DynamicSpc::frozen_queries`] is called and again after any
-    /// mutation.
-    flat: Option<FlatIndex>,
 }
 
-impl DynamicSpc {
+/// The undirected facade: the paper's primary setting.
+pub type DynamicSpc = Dynamic<Undirected>;
+
+impl<V: Variant> Dynamic<V> {
     /// Builds the index for `graph` under `strategy` and wraps both.
-    pub fn build(graph: UndirectedGraph, strategy: OrderingStrategy) -> Self {
-        let cap = graph.capacity();
-        let mut inc = IncSpc::new(cap);
+    pub fn build(graph: V::Graph, strategy: OrderingStrategy) -> Self {
+        let cap = V::capacity(&graph);
+        let mut inc = PushPipeline::new(cap);
         let index = inc.build(&graph, strategy);
-        DynamicSpc {
+        Dynamic {
             graph,
             index,
             inc,
-            dec: DecSpc::new(cap),
+            dec: DecPipeline::new(cap),
             strategy,
             updates_since_build: 0,
             maintenance_threads: MaintenanceThreads::default(),
-            flat: None,
         }
     }
 
@@ -192,65 +197,45 @@ impl DynamicSpc {
     /// a server boots from a serialized index
     /// ([`crate::serialize::load_flat`] + [`crate::flat::FlatIndex::thaw`])
     /// and resumes dynamic maintenance without paying a rebuild. `strategy`
-    /// is what a later [`DynamicSpc::rebuild`] will re-rank with.
+    /// is what a later [`Dynamic::rebuild`] will re-rank with.
     ///
     /// The caller asserts `index` is exact for `graph`; the id spaces must
     /// at least agree (checked here).
-    pub fn from_parts(graph: UndirectedGraph, index: SpcIndex, strategy: OrderingStrategy) -> Self {
+    pub fn from_parts(graph: V::Graph, index: V::Index, strategy: OrderingStrategy) -> Self {
+        let cap = V::capacity(&graph);
         assert_eq!(
-            index.num_vertices(),
-            graph.capacity(),
+            V::ranks(&index).len(),
+            cap,
             "index and graph id spaces disagree"
         );
-        let cap = graph.capacity();
-        DynamicSpc {
+        Dynamic {
             graph,
             index,
-            inc: IncSpc::new(cap),
-            dec: DecSpc::new(cap),
+            inc: PushPipeline::new(cap),
+            dec: DecPipeline::new(cap),
             strategy,
             updates_since_build: 0,
             maintenance_threads: MaintenanceThreads::default(),
-            flat: None,
         }
     }
 
-    /// The read-optimized flat snapshot of the current epoch, freezing one
-    /// on first use and reusing it until the next mutation. Between epochs
-    /// the index is immutable (see the module docs), so handing the
-    /// snapshot to [`crate::parallel::par_batch_query`] — or querying it
-    /// directly — always answers exactly like [`DynamicSpc::query`].
-    ///
-    /// Any mutation through this facade (single updates, batches,
-    /// rebuilds) drops the cached snapshot; the next call re-freezes
-    /// against the repaired index.
-    pub fn frozen_queries(&mut self) -> &FlatIndex {
-        self.flat
-            .get_or_insert_with(|| FlatIndex::freeze(&self.index))
-    }
-
-    /// Whether a flat snapshot is currently cached (it is dropped by every
-    /// mutation — the invalidation tests key off this).
-    pub fn has_frozen_snapshot(&self) -> bool {
-        self.flat.is_some()
-    }
-
-    /// Publishes the current epoch's serving snapshot over `shards`
-    /// counter-attribution ranges: every label row written since the
-    /// previous publish becomes shared, every other row is handed out
-    /// again as is ([`crate::shard::ShardedFlatIndex::publish`]). Costs
-    /// `O(n)` handle clones plus the rows the epoch changed.
-    pub fn publish(&mut self, shards: usize) -> crate::shard::ShardedFlatIndex {
-        crate::shard::ShardedFlatIndex::publish(&mut self.index, shards)
+    /// Publishes the current epoch's serving snapshot: every label row
+    /// written since the previous publish becomes shared, every other row
+    /// is handed out again as is. Costs `O(n)` handle clones plus the rows
+    /// the epoch changed. `shards` counter-attribution ranges apply to the
+    /// undirected snapshot ([`crate::shard::ShardedFlatIndex::publish`]);
+    /// the directed and weighted snapshots ignore it.
+    pub fn publish(&mut self, shards: usize) -> V::Snapshot {
+        V::publish(&mut self.index, shards)
     }
 
     /// Sets the worker-thread budget for deletion maintenance: the
-    /// classification sweeps of [`DynamicSpc::delete_edges`] and of the
-    /// deletion segments of [`DynamicSpc::apply_batch`], and the repair
-    /// sweeps of every deletion, [`DynamicSpc::delete_edge`] included.
-    /// Repair sweeps speculate read-only in blocks and commit in rank
-    /// order, re-running any sweep an earlier commit invalidated, so every
-    /// thread count produces the same index, queries, and counters.
+    /// classification sweeps of [`Dynamic::delete_edges`] and of the
+    /// deletion segments of [`Dynamic::apply_batch`], and the repair sweeps
+    /// of every deletion and weight increase, [`Dynamic::delete_edge`]
+    /// included. Repair sweeps speculate read-only in blocks and commit in
+    /// rank order, re-running any sweep an earlier commit invalidated, so
+    /// every thread count produces the same index, queries, and counters.
     pub fn set_maintenance_threads(&mut self, threads: MaintenanceThreads) {
         self.maintenance_threads = threads;
     }
@@ -262,12 +247,12 @@ impl DynamicSpc {
 
     /// The underlying graph (read-only; mutations must flow through this
     /// facade to keep the index consistent).
-    pub fn graph(&self) -> &UndirectedGraph {
+    pub fn graph(&self) -> &V::Graph {
         &self.graph
     }
 
     /// The maintained SPC-Index.
-    pub fn index(&self) -> &SpcIndex {
+    pub fn index(&self) -> &V::Index {
         &self.index
     }
 
@@ -276,7 +261,7 @@ impl DynamicSpc {
         self.updates_since_build
     }
 
-    /// The ordering strategy a later [`DynamicSpc::rebuild`] re-ranks with.
+    /// The ordering strategy a later [`Dynamic::rebuild`] re-ranks with.
     pub fn strategy(&self) -> OrderingStrategy {
         self.strategy
     }
@@ -289,23 +274,60 @@ impl DynamicSpc {
         self.updates_since_build = updates_since_build;
     }
 
-    /// `SPC(s, t)`: `Some((sd, spc))`, or `None` when disconnected.
-    pub fn query(&self, s: VertexId, t: VertexId) -> Option<(u32, Count)> {
-        spc_query(&self.index, s, t).as_option()
+    /// `SPC(s, t)` (`s → t` for arcs): `Some((sd, spc))`, or `None` when
+    /// unreachable.
+    pub fn query(&self, s: VertexId, t: VertexId) -> Option<(V::Dist, Count)> {
+        let (dist, count) = V::query(&self.index, s, t);
+        (dist != V::Dist::INF).then_some((dist, count))
     }
 
     /// Shortest distance only.
-    pub fn distance(&self, s: VertexId, t: VertexId) -> Option<u32> {
+    pub fn distance(&self, s: VertexId, t: VertexId) -> Option<V::Dist> {
         self.query(s, t).map(|(d, _)| d)
     }
 
-    /// Inserts edge `(a, b)` and repairs the index with IncSPC.
-    pub fn insert_edge(&mut self, a: VertexId, b: VertexId) -> Result<UpdateStats> {
-        self.graph.insert_edge(a, b)?;
-        self.flat = None;
+    /// Inserts edge `(a, b)` carrying `w` and repairs the index with
+    /// IncSPC.
+    pub(crate) fn insert(
+        &mut self,
+        a: VertexId,
+        b: VertexId,
+        w: V::Payload,
+    ) -> Result<UpdateStats> {
+        V::insert(&mut self.graph, a, b, w)?;
         let stats = self.inc.insert_edge(&self.graph, &mut self.index, a, b);
         self.updates_since_build += 1;
         Ok(UpdateStats::from_counters(UpdateKind::InsertEdge, stats))
+    }
+
+    /// Changes the payload of `(a, b)` to `w`: a smaller one runs the
+    /// incremental machinery, a larger one the single-edge deletion
+    /// pipeline with the change as its mutation (classifying with the old
+    /// length), an equal one nothing.
+    pub(crate) fn rewrite(
+        &mut self,
+        a: VertexId,
+        b: VertexId,
+        w: V::Payload,
+    ) -> Result<UpdateStats> {
+        let old = V::payload(&self.graph, a, b).ok_or(GraphError::MissingEdge(a, b))?;
+        let stats = match w.cmp(&old) {
+            Ordering::Equal => return Ok(UpdateStats::empty(UpdateKind::WeightChange)),
+            Ordering::Less => {
+                V::set_payload(&mut self.graph, a, b, w)?;
+                self.inc.insert_edge(&self.graph, &mut self.index, a, b)
+            }
+            Ordering::Greater => {
+                let mutate = |g: &mut V::Graph| V::set_payload(g, a, b, w);
+                let threads = self.maintenance_threads.resolve();
+                let (graph, index) = (&mut self.graph, &mut self.index);
+                self.dec
+                    .delete_one(graph, index, (a, b), mutate, false, threads)?
+                    .0
+            }
+        };
+        self.updates_since_build += 1;
+        Ok(UpdateStats::from_counters(UpdateKind::WeightChange, stats))
     }
 
     /// Deletes edge `(a, b)` and repairs the index with DecSPC.
@@ -320,145 +342,133 @@ impl DynamicSpc {
         a: VertexId,
         b: VertexId,
     ) -> Result<(UpdateStats, SrrOutcome)> {
-        let (stats, srr) = self.dec.delete_edge(
-            &mut self.graph,
-            &mut self.index,
-            a,
-            b,
-            self.maintenance_threads.resolve(),
-        )?;
-        self.flat = None;
+        let threads = self.maintenance_threads.resolve();
+        let (graph, index) = (&mut self.graph, &mut self.index);
+        let (stats, srr) = self.dec.delete_edge(graph, index, a, b, threads)?;
         self.updates_since_build += 1;
-        Ok((UpdateStats::from_dec(stats), srr))
+        Ok((
+            UpdateStats::from_counters(UpdateKind::DeleteEdge, stats),
+            srr,
+        ))
     }
 
     /// Deletes a *set* of edges as one epoch through the multi-edge
-    /// `SrrSEARCH` repair path ([`crate::dec::DecSpc::delete_edges`]):
-    /// every edge is classified against the pre-mutation graph (one
-    /// multi-far sweep per distinct endpoint), the whole set is removed at
-    /// once, and each distinct affected hub is repaired with a single sweep
-    /// of the residual graph — strictly fewer engine sweeps than deleting
-    /// the edges one by one whenever their affected hub sets overlap. Both
-    /// phases run on the configured [`MaintenanceThreads`].
+    /// `SrrSEARCH` repair path ([`DecPipeline::delete_edges`]): every edge
+    /// is classified against the pre-mutation graph (one multi-far sweep
+    /// per distinct endpoint), the whole set is removed at once, and each
+    /// distinct affected hub is repaired with a single sweep of the
+    /// residual graph per label family — strictly fewer engine sweeps than
+    /// deleting the edges one by one whenever their affected hub sets
+    /// overlap. Both phases run on the configured [`MaintenanceThreads`].
     ///
     /// All edges are validated present before the first mutation; on error
     /// nothing is applied. Returns aggregated counters tagged
     /// [`UpdateKind::Batch`].
     pub fn delete_edges(&mut self, edges: &[(VertexId, VertexId)]) -> Result<UpdateStats> {
-        let stats = self.dec.delete_edges(
-            &mut self.graph,
-            &mut self.index,
-            edges,
-            self.maintenance_threads.resolve(),
-        )?;
-        self.flat = None;
+        let threads = self.maintenance_threads.resolve();
+        let stats = self
+            .dec
+            .delete_edges(&mut self.graph, &mut self.index, edges, threads)?;
         self.updates_since_build += edges.len();
         Ok(UpdateStats::from_counters(UpdateKind::Batch, stats))
     }
 
-    /// Adds an isolated vertex: O(1) on the index (§3 — only an empty label
-    /// set joins).
+    /// Adds an isolated vertex: O(1) on the index (§3 — only its self
+    /// labels join, at the lowest rank).
     pub fn add_vertex(&mut self) -> VertexId {
-        let v = self.graph.add_vertex();
-        self.flat = None;
-        self.index.add_isolated_vertex(v);
+        let v = V::add_vertex(&mut self.graph);
+        V::append_vertex(&mut self.index, v);
         self.updates_since_build += 1;
         v
-    }
-
-    /// Adds a vertex already connected to `neighbors` — modeled, per §3, as
-    /// an isolated insertion followed by IncSPC per edge.
-    pub fn add_vertex_connected(
-        &mut self,
-        neighbors: &[VertexId],
-    ) -> Result<(VertexId, UpdateStats)> {
-        let v = self.add_vertex();
-        let mut total = UpdateStats::empty(UpdateKind::InsertVertex);
-        for &u in neighbors {
-            total.absorb(&self.insert_edge(v, u)?);
-        }
-        Ok((v, total))
     }
 
     /// Deletes vertex `v` — the incident edges are removed as one epoch
     /// through the multi-edge repair path (one global agenda instead of a
     /// per-edge DecSPC cascade), then the id is retired.
     pub fn delete_vertex(&mut self, v: VertexId) -> Result<UpdateStats> {
-        if !self.graph.contains_vertex(v) {
-            return Err(dspc_graph::GraphError::UnknownVertex(v));
+        if !V::contains(&self.graph, v) {
+            return Err(GraphError::UnknownVertex(v));
         }
-        let edges: Vec<(VertexId, VertexId)> = self
-            .graph
-            .neighbors(v)
-            .iter()
-            .map(|&u| (v, VertexId(u)))
-            .collect();
-        let mut total = self.delete_edges(&edges)?;
+        let mut total = self.delete_edges(&V::incident(&self.graph, v))?;
         total.kind = UpdateKind::DeleteVertex;
         // The batch's fast-path flag describes sub-deletions, not the
         // vertex deletion itself.
         total.counters.isolated_fast_path = false;
         // Retire the now-isolated vertex; its self label stays (harmless)
         // so that the id space and rank map remain aligned.
-        self.graph.delete_vertex(v)?;
-        self.flat = None;
+        V::remove_vertex(&mut self.graph, v)?;
         self.updates_since_build += 1;
         Ok(total)
     }
 
     /// Applies one update from a stream.
-    pub fn apply(&mut self, update: GraphUpdate) -> Result<UpdateStats> {
-        match update {
-            GraphUpdate::InsertEdge(a, b) => self.insert_edge(a, b),
-            GraphUpdate::DeleteEdge(a, b) => self.delete_edge(a, b),
-            GraphUpdate::InsertVertex => {
+    pub fn apply(&mut self, update: V::Update) -> Result<UpdateStats> {
+        match V::op(update) {
+            UpdateOp::Insert(a, b, w) => self.insert(a, b, w),
+            UpdateOp::Delete(a, b) => self.delete_edge(a, b),
+            UpdateOp::Rewrite(a, b, w) => self.rewrite(a, b, w),
+            UpdateOp::InsertVertex => {
                 self.add_vertex();
                 let mut s = UpdateStats::empty(UpdateKind::InsertVertex);
                 s.inserted = 1;
                 Ok(s)
             }
-            GraphUpdate::DeleteVertex(v) => self.delete_vertex(v),
+            UpdateOp::DeleteVertex(v) => self.delete_vertex(v),
         }
     }
 
     /// Applies a whole stream, returning per-update stats.
-    pub fn apply_stream(&mut self, updates: &[GraphUpdate]) -> Result<Vec<UpdateStats>> {
+    pub fn apply_stream(&mut self, updates: &[V::Update]) -> Result<Vec<UpdateStats>> {
         updates.iter().map(|&u| self.apply(u)).collect()
     }
 
     /// Applies `updates` as one epoch: edge operations are deduplicated and
     /// coalesced (an insert and a delete of the same edge cancel; a delete
-    /// followed by a re-insert is a topological no-op), the surviving net
-    /// operations run through the engine in rank-friendly order, and the
-    /// aggregated label-operation counters come back as one
+    /// followed by a re-insert at the same payload is a topological no-op;
+    /// consecutive payload changes collapse to the last), the surviving
+    /// net operations run through the engine in rank-friendly order, and
+    /// the aggregated label-operation counters come back as one
     /// [`UpdateStats`].
     ///
     /// This is the write-side epoch boundary the serving story assumes:
     /// [`crate::parallel::par_batch_query`] fans queries out between
     /// batches, and the index is never observed mid-batch.
     ///
-    /// Validation mirrors [`DynamicSpc::apply_stream`]: each edge op must
-    /// be valid against the state left by the ops before it (inserting a
-    /// present edge or deleting a missing one errors), and every edge op in
-    /// a segment is validated before the first one is applied. Vertex
-    /// operations act as barriers: pending edge ops flush first, then the
-    /// vertex op applies, preserving sequential meaning.
-    pub fn apply_batch(&mut self, updates: &[GraphUpdate]) -> Result<UpdateStats> {
+    /// Validation mirrors [`Dynamic::apply_stream`]: each edge op must be
+    /// valid against the state left by the ops before it (inserting a
+    /// present edge, deleting a missing one, or a zero weight errors), and
+    /// a batch that fails applies nothing. Edge ops are validated as they
+    /// fold, before the first one is applied. Vertex operations act as
+    /// barriers: pending edge ops flush first, then the vertex op applies,
+    /// preserving sequential meaning; the first one replays the whole
+    /// batch on a copy of the graph before anything applies.
+    pub fn apply_batch(&mut self, updates: &[V::Update]) -> Result<UpdateStats> {
         let mut total = UpdateStats::empty(UpdateKind::Batch);
-        let mut co: crate::engine::EdgeCoalescer<()> = crate::engine::EdgeCoalescer::new();
+        let mut co: EdgeCoalescer<V::Payload> = EdgeCoalescer::new();
+        let mut replayed = false;
         for &u in updates {
-            match u {
-                GraphUpdate::InsertEdge(a, b) => {
-                    let (graph, key) = (&self.graph, ordered_key(a, b));
-                    crate::engine::check_endpoints(a, b, |v| graph.contains_vertex(v))?;
-                    co.fold_insert(key, (), || graph.has_edge(a, b).then_some(()))?;
+            let graph = &self.graph;
+            let contains = |v| V::contains(graph, v);
+            match V::op(u) {
+                UpdateOp::Insert(a, b, w) => {
+                    check_endpoints(a, b, contains)?;
+                    V::check_payload(w)?;
+                    co.fold_insert(V::edge_key(a, b), w, || V::payload(graph, a, b))?;
                 }
-                GraphUpdate::DeleteEdge(a, b) => {
-                    let (graph, key) = (&self.graph, ordered_key(a, b));
-                    crate::engine::check_endpoints(a, b, |v| graph.contains_vertex(v))?;
-                    co.fold_remove(key, || graph.has_edge(a, b).then_some(()))?;
+                UpdateOp::Delete(a, b) => {
+                    check_endpoints(a, b, contains)?;
+                    co.fold_remove(V::edge_key(a, b), || V::payload(graph, a, b))?;
                 }
-                GraphUpdate::InsertVertex | GraphUpdate::DeleteVertex(_) => {
+                UpdateOp::Rewrite(a, b, w) => {
+                    check_endpoints(a, b, contains)?;
+                    V::check_payload(w)?;
+                    co.fold_rewrite(V::edge_key(a, b), w, || V::payload(graph, a, b))?;
+                }
+                UpdateOp::InsertVertex | UpdateOp::DeleteVertex(_) => {
+                    if !replayed {
+                        self.replay(updates)?;
+                        replayed = true;
+                    }
                     self.flush_batch_segment(&mut co, &mut total)?;
                     total.absorb(&self.apply(u)?);
                 }
@@ -468,36 +478,111 @@ impl DynamicSpc {
         Ok(total)
     }
 
+    /// Replays `updates` on a copy of the graph, returning the first op's
+    /// error. A batch holding a vertex op flushes edge segments before its
+    /// later ops are checked, so it is replayed in full first: a batch that
+    /// fails applies nothing. Edge-only batches never pay for the copy.
+    fn replay(&self, updates: &[V::Update]) -> Result<()> {
+        let mut g = self.graph.clone();
+        for &u in updates {
+            match V::op(u) {
+                UpdateOp::Insert(a, b, w) => V::insert(&mut g, a, b, w)?,
+                UpdateOp::Delete(a, b) => V::delete(&mut g, a, b)?,
+                UpdateOp::Rewrite(a, b, w) => V::set_payload(&mut g, a, b, w)?,
+                UpdateOp::InsertVertex => drop(V::add_vertex(&mut g)),
+                UpdateOp::DeleteVertex(v) => V::remove_vertex(&mut g, v)?,
+            }
+        }
+        Ok(())
+    }
+
     /// Applies one coalesced segment: the whole net-deletion set first, as
-    /// one batch with one global repair agenda — then net insertions
-    /// ordered by the higher-ranked endpoint (ascending rank position), a
-    /// heuristic that settles the labels of top hubs before lower-ranked
-    /// updates consult them, trimming repeat renewals. Per-call
-    /// [`UpdateStats`] are aggregated into `total`.
+    /// one batch with one global repair agenda — then payload changes and
+    /// net insertions, each ordered by the higher-ranked endpoint
+    /// (ascending rank position), a heuristic that settles the labels of
+    /// top hubs before lower-ranked updates consult them, trimming repeat
+    /// renewals. Per-call [`UpdateStats`] are aggregated into `total`.
     fn flush_batch_segment(
         &mut self,
-        co: &mut crate::engine::EdgeCoalescer<()>,
+        co: &mut EdgeCoalescer<V::Payload>,
         total: &mut UpdateStats,
     ) -> Result<()> {
         if co.is_empty() {
             return Ok(());
         }
-        let index = &self.index;
-        let plan = crate::engine::NetPlan::build(co.drain(), |v| index.rank(VertexId(v)));
+        let ranks = V::ranks(&self.index);
+        let plan = NetPlan::build(co.drain(), |v| ranks.rank(VertexId(v)));
         let deletions = plan.vertex_deletions();
         if !deletions.is_empty() {
             total.absorb(&self.delete_edges(&deletions)?);
         }
         for op in plan.into_post_deletion_ops() {
             total.absorb(&match op {
-                crate::engine::NetOp::Insert(a, b, ()) => self.insert_edge(a, b)?,
-                crate::engine::NetOp::Rewrite(..) => {
-                    unreachable!("unit payloads cannot rewrite")
-                }
+                NetOp::Rewrite(a, b, w) => self.rewrite(a, b, w)?,
+                NetOp::Insert(a, b, w) => self.insert(a, b, w)?,
             });
         }
         total.counters.isolated_fast_path = false;
         Ok(())
+    }
+
+    /// Applies a sorted, non-overlapping run of adjacent rank swaps and
+    /// repairs the index in place ([`crate::reorder::rerank_adjacent`]) —
+    /// the bounded middle ground between per-update repair and
+    /// [`Dynamic::rebuild`]. The post-repair index is bit-identical to a
+    /// fresh build at the swapped order.
+    pub fn rerank_adjacent(&mut self, swaps: &[Rank]) -> MaintenanceCounters {
+        self.inc.rerank(&self.graph, &mut self.index, swaps)
+    }
+
+    /// Rebuilds from scratch with a *fresh* ordering — the paper's lazy
+    /// answer to ordering staleness (§6).
+    pub fn rebuild(&mut self) {
+        self.index = self.inc.build(&self.graph, self.strategy);
+        self.updates_since_build = 0;
+    }
+
+    /// Rebuilds from scratch keeping the current ordering — the
+    /// reconstruction baseline the dynamic algorithms race against.
+    pub fn rebuild_same_order(&mut self) {
+        self.index = self.inc.rebuild(&self.graph, V::ranks(&self.index).clone());
+        self.updates_since_build = 0;
+    }
+
+    /// Consumes the facade, returning the graph and index.
+    pub fn into_parts(self) -> (V::Graph, V::Index) {
+        (self.graph, self.index)
+    }
+}
+
+impl Dynamic<Undirected> {
+    /// Inserts edge `(a, b)` and repairs the index with IncSPC.
+    pub fn insert_edge(&mut self, a: VertexId, b: VertexId) -> Result<UpdateStats> {
+        self.insert(a, b, ())
+    }
+
+    /// Adds a vertex already connected to `neighbors` — modeled, per §3, as
+    /// an isolated insertion followed by IncSPC per edge. The neighbors are
+    /// checked first (live, none repeated): on error nothing is added.
+    pub fn add_vertex_connected(
+        &mut self,
+        neighbors: &[VertexId],
+    ) -> Result<(VertexId, UpdateStats)> {
+        if let Some(&u) = neighbors.iter().find(|&&u| !self.graph.contains_vertex(u)) {
+            return Err(GraphError::UnknownVertex(u));
+        }
+        let mut sorted = neighbors.to_vec();
+        sorted.sort_unstable();
+        if let Some(pair) = sorted.windows(2).find(|pair| pair[0] == pair[1]) {
+            let next = VertexId::from_index(self.graph.capacity());
+            return Err(GraphError::DuplicateEdge(next, pair[0]));
+        }
+        let v = self.add_vertex();
+        let mut total = UpdateStats::empty(UpdateKind::InsertVertex);
+        for &u in neighbors {
+            total.absorb(&self.insert_edge(v, u)?);
+        }
+        Ok((v, total))
     }
 
     /// Index size/shape statistics (Table 4's "L Size").
@@ -508,43 +593,8 @@ impl DynamicSpc {
     /// Plans up to `budget` non-overlapping adjacent rank swaps against
     /// the current degree order, largest inversions first
     /// ([`crate::order::plan_adjacent_swaps`]).
-    pub fn plan_rerank(&self, budget: usize) -> Vec<crate::label::Rank> {
+    pub fn plan_rerank(&self, budget: usize) -> Vec<Rank> {
         crate::order::plan_adjacent_swaps(&self.graph, self.index.ranks(), budget)
-    }
-
-    /// Applies a sorted, non-overlapping run of adjacent rank swaps and
-    /// repairs the index in place ([`crate::reorder::rerank_adjacent`]) —
-    /// the bounded middle ground between per-update repair and
-    /// [`DynamicSpc::rebuild`]. The post-repair index is bit-identical to
-    /// a fresh build at the swapped order; like every mutation, a
-    /// non-empty re-rank drops the cached frozen snapshot.
-    pub fn rerank_adjacent(&mut self, swaps: &[crate::label::Rank]) -> MaintenanceCounters {
-        if swaps.is_empty() {
-            return MaintenanceCounters::default();
-        }
-        self.flat = None;
-        self.inc.rerank(&self.graph, &mut self.index, swaps)
-    }
-
-    /// Rebuilds from scratch with a *fresh* ordering — the paper's lazy
-    /// answer to ordering staleness (§6).
-    pub fn rebuild(&mut self) {
-        self.index = self.inc.build(&self.graph, self.strategy);
-        self.flat = None;
-        self.updates_since_build = 0;
-    }
-
-    /// Rebuilds from scratch keeping the current ordering — the
-    /// reconstruction baseline the dynamic algorithms race against.
-    pub fn rebuild_same_order(&mut self) {
-        self.index = self.inc.rebuild(&self.graph, self.index.ranks().clone());
-        self.flat = None;
-        self.updates_since_build = 0;
-    }
-
-    /// Consumes the facade, returning the graph and index.
-    pub fn into_parts(self) -> (UndirectedGraph, SpcIndex) {
-        (self.graph, self.index)
     }
 }
 
@@ -554,6 +604,7 @@ mod tests {
     use crate::verify::verify_all_pairs;
     use dspc_graph::generators::paper::figure2_g;
     use dspc_graph::generators::random::erdos_renyi_gnm;
+    use dspc_graph::UndirectedGraph;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -773,40 +824,77 @@ mod tests {
 
     #[test]
     fn frozen_snapshot_caches_and_invalidates() {
-        let mut d = DynamicSpc::build(figure2_g(), OrderingStrategy::Degree);
-        assert!(!d.has_frozen_snapshot());
-        let r = d.frozen_queries().query(VertexId(4), VertexId(6));
-        assert_eq!(r.as_option(), d.query(VertexId(4), VertexId(6)));
-        assert!(d.has_frozen_snapshot());
-        // Repeated access reuses the cached snapshot.
-        d.frozen_queries();
-        assert!(d.has_frozen_snapshot());
-
-        // Every mutation path drops the cache…
-        d.insert_edge(VertexId(3), VertexId(9)).unwrap();
-        assert!(!d.has_frozen_snapshot());
-        d.frozen_queries();
-        d.delete_edge(VertexId(3), VertexId(9)).unwrap();
-        assert!(!d.has_frozen_snapshot());
-        d.frozen_queries();
-        d.apply_batch(&[GraphUpdate::InsertEdge(VertexId(3), VertexId(9))])
-            .unwrap();
-        assert!(!d.has_frozen_snapshot());
-        d.frozen_queries();
-        d.add_vertex();
-        assert!(!d.has_frozen_snapshot());
-        d.frozen_queries();
-        d.rebuild();
-        assert!(!d.has_frozen_snapshot());
-
-        // …and the re-frozen snapshot answers like the repaired index.
-        let vs: Vec<VertexId> = d.graph().vertices().collect();
-        for &s in &vs {
-            for &t in &vs {
-                let live = d.query(s, t);
-                assert_eq!(d.frozen_queries().query(s, t).as_option(), live);
+        // A snapshot published after each mutation answers like the
+        // repaired live index, whichever path mutated it.
+        fn check(d: &mut DynamicSpc) {
+            let snapshot = d.publish(1);
+            let vs: Vec<VertexId> = d.graph().vertices().collect();
+            for &s in &vs {
+                for &t in &vs {
+                    assert_eq!(snapshot.query(s, t).as_option(), d.query(s, t));
+                }
             }
         }
+        let mut d = DynamicSpc::build(figure2_g(), OrderingStrategy::Degree);
+        check(&mut d);
+        d.insert_edge(VertexId(3), VertexId(9)).unwrap();
+        check(&mut d);
+        d.delete_edge(VertexId(3), VertexId(9)).unwrap();
+        check(&mut d);
+        d.apply_batch(&[GraphUpdate::InsertEdge(VertexId(3), VertexId(9))])
+            .unwrap();
+        check(&mut d);
+        d.add_vertex();
+        check(&mut d);
+        d.rebuild();
+        check(&mut d);
+    }
+
+    #[test]
+    fn failing_vertex_op_applies_nothing() {
+        // The vertex op fails only after the edge segment before it would
+        // have flushed: the whole batch must be rejected first.
+        let g = UndirectedGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+        let mut d = DynamicSpc::build(g, OrderingStrategy::Degree);
+        let err = d.apply_batch(&[
+            GraphUpdate::DeleteEdge(VertexId(0), VertexId(1)),
+            GraphUpdate::DeleteVertex(VertexId(99)),
+        ]);
+        assert!(matches!(err, Err(GraphError::UnknownVertex(VertexId(99)))));
+        assert!(
+            d.graph().has_edge(VertexId(0), VertexId(1)),
+            "nothing applied"
+        );
+        assert_eq!(d.query(VertexId(0), VertexId(1)), Some((1, 1)));
+        assert_eq!(d.updates_since_build(), 0);
+        // An edge op after a vertex op is checked against the state the
+        // vertex op leaves: vertex 4 does not exist yet when it is named.
+        assert!(d
+            .apply_batch(&[
+                GraphUpdate::DeleteEdge(VertexId(0), VertexId(1)),
+                GraphUpdate::InsertVertex,
+                GraphUpdate::InsertEdge(VertexId(5), VertexId(0)),
+            ])
+            .is_err());
+        assert_eq!(d.graph().capacity(), 4);
+        assert!(d.graph().has_edge(VertexId(0), VertexId(1)));
+        verify_all_pairs(d.graph(), d.index()).unwrap();
+    }
+
+    #[test]
+    fn add_vertex_connected_checks_neighbors_first() {
+        let mut d = DynamicSpc::build(figure2_g(), OrderingStrategy::Degree);
+        let n = d.graph().capacity();
+        assert!(matches!(
+            d.add_vertex_connected(&[VertexId(0), VertexId(9), VertexId(0)]),
+            Err(GraphError::DuplicateEdge(VertexId(12), VertexId(0)))
+        ));
+        assert!(d
+            .add_vertex_connected(&[VertexId(0), VertexId(40)])
+            .is_err());
+        assert_eq!(d.graph().capacity(), n, "no vertex added");
+        assert_eq!(d.updates_since_build(), 0);
+        verify_all_pairs(d.graph(), d.index()).unwrap();
     }
 
     #[test]

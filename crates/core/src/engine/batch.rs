@@ -1,7 +1,8 @@
 //! Batch coalescing: fold a sequence of edge-level updates into their net
 //! effect before any index maintenance runs.
 //!
-//! `apply_batch` on the three dynamic facades uses this to implement epoch
+//! The facade's `apply_batch` ([`crate::dynamic::Dynamic::apply_batch`])
+//! reads each update as an [`UpdateOp`] and uses this to implement epoch
 //! semantics: within a batch, an insert followed by a delete of the same
 //! edge cancels outright, repeated weight changes collapse to the last
 //! one, and a delete followed by a re-insert of an existing edge is a
@@ -38,7 +39,7 @@
 //! The drained [`NetEdgeEffect`]s feed [`NetPlan::build`], which sorts
 //! each surviving class rank-friendly; the net deletions then go to the
 //! multi-edge `SrrSEARCH` repair path as one set
-//! ([`crate::engine::DecPipeline::delete_batch`]).
+//! ([`crate::engine::DecPipeline::delete_edges`]).
 
 use crate::label::Rank;
 use dspc_graph::{GraphError, VertexId};
@@ -83,6 +84,22 @@ pub(crate) fn duplicate_edge_key(keys: &mut [(u32, u32)]) -> Option<(u32, u32)> 
     keys.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
 }
 
+/// One update of a facade batch, in the form every variant's vocabulary
+/// maps to ([`crate::engine::Variant::op`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum UpdateOp<W> {
+    /// Insert edge `(a, b)` carrying the payload.
+    Insert(VertexId, VertexId, W),
+    /// Delete edge `(a, b)`.
+    Delete(VertexId, VertexId),
+    /// Change the payload of edge `(a, b)`.
+    Rewrite(VertexId, VertexId, W),
+    /// Add an isolated vertex.
+    InsertVertex,
+    /// Delete a vertex and every edge at it.
+    DeleteVertex(VertexId),
+}
+
 /// One post-deletion net operation a facade must apply during a batch
 /// flush. Net *deletions* are not streamed through this enum: they are
 /// handed to the multi-edge deletion path as one set
@@ -111,8 +128,8 @@ pub struct NetPlan<W> {
 
 impl<W> NetPlan<W> {
     /// The net deletions with keys widened to [`VertexId`] pairs — the
-    /// form the facades hand straight to their multi-edge deletion entry
-    /// points.
+    /// form the facade hands straight to its multi-edge deletion entry
+    /// point.
     pub fn vertex_deletions(&self) -> Vec<(VertexId, VertexId)> {
         self.deletions
             .iter()
@@ -121,7 +138,7 @@ impl<W> NetPlan<W> {
     }
 
     /// The post-deletion plan in application order — rewrites, then
-    /// insertions — as a single op stream, so every facade's flush is one
+    /// insertions — as a single op stream, so the facade's flush is one
     /// set deletion plus one loop over this iterator, and the ordering
     /// policy lives here alone.
     pub fn into_post_deletion_ops(self) -> impl Iterator<Item = NetOp<W>> {

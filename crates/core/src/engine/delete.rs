@@ -5,10 +5,10 @@
 //! graph, apply the mutation, then run one `DecUPDATE` sweep per `SR` hub
 //! in rank order, repairing the opposite side.
 //!
-//! [`DecPipeline::delete_batch`] generalizes it to an edge set:
+//! [`DecPipeline::delete_edges`] generalizes it to an edge set:
 //!
 //! 1. **Validate.** Every edge is present and none repeats, before anything
-//!    mutates.
+//!    mutates. Edges the variant's §3.2.3 fast path takes are peeled off.
 //! 2. **Classify** on the pre-deletion graph with one
 //!    [`UpdateEngine::multi_far_pass`] per distinct endpoint, its per-far
 //!    count columns summed per shared far endpoint
@@ -69,6 +69,25 @@ const SPECULATION_BLOCK: usize = 16;
 /// than a speculation block has sweeps.
 fn worker_count(threads: usize) -> usize {
     threads.clamp(1, SPECULATION_BLOCK)
+}
+
+/// Which affected-hub set drives the update sweeps — the ablation knob
+/// behind the paper's §2.3 argument that prior SD-Index definitions of
+/// "affected" give no reduction for SPC.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+pub enum DecMode {
+    /// The paper's DecSPC: sweeps only from `SR` hubs (Definition 3.10).
+    #[default]
+    SrOnly,
+    /// Naive baseline: treat *every* affected vertex (`SR ∪ R`, the
+    /// `|sd(v,a) − sd(v,b)| = 1` set of \[8\]) as a hub to update from.
+    /// Correct but wasteful — the extra sweeps only insert redundant
+    /// (accurate) labels; benchmarked in `ablation_dec`.
+    NaiveAffected,
+    /// The paper's DecSPC with the §3.2.3 isolated-vertex fast path
+    /// disabled — used by tests to prove the fast path is a pure
+    /// optimization (identical resulting queries).
+    SrOnlyNoFastPath,
 }
 
 /// The affected-vertex sets computed by `SrrSEARCH` — Table 5 reports their
@@ -241,10 +260,7 @@ impl<V: Variant> DecPipeline<V> {
 
     /// Checks a deletion set before anything mutates: every edge present,
     /// none named twice. Returns each edge's length, in order.
-    pub(crate) fn validate(
-        g: &V::Graph,
-        edges: &[(VertexId, VertexId)],
-    ) -> dspc_graph::Result<Vec<V::Dist>> {
+    fn validate(g: &V::Graph, edges: &[(VertexId, VertexId)]) -> dspc_graph::Result<Vec<V::Dist>> {
         let mut keys = Vec::with_capacity(edges.len());
         let mut lens = Vec::with_capacity(edges.len());
         for &(a, b) in edges {
@@ -338,46 +354,109 @@ impl<V: Variant> DecPipeline<V> {
         Ok((stats, srr))
     }
 
-    /// Deletes every edge of `edges` from `g` and repairs `index` with at
-    /// most one `DecUPDATE` sweep per distinct affected hub and label
-    /// family, against the graph with the whole set absent (see the module
-    /// docs). Classification and repair run over up to `threads` threads;
-    /// the repaired index and every counter are the same at any thread
-    /// count. A single edge takes [`delete_one`](Self::delete_one).
+    /// Deletes `(a, b)` from `g` and repairs `index`: the variant's §3.2.3
+    /// isolated-vertex fast path ([`Variant::pendant_fast_path`]) when it
+    /// applies, Algorithm 4 ([`delete_one`](Self::delete_one)) otherwise,
+    /// speculating the repair sweeps over up to `threads` threads (the
+    /// result is the same at any count). Returns the counters and the
+    /// affected sets (Table 5; empty on the fast path).
+    pub fn delete_edge(
+        &mut self,
+        g: &mut V::Graph,
+        index: &mut V::Index,
+        a: VertexId,
+        b: VertexId,
+        threads: usize,
+    ) -> dspc_graph::Result<(MaintenanceCounters, SrrOutcome)> {
+        self.delete_edge_with_mode(g, index, a, b, DecMode::SrOnly, threads)
+    }
+
+    /// [`delete_edge`](Self::delete_edge) with an explicit [`DecMode`]
+    /// (the ablation hook).
+    pub fn delete_edge_with_mode(
+        &mut self,
+        g: &mut V::Graph,
+        index: &mut V::Index,
+        a: VertexId,
+        b: VertexId,
+        mode: DecMode,
+        threads: usize,
+    ) -> dspc_graph::Result<(MaintenanceCounters, SrrOutcome)> {
+        V::edge_len(g, a, b).ok_or(GraphError::MissingEdge(a, b))?;
+        if mode != DecMode::SrOnlyNoFastPath {
+            if let Some(stats) = V::pendant_fast_path(g, index, a, b)? {
+                return Ok((stats, SrrOutcome::default()));
+            }
+        }
+        let promote = mode == DecMode::NaiveAffected;
+        self.delete_one(g, index, (a, b), |g| V::delete(g, a, b), promote, threads)
+    }
+
+    /// Deletes a set of edges as one epoch (see the module docs): edges
+    /// eligible for the isolated-vertex fast path are peeled off first
+    /// (checked against the evolving graph, since each peeled deletion can
+    /// strand the next pendant) — they cost no sweep there, so the batch
+    /// would only add classification work. The rest are deleted together
+    /// and repaired with at most one `DecUPDATE` sweep per distinct
+    /// affected hub and label family, against the graph with the whole set
+    /// absent; a single remaining edge takes
+    /// [`delete_edge`](Self::delete_edge). Classification and repair run
+    /// over up to `threads` threads; the repaired index and every counter
+    /// are the same at any thread count.
     ///
     /// All edges are validated present, and pairwise distinct, before the
     /// first mutation; on error nothing is applied.
-    pub fn delete_batch(
+    pub fn delete_edges(
         &mut self,
         g: &mut V::Graph,
         index: &mut V::Index,
         edges: &[(VertexId, VertexId)],
         threads: usize,
     ) -> dspc_graph::Result<MaintenanceCounters> {
-        let lens = match edges {
-            [] => return Ok(MaintenanceCounters::default()),
-            &[(a, b)] => {
-                return self
-                    .delete_one(g, index, (a, b), |g| V::delete(g, a, b), false, threads)
-                    .map(|(stats, _)| stats)
-            }
-            _ => Self::validate(g, edges)?,
+        let single = |p: &mut Self, g: &mut V::Graph, index: &mut V::Index, (a, b)| {
+            p.delete_edge(g, index, a, b, threads)
+                .map(|(stats, _)| stats)
         };
+        if let &[edge] = edges {
+            return single(self, g, index, edge);
+        }
+        let lens = Self::validate(g, edges)?;
+        let mut total = MaintenanceCounters::default();
+        let mut rest = Vec::with_capacity(edges.len());
+        for (&(a, b), len) in edges.iter().zip(lens) {
+            match V::pendant_fast_path(g, index, a, b)? {
+                Some(stats) => total.absorb(&stats),
+                None => rest.push((a, b, len)),
+            }
+        }
+        total.absorb(&match rest[..] {
+            [] => MaintenanceCounters::default(),
+            [(a, b, _)] => single(self, g, index, (a, b))?,
+            _ => self.delete_batch(g, index, &rest, threads)?,
+        });
+        Ok(total)
+    }
+
+    /// The multi-edge core of [`delete_edges`](Self::delete_edges):
+    /// classifies the validated, pairwise distinct `doomed` edges (with
+    /// their lengths), deletes them all, and repairs one global agenda.
+    fn delete_batch(
+        &mut self,
+        g: &mut V::Graph,
+        index: &mut V::Index,
+        doomed: &[(VertexId, VertexId, V::Dist)],
+        threads: usize,
+    ) -> dspc_graph::Result<MaintenanceCounters> {
         self.ensure_capacity(V::capacity(g), threads);
         let mut stats = MaintenanceCounters::default();
 
         // Phase 1 — classification on the pre-deletion graph, merged into
         // the agenda.
-        let doomed: Vec<(VertexId, VertexId, V::Dist)> = edges
-            .iter()
-            .zip(lens)
-            .map(|(&(a, b), len)| (a, b, len))
-            .collect();
-        self.classify(g, index, &doomed, threads, &mut stats);
+        self.classify(g, index, doomed, threads, &mut stats);
         self.marks.set([self.agenda.receivers(), &[]], [&[], &[]]);
 
         // Phase boundary — G_{i+1} ← G_i ⊖ edges (the whole set at once).
-        for &(a, b) in edges {
+        for &(a, b, _) in doomed {
             V::delete(g, a, b)?;
         }
 

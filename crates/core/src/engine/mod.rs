@@ -77,10 +77,12 @@
 //! re-rank. [`DecPipeline`] drives deletion: single-edge (Algorithm 4) and
 //! batch (classify the whole set, delete it, repair one global agenda). A
 //! [`Variant`] supplies what differs — graph, index and entry types, the
-//! edge length, the ordering degree, and one view per label family — so the
-//! undirected, directed and weighted drivers keep only their own extras.
+//! edge length, the ordering degree, one view per label family, and what
+//! the one facade ([`crate::dynamic::Dynamic`]) needs: the update
+//! vocabulary, graph mutations, the published snapshot, and the undirected
+//! §3.2.3 fast path.
 
-use crate::label::{Count, HubEntry, Rank};
+use crate::label::{Count, HubEntry, LabelDist, Rank};
 use dspc_graph::VertexId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -92,45 +94,13 @@ mod push;
 mod topology;
 
 pub(crate) use batch::{check_endpoints, ordered_key};
-pub use batch::{EdgeCoalescer, NetEdgeEffect, NetOp, NetPlan};
-pub use delete::{DecPipeline, SrrOutcome};
+pub use batch::{EdgeCoalescer, NetEdgeEffect, NetOp, NetPlan, UpdateOp};
+pub use delete::{DecMode, DecPipeline, SrrOutcome};
 pub use holders::HubHolders;
 pub use push::PushPipeline;
 pub use topology::{
     Directed, DirectedTopo, Undirected, UndirectedTopo, Variant, Weighted, WeightedTopo,
 };
-
-/// Distance domain of one index variant.
-pub trait EngineDist: Copy + Ord + std::fmt::Debug {
-    /// The "unreachable" sentinel.
-    const INF: Self;
-
-    /// The zero distance (sweep seeds).
-    const ZERO: Self;
-
-    /// Saturating path extension (`self + len`).
-    fn extend(self, len: Self) -> Self;
-}
-
-impl EngineDist for u32 {
-    const INF: u32 = u32::MAX;
-    const ZERO: u32 = 0;
-
-    #[inline]
-    fn extend(self, len: u32) -> u32 {
-        self.saturating_add(len)
-    }
-}
-
-impl EngineDist for u64 {
-    const INF: u64 = u64::MAX;
-    const ZERO: u64 = 0;
-
-    #[inline]
-    fn extend(self, len: u64) -> u64 {
-        self.saturating_add(len)
-    }
-}
 
 /// The read half of one variant's view of "graph + index + pinned-hub
 /// probe": everything a classification or `DecUPDATE` sweep needs,
@@ -139,7 +109,7 @@ impl EngineDist for u64 {
 /// those sweeps can fan out across threads.
 pub trait ReadTopology {
     /// Distance domain (`u32` hops or `u64` accumulated weight).
-    type Dist: EngineDist;
+    type Dist: LabelDist;
 
     /// Whether sweeps must settle in distance order (Dijkstra) rather than
     /// FIFO order (unit-length BFS).
@@ -197,8 +167,8 @@ pub trait LabelTopology: ReadTopology {
 /// The unified maintenance counter block: the RenewC / RenewD / Insert /
 /// Remove label-operation series of Figures 8–9 plus the sweep and agenda
 /// counters every batch path reports. One type serves every layer — the
-/// engine passes it to its sweeps, the per-variant drivers return it, and
-/// the facades wrap it in [`crate::dynamic::UpdateStats`].
+/// engine passes it to its sweeps, the pipelines return it, and the
+/// facade wraps it in [`crate::dynamic::UpdateStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MaintenanceCounters {
     /// Labels whose count changed at unchanged distance (RenewC).
@@ -449,7 +419,7 @@ impl<D> Default for RepairLog<D> {
     }
 }
 
-impl<D: EngineDist> RepairLog<D> {
+impl<D: LabelDist> RepairLog<D> {
     /// Empties the log, keeping its buffers.
     fn clear(&mut self) {
         self.upserts.clear();
@@ -673,7 +643,7 @@ pub struct MultiFarTask<D> {
 /// id (deterministic across thread counts). Undirected callers pass each
 /// edge twice (once per direction); directed callers pass tails and heads
 /// through separate invocations.
-pub fn build_endpoint_tasks<D: EngineDist>(
+pub fn build_endpoint_tasks<D: LabelDist>(
     sides: impl Iterator<Item = (VertexId, VertexId, D)>,
 ) -> Vec<MultiFarTask<D>> {
     let mut by_near: std::collections::BTreeMap<u32, Vec<(VertexId, D)>> =
@@ -804,7 +774,7 @@ pub fn aggregate_far_columns(
 /// The generic maintenance engine: scratch state + the three traversal
 /// passes, parameterized over a [`LabelTopology`] view per call.
 #[derive(Debug)]
-pub struct UpdateEngine<D: EngineDist> {
+pub struct UpdateEngine<D: LabelDist> {
     dist: Vec<D>,
     count: Vec<Count>,
     /// FIFO frontier (unit-length sweeps).
@@ -817,7 +787,7 @@ pub struct UpdateEngine<D: EngineDist> {
     updated: Vec<bool>,
 }
 
-impl<D: EngineDist> UpdateEngine<D> {
+impl<D: LabelDist> UpdateEngine<D> {
     /// Engine for graphs up to `capacity` ids.
     pub fn new(capacity: usize) -> Self {
         UpdateEngine {
@@ -970,7 +940,7 @@ impl<D: EngineDist> UpdateEngine<D> {
             let dv = self.dist[v as usize];
             let (qd, qc) = topo.probe_query(VertexId(v));
             // Prune: no shortest path from v to `far` crosses the edge.
-            if qd == D::INF || dv.extend(edge_len) != qd {
+            if qd == D::INF || dv.sat_add(edge_len) != qd {
                 continue;
             }
             let vr = topo.rank(v);
@@ -1045,7 +1015,7 @@ impl<D: EngineDist> UpdateEngine<D> {
                 let (qd, qc) = views[j].probe_query(VertexId(v));
                 // Prune per far: no shortest path from v to far_j crosses
                 // edge j.
-                if qd == D::INF || dv.extend(edge_len) != qd {
+                if qd == D::INF || dv.sat_add(edge_len) != qd {
                     continue;
                 }
                 expand = true;
@@ -1182,7 +1152,7 @@ impl<D: EngineDist> UpdateEngine<D> {
             if topo.rank(w) < h_rank {
                 return; // strictly higher-ranked: outside G_h
             }
-            self.relax(T::DIJKSTRA, w, dv.extend(len), cv);
+            self.relax(T::DIJKSTRA, w, dv.sat_add(len), cv);
         });
     }
 
@@ -1191,7 +1161,7 @@ impl<D: EngineDist> UpdateEngine<D> {
     #[inline]
     fn expand_all<T: ReadTopology<Dist = D>>(&mut self, topo: &T, v: u32, dv: D, cv: Count) {
         topo.for_each_neighbor(v, |w, len| {
-            self.relax(T::DIJKSTRA, w, dv.extend(len), cv);
+            self.relax(T::DIJKSTRA, w, dv.sat_add(len), cv);
         });
     }
 

@@ -11,10 +11,9 @@
 
 use super::topology::{families, side_families};
 use super::{
-    merge_affected, EngineDist, LabelTopology, MaintenanceCounters, ReadTopology, UpdateEngine,
-    Variant,
+    merge_affected, LabelTopology, MaintenanceCounters, ReadTopology, UpdateEngine, Variant,
 };
-use crate::label::{HubEntry, Rank};
+use crate::label::{HubEntry, LabelDist, Rank};
 use crate::order::{OrderingStrategy, RankMap};
 use crate::query::HubProbe;
 use dspc_graph::VertexId;
@@ -38,7 +37,7 @@ fn validate_swaps(swaps: &[Rank], rank_space: usize) {
 
 /// One variant's sweep scratch — the engine arena and the pinned-hub probe
 /// — and the insertion, construction, and re-rank drivers that run on it.
-/// The facades own one and reuse it for every build and rebuild.
+/// The facade owns one and reuses it for every build and rebuild.
 #[derive(Debug)]
 pub struct PushPipeline<V: Variant> {
     engine: UpdateEngine<V::Dist>,
@@ -88,7 +87,7 @@ impl<V: Variant> PushPipeline<V> {
                 let mut topo = V::write(g, index, &mut self.probe, family);
                 if let Some((d, c)) = topo.label_get(near, h_rank) {
                     self.engine
-                        .inc_pass(&mut topo, h, far, d.extend(len), c, &mut stats);
+                        .inc_pass(&mut topo, h, far, d.sat_add(len), c, &mut stats);
                 }
             }
         }

@@ -1,7 +1,8 @@
 //! Label-family views: how each index variant exposes its graph, label
 //! family, and pinned-hub probe to the generic engine, and the [`Variant`]
 //! glue the shared drivers ([`super::PushPipeline`],
-//! [`super::DecPipeline`]) build them through.
+//! [`super::DecPipeline`]) and the facade ([`crate::dynamic::Dynamic`])
+//! build them through.
 //!
 //! A view borrows the graph immutably and the index through `I`. Over a
 //! shared borrow (`&Index`) it implements [`ReadTopology`] only — what the
@@ -16,28 +17,33 @@
 //! walks in-arcs and pins `L_in` — which makes the same view type serve the
 //! forward and backward halves of every directed update.
 
-use super::{EngineDist, LabelTopology, ReadTopology, REPAIR_PRIMARY, REPAIR_SECONDARY};
-use crate::directed::{DirectedSpcIndex, Side};
+use super::{
+    LabelTopology, MaintenanceCounters, ReadTopology, UpdateOp, REPAIR_PRIMARY, REPAIR_SECONDARY,
+};
+use crate::directed::{ArcUpdate, DirectedSpcIndex, Side};
+use crate::dynamic::GraphUpdate;
+use crate::flat::{DirectedFlatIndex, WeightedFlatIndex};
 use crate::index::SpcIndex;
-use crate::label::{Count, HubEntry, LabelEntry, Rank};
+use crate::label::{Count, HubEntry, LabelDist, LabelEntry, Rank};
 use crate::order::RankMap;
-use crate::query::HubProbe;
-use crate::weighted::{WLabelEntry, WLabelSet, WeightedSpcIndex};
-use dspc_graph::weighted::{WDist, WeightedGraph};
-use dspc_graph::{DirectedGraph, UndirectedGraph, VertexId};
+use crate::query::{query_rows, HubProbe, QueryResult};
+use crate::shard::ShardedFlatIndex;
+use crate::weighted::{WLabelEntry, WLabelSet, WQueryResult, WeightedSpcIndex, WeightedUpdate};
+use dspc_graph::weighted::{WDist, Weight, WeightedGraph};
+use dspc_graph::{DirectedGraph, GraphError, UndirectedGraph, VertexId};
 use std::ops::{Deref, DerefMut};
 
-/// What the shared drivers need of one index variant. Label families are
-/// named by the [`super::RepairAgenda`] flags: [`REPAIR_PRIMARY`] is `L`
-/// (or `L_in` for arcs) and [`REPAIR_SECONDARY`] is `L_out`; single-family
-/// variants ignore the flag.
-pub trait Variant {
+/// What the shared drivers and the facade need of one index variant. Label
+/// families are named by the [`super::RepairAgenda`] flags:
+/// [`REPAIR_PRIMARY`] is `L` (or `L_in` for arcs) and [`REPAIR_SECONDARY`]
+/// is `L_out`; single-family variants ignore the flag.
+pub trait Variant: Sized + 'static {
     /// The graph.
-    type Graph: Sync;
+    type Graph: Clone + Sync;
     /// The index.
     type Index: Sync;
     /// The distance domain.
-    type Dist: EngineDist + Send + Sync;
+    type Dist: LabelDist;
     /// A label-row entry.
     type Entry: HubEntry<Dist = Self::Dist>;
     /// A view over a shared index borrow (classification and `DecUPDATE`
@@ -50,6 +56,14 @@ pub trait Variant {
     type Write<'a>: LabelTopology<Dist = Self::Dist>
     where
         Self: 'a;
+    /// What an edge carries: `()` for unit lengths, the weight otherwise.
+    type Payload: Copy + Ord + std::fmt::Debug;
+    /// The facade's update vocabulary.
+    type Update: Copy;
+    /// The immutable snapshot [`publish`](Self::publish) hands readers.
+    type Snapshot;
+    /// What a query answers: a distance (or `INF`) and a count.
+    type Answer: From<(Self::Dist, Count)>;
 
     /// Arcs with `L_in` / `L_out` rather than edges with one `L`.
     const DIRECTED: bool;
@@ -102,6 +116,77 @@ pub trait Variant {
 
     /// `v`'s rank-sorted label row of `family`.
     fn row(index: &Self::Index, v: VertexId, family: u8) -> &[Self::Entry];
+
+    /// `SpcQUERY(s, t)` on the live labels: `L(s)` merged with `L(t)`, or
+    /// `L_out(s)` with `L_in(t)` for arcs.
+    fn query(index: &Self::Index, s: VertexId, t: VertexId) -> (Self::Dist, Count) {
+        query_rows(
+            Self::row(index, s, pinned_family::<Self>(REPAIR_PRIMARY)),
+            Self::row(index, t, REPAIR_PRIMARY),
+        )
+    }
+
+    /// An update in the variant-independent form the facade folds.
+    fn op(update: Self::Update) -> UpdateOp<Self::Payload>;
+
+    /// The payload of edge `(a, b)`, or `None` when it is absent.
+    fn payload(g: &Self::Graph, a: VertexId, b: VertexId) -> Option<Self::Payload>;
+
+    /// Rejects a payload no edge may carry, before anything mutates.
+    fn check_payload(_w: Self::Payload) -> dspc_graph::Result<()> {
+        Ok(())
+    }
+
+    /// Inserts edge `(a, b)` carrying `w` into the graph.
+    fn insert(
+        g: &mut Self::Graph,
+        a: VertexId,
+        b: VertexId,
+        w: Self::Payload,
+    ) -> dspc_graph::Result<()>;
+
+    /// Sets the payload of the present edge `(a, b)` to `w`. A unit
+    /// payload never changes, so by default this does nothing.
+    fn set_payload(
+        _g: &mut Self::Graph,
+        _a: VertexId,
+        _b: VertexId,
+        _w: Self::Payload,
+    ) -> dspc_graph::Result<()> {
+        Ok(())
+    }
+
+    /// Adds an isolated vertex to the graph.
+    fn add_vertex(g: &mut Self::Graph) -> VertexId;
+
+    /// Retires vertex `v` and every edge at it.
+    fn remove_vertex(g: &mut Self::Graph, v: VertexId) -> dspc_graph::Result<()>;
+
+    /// The edges at `v`: `(v, u)` per neighbor, out-arcs then in-arcs for
+    /// arcs.
+    fn incident(g: &Self::Graph, v: VertexId) -> Vec<(VertexId, VertexId)>;
+
+    /// Registers a freshly added isolated vertex at the lowest rank, with
+    /// only its self labels.
+    fn append_vertex(index: &mut Self::Index, v: VertexId);
+
+    /// Publishes the index for readers: every row written since the last
+    /// publish becomes shared, the rest are handed out again, attributing
+    /// counters over `shards` where the snapshot supports it.
+    fn publish(index: &mut Self::Index, shards: usize) -> Self::Snapshot;
+
+    /// The §3.2.3 isolated-vertex fast path: when deleting the present
+    /// edge `(a, b)` strands an endpoint no label uses as a hub, deletes
+    /// the edge, empties that endpoint's row down to its self label, and
+    /// returns the counters. Undirected only; elsewhere it never applies.
+    fn pendant_fast_path(
+        _g: &mut Self::Graph,
+        _index: &mut Self::Index,
+        _a: VertexId,
+        _b: VertexId,
+    ) -> dspc_graph::Result<Option<MaintenanceCounters>> {
+        Ok(None)
+    }
 }
 
 /// The label families a variant's hubs write: `L`, or `L_in` then `L_out`.
@@ -391,7 +476,7 @@ impl<I: DerefMut<Target = WeightedSpcIndex>> LabelTopology for WeightedTopo<'_, 
     }
 }
 
-/// The undirected variant ([`crate::dec::DecSpc`]): unit-length edges and
+/// The undirected variant ([`crate::DynamicSpc`]): unit-length edges and
 /// one label family.
 #[derive(Debug)]
 pub enum Undirected {}
@@ -403,6 +488,10 @@ impl Variant for Undirected {
     type Entry = LabelEntry;
     type Read<'a> = UndirectedTopo<'a, &'a SpcIndex>;
     type Write<'a> = UndirectedTopo<'a, &'a mut SpcIndex>;
+    type Payload = ();
+    type Update = GraphUpdate;
+    type Snapshot = ShardedFlatIndex;
+    type Answer = QueryResult;
 
     const DIRECTED: bool = false;
 
@@ -463,6 +552,70 @@ impl Variant for Undirected {
     fn row(index: &SpcIndex, v: VertexId, _family: u8) -> &[LabelEntry] {
         index.label_set(v).entries()
     }
+
+    fn op(update: GraphUpdate) -> UpdateOp<()> {
+        match update {
+            GraphUpdate::InsertEdge(a, b) => UpdateOp::Insert(a, b, ()),
+            GraphUpdate::DeleteEdge(a, b) => UpdateOp::Delete(a, b),
+            GraphUpdate::InsertVertex => UpdateOp::InsertVertex,
+            GraphUpdate::DeleteVertex(v) => UpdateOp::DeleteVertex(v),
+        }
+    }
+
+    fn payload(g: &UndirectedGraph, a: VertexId, b: VertexId) -> Option<()> {
+        g.has_edge(a, b).then_some(())
+    }
+
+    fn insert(g: &mut UndirectedGraph, a: VertexId, b: VertexId, _: ()) -> dspc_graph::Result<()> {
+        g.insert_edge(a, b)
+    }
+
+    fn add_vertex(g: &mut UndirectedGraph) -> VertexId {
+        g.add_vertex()
+    }
+
+    fn remove_vertex(g: &mut UndirectedGraph, v: VertexId) -> dspc_graph::Result<()> {
+        g.delete_vertex(v).map(drop)
+    }
+
+    fn incident(g: &UndirectedGraph, v: VertexId) -> Vec<(VertexId, VertexId)> {
+        g.neighbors(v).iter().map(|&u| (v, VertexId(u))).collect()
+    }
+
+    fn append_vertex(index: &mut SpcIndex, v: VertexId) {
+        index.add_isolated_vertex(v);
+    }
+
+    fn publish(index: &mut SpcIndex, shards: usize) -> ShardedFlatIndex {
+        ShardedFlatIndex::publish(index, shards)
+    }
+
+    /// The stranding test reads the index's hub-entry counts instead of
+    /// the paper's rank precondition: `rank(y) < rank(x)` guarantees that a
+    /// *freshly built* index has no `(x, ·, ·)` labels, but labels kept
+    /// stale by earlier updates can violate that, and the count check also
+    /// fires for a higher-ranked pendant whose hub entries are gone — it is
+    /// both sound and broader. `x`'s own self label is the one permitted
+    /// entry.
+    fn pendant_fast_path(
+        g: &mut UndirectedGraph,
+        index: &mut SpcIndex,
+        a: VertexId,
+        b: VertexId,
+    ) -> dspc_graph::Result<Option<MaintenanceCounters>> {
+        let Some(x) = [b, a]
+            .into_iter()
+            .find(|&x| g.degree(x) == 1 && index.hub_entry_count(index.rank(x)) == 1)
+        else {
+            return Ok(None);
+        };
+        g.delete_edge(a, b)?;
+        Ok(Some(MaintenanceCounters {
+            removed: index.reset_vertex_to_self(x),
+            isolated_fast_path: true,
+            ..MaintenanceCounters::default()
+        }))
+    }
 }
 
 /// The label family a directed repair flag stands for: `L_in` for
@@ -475,8 +628,8 @@ fn side(family: u8) -> Side {
     }
 }
 
-/// The directed variant ([`crate::directed::DirectedDecSpc`]): arcs, with
-/// `L_in` as the primary family and `L_out` as the secondary one.
+/// The directed variant ([`crate::directed::DynamicDirectedSpc`]): arcs,
+/// with `L_in` as the primary family and `L_out` as the secondary one.
 #[derive(Debug)]
 pub enum Directed {}
 
@@ -487,6 +640,10 @@ impl Variant for Directed {
     type Entry = LabelEntry;
     type Read<'a> = DirectedTopo<'a, &'a DirectedSpcIndex>;
     type Write<'a> = DirectedTopo<'a, &'a mut DirectedSpcIndex>;
+    type Payload = ();
+    type Update = ArcUpdate;
+    type Snapshot = DirectedFlatIndex;
+    type Answer = QueryResult;
 
     const DIRECTED: bool = true;
 
@@ -547,10 +704,47 @@ impl Variant for Directed {
     fn row(index: &DirectedSpcIndex, v: VertexId, family: u8) -> &[LabelEntry] {
         index.label(side(family), v).entries()
     }
+
+    fn op(update: ArcUpdate) -> UpdateOp<()> {
+        match update {
+            ArcUpdate::InsertArc(a, b) => UpdateOp::Insert(a, b, ()),
+            ArcUpdate::DeleteArc(a, b) => UpdateOp::Delete(a, b),
+        }
+    }
+
+    fn payload(g: &DirectedGraph, a: VertexId, b: VertexId) -> Option<()> {
+        g.has_arc(a, b).then_some(())
+    }
+
+    fn insert(g: &mut DirectedGraph, a: VertexId, b: VertexId, _: ()) -> dspc_graph::Result<()> {
+        g.insert_arc(a, b)
+    }
+
+    fn add_vertex(g: &mut DirectedGraph) -> VertexId {
+        g.add_vertex()
+    }
+
+    fn remove_vertex(g: &mut DirectedGraph, v: VertexId) -> dspc_graph::Result<()> {
+        g.delete_vertex(v).map(drop)
+    }
+
+    fn incident(g: &DirectedGraph, v: VertexId) -> Vec<(VertexId, VertexId)> {
+        let outs = g.out_neighbors(v).iter().map(|&w| (v, VertexId(w)));
+        outs.chain(g.in_neighbors(v).iter().map(|&w| (VertexId(w), v)))
+            .collect()
+    }
+
+    fn append_vertex(index: &mut DirectedSpcIndex, v: VertexId) {
+        index.append_vertex(v);
+    }
+
+    fn publish(index: &mut DirectedSpcIndex, _shards: usize) -> DirectedFlatIndex {
+        DirectedFlatIndex::publish(index)
+    }
 }
 
-/// The weighted variant ([`crate::weighted::WeightedDecSpc`]): positive
-/// integer weights, `u64` distances, one label family.
+/// The weighted variant ([`crate::weighted::DynamicWeightedSpc`]):
+/// positive integer weights, `u64` distances, one label family.
 #[derive(Debug)]
 pub enum Weighted {}
 
@@ -561,6 +755,10 @@ impl Variant for Weighted {
     type Entry = WLabelEntry;
     type Read<'a> = WeightedTopo<'a, &'a WeightedSpcIndex>;
     type Write<'a> = WeightedTopo<'a, &'a mut WeightedSpcIndex>;
+    type Payload = Weight;
+    type Update = WeightedUpdate;
+    type Snapshot = WeightedFlatIndex;
+    type Answer = WQueryResult;
 
     const DIRECTED: bool = false;
 
@@ -621,5 +819,65 @@ impl Variant for Weighted {
 
     fn row(index: &WeightedSpcIndex, v: VertexId, _family: u8) -> &[WLabelEntry] {
         index.label_set(v).entries()
+    }
+
+    fn op(update: WeightedUpdate) -> UpdateOp<Weight> {
+        match update {
+            WeightedUpdate::InsertEdge(a, b, w) => UpdateOp::Insert(a, b, w),
+            WeightedUpdate::DeleteEdge(a, b) => UpdateOp::Delete(a, b),
+            WeightedUpdate::SetWeight(a, b, w) => UpdateOp::Rewrite(a, b, w),
+        }
+    }
+
+    fn payload(g: &WeightedGraph, a: VertexId, b: VertexId) -> Option<Weight> {
+        g.weight(a, b)
+    }
+
+    fn check_payload(w: Weight) -> dspc_graph::Result<()> {
+        match w {
+            0 => Err(GraphError::InvalidWeight(0.0)),
+            _ => Ok(()),
+        }
+    }
+
+    fn insert(
+        g: &mut WeightedGraph,
+        a: VertexId,
+        b: VertexId,
+        w: Weight,
+    ) -> dspc_graph::Result<()> {
+        g.insert_edge(a, b, w)
+    }
+
+    fn set_payload(
+        g: &mut WeightedGraph,
+        a: VertexId,
+        b: VertexId,
+        w: Weight,
+    ) -> dspc_graph::Result<()> {
+        g.set_weight(a, b, w).map(drop)
+    }
+
+    fn add_vertex(g: &mut WeightedGraph) -> VertexId {
+        g.add_vertex()
+    }
+
+    fn remove_vertex(g: &mut WeightedGraph, v: VertexId) -> dspc_graph::Result<()> {
+        g.delete_vertex(v).map(drop)
+    }
+
+    fn incident(g: &WeightedGraph, v: VertexId) -> Vec<(VertexId, VertexId)> {
+        g.neighbors(v)
+            .iter()
+            .map(|&(u, _)| (v, VertexId(u)))
+            .collect()
+    }
+
+    fn append_vertex(index: &mut WeightedSpcIndex, v: VertexId) {
+        index.append_vertex(v);
+    }
+
+    fn publish(index: &mut WeightedSpcIndex, _shards: usize) -> WeightedFlatIndex {
+        WeightedFlatIndex::publish(index)
     }
 }

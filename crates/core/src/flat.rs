@@ -31,10 +31,11 @@
 //! ## Freshness contract
 //!
 //! A snapshot is immutable and does **not** follow later updates to the
-//! index it was published from. The dynamic facades own that lifecycle:
-//! [`crate::dynamic::DynamicSpc::frozen_queries`] (and the directed /
-//! weighted equivalents) cache a snapshot per epoch and invalidate it on
-//! any mutation, so a facade-obtained snapshot is always exact.
+//! index it was published from. [`crate::dynamic::Dynamic::publish`]
+//! publishes the index as the last mutation left it, so its snapshot
+//! answers exactly like the live index until the next mutation; each epoch
+//! publishes its own, at the cost of `O(n)` plus the rows the epoch
+//! changed. Nothing caches a snapshot between calls.
 
 use crate::directed::{DirectedSpcIndex, Side};
 use crate::index::SpcIndex;

@@ -117,12 +117,15 @@ pub trait LabelDist: Copy + Ord + std::fmt::Debug + Send + Sync + 'static {
     /// The "unreachable" sentinel ([`INF_DIST`] /
     /// [`dspc_graph::weighted::WDIST_INF`]).
     const INF: Self;
+    /// The zero distance (a hub's self label, a sweep's seed).
+    const ZERO: Self;
     /// Saturating addition, so an unreachable side stays unreachable.
     fn sat_add(self, other: Self) -> Self;
 }
 
 impl LabelDist for u32 {
     const INF: Self = INF_DIST;
+    const ZERO: Self = 0;
     #[inline]
     fn sat_add(self, other: Self) -> Self {
         self.saturating_add(other)
@@ -131,6 +134,7 @@ impl LabelDist for u32 {
 
 impl LabelDist for u64 {
     const INF: Self = dspc_graph::weighted::WDIST_INF;
+    const ZERO: Self = 0;
     #[inline]
     fn sat_add(self, other: Self) -> Self {
         self.saturating_add(other)

@@ -21,12 +21,17 @@
 //! * **DecSPC** ([`dec`]) — decremental maintenance under edge/vertex
 //!   deletion, via the `SR`/`R` affected-vertex machinery (Algorithms 4–6),
 //!   likewise engine-backed.
-//! * **[`dynamic::DynamicSpc`]** — the facade tying a graph and its index
-//!   together: apply updates one by one, stream them, or coalesce them into
-//!   epochs with [`dynamic::DynamicSpc::apply_batch`] (insert + delete of
-//!   the same edge cancels before any repair runs).
-//! * **Extensions** — directed graphs ([`directed`], Appendix C.1) and
-//!   weighted graphs ([`weighted`], Appendix C.2).
+//! * **[`dynamic::Dynamic`]** — the facade tying a graph and its index
+//!   together, written once over [`engine::Variant`]: apply updates one by
+//!   one, stream them, or coalesce them into epochs with
+//!   [`dynamic::Dynamic::apply_batch`] (insert + delete of the same edge
+//!   cancels before any repair runs), and hand each epoch to readers with
+//!   [`dynamic::Dynamic::publish`]. [`DynamicSpc`] is the undirected
+//!   instance.
+//! * **Extensions** — directed graphs ([`directed`], Appendix C.1,
+//!   [`directed::DynamicDirectedSpc`]) and weighted graphs ([`weighted`],
+//!   Appendix C.2, [`weighted::DynamicWeightedSpc`]): the same facade over
+//!   another variant.
 //! * **Verification** ([`verify`]) — BFS-backed oracles used by the test
 //!   suite to prove ESPC correctness of every maintained index.
 //!
@@ -78,7 +83,7 @@ pub mod verify;
 pub mod weighted;
 
 pub use build::{build_index, rebuild_index};
-pub use dynamic::{DynamicSpc, GraphUpdate, UpdateStats};
+pub use dynamic::{Dynamic, DynamicSpc, GraphUpdate, UpdateStats};
 pub use engine::MaintenanceCounters;
 pub use flat::{DirectedFlatIndex, FlatIndex, FlatScratch, KernelCounters, WeightedFlatIndex};
 pub use index::{IndexStats, SpcIndex};

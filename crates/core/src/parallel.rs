@@ -7,7 +7,7 @@
 //!
 //! The same fan-out (`fan_out`) runs the two parallel parts of deletion
 //! maintenance, under the [`MaintenanceThreads`] budget of the dynamic
-//! facades ([`crate::engine::DecPipeline`]):
+//! facade ([`crate::engine::DecPipeline`]):
 //!
 //! * the classification sweeps of a deletion batch, which only read;
 //! * the `DecUPDATE` repair sweeps. §6 of the paper leaves parallel updates
@@ -42,8 +42,7 @@ pub const PAIRS_PER_THREAD: usize = 256;
 pub const QUERY_CHUNK_ALIGN: usize = 8;
 
 /// Thread budget for index maintenance (the knob behind
-/// `DynamicSpc::set_maintenance_threads` and the directed/weighted
-/// equivalents): how many threads a deletion — one edge or a batch —
+/// [`crate::dynamic::Dynamic::set_maintenance_threads`]): how many threads a deletion — one edge or a batch —
 /// classifies its endpoint tasks and speculates its repair sweeps on.
 ///
 /// * [`MaintenanceThreads::Auto`] (the default) resolves to

@@ -219,41 +219,24 @@ impl ManagedSpc {
     }
 
     /// Applies an update, then responds if the policy fires (re-rank
-    /// counters are absorbed into the returned stats).
+    /// counters are absorbed into the returned stats). A failed update
+    /// changes nothing.
     pub fn apply(&mut self, update: GraphUpdate) -> Result<UpdateStats> {
-        match self.inner.apply(update) {
-            Ok(mut stats) => {
-                self.note_updates(&[update]);
-                stats.counters.absorb(&self.maybe_maintain());
-                Ok(stats)
-            }
-            Err(e) => {
-                self.reseed_tracker();
-                Err(e)
-            }
-        }
+        let mut stats = self.inner.apply(update)?;
+        self.note_updates(&[update]);
+        stats.counters.absorb(&self.maybe_maintain());
+        Ok(stats)
     }
 
     /// Applies a whole epoch through [`DynamicSpc::apply_batch`], then
     /// responds if the policy fires — the write path the serving layer
-    /// drives once per rotation. Whether the epoch ends in incremental
-    /// repair, a re-rank, or a policy-triggered rebuild, the facade's
-    /// frozen snapshot cache is dropped, so the next
-    /// [`ManagedSpc::frozen_queries`] freezes the post-epoch index.
+    /// drives once per rotation. A failed batch applies nothing (the
+    /// facade validates it in full first), so the tracker needs no repair.
     pub fn apply_batch(&mut self, updates: &[GraphUpdate]) -> Result<UpdateStats> {
-        match self.inner.apply_batch(updates) {
-            Ok(mut stats) => {
-                self.note_updates(updates);
-                stats.counters.absorb(&self.maybe_maintain());
-                Ok(stats)
-            }
-            Err(e) => {
-                // A failed batch may still have applied earlier segments
-                // (vertex ops are barriers); reseed rather than guess.
-                self.reseed_tracker();
-                Err(e)
-            }
-        }
+        let mut stats = self.inner.apply_batch(updates)?;
+        self.note_updates(updates);
+        stats.counters.absorb(&self.maybe_maintain());
+        Ok(stats)
     }
 
     /// Feeds the applied updates to the staleness tracker. Edge endpoints
@@ -358,18 +341,6 @@ impl ManagedSpc {
         self.inner.query(s, t)
     }
 
-    /// The current epoch's flat snapshot (delegates to
-    /// [`DynamicSpc::frozen_queries`] — invalidated by every mutation,
-    /// including policy-triggered rebuilds).
-    pub fn frozen_queries(&mut self) -> &crate::flat::FlatIndex {
-        self.inner.frozen_queries()
-    }
-
-    /// Whether a flat snapshot is currently cached.
-    pub fn has_frozen_snapshot(&self) -> bool {
-        self.inner.has_frozen_snapshot()
-    }
-
     /// Publishes the current epoch's serving snapshot (delegates to
     /// [`DynamicSpc::publish`]).
     pub fn publish(&mut self, shards: usize) -> crate::shard::ShardedFlatIndex {
@@ -413,44 +384,34 @@ mod tests {
     }
 
     /// Regression pin: the policy's full-rebuild branch replaces the index
-    /// wholesale, so it MUST drop the facade's cached flat snapshot like
-    /// every ordinary mutator does — otherwise `frozen_queries` would keep
-    /// serving the pre-rebuild labels. Queries through the frozen engine
-    /// after a policy-triggered rebuild must match the rebuilt live index.
+    /// wholesale, so a snapshot published after a policy-triggered rebuild
+    /// must answer like the rebuilt live index, on the single-update and the
+    /// batch path alike.
     #[test]
     fn policy_rebuild_invalidates_frozen_snapshot() {
         let d = DynamicSpc::build(figure2_g(), OrderingStrategy::Degree);
         let mut managed = ManagedSpc::new(d, MaintenancePolicy::every(1));
-        managed.frozen_queries();
-        assert!(managed.has_frozen_snapshot());
+        let vs: Vec<VertexId> = managed.inner().graph().vertices().collect();
+        let check = |managed: &mut ManagedSpc| {
+            let snapshot = managed.publish(1);
+            for &s in &vs {
+                for &t in &vs {
+                    assert_eq!(snapshot.query(s, t).as_option(), managed.query(s, t));
+                }
+            }
+        };
+        check(&mut managed);
         // Every apply fires the policy: update repair, then a full rebuild.
         managed
             .apply(GraphUpdate::InsertEdge(VertexId(3), VertexId(9)))
             .unwrap();
         assert_eq!(managed.rebuilds(), 1);
-        assert!(
-            !managed.has_frozen_snapshot(),
-            "rebuild must invalidate the frozen snapshot"
-        );
-        let vs: Vec<VertexId> = managed.inner().graph().vertices().collect();
-        for &s in &vs {
-            for &t in &vs {
-                let live = managed.query(s, t);
-                assert_eq!(managed.frozen_queries().query(s, t).as_option(), live);
-            }
-        }
-        // Same contract on the batch path.
+        check(&mut managed);
         managed
             .apply_batch(&[GraphUpdate::DeleteEdge(VertexId(3), VertexId(9))])
             .unwrap();
         assert_eq!(managed.rebuilds(), 2);
-        assert!(!managed.has_frozen_snapshot());
-        for &s in &vs {
-            for &t in &vs {
-                let live = managed.query(s, t);
-                assert_eq!(managed.frozen_queries().query(s, t).as_option(), live);
-            }
-        }
+        check(&mut managed);
         verify_all_pairs(managed.inner().graph(), managed.inner().index()).unwrap();
     }
 

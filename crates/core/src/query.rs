@@ -60,6 +60,12 @@ impl QueryResult {
     }
 }
 
+impl From<(u32, Count)> for QueryResult {
+    fn from((dist, count): (u32, Count)) -> Self {
+        QueryResult { dist, count }
+    }
+}
+
 /// A sorted label row the merge kernel reads: a live or published entry
 /// slice, or one vertex's slice of the flat columns.
 pub(crate) trait HubRow: Copy {

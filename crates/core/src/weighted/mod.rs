@@ -10,21 +10,33 @@
 //! type, [`WLabelEntry`]; the row storage ([`crate::label::LabelRow`]), the
 //! query kernel and the pinned probe ([`crate::query`]) are the generic
 //! ones the unweighted variants use, so the unweighted hot path keeps its
-//! compact `u32` distances.
+//! compact `u32` distances. [`DynamicWeightedSpc`] is the facade over
+//! [`Weighted`]; the shared pipelines run partial Dijkstras through
+//! [`crate::engine::WeightedTopo`] views.
+//!
+//! ## IncSPC / DecSPC over weights
+//!
+//! * **Incremental** (edge insertion, or weight decrease
+//!   `w_ab → w'_ab`). For each hub `h ∈ L(a) ∪ L(b)` a partial Dijkstra
+//!   starts across the edge with initial distance `d_{h,a} + w'_ab` and
+//!   count `c_{h,a}`, renewing/inserting labels under the strict
+//!   settle-time prune `query(h, v) < D[v]`.
+//! * **Decremental** (edge deletion, or weight increase): the affected
+//!   vertex condition becomes `sd_i(v, a) + w_ab = sd_i(v, b)` (weight, not
+//!   hops). `SrrSEARCH` runs Dijkstra on the old graph, with the old weight
+//!   as the edge's length; `DecUPDATE` runs rank-pruned Dijkstra from each
+//!   `SR` hub on the new graph with `PreQUERY` pruning and the
+//!   (unconditional — see [`crate::engine`]) removal pass.
 
 pub mod build;
-pub mod update;
 
 pub use build::{build_weighted_index, rebuild_weighted_index};
-pub use update::{WeightedDecSpc, WeightedIncSpc};
 
-use crate::dynamic::{UpdateKind, UpdateStats};
-use crate::engine::{ordered_key, EdgeCoalescer};
+use crate::dynamic::{Dynamic, UpdateStats};
+use crate::engine::Weighted;
 use crate::label::{Count, HubEntry, LabelRow, Rank, SharedRows};
-use crate::order::OrderingStrategy;
-use crate::parallel::MaintenanceThreads;
 use crate::query::{pre_query_rows, query_rows};
-use dspc_graph::weighted::{WDist, Weight, WeightedGraph, WDIST_INF};
+use dspc_graph::weighted::{WDist, Weight, WDIST_INF};
 use dspc_graph::VertexId;
 use serde::{Deserialize, Serialize};
 
@@ -184,6 +196,12 @@ impl WQueryResult {
     }
 }
 
+impl From<(WDist, Count)> for WQueryResult {
+    fn from((dist, count): (WDist, Count)) -> Self {
+        WQueryResult { dist, count }
+    }
+}
+
 /// Weighted `SpcQUERY(s, t)`.
 pub fn weighted_spc_query(index: &WeightedSpcIndex, s: VertexId, t: VertexId) -> WQueryResult {
     let (dist, count) = query_rows(index.label_set(s).entries(), index.label_set(t).entries());
@@ -201,157 +219,19 @@ pub fn weighted_pre_query(index: &WeightedSpcIndex, s: VertexId, t: VertexId) ->
     WQueryResult { dist, count }
 }
 
-/// Weighted facade keeping a [`WeightedGraph`] and its index in lockstep.
-#[derive(Debug)]
-pub struct DynamicWeightedSpc {
-    graph: WeightedGraph,
-    index: WeightedSpcIndex,
-    inc: WeightedIncSpc,
-    dec: WeightedDecSpc,
-    maintenance_threads: MaintenanceThreads,
-    /// Flat snapshot of the current epoch; dropped on any mutation.
-    flat: Option<crate::flat::WeightedFlatIndex>,
-}
+/// Weighted facade keeping a [`WeightedGraph`](dspc_graph::WeightedGraph)
+/// and its index in lockstep: [`Dynamic`] over [`Weighted`].
+pub type DynamicWeightedSpc = Dynamic<Weighted>;
 
-impl DynamicWeightedSpc {
-    /// Builds and wraps.
-    pub fn build(graph: WeightedGraph, strategy: OrderingStrategy) -> Self {
-        let cap = graph.capacity();
-        let mut inc = WeightedIncSpc::new(cap);
-        let index = inc.build(&graph, strategy);
-        DynamicWeightedSpc {
-            graph,
-            index,
-            inc,
-            dec: WeightedDecSpc::new(cap),
-            maintenance_threads: MaintenanceThreads::default(),
-            flat: None,
-        }
-    }
-
-    /// The read-optimized flat snapshot of the current epoch (frozen on
-    /// first use, reused until the next mutation drops it — same contract
-    /// as [`crate::dynamic::DynamicSpc::frozen_queries`]).
-    pub fn frozen_queries(&mut self) -> &crate::flat::WeightedFlatIndex {
-        self.flat
-            .get_or_insert_with(|| crate::flat::WeightedFlatIndex::publish(&mut self.index))
-    }
-
-    /// Publishes the current epoch's snapshot, sharing every row that
-    /// is unchanged since the previous publish
-    /// ([`crate::flat::WeightedFlatIndex::publish`]).
-    pub fn publish(&mut self) -> crate::flat::WeightedFlatIndex {
-        crate::flat::WeightedFlatIndex::publish(&mut self.index)
-    }
-
-    /// Whether a flat snapshot is currently cached.
-    pub fn has_frozen_snapshot(&self) -> bool {
-        self.flat.is_some()
-    }
-
-    /// Sets the worker-thread budget for deletion maintenance: the
-    /// classification sweeps of [`DynamicWeightedSpc::delete_edges`] and
-    /// of the deletion segments of [`DynamicWeightedSpc::apply_batch`], and
-    /// the repair sweeps of every deletion and weight increase,
-    /// [`DynamicWeightedSpc::delete_edge`] included. Repair sweeps
-    /// speculate read-only in blocks and commit in rank order, re-running
-    /// any sweep an earlier commit invalidated, so every thread count
-    /// produces the same index, queries, and counters.
-    pub fn set_maintenance_threads(&mut self, threads: MaintenanceThreads) {
-        self.maintenance_threads = threads;
-    }
-
-    /// The configured maintenance thread budget.
-    pub fn maintenance_threads(&self) -> MaintenanceThreads {
-        self.maintenance_threads
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &WeightedGraph {
-        &self.graph
-    }
-
-    /// The maintained index.
-    pub fn index(&self) -> &WeightedSpcIndex {
-        &self.index
-    }
-
-    /// `SPC(s, t)` under weighted shortest paths.
-    pub fn query(&self, s: VertexId, t: VertexId) -> Option<(WDist, Count)> {
-        weighted_spc_query(&self.index, s, t).as_option()
-    }
-
+impl Dynamic<Weighted> {
     /// Inserts edge `(a, b)` with weight `w` (incremental update).
     pub fn insert_edge(
         &mut self,
         a: VertexId,
         b: VertexId,
-        w: dspc_graph::Weight,
+        w: Weight,
     ) -> dspc_graph::Result<UpdateStats> {
-        self.graph.insert_edge(a, b, w)?;
-        self.flat = None;
-        let c = self.inc.insert_edge(&self.graph, &mut self.index, a, b);
-        Ok(UpdateStats::from_counters(UpdateKind::InsertEdge, c))
-    }
-
-    /// Deletes edge `(a, b)` (decremental update).
-    pub fn delete_edge(&mut self, a: VertexId, b: VertexId) -> dspc_graph::Result<UpdateStats> {
-        let c = self.dec.delete_edge(
-            &mut self.graph,
-            &mut self.index,
-            a,
-            b,
-            self.maintenance_threads.resolve(),
-        )?;
-        self.flat = None;
-        Ok(UpdateStats::from_counters(UpdateKind::DeleteEdge, c))
-    }
-
-    /// Deletes a *set* of edges as one epoch through the multi-edge
-    /// `SrrSEARCH` repair path ([`WeightedDecSpc::delete_edges`]): one
-    /// rank-pruned Dijkstra per distinct affected hub against the residual
-    /// graph with the whole set already absent, classifying and repairing
-    /// on the configured [`MaintenanceThreads`]. All edges are validated
-    /// present before the first mutation.
-    pub fn delete_edges(
-        &mut self,
-        edges: &[(VertexId, VertexId)],
-    ) -> dspc_graph::Result<UpdateStats> {
-        let c = self.dec.delete_edges(
-            &mut self.graph,
-            &mut self.index,
-            edges,
-            self.maintenance_threads.resolve(),
-        )?;
-        self.flat = None;
-        Ok(UpdateStats::from_counters(UpdateKind::Batch, c))
-    }
-
-    /// Adds an isolated vertex at the lowest rank (O(1) on the index).
-    pub fn add_vertex(&mut self) -> VertexId {
-        let v = self.graph.add_vertex();
-        self.flat = None;
-        self.index.append_vertex(v);
-        v
-    }
-
-    /// Deletes vertex `v` — the incident edges are removed as one epoch
-    /// through the multi-edge repair path (one global agenda instead of a
-    /// per-edge DecSPC cascade), then the id is retired.
-    pub fn delete_vertex(&mut self, v: VertexId) -> dspc_graph::Result<()> {
-        if !self.graph.contains_vertex(v) {
-            return Err(dspc_graph::GraphError::UnknownVertex(v));
-        }
-        let edges: Vec<(VertexId, VertexId)> = self
-            .graph
-            .neighbors(v)
-            .iter()
-            .map(|&(n, _)| (v, VertexId(n)))
-            .collect();
-        self.delete_edges(&edges)?;
-        self.graph.delete_vertex(v)?;
-        self.flat = None;
-        Ok(())
+        self.insert(a, b, w)
     }
 
     /// Changes the weight of `(a, b)`: decreases run the incremental
@@ -360,78 +240,9 @@ impl DynamicWeightedSpc {
         &mut self,
         a: VertexId,
         b: VertexId,
-        w: dspc_graph::Weight,
+        w: Weight,
     ) -> dspc_graph::Result<UpdateStats> {
-        let old = self
-            .graph
-            .weight(a, b)
-            .ok_or(dspc_graph::GraphError::MissingEdge(a, b))?;
-        if w == old {
-            return Ok(UpdateStats::empty(UpdateKind::WeightChange));
-        }
-        if w < old {
-            self.graph.set_weight(a, b, w)?;
-            self.flat = None;
-            let c = self.inc.insert_edge(&self.graph, &mut self.index, a, b);
-            Ok(UpdateStats::from_counters(UpdateKind::WeightChange, c))
-        } else {
-            let c = self.dec.increase_weight(
-                &mut self.graph,
-                &mut self.index,
-                a,
-                b,
-                w,
-                self.maintenance_threads.resolve(),
-            )?;
-            self.flat = None;
-            Ok(UpdateStats::from_counters(UpdateKind::WeightChange, c))
-        }
-    }
-
-    /// Applies `updates` as one epoch: per-edge operations fold into their
-    /// net effect (insert + delete cancels; consecutive weight changes
-    /// collapse to the last; delete + re-insert at the original weight is
-    /// a no-op, at a different weight a plain weight change), then the net
-    /// operations run in rank-friendly order — deletions, then weight
-    /// changes, then insertions, each ordered by the higher-ranked
-    /// endpoint. The whole net-deletion set repairs through one agenda.
-    /// Returns the aggregated [`UpdateStats`]. Validation mirrors applying
-    /// the operations one by one.
-    pub fn apply_batch(&mut self, updates: &[WeightedUpdate]) -> dspc_graph::Result<UpdateStats> {
-        let mut co: EdgeCoalescer<Weight> = EdgeCoalescer::new();
-        for &u in updates {
-            match u {
-                WeightedUpdate::InsertEdge(a, b, w) => {
-                    let graph = &self.graph;
-                    crate::engine::check_endpoints(a, b, |v| graph.contains_vertex(v))?;
-                    co.fold_insert(ordered_key(a, b), w, || graph.weight(a, b))?;
-                }
-                WeightedUpdate::DeleteEdge(a, b) => {
-                    let graph = &self.graph;
-                    crate::engine::check_endpoints(a, b, |v| graph.contains_vertex(v))?;
-                    co.fold_remove(ordered_key(a, b), || graph.weight(a, b))?;
-                }
-                WeightedUpdate::SetWeight(a, b, w) => {
-                    let graph = &self.graph;
-                    crate::engine::check_endpoints(a, b, |v| graph.contains_vertex(v))?;
-                    co.fold_rewrite(ordered_key(a, b), w, || graph.weight(a, b))?;
-                }
-            }
-        }
-        let index = &self.index;
-        let plan = crate::engine::NetPlan::build(co.drain(), |v| index.rank(VertexId(v)));
-        let mut total = UpdateStats::empty(UpdateKind::Batch);
-        let deletions = plan.vertex_deletions();
-        if !deletions.is_empty() {
-            total.absorb(&self.delete_edges(&deletions)?);
-        }
-        for op in plan.into_post_deletion_ops() {
-            total.absorb(&match op {
-                crate::engine::NetOp::Rewrite(a, b, w) => self.set_weight(a, b, w)?,
-                crate::engine::NetOp::Insert(a, b, w) => self.insert_edge(a, b, w)?,
-            });
-        }
-        Ok(total)
+        self.rewrite(a, b, w)
     }
 }
 
@@ -449,8 +260,9 @@ pub enum WeightedUpdate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::order::RankMap;
+    use crate::order::{OrderingStrategy, RankMap};
     use dspc_graph::generators::classic::path_graph;
+    use dspc_graph::WeightedGraph;
 
     #[test]
     fn wlabel_set_ops() {
@@ -490,5 +302,160 @@ mod tests {
         labels[2].upsert(WLabelEntry::new(ranks.rank(VertexId(0)), WDIST_INF, 1));
         let idx = WeightedSpcIndex::new(labels, ranks);
         assert!(idx.check_invariants().is_err());
+    }
+
+    #[test]
+    fn zero_weight_batches_fail_before_mutating() {
+        let g = WeightedGraph::from_weighted_edges(4, &[(0, 1, 2), (1, 2, 3), (2, 3, 1)]);
+        let mut d = DynamicWeightedSpc::build(g, OrderingStrategy::Degree);
+        for zero in [
+            WeightedUpdate::InsertEdge(VertexId(0), VertexId(3), 0),
+            WeightedUpdate::SetWeight(VertexId(1), VertexId(2), 0),
+        ] {
+            let batch = [WeightedUpdate::DeleteEdge(VertexId(0), VertexId(1)), zero];
+            assert!(matches!(
+                d.apply_batch(&batch),
+                Err(dspc_graph::GraphError::InvalidWeight(_))
+            ));
+            assert_eq!(d.graph().weight(VertexId(0), VertexId(1)), Some(2));
+            assert_eq!(d.graph().weight(VertexId(1), VertexId(2)), Some(3));
+            assert_eq!(d.query(VertexId(0), VertexId(3)), Some((6, 1)));
+        }
+    }
+}
+
+/// Appendix C.2's IncSPC / DecSPC, tested through the facade.
+#[cfg(test)]
+mod update {
+    mod tests {
+        use crate::order::OrderingStrategy;
+        use crate::weighted::{weighted_spc_query, DynamicWeightedSpc, WeightedSpcIndex};
+        use dspc_graph::generators::random::{erdos_renyi_gnm, random_weights};
+        use dspc_graph::traversal::dijkstra::DijkstraCounter;
+        use dspc_graph::{VertexId, WeightedGraph};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        fn assert_matches_oracle(g: &WeightedGraph, index: &WeightedSpcIndex) {
+            let mut dj = DijkstraCounter::new(g.capacity());
+            for s in g.vertices() {
+                for t in g.vertices() {
+                    assert_eq!(
+                        weighted_spc_query(index, s, t).as_option(),
+                        dj.count(g, s, t),
+                        "pair ({s:?}, {t:?})"
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn insert_edge_incremental() {
+            let g = WeightedGraph::from_weighted_edges(4, &[(0, 1, 2), (1, 2, 2), (2, 3, 2)]);
+            let mut d = DynamicWeightedSpc::build(g, OrderingStrategy::Degree);
+            assert_eq!(d.query(VertexId(0), VertexId(3)), Some((6, 1)));
+            d.insert_edge(VertexId(0), VertexId(3), 6).unwrap();
+            // Equal-length alternative: counts accumulate.
+            assert_eq!(d.query(VertexId(0), VertexId(3)), Some((6, 2)));
+            assert_matches_oracle(d.graph(), d.index());
+            d.insert_edge(VertexId(0), VertexId(2), 1).unwrap();
+            assert_eq!(d.query(VertexId(0), VertexId(3)), Some((3, 1)));
+            assert_matches_oracle(d.graph(), d.index());
+        }
+
+        #[test]
+        fn decrease_weight_is_incremental() {
+            let g = WeightedGraph::from_weighted_edges(3, &[(0, 1, 5), (1, 2, 5), (0, 2, 20)]);
+            let mut d = DynamicWeightedSpc::build(g, OrderingStrategy::Degree);
+            assert_eq!(d.query(VertexId(0), VertexId(2)), Some((10, 1)));
+            d.set_weight(VertexId(0), VertexId(2), 10).unwrap();
+            assert_eq!(d.query(VertexId(0), VertexId(2)), Some((10, 2)));
+            d.set_weight(VertexId(0), VertexId(2), 3).unwrap();
+            assert_eq!(d.query(VertexId(0), VertexId(2)), Some((3, 1)));
+            assert_matches_oracle(d.graph(), d.index());
+        }
+
+        #[test]
+        fn increase_weight_is_decremental() {
+            let g = WeightedGraph::from_weighted_edges(3, &[(0, 1, 5), (1, 2, 5), (0, 2, 3)]);
+            let mut d = DynamicWeightedSpc::build(g, OrderingStrategy::Degree);
+            assert_eq!(d.query(VertexId(0), VertexId(2)), Some((3, 1)));
+            d.set_weight(VertexId(0), VertexId(2), 10).unwrap();
+            assert_eq!(d.query(VertexId(0), VertexId(2)), Some((10, 2)));
+            assert_matches_oracle(d.graph(), d.index());
+            d.set_weight(VertexId(0), VertexId(2), 50).unwrap();
+            assert_eq!(d.query(VertexId(0), VertexId(2)), Some((10, 1)));
+            assert_matches_oracle(d.graph(), d.index());
+        }
+
+        #[test]
+        fn delete_edge_decremental() {
+            let g = WeightedGraph::from_weighted_edges(
+                4,
+                &[(0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, 1), (0, 3, 2)],
+            );
+            let mut d = DynamicWeightedSpc::build(g, OrderingStrategy::Degree);
+            assert_eq!(d.query(VertexId(0), VertexId(3)), Some((2, 3)));
+            d.delete_edge(VertexId(0), VertexId(3)).unwrap();
+            assert_eq!(d.query(VertexId(0), VertexId(3)), Some((2, 2)));
+            assert_matches_oracle(d.graph(), d.index());
+            d.delete_edge(VertexId(1), VertexId(3)).unwrap();
+            d.delete_edge(VertexId(2), VertexId(3)).unwrap();
+            assert_eq!(d.query(VertexId(0), VertexId(3)), None);
+            assert_matches_oracle(d.graph(), d.index());
+        }
+
+        #[test]
+        fn vertex_lifecycle_weighted() {
+            let g = WeightedGraph::from_weighted_edges(3, &[(0, 1, 2), (1, 2, 3)]);
+            let mut d = DynamicWeightedSpc::build(g, OrderingStrategy::Degree);
+            let v = d.add_vertex();
+            d.insert_edge(v, VertexId(0), 1).unwrap();
+            d.insert_edge(v, VertexId(2), 1).unwrap();
+            // Shortcut through the new vertex: 0 → v → 2 costs 2 < 5.
+            assert_eq!(d.query(VertexId(0), VertexId(2)), Some((2, 1)));
+            assert_matches_oracle(d.graph(), d.index());
+            d.delete_vertex(v).unwrap();
+            assert_eq!(d.query(VertexId(0), VertexId(2)), Some((5, 1)));
+            assert_matches_oracle(d.graph(), d.index());
+            d.index().check_invariants().unwrap();
+        }
+
+        #[test]
+        fn random_weighted_update_streams() {
+            let mut rng = StdRng::seed_from_u64(2718);
+            for trial in 0..4 {
+                let base = erdos_renyi_gnm(20 + trial * 4, 55, &mut rng);
+                let g = random_weights(&base, 5, &mut rng);
+                let mut d = DynamicWeightedSpc::build(g, OrderingStrategy::Degree);
+                for step in 0..20 {
+                    let roll: f64 = rng.gen();
+                    if roll < 0.35 || d.graph().num_edges() == 0 {
+                        loop {
+                            let a = rng.gen_range(0..d.graph().capacity() as u32);
+                            let b = rng.gen_range(0..d.graph().capacity() as u32);
+                            if a != b && !d.graph().has_edge(VertexId(a), VertexId(b)) {
+                                d.insert_edge(VertexId(a), VertexId(b), rng.gen_range(1..=5))
+                                    .unwrap();
+                                break;
+                            }
+                        }
+                    } else if roll < 0.6 {
+                        let edges: Vec<_> = d.graph().edges().collect();
+                        let (a, b, _) = edges[rng.gen_range(0..edges.len())];
+                        d.delete_edge(a, b).unwrap();
+                    } else {
+                        let edges: Vec<_> = d.graph().edges().collect();
+                        let (a, b, _) = edges[rng.gen_range(0..edges.len())];
+                        d.set_weight(a, b, rng.gen_range(1..=8)).unwrap();
+                    }
+                    if step % 5 == 4 {
+                        assert_matches_oracle(d.graph(), d.index());
+                        d.index().check_invariants().unwrap();
+                    }
+                }
+                assert_matches_oracle(d.graph(), d.index());
+            }
+        }
     }
 }

@@ -1,17 +1,14 @@
 //! The two capability traits the server is generic over: what a published
 //! snapshot can answer, and what a live engine can do between rotations.
 
-use dspc::directed::{directed_spc_query, DynamicDirectedSpc};
-use dspc::dynamic::GraphUpdate;
+use dspc::dynamic::{Dynamic, GraphUpdate};
+use dspc::engine::Variant;
 use dspc::policy::ManagedSpc;
 use dspc::query::{spc_query, RowPin};
 use dspc::shard::ShardedFlatIndex;
-use dspc::weighted::{
-    weighted_spc_query, DynamicWeightedSpc, WLabelEntry, WQueryResult, WeightedUpdate,
-};
+use dspc::weighted::{WLabelEntry, WQueryResult};
 use dspc::{
-    DirectedFlatIndex, DynamicSpc, FlatScratch, KernelCounters, QueryResult, UpdateStats,
-    WeightedFlatIndex,
+    DirectedFlatIndex, FlatScratch, KernelCounters, QueryResult, UpdateStats, WeightedFlatIndex,
 };
 use dspc_graph::VertexId;
 
@@ -198,20 +195,27 @@ pub trait ServingEngine: Send + 'static {
     fn query_live(&self, s: VertexId, t: VertexId) -> <Self::Snapshot as ServingSnapshot>::Answer;
 }
 
-impl ServingEngine for DynamicSpc {
-    type Snapshot = ShardedFlatIndex;
-    type Update = GraphUpdate;
+/// Every facade, whichever its variant: the epoch batch applies through
+/// [`Dynamic::apply_batch`] and the snapshot is [`Dynamic::publish`]'s.
+impl<V: Variant> ServingEngine for Dynamic<V>
+where
+    Dynamic<V>: Send,
+    V::Update: crate::journal::JournalUpdate + Send,
+    V::Snapshot: ServingSnapshot<Answer = V::Answer>,
+{
+    type Snapshot = V::Snapshot;
+    type Update = V::Update;
 
-    fn apply_batch(&mut self, updates: &[GraphUpdate]) -> dspc_graph::Result<UpdateStats> {
-        DynamicSpc::apply_batch(self, updates)
+    fn apply_batch(&mut self, updates: &[V::Update]) -> dspc_graph::Result<UpdateStats> {
+        Dynamic::apply_batch(self, updates)
     }
 
-    fn freeze(&mut self, shards: usize) -> ShardedFlatIndex {
+    fn freeze(&mut self, shards: usize) -> V::Snapshot {
         self.publish(shards)
     }
 
-    fn query_live(&self, s: VertexId, t: VertexId) -> QueryResult {
-        spc_query(self.index(), s, t)
+    fn query_live(&self, s: VertexId, t: VertexId) -> V::Answer {
+        V::query(self.index(), s, t).into()
     }
 }
 
@@ -233,42 +237,5 @@ impl ServingEngine for ManagedSpc {
 
     fn query_live(&self, s: VertexId, t: VertexId) -> QueryResult {
         spc_query(self.inner().index(), s, t)
-    }
-}
-
-impl ServingEngine for DynamicDirectedSpc {
-    type Snapshot = DirectedFlatIndex;
-    type Update = dspc::directed::ArcUpdate;
-
-    fn apply_batch(
-        &mut self,
-        updates: &[dspc::directed::ArcUpdate],
-    ) -> dspc_graph::Result<UpdateStats> {
-        DynamicDirectedSpc::apply_batch(self, updates)
-    }
-
-    fn freeze(&mut self, _shards: usize) -> DirectedFlatIndex {
-        self.publish()
-    }
-
-    fn query_live(&self, s: VertexId, t: VertexId) -> QueryResult {
-        directed_spc_query(self.index(), s, t)
-    }
-}
-
-impl ServingEngine for DynamicWeightedSpc {
-    type Snapshot = WeightedFlatIndex;
-    type Update = WeightedUpdate;
-
-    fn apply_batch(&mut self, updates: &[WeightedUpdate]) -> dspc_graph::Result<UpdateStats> {
-        DynamicWeightedSpc::apply_batch(self, updates)
-    }
-
-    fn freeze(&mut self, _shards: usize) -> WeightedFlatIndex {
-        self.publish()
-    }
-
-    fn query_live(&self, s: VertexId, t: VertexId) -> WQueryResult {
-        weighted_spc_query(self.index(), s, t)
     }
 }

@@ -472,6 +472,57 @@ fn quarantined_batches_are_voided_in_the_wal_and_skipped_by_replay() {
     assert_next_rotation_identical(&mut recovered, &mut reference, &script[2]);
 }
 
+/// A batch whose vertex op fails only after its edge segment would have
+/// flushed is quarantined whole: nothing of it reaches the live index, so
+/// the next rotation publishes only its own batch, and recovery (which
+/// skips the voided batch) equals the never-crashed server.
+#[test]
+fn quarantined_vertex_batch_leaves_no_partial_segment() {
+    let dir = scratch_dir("quarantine_vertex");
+    let ref_dir = scratch_dir("quarantine_vertex_ref");
+    let cycle = || UndirectedGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+    let run = |dir: &Path| -> EpochServer<DynamicSpc> {
+        let engine = DynamicSpc::build(cycle(), OrderingStrategy::Degree);
+        let mut server = EpochServer::with_journal(engine, CFG, dir).expect("fresh journal dir");
+        let poisoned = vec![
+            GraphUpdate::DeleteEdge(VertexId(0), VertexId(1)),
+            GraphUpdate::DeleteVertex(VertexId(99)),
+        ];
+        server.submit(poisoned.clone()).expect("journaled submit");
+        let err = server.rotate().unwrap_err();
+        assert!(matches!(err.kind, RotationFailure::Invalid(_)));
+        assert_eq!(err.rejected, poisoned, "quarantined batch is handed back");
+        server
+            .submit(vec![GraphUpdate::InsertEdge(VertexId(1), VertexId(3))])
+            .expect("journaled submit");
+        server.rotate().expect("valid batch");
+        server
+    };
+
+    drop(run(dir.path()));
+    let (recovered, report) =
+        EpochServer::<DynamicSpc>::recover(dir.path(), CFG).expect("recovery");
+    assert_eq!(report.quarantined_updates_skipped, 2);
+    let reference = run(ref_dir.path());
+    let mut reader = reference.reader();
+    assert_eq!(recovered.epoch(), reference.epoch(), "epoch clock");
+    assert_eq!(
+        recovered.engine().updates_since_build(),
+        reference.engine().updates_since_build(),
+        "engine update pressure"
+    );
+    for s in 0..4 {
+        for t in 0..4 {
+            let (s, t) = (VertexId(s), VertexId(t));
+            let live = reference.engine().query_live(s, t);
+            assert_eq!(recovered.engine().query_live(s, t), live, "{s:?} -> {t:?}");
+            assert_eq!(reader.query(s, t).1, live, "published {s:?} -> {t:?}");
+        }
+    }
+    let kept = reference.engine().query(VertexId(0), VertexId(1));
+    assert_eq!(kept, Some((1, 1)), "the quarantined deletion never applied");
+}
+
 #[test]
 fn with_journal_refuses_an_initialized_directory() {
     let dir = scratch_dir("refuse_reinit");

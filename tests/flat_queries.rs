@@ -126,31 +126,29 @@ proptest! {
         }
     }
 
-    /// `frozen_queries` snapshots stay exact across `apply_batch` epochs:
-    /// every mutation drops the cache, and the refrozen snapshot answers
-    /// like the repaired live index.
+    /// Published snapshots stay exact across `apply_batch` epochs: the
+    /// snapshot published after each batch answers like the repaired live
+    /// index.
     #[test]
     fn frozen_snapshot_invalidates_across_batches(
         g in graph_strategy(14),
         picks in proptest::collection::vec(0usize..1 << 12, 1..4),
     ) {
         let mut d = DynamicSpc::build(g, OrderingStrategy::Degree);
-        d.frozen_queries();
-        prop_assert!(d.has_frozen_snapshot());
+        d.publish(1);
         for pick in picks {
             let m = d.graph().num_edges();
             if m == 0 { break; }
             let (a, b) = d.graph().nth_edge(pick % m).unwrap();
             d.apply_batch(&[GraphUpdate::DeleteEdge(a, b)]).unwrap();
-            prop_assert!(!d.has_frozen_snapshot(), "mutation must drop the snapshot");
+            let snapshot = d.publish(1);
             let vs: Vec<VertexId> = d.graph().vertices().collect();
             for &s in &vs {
                 for &t in &vs {
                     let live = d.query(s, t);
-                    prop_assert_eq!(d.frozen_queries().query(s, t).as_option(), live);
+                    prop_assert_eq!(snapshot.query(s, t).as_option(), live);
                 }
             }
-            prop_assert!(d.has_frozen_snapshot());
         }
     }
 }
@@ -264,42 +262,32 @@ proptest! {
     }
 }
 
-/// Deterministic spot checks of the directed and weighted facades'
-/// invalidation flags (kept out of proptest: one shape suffices).
+/// Deterministic spot checks that the directed and weighted facades
+/// publish the repaired index after a mutation (kept out of proptest: one
+/// shape suffices).
 #[test]
 fn directed_and_weighted_facades_invalidate() {
     let g = dspc_graph::DirectedGraph::from_arcs(4, &[(0, 1), (1, 2), (2, 3), (0, 3)]);
     let mut d = DynamicDirectedSpc::build(g, OrderingStrategy::Degree);
     assert_eq!(
-        d.frozen_queries()
-            .query(VertexId(0), VertexId(3))
-            .as_option(),
+        d.publish(1).query(VertexId(0), VertexId(3)).as_option(),
         Some((1, 1))
     );
-    assert!(d.has_frozen_snapshot());
     d.delete_arc(VertexId(0), VertexId(3)).unwrap();
-    assert!(!d.has_frozen_snapshot());
     assert_eq!(
-        d.frozen_queries()
-            .query(VertexId(0), VertexId(3))
-            .as_option(),
+        d.publish(1).query(VertexId(0), VertexId(3)).as_option(),
         Some((3, 1))
     );
 
     let wg = dspc_graph::WeightedGraph::from_weighted_edges(3, &[(0, 1, 2), (1, 2, 2), (0, 2, 5)]);
     let mut w = DynamicWeightedSpc::build(wg, OrderingStrategy::Degree);
     assert_eq!(
-        w.frozen_queries()
-            .query(VertexId(0), VertexId(2))
-            .as_option(),
+        w.publish(1).query(VertexId(0), VertexId(2)).as_option(),
         Some((4, 1))
     );
     w.set_weight(VertexId(0), VertexId(2), 3).unwrap();
-    assert!(!w.has_frozen_snapshot());
     assert_eq!(
-        w.frozen_queries()
-            .query(VertexId(0), VertexId(2))
-            .as_option(),
+        w.publish(1).query(VertexId(0), VertexId(2)).as_option(),
         Some((3, 1))
     );
 }
