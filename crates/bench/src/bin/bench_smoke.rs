@@ -217,7 +217,7 @@ fn directed(report: &mut BTreeMap<String, u64>, threads: MaintenanceThreads) {
     let mut scratch = FlatScratch::new();
     for (k, &(s, t)) in pairs.iter().enumerate() {
         assert_eq!(
-            flat.query_counted(&mut scratch, &mut flat_c, s, t),
+            flat.query_counted(&mut scratch, std::slice::from_mut(&mut flat_c), s, t),
             live[k],
             "flat/live directed query divergence at {s:?}->{t:?}"
         );
@@ -259,7 +259,7 @@ fn weighted(report: &mut BTreeMap<String, u64>, threads: MaintenanceThreads) {
     let mut scratch = FlatScratch::new();
     for (k, &(s, t)) in pairs.iter().enumerate() {
         assert_eq!(
-            flat.query_counted(&mut scratch, &mut flat_c, s, t),
+            flat.query_counted(&mut scratch, std::slice::from_mut(&mut flat_c), s, t),
             live[k],
             "flat/live weighted query divergence at {s:?}->{t:?}"
         );

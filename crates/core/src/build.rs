@@ -19,21 +19,21 @@
 //! of the paper's *non-canonical* labels, e.g. `(v2, 2, 1) ∈ L(v8)` in
 //! Table 2).
 
-use crate::engine::{PushPipeline, Undirected};
+use crate::engine::{Pipeline, Undirected};
 use crate::index::SpcIndex;
 use crate::order::{OrderingStrategy, RankMap};
 use dspc_graph::UndirectedGraph;
 
 /// One-shot build: the SPC-Index of `g` under a fresh `strategy` order.
-/// [`crate::DynamicSpc`] builds and rebuilds through the
-/// [`PushPipeline`] it owns instead, reusing its scratch.
+/// [`crate::DynamicSpc`] builds and rebuilds through the [`Pipeline`] it
+/// owns instead, reusing its scratch.
 pub fn build_index(g: &UndirectedGraph, strategy: OrderingStrategy) -> SpcIndex {
-    PushPipeline::<Undirected>::new(g.capacity()).build(g, strategy)
+    Pipeline::<Undirected>::new(g.capacity()).build(g, strategy)
 }
 
 /// One-shot build under an existing ordering (the reconstruction baseline).
 pub fn rebuild_index(g: &UndirectedGraph, ranks: RankMap) -> SpcIndex {
-    PushPipeline::<Undirected>::new(g.capacity()).rebuild(g, ranks)
+    Pipeline::<Undirected>::new(g.capacity()).rebuild(g, ranks)
 }
 
 #[cfg(test)]
@@ -157,7 +157,7 @@ mod tests {
 
     #[test]
     fn builder_reuse_is_clean() {
-        let mut b = PushPipeline::<Undirected>::new(0);
+        let mut b = Pipeline::<Undirected>::new(0);
         let g1 = cycle_graph(7);
         let i1 = b.build(&g1, OrderingStrategy::Degree);
         let g2 = grid_graph(3, 3);

@@ -33,21 +33,21 @@
 //! anywhere uses as a hub (tracked exactly by the index's hub-entry
 //! counts; [`crate::engine::Variant::pendant_fast_path`]).
 
-use crate::engine::{DecPipeline, Undirected};
+use crate::engine::{Pipeline, Undirected};
 
 pub use crate::engine::{DecMode, SrrOutcome};
 
-/// Reusable DecSPC driver (Algorithm 4): the shared [`DecPipeline`] over the
+/// Reusable DecSPC driver (Algorithm 4): the shared [`Pipeline`] over the
 /// undirected variant, with the §3.2.3 isolated-vertex fast path and the
-/// [`DecMode`] ablation hook ([`DecPipeline::delete_edge_with_mode`]).
+/// [`DecMode`] ablation hook ([`Pipeline::delete_edge_with_mode`]).
 /// [`crate::DynamicSpc`] sequences it with the graph for you.
-pub type DecSpc = DecPipeline<Undirected>;
+pub type DecSpc = Pipeline<Undirected>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::build_index;
-    use crate::engine::{MaintenanceCounters, UndirectedTopo, UpdateEngine};
+    use crate::engine::{MaintenanceCounters, Topo, UpdateEngine, REPAIR_PRIMARY};
     use crate::index::SpcIndex;
     use crate::order::OrderingStrategy;
     use crate::query::{spc_query, HubProbe};
@@ -67,7 +67,7 @@ mod tests {
         let mut engine = UpdateEngine::new(g.capacity());
         let mut probe = HubProbe::new(g.capacity());
         let mut stats = MaintenanceCounters::default();
-        let mut topo = UndirectedTopo::new(g, index, &mut probe);
+        let mut topo = Topo::new(g, index, &mut probe, REPAIR_PRIMARY);
         let (sr_a, r_a) = engine.srr_pass(&mut topo, a, b, 1, &mut stats);
         let (sr_b, r_b) = engine.srr_pass(&mut topo, b, a, 1, &mut stats);
         SrrOutcome {

@@ -6,23 +6,22 @@
 //! index in the matching direction (`L_out(h) ⋈ L_in(w)` forward,
 //! `L_out(w) ⋈ L_in(h)` backward), strictly, as in the undirected build.
 //! Both sweeps are [`crate::engine::UpdateEngine::inc_pass`] seeded at the
-//! hub, through a [`crate::engine::DirectedTopo`] view of the family they
-//! write.
+//! hub, through a [`crate::engine::Topo`] view of the family they write.
 
 use super::DirectedSpcIndex;
-use crate::engine::{Directed, PushPipeline};
+use crate::engine::{Directed, Pipeline};
 use crate::order::{OrderingStrategy, RankMap};
 use dspc_graph::DirectedGraph;
 
 /// One-shot directed build (ranked by in + out degree under `Degree`).
 pub fn build_directed_index(g: &DirectedGraph, strategy: OrderingStrategy) -> DirectedSpcIndex {
-    PushPipeline::<Directed>::new(g.capacity()).build(g, strategy)
+    Pipeline::<Directed>::new(g.capacity()).build(g, strategy)
 }
 
 /// One-shot directed build over an explicit rank map — the comparison
 /// target for [`crate::reorder::rerank_adjacent`].
 pub fn rebuild_directed_index(g: &DirectedGraph, ranks: RankMap) -> DirectedSpcIndex {
-    PushPipeline::<Directed>::new(g.capacity()).rebuild(g, ranks)
+    Pipeline::<Directed>::new(g.capacity()).rebuild(g, ranks)
 }
 
 #[cfg(test)]

@@ -9,9 +9,9 @@
 //! Construction runs two rank-pruned BFSs per hub — forward (emitting
 //! `L_in` labels of reached vertices) and backward (emitting `L_out`) — and
 //! the update algorithms mirror the undirected ones with directions
-//! attached. [`DynamicDirectedSpc`] is the facade over [`Directed`]; the
-//! shared pipelines run both halves through [`crate::engine::DirectedTopo`]
-//! views.
+//! attached. [`DirectedSpcIndex`] is the label store over [`Directed`]
+//! and [`DynamicDirectedSpc`] the facade; the shared pipeline runs both
+//! halves through [`crate::engine::Topo`] views of the family each repairs.
 //!
 //! ## IncSPC / DecSPC over arcs
 //!
@@ -36,12 +36,11 @@ pub mod build;
 pub use build::{build_directed_index, rebuild_directed_index};
 
 use crate::dynamic::{Dynamic, UpdateStats};
-use crate::engine::Directed;
-use crate::label::{LabelEntry, LabelSet, Rank, SharedRows, INF_DIST};
-use crate::order::RankMap;
+use crate::engine::{Directed, REPAIR_PRIMARY, REPAIR_SECONDARY};
+use crate::index::LabelIndex;
+use crate::label::LabelSet;
 use crate::query::{pre_query_rows, query_rows, QueryResult};
 use dspc_graph::VertexId;
-use serde::{Deserialize, Serialize};
 
 /// Which label family a sweep writes into.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,152 +60,43 @@ impl Side {
             Side::Out => Side::In,
         }
     }
+
+    /// The repair-agenda flag naming this family in the label store.
+    #[inline]
+    pub fn family(self) -> u8 {
+        match self {
+            Side::In => REPAIR_PRIMARY,
+            Side::Out => REPAIR_SECONDARY,
+        }
+    }
 }
 
 /// The directed SPC-Index: `L_in` and `L_out` per vertex.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct DirectedSpcIndex {
-    labels_in: Vec<LabelSet>,
-    labels_out: Vec<LabelSet>,
-    ranks: RankMap,
-}
+pub type DirectedSpcIndex = LabelIndex<Directed>;
 
 impl DirectedSpcIndex {
-    /// Index whose every row, on both sides, is empty: where construction
-    /// starts.
-    pub(crate) fn with_empty_rows(ranks: RankMap) -> Self {
-        let n = ranks.len();
-        DirectedSpcIndex {
-            labels_in: vec![LabelSet::default(); n],
-            labels_out: vec![LabelSet::default(); n],
-            ranks,
-        }
-    }
-
-    /// Index with only self labels on both sides.
-    pub fn self_labeled(ranks: RankMap) -> Self {
-        let n = ranks.len();
-        let mk = |_| {
-            (0..n)
-                .map(|v| LabelSet::self_only(ranks.rank(VertexId(v as u32))))
-                .collect::<Vec<_>>()
-        };
-        DirectedSpcIndex {
-            labels_in: mk(()),
-            labels_out: mk(()),
-            ranks,
-        }
-    }
-
-    /// The vertex total order.
-    pub fn ranks(&self) -> &RankMap {
-        &self.ranks
-    }
-
-    /// Rank of `v`.
-    #[inline]
-    pub fn rank(&self, v: VertexId) -> Rank {
-        self.ranks.rank(v)
-    }
-
-    /// Vertex at rank `r`.
-    #[inline]
-    pub fn vertex(&self, r: Rank) -> VertexId {
-        self.ranks.vertex(r)
-    }
-
     /// `L_in(v)`.
     #[inline]
     pub fn label_in(&self, v: VertexId) -> &LabelSet {
-        &self.labels_in[v.index()]
+        self.row(v, REPAIR_PRIMARY)
     }
 
     /// `L_out(v)`.
     #[inline]
     pub fn label_out(&self, v: VertexId) -> &LabelSet {
-        &self.labels_out[v.index()]
+        self.row(v, REPAIR_SECONDARY)
     }
 
     /// Label set for `side` of `v`.
     #[inline]
     pub fn label(&self, side: Side, v: VertexId) -> &LabelSet {
-        match side {
-            Side::In => &self.labels_in[v.index()],
-            Side::Out => &self.labels_out[v.index()],
-        }
+        self.row(v, side.family())
     }
 
-    /// Mutable label set for `side` of `v`.
+    /// Raw mutable label set for `side` of `v` ([`LabelIndex::row_mut`]).
     #[inline]
     pub fn label_mut(&mut self, side: Side, v: VertexId) -> &mut LabelSet {
-        match side {
-            Side::In => &mut self.labels_in[v.index()],
-            Side::Out => &mut self.labels_out[v.index()],
-        }
-    }
-
-    /// Publishes one label family for readers — the directed twin of
-    /// [`crate::index::SpcIndex::publish`]: written rows become shared,
-    /// one handle per vertex comes back.
-    pub fn publish(&mut self, side: Side) -> SharedRows<LabelEntry> {
-        SharedRows::publish(match side {
-            Side::In => &mut self.labels_in,
-            Side::Out => &mut self.labels_out,
-        })
-    }
-
-    /// Swaps the vertices at ranks `r` and `r + 1` without touching either
-    /// label family — the directed twin of
-    /// [`crate::index::SpcIndex::swap_adjacent_ranks`]; the caller
-    /// ([`crate::engine::PushPipeline::rerank`]) purges both ranks' entries
-    /// from both families and re-pushes both hubs.
-    pub fn swap_adjacent_ranks(&mut self, r: Rank) {
-        self.ranks.swap_adjacent(r);
-    }
-
-    /// Registers a freshly added isolated vertex at the lowest rank with
-    /// self labels on both sides; returns its rank.
-    pub fn append_vertex(&mut self, v: VertexId) -> Rank {
-        let r = self.ranks.append_vertex(v);
-        self.labels_in.push(LabelSet::self_only(r));
-        self.labels_out.push(LabelSet::self_only(r));
-        r
-    }
-
-    /// Total entries across both sides.
-    pub fn num_entries(&self) -> usize {
-        self.labels_in.iter().map(LabelSet::len).sum::<usize>()
-            + self.labels_out.iter().map(LabelSet::len).sum::<usize>()
-    }
-
-    /// Structural invariants on both sides: sorted rows, self labels,
-    /// upward hubs, finite distances, positive counts.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        for (name, family) in [("L_in", &self.labels_in), ("L_out", &self.labels_out)] {
-            for (vi, ls) in family.iter().enumerate() {
-                let v = VertexId(vi as u32);
-                if !ls.is_sorted_strict() {
-                    return Err(format!("{name}({v}) not strictly sorted"));
-                }
-                let self_rank = self.ranks.rank(v);
-                match ls.get(self_rank) {
-                    Some(e) if e.dist == 0 && e.count == 1 => {}
-                    _ => return Err(format!("{name}({v}) self label missing or malformed")),
-                }
-                for e in ls.entries() {
-                    if e.hub > self_rank {
-                        return Err(format!("{name}({v}) hub ranked below owner"));
-                    }
-                    if e.dist == INF_DIST {
-                        return Err(format!("{name}({v}) infinite distance"));
-                    }
-                    if e.count == 0 {
-                        return Err(format!("{name}({v}) zero-count label"));
-                    }
-                }
-            }
-        }
-        Ok(())
+        self.row_mut(v, side.family())
     }
 }
 
@@ -266,7 +156,8 @@ impl Dynamic<Directed> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::order::OrderingStrategy;
+    use crate::label::{LabelEntry, Rank, INF_DIST};
+    use crate::order::{OrderingStrategy, RankMap};
     use dspc_graph::DirectedGraph;
 
     #[test]

@@ -63,10 +63,11 @@
 
 use crate::dec::SrrOutcome;
 use crate::engine::{
-    check_endpoints, DecPipeline, EdgeCoalescer, MaintenanceCounters, NetOp, NetPlan, PushPipeline,
-    Undirected, UpdateOp, Variant,
+    check_endpoints, EdgeCoalescer, MaintenanceCounters, NetOp, NetPlan, Pipeline, Undirected,
+    UpdateOp, Variant,
 };
-use crate::index::IndexStats;
+use crate::flat::Snapshot;
+use crate::index::{IndexStats, LabelIndex};
 use crate::label::{Count, LabelDist, Rank};
 use crate::order::OrderingStrategy;
 use crate::parallel::MaintenanceThreads;
@@ -163,11 +164,9 @@ pub enum GraphUpdate {
 #[derive(Debug)]
 pub struct Dynamic<V: Variant> {
     graph: V::Graph,
-    index: V::Index,
-    /// Insertion repair, and the scratch every build, rebuild and re-rank
-    /// runs on.
-    inc: PushPipeline<V>,
-    dec: DecPipeline<V>,
+    index: LabelIndex<V>,
+    /// The scratch every update, build, rebuild and re-rank runs on.
+    pipeline: Pipeline<V>,
     strategy: OrderingStrategy,
     updates_since_build: usize,
     maintenance_threads: MaintenanceThreads,
@@ -179,14 +178,12 @@ pub type DynamicSpc = Dynamic<Undirected>;
 impl<V: Variant> Dynamic<V> {
     /// Builds the index for `graph` under `strategy` and wraps both.
     pub fn build(graph: V::Graph, strategy: OrderingStrategy) -> Self {
-        let cap = V::capacity(&graph);
-        let mut inc = PushPipeline::new(cap);
-        let index = inc.build(&graph, strategy);
+        let mut pipeline = Pipeline::new(V::capacity(&graph));
+        let index = pipeline.build(&graph, strategy);
         Dynamic {
             graph,
             index,
-            inc,
-            dec: DecPipeline::new(cap),
+            pipeline,
             strategy,
             updates_since_build: 0,
             maintenance_threads: MaintenanceThreads::default(),
@@ -201,18 +198,17 @@ impl<V: Variant> Dynamic<V> {
     ///
     /// The caller asserts `index` is exact for `graph`; the id spaces must
     /// at least agree (checked here).
-    pub fn from_parts(graph: V::Graph, index: V::Index, strategy: OrderingStrategy) -> Self {
+    pub fn from_parts(graph: V::Graph, index: LabelIndex<V>, strategy: OrderingStrategy) -> Self {
         let cap = V::capacity(&graph);
         assert_eq!(
-            V::ranks(&index).len(),
+            index.num_vertices(),
             cap,
             "index and graph id spaces disagree"
         );
         Dynamic {
             graph,
             index,
-            inc: PushPipeline::new(cap),
-            dec: DecPipeline::new(cap),
+            pipeline: Pipeline::new(cap),
             strategy,
             updates_since_build: 0,
             maintenance_threads: MaintenanceThreads::default(),
@@ -222,11 +218,10 @@ impl<V: Variant> Dynamic<V> {
     /// Publishes the current epoch's serving snapshot: every label row
     /// written since the previous publish becomes shared, every other row
     /// is handed out again as is. Costs `O(n)` handle clones plus the rows
-    /// the epoch changed. `shards` counter-attribution ranges apply to the
-    /// undirected snapshot ([`crate::shard::ShardedFlatIndex::publish`]);
-    /// the directed and weighted snapshots ignore it.
-    pub fn publish(&mut self, shards: usize) -> V::Snapshot {
-        V::publish(&mut self.index, shards)
+    /// the epoch changed. The snapshot attributes query counters over
+    /// `shards` evenly sized vertex ranges ([`Snapshot::publish`]).
+    pub fn publish(&mut self, shards: usize) -> Snapshot<V> {
+        Snapshot::publish(&mut self.index, shards)
     }
 
     /// Sets the worker-thread budget for deletion maintenance: the
@@ -252,7 +247,7 @@ impl<V: Variant> Dynamic<V> {
     }
 
     /// The maintained SPC-Index.
-    pub fn index(&self) -> &V::Index {
+    pub fn index(&self) -> &LabelIndex<V> {
         &self.index
     }
 
@@ -295,7 +290,9 @@ impl<V: Variant> Dynamic<V> {
         w: V::Payload,
     ) -> Result<UpdateStats> {
         V::insert(&mut self.graph, a, b, w)?;
-        let stats = self.inc.insert_edge(&self.graph, &mut self.index, a, b);
+        let stats = self
+            .pipeline
+            .insert_edge(&self.graph, &mut self.index, a, b);
         self.updates_since_build += 1;
         Ok(UpdateStats::from_counters(UpdateKind::InsertEdge, stats))
     }
@@ -315,13 +312,14 @@ impl<V: Variant> Dynamic<V> {
             Ordering::Equal => return Ok(UpdateStats::empty(UpdateKind::WeightChange)),
             Ordering::Less => {
                 V::set_payload(&mut self.graph, a, b, w)?;
-                self.inc.insert_edge(&self.graph, &mut self.index, a, b)
+                self.pipeline
+                    .insert_edge(&self.graph, &mut self.index, a, b)
             }
             Ordering::Greater => {
                 let mutate = |g: &mut V::Graph| V::set_payload(g, a, b, w);
                 let threads = self.maintenance_threads.resolve();
                 let (graph, index) = (&mut self.graph, &mut self.index);
-                self.dec
+                self.pipeline
                     .delete_one(graph, index, (a, b), mutate, false, threads)?
                     .0
             }
@@ -344,7 +342,7 @@ impl<V: Variant> Dynamic<V> {
     ) -> Result<(UpdateStats, SrrOutcome)> {
         let threads = self.maintenance_threads.resolve();
         let (graph, index) = (&mut self.graph, &mut self.index);
-        let (stats, srr) = self.dec.delete_edge(graph, index, a, b, threads)?;
+        let (stats, srr) = self.pipeline.delete_edge(graph, index, a, b, threads)?;
         self.updates_since_build += 1;
         Ok((
             UpdateStats::from_counters(UpdateKind::DeleteEdge, stats),
@@ -353,7 +351,7 @@ impl<V: Variant> Dynamic<V> {
     }
 
     /// Deletes a *set* of edges as one epoch through the multi-edge
-    /// `SrrSEARCH` repair path ([`DecPipeline::delete_edges`]): every edge
+    /// `SrrSEARCH` repair path ([`Pipeline::delete_edges`]): every edge
     /// is classified against the pre-mutation graph (one multi-far sweep
     /// per distinct endpoint), the whole set is removed at once, and each
     /// distinct affected hub is repaired with a single sweep of the
@@ -367,7 +365,7 @@ impl<V: Variant> Dynamic<V> {
     pub fn delete_edges(&mut self, edges: &[(VertexId, VertexId)]) -> Result<UpdateStats> {
         let threads = self.maintenance_threads.resolve();
         let stats = self
-            .dec
+            .pipeline
             .delete_edges(&mut self.graph, &mut self.index, edges, threads)?;
         self.updates_since_build += edges.len();
         Ok(UpdateStats::from_counters(UpdateKind::Batch, stats))
@@ -377,7 +375,7 @@ impl<V: Variant> Dynamic<V> {
     /// labels join, at the lowest rank).
     pub fn add_vertex(&mut self) -> VertexId {
         let v = V::add_vertex(&mut self.graph);
-        V::append_vertex(&mut self.index, v);
+        self.index.append_vertex(v);
         self.updates_since_build += 1;
         v
     }
@@ -510,7 +508,7 @@ impl<V: Variant> Dynamic<V> {
         if co.is_empty() {
             return Ok(());
         }
-        let ranks = V::ranks(&self.index);
+        let ranks = self.index.ranks();
         let plan = NetPlan::build(co.drain(), |v| ranks.rank(VertexId(v)));
         let deletions = plan.vertex_deletions();
         if !deletions.is_empty() {
@@ -532,25 +530,27 @@ impl<V: Variant> Dynamic<V> {
     /// [`Dynamic::rebuild`]. The post-repair index is bit-identical to a
     /// fresh build at the swapped order.
     pub fn rerank_adjacent(&mut self, swaps: &[Rank]) -> MaintenanceCounters {
-        self.inc.rerank(&self.graph, &mut self.index, swaps)
+        self.pipeline.rerank(&self.graph, &mut self.index, swaps)
     }
 
     /// Rebuilds from scratch with a *fresh* ordering — the paper's lazy
     /// answer to ordering staleness (§6).
     pub fn rebuild(&mut self) {
-        self.index = self.inc.build(&self.graph, self.strategy);
+        self.index = self.pipeline.build(&self.graph, self.strategy);
         self.updates_since_build = 0;
     }
 
     /// Rebuilds from scratch keeping the current ordering — the
     /// reconstruction baseline the dynamic algorithms race against.
     pub fn rebuild_same_order(&mut self) {
-        self.index = self.inc.rebuild(&self.graph, V::ranks(&self.index).clone());
+        self.index = self
+            .pipeline
+            .rebuild(&self.graph, self.index.ranks().clone());
         self.updates_since_build = 0;
     }
 
     /// Consumes the facade, returning the graph and index.
-    pub fn into_parts(self) -> (V::Graph, V::Index) {
+    pub fn into_parts(self) -> (V::Graph, LabelIndex<V>) {
         (self.graph, self.index)
     }
 }

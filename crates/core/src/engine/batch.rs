@@ -39,7 +39,7 @@
 //! The drained [`NetEdgeEffect`]s feed [`NetPlan::build`], which sorts
 //! each surviving class rank-friendly; the net deletions then go to the
 //! multi-edge `SrrSEARCH` repair path as one set
-//! ([`crate::engine::DecPipeline::delete_edges`]).
+//! ([`crate::engine::Pipeline::delete_edges`]).
 
 use crate::label::Rank;
 use dspc_graph::{GraphError, VertexId};

@@ -1,11 +1,14 @@
-//! The DecSPC deletion pipeline, written once for every variant.
+//! [`Pipeline`], the one maintenance pipeline of a facade, and its DecSPC
+//! deletion half, written once for every variant. The additive half —
+//! insertion, construction and re-rank — runs on the first worker's arena
+//! and probe (`push.rs`).
 //!
-//! [`DecPipeline::delete_one`] is the paper's single-edge Algorithm 4:
+//! [`Pipeline::delete_one`] is the paper's single-edge Algorithm 4:
 //! classify both sides of the edge with `SrrSEARCH` on the pre-deletion
 //! graph, apply the mutation, then run one `DecUPDATE` sweep per `SR` hub
 //! in rank order, repairing the opposite side.
 //!
-//! [`DecPipeline::delete_edges`] generalizes it to an edge set:
+//! [`Pipeline::delete_edges`] generalizes it to an edge set:
 //!
 //! 1. **Validate.** Every edge is present and none repeats, before anything
 //!    mutates. Edges the variant's §3.2.3 fast path takes are peeled off.
@@ -46,12 +49,13 @@
 //! rows that the `L_out` sweeps of higher-ranked hubs write.
 
 use super::batch::duplicate_edge_key;
-use super::topology::{pinned_family, side_families};
+use super::topology::{family_slot, pinned_family, side_families};
 use super::{
     aggregate_far_columns, build_endpoint_tasks, FarAggregator, FarColumn, HubHolders,
-    MaintenanceCounters, Marks, MultiFarTask, RepairAgenda, RepairLog, UpdateEngine, Variant,
+    MaintenanceCounters, Marks, MultiFarTask, RepairAgenda, RepairLog, Topo, UpdateEngine, Variant,
     MARK_A, MARK_B, REPAIR_PRIMARY, REPAIR_SECONDARY,
 };
+use crate::index::LabelIndex;
 use crate::label::Rank;
 use crate::parallel::fan_out;
 use crate::query::HubProbe;
@@ -115,7 +119,7 @@ struct Sweep {
 
 /// One holder list per label family, each over the sweeps of that family.
 fn family_holders<V: Variant>(
-    index: &V::Index,
+    index: &LabelIndex<V>,
     sweeps: &[Sweep],
     receivers: &[VertexId],
     stats: &mut MaintenanceCounters,
@@ -124,15 +128,10 @@ fn family_holders<V: Variant>(
         HubHolders::build(
             sweeps.iter().filter(|s| s.family == family).map(|s| s.hub),
             receivers,
-            |v| V::row(index, v, family),
+            |v| index.row(v, family).entries(),
             stats,
         )
     })
-}
-
-/// Holder-list slot of a family flag.
-fn slot(family: u8) -> usize {
-    usize::from(family != REPAIR_PRIMARY)
 }
 
 /// One worker's sweep scratch, kept for the pipeline's lifetime: the
@@ -160,18 +159,18 @@ impl<V: Variant> Worker<V> {
     fn speculate(
         &mut self,
         g: &V::Graph,
-        index: &V::Index,
+        index: &LabelIndex<V>,
         marks: &Marks,
         holders: &[HubHolders; 2],
         sweep: &Sweep,
     ) -> RepairLog<V::Dist> {
         let mut log = self.spare.pop().unwrap_or_default();
         self.engine.dec_pass(
-            &mut V::read(g, index, &mut self.probes[0], sweep.family),
-            V::ranks(index).vertex(sweep.hub),
+            &mut Topo::new(g, index, &mut self.probes[0], sweep.family),
+            index.vertex(sweep.hub),
             marks,
             sweep.opposite,
-            holders[slot(sweep.family)].of(sweep.hub),
+            holders[family_slot(sweep.family)].of(sweep.hub),
             &mut log,
         );
         log
@@ -196,15 +195,15 @@ impl Written {
     }
 
     fn note(&mut self, family: u8, v: VertexId) {
-        let row = &mut self.rows[slot(family)][v.index()];
+        let row = &mut self.rows[family_slot(family)][v.index()];
         if !*row {
             *row = true;
-            self.list.push((slot(family), v));
+            self.list.push((family_slot(family), v));
         }
     }
 
     fn has(&self, family: u8, v: VertexId) -> bool {
-        self.rows[slot(family)][v.index()]
+        self.rows[family_slot(family)][v.index()]
     }
 
     fn clear(&mut self) {
@@ -214,11 +213,13 @@ impl Written {
     }
 }
 
-/// The scratch of the deletion pipeline for one variant: one sweep worker
-/// per thread of the budget (the first serves the calling thread), the
-/// repair's side marks, and the batch agenda.
+/// One variant's maintenance scratch and the drivers that run on it: one
+/// sweep worker per thread of the deletion budget (the first serves the
+/// calling thread, and every insertion, construction and re-rank sweep),
+/// the repair's side marks, and the batch agenda. The facade owns one and
+/// reuses it for every update, build and rebuild.
 #[derive(Debug)]
-pub struct DecPipeline<V: Variant> {
+pub struct Pipeline<V: Variant> {
     workers: Vec<Worker<V>>,
     marks: Marks,
     written: Written,
@@ -229,10 +230,10 @@ pub struct DecPipeline<V: Variant> {
     committed: Vec<RepairLog<V::Dist>>,
 }
 
-impl<V: Variant> DecPipeline<V> {
+impl<V: Variant> Pipeline<V> {
     /// A pipeline for graphs up to `capacity` ids.
     pub fn new(capacity: usize) -> Self {
-        DecPipeline {
+        Pipeline {
             workers: vec![Worker::new(capacity)],
             marks: Marks::new(capacity),
             written: Written::default(),
@@ -241,6 +242,17 @@ impl<V: Variant> DecPipeline<V> {
             #[cfg(test)]
             committed: Vec::new(),
         }
+    }
+
+    /// The first worker's arena and repair probe, grown to `capacity` ids:
+    /// the scratch of the additive sweeps.
+    pub(super) fn first_worker(
+        &mut self,
+        capacity: usize,
+    ) -> (&mut UpdateEngine<V::Dist>, &mut HubProbe<V::Entry>) {
+        let Worker { engine, probes, .. } = &mut self.workers[0];
+        engine.ensure_capacity(capacity);
+        (engine, &mut probes[0])
     }
 
     /// Grows the scratch to `capacity` ids and to the workers of a budget
@@ -284,7 +296,7 @@ impl<V: Variant> DecPipeline<V> {
     pub fn delete_one(
         &mut self,
         g: &mut V::Graph,
-        index: &mut V::Index,
+        index: &mut LabelIndex<V>,
         (a, b): (VertexId, VertexId),
         mutate: impl FnOnce(&mut V::Graph) -> dspc_graph::Result<()>,
         promote_receivers: bool,
@@ -302,7 +314,7 @@ impl<V: Variant> DecPipeline<V> {
             let mut classify = |near, far, family| {
                 let view = pinned_family::<V>(family);
                 engine.srr_pass(
-                    &mut V::read(g, index, &mut probes[0], view),
+                    &mut Topo::new(g, &*index, &mut probes[0], view),
                     near,
                     far,
                     len,
@@ -332,12 +344,12 @@ impl<V: Variant> DecPipeline<V> {
         let mut sr: Vec<(Rank, bool)> = srr
             .sr_a
             .iter()
-            .map(|&v| (V::ranks(index).rank(v), true))
-            .chain(srr.sr_b.iter().map(|&v| (V::ranks(index).rank(v), false)))
+            .map(|&v| (index.rank(v), true))
+            .chain(srr.sr_b.iter().map(|&v| (index.rank(v), false)))
             .collect();
         if promote_receivers {
-            sr.extend(srr.r_a.iter().map(|&v| (V::ranks(index).rank(v), true)));
-            sr.extend(srr.r_b.iter().map(|&v| (V::ranks(index).rank(v), false)));
+            sr.extend(srr.r_a.iter().map(|&v| (index.rank(v), true)));
+            sr.extend(srr.r_b.iter().map(|&v| (index.rank(v), false)));
         }
         sr.sort_unstable_by_key(|&(r, _)| r);
         let sweeps: Vec<Sweep> = sr
@@ -363,7 +375,7 @@ impl<V: Variant> DecPipeline<V> {
     pub fn delete_edge(
         &mut self,
         g: &mut V::Graph,
-        index: &mut V::Index,
+        index: &mut LabelIndex<V>,
         a: VertexId,
         b: VertexId,
         threads: usize,
@@ -376,7 +388,7 @@ impl<V: Variant> DecPipeline<V> {
     pub fn delete_edge_with_mode(
         &mut self,
         g: &mut V::Graph,
-        index: &mut V::Index,
+        index: &mut LabelIndex<V>,
         a: VertexId,
         b: VertexId,
         mode: DecMode,
@@ -409,11 +421,11 @@ impl<V: Variant> DecPipeline<V> {
     pub fn delete_edges(
         &mut self,
         g: &mut V::Graph,
-        index: &mut V::Index,
+        index: &mut LabelIndex<V>,
         edges: &[(VertexId, VertexId)],
         threads: usize,
     ) -> dspc_graph::Result<MaintenanceCounters> {
-        let single = |p: &mut Self, g: &mut V::Graph, index: &mut V::Index, (a, b)| {
+        let single = |p: &mut Self, g: &mut V::Graph, index: &mut LabelIndex<V>, (a, b)| {
             p.delete_edge(g, index, a, b, threads)
                 .map(|(stats, _)| stats)
         };
@@ -443,7 +455,7 @@ impl<V: Variant> DecPipeline<V> {
     fn delete_batch(
         &mut self,
         g: &mut V::Graph,
-        index: &mut V::Index,
+        index: &mut LabelIndex<V>,
         doomed: &[(VertexId, VertexId, V::Dist)],
         threads: usize,
     ) -> dspc_graph::Result<MaintenanceCounters> {
@@ -493,7 +505,7 @@ impl<V: Variant> DecPipeline<V> {
     fn repair(
         &mut self,
         g: &V::Graph,
-        index: &mut V::Index,
+        index: &mut LabelIndex<V>,
         sweeps: &[Sweep],
         holders: &[HubHolders; 2],
         threads: usize,
@@ -518,7 +530,7 @@ impl<V: Variant> DecPipeline<V> {
                 }
                 let written = &mut self.written;
                 log.apply(
-                    &mut V::write(g, index, &mut self.workers[0].probes[0], sweep.family),
+                    &mut Topo::new(g, &mut *index, &mut self.workers[0].probes[0], sweep.family),
                     sweep.hub,
                     |v| written.note(sweep.family, v),
                 );
@@ -550,15 +562,15 @@ impl<V: Variant> DecPipeline<V> {
     fn still_holds(
         &mut self,
         g: &V::Graph,
-        index: &V::Index,
+        index: &LabelIndex<V>,
         sweep: &Sweep,
         log: &mut RepairLog<V::Dist>,
     ) -> bool {
-        let h = V::ranks(index).vertex(sweep.hub);
+        let h = index.vertex(sweep.hub);
         let written = &self.written;
         !written.has(pinned_family::<V>(sweep.family), h)
             && log.revalidate(
-                &mut V::read(g, index, &mut self.workers[0].probes[0], sweep.family),
+                &mut Topo::new(g, index, &mut self.workers[0].probes[0], sweep.family),
                 h,
                 |v| written.has(sweep.family, v),
             )
@@ -571,7 +583,7 @@ impl<V: Variant> DecPipeline<V> {
     fn classify(
         &mut self,
         g: &V::Graph,
-        index: &V::Index,
+        index: &LabelIndex<V>,
         doomed: &[(VertexId, VertexId, V::Dist)],
         threads: usize,
         stats: &mut MaintenanceCounters,
@@ -605,9 +617,9 @@ impl<V: Variant> DecPipeline<V> {
                     while probes.len() < task.fars.len() {
                         probes.push(HubProbe::new(V::capacity(g)));
                     }
-                    let mut views: Vec<V::Read<'_>> = probes[..task.fars.len()]
+                    let mut views: Vec<_> = probes[..task.fars.len()]
                         .iter_mut()
-                        .map(|p| V::read(g, index, p, view))
+                        .map(|p| Topo::new(g, index, p, view))
                         .collect();
                     let mut c = MaintenanceCounters::default();
                     let columns = engine.multi_far_pass(&mut views, task.near, &task.fars, &mut c);
@@ -620,7 +632,7 @@ impl<V: Variant> DecPipeline<V> {
                 columns.extend(cols);
             }
             aggregate_far_columns(&mut self.agg, &columns, &mut self.agenda, family, |v| {
-                V::ranks(index).rank(v)
+                index.rank(v)
             });
         }
         // A task pins one id-space-sized probe per far endpoint, and a
@@ -660,7 +672,7 @@ mod tests {
             let g = UndirectedGraph::from_edges(6, edges);
             let mut index = build_index(&g, OrderingStrategy::Identity);
             index
-                .remove_entry(VertexId(damaged), Rank(0))
+                .remove_entry(VertexId(damaged), REPAIR_PRIMARY, Rank(0))
                 .expect("hub 0 reaches every vertex");
             let sweeps = [0, later]
                 .map(|hub| Sweep {
@@ -672,8 +684,8 @@ mod tests {
             Block { g, index, sweeps }
         }
 
-        fn pipeline(&self, threads: usize) -> DecPipeline<Undirected> {
-            let mut p = DecPipeline::new(self.g.capacity());
+        fn pipeline(&self, threads: usize) -> Pipeline<Undirected> {
+            let mut p = Pipeline::new(self.g.capacity());
             p.ensure_capacity(self.g.capacity(), threads);
             let all: Vec<VertexId> = self.g.vertices().collect();
             p.marks.set([&all, &[]], [&[], &[]]);

@@ -21,13 +21,15 @@
 //!   reads: it records its writes in a [`RepairLog`], which the deletion
 //!   pipeline commits in rank order.
 //!
-//! What varies per variant is captured by the [`ReadTopology`] /
-//! [`LabelTopology`] views: which adjacency to walk (undirected,
-//! directed-forward, directed-backward, weighted), which label family to
-//! read/repair (`L`, `L_in`, `L_out`, weighted `L`), the distance domain
-//! (`u32` hops vs `u64` accumulated weight — the latter switches the
-//! frontier from a FIFO queue to a binary heap), and the hub-membership
-//! test behind condition **A**. The engine owns the per-sweep scratch
+//! The passes read and write the index through the [`ReadTopology`] /
+//! [`LabelTopology`] traits, which one view, [`Topo`], implements over the
+//! one label store ([`crate::index::LabelIndex`]) for every variant. What
+//! varies is the view's label family (`L`, `L_in` or `L_out`) and what the
+//! [`Variant`] supplies: the adjacency a family's sweep walks
+//! ([`Variant::for_each_neighbor`]: undirected, directed-forward,
+//! directed-backward, weighted) and the distance domain (`u32` hops vs
+//! `u64` accumulated weight — [`Variant::DIJKSTRA`] switches the frontier
+//! from a FIFO queue to a binary heap). The engine owns the per-sweep scratch
 //! (distance/count arrays, frontier, visited flags) and reports the
 //! RenewC/RenewD/Insert/Remove counters ([`MaintenanceCounters`]) feeding
 //! Figures 8–9; the `SR ∪ R` side marks of a repair live in one shared
@@ -64,23 +66,24 @@
 //! reason to leave parallel updates open). But a sweep writes only row `h`
 //! of the receivers it repairs, so what an earlier sweep can change for a
 //! later one is narrow: the prune outcome at a marked receiver the later
-//! sweep dequeued, or the later hub's own pinned row. [`DecPipeline`] runs
+//! sweep dequeued, or the later hub's own pinned row. [`Pipeline`] runs
 //! blocks of sweeps read-only side by side against the index as of the
 //! block start, then commits their logs in rank order, re-running a sweep
 //! whose recorded reads an earlier commit of its block changed. The result
 //! is the sequential repair's, label for label and counter for counter.
 //!
-//! ## Two pipelines, written once
+//! ## One pipeline, written once
 //!
-//! [`PushPipeline`] drives the passes that only add labels, for every
-//! variant: edge insertion (Algorithm 2), construction, and adjacent-rank
-//! re-rank. [`DecPipeline`] drives deletion: single-edge (Algorithm 4) and
-//! batch (classify the whole set, delete it, repair one global agenda). A
-//! [`Variant`] supplies what differs — graph, index and entry types, the
-//! edge length, the ordering degree, one view per label family, and what
-//! the one facade ([`crate::dynamic::Dynamic`]) needs: the update
-//! vocabulary, graph mutations, the published snapshot, and the undirected
-//! §3.2.3 fast path.
+//! [`Pipeline`] owns one variant's sweep scratch and drives every pass.
+//! On its first worker's arena and probe it runs the passes that only add
+//! labels: edge insertion (Algorithm 2), construction, and adjacent-rank
+//! re-rank. On all its workers it runs deletion: single-edge
+//! (Algorithm 4) and batch (classify the whole set, delete it, repair one
+//! global agenda). A [`Variant`] supplies what differs — graph and entry
+//! types, the edge length, the ordering degree, the adjacency per label
+//! family, and what the one facade ([`crate::dynamic::Dynamic`]) needs:
+//! the update vocabulary, graph mutations, and the undirected §3.2.3 fast
+//! path.
 
 use crate::label::{Count, HubEntry, LabelDist, Rank};
 use dspc_graph::VertexId;
@@ -95,12 +98,10 @@ mod topology;
 
 pub(crate) use batch::{check_endpoints, ordered_key};
 pub use batch::{EdgeCoalescer, NetEdgeEffect, NetOp, NetPlan, UpdateOp};
-pub use delete::{DecMode, DecPipeline, SrrOutcome};
+pub use delete::{DecMode, Pipeline, SrrOutcome};
 pub use holders::HubHolders;
-pub use push::PushPipeline;
-pub use topology::{
-    Directed, DirectedTopo, Undirected, UndirectedTopo, Variant, Weighted, WeightedTopo,
-};
+pub(crate) use topology::{families, family_slot, source_family};
+pub use topology::{Directed, Topo, Undirected, Variant, Weighted};
 
 /// The read half of one variant's view of "graph + index + pinned-hub
 /// probe": everything a classification or `DecUPDATE` sweep needs,
@@ -399,7 +400,7 @@ struct Visit<D> {
 /// describes the sweep after another sweep's writes unless they landed on
 /// the pinned row or flipped the prune outcome at a receiver it records;
 /// when the outcome holds, a re-read count replaces the recorded one in
-/// `prune_probes` ([`DecPipeline`] checks this before it commits a log).
+/// `prune_probes` ([`Pipeline`] checks this before it commits a log).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RepairLog<D> {
     upserts: Vec<(VertexId, D, Count)>,

@@ -1,21 +1,21 @@
-//! The drivers that only add labels, written once for every variant:
-//! IncSPC's edge insertion (Algorithm 2), HP-SPC construction (§2.2), and
-//! adjacent-rank re-rank ([`crate::reorder`]).
+//! The drivers that only add labels, written once for every variant on the
+//! first worker of the one [`Pipeline`]: IncSPC's edge insertion
+//! (Algorithm 2), HP-SPC construction (§2.2), and adjacent-rank re-rank
+//! ([`crate::reorder`]).
 //!
 //! Construction pushes every hub in descending rank order with
-//! [`UpdateEngine::inc_pass`] seeded at the hub with `(0, 1)`, `L_in`
-//! before `L_out` for arcs. A re-rank swaps its planned pairs, purges their
-//! ranks from every label family in one scan, and re-pushes each pair in
-//! ascending rank order — promoted hub first — so every sweep reads exactly
-//! the higher-ranked labels a fresh build at the swapped order would see.
+//! [`UpdateEngine::inc_pass`](super::UpdateEngine::inc_pass) seeded at the
+//! hub with `(0, 1)`, `L_in` before `L_out` for arcs. A re-rank swaps its
+//! planned pairs, purges their ranks from every label family in one scan,
+//! and re-pushes each pair in ascending rank order — promoted hub first —
+//! so every sweep reads exactly the higher-ranked labels a fresh build at
+//! the swapped order would see.
 
 use super::topology::{families, side_families};
-use super::{
-    merge_affected, LabelTopology, MaintenanceCounters, ReadTopology, UpdateEngine, Variant,
-};
+use super::{merge_affected, MaintenanceCounters, Pipeline, ReadTopology, Topo, Variant};
+use crate::index::LabelIndex;
 use crate::label::{HubEntry, LabelDist, Rank};
 use crate::order::{OrderingStrategy, RankMap};
-use crate::query::HubProbe;
 use dspc_graph::VertexId;
 
 /// Checks that `swaps` is strictly ascending with no two positions closer
@@ -35,24 +35,7 @@ fn validate_swaps(swaps: &[Rank], rank_space: usize) {
     }
 }
 
-/// One variant's sweep scratch — the engine arena and the pinned-hub probe
-/// — and the insertion, construction, and re-rank drivers that run on it.
-/// The facade owns one and reuses it for every build and rebuild.
-#[derive(Debug)]
-pub struct PushPipeline<V: Variant> {
-    engine: UpdateEngine<V::Dist>,
-    probe: HubProbe<V::Entry>,
-}
-
-impl<V: Variant> PushPipeline<V> {
-    /// A pipeline for graphs up to `capacity` ids.
-    pub fn new(capacity: usize) -> Self {
-        PushPipeline {
-            engine: UpdateEngine::new(capacity),
-            probe: HubProbe::new(capacity),
-        }
-    }
-
+impl<V: Variant> Pipeline<V> {
     /// Algorithm 2: repairs `index` after edge `(a, b)` was inserted into
     /// `g`, or after its weight decreased. `g` must already hold the edge
     /// (line 1 performs `G_{i+1} ← G_i ⊕ (a, b)` before any sweep).
@@ -65,18 +48,18 @@ impl<V: Variant> PushPipeline<V> {
     pub fn insert_edge(
         &mut self,
         g: &V::Graph,
-        index: &mut V::Index,
+        index: &mut LabelIndex<V>,
         a: VertexId,
         b: VertexId,
     ) -> MaintenanceCounters {
         let len = V::edge_len(g, a, b).expect("IncSPC runs after the graph mutation");
-        self.engine.ensure_capacity(V::capacity(g));
+        let (engine, probe) = self.first_worker(V::capacity(g));
         let mut stats = MaintenanceCounters::default();
         let [fam_a, fam_b] = side_families::<V>();
-        let aff = merge_affected(V::row(index, a, fam_a), V::row(index, b, fam_b));
-        let (rank_a, rank_b) = (V::ranks(index).rank(a), V::ranks(index).rank(b));
+        let aff = merge_affected(index.row(a, fam_a).entries(), index.row(b, fam_b).entries());
+        let (rank_a, rank_b) = (index.rank(a), index.rank(b));
         for (h_rank, in_a, in_b) in aff {
-            let h = V::ranks(index).vertex(h_rank);
+            let h = index.vertex(h_rank);
             stats.hubs_processed += 1;
             for (member, near, far, far_rank, family) in
                 [(in_a, a, b, rank_b, fam_a), (in_b, b, a, rank_a, fam_b)]
@@ -84,10 +67,9 @@ impl<V: Variant> PushPipeline<V> {
                 if !member || h_rank > far_rank {
                     continue;
                 }
-                let mut topo = V::write(g, index, &mut self.probe, family);
+                let mut topo = Topo::new(g, &mut *index, &mut *probe, family);
                 if let Some((d, c)) = topo.label_get(near, h_rank) {
-                    self.engine
-                        .inc_pass(&mut topo, h, far, d.sat_add(len), c, &mut stats);
+                    engine.inc_pass(&mut topo, h, far, d.sat_add(len), c, &mut stats);
                 }
             }
         }
@@ -95,7 +77,7 @@ impl<V: Variant> PushPipeline<V> {
     }
 
     /// HP-SPC: builds the index of `g` under a fresh `strategy` order.
-    pub fn build(&mut self, g: &V::Graph, strategy: OrderingStrategy) -> V::Index {
+    pub fn build(&mut self, g: &V::Graph, strategy: OrderingStrategy) -> LabelIndex<V> {
         let ranks = RankMap::from_degrees(V::capacity(g), strategy, |v| V::degree(g, v));
         self.rebuild(g, ranks)
     }
@@ -103,11 +85,10 @@ impl<V: Variant> PushPipeline<V> {
     /// HP-SPC under an existing order — the reconstruction baseline, which
     /// reuses the maintained index's order so comparisons are label for
     /// label.
-    pub fn rebuild(&mut self, g: &V::Graph, ranks: RankMap) -> V::Index {
+    pub fn rebuild(&mut self, g: &V::Graph, ranks: RankMap) -> LabelIndex<V> {
         let cap = V::capacity(g);
         assert_eq!(ranks.len(), cap, "rank map must cover the graph id space");
-        self.engine.ensure_capacity(cap);
-        let mut index = V::empty_index(ranks);
+        let mut index = LabelIndex::with_empty_rows(ranks);
         let mut stats = MaintenanceCounters::default();
         for r in 0..cap as u32 {
             self.push_hub(g, &mut index, Rank(r), &mut stats);
@@ -127,39 +108,36 @@ impl<V: Variant> PushPipeline<V> {
     pub fn rerank(
         &mut self,
         g: &V::Graph,
-        index: &mut V::Index,
+        index: &mut LabelIndex<V>,
         swaps: &[Rank],
     ) -> MaintenanceCounters {
         let mut stats = MaintenanceCounters::default();
         if swaps.is_empty() {
             return stats;
         }
-        let n = V::ranks(index).len();
+        let n = index.num_vertices();
         validate_swaps(swaps, n);
-        self.engine.ensure_capacity(V::capacity(g));
 
         let mut doomed = vec![false; n];
         for &r in swaps {
-            V::swap_adjacent_ranks(index, r);
+            index.swap_adjacent_ranks(r);
             doomed[r.index()] = true;
             doomed[r.index() + 1] = true;
         }
         let mut hits: Vec<Rank> = Vec::new();
-        for v in (0..n as u32).map(VertexId) {
+        for v in (0..n).map(VertexId::from_index) {
             for &family in families::<V>() {
                 hits.clear();
                 hits.extend(
-                    V::row(index, v, family)
+                    index
+                        .row(v, family)
+                        .entries()
                         .iter()
                         .map(HubEntry::hub)
                         .filter(|h| doomed[h.index()]),
                 );
-                if hits.is_empty() {
-                    continue;
-                }
-                let mut topo = V::write(g, index, &mut self.probe, family);
                 for &hub in &hits {
-                    topo.label_remove(v, hub);
+                    index.remove_entry(v, family, hub);
                 }
                 stats.removed += hits.len();
             }
@@ -184,25 +162,25 @@ impl<V: Variant> PushPipeline<V> {
     fn push_hub(
         &mut self,
         g: &V::Graph,
-        index: &mut V::Index,
+        index: &mut LabelIndex<V>,
         r: Rank,
         stats: &mut MaintenanceCounters,
     ) {
-        let h = V::ranks(index).vertex(r);
+        let h = index.vertex(r);
         let present = V::contains(g, h);
+        let (engine, probe) = self.first_worker(V::capacity(g));
         for &family in families::<V>() {
-            let mut topo = V::write(g, index, &mut self.probe, family);
             if present {
                 let renewed = (stats.renew_count, stats.renew_dist);
-                self.engine
-                    .inc_pass(&mut topo, h, h, V::Dist::ZERO, 1, stats);
+                let mut topo = Topo::new(g, &mut *index, &mut *probe, family);
+                engine.inc_pass(&mut topo, h, h, V::Dist::ZERO, 1, stats);
                 debug_assert_eq!(
                     (stats.renew_count, stats.renew_dist),
                     renewed,
                     "hub {h:?} renewed a row that already held rank {r:?}"
                 );
             } else {
-                topo.label_upsert(h, r, V::Dist::ZERO, 1);
+                index.upsert_entry(h, family, HubEntry::self_label(r));
                 stats.inserted += 1;
             }
         }

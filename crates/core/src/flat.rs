@@ -1,32 +1,33 @@
 //! Published query snapshots, and the columnar form of the v2 file.
 //!
-//! The serving layer publishes one immutable snapshot per epoch. The
-//! snapshot types here (and [`crate::shard::ShardedFlatIndex`]) hold
-//! [`SharedRows`]: one `Arc<[E]>` handle per vertex, *shared* with the
-//! live index rather than copied out of it. An index's publish step
-//! (`SpcIndex::publish`, `DirectedSpcIndex::publish`,
-//! `WeightedSpcIndex::publish`) turns every row written since the last
-//! publish into a shared row and hands out one handle per vertex, so a
-//! rotation costs `O(n)` handle clones plus the entries the epoch changed;
-//! the live index copies a shared row back to an owned one on its first
-//! write (see [`crate::label::LabelRow`]). The copying constructors
-//! (`freeze`) remain for callers that must not touch the live index.
+//! The serving layer publishes one immutable [`Snapshot`] per epoch, one
+//! type for every graph variant. It holds one [`SharedRows`] per label
+//! family — one `Arc<[E]>` handle per vertex, *shared* with the live index
+//! rather than copied out of it — plus the rank map and the shard bounds
+//! that attribute query counters. [`LabelIndex::publish`] turns every row
+//! written since the last publish into a shared row and hands out one
+//! handle per vertex, so a rotation costs `O(n)` handle clones per family
+//! plus the entries the epoch changed; the live index copies a shared row
+//! back to an owned one on its first write (see
+//! [`crate::label::LabelRow`]). The copying [`Snapshot::freeze`] remains
+//! for callers that must not touch the live index.
 //!
-//! The published types keep their `Flat` names from the columnar design
-//! they replace: the wall-clock benchmark (`perfbench/`) compiles against
-//! these names and methods.
+//! The instances keep the names of the per-variant types they replace —
+//! [`crate::shard::ShardedFlatIndex`], [`DirectedFlatIndex`] and
+//! [`WeightedFlatIndex`] — because the wall-clock benchmark (`perfbench/`)
+//! compiles against these names and methods.
 //!
 //! [`FlatIndex`] keeps the CSR columns (`offsets`, `hubs`, `dists`,
 //! `counts`) as the in-memory form of the v2 file format
 //! ([`crate::serialize`]), and serves queries straight off them.
 //!
 //! Every query — live rows, shared rows, columns — runs the single merge
-//! kernel in [`crate::query`], except the serving readers' `query_pinned`,
-//! which scans the target row against a pinned source row
-//! ([`crate::query::RowPin`]) and reports the merge's counters. Results
-//! and the deterministic [`KernelCounters`] are **bit-identical** across
-//! all of them; the test suite and the `bench_smoke` CI lane both enforce
-//! this.
+//! kernel in [`crate::query`], except the serving readers'
+//! [`Snapshot::query_pinned`], which scans the target row against a pinned
+//! source row ([`crate::query::RowPin`]) and reports the merge's counters.
+//! Results and the deterministic [`KernelCounters`] are **bit-identical**
+//! across all of them; the test suite and the `bench_smoke` CI lane both
+//! enforce this.
 //!
 //! ## Freshness contract
 //!
@@ -37,12 +38,16 @@
 //! publishes its own, at the cost of `O(n)` plus the rows the epoch
 //! changed. Nothing caches a snapshot between calls.
 
-use crate::directed::{DirectedSpcIndex, Side};
-use crate::index::SpcIndex;
+use crate::directed::Side;
+use crate::engine::{
+    families, family_slot, source_family, Directed, Variant, Weighted, REPAIR_PRIMARY,
+};
+use crate::index::{LabelIndex, SpcIndex};
 use crate::label::{Count, LabelEntry, Rank, SharedRows};
 use crate::order::RankMap;
 use crate::query::{counted_query_rows, pre_query_rows, query_rows, HubRow, QueryResult, RowPin};
-use crate::weighted::{WLabelEntry, WQueryResult, WeightedSpcIndex};
+use crate::shard::even_bounds;
+use crate::weighted::WLabelEntry;
 use dspc_graph::VertexId;
 
 /// Deterministic work counters of the counted query kernel.
@@ -356,232 +361,213 @@ impl FlatIndex {
     }
 }
 
-/// The published snapshot of a [`DirectedSpcIndex`]: one shared row per
-/// vertex in each label family. `SPC(s → t)` merges `L_out(s)` with
-/// `L_in(t)`.
+/// The published snapshot of a [`LabelIndex`]: one family of shared rows
+/// per label family of `V` (`L`, or `L_in` then `L_out`), the rank map, and
+/// vertex-range shard bounds. The bounds only attribute the kernel's
+/// deterministic work counters to the shard that owns the query's source
+/// vertex (`bounds[i] .. bounds[i + 1]`); the rows themselves are not
+/// split, so publishing shares unchanged rows instead of re-slicing the
+/// index. `SPC(s, t)` merges `L(s)` with `L(t)`, or `L_out(s)` with
+/// `L_in(t)` for arcs.
 #[derive(Clone, Debug)]
-pub struct DirectedFlatIndex {
-    out_rows: SharedRows<LabelEntry>,
-    in_rows: SharedRows<LabelEntry>,
+pub struct Snapshot<V: Variant> {
+    /// Published rows, one family per label family, in family order.
+    rows: Vec<SharedRows<V::Entry>>,
     ranks: RankMap,
+    bounds: Vec<u32>,
 }
 
-impl DirectedFlatIndex {
-    /// Copies `index` into a fresh snapshot, leaving the live rows alone.
-    pub fn freeze(index: &DirectedSpcIndex) -> Self {
-        let n = index.ranks().len();
-        let family = |side| {
-            SharedRows::copied_from((0..n).map(|v| index.label(side, VertexId(v as u32)).entries()))
-        };
-        DirectedFlatIndex {
-            out_rows: family(Side::Out),
-            in_rows: family(Side::In),
-            ranks: index.ranks().clone(),
-        }
-    }
+/// The published snapshot of a [`crate::directed::DirectedSpcIndex`].
+pub type DirectedFlatIndex = Snapshot<Directed>;
 
-    /// Publishes `index`: shares both families' rows (see
-    /// [`DirectedSpcIndex::publish`]).
-    pub fn publish(index: &mut DirectedSpcIndex) -> Self {
-        DirectedFlatIndex {
-            out_rows: index.publish(Side::Out),
-            in_rows: index.publish(Side::In),
-            ranks: index.ranks().clone(),
-        }
-    }
+/// The published snapshot of a [`crate::weighted::WeightedSpcIndex`].
+pub type WeightedFlatIndex = Snapshot<Weighted>;
 
-    /// Rank of `v`.
-    #[inline]
-    pub fn rank(&self, v: VertexId) -> Rank {
-        self.ranks.rank(v)
-    }
-
-    /// One label family's rows.
-    pub fn rows(&self, side: Side) -> &SharedRows<LabelEntry> {
-        match side {
-            Side::Out => &self.out_rows,
-            Side::In => &self.in_rows,
-        }
-    }
-
-    /// Rows copied (rather than shared) when this snapshot was made, both
-    /// families.
-    pub fn rows_copied(&self) -> usize {
-        self.out_rows.rows_copied() + self.in_rows.rows_copied()
-    }
-
-    /// Total entries across both families.
-    pub fn num_entries(&self) -> usize {
-        self.out_rows.num_entries() + self.in_rows.num_entries()
-    }
-
-    /// Bytes of both families in the columnar layout
-    /// ([`SharedRows::column_bytes`]).
-    pub fn column_bytes(&self) -> usize {
-        self.out_rows.column_bytes() + self.in_rows.column_bytes()
-    }
-
-    /// `SPC(s → t)` against the snapshot.
-    pub fn query(&self, s: VertexId, t: VertexId) -> QueryResult {
-        self.query_with(&mut FlatScratch, s, t)
-    }
-
-    /// [`DirectedFlatIndex::query`]; `scratch` is unused.
-    #[inline]
-    pub fn query_with(&self, _scratch: &mut FlatScratch, s: VertexId, t: VertexId) -> QueryResult {
-        let (dist, count) = query_rows(self.out_rows.row(s.index()), self.in_rows.row(t.index()));
-        QueryResult { dist, count }
-    }
-
-    /// `PreQUERY(s → t)`: hubs ranked strictly above `rank(s)` only.
-    pub fn pre_query(&self, s: VertexId, t: VertexId) -> QueryResult {
-        let (dist, count) = pre_query_rows(
-            self.out_rows.row(s.index()),
-            self.in_rows.row(t.index()),
-            self.rank(s),
-        );
-        QueryResult { dist, count }
-    }
-
-    /// Counted [`DirectedFlatIndex::query_with`].
-    pub fn query_counted(
-        &self,
-        _scratch: &mut FlatScratch,
-        counters: &mut KernelCounters,
-        s: VertexId,
-        t: VertexId,
-    ) -> QueryResult {
-        let (dist, count) = counted_query_rows(
-            self.out_rows.row(s.index()),
-            self.in_rows.row(t.index()),
-            counters,
-        );
-        QueryResult { dist, count }
-    }
-
-    /// [`DirectedFlatIndex::query_counted`] through a reader's `pin`:
-    /// `L_out(s)` is loaded into the pin's probe unless it is already
-    /// pinned, then only `L_in(t)` is scanned. Answers and counters are
-    /// bit-identical to the merge.
-    #[inline]
-    pub fn query_pinned(
-        &self,
-        pin: &mut RowPin,
-        counters: &mut KernelCounters,
-        s: VertexId,
-        t: VertexId,
-    ) -> QueryResult {
-        let (dist, count) =
-            pin.query_counted(&self.out_rows, s, self.in_rows.row(t.index()), counters);
-        QueryResult { dist, count }
-    }
-}
-
-/// The published snapshot of a [`WeightedSpcIndex`]: one shared row of
-/// `u64`-distance entries per vertex.
-#[derive(Clone, Debug)]
-pub struct WeightedFlatIndex {
-    rows: SharedRows<WLabelEntry>,
-    ranks: RankMap,
-}
-
-impl WeightedFlatIndex {
-    /// Copies `index` into a fresh snapshot, leaving the live rows alone.
-    pub fn freeze(index: &WeightedSpcIndex) -> Self {
-        let n = index.ranks().len();
-        WeightedFlatIndex {
-            rows: SharedRows::copied_from(
-                (0..n).map(|v| index.label_set(VertexId(v as u32)).entries()),
-            ),
-            ranks: index.ranks().clone(),
-        }
-    }
-
-    /// Publishes `index`: shares its rows (see
-    /// [`WeightedSpcIndex::publish`]).
-    pub fn publish(index: &mut WeightedSpcIndex) -> Self {
-        WeightedFlatIndex {
+impl<V: Variant> Snapshot<V> {
+    /// Publishes `index` over `shards` evenly sized vertex ranges: every
+    /// row written since the last publish becomes shared, every other row
+    /// is the previous snapshot's ([`LabelIndex::publish`]).
+    pub fn publish(index: &mut LabelIndex<V>, shards: usize) -> Self {
+        Snapshot {
+            bounds: even_bounds(index.num_vertices(), shards),
             rows: index.publish(),
             ranks: index.ranks().clone(),
         }
     }
 
+    /// Copies `index` into a fresh one-shard snapshot, leaving the live
+    /// rows alone.
+    pub fn freeze(index: &LabelIndex<V>) -> Self {
+        let n = index.num_vertices();
+        let family = |f| {
+            let rows = (0..n).map(|v| index.row(VertexId::from_index(v), f).entries());
+            SharedRows::copied_from(rows)
+        };
+        Snapshot {
+            rows: families::<V>().iter().map(|&f| family(f)).collect(),
+            ranks: index.ranks().clone(),
+            bounds: even_bounds(n, 1),
+        }
+    }
+
+    /// Assembles a snapshot from copied families, in family order, and
+    /// validated `bounds`.
+    pub(crate) fn from_parts(
+        rows: Vec<SharedRows<V::Entry>>,
+        ranks: RankMap,
+        bounds: Vec<u32>,
+    ) -> Self {
+        Snapshot {
+            rows,
+            ranks,
+            bounds,
+        }
+    }
+
+    /// One label family's published rows.
+    #[inline]
+    pub(crate) fn family(&self, family: u8) -> &SharedRows<V::Entry> {
+        &self.rows[family_slot(family)]
+    }
+
+    /// The rows a query's source reads: `L_out` for arcs, `L` otherwise.
+    #[inline]
+    fn sources(&self) -> &SharedRows<V::Entry> {
+        self.family(source_family::<V>())
+    }
+
+    /// The rows a query's target reads: `L_in` for arcs, `L` otherwise.
+    #[inline]
+    fn targets(&self) -> &SharedRows<V::Entry> {
+        self.family(REPAIR_PRIMARY)
+    }
+
+    /// Number of shards.
+    #[inline]
+    pub fn num_shards(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// Number of vertices covered (all shards together).
+    #[inline]
+    pub fn num_vertices(&self) -> usize {
+        self.ranks.len()
+    }
+
+    /// Total label entries across every family.
+    pub fn num_entries(&self) -> usize {
+        self.rows.iter().map(SharedRows::num_entries).sum()
+    }
+
+    /// Rows copied (rather than shared) when this snapshot was made, every
+    /// family.
+    pub fn rows_copied(&self) -> usize {
+        self.rows.iter().map(SharedRows::rows_copied).sum()
+    }
+
+    /// Bytes of every family in the columnar layout
+    /// ([`SharedRows::column_bytes`]: the weighted distance column is
+    /// 8-byte).
+    pub fn column_bytes(&self) -> usize {
+        self.rows.iter().map(SharedRows::column_bytes).sum()
+    }
+
+    /// The shard boundaries (`num_shards() + 1` values, first 0, last
+    /// `num_vertices()`).
+    pub fn bounds(&self) -> &[u32] {
+        &self.bounds
+    }
+
+    /// The vertex total order.
+    #[inline]
+    pub fn ranks(&self) -> &RankMap {
+        &self.ranks
+    }
+
     /// Rank of `v`.
     #[inline]
     pub fn rank(&self, v: VertexId) -> Rank {
         self.ranks.rank(v)
     }
 
-    /// The published rows.
-    pub fn rows(&self) -> &SharedRows<WLabelEntry> {
-        &self.rows
+    /// Which shard owns vertex `v`.
+    #[inline]
+    pub fn shard_of(&self, v: VertexId) -> usize {
+        debug_assert!(v.index() < self.num_vertices());
+        self.bounds.partition_point(|&b| b <= v.0) - 1
     }
 
-    /// Rows copied (rather than shared) when this snapshot was made.
-    pub fn rows_copied(&self) -> usize {
-        self.rows.rows_copied()
+    /// Label entries, every family, of the vertices shard `i` owns.
+    pub fn shard_entries(&self, i: usize) -> usize {
+        let owned = self.bounds[i] as usize..self.bounds[i + 1] as usize;
+        let rows = |f: &SharedRows<V::Entry>| owned.clone().map(|v| f.row(v).len()).sum::<usize>();
+        self.rows.iter().map(rows).sum()
     }
 
-    /// Total label entries.
-    pub fn num_entries(&self) -> usize {
-        self.rows.num_entries()
-    }
-
-    /// Bytes in the columnar layout (`20 × entries` plus offsets: the
-    /// distance column is 8-byte).
-    pub fn column_bytes(&self) -> usize {
-        self.rows.column_bytes()
-    }
-
-    /// Weighted `SpcQUERY(s, t)` against the snapshot.
-    pub fn query(&self, s: VertexId, t: VertexId) -> WQueryResult {
+    /// `SpcQUERY(s, t)` against the snapshot.
+    pub fn query(&self, s: VertexId, t: VertexId) -> V::Answer {
         self.query_with(&mut FlatScratch, s, t)
     }
 
-    /// [`WeightedFlatIndex::query`]; `scratch` is unused.
+    /// `SpcQUERY(s, t)`; `scratch` is unused (see [`FlatScratch`]).
     #[inline]
-    pub fn query_with(&self, _scratch: &mut FlatScratch, s: VertexId, t: VertexId) -> WQueryResult {
-        let (dist, count) = query_rows(self.rows.row(s.index()), self.rows.row(t.index()));
-        WQueryResult { dist, count }
+    pub fn query_with(&self, _scratch: &mut FlatScratch, s: VertexId, t: VertexId) -> V::Answer {
+        query_rows(self.sources().row(s.index()), self.targets().row(t.index())).into()
     }
 
-    /// Weighted `PreQUERY(s, t)`: hubs ranked strictly above `rank(s)`.
-    pub fn pre_query(&self, s: VertexId, t: VertexId) -> WQueryResult {
-        let (dist, count) = pre_query_rows(
-            self.rows.row(s.index()),
-            self.rows.row(t.index()),
-            self.rank(s),
-        );
-        WQueryResult { dist, count }
+    /// `PreQUERY(s, t)`: only hubs ranked strictly above `rank(s)`
+    /// participate, matching [`crate::query::pre_query`].
+    pub fn pre_query(&self, s: VertexId, t: VertexId) -> V::Answer {
+        let (sources, targets) = (self.sources().row(s.index()), self.targets().row(t.index()));
+        pre_query_rows(sources, targets, self.rank(s)).into()
     }
 
-    /// Counted [`WeightedFlatIndex::query_with`].
+    /// Counted [`Snapshot::query_with`]: kernel work units are attributed
+    /// to the shard owning `s` — `per_shard` must hold one counter per
+    /// shard. This is the serving layer's per-shard `merge_steps`
+    /// accounting.
     pub fn query_counted(
         &self,
         _scratch: &mut FlatScratch,
-        counters: &mut KernelCounters,
+        per_shard: &mut [KernelCounters],
         s: VertexId,
         t: VertexId,
-    ) -> WQueryResult {
-        let (dist, count) =
-            counted_query_rows(self.rows.row(s.index()), self.rows.row(t.index()), counters);
-        WQueryResult { dist, count }
+    ) -> V::Answer {
+        assert_eq!(per_shard.len(), self.num_shards(), "one counter per shard");
+        let (sources, targets) = (self.sources().row(s.index()), self.targets().row(t.index()));
+        counted_query_rows(sources, targets, &mut per_shard[self.shard_of(s)]).into()
     }
 
-    /// [`WeightedFlatIndex::query_counted`] through a reader's `pin`:
-    /// `L(s)` is loaded into the pin's probe unless it is already pinned,
-    /// then only `L(t)` is scanned. Answers and counters are bit-identical
-    /// to the merge.
+    /// [`Snapshot::query_counted`] through a reader's `pin`: the source row
+    /// is loaded into the pin's probe unless it is already pinned, then
+    /// only the target row is scanned. Answers and per-shard counters are
+    /// bit-identical to the merge.
     #[inline]
     pub fn query_pinned(
         &self,
-        pin: &mut RowPin<WLabelEntry>,
-        counters: &mut KernelCounters,
+        pin: &mut RowPin<V::Entry>,
+        per_shard: &mut [KernelCounters],
         s: VertexId,
         t: VertexId,
-    ) -> WQueryResult {
-        let (dist, count) = pin.query_counted(&self.rows, s, self.rows.row(t.index()), counters);
-        WQueryResult { dist, count }
+    ) -> V::Answer {
+        assert_eq!(per_shard.len(), self.num_shards(), "one counter per shard");
+        let shard = &mut per_shard[self.shard_of(s)];
+        pin.query_counted(self.sources(), s, self.targets().row(t.index()), shard)
+            .into()
+    }
+}
+
+impl DirectedFlatIndex {
+    /// One label family's rows.
+    pub fn rows(&self, side: Side) -> &SharedRows<LabelEntry> {
+        self.family(side.family())
+    }
+}
+
+impl WeightedFlatIndex {
+    /// The published rows.
+    pub fn rows(&self) -> &SharedRows<WLabelEntry> {
+        self.family(REPAIR_PRIMARY)
     }
 }
 

@@ -20,13 +20,13 @@
 //! distance is now an overestimate loses every query to some fresher hub,
 //! so correctness survives and update time drops.
 
-use crate::engine::{PushPipeline, Undirected};
+use crate::engine::{Pipeline, Undirected};
 
-/// Reusable IncSPC driver (Algorithm 2): the shared [`PushPipeline`] over
-/// the undirected variant. [`insert_edge`](PushPipeline::insert_edge)
-/// repairs the index after the graph gained the edge
-/// ([`crate::DynamicSpc`] sequences the two for you).
-pub type IncSpc = PushPipeline<Undirected>;
+/// Reusable IncSPC driver (Algorithm 2): the shared [`Pipeline`] over the
+/// undirected variant. [`insert_edge`](Pipeline::insert_edge) repairs the
+/// index after the graph gained the edge ([`crate::DynamicSpc`] sequences
+/// the two for you).
+pub type IncSpc = Pipeline<Undirected>;
 
 #[cfg(test)]
 mod tests {

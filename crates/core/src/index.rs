@@ -1,42 +1,61 @@
-//! The SPC-Index: per-vertex label sets plus the vertex total order.
+//! The SPC-Index: per-vertex label rows plus the vertex total order, one
+//! store for every graph variant.
 //!
 //! The structure follows §2.2 exactly: each vertex `v` owns `L(v)`, a set of
 //! `(hub, dist, count)` triples obeying the **Exact Shortest Paths Covering**
 //! (ESPC) constraint — `spc(s, t)` is computable for every pair from
 //! `L(s)` and `L(t)` alone via Equations (1)–(2).
+//!
+//! Appendix C keeps that layout for both extensions, so [`LabelIndex`]
+//! stores the labels of every [`Variant`] the same way: the rank map, one
+//! vector of copy-on-write rows ([`LabelRow`]) per label family, and the
+//! hub-entry counts. Every row is sorted by hub rank, holds its owner's
+//! self label, and names only hubs ranked at or above its owner. The
+//! undirected and weighted variants have one family, `L`; the directed one
+//! has `L_in` then `L_out`. Families are named by the repair-agenda flags
+//! ([`REPAIR_PRIMARY`] for `L` or `L_in`,
+//! [`REPAIR_SECONDARY`](crate::engine::REPAIR_SECONDARY) for `L_out`).
+//! [`SpcIndex`], [`crate::directed::DirectedSpcIndex`] and
+//! [`crate::weighted::WeightedSpcIndex`] are its three instances; each adds
+//! only the accessors that name its families.
 
-use crate::label::{LabelEntry, LabelSet, Rank, SharedRows, INF_DIST};
+use crate::engine::{families, family_slot, Undirected, Variant, REPAIR_PRIMARY};
+use crate::label::{HubEntry, LabelDist, LabelEntry, LabelRow, LabelSet, Rank, SharedRows};
 use crate::order::RankMap;
 use dspc_graph::VertexId;
 use serde::{Deserialize, Serialize};
 
-/// The SPC-Index of a graph (the paper's `L`).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct SpcIndex {
-    /// `labels[v]` = `L(v)`, indexed by vertex id.
-    labels: Vec<LabelSet>,
+/// The label store of variant `V` (the paper's `L`, or `L_in` and `L_out`).
+#[derive(Clone, Debug)]
+pub struct LabelIndex<V: Variant> {
+    /// `rows[f][v]`: vertex `v`'s row of the family in slot `f`
+    /// ([`family_slot`]), indexed by vertex id.
+    rows: Vec<Vec<LabelRow<V::Entry>>>,
     /// The vertex total order.
     ranks: RankMap,
-    /// `hub_counts[r]` = number of label entries across the whole index
-    /// whose hub has rank `r` (self labels included). Maintained exactly by
-    /// the tracked mutators ([`SpcIndex::upsert_entry`] /
-    /// [`SpcIndex::remove_entry`] / [`SpcIndex::reset_vertex_to_self`]);
-    /// raw access through [`SpcIndex::label_set_mut`] invalidates the
-    /// counts, which are then recomputed on the next
-    /// [`SpcIndex::hub_entry_count`] call. The decremental isolated-vertex
-    /// fast path (§3.2.3) keys off these counts: emptying `L(x)` is a
-    /// complete repair exactly when no other vertex carries an
-    /// `(x, ·, ·)` label.
+    /// `hub_counts[r]` = number of label entries across the whole index,
+    /// every family, whose hub has rank `r` (self labels included).
+    /// Maintained exactly by the tracked mutators
+    /// ([`LabelIndex::upsert_entry`] / [`LabelIndex::remove_entry`] /
+    /// [`LabelIndex::reset_vertex_to_self`]); raw access through
+    /// [`LabelIndex::row_mut`] invalidates the counts, which are then
+    /// recomputed on the next [`LabelIndex::hub_entry_count`] call. The
+    /// decremental isolated-vertex fast path (§3.2.3) keys off these
+    /// counts: emptying `L(x)` is a complete repair exactly when no other
+    /// vertex carries an `(x, ·, ·)` label.
     hub_counts: Vec<u32>,
     /// Whether `hub_counts` is currently exact.
     hub_counts_valid: bool,
 }
 
-impl PartialEq for SpcIndex {
+/// The SPC-Index of an undirected graph.
+pub type SpcIndex = LabelIndex<Undirected>;
+
+impl<V: Variant> PartialEq for LabelIndex<V> {
     fn eq(&self, other: &Self) -> bool {
         // Hub-count bookkeeping is derived state; equality is label content
         // plus the total order.
-        self.labels == other.labels && self.ranks == other.ranks
+        self.rows == other.rows && self.ranks == other.ranks
     }
 }
 
@@ -48,9 +67,9 @@ pub struct IndexStats {
     /// Bytes under the paper's packed 64-bit-per-entry encoding.
     pub packed_bytes: usize,
     /// Actual in-memory footprint of the live wide representation: the
-    /// `Vec<LabelSet>` spine plus, per vertex, the `LabelSet` header and
-    /// its heap block at *capacity* (not length) — what resident memory
-    /// really pays, unlike the old entries-only figure.
+    /// row vector's spine plus, per vertex, the `LabelSet` header and its
+    /// heap block at *capacity* (not length) — what resident memory really
+    /// pays, unlike the old entries-only figure.
     pub wide_bytes: usize,
     /// Bytes a [`crate::flat::FlatIndex`] snapshot of this index occupies:
     /// 16 per entry across the three columns plus one `u32` offset per
@@ -62,39 +81,41 @@ pub struct IndexStats {
     pub avg_label_len: f64,
 }
 
-impl SpcIndex {
-    /// Creates an index whose every vertex has only its self label: the
+impl<V: Variant> LabelIndex<V> {
+    /// An index over `ranks` whose every row is `row(rank)`, with exact
+    /// hub-entry counts of `per_hub` per rank.
+    fn filled(ranks: RankMap, per_hub: u32, row: impl Fn(Rank) -> LabelRow<V::Entry>) -> Self {
+        let n = ranks.len();
+        let family = || {
+            (0..n)
+                .map(|v| row(ranks.rank(VertexId::from_index(v))))
+                .collect()
+        };
+        LabelIndex {
+            rows: families::<V>().iter().map(|_| family()).collect(),
+            hub_counts: vec![per_hub; n],
+            hub_counts_valid: true,
+            ranks,
+        }
+    }
+
+    /// Creates an index whose every vertex has only its self labels: the
     /// correct index for an edgeless graph.
     pub fn self_labeled(ranks: RankMap) -> Self {
-        let labels: Vec<LabelSet> = (0..ranks.len())
-            .map(|v| LabelSet::self_only(ranks.rank(VertexId(v as u32))))
-            .collect();
-        let n = labels.len();
-        SpcIndex {
-            labels,
-            ranks,
-            hub_counts: vec![1; n],
-            hub_counts_valid: true,
-        }
+        Self::filled(ranks, families::<V>().len() as u32, LabelRow::self_only)
     }
 
     /// An index over `ranks` whose every row is empty, with exact (zero)
     /// hub-entry counts: where construction starts, since HP-SPC emits
     /// every label, self labels included.
     pub(crate) fn with_empty_rows(ranks: RankMap) -> Self {
-        let n = ranks.len();
-        SpcIndex {
-            labels: vec![LabelSet::default(); n],
-            ranks,
-            hub_counts: vec![0; n],
-            hub_counts_valid: true,
-        }
+        Self::filled(ranks, 0, |_| LabelRow::default())
     }
 
     /// Number of vertices covered (id-space size).
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.labels.len()
+        self.ranks.len()
     }
 
     /// The vertex total order.
@@ -103,99 +124,106 @@ impl SpcIndex {
         &self.ranks
     }
 
-    /// `L(v)`.
+    /// Rank of `v`.
     #[inline]
-    pub fn label_set(&self, v: VertexId) -> &LabelSet {
-        &self.labels[v.index()]
+    pub fn rank(&self, v: VertexId) -> Rank {
+        self.ranks.rank(v)
     }
 
-    /// Raw mutable `L(v)` — wholesale replacement (the codec, thawing a
-    /// flat snapshot, tests). Invalidates the hub-entry counts; the engine
-    /// uses the tracked mutators below instead.
+    /// Vertex at rank `r`.
     #[inline]
-    pub fn label_set_mut(&mut self, v: VertexId) -> &mut LabelSet {
+    pub fn vertex(&self, r: Rank) -> VertexId {
+        self.ranks.vertex(r)
+    }
+
+    /// `v`'s row of label family `family`.
+    #[inline]
+    pub fn row(&self, v: VertexId, family: u8) -> &LabelRow<V::Entry> {
+        &self.rows[family_slot(family)][v.index()]
+    }
+
+    /// Raw mutable row of `family` at `v` — wholesale replacement (the
+    /// codec, thawing a flat snapshot, tests). Invalidates the hub-entry
+    /// counts; the engine uses the tracked mutators below instead.
+    #[inline]
+    pub fn row_mut(&mut self, v: VertexId, family: u8) -> &mut LabelRow<V::Entry> {
         self.hub_counts_valid = false;
-        &mut self.labels[v.index()]
+        &mut self.rows[family_slot(family)][v.index()]
     }
 
-    /// Inserts or replaces `(e.hub, ·, ·) ∈ L(v)`, keeping hub-entry
-    /// counts exact. Returns the previous entry.
-    pub fn upsert_entry(&mut self, v: VertexId, e: LabelEntry) -> Option<LabelEntry> {
-        let old = self.labels[v.index()].upsert(e);
+    /// Inserts or replaces `(e.hub, ·, ·)` in `v`'s row of `family`,
+    /// keeping hub-entry counts exact. Returns the previous entry.
+    pub fn upsert_entry(&mut self, v: VertexId, family: u8, e: V::Entry) -> Option<V::Entry> {
+        let old = self.rows[family_slot(family)][v.index()].upsert(e);
         if self.hub_counts_valid && old.is_none() {
-            self.hub_counts[e.hub.index()] += 1;
+            self.hub_counts[e.hub().index()] += 1;
         }
         old
     }
 
-    /// Removes `(hub, ·, ·)` from `L(v)`, keeping hub-entry counts exact.
-    pub fn remove_entry(&mut self, v: VertexId, hub: Rank) -> Option<LabelEntry> {
-        let old = self.labels[v.index()].remove(hub);
+    /// Removes `(hub, ·, ·)` from `v`'s row of `family`, keeping hub-entry
+    /// counts exact.
+    pub fn remove_entry(&mut self, v: VertexId, family: u8, hub: Rank) -> Option<V::Entry> {
+        let old = self.rows[family_slot(family)][v.index()].remove(hub);
         if self.hub_counts_valid && old.is_some() {
             self.hub_counts[hub.index()] -= 1;
         }
         old
     }
 
-    /// Clears `L(v)` down to a fresh self label (the §3.2.3 isolated-vertex
-    /// repair), keeping hub-entry counts exact. Returns how many non-self
-    /// entries were dropped.
+    /// Clears every row of `v` down to a fresh self label (the §3.2.3
+    /// isolated-vertex repair), keeping hub-entry counts exact. Returns how
+    /// many non-self entries were dropped.
     pub fn reset_vertex_to_self(&mut self, v: VertexId) -> usize {
         let self_rank = self.ranks.rank(v);
-        if self.hub_counts_valid {
-            let mut had_self = false;
-            for e in self.labels[v.index()].entries() {
-                if e.hub == self_rank {
-                    had_self = true;
-                } else {
-                    self.hub_counts[e.hub.index()] -= 1;
+        let mut dropped = 0;
+        for family in &mut self.rows {
+            let row = &mut family[v.index()];
+            if self.hub_counts_valid {
+                let mut had_self = false;
+                for e in row.entries() {
+                    if e.hub() == self_rank {
+                        had_self = true;
+                    } else {
+                        self.hub_counts[e.hub().index()] -= 1;
+                    }
+                }
+                if !had_self {
+                    self.hub_counts[self_rank.index()] += 1;
                 }
             }
-            if !had_self {
-                self.hub_counts[self_rank.index()] += 1;
-            }
+            dropped += row.reset_to_self(self_rank);
         }
-        self.labels[v.index()].reset_to_self(self_rank)
+        dropped
     }
 
     /// Publishes the labels for readers: every row written since the last
     /// publish becomes an immutable shared row, and one handle per vertex
-    /// comes back. Costs `O(n)` handle clones plus one copy of each
-    /// written row; a row untouched since the last publish is already
-    /// shared, so no dirty list is needed. The next write to a published
-    /// row copies it first (see [`LabelSet`]). Label content, and with it
-    /// the hub-entry counts, is unchanged.
-    pub fn publish(&mut self) -> SharedRows<LabelEntry> {
-        SharedRows::publish(&mut self.labels)
+    /// and family comes back, in family order. Costs `O(n)` handle clones
+    /// per family plus one copy of each written row; a row untouched since
+    /// the last publish is already shared, so no dirty list is needed. The
+    /// next write to a published row copies it first (see [`LabelRow`]).
+    /// Label content, and with it the hub-entry counts, is unchanged.
+    pub fn publish(&mut self) -> Vec<SharedRows<V::Entry>> {
+        self.rows
+            .iter_mut()
+            .map(|rows| SharedRows::publish(rows))
+            .collect()
     }
 
     /// Number of label entries anywhere in the index whose hub has rank
-    /// `r` (including the hub vertex's own self label). Recomputes the
+    /// `r` (including the hub vertex's own self labels). Recomputes the
     /// counts first if raw mutation invalidated them.
     pub fn hub_entry_count(&mut self, r: Rank) -> u32 {
         if !self.hub_counts_valid {
             self.hub_counts.clear();
             self.hub_counts.resize(self.ranks.len(), 0);
-            for ls in &self.labels {
-                for e in ls.entries() {
-                    self.hub_counts[e.hub.index()] += 1;
-                }
+            for e in self.rows.iter().flatten().flat_map(LabelRow::entries) {
+                self.hub_counts[e.hub().index()] += 1;
             }
             self.hub_counts_valid = true;
         }
         self.hub_counts[r.index()]
-    }
-
-    /// Rank of `v` (convenience).
-    #[inline]
-    pub fn rank(&self, v: VertexId) -> Rank {
-        self.ranks.rank(v)
-    }
-
-    /// Vertex at `r` (convenience).
-    #[inline]
-    pub fn vertex(&self, r: Rank) -> VertexId {
-        self.ranks.vertex(r)
     }
 
     /// Swaps the vertices at ranks `r` and `r + 1` **without touching any
@@ -203,7 +231,7 @@ impl SpcIndex {
     /// label entries and hub-entry counts are keyed by *rank*, so neither
     /// moves — but every entry at the two ranks now attributes its paths
     /// to the wrong hub vertex, which is why the caller
-    /// ([`crate::engine::PushPipeline::rerank`]) swaps, purges both ranks'
+    /// ([`crate::engine::Pipeline::rerank`]) swaps, purges both ranks'
     /// entries from every label family, then re-pushes both hubs. This
     /// method only performs the O(1) order remap.
     pub fn swap_adjacent_ranks(&mut self, r: Rank) {
@@ -211,31 +239,92 @@ impl SpcIndex {
     }
 
     /// Registers a freshly added isolated vertex: appends it at the lowest
-    /// rank with a self label. This is the paper's entire incremental
-    /// handling of vertex insertion (§3): an isolated vertex affects no
-    /// other label.
-    pub fn add_isolated_vertex(&mut self, v: VertexId) {
+    /// rank with a self label in every family, and returns that rank. This
+    /// is the paper's entire incremental handling of vertex insertion
+    /// (§3): an isolated vertex affects no other label.
+    pub fn append_vertex(&mut self, v: VertexId) -> Rank {
         let r = self.ranks.append_vertex(v);
-        self.labels.push(LabelSet::self_only(r));
-        self.hub_counts.push(1);
+        for family in &mut self.rows {
+            family.push(LabelRow::self_only(r));
+        }
+        self.hub_counts.push(self.rows.len() as u32);
+        r
+    }
+
+    /// Total entries across every family.
+    pub fn num_entries(&self) -> usize {
+        self.rows.iter().flatten().map(LabelRow::len).sum()
+    }
+
+    /// Structural invariants: the rank map is a bijection, and in every
+    /// family each row is strictly sorted, carries its owner's self label
+    /// `(rank, 0, 1)`, and holds only entries whose hub ranks at least as
+    /// high as the owner (labels only point "up" the order), with finite
+    /// distances (the hub probe reads an `INF` slot as "hub absent") and
+    /// positive counts.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        if !self.ranks.validate() {
+            return Err("rank map is not a bijection".into());
+        }
+        let names: &[&str] = if V::DIRECTED {
+            &["L_in", "L_out"]
+        } else {
+            &["L"]
+        };
+        for (name, family) in names.iter().zip(&self.rows) {
+            for (vi, row) in family.iter().enumerate() {
+                let v = VertexId::from_index(vi);
+                if !row.is_sorted_strict() {
+                    return Err(format!("{name}({v}) not strictly sorted by hub rank"));
+                }
+                let self_rank = self.ranks.rank(v);
+                match row.get(self_rank) {
+                    Some(e) if e.dist() == V::Dist::ZERO && e.count() == 1 => {}
+                    Some(e) => return Err(format!("{name}({v}) malformed self label {e:?}")),
+                    None => return Err(format!("{name}({v}) missing its self label")),
+                }
+                for e in row.entries() {
+                    if e.hub() > self_rank {
+                        return Err(format!("{name}({v}) holds a hub ranked below it: {e:?}"));
+                    }
+                    if e.dist() == V::Dist::INF {
+                        return Err(format!("{name}({v}) holds an infinite distance: {e:?}"));
+                    }
+                    if e.count() == 0 {
+                        return Err(format!("{name}({v}) holds a zero count: {e:?}"));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl SpcIndex {
+    /// `L(v)`.
+    #[inline]
+    pub fn label_set(&self, v: VertexId) -> &LabelSet {
+        self.row(v, REPAIR_PRIMARY)
+    }
+
+    /// Raw mutable `L(v)` ([`LabelIndex::row_mut`]).
+    #[inline]
+    pub fn label_set_mut(&mut self, v: VertexId) -> &mut LabelSet {
+        self.row_mut(v, REPAIR_PRIMARY)
     }
 
     /// Aggregate statistics.
     pub fn stats(&self) -> IndexStats {
-        let entries: usize = self.labels.iter().map(LabelSet::len).sum();
-        let max = self.labels.iter().map(LabelSet::len).max().unwrap_or(0);
-        let n = self.labels.len();
+        let rows = &self.rows[0];
+        let entries = self.num_entries();
+        let n = rows.len();
         IndexStats {
             entries,
             packed_bytes: entries * 8,
             wide_bytes: std::mem::size_of::<Vec<LabelSet>>()
-                + self
-                    .labels
-                    .iter()
-                    .map(LabelSet::memory_byte_size)
-                    .sum::<usize>(),
+                + rows.iter().map(LabelSet::memory_byte_size).sum::<usize>(),
             flat_bytes: entries * 16 + (n + 1) * 4,
-            max_label_len: max,
+            max_label_len: rows.iter().map(LabelSet::len).max().unwrap_or(0),
             avg_label_len: if n == 0 {
                 0.0
             } else {
@@ -244,67 +333,17 @@ impl SpcIndex {
         }
     }
 
-    /// Structural invariants: every label set strictly sorted, every vertex
-    /// carries its self label, every entry's hub ranks at least as high as
-    /// the owner (labels only point "up" the order), distances finite
-    /// (the hub probe reads an `INF` slot as "hub absent"), counts
-    /// positive.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        if !self.ranks.validate() {
-            return Err("rank map is not a bijection".into());
-        }
-        for (vi, ls) in self.labels.iter().enumerate() {
-            let v = VertexId(vi as u32);
-            if !ls.is_sorted_strict() {
-                return Err(format!("L({v}) not strictly sorted by hub rank"));
-            }
-            let self_rank = self.ranks.rank(v);
-            match ls.get(self_rank) {
-                Some(e) if e.dist == 0 && e.count == 1 => {}
-                Some(e) => {
-                    return Err(format!(
-                        "self label of {v} malformed: dist={} count={}",
-                        e.dist, e.count
-                    ))
-                }
-                None => return Err(format!("missing self label of {v}")),
-            }
-            for e in ls.entries() {
-                if e.hub > self_rank {
-                    return Err(format!(
-                        "L({v}) contains hub ranked lower than the owner: {:?}",
-                        e.hub
-                    ));
-                }
-                if e.dist == INF_DIST {
-                    return Err(format!("infinite distance in L({v}): hub {:?}", e.hub));
-                }
-                if e.count == 0 {
-                    return Err(format!("zero-count label in L({v}): hub {:?}", e.hub));
-                }
-                if e.hub == self_rank && e.dist != 0 {
-                    return Err(format!("nonzero self distance at {v}"));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Total entries (shorthand used in experiments).
-    pub fn num_entries(&self) -> usize {
-        self.labels.iter().map(LabelSet::len).sum()
-    }
-
     /// Convenience accessor: the entry `(h, d, c) ∈ L(v)` for hub vertex
     /// `h`, if present.
     pub fn label_of(&self, v: VertexId, hub_vertex: VertexId) -> Option<&LabelEntry> {
-        self.labels[v.index()].get(self.ranks.rank(hub_vertex))
+        self.label_set(v).get(self.rank(hub_vertex))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::label::INF_DIST;
     use crate::order::OrderingStrategy;
     use dspc_graph::generators::classic::star_graph;
 
@@ -364,7 +403,7 @@ mod tests {
     #[test]
     fn add_isolated_vertex_extends_order() {
         let mut idx = fresh();
-        idx.add_isolated_vertex(VertexId(4));
+        idx.append_vertex(VertexId(4));
         assert_eq!(idx.num_vertices(), 5);
         assert_eq!(idx.rank(VertexId(4)), Rank(4));
         idx.check_invariants().unwrap();

@@ -153,8 +153,12 @@ pub trait HubEntry: Copy + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     fn dist(&self) -> Self::Dist;
     /// Shortest paths on which the hub is the highest-ranked vertex.
     fn count(&self) -> Count;
+    /// The entry `(hub, dist, count)`.
+    fn new(hub: Rank, dist: Self::Dist, count: Count) -> Self;
     /// The self label `(rank, 0, 1)`.
-    fn self_label(rank: Rank) -> Self;
+    fn self_label(rank: Rank) -> Self {
+        Self::new(rank, Self::Dist::ZERO, 1)
+    }
 }
 
 impl HubEntry for LabelEntry {
@@ -171,8 +175,9 @@ impl HubEntry for LabelEntry {
     fn count(&self) -> Count {
         self.count
     }
-    fn self_label(rank: Rank) -> Self {
-        LabelEntry::new(rank, 0, 1)
+    #[inline]
+    fn new(hub: Rank, dist: u32, count: Count) -> Self {
+        LabelEntry { hub, dist, count }
     }
 }
 

@@ -10,7 +10,9 @@
 //! * **SPC-Index** ([`index::SpcIndex`]) — a 2-hop hub labeling that answers
 //!   `spc(s, t)` (number of shortest paths) and `sd(s, t)` (shortest
 //!   distance) for any vertex pair by scanning two label sets
-//!   ([`query::spc_query`], Algorithm 1 of the paper).
+//!   ([`query::spc_query`], Algorithm 1 of the paper). One label store,
+//!   [`index::LabelIndex`], holds it for every variant, and one
+//!   [`flat::Snapshot`] publishes it to readers.
 //! * **HP-SPC** ([`build`]) — hub-pushing index construction over a degree
 //!   ranked vertex order ([`order`]).
 //! * **[`engine::UpdateEngine`]** — the generic hub-ordered maintenance
@@ -85,8 +87,10 @@ pub mod weighted;
 pub use build::{build_index, rebuild_index};
 pub use dynamic::{Dynamic, DynamicSpc, GraphUpdate, UpdateStats};
 pub use engine::MaintenanceCounters;
-pub use flat::{DirectedFlatIndex, FlatIndex, FlatScratch, KernelCounters, WeightedFlatIndex};
-pub use index::{IndexStats, SpcIndex};
+pub use flat::{
+    DirectedFlatIndex, FlatIndex, FlatScratch, KernelCounters, Snapshot, WeightedFlatIndex,
+};
+pub use index::{IndexStats, LabelIndex, SpcIndex};
 pub use label::{Count, LabelEntry, LabelSet, Rank, INF_DIST};
 pub use order::{OrderingStrategy, RankMap};
 pub use parallel::{MaintenanceThreads, QueryEngine};

@@ -7,7 +7,7 @@
 //!
 //! The same fan-out (`fan_out`) runs the two parallel parts of deletion
 //! maintenance, under the [`MaintenanceThreads`] budget of the dynamic
-//! facade ([`crate::engine::DecPipeline`]):
+//! facade ([`crate::engine::Pipeline`]):
 //!
 //! * the classification sweeps of a deletion batch, which only read;
 //! * the `DecUPDATE` repair sweeps. §6 of the paper leaves parallel updates

@@ -457,13 +457,6 @@ impl<E: HubEntry> HubProbe<E> {
     }
 }
 
-impl HubProbe {
-    /// Pins `L(h)` of an undirected index.
-    pub fn load(&mut self, index: &SpcIndex, h: VertexId) {
-        self.load_labels(index.label_set(h).entries(), index.ranks().len());
-    }
-}
-
 /// A reader's pinned source row over published rows: a [`HubProbe`]
 /// loaded with the row, and a handle that keeps the row alive.
 ///
@@ -643,7 +636,7 @@ pub(crate) mod tests {
         let idx = table2_index();
         let mut probe = HubProbe::new(idx.ranks().len());
         for h in 0..12u32 {
-            probe.load(&idx, VertexId(h));
+            probe.load_labels(idx.label_set(VertexId(h)).entries(), idx.ranks().len());
             for v in 0..12u32 {
                 let full = spc_query(&idx, VertexId(h), VertexId(v));
                 assert_eq!(
@@ -701,7 +694,7 @@ pub(crate) mod tests {
         let mut probe = HubProbe::new(idx.ranks().len());
         let mut max = 0;
         for h in 0..n {
-            probe.load(&idx, VertexId(h));
+            probe.load_labels(idx.label_set(VertexId(h)).entries(), idx.ranks().len());
             for v in 0..n {
                 let (d, _) = probe.query(idx.label_set(VertexId(v)));
                 if d != INF_DIST {
@@ -711,7 +704,7 @@ pub(crate) mod tests {
         }
         let bounds: Vec<u32> = (0..=max + 1).chain([INF_DIST]).collect();
         for h in 0..n {
-            probe.load(&idx, VertexId(h));
+            probe.load_labels(idx.label_set(VertexId(h)).entries(), idx.ranks().len());
             for v in 0..n {
                 let lv = idx.label_set(VertexId(v)).entries();
                 assert_prune_matches_query(&probe, lv, n, &bounds);
@@ -791,9 +784,9 @@ pub(crate) mod tests {
     fn probe_reload_clears_previous_hub() {
         let idx = table2_index();
         let mut probe = HubProbe::new(idx.ranks().len());
-        probe.load(&idx, VertexId(0));
+        probe.load_labels(idx.label_set(VertexId(0)).entries(), idx.ranks().len());
         let with_v0 = probe.query(idx.label_set(VertexId(9)));
-        probe.load(&idx, VertexId(11));
+        probe.load_labels(idx.label_set(VertexId(11)).entries(), idx.ranks().len());
         let with_v11 = probe.query(idx.label_set(VertexId(9)));
         assert_ne!(with_v0, with_v11);
         assert_eq!(with_v11.0, 1 + 4); // via common hub v0 only

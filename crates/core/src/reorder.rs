@@ -11,7 +11,7 @@
 //! hubs ranked above it — a set that is unchanged when two adjacent ranks
 //! `r`, `r + 1` trade occupants. So swapping the pair invalidates exactly
 //! the entries at the two ranks: remap the two rank positions in O(1)
-//! ([`crate::index::SpcIndex::swap_adjacent_ranks`]), purge the two ranks'
+//! ([`crate::index::LabelIndex::swap_adjacent_ranks`]), purge the two ranks'
 //! entries everywhere, and re-run the two hubs' pruned counting sweeps
 //! ([`crate::engine::UpdateEngine::inc_pass`] seeded at each hub) in the
 //! new order. The result is **bit-identical** to
@@ -22,14 +22,15 @@
 //!
 //! A *sorted, non-overlapping* run of swaps (no two positions within 2 of
 //! each other — what [`crate::order::plan_adjacent_swaps`] emits) repairs
-//! in one pass ([`crate::engine::PushPipeline::rerank`]): swap every pair,
+//! in one pass ([`crate::engine::Pipeline::rerank`]): swap every pair,
 //! purge all their ranks from every label family in one scan, then re-push
 //! the pairs in ascending rank order, promoted hub before demoted, `L_in`
 //! before `L_out`. When a pair's sweeps run, every pair ranked above it is
 //! already repaired and every pair below it is absent, so each sweep reads
 //! exactly the labels a fresh build at the swapped order would.
 
-use crate::engine::{MaintenanceCounters, PushPipeline, Variant};
+use crate::engine::{MaintenanceCounters, Pipeline, Variant};
+use crate::index::LabelIndex;
 use crate::label::Rank;
 
 /// Applies a sorted, non-overlapping run of adjacent swaps to `index` and
@@ -40,10 +41,10 @@ use crate::label::Rank;
 /// repair on the facade's own scratch.
 pub fn rerank_adjacent<V: Variant>(
     g: &V::Graph,
-    index: &mut V::Index,
+    index: &mut LabelIndex<V>,
     swaps: &[Rank],
 ) -> MaintenanceCounters {
-    PushPipeline::<V>::new(V::capacity(g)).rerank(g, index, swaps)
+    Pipeline::<V>::new(V::capacity(g)).rerank(g, index, swaps)
 }
 
 #[cfg(test)]

@@ -1,35 +1,33 @@
-//! Vertex-range shard attribution for the published undirected snapshot,
-//! plus the epoch-stamped snapshot wrapper the serving layer publishes.
+//! Vertex-range shard attribution for published snapshots, the undirected
+//! snapshot's copying constructors, and the epoch-stamped snapshot wrapper
+//! the serving layer publishes.
 //!
-//! [`ShardedFlatIndex`] is what the serving layer hands readers for an
-//! undirected engine: one shared label row per vertex
-//! ([`crate::label::SharedRows`]) plus the rank map. It keeps vertex-range
-//! `bounds` only to attribute the kernel's deterministic work counters to
-//! the shard that owns the query's source vertex (`bounds[i] ..
-//! bounds[i + 1]`); the rows themselves are not split, so a rotation
-//! publishes by sharing unchanged rows instead of re-slicing the index.
-//! [`ShardedFlatIndex::query_counted`] runs the same merge kernel as the
-//! live index and [`crate::flat::FlatIndex`]; the serving readers answer
-//! through [`ShardedFlatIndex::query_pinned`], the pinned hub probe of
+//! Every published [`crate::flat::Snapshot`] keeps vertex-range `bounds`
+//! ([`even_bounds`]) only to attribute the kernel's deterministic work
+//! counters to the shard that owns the query's source vertex; the rows
+//! themselves are not split. [`ShardedFlatIndex`] is the undirected
+//! instance, what the serving layer hands readers for an undirected
+//! engine. Its `query_counted` runs the same merge kernel as the live
+//! index and [`crate::flat::FlatIndex`]; the serving readers answer
+//! through its `query_pinned`, the pinned hub probe of
 //! [`crate::query::RowPin`]. Answers and `merge_steps` are
 //! **bit-identical** across all of them (`tests/shard_equivalence.rs`,
 //! `tests/pinned_reads.rs`).
 //!
-//! The type keeps its name (and its copying constructors
-//! [`ShardedFlatIndex::from_flat`] / [`ShardedFlatIndex::with_bounds`])
-//! because the wall-clock benchmark in `perfbench/` compiles against them;
-//! the serving path uses [`ShardedFlatIndex::publish`].
+//! The undirected instance keeps its name and the copying constructors
+//! from the v2 columns ([`ShardedFlatIndex::from_flat`] /
+//! [`ShardedFlatIndex::with_bounds`]) because the wall-clock benchmark in
+//! `perfbench/` compiles against them; the serving path publishes.
 //!
 //! [`EpochSnapshot`] stamps any snapshot with the epoch that froze it. The
 //! serving layer (`dspc-serve`) publishes `Arc<EpochSnapshot<_>>` values at
 //! epoch boundaries; the stamp is what lets a concurrent test harness check
 //! every answer against the exact epoch the reader observed.
 
-use crate::flat::{FlatIndex, FlatScratch, KernelCounters};
-use crate::index::SpcIndex;
-use crate::label::{LabelEntry, Rank, SharedRows};
-use crate::order::RankMap;
-use crate::query::{counted_query_rows, pre_query_rows, query_rows, QueryResult, RowPin};
+use crate::engine::{Undirected, REPAIR_PRIMARY};
+use crate::flat::{FlatIndex, FlatScratch, Snapshot};
+use crate::label::{LabelEntry, SharedRows};
+use crate::query::QueryResult;
 use dspc_graph::VertexId;
 use std::sync::Arc;
 
@@ -52,25 +50,9 @@ pub fn even_bounds(n: usize, shards: usize) -> Vec<u32> {
 
 /// The published undirected snapshot: shared label rows, the rank map, and
 /// vertex-range shard bounds for per-shard counter attribution.
-#[derive(Clone, Debug)]
-pub struct ShardedFlatIndex {
-    rows: SharedRows<LabelEntry>,
-    bounds: Vec<u32>,
-    ranks: RankMap,
-}
+pub type ShardedFlatIndex = Snapshot<Undirected>;
 
 impl ShardedFlatIndex {
-    /// Publishes `index` over `shards` evenly sized vertex ranges: every
-    /// row written since the last publish becomes shared, every other row
-    /// is the previous snapshot's ([`SpcIndex::publish`]).
-    pub fn publish(index: &mut SpcIndex, shards: usize) -> Self {
-        ShardedFlatIndex {
-            bounds: even_bounds(index.num_vertices(), shards),
-            rows: index.publish(),
-            ranks: index.ranks().clone(),
-        }
-    }
-
     /// Copies `flat` into a snapshot over `shards` evenly sized vertex
     /// ranges.
     pub fn from_flat(flat: &FlatIndex, shards: usize) -> Self {
@@ -97,146 +79,16 @@ impl ShardedFlatIndex {
             return Err("bounds must end at the vertex count");
         }
         let rows = (0..n).map(|v| flat.row_entries(v).collect::<Arc<[LabelEntry]>>());
-        Ok(ShardedFlatIndex {
-            rows: SharedRows::copied_from(rows),
-            bounds: bounds.to_vec(),
-            ranks: flat.ranks().clone(),
-        })
-    }
-
-    /// Number of shards.
-    #[inline]
-    pub fn num_shards(&self) -> usize {
-        self.bounds.len() - 1
-    }
-
-    /// Number of vertices covered (all shards together).
-    #[inline]
-    pub fn num_vertices(&self) -> usize {
-        self.rows.num_vertices()
-    }
-
-    /// Total label entries.
-    pub fn num_entries(&self) -> usize {
-        self.rows.num_entries()
+        Ok(Snapshot::from_parts(
+            vec![SharedRows::copied_from(rows)],
+            flat.ranks().clone(),
+            bounds.to_vec(),
+        ))
     }
 
     /// The published rows.
     pub fn rows(&self) -> &SharedRows<LabelEntry> {
-        &self.rows
-    }
-
-    /// Rows copied (rather than shared) when this snapshot was made.
-    pub fn rows_copied(&self) -> usize {
-        self.rows.rows_copied()
-    }
-
-    /// The shard boundaries (`num_shards() + 1` values, first 0, last
-    /// `num_vertices()`).
-    pub fn bounds(&self) -> &[u32] {
-        &self.bounds
-    }
-
-    /// The vertex total order.
-    #[inline]
-    pub fn ranks(&self) -> &RankMap {
-        &self.ranks
-    }
-
-    /// Rank of `v`.
-    #[inline]
-    pub fn rank(&self, v: VertexId) -> Rank {
-        self.ranks.rank(v)
-    }
-
-    /// Which shard owns vertex `v`.
-    #[inline]
-    pub fn shard_of(&self, v: VertexId) -> usize {
-        debug_assert!((v.0 as usize) < self.num_vertices());
-        self.bounds.partition_point(|&b| b <= v.0) - 1
-    }
-
-    /// Label entries of the vertices shard `i` owns.
-    pub fn shard_entries(&self, i: usize) -> usize {
-        (self.bounds[i]..self.bounds[i + 1])
-            .map(|v| self.rows.row(v as usize).len())
-            .sum()
-    }
-
-    /// `SpcQUERY(s, t)` against the snapshot.
-    pub fn query(&self, s: VertexId, t: VertexId) -> QueryResult {
-        self.query_with(&mut FlatScratch, s, t)
-    }
-
-    /// `SpcQUERY(s, t)`; `scratch` is unused (see [`FlatScratch`]).
-    #[inline]
-    pub fn query_with(&self, _scratch: &mut FlatScratch, s: VertexId, t: VertexId) -> QueryResult {
-        let (dist, count) = query_rows(self.rows.row(s.index()), self.rows.row(t.index()));
-        QueryResult { dist, count }
-    }
-
-    /// `PreQUERY(s, t)`: only hubs ranked strictly above `rank(s)`
-    /// participate, matching [`crate::query::pre_query`].
-    pub fn pre_query(&self, s: VertexId, t: VertexId) -> QueryResult {
-        self.pre_query_with(&mut FlatScratch, s, t)
-    }
-
-    /// [`ShardedFlatIndex::pre_query`]; `scratch` is unused.
-    #[inline]
-    pub fn pre_query_with(
-        &self,
-        _scratch: &mut FlatScratch,
-        s: VertexId,
-        t: VertexId,
-    ) -> QueryResult {
-        let (dist, count) = pre_query_rows(
-            self.rows.row(s.index()),
-            self.rows.row(t.index()),
-            self.rank(s),
-        );
-        QueryResult { dist, count }
-    }
-
-    /// Counted [`ShardedFlatIndex::query_with`]: kernel work units are
-    /// attributed to the shard owning `s` — `per_shard` must hold one
-    /// counter per shard. This is the serving layer's per-shard
-    /// `merge_steps` accounting.
-    pub fn query_counted(
-        &self,
-        _scratch: &mut FlatScratch,
-        per_shard: &mut [KernelCounters],
-        s: VertexId,
-        t: VertexId,
-    ) -> QueryResult {
-        assert_eq!(per_shard.len(), self.num_shards(), "one counter per shard");
-        let (dist, count) = counted_query_rows(
-            self.rows.row(s.index()),
-            self.rows.row(t.index()),
-            &mut per_shard[self.shard_of(s)],
-        );
-        QueryResult { dist, count }
-    }
-
-    /// [`ShardedFlatIndex::query_counted`] through a reader's `pin`:
-    /// `L(s)` is loaded into the pin's probe unless it is already pinned,
-    /// then only `L(t)` is scanned. Answers and per-shard counters are
-    /// bit-identical to the merge.
-    #[inline]
-    pub fn query_pinned(
-        &self,
-        pin: &mut RowPin,
-        per_shard: &mut [KernelCounters],
-        s: VertexId,
-        t: VertexId,
-    ) -> QueryResult {
-        assert_eq!(per_shard.len(), self.num_shards(), "one counter per shard");
-        let (dist, count) = pin.query_counted(
-            &self.rows,
-            s,
-            self.rows.row(t.index()),
-            &mut per_shard[self.shard_of(s)],
-        );
-        QueryResult { dist, count }
+        self.family(REPAIR_PRIMARY)
     }
 }
 
@@ -292,6 +144,7 @@ impl<S> EpochSnapshot<S> {
 mod tests {
     use super::*;
     use crate::build::build_index;
+    use crate::flat::KernelCounters;
     use crate::order::OrderingStrategy;
     use crate::query::{pre_query, spc_query};
     use dspc_graph::generators::random::barabasi_albert;
@@ -323,10 +176,7 @@ mod tests {
                         sharded.query_with(&mut scratch, s, t),
                         spc_query(&idx, s, t)
                     );
-                    assert_eq!(
-                        sharded.pre_query_with(&mut scratch, s, t),
-                        pre_query(&idx, s, t)
-                    );
+                    assert_eq!(sharded.pre_query(s, t), pre_query(&idx, s, t));
                 }
             }
         }

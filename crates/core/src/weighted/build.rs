@@ -5,10 +5,10 @@
 //! the strict prune (`query(h, v) < D[v]`), labels are emitted at settle
 //! time when not pruned, and relaxations observe rank pruning — the same
 //! [`crate::engine::UpdateEngine::inc_pass`] seeded at the hub, over a
-//! [`crate::engine::WeightedTopo`] view.
+//! [`crate::engine::Topo`] view.
 
 use super::WeightedSpcIndex;
-use crate::engine::{PushPipeline, Weighted};
+use crate::engine::{Pipeline, Weighted};
 use crate::order::{OrderingStrategy, RankMap};
 use dspc_graph::weighted::WeightedGraph;
 
@@ -16,13 +16,13 @@ use dspc_graph::weighted::WeightedGraph;
 /// heuristic the paper inherits, since weights do not change who the
 /// likely hubs are.
 pub fn build_weighted_index(g: &WeightedGraph, strategy: OrderingStrategy) -> WeightedSpcIndex {
-    PushPipeline::<Weighted>::new(g.capacity()).build(g, strategy)
+    Pipeline::<Weighted>::new(g.capacity()).build(g, strategy)
 }
 
 /// One-shot weighted build over an explicit rank map — the comparison
 /// target for [`crate::reorder::rerank_adjacent`].
 pub fn rebuild_weighted_index(g: &WeightedGraph, ranks: RankMap) -> WeightedSpcIndex {
-    PushPipeline::<Weighted>::new(g.capacity()).rebuild(g, ranks)
+    Pipeline::<Weighted>::new(g.capacity()).rebuild(g, ranks)
 }
 
 #[cfg(test)]

@@ -10,9 +10,9 @@
 //! type, [`WLabelEntry`]; the row storage ([`crate::label::LabelRow`]), the
 //! query kernel and the pinned probe ([`crate::query`]) are the generic
 //! ones the unweighted variants use, so the unweighted hot path keeps its
-//! compact `u32` distances. [`DynamicWeightedSpc`] is the facade over
-//! [`Weighted`]; the shared pipelines run partial Dijkstras through
-//! [`crate::engine::WeightedTopo`] views.
+//! compact `u32` distances. [`WeightedSpcIndex`] is the label store over
+//! [`Weighted`] and [`DynamicWeightedSpc`] the facade; the shared pipeline
+//! runs partial Dijkstras through [`crate::engine::Topo`] views.
 //!
 //! ## IncSPC / DecSPC over weights
 //!
@@ -33,8 +33,9 @@ pub mod build;
 pub use build::{build_weighted_index, rebuild_weighted_index};
 
 use crate::dynamic::{Dynamic, UpdateStats};
-use crate::engine::Weighted;
-use crate::label::{Count, HubEntry, LabelRow, Rank, SharedRows};
+use crate::engine::{Weighted, REPAIR_PRIMARY};
+use crate::index::LabelIndex;
+use crate::label::{Count, HubEntry, LabelRow, Rank};
 use crate::query::{pre_query_rows, query_rows};
 use dspc_graph::weighted::{WDist, Weight, WDIST_INF};
 use dspc_graph::VertexId;
@@ -72,8 +73,9 @@ impl HubEntry for WLabelEntry {
     fn count(&self) -> Count {
         self.count
     }
-    fn self_label(rank: Rank) -> Self {
-        WLabelEntry::new(rank, 0, 1)
+    #[inline]
+    fn new(hub: Rank, dist: WDist, count: Count) -> Self {
+        WLabelEntry { hub, dist, count }
     }
 }
 
@@ -82,96 +84,19 @@ impl HubEntry for WLabelEntry {
 pub type WLabelSet = LabelRow<WLabelEntry>;
 
 /// The weighted SPC-Index.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct WeightedSpcIndex {
-    labels: Vec<WLabelSet>,
-    ranks: crate::order::RankMap,
-}
+pub type WeightedSpcIndex = LabelIndex<Weighted>;
 
 impl WeightedSpcIndex {
-    pub(crate) fn new(labels: Vec<WLabelSet>, ranks: crate::order::RankMap) -> Self {
-        WeightedSpcIndex { labels, ranks }
-    }
-
-    /// The vertex total order.
-    pub fn ranks(&self) -> &crate::order::RankMap {
-        &self.ranks
-    }
-
-    /// Rank of `v`.
-    pub fn rank(&self, v: VertexId) -> Rank {
-        self.ranks.rank(v)
-    }
-
-    /// Vertex at `r`.
-    pub fn vertex(&self, r: Rank) -> VertexId {
-        self.ranks.vertex(r)
-    }
-
     /// `L(v)`.
+    #[inline]
     pub fn label_set(&self, v: VertexId) -> &WLabelSet {
-        &self.labels[v.index()]
+        self.row(v, REPAIR_PRIMARY)
     }
 
-    /// Mutable `L(v)`.
+    /// Raw mutable `L(v)` ([`LabelIndex::row_mut`]).
+    #[inline]
     pub fn label_set_mut(&mut self, v: VertexId) -> &mut WLabelSet {
-        &mut self.labels[v.index()]
-    }
-
-    /// Total label entries.
-    pub fn num_entries(&self) -> usize {
-        self.labels.iter().map(WLabelSet::len).sum()
-    }
-
-    /// Publishes the labels for readers — the weighted twin of
-    /// [`crate::index::SpcIndex::publish`]: written rows become shared,
-    /// one handle per vertex comes back.
-    pub fn publish(&mut self) -> SharedRows<WLabelEntry> {
-        SharedRows::publish(&mut self.labels)
-    }
-
-    /// Registers a freshly added isolated vertex at the lowest rank.
-    pub fn append_vertex(&mut self, v: VertexId) -> Rank {
-        let r = self.ranks.append_vertex(v);
-        self.labels.push(WLabelSet::self_only(r));
-        r
-    }
-
-    /// Swaps the vertices at ranks `r` and `r + 1` without touching the
-    /// label sets — the weighted twin of
-    /// [`crate::index::SpcIndex::swap_adjacent_ranks`]; the caller
-    /// ([`crate::engine::PushPipeline::rerank`]) purges both ranks' entries
-    /// and re-pushes both hubs.
-    pub fn swap_adjacent_ranks(&mut self, r: Rank) {
-        self.ranks.swap_adjacent(r);
-    }
-
-    /// Structural invariants (sorted, self labels, upward hubs, finite
-    /// distances, positive counts).
-    pub fn check_invariants(&self) -> Result<(), String> {
-        for (vi, ls) in self.labels.iter().enumerate() {
-            let v = VertexId(vi as u32);
-            if !ls.is_sorted_strict() {
-                return Err(format!("L({v}) not sorted"));
-            }
-            let sr = self.ranks.rank(v);
-            match ls.get(sr) {
-                Some(e) if e.dist == 0 && e.count == 1 => {}
-                _ => return Err(format!("self label of {v} missing/malformed")),
-            }
-            for e in ls.entries() {
-                if e.hub > sr {
-                    return Err(format!("L({v}) hub below owner"));
-                }
-                if e.dist == WDIST_INF {
-                    return Err(format!("L({v}) infinite distance"));
-                }
-                if e.count == 0 {
-                    return Err(format!("L({v}) zero count"));
-                }
-            }
-        }
-        Ok(())
+        self.row_mut(v, REPAIR_PRIMARY)
     }
 }
 
@@ -280,10 +205,7 @@ mod tests {
     fn empty_index_queries() {
         let g = path_graph(3);
         let ranks = RankMap::build(&g, OrderingStrategy::Identity);
-        let labels = (0..3)
-            .map(|v| WLabelSet::self_only(ranks.rank(VertexId(v))))
-            .collect();
-        let idx = WeightedSpcIndex::new(labels, ranks);
+        let idx = WeightedSpcIndex::self_labeled(ranks);
         idx.check_invariants().unwrap();
         assert_eq!(
             weighted_spc_query(&idx, VertexId(1), VertexId(1)).as_option(),
@@ -296,11 +218,10 @@ mod tests {
     fn invariant_checker_catches_infinite_distance() {
         let g = path_graph(3);
         let ranks = RankMap::build(&g, OrderingStrategy::Identity);
-        let mut labels: Vec<WLabelSet> = (0..3)
-            .map(|v| WLabelSet::self_only(ranks.rank(VertexId(v))))
-            .collect();
-        labels[2].upsert(WLabelEntry::new(ranks.rank(VertexId(0)), WDIST_INF, 1));
-        let idx = WeightedSpcIndex::new(labels, ranks);
+        let hub = ranks.rank(VertexId(0));
+        let mut idx = WeightedSpcIndex::self_labeled(ranks);
+        idx.label_set_mut(VertexId(2))
+            .upsert(WLabelEntry::new(hub, WDIST_INF, 1));
         assert!(idx.check_invariants().is_err());
     }
 

@@ -6,17 +6,15 @@ use dspc::engine::Variant;
 use dspc::policy::ManagedSpc;
 use dspc::query::{spc_query, RowPin};
 use dspc::shard::ShardedFlatIndex;
-use dspc::weighted::{WLabelEntry, WQueryResult};
-use dspc::{
-    DirectedFlatIndex, FlatScratch, KernelCounters, QueryResult, UpdateStats, WeightedFlatIndex,
-};
+use dspc::{FlatScratch, KernelCounters, QueryResult, Snapshot, UpdateStats};
 use dspc_graph::VertexId;
 
 /// A frozen, immutable index representation the read path can serve from.
 ///
 /// Implementations attribute the kernel's deterministic work counters to
-/// the shard that owns the *source* vertex's label slice; unsharded
-/// snapshots report a single shard.
+/// the shard that owns the *source* vertex's label slice. Every variant's
+/// published [`Snapshot`] implements it, over the shards it was published
+/// with.
 pub trait ServingSnapshot: Send + Sync + 'static {
     /// What a query returns (`QueryResult` for hop distances,
     /// `WQueryResult` for accumulated weights).
@@ -58,16 +56,19 @@ pub trait ServingSnapshot: Send + Sync + 'static {
     ) -> Self::Answer;
 }
 
-impl ServingSnapshot for ShardedFlatIndex {
-    type Answer = QueryResult;
-    type Pin = RowPin;
+/// Every published snapshot, whichever its variant: the answer is the
+/// variant's, the pin holds the variant's entries, and counters go to the
+/// shard owning the source vertex ([`Snapshot::query_counted`]).
+impl<V: Variant> ServingSnapshot for Snapshot<V> {
+    type Answer = V::Answer;
+    type Pin = RowPin<V::Entry>;
 
     fn shard_count(&self) -> usize {
         self.num_shards()
     }
 
     fn rows_copied(&self) -> usize {
-        ShardedFlatIndex::rows_copied(self)
+        Snapshot::rows_copied(self)
     }
 
     #[inline]
@@ -77,89 +78,19 @@ impl ServingSnapshot for ShardedFlatIndex {
         per_shard: &mut [KernelCounters],
         s: VertexId,
         t: VertexId,
-    ) -> QueryResult {
-        ShardedFlatIndex::query_counted(self, scratch, per_shard, s, t)
+    ) -> V::Answer {
+        Snapshot::query_counted(self, scratch, per_shard, s, t)
     }
 
     #[inline]
     fn query_pinned(
         &self,
-        pin: &mut RowPin,
+        pin: &mut RowPin<V::Entry>,
         per_shard: &mut [KernelCounters],
         s: VertexId,
         t: VertexId,
-    ) -> QueryResult {
-        ShardedFlatIndex::query_pinned(self, pin, per_shard, s, t)
-    }
-}
-
-impl ServingSnapshot for DirectedFlatIndex {
-    type Answer = QueryResult;
-    type Pin = RowPin;
-
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    fn rows_copied(&self) -> usize {
-        DirectedFlatIndex::rows_copied(self)
-    }
-
-    #[inline]
-    fn query_counted(
-        &self,
-        scratch: &mut FlatScratch,
-        per_shard: &mut [KernelCounters],
-        s: VertexId,
-        t: VertexId,
-    ) -> QueryResult {
-        DirectedFlatIndex::query_counted(self, scratch, &mut per_shard[0], s, t)
-    }
-
-    #[inline]
-    fn query_pinned(
-        &self,
-        pin: &mut RowPin,
-        per_shard: &mut [KernelCounters],
-        s: VertexId,
-        t: VertexId,
-    ) -> QueryResult {
-        DirectedFlatIndex::query_pinned(self, pin, &mut per_shard[0], s, t)
-    }
-}
-
-impl ServingSnapshot for WeightedFlatIndex {
-    type Answer = WQueryResult;
-    type Pin = RowPin<WLabelEntry>;
-
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    fn rows_copied(&self) -> usize {
-        WeightedFlatIndex::rows_copied(self)
-    }
-
-    #[inline]
-    fn query_counted(
-        &self,
-        scratch: &mut FlatScratch,
-        per_shard: &mut [KernelCounters],
-        s: VertexId,
-        t: VertexId,
-    ) -> WQueryResult {
-        WeightedFlatIndex::query_counted(self, scratch, &mut per_shard[0], s, t)
-    }
-
-    #[inline]
-    fn query_pinned(
-        &self,
-        pin: &mut RowPin<WLabelEntry>,
-        per_shard: &mut [KernelCounters],
-        s: VertexId,
-        t: VertexId,
-    ) -> WQueryResult {
-        WeightedFlatIndex::query_pinned(self, pin, &mut per_shard[0], s, t)
+    ) -> V::Answer {
+        Snapshot::query_pinned(self, pin, per_shard, s, t)
     }
 }
 
@@ -183,11 +114,10 @@ pub trait ServingEngine: Send + 'static {
     fn apply_batch(&mut self, updates: &[Self::Update]) -> dspc_graph::Result<UpdateStats>;
 
     /// Publishes the current epoch's serving snapshot, attributing
-    /// counters over `shards` where the representation supports it
-    /// (unsharded representations ignore the hint). Implementations
-    /// publish through the index's publish step: rows written since the
-    /// last call become shared, every other row is handed out again, so
-    /// the cost is `O(n)` plus the entries the epoch changed.
+    /// counters over `shards` vertex ranges. Implementations publish
+    /// through the index's publish step: rows written since the last call
+    /// become shared, every other row is handed out again, so the cost is
+    /// `O(n)` plus the entries the epoch changed.
     fn freeze(&mut self, shards: usize) -> Self::Snapshot;
 
     /// `SPC(s, t)` straight off the live label sets — bit-identical to
@@ -201,16 +131,15 @@ impl<V: Variant> ServingEngine for Dynamic<V>
 where
     Dynamic<V>: Send,
     V::Update: crate::journal::JournalUpdate + Send,
-    V::Snapshot: ServingSnapshot<Answer = V::Answer>,
 {
-    type Snapshot = V::Snapshot;
+    type Snapshot = Snapshot<V>;
     type Update = V::Update;
 
     fn apply_batch(&mut self, updates: &[V::Update]) -> dspc_graph::Result<UpdateStats> {
         Dynamic::apply_batch(self, updates)
     }
 
-    fn freeze(&mut self, shards: usize) -> V::Snapshot {
+    fn freeze(&mut self, shards: usize) -> Snapshot<V> {
         self.publish(shards)
     }
 

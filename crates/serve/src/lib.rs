@@ -7,8 +7,8 @@
 //!
 //! * **Readers** hold a [`Reader`] handle onto an atomically published
 //!   chain of [`EpochSnapshot`]-stamped snapshots: immutable label rows
-//!   shared with the live index (`dspc::flat`, with per-shard counter
-//!   attribution for the undirected [`dspc::ShardedFlatIndex`]).
+//!   shared with the live index ([`dspc::Snapshot`], one type for every
+//!   variant, with per-shard counter attribution).
 //!   Queries are served from the reader's pinned snapshot with **no locks
 //!   anywhere on the read path**; advancing to a newer epoch is a wait-free
 //!   walk of atomically-set forward pointers. Each reader keeps its last

@@ -17,8 +17,8 @@ use std::path::Path;
 /// Server construction knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// Shared-nothing shards each published snapshot fans out over
-    /// (representations without sharding ignore the hint).
+    /// Vertex-range shards each published snapshot attributes its query
+    /// counters over (at least one).
     pub shards: usize,
 }
 
@@ -188,7 +188,18 @@ impl<E: ServingEngine> EpochServer<E> {
     /// the live engine that will take over maintenance. The loaded
     /// snapshot is published as epoch 0 as-is — no re-freeze, no rebuild —
     /// so the first queries are served before the engine is even touched.
+    ///
+    /// # Panics
+    /// If `initial` attributes counters over another number of shards than
+    /// the `config.shards.max(1)` every later epoch is published with. A
+    /// reader keeps one counter per shard of the snapshot it starts at, so
+    /// its first query after a rotation would fail instead.
     pub fn warm_start(engine: E, initial: E::Snapshot, config: ServeConfig) -> Self {
+        let (loaded, published) = (initial.shard_count(), config.shards.max(1));
+        assert_eq!(
+            loaded, published,
+            "warm-start snapshot has {loaded} shards, but the server publishes {published}"
+        );
         EpochServer::assemble(
             engine,
             Publisher::new(initial),
@@ -660,7 +671,7 @@ impl<S: ServingSnapshot> Reader<S> {
 mod tests {
     use super::*;
     use dspc::dynamic::GraphUpdate;
-    use dspc::{DynamicSpc, OrderingStrategy};
+    use dspc::{DynamicSpc, FlatIndex, OrderingStrategy, ShardedFlatIndex};
     use dspc_graph::UndirectedGraph;
 
     fn server() -> EpochServer<DynamicSpc> {
@@ -770,5 +781,19 @@ mod tests {
         let fork = reader.fork();
         assert_eq!(fork.queries_served(), 0);
         assert_eq!(fork.epoch(), reader.epoch());
+    }
+
+    #[test]
+    #[should_panic(expected = "warm-start snapshot has 4 shards, but the server publishes 2")]
+    fn warm_start_rejects_a_snapshot_with_other_shards() {
+        let engine = server().into_engine();
+        let flat = FlatIndex::freeze(engine.index());
+        // No shards configured means one, as every later publish makes.
+        let one = ShardedFlatIndex::from_flat(&flat, 1);
+        let server = EpochServer::warm_start(engine, one, ServeConfig { shards: 0 });
+        assert_eq!(server.reader().shard_counters().len(), 1);
+        let engine = server.into_engine();
+        let four = ShardedFlatIndex::from_flat(&flat, 4);
+        EpochServer::warm_start(engine, four, ServeConfig { shards: 2 });
     }
 }

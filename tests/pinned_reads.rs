@@ -249,13 +249,15 @@ proptest! {
         replay(&mut server, batches, &script);
     }
 
-    /// Directed: the pin holds `L_out(s)` and the scan reads `L_in(t)`.
+    /// Directed, sharded: the pin holds `L_out(s)` and the scan reads
+    /// `L_in(t)`.
     #[test]
     fn directed_pinned_reads_match_the_merge(
         n in 3usize..12,
         arcs in proptest::collection::vec((0u32..12, 0u32..12), 0..40),
         picks in proptest::collection::vec(0usize..1 << 12, 1..12),
         script in script_strategy(),
+        shards in 1usize..5,
     ) {
         let arcs: Vec<(u32, u32)> = arcs
             .into_iter()
@@ -264,18 +266,20 @@ proptest! {
         let g = DirectedGraph::from_arcs(n, &arcs);
         let batches = arc_batches(&g, &picks);
         let engine = DynamicDirectedSpc::build(g, OrderingStrategy::Degree);
-        let mut server = EpochServer::new(engine, ServeConfig::default());
+        let mut server = EpochServer::new(engine, ServeConfig { shards });
+        prop_assert_eq!(server.reader().shard_counters().len(), shards);
         replay(&mut server, batches, &script);
     }
 
-    /// Weighted: 16-byte probe slots, deletions, weight changes and
-    /// insertions.
+    /// Weighted, sharded: 16-byte probe slots, deletions, weight changes
+    /// and insertions.
     #[test]
     fn weighted_pinned_reads_match_the_merge(
         g in graph_strategy(12),
         weights in proptest::collection::vec(1u32..6, 40),
         picks in proptest::collection::vec(0usize..1 << 12, 1..12),
         script in script_strategy(),
+        shards in 1usize..5,
     ) {
         let triples: Vec<(u32, u32, u32)> = g
             .edges()
@@ -285,7 +289,8 @@ proptest! {
         let wg = WeightedGraph::from_weighted_edges(g.capacity(), &triples);
         let batches = weighted_batches(&wg, &picks);
         let engine = DynamicWeightedSpc::build(wg, OrderingStrategy::Degree);
-        let mut server = EpochServer::new(engine, ServeConfig::default());
+        let mut server = EpochServer::new(engine, ServeConfig { shards });
+        prop_assert_eq!(server.reader().shard_counters().len(), shards);
         replay(&mut server, batches, &script);
     }
 }
