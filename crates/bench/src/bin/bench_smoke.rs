@@ -61,7 +61,7 @@
 
 use dspc::directed::{directed_spc_query, ArcUpdate, DynamicDirectedSpc};
 use dspc::dynamic::GraphUpdate;
-use dspc::policy::{MaintenancePolicy, ManagedSpc};
+use dspc::policy::MaintenancePolicy;
 use dspc::query::spc_query_counted;
 use dspc::weighted::{weighted_spc_query, DynamicWeightedSpc, WeightedUpdate};
 use dspc::{
@@ -315,7 +315,8 @@ fn churn(report: &mut BTreeMap<String, u64>, threads: MaintenanceThreads) {
     let managed = |policy: MaintenancePolicy| {
         let mut d = DynamicSpc::build(g.clone(), OrderingStrategy::Degree);
         d.set_maintenance_threads(threads);
-        ManagedSpc::new(d, policy)
+        d.set_policy(policy);
+        d
     };
     // The churn displaces rising vertices by ~100 rank positions per epoch
     // (each must bubble past the whole degree-tie band), so the batched
@@ -334,8 +335,8 @@ fn churn(report: &mut BTreeMap<String, u64>, threads: MaintenanceThreads) {
         fresh.apply_batch(batch).expect("valid churn epoch");
         fresh.rebuild();
     }
-    let entries_tiered = tiered.inner().index().num_entries() as u64;
-    let entries_never = never.inner().index().num_entries() as u64;
+    let entries_tiered = tiered.index().num_entries() as u64;
+    let entries_never = never.index().num_entries() as u64;
     let entries_fresh = fresh.index().num_entries() as u64;
     assert_eq!(
         tiered.rebuilds(),

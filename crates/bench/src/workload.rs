@@ -310,18 +310,17 @@ mod tests {
 
     #[test]
     fn churn_stream_applies_cleanly_and_inverts_the_order() {
-        use dspc::order::degree_order_staleness;
         use dspc::{DynamicSpc, OrderingStrategy};
         let g = graph();
         let mut rng = StdRng::seed_from_u64(7);
         let epochs = churn_stream(&g, 12, 5, &mut rng);
         assert_eq!(epochs.len(), 12);
         let mut d = DynamicSpc::build(g, OrderingStrategy::Degree);
-        let before = degree_order_staleness(d.graph(), d.index().ranks());
+        let before = d.staleness();
         for batch in &epochs {
             d.apply_batch(batch).unwrap();
         }
-        let after = degree_order_staleness(d.graph(), d.index().ranks());
+        let after = d.staleness();
         assert!(
             after > before,
             "churn must increase staleness ({before} -> {after})"

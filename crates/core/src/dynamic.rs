@@ -12,6 +12,12 @@
 //! returns an [`UpdateStats`] with the label-operation counters behind
 //! Figures 8–10.
 //!
+//! Each facade also carries a [`MaintenancePolicy`] (default
+//! [`MaintenancePolicy::NEVER`]), the paper's §6 answer to a decaying
+//! vertex order: [`Dynamic::apply`] and [`Dynamic::apply_batch`] run it
+//! once, after the call, and it may re-rank or rebuild
+//! ([`crate::policy`]).
+//!
 //! ## The epoch contract
 //!
 //! There are two write APIs with one consistency story:
@@ -71,6 +77,7 @@ use crate::index::{IndexStats, LabelIndex};
 use crate::label::{Count, LabelDist, Rank};
 use crate::order::OrderingStrategy;
 use crate::parallel::MaintenanceThreads;
+use crate::policy::MaintenancePolicy;
 use dspc_graph::{GraphError, Result, VertexId};
 use std::cmp::Ordering;
 use std::ops::{Deref, DerefMut};
@@ -170,6 +177,13 @@ pub struct Dynamic<V: Variant> {
     strategy: OrderingStrategy,
     updates_since_build: usize,
     maintenance_threads: MaintenanceThreads,
+    /// What [`Dynamic::apply`] and [`Dynamic::apply_batch`] do about a
+    /// stale order after each call ([`crate::policy`]).
+    pub(crate) policy: MaintenancePolicy,
+    /// Rebuilds the policy triggered.
+    pub(crate) rebuilds: usize,
+    /// Counters of every re-rank the policy ran.
+    pub(crate) rerank_totals: MaintenanceCounters,
 }
 
 /// The undirected facade: the paper's primary setting.
@@ -180,14 +194,7 @@ impl<V: Variant> Dynamic<V> {
     pub fn build(graph: V::Graph, strategy: OrderingStrategy) -> Self {
         let mut pipeline = Pipeline::new(V::capacity(&graph));
         let index = pipeline.build(&graph, strategy);
-        Dynamic {
-            graph,
-            index,
-            pipeline,
-            strategy,
-            updates_since_build: 0,
-            maintenance_threads: MaintenanceThreads::default(),
-        }
+        Self::assemble(graph, index, pipeline, strategy)
     }
 
     /// Wraps an already-built `(graph, index)` pair — the warm-start path:
@@ -205,13 +212,25 @@ impl<V: Variant> Dynamic<V> {
             cap,
             "index and graph id spaces disagree"
         );
+        Self::assemble(graph, index, Pipeline::new(cap), strategy)
+    }
+
+    fn assemble(
+        graph: V::Graph,
+        index: LabelIndex<V>,
+        pipeline: Pipeline<V>,
+        strategy: OrderingStrategy,
+    ) -> Self {
         Dynamic {
             graph,
             index,
-            pipeline: Pipeline::new(cap),
+            pipeline,
             strategy,
             updates_since_build: 0,
             maintenance_threads: MaintenanceThreads::default(),
+            policy: MaintenancePolicy::NEVER,
+            rebuilds: 0,
+            rerank_totals: MaintenanceCounters::default(),
         }
     }
 
@@ -261,12 +280,13 @@ impl<V: Variant> Dynamic<V> {
         self.strategy
     }
 
-    /// Restores the update-pressure counter after crash recovery, so a
-    /// recovered facade triggers staleness policies exactly like the
-    /// never-crashed one whose state was checkpointed. Not for general use:
-    /// the counter is otherwise maintained by the mutators themselves.
-    pub fn restore_update_pressure(&mut self, updates_since_build: usize) {
+    /// Restores the update pressure and the policy's rebuild count after
+    /// crash recovery, so a recovered facade runs its policy exactly like
+    /// the never-crashed one whose state was checkpointed. Not for general
+    /// use: both are otherwise kept by the mutators themselves.
+    pub fn restore_counts(&mut self, updates_since_build: usize, rebuilds: usize) {
         self.updates_since_build = updates_since_build;
+        self.rebuilds = rebuilds;
     }
 
     /// `SPC(s, t)` (`s → t` for arcs): `Some((sd, spc))`, or `None` when
@@ -399,8 +419,16 @@ impl<V: Variant> Dynamic<V> {
         Ok(total)
     }
 
-    /// Applies one update from a stream.
+    /// Applies one update from a stream, then runs the
+    /// [`MaintenancePolicy`] (its re-rank counters are absorbed into the
+    /// returned stats). A failed update changes nothing.
     pub fn apply(&mut self, update: V::Update) -> Result<UpdateStats> {
+        let mut stats = self.apply_op(update)?;
+        stats.counters.absorb(&self.maintain());
+        Ok(stats)
+    }
+
+    fn apply_op(&mut self, update: V::Update) -> Result<UpdateStats> {
         match V::op(update) {
             UpdateOp::Insert(a, b, w) => self.insert(a, b, w),
             UpdateOp::Delete(a, b) => self.delete_edge(a, b),
@@ -415,7 +443,8 @@ impl<V: Variant> Dynamic<V> {
         }
     }
 
-    /// Applies a whole stream, returning per-update stats.
+    /// Applies a whole stream, one [`Dynamic::apply`] per update, returning
+    /// per-update stats.
     pub fn apply_stream(&mut self, updates: &[V::Update]) -> Result<Vec<UpdateStats>> {
         updates.iter().map(|&u| self.apply(u)).collect()
     }
@@ -426,7 +455,8 @@ impl<V: Variant> Dynamic<V> {
     /// consecutive payload changes collapse to the last), the surviving
     /// net operations run through the engine in rank-friendly order, and
     /// the aggregated label-operation counters come back as one
-    /// [`UpdateStats`].
+    /// [`UpdateStats`]. The [`MaintenancePolicy`] runs once, after the whole
+    /// batch, and its re-rank counters join the aggregate.
     ///
     /// This is the write-side epoch boundary the serving story assumes:
     /// [`crate::parallel::par_batch_query`] fans queries out between
@@ -468,11 +498,12 @@ impl<V: Variant> Dynamic<V> {
                         replayed = true;
                     }
                     self.flush_batch_segment(&mut co, &mut total)?;
-                    total.absorb(&self.apply(u)?);
+                    total.absorb(&self.apply_op(u)?);
                 }
             }
         }
         self.flush_batch_segment(&mut co, &mut total)?;
+        total.counters.absorb(&self.maintain());
         Ok(total)
     }
 
@@ -588,13 +619,6 @@ impl Dynamic<Undirected> {
     /// Index size/shape statistics (Table 4's "L Size").
     pub fn index_stats(&self) -> IndexStats {
         self.index.stats()
-    }
-
-    /// Plans up to `budget` non-overlapping adjacent rank swaps against
-    /// the current degree order, largest inversions first
-    /// ([`crate::order::plan_adjacent_swaps`]).
-    pub fn plan_rerank(&self, budget: usize) -> Vec<Rank> {
-        crate::order::plan_adjacent_swaps(&self.graph, self.index.ranks(), budget)
     }
 }
 

@@ -7,10 +7,11 @@
 //! benchmark (they inflate the index, demonstrating why the paper's choice
 //! matters).
 //!
-//! Ranks are **append-only**: a vertex added after construction receives the
-//! next (lowest) rank. The paper's §6 discusses why re-ranking in place is
-//! an open problem; [`crate::policy`] implements the lazy-rebuild mitigation
-//! it suggests.
+//! A vertex added after construction receives the next (lowest) rank, and
+//! ranks otherwise move only by adjacent swaps ([`RankMap::swap_adjacent`],
+//! repaired by [`crate::reorder`]). The paper's §6 discusses why
+//! re-ranking in place is an open problem; [`crate::policy`] implements
+//! the lazy-rebuild mitigation it suggests, and the bounded re-ranks.
 //!
 //! ## Measuring order decay
 //!
@@ -20,8 +21,11 @@
 //! [`degree_order_staleness`] quantifies the drift as the fraction of
 //! *adjacent rank pairs* that are inverted with respect to current
 //! degrees — `0.0` for a fresh degree order, approaching the ~`0.5` of a
-//! random permutation as the order decays. [`crate::policy`] uses it to
-//! decide when a lazy rebuild pays for itself:
+//! random permutation as the order decays. It reads degrees through a
+//! function, as [`RankMap::from_degrees`] does, so it measures every graph
+//! variant; [`crate::dynamic::Dynamic::staleness`] passes the variant's
+//! degree, and the maintenance policy decides from that value when a
+//! re-rank or a lazy rebuild pays for itself:
 //!
 //! ```
 //! use dspc::order::{degree_order_staleness, OrderingStrategy, RankMap};
@@ -30,7 +34,7 @@
 //!
 //! let mut g = star_graph(5); // vertex 0 is the hub
 //! let ranks = RankMap::build(&g, OrderingStrategy::Degree);
-//! assert_eq!(degree_order_staleness(&g, &ranks), 0.0);
+//! assert_eq!(degree_order_staleness(&ranks, |v| g.degree(v)), 0.0);
 //!
 //! // Rewire until leaf 1 out-degrees the old hub: the frozen order decays.
 //! for v in 2..5 {
@@ -38,7 +42,7 @@
 //! }
 //! g.delete_edge(VertexId(0), VertexId(2)).unwrap();
 //! g.delete_edge(VertexId(0), VertexId(3)).unwrap();
-//! assert!(degree_order_staleness(&g, &ranks) > 0.0);
+//! assert!(degree_order_staleness(&ranks, |v| g.degree(v)) > 0.0);
 //! ```
 
 use crate::label::Rank;
@@ -202,52 +206,43 @@ impl RankMap {
 }
 
 /// Measures how stale a degree-based order has become after updates:
-/// the fraction of adjacent rank pairs that are inverted w.r.t. current
-/// degrees. Drives [`crate::policy::MaintenancePolicy`].
-pub fn degree_order_staleness(g: &UndirectedGraph, ranks: &RankMap) -> f64 {
-    let n = ranks.len();
-    if n < 2 {
+/// the fraction of adjacent rank pairs that are inverted w.r.t. the
+/// current `degree` of their vertices, which must answer for every vertex
+/// the map ranks. One pass over every pair; drives
+/// [`crate::policy::MaintenancePolicy`].
+pub fn degree_order_staleness(ranks: &RankMap, degree: impl Fn(VertexId) -> usize) -> f64 {
+    let pairs = ranks.len().saturating_sub(1);
+    if pairs == 0 {
         return 0.0;
     }
-    let mut inversions = 0usize;
-    let mut pairs = 0usize;
-    for r in 0..n - 1 {
-        let u = ranks.vertex(Rank(r as u32));
-        let v = ranks.vertex(Rank(r as u32 + 1));
-        if u.index() >= g.capacity() || v.index() >= g.capacity() {
-            continue;
-        }
-        pairs += 1;
-        if g.degree(u) < g.degree(v) {
-            inversions += 1;
-        }
-    }
-    if pairs == 0 {
-        0.0
-    } else {
-        inversions as f64 / pairs as f64
-    }
+    inverted_pairs(ranks, degree).count() as f64 / pairs as f64
 }
 
 /// Enumerates the adjacent rank pairs currently inverted w.r.t. degree:
-/// every `r` with `deg(vertex(r)) < deg(vertex(r + 1))`, together with the
-/// degree gap. These are exactly the pairs [`degree_order_staleness`]
-/// counts, and the candidate set [`plan_adjacent_swaps`] chooses from.
-pub fn adjacent_inversions(g: &UndirectedGraph, ranks: &RankMap) -> Vec<(Rank, usize)> {
-    let n = ranks.len();
-    let mut out = Vec::new();
-    for r in 0..n.saturating_sub(1) {
-        let u = ranks.vertex(Rank(r as u32));
-        let v = ranks.vertex(Rank(r as u32 + 1));
-        if u.index() >= g.capacity() || v.index() >= g.capacity() {
-            continue;
-        }
-        let (du, dv) = (g.degree(u), g.degree(v));
-        if du < dv {
-            out.push((Rank(r as u32), dv - du));
-        }
-    }
-    out
+/// every `r` with `degree(vertex(r)) < degree(vertex(r + 1))`, together
+/// with the degree gap. These are exactly the pairs
+/// [`degree_order_staleness`] counts, and the candidate set
+/// [`plan_adjacent_swaps`] chooses from.
+pub fn adjacent_inversions(
+    ranks: &RankMap,
+    degree: impl Fn(VertexId) -> usize,
+) -> Vec<(Rank, usize)> {
+    inverted_pairs(ranks, degree).collect()
+}
+
+/// The scan behind [`degree_order_staleness`] and [`adjacent_inversions`].
+fn inverted_pairs<'a>(
+    ranks: &'a RankMap,
+    degree: impl Fn(VertexId) -> usize + 'a,
+) -> impl Iterator<Item = (Rank, usize)> + 'a {
+    ranks
+        .vertex_at
+        .windows(2)
+        .zip(0u32..)
+        .filter_map(move |(pair, r)| {
+            let (du, dv) = (degree(VertexId(pair[0])), degree(VertexId(pair[1])));
+            (du < dv).then(|| (Rank(r), dv - du))
+        })
 }
 
 /// Picks up to `budget` **non-overlapping** adjacent swaps, greedily by
@@ -255,11 +250,15 @@ pub fn adjacent_inversions(g: &UndirectedGraph, ranks: &RankMap) -> Vec<(Rank, u
 /// no two chosen positions differ by less than 2 — makes the swaps
 /// mutually independent: each touches only its own pair of ranks, so a
 /// batched repair can run them under one agenda. Returned sorted by rank.
-pub fn plan_adjacent_swaps(g: &UndirectedGraph, ranks: &RankMap, budget: usize) -> Vec<Rank> {
+pub fn plan_adjacent_swaps(
+    ranks: &RankMap,
+    degree: impl Fn(VertexId) -> usize,
+    budget: usize,
+) -> Vec<Rank> {
     if budget == 0 {
         return Vec::new();
     }
-    let mut candidates = adjacent_inversions(g, ranks);
+    let mut candidates = adjacent_inversions(ranks, degree);
     candidates.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     let mut chosen: Vec<Rank> = Vec::new();
     for (r, _) in candidates {
@@ -272,150 +271,6 @@ pub fn plan_adjacent_swaps(g: &UndirectedGraph, ranks: &RankMap, budget: usize) 
     }
     chosen.sort();
     chosen
-}
-
-/// Incremental twin of [`degree_order_staleness`]: caches the degree
-/// sequence and the per-pair inversion flags so a policy check is O(1)
-/// and an update refreshes only the ≤ 2 rank pairs each touched vertex
-/// participates in — instead of walking all `n` pairs on every
-/// `apply_batch` the way the one-shot function does.
-///
-/// The tracker reports **exactly** the same value as the one-shot scan as
-/// long as it is told about every vertex whose degree may have changed
-/// ([`StalenessTracker::note_vertex`]), every executed swap
-/// ([`StalenessTracker::note_swap`]), and every rank-space growth
-/// ([`StalenessTracker::sync`]); spurious notifications are harmless.
-#[derive(Clone, Debug)]
-pub struct StalenessTracker {
-    /// Cached `degree(vertex)` by vertex id; 0 for ids outside the graph.
-    degrees: Vec<usize>,
-    /// `inverted[r]` = is the pair `(r, r + 1)` inverted? One slot per
-    /// adjacent pair (`len = n - 1` for `n ≥ 1` ranks).
-    inverted: Vec<bool>,
-    /// Running count of `true` flags in `inverted`.
-    inversions: usize,
-}
-
-impl StalenessTracker {
-    /// Builds the tracker from the current graph + order (one full scan).
-    pub fn new(g: &UndirectedGraph, ranks: &RankMap) -> Self {
-        let mut t = StalenessTracker {
-            degrees: Vec::new(),
-            inverted: Vec::new(),
-            inversions: 0,
-        };
-        t.rebuild(g, ranks);
-        t
-    }
-
-    /// Re-seeds from scratch (after a full index rebuild with a new order).
-    pub fn rebuild(&mut self, g: &UndirectedGraph, ranks: &RankMap) {
-        let n = ranks.len();
-        self.degrees.clear();
-        self.degrees.extend((0..n).map(|v| {
-            if v < g.capacity() {
-                g.degree(VertexId(v as u32))
-            } else {
-                0
-            }
-        }));
-        self.inverted.clear();
-        self.inverted.resize(n.saturating_sub(1), false);
-        self.inversions = 0;
-        for r in 0..n.saturating_sub(1) {
-            self.refresh_pair(ranks, r);
-        }
-    }
-
-    /// Current staleness — same definition as [`degree_order_staleness`]:
-    /// inverted adjacent pairs over total adjacent pairs.
-    pub fn staleness(&self) -> f64 {
-        if self.inverted.is_empty() {
-            0.0
-        } else {
-            self.inversions as f64 / self.inverted.len() as f64
-        }
-    }
-
-    /// Re-reads `degree(v)` from the graph and refreshes the two rank
-    /// pairs `v` participates in. Call for every endpoint of an applied
-    /// update (including former neighbors of a deleted vertex).
-    pub fn note_vertex(&mut self, g: &UndirectedGraph, ranks: &RankMap, v: VertexId) {
-        if v.index() >= self.degrees.len() {
-            return; // not yet synced; `sync` will pick it up
-        }
-        let deg = if v.index() < g.capacity() {
-            g.degree(v)
-        } else {
-            0
-        };
-        if self.degrees[v.index()] == deg {
-            return;
-        }
-        self.degrees[v.index()] = deg;
-        let r = ranks.rank(v).index();
-        if r > 0 {
-            self.refresh_pair(ranks, r - 1);
-        }
-        self.refresh_pair(ranks, r);
-    }
-
-    /// Refreshes the pairs around an executed adjacent swap at `r`
-    /// (positions `r - 1`, `r`, `r + 1`): degrees are unchanged, but the
-    /// occupants of the two positions traded places.
-    pub fn note_swap(&mut self, ranks: &RankMap, r: Rank) {
-        let r = r.index();
-        if r > 0 {
-            self.refresh_pair(ranks, r - 1);
-        }
-        self.refresh_pair(ranks, r);
-        self.refresh_pair(ranks, r + 1);
-    }
-
-    /// Grows the tracker to cover ranks appended since the last call
-    /// (vertex insertion extends the order at the tail).
-    pub fn sync(&mut self, g: &UndirectedGraph, ranks: &RankMap) {
-        let n = ranks.len();
-        let old_n = self.degrees.len();
-        if old_n == n {
-            return;
-        }
-        for v in old_n..n {
-            self.degrees.push(if v < g.capacity() {
-                g.degree(VertexId(v as u32))
-            } else {
-                0
-            });
-        }
-        self.inverted.resize(n.saturating_sub(1), false);
-        // Appends extend the order at the tail: the affected pairs are the
-        // one joining the old last rank to the first new one, plus every
-        // pair among the new tail ranks.
-        for r in old_n.saturating_sub(1)..n.saturating_sub(1) {
-            self.refresh_pair(ranks, r);
-        }
-    }
-
-    /// Recomputes the inversion flag of pair `(r, r + 1)` from cached
-    /// degrees, adjusting the running count.
-    fn refresh_pair(&mut self, ranks: &RankMap, r: usize) {
-        if r >= self.inverted.len() {
-            return;
-        }
-        let u = ranks.vertex(Rank(r as u32));
-        let v = ranks.vertex(Rank(r as u32 + 1));
-        let du = self.degrees.get(u.index()).copied().unwrap_or(0);
-        let dv = self.degrees.get(v.index()).copied().unwrap_or(0);
-        let now = du < dv;
-        if now != self.inverted[r] {
-            self.inverted[r] = now;
-            if now {
-                self.inversions += 1;
-            } else {
-                self.inversions -= 1;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -491,7 +346,7 @@ mod tests {
     fn staleness_zero_on_fresh_degree_order() {
         let g = barabasi_albert(80, 2, &mut StdRng::seed_from_u64(3));
         let rm = RankMap::build(&g, OrderingStrategy::Degree);
-        assert_eq!(degree_order_staleness(&g, &rm), 0.0);
+        assert_eq!(degree_order_staleness(&rm, |v| g.degree(v)), 0.0);
     }
 
     #[test]
@@ -504,6 +359,6 @@ mod tests {
         }
         g.delete_edge(VertexId(0), VertexId(2)).unwrap();
         g.delete_edge(VertexId(0), VertexId(3)).unwrap();
-        assert!(degree_order_staleness(&g, &rm) > 0.0);
+        assert!(degree_order_staleness(&rm, |v| g.degree(v)) > 0.0);
     }
 }

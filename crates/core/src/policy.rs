@@ -23,15 +23,19 @@
 //!    ([`MaintenancePolicy::max_staleness`]) fired; reconstruct with a
 //!    fresh order, exactly as before.
 //!
-//! [`ManagedSpc`] applies the policy automatically around a [`DynamicSpc`],
-//! measuring staleness in O(1) per check through an incrementally
-//! maintained [`StalenessTracker`] instead of rescanning all rank pairs on
-//! every batch.
+//! Every facade carries a policy ([`Dynamic::set_policy`], default
+//! [`MaintenancePolicy::NEVER`]) and runs it once at the end of each
+//! [`Dynamic::apply`] and [`Dynamic::apply_batch`] call, for all three
+//! graph variants. The decision reads the staleness off one scan of the
+//! rank pairs ([`Dynamic::staleness`]), taken only when the policy sets a
+//! staleness threshold. The single-purpose mutators (`insert_edge`,
+//! `delete_edge`, `delete_edges`, the vertex ops, `rerank_adjacent` and
+//! `rebuild`) never run it.
 
-use crate::dynamic::{DynamicSpc, GraphUpdate, UpdateStats};
-use crate::engine::MaintenanceCounters;
-use crate::order::{degree_order_staleness, plan_adjacent_swaps, StalenessTracker};
-use dspc_graph::Result;
+use crate::dynamic::Dynamic;
+use crate::engine::{MaintenanceCounters, Variant};
+use crate::label::Rank;
+use crate::order::{degree_order_staleness, plan_adjacent_swaps};
 
 /// When — and how hard — to push back against ordering staleness.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -67,7 +71,7 @@ pub enum MaintenanceAction {
     /// Repair a planned run of non-overlapping swaps together
     /// ([`crate::reorder::rerank_adjacent`]).
     BatchedRerank,
-    /// Reconstruct with a fresh order ([`DynamicSpc::rebuild`]).
+    /// Reconstruct with a fresh order ([`Dynamic::rebuild`]).
     Rebuild,
 }
 
@@ -130,16 +134,11 @@ impl MaintenancePolicy {
         MaintenanceAction::None
     }
 
-    /// Whether a rebuild is due for `dspc` (one-shot staleness scan; the
-    /// managed facade uses [`MaintenancePolicy::action`] with the tracked
-    /// value instead).
-    pub fn should_rebuild(&self, dspc: &DynamicSpc) -> bool {
-        let staleness = if self.max_staleness.is_some() {
-            degree_order_staleness(dspc.graph(), dspc.index().ranks())
-        } else {
-            0.0
-        };
-        self.action(dspc.updates_since_build(), staleness) == MaintenanceAction::Rebuild
+    /// Whether any tier reads the staleness.
+    fn reads_staleness(&self) -> bool {
+        self.max_staleness.is_some()
+            || self.batched_staleness.is_some()
+            || self.local_staleness.is_some()
     }
 }
 
@@ -149,49 +148,11 @@ impl Default for MaintenancePolicy {
     }
 }
 
-/// A [`DynamicSpc`] that applies a [`MaintenancePolicy`] after every
-/// update, tracking staleness incrementally so the per-update policy check
-/// is O(1).
-#[derive(Debug)]
-pub struct ManagedSpc {
-    inner: DynamicSpc,
-    policy: MaintenancePolicy,
-    rebuilds: usize,
-    tracker: StalenessTracker,
-    rerank_totals: MaintenanceCounters,
-}
-
-impl ManagedSpc {
-    /// Wraps `dspc` under `policy`.
-    pub fn new(inner: DynamicSpc, policy: MaintenancePolicy) -> Self {
-        let tracker = StalenessTracker::new(inner.graph(), inner.index().ranks());
-        ManagedSpc {
-            inner,
-            policy,
-            rebuilds: 0,
-            tracker,
-            rerank_totals: MaintenanceCounters::default(),
-        }
-    }
-
-    /// Reassembles a managed facade from checkpointed state: the recovered
-    /// inner facade, the policy it ran under, and the rebuild count at
-    /// checkpoint time — so policy behavior (and its counters) continue
-    /// exactly where the crashed instance left off.
-    pub fn recover(inner: DynamicSpc, policy: MaintenancePolicy, rebuilds: usize) -> Self {
-        let tracker = StalenessTracker::new(inner.graph(), inner.index().ranks());
-        ManagedSpc {
-            inner,
-            policy,
-            rebuilds,
-            tracker,
-            rerank_totals: MaintenanceCounters::default(),
-        }
-    }
-
-    /// The wrapped facade.
-    pub fn inner(&self) -> &DynamicSpc {
-        &self.inner
+impl<V: Variant> Dynamic<V> {
+    /// Sets the policy [`Dynamic::apply`] and [`Dynamic::apply_batch`] run
+    /// after each call.
+    pub fn set_policy(&mut self, policy: MaintenancePolicy) {
+        self.policy = policy;
     }
 
     /// The active maintenance policy.
@@ -211,90 +172,48 @@ impl ManagedSpc {
         self.rerank_totals
     }
 
-    /// Current degree-order staleness, read off the incremental tracker
-    /// (O(1); same value [`crate::order::degree_order_staleness`] would
-    /// recompute by scanning every adjacent rank pair).
+    /// Current degree-order staleness
+    /// ([`crate::order::degree_order_staleness`] under the variant's
+    /// degree). An O(n) scan of every adjacent rank pair.
     pub fn staleness(&self) -> f64 {
-        self.tracker.staleness()
+        degree_order_staleness(self.index().ranks(), |v| V::degree(self.graph(), v))
     }
 
-    /// Applies an update, then responds if the policy fires (re-rank
-    /// counters are absorbed into the returned stats). A failed update
-    /// changes nothing.
-    pub fn apply(&mut self, update: GraphUpdate) -> Result<UpdateStats> {
-        let mut stats = self.inner.apply(update)?;
-        self.note_updates(&[update]);
-        stats.counters.absorb(&self.maybe_maintain());
-        Ok(stats)
-    }
-
-    /// Applies a whole epoch through [`DynamicSpc::apply_batch`], then
-    /// responds if the policy fires — the write path the serving layer
-    /// drives once per rotation. A failed batch applies nothing (the
-    /// facade validates it in full first), so the tracker needs no repair.
-    pub fn apply_batch(&mut self, updates: &[GraphUpdate]) -> Result<UpdateStats> {
-        let mut stats = self.inner.apply_batch(updates)?;
-        self.note_updates(updates);
-        stats.counters.absorb(&self.maybe_maintain());
-        Ok(stats)
-    }
-
-    /// Feeds the applied updates to the staleness tracker. Edge endpoints
-    /// refresh their ≤ 2 rank pairs; vertex insertion grows the tracker at
-    /// the tail; vertex deletion reseeds (the deleted adjacency — whose
-    /// endpoints all changed degree — is no longer observable).
-    fn note_updates(&mut self, updates: &[GraphUpdate]) {
-        if updates
-            .iter()
-            .any(|u| matches!(u, GraphUpdate::DeleteVertex(_)))
-        {
-            self.reseed_tracker();
-            return;
-        }
-        let ManagedSpc { inner, tracker, .. } = self;
-        tracker.sync(inner.graph(), inner.index().ranks());
-        for u in updates {
-            if let GraphUpdate::InsertEdge(a, b) | GraphUpdate::DeleteEdge(a, b) = u {
-                tracker.note_vertex(inner.graph(), inner.index().ranks(), *a);
-                tracker.note_vertex(inner.graph(), inner.index().ranks(), *b);
-            }
-        }
-    }
-
-    fn reseed_tracker(&mut self) {
-        let ManagedSpc { inner, tracker, .. } = self;
-        tracker.rebuild(inner.graph(), inner.index().ranks());
+    /// Plans up to `budget` non-overlapping adjacent rank swaps against
+    /// the current degree order, largest inversions first
+    /// ([`crate::order::plan_adjacent_swaps`]).
+    pub fn plan_rerank(&self, budget: usize) -> Vec<Rank> {
+        plan_adjacent_swaps(self.index().ranks(), |v| V::degree(self.graph(), v), budget)
     }
 
     /// Runs the severest due maintenance response; returns the counters of
     /// any re-rank work performed.
-    fn maybe_maintain(&mut self) -> MaintenanceCounters {
+    pub(crate) fn maintain(&mut self) -> MaintenanceCounters {
+        let policy = self.policy;
+        let staleness = if policy.reads_staleness() {
+            self.staleness()
+        } else {
+            0.0
+        };
         let mut extra = MaintenanceCounters::default();
-        let action = self
-            .policy
-            .action(self.inner.updates_since_build(), self.tracker.staleness());
-        match action {
+        match policy.action(self.updates_since_build(), staleness) {
             MaintenanceAction::None => {}
             MaintenanceAction::Rebuild => {
-                self.inner.rebuild();
+                self.rebuild();
                 self.rebuilds += 1;
-                self.reseed_tracker();
             }
             MaintenanceAction::LocalRerank => {
                 // One committed swap at a time, re-picking the largest
                 // inversion after each repair so a displaced vertex can
                 // climb several positions within the budget.
-                for _ in 0..self.policy.local_swap_budget {
-                    let plan =
-                        plan_adjacent_swaps(self.inner.graph(), self.inner.index().ranks(), 1);
-                    let Some(&r) = plan.first() else { break };
-                    extra.absorb(&self.inner.rerank_adjacent(&[r]));
-                    let ManagedSpc { inner, tracker, .. } = self;
-                    tracker.note_swap(inner.index().ranks(), r);
-                    if self
-                        .policy
+                for _ in 0..policy.local_swap_budget {
+                    let Some(&r) = self.plan_rerank(1).first() else {
+                        break;
+                    };
+                    extra.absorb(&self.rerank_adjacent(&[r]));
+                    if policy
                         .local_staleness
-                        .is_some_and(|limit| self.tracker.staleness() <= limit)
+                        .is_some_and(|limit| self.staleness() <= limit)
                     {
                         break;
                     }
@@ -305,23 +224,17 @@ impl ManagedSpc {
                 // a non-overlapping plan moves each vertex at most one
                 // position, so replanning after each committed round lets a
                 // badly displaced vertex keep climbing within one response.
-                let mut budget = self.policy.batched_swap_budget;
+                let mut budget = policy.batched_swap_budget;
                 while budget > 0 {
-                    let plan =
-                        plan_adjacent_swaps(self.inner.graph(), self.inner.index().ranks(), budget);
+                    let plan = self.plan_rerank(budget);
                     if plan.is_empty() {
                         break;
                     }
                     budget -= plan.len();
-                    extra.absorb(&self.inner.rerank_adjacent(&plan));
-                    let ManagedSpc { inner, tracker, .. } = self;
-                    for &r in &plan {
-                        tracker.note_swap(inner.index().ranks(), r);
-                    }
-                    if self
-                        .policy
+                    extra.absorb(&self.rerank_adjacent(&plan));
+                    if policy
                         .batched_staleness
-                        .is_some_and(|limit| self.tracker.staleness() <= limit)
+                        .is_some_and(|limit| self.staleness() <= limit)
                     {
                         break;
                     }
@@ -331,31 +244,12 @@ impl ManagedSpc {
         self.rerank_totals.absorb(&extra);
         extra
     }
-
-    /// `SPC(s, t)` through the live index.
-    pub fn query(
-        &self,
-        s: dspc_graph::VertexId,
-        t: dspc_graph::VertexId,
-    ) -> Option<(u32, crate::label::Count)> {
-        self.inner.query(s, t)
-    }
-
-    /// Publishes the current epoch's serving snapshot (delegates to
-    /// [`DynamicSpc::publish`]).
-    pub fn publish(&mut self, shards: usize) -> crate::shard::ShardedFlatIndex {
-        self.inner.publish(shards)
-    }
-
-    /// Unwraps.
-    pub fn into_inner(self) -> DynamicSpc {
-        self.inner
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dynamic::{DynamicSpc, GraphUpdate};
     use crate::order::OrderingStrategy;
     use crate::verify::verify_all_pairs;
     use dspc_graph::generators::paper::figure2_g;
@@ -363,14 +257,24 @@ mod tests {
 
     #[test]
     fn never_policy_never_fires() {
-        let d = DynamicSpc::build(figure2_g(), OrderingStrategy::Degree);
-        assert!(!MaintenancePolicy::NEVER.should_rebuild(&d));
+        let mut d = DynamicSpc::build(figure2_g(), OrderingStrategy::Degree);
+        assert_eq!(d.policy(), MaintenancePolicy::NEVER);
+        assert_eq!(
+            MaintenancePolicy::NEVER.action(usize::MAX, 1.0),
+            MaintenanceAction::None
+        );
+        d.apply(GraphUpdate::InsertEdge(VertexId(3), VertexId(9)))
+            .unwrap();
+        d.apply_batch(&[GraphUpdate::DeleteEdge(VertexId(3), VertexId(9))])
+            .unwrap();
+        assert_eq!((d.rebuilds(), d.updates_since_build()), (0, 2));
+        assert_eq!(d.rerank_totals(), MaintenanceCounters::default());
     }
 
     #[test]
     fn update_count_trigger() {
-        let d = DynamicSpc::build(figure2_g(), OrderingStrategy::Degree);
-        let mut managed = ManagedSpc::new(d, MaintenancePolicy::every(2));
+        let mut managed = DynamicSpc::build(figure2_g(), OrderingStrategy::Degree);
+        managed.set_policy(MaintenancePolicy::every(2));
         managed
             .apply(GraphUpdate::InsertEdge(VertexId(3), VertexId(9)))
             .unwrap();
@@ -379,8 +283,8 @@ mod tests {
             .apply(GraphUpdate::DeleteEdge(VertexId(3), VertexId(9)))
             .unwrap();
         assert_eq!(managed.rebuilds(), 1);
-        assert_eq!(managed.inner().updates_since_build(), 0);
-        verify_all_pairs(managed.inner().graph(), managed.inner().index()).unwrap();
+        assert_eq!(managed.updates_since_build(), 0);
+        verify_all_pairs(managed.graph(), managed.index()).unwrap();
     }
 
     /// Regression pin: the policy's full-rebuild branch replaces the index
@@ -389,10 +293,10 @@ mod tests {
     /// batch path alike.
     #[test]
     fn policy_rebuild_invalidates_frozen_snapshot() {
-        let d = DynamicSpc::build(figure2_g(), OrderingStrategy::Degree);
-        let mut managed = ManagedSpc::new(d, MaintenancePolicy::every(1));
-        let vs: Vec<VertexId> = managed.inner().graph().vertices().collect();
-        let check = |managed: &mut ManagedSpc| {
+        let mut managed = DynamicSpc::build(figure2_g(), OrderingStrategy::Degree);
+        managed.set_policy(MaintenancePolicy::every(1));
+        let vs: Vec<VertexId> = managed.graph().vertices().collect();
+        let check = |managed: &mut DynamicSpc| {
             let snapshot = managed.publish(1);
             for &s in &vs {
                 for &t in &vs {
@@ -412,19 +316,18 @@ mod tests {
             .unwrap();
         assert_eq!(managed.rebuilds(), 2);
         check(&mut managed);
-        verify_all_pairs(managed.inner().graph(), managed.inner().index()).unwrap();
+        verify_all_pairs(managed.graph(), managed.index()).unwrap();
     }
 
     #[test]
     fn staleness_trigger() {
         // Star where the hub loses its edges: degree order inverts quickly.
         let g = UndirectedGraph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)]);
-        let d = DynamicSpc::build(g, OrderingStrategy::Degree);
-        let policy = MaintenancePolicy {
+        let mut managed = DynamicSpc::build(g, OrderingStrategy::Degree);
+        managed.set_policy(MaintenancePolicy {
             max_staleness: Some(0.0),
             ..MaintenancePolicy::NEVER
-        };
-        let mut managed = ManagedSpc::new(d, policy);
+        });
         managed
             .apply(GraphUpdate::DeleteEdge(VertexId(0), VertexId(3)))
             .unwrap();
@@ -434,6 +337,6 @@ mod tests {
         // Vertex 0 now has degree 2 like vertex 1/2 — inversions appear and
         // the policy rebuilds with a fresh order.
         assert!(managed.rebuilds() >= 1);
-        verify_all_pairs(managed.inner().graph(), managed.inner().index()).unwrap();
+        verify_all_pairs(managed.graph(), managed.index()).unwrap();
     }
 }

@@ -120,7 +120,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let g = barabasi_albert(60, 3, &mut rng);
         let base = RankMap::build(&g, OrderingStrategy::Random(5));
-        let swaps = plan_adjacent_swaps(&g, &base, 8);
+        let swaps = plan_adjacent_swaps(&base, |v| g.degree(v), 8);
         assert!(swaps.len() > 1, "expected multiple inversions to plan");
         let mut index = rebuild_index(&g, base.clone());
         let c = rerank_adjacent::<Undirected>(&g, &mut index, &swaps);

@@ -1,12 +1,13 @@
 //! The two capability traits the server is generic over: what a published
 //! snapshot can answer, and what a live engine can do between rotations.
+//! One impl of each covers every graph variant: [`dspc::Snapshot`] serves
+//! reads, and the facade [`Dynamic`], maintenance policy included, is the
+//! engine.
 
-use dspc::dynamic::{Dynamic, GraphUpdate};
+use dspc::dynamic::Dynamic;
 use dspc::engine::Variant;
-use dspc::policy::ManagedSpc;
-use dspc::query::{spc_query, RowPin};
-use dspc::shard::ShardedFlatIndex;
-use dspc::{FlatScratch, KernelCounters, QueryResult, Snapshot, UpdateStats};
+use dspc::query::RowPin;
+use dspc::{FlatScratch, KernelCounters, Snapshot, UpdateStats};
 use dspc_graph::VertexId;
 
 /// A frozen, immutable index representation the read path can serve from.
@@ -26,6 +27,9 @@ pub trait ServingSnapshot: Send + Sync + 'static {
 
     /// Number of shards this snapshot attributes kernel counters to.
     fn shard_count(&self) -> usize;
+
+    /// Size of the vertex id space the snapshot answers over.
+    fn num_vertices(&self) -> usize;
 
     /// Label rows this snapshot copied when it was made; every other row
     /// is shared with the previous publication.
@@ -65,6 +69,10 @@ impl<V: Variant> ServingSnapshot for Snapshot<V> {
 
     fn shard_count(&self) -> usize {
         self.num_shards()
+    }
+
+    fn num_vertices(&self) -> usize {
+        Snapshot::num_vertices(self)
     }
 
     fn rows_copied(&self) -> usize {
@@ -109,8 +117,10 @@ pub trait ServingEngine: Send + 'static {
     /// Applies one epoch's updates as a single coalesced batch (the
     /// `apply_batch` epoch contract: net effect only, exact index on
     /// return). Implementations route through the facade's `apply_batch`,
-    /// so the serving write path inherits the global-agenda repair pipeline
-    /// and the facade's [`dspc::MaintenanceThreads`] budget.
+    /// so the serving write path inherits the global-agenda repair
+    /// pipeline, the facade's [`dspc::MaintenanceThreads`] budget and its
+    /// [`dspc::policy::MaintenancePolicy`]: a rotation may end in a
+    /// policy-triggered re-rank or full rebuild.
     fn apply_batch(&mut self, updates: &[Self::Update]) -> dspc_graph::Result<UpdateStats>;
 
     /// Publishes the current epoch's serving snapshot, attributing
@@ -123,10 +133,14 @@ pub trait ServingEngine: Send + 'static {
     /// `SPC(s, t)` straight off the live label sets — bit-identical to
     /// what a freshly frozen snapshot answers.
     fn query_live(&self, s: VertexId, t: VertexId) -> <Self::Snapshot as ServingSnapshot>::Answer;
+
+    /// Size of the live graph's vertex id space.
+    fn num_vertices(&self) -> usize;
 }
 
 /// Every facade, whichever its variant: the epoch batch applies through
-/// [`Dynamic::apply_batch`] and the snapshot is [`Dynamic::publish`]'s.
+/// [`Dynamic::apply_batch`], maintenance policy included, and the snapshot
+/// is [`Dynamic::publish`]'s.
 impl<V: Variant> ServingEngine for Dynamic<V>
 where
     Dynamic<V>: Send,
@@ -146,25 +160,8 @@ where
     fn query_live(&self, s: VertexId, t: VertexId) -> V::Answer {
         V::query(self.index(), s, t).into()
     }
-}
 
-/// A policy-managed engine: the epoch batch applies through
-/// [`ManagedSpc::apply_batch`], so a rotation may end in a policy-triggered
-/// full rebuild (fresh ordering) instead of incremental repair — the
-/// serving layer's rebuild/rotation policy knob.
-impl ServingEngine for ManagedSpc {
-    type Snapshot = ShardedFlatIndex;
-    type Update = GraphUpdate;
-
-    fn apply_batch(&mut self, updates: &[GraphUpdate]) -> dspc_graph::Result<UpdateStats> {
-        ManagedSpc::apply_batch(self, updates)
-    }
-
-    fn freeze(&mut self, shards: usize) -> ShardedFlatIndex {
-        self.publish(shards)
-    }
-
-    fn query_live(&self, s: VertexId, t: VertexId) -> QueryResult {
-        spc_query(self.inner().index(), s, t)
+    fn num_vertices(&self) -> usize {
+        V::capacity(self.graph())
     }
 }

@@ -54,7 +54,7 @@ use crate::engine::ServingEngine;
 use bytes::{BufMut, BytesMut};
 use dspc::directed::ArcUpdate;
 use dspc::dynamic::GraphUpdate;
-use dspc::policy::{MaintenancePolicy, ManagedSpc};
+use dspc::policy::MaintenancePolicy;
 use dspc::serialize::{crc64, decode_flat, encode_flat, CodecError};
 use dspc::weighted::WeightedUpdate;
 use dspc::{DynamicSpc, FlatIndex, MaintenanceThreads, OrderingStrategy};
@@ -67,7 +67,7 @@ use std::path::{Path, PathBuf};
 
 const MANIFEST_MAGIC: &[u8; 8] = b"DSPCMANI";
 const STATE_MAGIC: &[u8; 8] = b"DSPCSTAT";
-// v2: the managed-policy section gained the tiered re-rank fields
+// v2: the policy section gained the tiered re-rank fields
 // (batched/local staleness thresholds and swap budgets).
 const STATE_VERSION: u32 = 2;
 const OP_CHECKPOINT: u8 = 1;
@@ -366,10 +366,13 @@ pub trait DurableEngine: ServingEngine {
 
 /// Upper bound on a state image's bytes outside the vertex slots, edge
 /// list and v2 image: magic, version, kind, strategy, threads, update
-/// pressure, the managed policy, the three length prefixes and the CRC.
+/// pressure, the policy section, the three length prefixes and the CRC.
 const STATE_FIXED_LEN: usize = 160;
+/// An image without a policy section: the engine runs
+/// [`MaintenancePolicy::NEVER`] and its policy never rebuilt.
 const STATE_KIND_DYNAMIC: u8 = 1;
-const STATE_KIND_MANAGED: u8 = 2;
+/// An image with a policy section: the policy and its rebuild count.
+const STATE_KIND_POLICY: u8 = 2;
 
 fn encode_strategy(buf: &mut Vec<u8>, s: OrderingStrategy) {
     let (tag, seed) = match s {
@@ -381,220 +384,168 @@ fn encode_strategy(buf: &mut Vec<u8>, s: OrderingStrategy) {
     buf.put_u64_le(seed);
 }
 
-/// Builds the state image in one `Vec` sized up front: at its peak it holds
-/// the encoded v2 image and the state that embeds it, two copies of the
-/// index rather than three.
-fn encode_dynamic_state(d: &DynamicSpc, managed: Option<(MaintenancePolicy, usize)>) -> Vec<u8> {
-    let flat_bytes = encode_flat(&FlatIndex::freeze(d.index()));
-    let g = d.graph();
-    let mut buf =
-        Vec::with_capacity(flat_bytes.len() + g.capacity() + 8 * g.num_edges() + STATE_FIXED_LEN);
-    buf.put_slice(STATE_MAGIC);
-    buf.put_u32_le(STATE_VERSION);
-    buf.put_u8(if managed.is_some() {
-        STATE_KIND_MANAGED
-    } else {
-        STATE_KIND_DYNAMIC
-    });
-    encode_strategy(&mut buf, d.strategy());
-    match d.maintenance_threads() {
-        MaintenanceThreads::Auto => {
-            buf.put_u8(0);
-            buf.put_u64_le(0);
-        }
-        MaintenanceThreads::Fixed(n) => {
-            buf.put_u8(1);
-            buf.put_u64_le(n as u64);
-        }
-    }
-    buf.put_u64_le(d.updates_since_build() as u64);
-    if let Some((policy, rebuilds)) = managed {
-        match policy.max_updates {
-            Some(n) => {
-                buf.put_u8(1);
-                buf.put_u64_le(n as u64);
-            }
-            None => {
-                buf.put_u8(0);
-                buf.put_u64_le(0);
-            }
-        }
-        for threshold in [
-            policy.max_staleness,
-            policy.batched_staleness,
-            policy.local_staleness,
-        ] {
-            match threshold {
-                Some(x) => {
-                    buf.put_u8(1);
-                    buf.put_u64_le(x.to_bits());
-                }
-                None => {
-                    buf.put_u8(0);
-                    buf.put_u64_le(0);
-                }
-            }
-        }
-        buf.put_u64_le(policy.local_swap_budget as u64);
-        buf.put_u64_le(policy.batched_swap_budget as u64);
-        buf.put_u64_le(rebuilds as u64);
-    }
-    buf.put_u64_le(g.capacity() as u64);
-    for slot in 0..g.capacity() {
-        buf.put_u8(g.contains_vertex(VertexId(slot as u32)) as u8);
-    }
-    buf.put_u64_le(g.num_edges() as u64);
-    for (u, v) in g.edges() {
-        buf.put_u32_le(u.0);
-        buf.put_u32_le(v.0);
-    }
-    buf.put_u64_le(flat_bytes.len() as u64);
-    buf.put_slice(&flat_bytes);
-    drop(flat_bytes);
-    let crc = crc64(&buf);
-    buf.put_u64_le(crc);
-    buf
-}
-
-fn decode_dynamic_state(
-    data: &[u8],
-) -> Result<(DynamicSpc, Option<(MaintenancePolicy, usize)>), JournalError> {
-    let corrupt = |section| JournalError::Corrupt { section, offset: 0 };
-    if data.len() < STATE_MAGIC.len() + 12 {
-        return Err(corrupt("state"));
-    }
-    let (body, crc_bytes) = data.split_at(data.len() - 8);
-    if crc64(body) != u64::from_le_bytes(crc_bytes.try_into().unwrap()) {
-        return Err(corrupt("state"));
-    }
-    let mut rd = body;
-    let (magic, rest) = rd.split_at(STATE_MAGIC.len());
-    rd = rest;
-    if magic != STATE_MAGIC {
-        return Err(corrupt("state"));
-    }
-    if take_u32(&mut rd).ok_or_else(|| corrupt("state"))? != STATE_VERSION {
-        return Err(corrupt("state"));
-    }
-    let next = |rd: &mut &[u8]| take_u64(rd).ok_or_else(|| corrupt("state"));
-    let kind = take_u8(&mut rd).ok_or_else(|| corrupt("state"))?;
-    let strategy = {
-        let tag = take_u8(&mut rd).ok_or_else(|| corrupt("state"))?;
-        let seed = next(&mut rd)?;
-        match tag {
-            0 => OrderingStrategy::Degree,
-            1 => OrderingStrategy::Identity,
-            2 => OrderingStrategy::Random(seed),
-            _ => return Err(corrupt("state")),
-        }
-    };
-    let threads = {
-        let tag = take_u8(&mut rd).ok_or_else(|| corrupt("state"))?;
-        let n = next(&mut rd)?;
-        match tag {
-            0 => MaintenanceThreads::Auto,
-            1 => MaintenanceThreads::Fixed(n as usize),
-            _ => return Err(corrupt("state")),
-        }
-    };
-    let updates_since_build = next(&mut rd)? as usize;
-    let managed = if kind == STATE_KIND_MANAGED {
-        let opt = |rd: &mut &[u8]| -> Result<Option<u64>, JournalError> {
-            let flag = take_u8(rd).ok_or_else(|| corrupt("state"))?;
-            let v = take_u64(rd).ok_or_else(|| corrupt("state"))?;
-            Ok((flag == 1).then_some(v))
-        };
-        let max_updates = opt(&mut rd)?.map(|n| n as usize);
-        let max_staleness = opt(&mut rd)?.map(f64::from_bits);
-        let batched_staleness = opt(&mut rd)?.map(f64::from_bits);
-        let local_staleness = opt(&mut rd)?.map(f64::from_bits);
-        let local_swap_budget = next(&mut rd)? as usize;
-        let batched_swap_budget = next(&mut rd)? as usize;
-        let rebuilds = next(&mut rd)? as usize;
-        Some((
-            MaintenancePolicy {
-                max_updates,
-                max_staleness,
-                batched_staleness,
-                local_staleness,
-                local_swap_budget,
-                batched_swap_budget,
-            },
-            rebuilds,
-        ))
-    } else if kind == STATE_KIND_DYNAMIC {
-        None
-    } else {
-        return Err(corrupt("state"));
-    };
-    let capacity = next(&mut rd)? as usize;
-    if rd.len() < capacity {
-        return Err(corrupt("state"));
-    }
-    let (alive, rest) = rd.split_at(capacity);
-    rd = rest;
-    // Rebuild the graph exactly: the adjacency invariant (sorted neighbor
-    // lists) makes the final representation independent of insertion
-    // order, so replaying the edge list reconstructs it bit-for-bit.
-    let mut graph = UndirectedGraph::with_vertices(capacity);
-    for (slot, &flag) in alive.iter().enumerate() {
-        if flag == 0 {
-            graph
-                .delete_vertex(VertexId(slot as u32))
-                .map_err(|_| corrupt("state"))?;
-        }
-    }
-    let edges = next(&mut rd)? as usize;
-    for _ in 0..edges {
-        let u = VertexId(take_u32(&mut rd).ok_or_else(|| corrupt("state"))?);
-        let v = VertexId(take_u32(&mut rd).ok_or_else(|| corrupt("state"))?);
-        graph
-            .insert_edge(u, v)
-            .map_err(|e| JournalError::ReplayFailed(format!("state edge list: {e}")))?;
-    }
-    let flat_len = next(&mut rd)? as usize;
-    if rd.len() != flat_len {
-        return Err(corrupt("state"));
-    }
-    let flat = decode_flat(rd)?;
-    if flat.num_vertices() != graph.capacity() {
-        return Err(corrupt("state"));
-    }
-    let mut d = DynamicSpc::from_parts(graph, flat.thaw(), strategy);
-    d.set_maintenance_threads(threads);
-    d.restore_update_pressure(updates_since_build);
-    Ok((d, managed))
+/// An optional field: a presence byte, then the value (0 when absent).
+fn encode_option(buf: &mut Vec<u8>, field: Option<u64>) {
+    buf.put_u8(field.is_some() as u8);
+    buf.put_u64_le(field.unwrap_or(0));
 }
 
 impl DurableEngine for DynamicSpc {
+    /// Builds the state image in one `Vec` sized up front: at its peak it
+    /// holds the encoded v2 image and the state that embeds it, two copies
+    /// of the index rather than three. The policy section is written only
+    /// when there is a policy or a rebuild count to restore.
     fn encode_state(&self) -> Vec<u8> {
-        encode_dynamic_state(self, None)
+        let policy = self.policy();
+        let with_policy = policy != MaintenancePolicy::NEVER || self.rebuilds() != 0;
+        let flat_bytes = encode_flat(&FlatIndex::freeze(self.index()));
+        let g = self.graph();
+        let mut buf = Vec::with_capacity(
+            flat_bytes.len() + g.capacity() + 8 * g.num_edges() + STATE_FIXED_LEN,
+        );
+        buf.put_slice(STATE_MAGIC);
+        buf.put_u32_le(STATE_VERSION);
+        buf.put_u8(if with_policy {
+            STATE_KIND_POLICY
+        } else {
+            STATE_KIND_DYNAMIC
+        });
+        encode_strategy(&mut buf, self.strategy());
+        let fixed = match self.maintenance_threads() {
+            MaintenanceThreads::Auto => None,
+            MaintenanceThreads::Fixed(n) => Some(n as u64),
+        };
+        encode_option(&mut buf, fixed);
+        buf.put_u64_le(self.updates_since_build() as u64);
+        if with_policy {
+            for field in [
+                policy.max_updates.map(|n| n as u64),
+                policy.max_staleness.map(f64::to_bits),
+                policy.batched_staleness.map(f64::to_bits),
+                policy.local_staleness.map(f64::to_bits),
+            ] {
+                encode_option(&mut buf, field);
+            }
+            buf.put_u64_le(policy.local_swap_budget as u64);
+            buf.put_u64_le(policy.batched_swap_budget as u64);
+            buf.put_u64_le(self.rebuilds() as u64);
+        }
+        buf.put_u64_le(g.capacity() as u64);
+        for slot in 0..g.capacity() {
+            buf.put_u8(g.contains_vertex(VertexId(slot as u32)) as u8);
+        }
+        buf.put_u64_le(g.num_edges() as u64);
+        for (u, v) in g.edges() {
+            buf.put_u32_le(u.0);
+            buf.put_u32_le(v.0);
+        }
+        buf.put_u64_le(flat_bytes.len() as u64);
+        buf.put_slice(&flat_bytes);
+        drop(flat_bytes);
+        let crc = crc64(&buf);
+        buf.put_u64_le(crc);
+        buf
     }
 
     fn decode_state(data: &[u8]) -> Result<Self, JournalError> {
-        match decode_dynamic_state(data)? {
-            (d, None) => Ok(d),
-            (_, Some(_)) => Err(JournalError::Corrupt {
-                section: "state",
-                offset: 0,
-            }),
+        let corrupt = |section| JournalError::Corrupt { section, offset: 0 };
+        if data.len() < STATE_MAGIC.len() + 12 {
+            return Err(corrupt("state"));
         }
-    }
-}
-
-impl DurableEngine for ManagedSpc {
-    fn encode_state(&self) -> Vec<u8> {
-        encode_dynamic_state(self.inner(), Some((self.policy(), self.rebuilds())))
-    }
-
-    fn decode_state(data: &[u8]) -> Result<Self, JournalError> {
-        match decode_dynamic_state(data)? {
-            (d, Some((policy, rebuilds))) => Ok(ManagedSpc::recover(d, policy, rebuilds)),
-            (_, None) => Err(JournalError::Corrupt {
-                section: "state",
-                offset: 0,
-            }),
+        let (body, crc_bytes) = data.split_at(data.len() - 8);
+        if crc64(body) != u64::from_le_bytes(crc_bytes.try_into().unwrap()) {
+            return Err(corrupt("state"));
         }
+        let mut rd = body;
+        let (magic, rest) = rd.split_at(STATE_MAGIC.len());
+        rd = rest;
+        if magic != STATE_MAGIC {
+            return Err(corrupt("state"));
+        }
+        if take_u32(&mut rd).ok_or_else(|| corrupt("state"))? != STATE_VERSION {
+            return Err(corrupt("state"));
+        }
+        let next = |rd: &mut &[u8]| take_u64(rd).ok_or_else(|| corrupt("state"));
+        let kind = take_u8(&mut rd).ok_or_else(|| corrupt("state"))?;
+        let strategy = {
+            let tag = take_u8(&mut rd).ok_or_else(|| corrupt("state"))?;
+            let seed = next(&mut rd)?;
+            match tag {
+                0 => OrderingStrategy::Degree,
+                1 => OrderingStrategy::Identity,
+                2 => OrderingStrategy::Random(seed),
+                _ => return Err(corrupt("state")),
+            }
+        };
+        let threads = {
+            let tag = take_u8(&mut rd).ok_or_else(|| corrupt("state"))?;
+            let n = next(&mut rd)?;
+            match tag {
+                0 => MaintenanceThreads::Auto,
+                1 => MaintenanceThreads::Fixed(n as usize),
+                _ => return Err(corrupt("state")),
+            }
+        };
+        let updates_since_build = next(&mut rd)? as usize;
+        let (policy, rebuilds) = match kind {
+            STATE_KIND_DYNAMIC => (MaintenancePolicy::NEVER, 0),
+            STATE_KIND_POLICY => {
+                let opt = |rd: &mut &[u8]| -> Result<Option<u64>, JournalError> {
+                    let flag = take_u8(rd).ok_or_else(|| corrupt("state"))?;
+                    let v = take_u64(rd).ok_or_else(|| corrupt("state"))?;
+                    Ok((flag == 1).then_some(v))
+                };
+                // Fields are read in the order they are written.
+                let policy = MaintenancePolicy {
+                    max_updates: opt(&mut rd)?.map(|n| n as usize),
+                    max_staleness: opt(&mut rd)?.map(f64::from_bits),
+                    batched_staleness: opt(&mut rd)?.map(f64::from_bits),
+                    local_staleness: opt(&mut rd)?.map(f64::from_bits),
+                    local_swap_budget: next(&mut rd)? as usize,
+                    batched_swap_budget: next(&mut rd)? as usize,
+                };
+                (policy, next(&mut rd)? as usize)
+            }
+            _ => return Err(corrupt("state")),
+        };
+        let capacity = next(&mut rd)? as usize;
+        if rd.len() < capacity {
+            return Err(corrupt("state"));
+        }
+        let (alive, rest) = rd.split_at(capacity);
+        rd = rest;
+        // Rebuild the graph exactly: the adjacency invariant (sorted neighbor
+        // lists) makes the final representation independent of insertion
+        // order, so replaying the edge list reconstructs it bit-for-bit.
+        let mut graph = UndirectedGraph::with_vertices(capacity);
+        for (slot, &flag) in alive.iter().enumerate() {
+            if flag == 0 {
+                graph
+                    .delete_vertex(VertexId(slot as u32))
+                    .map_err(|_| corrupt("state"))?;
+            }
+        }
+        let edges = next(&mut rd)? as usize;
+        for _ in 0..edges {
+            let u = VertexId(take_u32(&mut rd).ok_or_else(|| corrupt("state"))?);
+            let v = VertexId(take_u32(&mut rd).ok_or_else(|| corrupt("state"))?);
+            graph
+                .insert_edge(u, v)
+                .map_err(|e| JournalError::ReplayFailed(format!("state edge list: {e}")))?;
+        }
+        let flat_len = next(&mut rd)? as usize;
+        if rd.len() != flat_len {
+            return Err(corrupt("state"));
+        }
+        let flat = decode_flat(rd)?;
+        if flat.num_vertices() != graph.capacity() {
+            return Err(corrupt("state"));
+        }
+        let mut d = DynamicSpc::from_parts(graph, flat.thaw(), strategy);
+        d.set_maintenance_threads(threads);
+        d.set_policy(policy);
+        d.restore_counts(updates_since_build, rebuilds);
+        Ok(d)
     }
 }
 
@@ -1299,35 +1250,44 @@ mod tests {
     #[test]
     fn managed_state_round_trips_policy_and_rebuilds() {
         use dspc_graph::UndirectedGraph;
+        let kind = |bytes: &[u8]| bytes[STATE_MAGIC.len() + 4];
         let g = UndirectedGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let d = DynamicSpc::build(g, OrderingStrategy::Random(42));
-        let mut m = ManagedSpc::new(d, MaintenancePolicy::every(3));
-        m.apply(GraphUpdate::InsertEdge(VertexId(0), VertexId(2)))
-            .unwrap();
+        let mut m = DynamicSpc::build(g, OrderingStrategy::Random(42));
+        m.set_policy(MaintenancePolicy::every(3));
+        for (a, b) in [(0, 2), (0, 3), (1, 3), (2, 4)] {
+            m.apply(GraphUpdate::InsertEdge(VertexId(a), VertexId(b)))
+                .unwrap();
+        }
+        assert_eq!((m.rebuilds(), m.updates_since_build()), (1, 1));
         let bytes = m.encode_state();
-        let r = ManagedSpc::decode_state(&bytes).unwrap();
+        assert_eq!(kind(&bytes), STATE_KIND_POLICY);
+        let mut r = DynamicSpc::decode_state(&bytes).unwrap();
         assert_eq!(r.policy(), m.policy());
         assert_eq!(r.rebuilds(), m.rebuilds());
-        assert_eq!(
-            r.inner().updates_since_build(),
-            m.inner().updates_since_build()
-        );
-        assert_eq!(r.inner().strategy(), OrderingStrategy::Random(42));
-        // Kind confusion is rejected.
-        assert!(DynamicSpc::decode_state(&bytes).is_err());
+        assert_eq!(r.updates_since_build(), m.updates_since_build());
+        assert_eq!(r.strategy(), OrderingStrategy::Random(42));
+        // A rebuild count alone still writes the policy section; only an
+        // engine with neither writes the policy-less kind.
+        r.set_policy(MaintenancePolicy::NEVER);
+        let bytes = r.encode_state();
+        assert_eq!(kind(&bytes), STATE_KIND_POLICY);
+        let r = DynamicSpc::decode_state(&bytes).unwrap();
+        assert_eq!((r.policy(), r.rebuilds()), (MaintenancePolicy::NEVER, 1));
+        let plain = DynamicSpc::build(r.graph().clone(), OrderingStrategy::Degree);
+        assert_eq!(kind(&plain.encode_state()), STATE_KIND_DYNAMIC);
     }
 
     #[test]
     fn state_fits_its_up_front_capacity() {
         use dspc_graph::UndirectedGraph;
-        // The managed kind carries the most fixed fields. Were the image to
-        // outgrow the capacity the encoder reserves, the final push would
-        // reallocate and hold the index a third time.
+        // An image with a policy section carries the most fixed fields.
+        // Were the image to outgrow the capacity the encoder reserves, the
+        // final push would reallocate and hold the index a third time.
         let g = UndirectedGraph::from_edges(7, &[(0, 1), (1, 2), (2, 3)]);
-        let d = DynamicSpc::build(g, OrderingStrategy::Random(7));
-        let m = ManagedSpc::new(d, MaintenancePolicy::every(3));
-        let g = m.inner().graph();
-        let flat_len = encode_flat(&FlatIndex::freeze(m.inner().index())).len();
+        let mut m = DynamicSpc::build(g, OrderingStrategy::Random(7));
+        m.set_policy(MaintenancePolicy::every(3));
+        let g = m.graph();
+        let flat_len = encode_flat(&FlatIndex::freeze(m.index())).len();
         let payload = flat_len + g.capacity() + 8 * g.num_edges();
         assert!(m.encode_state().len() <= payload + STATE_FIXED_LEN);
     }

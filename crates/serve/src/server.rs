@@ -190,15 +190,23 @@ impl<E: ServingEngine> EpochServer<E> {
     /// so the first queries are served before the engine is even touched.
     ///
     /// # Panics
-    /// If `initial` attributes counters over another number of shards than
-    /// the `config.shards.max(1)` every later epoch is published with. A
-    /// reader keeps one counter per shard of the snapshot it starts at, so
-    /// its first query after a rotation would fail instead.
+    /// - If `initial` attributes counters over another number of shards
+    ///   than the `config.shards.max(1)` every later epoch is published
+    ///   with. A reader keeps one counter per shard of the snapshot it
+    ///   starts at, so its first query after a rotation would fail instead.
+    /// - If `initial` covers another vertex id space than the engine's
+    ///   graph. Its readers would answer for another graph, and a query
+    ///   naming a vertex past its rows would fail.
     pub fn warm_start(engine: E, initial: E::Snapshot, config: ServeConfig) -> Self {
         let (loaded, published) = (initial.shard_count(), config.shards.max(1));
         assert_eq!(
             loaded, published,
             "warm-start snapshot has {loaded} shards, but the server publishes {published}"
+        );
+        let (covered, live) = (initial.num_vertices(), engine.num_vertices());
+        assert_eq!(
+            covered, live,
+            "warm-start snapshot covers {covered} vertices, but the engine has {live}"
         );
         EpochServer::assemble(
             engine,
@@ -795,5 +803,22 @@ mod tests {
         let engine = server.into_engine();
         let four = ShardedFlatIndex::from_flat(&flat, 4);
         EpochServer::warm_start(engine, four, ServeConfig { shards: 2 });
+    }
+
+    #[test]
+    #[should_panic(expected = "warm-start snapshot covers 3 vertices, but the engine has 4")]
+    fn warm_start_rejects_a_snapshot_over_other_vertices() {
+        // A triangle with a pendant vertex, served from the snapshot of a
+        // 3-vertex path: the snapshot would answer SPC(0, 2) = (2, 1) where
+        // the engine answers (1, 1), and a query naming vertex 3 would read
+        // past its rows.
+        let triangle = UndirectedGraph::from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
+        let engine = DynamicSpc::build(triangle, OrderingStrategy::Degree);
+        let path = DynamicSpc::build(
+            UndirectedGraph::from_edges(3, &[(0, 1), (1, 2)]),
+            OrderingStrategy::Degree,
+        );
+        let snapshot = ShardedFlatIndex::from_flat(&FlatIndex::freeze(path.index()), 1);
+        EpochServer::warm_start(engine, snapshot, ServeConfig { shards: 1 });
     }
 }

@@ -9,10 +9,12 @@
 //! [`current_wal_path`]. Reference servers run the identical scripted
 //! stream in a second journal directory without crashing; equivalence
 //! compares the full all-pairs answer table, the epoch clock, the engine's
-//! update-pressure counter, and every `ServerStats` field except
-//! `replayed_batches` (which by design counts only recovery work).
+//! update-pressure counter, maintenance policy and policy rebuilds, and
+//! every `ServerStats` field except `replayed_batches` (which by design
+//! counts only recovery work).
 
 use dspc::dynamic::GraphUpdate;
+use dspc::policy::MaintenancePolicy;
 use dspc::query::spc_query;
 use dspc::shard::ShardedFlatIndex;
 use dspc::{DynamicSpc, MaintenanceThreads, OrderingStrategy, UpdateStats};
@@ -84,7 +86,17 @@ fn journaled_reference(
     rotated: &[Vec<GraphUpdate>],
     pending: &[Vec<GraphUpdate>],
 ) -> EpochServer<DynamicSpc> {
-    let mut server = EpochServer::with_journal(engine(), CFG, dir).expect("fresh journal dir");
+    journaled_with(engine(), dir, rotated, pending)
+}
+
+/// [`journaled_reference`] over a given engine.
+fn journaled_with(
+    engine: DynamicSpc,
+    dir: &Path,
+    rotated: &[Vec<GraphUpdate>],
+    pending: &[Vec<GraphUpdate>],
+) -> EpochServer<DynamicSpc> {
+    let mut server = EpochServer::with_journal(engine, CFG, dir).expect("fresh journal dir");
     for batch in rotated {
         server.submit(batch.clone()).expect("journaled submit");
         server.rotate().expect("scripted batch is valid");
@@ -96,7 +108,8 @@ fn journaled_reference(
 }
 
 /// The bit-identical claim: answers, epoch clock, pending depth, engine
-/// update pressure, and all stats except `replayed_batches` must match.
+/// update pressure, maintenance policy and policy rebuilds, and all stats
+/// except `replayed_batches` must match.
 fn assert_bit_identical(recovered: &EpochServer<DynamicSpc>, reference: &EpochServer<DynamicSpc>) {
     assert_eq!(recovered.epoch(), reference.epoch(), "epoch clock");
     assert_eq!(
@@ -108,6 +121,16 @@ fn assert_bit_identical(recovered: &EpochServer<DynamicSpc>, reference: &EpochSe
         recovered.engine().updates_since_build(),
         reference.engine().updates_since_build(),
         "engine update pressure"
+    );
+    assert_eq!(
+        recovered.engine().policy(),
+        reference.engine().policy(),
+        "maintenance policy"
+    );
+    assert_eq!(
+        recovered.engine().rebuilds(),
+        reference.engine().rebuilds(),
+        "policy rebuilds"
     );
     let (a, b) = (recovered.stats(), reference.stats());
     assert_eq!(a.rotations, b.rotations, "rotations");
@@ -241,11 +264,36 @@ fn kill_after_append_preserves_the_batch_as_pending() {
 
 #[test]
 fn checkpoint_truncates_the_wal_and_recovery_boots_from_it() {
-    let script = scripted_batches(5);
-    let dir = scratch_dir("checkpoint");
-    let ref_dir = scratch_dir("checkpoint_ref");
+    assert_eq!(
+        checkpoint_and_recover(MaintenancePolicy::NEVER, "checkpoint"),
+        0
+    );
+}
 
-    let mut crashed = journaled_reference(dir.path(), &script[..2], &[]);
+/// The checkpoint test again with a policy that rebuilds every three
+/// updates (each scripted batch holds two): the checkpoint image carries
+/// the policy and its first rebuild, and the recovered engine rebuilds
+/// again exactly where the never-crashed one does.
+#[test]
+fn checkpoint_recovery_keeps_the_maintenance_policy() {
+    let every_three = MaintenancePolicy::every(3);
+    assert_eq!(checkpoint_and_recover(every_three, "checkpoint_policy"), 2);
+}
+
+/// Checkpoints after two rotations, rotates once more, crashes, recovers
+/// and compares with a never-crashed twin; both run `policy`. Returns the
+/// recovered engine's policy rebuilds after one more rotation.
+fn checkpoint_and_recover(policy: MaintenancePolicy, name: &str) -> usize {
+    let script = scripted_batches(5);
+    let dir = scratch_dir(name);
+    let ref_dir = scratch_dir(&format!("{name}_ref"));
+    let engine = || {
+        let mut e = engine();
+        e.set_policy(policy);
+        e
+    };
+
+    let mut crashed = journaled_with(engine(), dir.path(), &script[..2], &[]);
     assert_eq!(crashed.checkpoint().expect("checkpoint"), 2);
     assert_eq!(crashed.journal_generation(), Some(2));
     // One more rotation after the checkpoint, then crash.
@@ -267,7 +315,7 @@ fn checkpoint_truncates_the_wal_and_recovery_boots_from_it() {
 
     // Reference: same stream, checkpoint included (checkpoints write
     // journal bytes, so stats only match when both servers checkpoint).
-    let mut reference = journaled_reference(ref_dir.path(), &script[..2], &[]);
+    let mut reference = journaled_with(engine(), ref_dir.path(), &script[..2], &[]);
     reference.checkpoint().expect("checkpoint");
     reference
         .submit(script[2].clone())
@@ -275,6 +323,7 @@ fn checkpoint_truncates_the_wal_and_recovery_boots_from_it() {
     reference.rotate().expect("valid batch");
     assert_bit_identical(&recovered, &reference);
     assert_next_rotation_identical(&mut recovered, &mut reference, &script[3]);
+    recovered.engine().rebuilds()
 }
 
 #[test]
@@ -586,6 +635,10 @@ impl ServingEngine for PanicEngine {
 
     fn query_live(&self, s: VertexId, t: VertexId) -> dspc::QueryResult {
         spc_query(self.0.index(), s, t)
+    }
+
+    fn num_vertices(&self) -> usize {
+        ServingEngine::num_vertices(&self.0)
     }
 }
 

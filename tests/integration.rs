@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: dataset registry → construction →
 //! dynamic maintenance → applications → serialization, end to end.
 
-use dspc::policy::{MaintenancePolicy, ManagedSpc};
+use dspc::policy::MaintenancePolicy;
 use dspc::verify::{verify_all_pairs, verify_sampled_pairs};
 use dspc::{DynamicSpc, OrderingStrategy};
 use dspc_graph::generators::random::{barabasi_albert, erdos_renyi_gnm, watts_strogatz};
@@ -94,13 +94,13 @@ fn managed_policy_over_dataset_registry() {
     let dataset = dspc_bench::datasets::find("EUA-S").unwrap();
     let g = dataset.generate(0.05);
     let mut rng = StdRng::seed_from_u64(0x1003);
-    let inner = DynamicSpc::build(g, OrderingStrategy::Degree);
-    let mut managed = ManagedSpc::new(inner, MaintenancePolicy::every(10));
+    let mut managed = DynamicSpc::build(g, OrderingStrategy::Degree);
+    managed.set_policy(MaintenancePolicy::every(10));
     for _ in 0..25 {
         let (a, b) = loop {
-            let a = VertexId(rng.gen_range(0..managed.inner().graph().capacity() as u32));
-            let b = VertexId(rng.gen_range(0..managed.inner().graph().capacity() as u32));
-            if a != b && !managed.inner().graph().has_edge(a, b) {
+            let a = VertexId(rng.gen_range(0..managed.graph().capacity() as u32));
+            let b = VertexId(rng.gen_range(0..managed.graph().capacity() as u32));
+            if a != b && !managed.graph().has_edge(a, b) {
                 break (a, b);
             }
         };
@@ -109,13 +109,7 @@ fn managed_policy_over_dataset_registry() {
             .unwrap();
     }
     assert_eq!(managed.rebuilds(), 2);
-    verify_sampled_pairs(
-        managed.inner().graph(),
-        managed.inner().index(),
-        500,
-        &mut rng,
-    )
-    .unwrap();
+    verify_sampled_pairs(managed.graph(), managed.index(), 500, &mut rng).unwrap();
 }
 
 #[test]

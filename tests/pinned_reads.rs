@@ -10,11 +10,11 @@
 //! The first lookup after each rotation repeats the last source, so the
 //! script meets a pin whose row the batch rewrote (reload) and one whose
 //! row the publication shared (kept). Vertex insertions grow the rank
-//! space past the size the probe was loaded at, and a `ManagedSpc` policy
+//! space past the size the probe was loaded at, and a maintenance-policy
 //! rebuild replaces every row.
 
 use dspc::directed::{DynamicDirectedSpc, Side};
-use dspc::policy::{MaintenancePolicy, ManagedSpc};
+use dspc::policy::MaintenancePolicy;
 use dspc::shard::ShardedFlatIndex;
 use dspc::weighted::DynamicWeightedSpc;
 use dspc::{
@@ -241,10 +241,8 @@ proptest! {
         script in script_strategy(),
     ) {
         let batches = growing_batches(&g, &picks);
-        let engine = ManagedSpc::new(
-            DynamicSpc::build(g, OrderingStrategy::Degree),
-            MaintenancePolicy::every(4),
-        );
+        let mut engine = DynamicSpc::build(g, OrderingStrategy::Degree);
+        engine.set_policy(MaintenancePolicy::every(4));
         let mut server = EpochServer::new(engine, ServeConfig { shards: 2 });
         replay(&mut server, batches, &script);
     }
@@ -321,10 +319,8 @@ fn pinned_reads_meet_every_transition() {
         vec![GraphUpdate::InsertEdge(VertexId(8), VertexId(3))],
         vec![GraphUpdate::DeleteEdge(VertexId(1), VertexId(5))],
     ];
-    let engine = ManagedSpc::new(
-        DynamicSpc::build(g, OrderingStrategy::Degree),
-        MaintenancePolicy::every(4),
-    );
+    let mut engine = DynamicSpc::build(g, OrderingStrategy::Degree);
+    engine.set_policy(MaintenancePolicy::every(4));
     let mut server = EpochServer::new(engine, ServeConfig { shards: 3 });
     let coverage = replay(&mut server, batches, &script);
     assert!(server.engine().rebuilds() > 0, "the policy rebuilt");

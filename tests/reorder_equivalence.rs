@@ -2,18 +2,21 @@
 //! and arbitrary non-overlapping adjacent-swap plans, the repaired index
 //! must be bit-identical to a fresh build at the swapped order — for the
 //! undirected core, the directed extension, and the weighted extension —
-//! and must still answer exactly like the brute-force oracle. Plus the [`ManagedSpc`] tier transitions:
-//! each maintenance tier (local re-rank, batched re-rank, full rebuild)
-//! fires at its staleness band, and the snapshot published after it
-//! answers like the live index.
+//! and must still answer exactly like the brute-force oracle. Plus the
+//! maintenance policy's tier transitions on every variant's facade: each
+//! tier (local re-rank, batched re-rank, full rebuild) fires at its
+//! staleness band, and the snapshot published after it answers like the
+//! live index.
 
-use dspc::engine::{Directed, Undirected, Weighted};
-use dspc::order::{degree_order_staleness, plan_adjacent_swaps};
-use dspc::policy::{MaintenanceAction, MaintenancePolicy, ManagedSpc};
+use dspc::directed::ArcUpdate;
+use dspc::dynamic::Dynamic;
+use dspc::engine::{Directed, Undirected, Variant, Weighted};
+use dspc::policy::{MaintenanceAction, MaintenancePolicy};
 use dspc::reorder::rerank_adjacent;
 use dspc::verify::{verify_all_pairs, verify_directed_all_pairs, verify_weighted_all_pairs};
+use dspc::weighted::WeightedUpdate;
 use dspc::{rebuild_index, DynamicSpc, GraphUpdate, OrderingStrategy, Rank, RankMap};
-use dspc_graph::{UndirectedGraph, VertexId};
+use dspc_graph::{DirectedGraph, UndirectedGraph, VertexId, WeightedGraph};
 use proptest::prelude::*;
 
 /// Strategy: a small random graph as (n, edge list).
@@ -124,46 +127,6 @@ proptest! {
         verify_weighted_all_pairs(&g, &fresh).unwrap();
     }
 
-    /// The incremental [`StalenessTracker`] behind [`ManagedSpc`] stays
-    /// equal to the one-shot [`degree_order_staleness`] recount across
-    /// arbitrary edge-churn sequences (NEVER policy: no maintenance, so
-    /// the order never moves under the tracker).
-    #[test]
-    fn tracked_staleness_matches_recount(
-        g in graph_strategy(24),
-        ops in proptest::collection::vec((0u32..24, 0u32..24, proptest::bool::ANY), 0..30),
-    ) {
-        let n = g.capacity() as u32;
-        let mut managed = ManagedSpc::new(
-            DynamicSpc::build(g, OrderingStrategy::Degree),
-            MaintenancePolicy::NEVER,
-        );
-        for (a, b, insert) in ops {
-            let (a, b) = (VertexId(a % n), VertexId(b % n));
-            if a == b {
-                continue;
-            }
-            let has = managed.inner().graph().has_edge(a, b);
-            let update = if insert && !has {
-                GraphUpdate::InsertEdge(a, b)
-            } else if !insert && has {
-                GraphUpdate::DeleteEdge(a, b)
-            } else {
-                continue;
-            };
-            managed.apply(update).unwrap();
-            let recount = degree_order_staleness(
-                managed.inner().graph(),
-                managed.inner().index().ranks(),
-            );
-            prop_assert!(
-                (managed.staleness() - recount).abs() < 1e-12,
-                "tracker {} vs recount {}",
-                managed.staleness(),
-                recount
-            );
-        }
-    }
 }
 
 /// Picks tier thresholds around a measured staleness value so `action`
@@ -179,26 +142,32 @@ fn policy_for(tier: MaintenanceAction, s: f64) -> MaintenancePolicy {
     p
 }
 
-/// One ManagedSpc per maintenance tier, all replaying the same churn
-/// batch: each tier fires in its staleness band, leaves the expected
-/// counter signature, keeps the index oracle-exact, and a snapshot
-/// published after the batch answers like the re-ranked live index.
-#[test]
-fn tier_transitions_fire_and_invalidate_the_snapshot() {
+/// The BA(80, 2) base and the churn batch every variant's tier test
+/// replays.
+fn churn_base() -> (UndirectedGraph, Vec<GraphUpdate>) {
     use dspc_graph::generators::random::barabasi_albert;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     let mut rng = StdRng::seed_from_u64(0xBEEF);
     let g = barabasi_albert(80, 2, &mut rng);
-    let batch: Vec<GraphUpdate> = dspc_bench::workload::churn_stream(&g, 1, 10, &mut rng).remove(0);
+    let batch = dspc_bench::workload::churn_stream(&g, 1, 10, &mut rng).remove(0);
+    (g, batch)
+}
 
+/// The weight the weighted tier test gives edge `(a, b)`.
+fn weight(a: VertexId, b: VertexId) -> u32 {
+    1 + (a.0 + b.0) % 5
+}
+
+/// One facade per maintenance tier, all replaying the same churn batch:
+/// each tier fires in its staleness band, leaves the expected counter
+/// signature, keeps the index oracle-exact (`verify`), and a snapshot
+/// published after the batch answers like the re-ranked live index.
+fn tier_transitions<V: Variant>(g: &V::Graph, batch: &[V::Update], verify: impl Fn(&Dynamic<V>)) {
     // Measure the staleness the policy will see at decision time.
-    let mut probe = ManagedSpc::new(
-        DynamicSpc::build(g.clone(), OrderingStrategy::Degree),
-        MaintenancePolicy::NEVER,
-    );
-    probe.apply_batch(&batch).unwrap();
+    let mut probe = Dynamic::<V>::build(g.clone(), OrderingStrategy::Degree);
+    probe.apply_batch(batch).unwrap();
     let s = probe.staleness();
     assert!(s > 0.0, "churn batch must perturb the degree order");
 
@@ -207,19 +176,18 @@ fn tier_transitions_fire_and_invalidate_the_snapshot() {
         MaintenanceAction::BatchedRerank,
         MaintenanceAction::Rebuild,
     ] {
-        let mut managed = ManagedSpc::new(
-            DynamicSpc::build(g.clone(), OrderingStrategy::Degree),
-            policy_for(tier, s),
-        );
+        let mut managed = Dynamic::<V>::build(g.clone(), OrderingStrategy::Degree);
+        managed.set_policy(policy_for(tier, s));
         // Published before the batch, so the next snapshot shares every
         // row the batch and the tier's response left alone.
         managed.publish(1);
-        managed.apply_batch(&batch).unwrap();
+        managed.apply_batch(batch).unwrap();
         let snapshot = managed.publish(1);
-        for s in managed.inner().graph().vertices() {
-            for t in managed.inner().graph().vertices() {
-                let live = managed.query(s, t);
-                assert_eq!(snapshot.query(s, t).as_option(), live, "{tier:?}");
+        let n = V::capacity(managed.graph()) as u32;
+        for s in (0..n).map(VertexId) {
+            for t in (0..n).map(VertexId) {
+                let live: V::Answer = V::query(managed.index(), s, t).into();
+                assert_eq!(snapshot.query(s, t), live, "{tier:?}");
             }
         }
         let rr = managed.rerank_totals();
@@ -249,13 +217,64 @@ fn tier_transitions_fire_and_invalidate_the_snapshot() {
             }
             MaintenanceAction::None => unreachable!(),
         }
-        verify_all_pairs(managed.inner().graph(), managed.inner().index()).unwrap();
+        verify(&managed);
     }
 }
 
+#[test]
+fn tier_transitions_fire_and_invalidate_the_snapshot() {
+    let (g, batch) = churn_base();
+    tier_transitions::<Undirected>(&g, &batch, |d| {
+        verify_all_pairs(d.graph(), d.index()).unwrap();
+    });
+}
+
+/// The same tiers on the directed facade, each edge an arc from the lower
+/// id to the higher, so every vertex keeps its degree.
+#[test]
+fn directed_tier_transitions_fire_and_invalidate_the_snapshot() {
+    let (g, batch) = churn_base();
+    let arcs: Vec<(u32, u32)> = g
+        .edges()
+        .map(|(a, b)| (a.0.min(b.0), a.0.max(b.0)))
+        .collect();
+    let dg = DirectedGraph::from_arcs(g.capacity(), &arcs);
+    let batch: Vec<ArcUpdate> = batch
+        .iter()
+        .map(|u| match *u {
+            GraphUpdate::InsertEdge(a, b) => ArcUpdate::InsertArc(a.min(b), a.max(b)),
+            GraphUpdate::DeleteEdge(a, b) => ArcUpdate::DeleteArc(a.min(b), a.max(b)),
+            other => unreachable!("churn batches hold edge ops only: {other:?}"),
+        })
+        .collect();
+    tier_transitions::<Directed>(&dg, &batch, |d| {
+        verify_directed_all_pairs(d.graph(), d.index()).unwrap();
+    });
+}
+
+/// The same tiers on the weighted facade, edge `(a, b)` weighing
+/// `1 + (a + b) % 5`.
+#[test]
+fn weighted_tier_transitions_fire_and_invalidate_the_snapshot() {
+    let (g, batch) = churn_base();
+    let edges: Vec<(u32, u32, u32)> = g.edges().map(|(a, b)| (a.0, b.0, weight(a, b))).collect();
+    let wg = WeightedGraph::from_weighted_edges(g.capacity(), &edges);
+    let batch: Vec<WeightedUpdate> = batch
+        .iter()
+        .map(|u| match *u {
+            GraphUpdate::InsertEdge(a, b) => WeightedUpdate::InsertEdge(a, b, weight(a, b)),
+            GraphUpdate::DeleteEdge(a, b) => WeightedUpdate::DeleteEdge(a, b),
+            other => unreachable!("churn batches hold edge ops only: {other:?}"),
+        })
+        .collect();
+    tier_transitions::<Weighted>(&wg, &batch, |d| {
+        verify_weighted_all_pairs(d.graph(), d.index()).unwrap();
+    });
+}
+
 /// The batched tier's replan loop converges: with enough budget one
-/// response drives tracked staleness down to the batched threshold even
-/// when vertices are displaced by many rank positions.
+/// response drives staleness down to the batched threshold even when
+/// vertices are displaced by many rank positions.
 #[test]
 fn batched_tier_replans_until_threshold() {
     use dspc_graph::generators::random::barabasi_albert;
@@ -265,13 +284,11 @@ fn batched_tier_replans_until_threshold() {
     let mut rng = StdRng::seed_from_u64(0xF00D);
     let g = barabasi_albert(100, 3, &mut rng);
     let batch: Vec<GraphUpdate> = dspc_bench::workload::churn_stream(&g, 1, 12, &mut rng).remove(0);
-    let mut managed = ManagedSpc::new(
-        DynamicSpc::build(g, OrderingStrategy::Degree),
-        MaintenancePolicy {
-            batched_swap_budget: 4096,
-            ..MaintenancePolicy::tiered(0.0, 1e-9, 0.99)
-        },
-    );
+    let mut managed = DynamicSpc::build(g, OrderingStrategy::Degree);
+    managed.set_policy(MaintenancePolicy {
+        batched_swap_budget: 4096,
+        ..MaintenancePolicy::tiered(0.0, 1e-9, 0.99)
+    });
     managed.apply_batch(&batch).unwrap();
     assert_eq!(managed.rebuilds(), 0);
     assert!(
@@ -282,18 +299,12 @@ fn batched_tier_replans_until_threshold() {
     // Fully de-staled order + exact repair ⇒ the index matches a fresh
     // degree-order rebuild's footprint (up to degree ties, which the two
     // orders may break differently).
-    let fresh = DynamicSpc::build(managed.inner().graph().clone(), OrderingStrategy::Degree);
-    let (a, b) = (
-        managed.inner().index().num_entries(),
-        fresh.index().num_entries(),
-    );
+    let fresh = DynamicSpc::build(managed.graph().clone(), OrderingStrategy::Degree);
+    let (a, b) = (managed.index().num_entries(), fresh.index().num_entries());
     assert!(
         a.abs_diff(b) * 100 <= b,
         "re-ranked footprint {a} strays from rebuild-fresh {b}"
     );
     // And the planner has nothing left to do.
-    assert!(
-        plan_adjacent_swaps(managed.inner().graph(), managed.inner().index().ranks(), 16)
-            .is_empty()
-    );
+    assert!(managed.plan_rerank(16).is_empty());
 }
