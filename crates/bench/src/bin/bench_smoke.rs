@@ -26,10 +26,10 @@
 //!
 //! After the maintenance epochs each scenario runs a query phase: a seeded
 //! pair workload evaluated through both the live label sets and a
-//! snapshot (a [`dspc::FlatIndex`] copy of the columns for the undirected
+//! snapshot (a frozen [`dspc::FlatIndex`] copy for the undirected
 //! scenario, the facade's published rows for the others). The phase
 //! panics on any result divergence and reports the kernel's deterministic
-//! work units — `merge_steps`, `common_hubs`, and the columnar layout's
+//! work units — `merge_steps`, `common_hubs`, and the v2 file's columnar
 //! `label_bytes_per_entry`.
 //!
 //! A churn phase drives a degree-migrating stream through a tiered re-rank
@@ -156,7 +156,7 @@ fn undirected(report: &mut BTreeMap<String, u64>, threads: MaintenanceThreads) {
     }
     *report.entry("label_entries".to_string()).or_insert(0) += d.index().num_entries() as u64;
 
-    // Query phase: the live counted kernel and a columnar copy of the
+    // Query phase: the live counted kernel and a frozen copy of the
     // index must produce identical results AND identical deterministic
     // work counters (merge steps, common hubs) on a seeded pair workload.
     let pairs = query_pairs(420, 512, 0xF1A7);
@@ -177,9 +177,11 @@ fn undirected(report: &mut BTreeMap<String, u64>, threads: MaintenanceThreads) {
     }
     assert_eq!(live_c, flat_c, "flat/live kernel counter divergence");
     absorb_queries(report, &flat_c);
-    // Columnar bytes per entry (hub + dist + count columns): the flat
-    // layout's storage density, pinned at 16 for unweighted labels.
-    let bpe = flat.entry_column_bytes() / flat.num_entries().max(1);
+    // Columnar bytes per entry (hub + dist + count columns, the per-vertex
+    // offsets left out): the v2 layout's storage density, pinned at 16 for
+    // unweighted labels.
+    let offsets = 4 * (flat.num_vertices() + 1);
+    let bpe = (flat.column_bytes() - offsets) / flat.num_entries().max(1);
     report.insert("label_bytes_per_entry".to_string(), bpe as u64);
 }
 

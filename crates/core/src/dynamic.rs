@@ -199,7 +199,8 @@ impl<V: Variant> Dynamic<V> {
 
     /// Wraps an already-built `(graph, index)` pair — the warm-start path:
     /// a server boots from a serialized index
-    /// ([`crate::serialize::load_flat`] + [`crate::flat::FlatIndex::thaw`])
+    /// ([`crate::serialize::load_flat`] + [`crate::flat::Snapshot::thaw`],
+    /// whose rows stay shared with the loaded snapshot until first written)
     /// and resumes dynamic maintenance without paying a rebuild. `strategy`
     /// is what a later [`Dynamic::rebuild`] will re-rank with.
     ///
@@ -280,13 +281,20 @@ impl<V: Variant> Dynamic<V> {
         self.strategy
     }
 
-    /// Restores the update pressure and the policy's rebuild count after
-    /// crash recovery, so a recovered facade runs its policy exactly like
-    /// the never-crashed one whose state was checkpointed. Not for general
-    /// use: both are otherwise kept by the mutators themselves.
-    pub fn restore_counts(&mut self, updates_since_build: usize, rebuilds: usize) {
+    /// Restores the update pressure, the policy's rebuild count and its
+    /// cumulative re-rank counters after crash recovery, so a recovered
+    /// facade runs its policy, and reports it, exactly like the
+    /// never-crashed one whose state was checkpointed. Not for general
+    /// use: all three are otherwise kept by the mutators themselves.
+    pub fn restore_counts(
+        &mut self,
+        updates_since_build: usize,
+        rebuilds: usize,
+        rerank_totals: MaintenanceCounters,
+    ) {
         self.updates_since_build = updates_since_build;
         self.rebuilds = rebuilds;
+        self.rerank_totals = rerank_totals;
     }
 
     /// `SPC(s, t)` (`s → t` for arcs): `Some((sd, spc))`, or `None` when

@@ -1,4 +1,5 @@
-//! Published query snapshots, and the columnar form of the v2 file.
+//! Published query snapshots: the read-only form of every label index,
+//! served, frozen and decoded alike.
 //!
 //! The serving layer publishes one immutable [`Snapshot`] per epoch, one
 //! type for every graph variant. It holds one [`SharedRows`] per label
@@ -13,15 +14,17 @@
 //! for callers that must not touch the live index.
 //!
 //! The instances keep the names of the per-variant types they replace —
-//! [`crate::shard::ShardedFlatIndex`], [`DirectedFlatIndex`] and
-//! [`WeightedFlatIndex`] — because the wall-clock benchmark (`perfbench/`)
-//! compiles against these names and methods.
+//! [`FlatIndex`] and [`crate::shard::ShardedFlatIndex`] (both the
+//! undirected snapshot), [`DirectedFlatIndex`] and [`WeightedFlatIndex`] —
+//! because the wall-clock benchmark (`perfbench/`) compiles against these
+//! names and methods.
 //!
-//! [`FlatIndex`] keeps the CSR columns (`offsets`, `hubs`, `dists`,
-//! `counts`) as the in-memory form of the v2 file format
-//! ([`crate::serialize`]), and serves queries straight off them.
+//! The v2 file format ([`crate::serialize`]) stores the undirected
+//! snapshot's rows as columns, and decodes them straight back into one
+//! shared row per vertex; [`Snapshot::thaw`] hands those rows to a live
+//! index still shared, so a loaded file is held once, not twice.
 //!
-//! Every query — live rows, shared rows, columns — runs the single merge
+//! Every query — live rows and shared rows — runs the single merge
 //! kernel in [`crate::query`], except the serving readers'
 //! [`Snapshot::query_pinned`], which scans the target row against a pinned
 //! source row ([`crate::query::RowPin`]) and reports the merge's counters.
@@ -40,12 +43,12 @@
 
 use crate::directed::Side;
 use crate::engine::{
-    families, family_slot, source_family, Directed, Variant, Weighted, REPAIR_PRIMARY,
+    families, family_slot, source_family, Directed, Undirected, Variant, Weighted, REPAIR_PRIMARY,
 };
-use crate::index::{LabelIndex, SpcIndex};
-use crate::label::{Count, LabelEntry, Rank, SharedRows};
+use crate::index::LabelIndex;
+use crate::label::{LabelEntry, Rank, SharedRows};
 use crate::order::RankMap;
-use crate::query::{counted_query_rows, pre_query_rows, query_rows, HubRow, QueryResult, RowPin};
+use crate::query::{counted_query_rows, pre_query_rows, query_rows, RowPin};
 use crate::shard::even_bounds;
 use crate::weighted::WLabelEntry;
 use dspc_graph::VertexId;
@@ -71,6 +74,13 @@ impl KernelCounters {
     }
 }
 
+/// One counter block is the per-shard counters of a one-shard snapshot.
+impl AsMut<[KernelCounters]> for KernelCounters {
+    fn as_mut(&mut self) -> &mut [KernelCounters] {
+        std::slice::from_mut(self)
+    }
+}
+
 /// Per-thread query scratch. The single-pass merge kernel needs none; the
 /// type remains because the snapshot query signatures (and the code
 /// compiled against them) take one.
@@ -84,283 +94,6 @@ impl FlatScratch {
     }
 }
 
-/// One vertex's slice of the flat columns, read by the merge kernel.
-#[derive(Clone, Copy)]
-pub(crate) struct ColumnRow<'a> {
-    hubs: &'a [u32],
-    dists: &'a [u32],
-    counts: &'a [Count],
-}
-
-impl HubRow for ColumnRow<'_> {
-    type Dist = u32;
-    #[inline]
-    fn len(self) -> usize {
-        self.hubs.len()
-    }
-    #[inline]
-    fn hub(self, i: usize) -> u32 {
-        self.hubs[i]
-    }
-    #[inline]
-    fn dist(self, i: usize) -> u32 {
-        self.dists[i]
-    }
-    #[inline]
-    fn count(self, i: usize) -> Count {
-        self.counts[i]
-    }
-}
-
-impl<'a> ColumnRow<'a> {
-    /// The row's entries.
-    pub(crate) fn entries(self) -> impl Iterator<Item = LabelEntry> + 'a {
-        (0..self.hubs.len())
-            .map(move |k| LabelEntry::new(Rank(self.hubs[k]), self.dists[k], self.counts[k]))
-    }
-}
-
-/// One CSR column set: per-vertex label slices over three contiguous
-/// columns. `offsets[v]..offsets[v + 1]` is vertex `v`'s slice in each
-/// column; entries within a slice are sorted ascending by hub rank, exactly
-/// like the live label rows they were frozen from.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct FlatColumns {
-    offsets: Vec<u32>,
-    hubs: Vec<u32>,
-    dists: Vec<u32>,
-    counts: Vec<Count>,
-}
-
-impl FlatColumns {
-    /// Packs every label row of `index` into columns, in id order.
-    fn build(index: &SpcIndex) -> Self {
-        let n = index.num_vertices();
-        let entries = index.num_entries();
-        assert!(
-            entries <= u32::MAX as usize,
-            "flat index exceeds u32 offset space"
-        );
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut hubs = Vec::with_capacity(entries);
-        let mut dists = Vec::with_capacity(entries);
-        let mut counts = Vec::with_capacity(entries);
-        offsets.push(0);
-        for v in 0..n {
-            for e in index.label_set(VertexId(v as u32)).entries() {
-                hubs.push(e.hub.0);
-                dists.push(e.dist);
-                counts.push(e.count);
-            }
-            offsets.push(hubs.len() as u32);
-        }
-        FlatColumns {
-            offsets,
-            hubs,
-            dists,
-            counts,
-        }
-    }
-
-    /// Reassembles columns decoded from storage, validating CSR shape.
-    pub(crate) fn from_raw(
-        offsets: Vec<u32>,
-        hubs: Vec<u32>,
-        dists: Vec<u32>,
-        counts: Vec<Count>,
-    ) -> Result<Self, &'static str> {
-        if offsets.first() != Some(&0) {
-            return Err("offsets must start at 0");
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("offsets must be non-decreasing");
-        }
-        if offsets.last().copied().unwrap_or(0) as usize != hubs.len() {
-            return Err("last offset must equal the entry count");
-        }
-        if hubs.len() != dists.len() || hubs.len() != counts.len() {
-            return Err("column lengths disagree");
-        }
-        Ok(FlatColumns {
-            offsets,
-            hubs,
-            dists,
-            counts,
-        })
-    }
-
-    /// Number of vertices covered.
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Vertex `v`'s slice of the three columns.
-    #[inline]
-    pub(crate) fn row(&self, v: usize) -> ColumnRow<'_> {
-        let lo = self.offsets[v] as usize;
-        let hi = self.offsets[v + 1] as usize;
-        ColumnRow {
-            hubs: &self.hubs[lo..hi],
-            dists: &self.dists[lo..hi],
-            counts: &self.counts[lo..hi],
-        }
-    }
-
-    /// Bytes occupied by the entry columns alone (`hubs` + `dists` +
-    /// `counts`), excluding the per-vertex offsets.
-    fn entry_column_bytes(&self) -> usize {
-        self.hubs.len() * 16
-    }
-
-    pub(crate) fn offsets(&self) -> &[u32] {
-        &self.offsets
-    }
-
-    pub(crate) fn hubs(&self) -> &[u32] {
-        &self.hubs
-    }
-
-    pub(crate) fn dists(&self) -> &[u32] {
-        &self.dists
-    }
-
-    pub(crate) fn counts(&self) -> &[Count] {
-        &self.counts
-    }
-}
-
-/// A read-only columnar snapshot of an undirected [`SpcIndex`] — the
-/// in-memory form of the v2 file.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FlatIndex {
-    cols: FlatColumns,
-    ranks: RankMap,
-}
-
-impl FlatIndex {
-    /// Freezes `index` into columns in one pass over its labels (a copy).
-    pub fn freeze(index: &SpcIndex) -> Self {
-        FlatIndex {
-            cols: FlatColumns::build(index),
-            ranks: index.ranks().clone(),
-        }
-    }
-
-    /// Reassembles a snapshot from decoded parts (the serialization codec).
-    pub(crate) fn from_parts(cols: FlatColumns, ranks: RankMap) -> Self {
-        assert_eq!(cols.num_vertices(), ranks.len(), "rank space mismatch");
-        FlatIndex { cols, ranks }
-    }
-
-    pub(crate) fn columns(&self) -> &FlatColumns {
-        &self.cols
-    }
-
-    /// The vertex total order.
-    #[inline]
-    pub fn ranks(&self) -> &RankMap {
-        &self.ranks
-    }
-
-    /// Rank of `v`.
-    #[inline]
-    pub fn rank(&self, v: VertexId) -> Rank {
-        self.ranks.rank(v)
-    }
-
-    /// Number of vertices covered.
-    #[inline]
-    pub fn num_vertices(&self) -> usize {
-        self.cols.num_vertices()
-    }
-
-    /// Total label entries.
-    #[inline]
-    pub fn num_entries(&self) -> usize {
-        self.cols.hubs.len()
-    }
-
-    /// Bytes of the entry columns alone — `16 × entries` (4-byte hub +
-    /// 4-byte dist + 8-byte count), the `label_bytes_per_entry` numerator.
-    pub fn entry_column_bytes(&self) -> usize {
-        self.cols.entry_column_bytes()
-    }
-
-    /// Total snapshot bytes (entry columns + per-vertex offsets).
-    pub fn column_bytes(&self) -> usize {
-        self.cols.entry_column_bytes() + self.cols.offsets.len() * 4
-    }
-
-    /// `SpcQUERY(s, t)` against the snapshot.
-    pub fn query(&self, s: VertexId, t: VertexId) -> QueryResult {
-        self.query_with(&mut FlatScratch, s, t)
-    }
-
-    /// `SpcQUERY(s, t)`; `scratch` is unused (see [`FlatScratch`]).
-    #[inline]
-    pub fn query_with(&self, _scratch: &mut FlatScratch, s: VertexId, t: VertexId) -> QueryResult {
-        let (dist, count) = query_rows(self.cols.row(s.index()), self.cols.row(t.index()));
-        QueryResult { dist, count }
-    }
-
-    /// `PreQUERY(s, t)`: only hubs ranked strictly above `rank(s)`
-    /// participate, matching [`crate::query::pre_query`].
-    pub fn pre_query(&self, s: VertexId, t: VertexId) -> QueryResult {
-        self.pre_query_with(&mut FlatScratch, s, t)
-    }
-
-    /// [`FlatIndex::pre_query`]; `scratch` is unused.
-    #[inline]
-    pub fn pre_query_with(
-        &self,
-        _scratch: &mut FlatScratch,
-        s: VertexId,
-        t: VertexId,
-    ) -> QueryResult {
-        let (dist, count) = pre_query_rows(
-            self.cols.row(s.index()),
-            self.cols.row(t.index()),
-            self.rank(s),
-        );
-        QueryResult { dist, count }
-    }
-
-    /// Counted [`FlatIndex::query_with`]: same result, and the kernel's
-    /// deterministic work units are accumulated into `counters`.
-    pub fn query_counted(
-        &self,
-        _scratch: &mut FlatScratch,
-        counters: &mut KernelCounters,
-        s: VertexId,
-        t: VertexId,
-    ) -> QueryResult {
-        let (dist, count) =
-            counted_query_rows(self.cols.row(s.index()), self.cols.row(t.index()), counters);
-        QueryResult { dist, count }
-    }
-
-    /// Vertex `v`'s entries, in hub-rank order.
-    pub(crate) fn row_entries(&self, v: usize) -> impl Iterator<Item = LabelEntry> + '_ {
-        self.cols.row(v).entries()
-    }
-
-    /// Reconstructs a live [`SpcIndex`] with identical labels — the
-    /// deserialization path for v2 snapshots. O(entries), no per-entry
-    /// searches: slices are already sorted, so labels append in order.
-    pub fn thaw(&self) -> SpcIndex {
-        let mut index = SpcIndex::self_labeled(self.ranks.clone());
-        for v in 0..self.num_vertices() {
-            let ls = index.label_set_mut(VertexId(v as u32));
-            ls.clear_all();
-            for e in self.row_entries(v) {
-                ls.push_descending(e);
-            }
-        }
-        index
-    }
-}
-
 /// The published snapshot of a [`LabelIndex`]: one family of shared rows
 /// per label family of `V` (`L`, or `L_in` then `L_out`), the rank map, and
 /// vertex-range shard bounds. The bounds only attribute the kernel's
@@ -368,7 +101,8 @@ impl FlatIndex {
 /// vertex (`bounds[i] .. bounds[i + 1]`); the rows themselves are not
 /// split, so publishing shares unchanged rows instead of re-slicing the
 /// index. `SPC(s, t)` merges `L(s)` with `L(t)`, or `L_out(s)` with
-/// `L_in(t)` for arcs.
+/// `L_in(t)` for arcs. Two snapshots are equal when their rows, rank maps
+/// and bounds are.
 #[derive(Clone, Debug)]
 pub struct Snapshot<V: Variant> {
     /// Published rows, one family per label family, in family order.
@@ -376,6 +110,19 @@ pub struct Snapshot<V: Variant> {
     ranks: RankMap,
     bounds: Vec<u32>,
 }
+
+impl<V: Variant> PartialEq for Snapshot<V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows && self.ranks == other.ranks && self.bounds == other.bounds
+    }
+}
+
+/// The undirected snapshot under the name of the v2 file's in-memory form:
+/// [`Snapshot::freeze`] copies a live [`crate::SpcIndex`] into one,
+/// [`crate::serialize::decode_flat`] reads one, and [`Snapshot::thaw`]
+/// turns one back into a live index. The same type as
+/// [`crate::shard::ShardedFlatIndex`].
+pub type FlatIndex = Snapshot<Undirected>;
 
 /// The published snapshot of a [`crate::directed::DirectedSpcIndex`].
 pub type DirectedFlatIndex = Snapshot<Directed>;
@@ -410,8 +157,8 @@ impl<V: Variant> Snapshot<V> {
         }
     }
 
-    /// Assembles a snapshot from copied families, in family order, and
-    /// validated `bounds`.
+    /// Assembles a snapshot from families, in family order, and validated
+    /// `bounds`.
     pub(crate) fn from_parts(
         rows: Vec<SharedRows<V::Entry>>,
         ranks: RankMap,
@@ -422,6 +169,14 @@ impl<V: Variant> Snapshot<V> {
             ranks,
             bounds,
         }
+    }
+
+    /// A live index over the snapshot's rows and rank map. The rows stay
+    /// shared with the snapshot and with every other holder until the
+    /// index first writes each one ([`crate::label::LabelRow`]), so thawing
+    /// costs `O(n)` handle clones and copies no entry.
+    pub fn thaw(&self) -> LabelIndex<V> {
+        LabelIndex::from_shared(&self.rows, self.ranks.clone())
     }
 
     /// One label family's published rows.
@@ -524,15 +279,16 @@ impl<V: Variant> Snapshot<V> {
 
     /// Counted [`Snapshot::query_with`]: kernel work units are attributed
     /// to the shard owning `s` — `per_shard` must hold one counter per
-    /// shard. This is the serving layer's per-shard `merge_steps`
-    /// accounting.
+    /// shard (a bare [`KernelCounters`] is one shard's). This is the
+    /// serving layer's per-shard `merge_steps` accounting.
     pub fn query_counted(
         &self,
         _scratch: &mut FlatScratch,
-        per_shard: &mut [KernelCounters],
+        per_shard: &mut (impl AsMut<[KernelCounters]> + ?Sized),
         s: VertexId,
         t: VertexId,
     ) -> V::Answer {
+        let per_shard = per_shard.as_mut();
         assert_eq!(per_shard.len(), self.num_shards(), "one counter per shard");
         let (sources, targets) = (self.sources().row(s.index()), self.targets().row(t.index()));
         counted_query_rows(sources, targets, &mut per_shard[self.shard_of(s)]).into()
@@ -593,7 +349,7 @@ mod tests {
                 let (s, t) = (VertexId(s), VertexId(t));
                 assert_eq!(flat.query_with(&mut scratch, s, t), spc_query(&idx, s, t));
                 assert_eq!(
-                    flat.pre_query_with(&mut scratch, s, t),
+                    flat.pre_query(s, t),
                     pre_query(&idx, s, t),
                     "pre ({s:?}, {t:?})"
                 );
@@ -637,11 +393,44 @@ mod tests {
     }
 
     #[test]
+    fn thaw_shares_the_rows_of_every_variant() {
+        use crate::directed::build_directed_index;
+        use crate::weighted::build_weighted_index;
+        use dspc_graph::generators::random::{random_orientation, random_weights};
+        use std::sync::Arc;
+
+        let mut rng = StdRng::seed_from_u64(9);
+        let g = erdos_renyi_gnm(40, 90, &mut rng);
+        let directed = build_directed_index(
+            &random_orientation(&g, 0.3, &mut rng),
+            OrderingStrategy::Degree,
+        );
+        let weighted =
+            build_weighted_index(&random_weights(&g, 9, &mut rng), OrderingStrategy::Degree);
+        fn round_trip<V: Variant>(idx: &LabelIndex<V>) {
+            let snap = Snapshot::freeze(idx);
+            let mut back = snap.thaw();
+            assert!(back == *idx);
+            back.check_invariants().unwrap();
+            // Publishing the thawed index copies nothing: its rows are the
+            // snapshot's.
+            let again = back.publish();
+            for (f, rows) in again.iter().enumerate() {
+                for v in 0..rows.num_vertices() {
+                    assert!(Arc::ptr_eq(rows.handle(v), snap.rows[f].handle(v)));
+                }
+                assert_eq!(rows.rows_copied(), 0);
+            }
+        }
+        round_trip(&directed);
+        round_trip(&weighted);
+    }
+
+    #[test]
     fn byte_accounting() {
         let idx = crate::query::tests::table2_index();
         let flat = FlatIndex::freeze(&idx);
         let e = flat.num_entries();
-        assert_eq!(flat.entry_column_bytes(), e * 16);
         assert_eq!(flat.column_bytes(), e * 16 + (flat.num_vertices() + 1) * 4);
     }
 

@@ -20,7 +20,7 @@
 //! only the accessors that name its families.
 
 use crate::engine::{families, family_slot, Undirected, Variant, REPAIR_PRIMARY};
-use crate::label::{HubEntry, LabelDist, LabelEntry, LabelRow, LabelSet, Rank, SharedRows};
+use crate::label::{check_row, HubEntry, LabelEntry, LabelRow, LabelSet, Rank, SharedRows};
 use crate::order::RankMap;
 use dspc_graph::VertexId;
 use serde::{Deserialize, Serialize};
@@ -71,9 +71,10 @@ pub struct IndexStats {
     /// heap block at *capacity* (not length) — what resident memory really
     /// pays, unlike the old entries-only figure.
     pub wide_bytes: usize,
-    /// Bytes a [`crate::flat::FlatIndex`] snapshot of this index occupies:
-    /// 16 per entry across the three columns plus one `u32` offset per
-    /// vertex (and one terminator).
+    /// Bytes of this index's label columns in the v2 file
+    /// ([`crate::serialize::encode_flat`]): 16 per entry across the hub,
+    /// distance and count columns plus one `u32` offset per vertex (and
+    /// one terminator).
     pub flat_bytes: usize,
     /// Largest single label set.
     pub max_label_len: usize,
@@ -112,6 +113,23 @@ impl<V: Variant> LabelIndex<V> {
         Self::filled(ranks, 0, |_| LabelRow::default())
     }
 
+    /// An index whose rows are `families`' rows, in family order, still
+    /// shared: each is copied on its first write. The hub-entry counts are
+    /// recomputed on first use.
+    pub(crate) fn from_shared(families: &[SharedRows<V::Entry>], ranks: RankMap) -> Self {
+        let thaw = |f: &SharedRows<V::Entry>| {
+            (0..f.num_vertices())
+                .map(|v| LabelRow::from(std::sync::Arc::clone(f.handle(v))))
+                .collect()
+        };
+        LabelIndex {
+            rows: families.iter().map(thaw).collect(),
+            ranks,
+            hub_counts: Vec::new(),
+            hub_counts_valid: false,
+        }
+    }
+
     /// Number of vertices covered (id-space size).
     #[inline]
     pub fn num_vertices(&self) -> usize {
@@ -143,8 +161,9 @@ impl<V: Variant> LabelIndex<V> {
     }
 
     /// Raw mutable row of `family` at `v` — wholesale replacement (the
-    /// codec, thawing a flat snapshot, tests). Invalidates the hub-entry
-    /// counts; the engine uses the tracked mutators below instead.
+    /// brute-force oracle of [`crate::verify`], tests). Invalidates the
+    /// hub-entry counts; the engine uses the tracked mutators below
+    /// instead.
     #[inline]
     pub fn row_mut(&mut self, v: VertexId, family: u8) -> &mut LabelRow<V::Entry> {
         self.hub_counts_valid = false;
@@ -274,26 +293,8 @@ impl<V: Variant> LabelIndex<V> {
         for (name, family) in names.iter().zip(&self.rows) {
             for (vi, row) in family.iter().enumerate() {
                 let v = VertexId::from_index(vi);
-                if !row.is_sorted_strict() {
-                    return Err(format!("{name}({v}) not strictly sorted by hub rank"));
-                }
-                let self_rank = self.ranks.rank(v);
-                match row.get(self_rank) {
-                    Some(e) if e.dist() == V::Dist::ZERO && e.count() == 1 => {}
-                    Some(e) => return Err(format!("{name}({v}) malformed self label {e:?}")),
-                    None => return Err(format!("{name}({v}) missing its self label")),
-                }
-                for e in row.entries() {
-                    if e.hub() > self_rank {
-                        return Err(format!("{name}({v}) holds a hub ranked below it: {e:?}"));
-                    }
-                    if e.dist() == V::Dist::INF {
-                        return Err(format!("{name}({v}) holds an infinite distance: {e:?}"));
-                    }
-                    if e.count() == 0 {
-                        return Err(format!("{name}({v}) holds a zero count: {e:?}"));
-                    }
-                }
+                check_row(row.entries(), self.ranks.rank(v))
+                    .map_err(|fault| format!("{name}({v}) {fault}"))?;
             }
         }
         Ok(())

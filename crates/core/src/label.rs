@@ -195,8 +195,10 @@ impl HubEntry for LabelEntry {
 /// so a snapshot never observes a later write, and a row nobody wrote
 /// since the last publish is handed out again without a copy. Mutators
 /// that would leave the row unchanged (upserting an identical entry,
-/// removing an absent hub) do not copy. Either form is 24 bytes, the size
-/// of a bare `Vec`.
+/// removing an absent hub) do not copy. A thawed snapshot
+/// ([`crate::flat::Snapshot::thaw`]) hands its rows to the index shared in
+/// the same way, so the rows of a decoded file are copied only on their
+/// first write. Either form is 24 bytes, the size of a bare `Vec`.
 pub struct LabelRow<E> {
     row: Row<E>,
 }
@@ -213,6 +215,15 @@ impl<E> Default for LabelRow<E> {
     fn default() -> Self {
         LabelRow {
             row: Row::Owned(Vec::new()),
+        }
+    }
+}
+
+impl<E> From<Arc<[E]>> for LabelRow<E> {
+    /// A row shared with `shared`'s other holders until its first write.
+    fn from(shared: Arc<[E]>) -> Self {
+        LabelRow {
+            row: Row::Shared(shared),
         }
     }
 }
@@ -363,19 +374,6 @@ impl<E: HubEntry> LabelRow<E> {
         Some(self.owned().remove(i))
     }
 
-    /// Appends an entry that must have a hub rank larger than every current
-    /// entry — the `O(1)` path for rows restored in sorted order (the
-    /// codec, thawing a flat snapshot).
-    pub fn push_descending(&mut self, e: E) {
-        debug_assert!(
-            self.entries()
-                .last()
-                .is_none_or(|last| last.hub() < e.hub()),
-            "push_descending out of order"
-        );
-        self.owned().push(e);
-    }
-
     /// Clears all entries except a fresh self label — used by the isolated
     /// vertex deletion optimization (§3.2.3). Returns how many non-self
     /// entries were dropped.
@@ -435,13 +433,52 @@ impl<E: HubEntry> LabelRow<E> {
     }
 }
 
+/// The rules every stored row obeys: hubs strictly ascending, the owner's
+/// self label `(owner, 0, 1)` present, no hub ranked below the owner (so
+/// every hub ranks inside the index's rank space), finite distances (the
+/// hub probe reads an `INF` slot as "hub absent") and non-zero counts.
+/// [`crate::index::LabelIndex::check_invariants`] applies them to every
+/// row, and the codec to every decoded one, so a damaged file is rejected
+/// instead of reaching the query kernels. The error names the first rule
+/// broken.
+pub(crate) fn check_row<E: HubEntry>(entries: &[E], owner: Rank) -> Result<(), String> {
+    if entries.windows(2).any(|w| w[0].hub() >= w[1].hub()) {
+        return Err("not strictly sorted by hub rank".into());
+    }
+    match entries.binary_search_by_key(&owner, |e| e.hub()) {
+        Ok(i) if entries[i] == E::self_label(owner) => {}
+        Ok(i) => return Err(format!("malformed self label {:?}", entries[i])),
+        Err(_) => return Err("missing its self label".into()),
+    }
+    for e in entries {
+        if e.hub() > owner {
+            return Err(format!("holds a hub ranked below it: {e:?}"));
+        }
+        if e.dist() == E::Dist::INF {
+            return Err(format!("holds an infinite distance: {e:?}"));
+        }
+        if e.count() == 0 {
+            return Err(format!("holds a zero count: {e:?}"));
+        }
+    }
+    Ok(())
+}
+
 /// One label family as published to readers: an immutable shared handle
 /// per vertex, produced by an index's publish step (sharing every row
-/// written since the previous publish) or by a copying constructor.
+/// written since the previous publish), by a copying constructor, or by
+/// the decoder. Two families are equal when their rows hold the same
+/// entries.
 #[derive(Clone, Debug)]
 pub struct SharedRows<E> {
     rows: Vec<Arc<[E]>>,
     copied: usize,
+}
+
+impl<E: HubEntry> PartialEq for SharedRows<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows
+    }
 }
 
 impl<E: HubEntry> SharedRows<E> {
@@ -461,12 +498,20 @@ impl<E: HubEntry> SharedRows<E> {
         SharedRows { rows, copied }
     }
 
-    /// Copies each row into a fresh allocation (the copying constructors:
-    /// warm start, tests, freezes that must not touch the live index).
+    /// Takes each row as a fresh allocation (freezes that must not touch
+    /// the live index, the decoder, tests).
     pub fn copied_from<R: Into<Arc<[E]>>>(rows: impl Iterator<Item = R>) -> Self {
         let rows: Vec<Arc<[E]>> = rows.map(Into::into).collect();
         let copied = rows.len();
         SharedRows { rows, copied }
+    }
+
+    /// The same rows under a second handle each: nothing is copied.
+    pub(crate) fn reshared(&self) -> Self {
+        SharedRows {
+            rows: self.rows.clone(),
+            copied: 0,
+        }
     }
 
     /// Vertex `v`'s sorted entries.
@@ -546,25 +591,6 @@ mod tests {
     }
 
     #[test]
-    fn push_descending_fast_path() {
-        let mut l = LabelSet::new();
-        l.push_descending(e(0, 2, 1));
-        l.push_descending(e(3, 1, 1));
-        l.push_descending(e(7, 0, 1));
-        assert!(l.is_sorted_strict());
-        assert_eq!(l.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "push_descending out of order")]
-    #[cfg(debug_assertions)]
-    fn push_descending_checks_order() {
-        let mut l = LabelSet::new();
-        l.push_descending(e(5, 1, 1));
-        l.push_descending(e(2, 1, 1));
-    }
-
-    #[test]
     fn reset_to_self_counts_drops() {
         let mut l = LabelSet::new();
         l.upsert(e(0, 1, 1));
@@ -620,14 +646,13 @@ mod tests {
         let mut base = LabelSet::self_only(Rank(5));
         base.upsert(e(1, 2, 3));
         let (published, _) = base.share();
-        let writes: [fn(&mut LabelSet); 5] = [
+        let writes: [fn(&mut LabelSet); 4] = [
             |l| {
                 l.upsert(e(0, 1, 1));
             },
             |l| {
                 l.remove(Rank(1));
             },
-            |l| l.push_descending(e(9, 1, 1)),
             |l| {
                 l.reset_to_self(Rank(5));
             },
@@ -642,8 +667,8 @@ mod tests {
         }
         // Equality is by content, whatever the storage.
         let mut owned = LabelSet::new();
-        owned.push_descending(e(1, 2, 3));
-        owned.push_descending(e(5, 0, 1));
+        owned.upsert(e(1, 2, 3));
+        owned.upsert(e(5, 0, 1));
         assert_eq!(owned, base);
     }
 

@@ -20,7 +20,6 @@
 //!
 //! Builds, re-ranks and insertions stay on the calling thread.
 
-use crate::flat::{FlatIndex, FlatScratch};
 use crate::index::SpcIndex;
 use crate::query::{spc_query, QueryResult};
 use dspc_graph::VertexId;
@@ -34,11 +33,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 pub const PAIRS_PER_THREAD: usize = 256;
 
 /// Alignment (in pairs) of the per-thread chunks carved by
-/// [`par_batch_query`]. Matching the flat layout's cache granularity — 8
-/// entries of the 4-byte `hubs` column fill a half cache line per slice
-/// head — keeps each spawned worker streaming contiguous column ranges
-/// instead of interleaving with its neighbor at the chunk seam. Only the
-/// final chunk may be shorter.
+/// [`par_batch_query`]: every chunk but the final one is a multiple of it.
 pub const QUERY_CHUNK_ALIGN: usize = 8;
 
 /// Thread budget for index maintenance (the knob behind
@@ -166,9 +161,10 @@ pub(crate) fn aligned_chunk_lengths(len: usize, parts: usize) -> Vec<usize> {
 }
 
 /// Anything batch query evaluation can run against: the live [`SpcIndex`]
-/// or a frozen [`FlatIndex`] snapshot. Workers carry a per-thread
-/// `Scratch` so engines with reusable buffers (the flat kernel's
-/// common-hub pair list) never allocate per query.
+/// or the undirected snapshot ([`crate::shard::ShardedFlatIndex`], which
+/// [`crate::flat::FlatIndex`] names too: published, frozen or loaded from
+/// a file). Workers carry a per-thread `Scratch`, so an engine with
+/// reusable buffers never allocates per query; neither has any today.
 pub trait QueryEngine: Sync {
     /// Per-worker reusable state.
     type Scratch: Send;
@@ -188,19 +184,6 @@ impl QueryEngine for SpcIndex {
     #[inline]
     fn query_one(&self, _scratch: &mut Self::Scratch, s: VertexId, t: VertexId) -> QueryResult {
         spc_query(self, s, t)
-    }
-}
-
-impl QueryEngine for FlatIndex {
-    type Scratch = FlatScratch;
-
-    fn make_scratch(&self) -> Self::Scratch {
-        FlatScratch::new()
-    }
-
-    #[inline]
-    fn query_one(&self, scratch: &mut Self::Scratch, s: VertexId, t: VertexId) -> QueryResult {
-        self.query_with(scratch, s, t)
     }
 }
 

@@ -66,43 +66,8 @@ impl From<(u32, Count)> for QueryResult {
     }
 }
 
-/// A sorted label row the merge kernel reads: a live or published entry
-/// slice, or one vertex's slice of the flat columns.
-pub(crate) trait HubRow: Copy {
-    /// The distance field's type.
-    type Dist: LabelDist;
-    /// Number of entries.
-    fn len(self) -> usize;
-    /// Hub rank of entry `i`.
-    fn hub(self, i: usize) -> u32;
-    /// Distance of entry `i`.
-    fn dist(self, i: usize) -> Self::Dist;
-    /// Count of entry `i`.
-    fn count(self, i: usize) -> Count;
-}
-
-impl<E: HubEntry> HubRow for &[E] {
-    type Dist = E::Dist;
-    #[inline]
-    fn len(self) -> usize {
-        <[E]>::len(self)
-    }
-    #[inline]
-    fn hub(self, i: usize) -> u32 {
-        self[i].hub().0
-    }
-    #[inline]
-    fn dist(self, i: usize) -> E::Dist {
-        self[i].dist()
-    }
-    #[inline]
-    fn count(self, i: usize) -> Count {
-        self[i].count()
-    }
-}
-
 /// The one label-merge kernel behind every query path — live and published
-/// rows of all three variants, and the flat columns. It merges two rows
+/// rows of all three variants. It merges two rows
 /// sorted by hub rank; among common hubs it keeps the minimum
 /// `d_a + d_b` and accumulates `Σ c_a · c_b` over the hubs attaining it
 /// (Equations (1)–(2)), all with saturating arithmetic.
@@ -113,20 +78,20 @@ impl<E: HubEntry> HubRow for &[E] {
 /// check and one `common_hubs` per equal-hub hit. Both are const so the
 /// production path compiles without either test.
 #[inline]
-pub(crate) fn merge<R: HubRow, const LIMITED: bool, const COUNTED: bool>(
-    a: R,
-    b: R,
+pub(crate) fn merge<E: HubEntry, const LIMITED: bool, const COUNTED: bool>(
+    a: &[E],
+    b: &[E],
     limit: Rank,
     counters: &mut KernelCounters,
-) -> (R::Dist, Count) {
-    let inf = <R::Dist as LabelDist>::INF;
+) -> (E::Dist, Count) {
+    let inf = E::Dist::INF;
     let (mut i, mut j) = (0usize, 0usize);
     let mut best = inf;
     let mut count: Count = 0;
     let (mut steps, mut common) = (0u64, 0u64);
     while i < a.len() && j < b.len() {
-        let (x, y) = (a.hub(i), b.hub(j));
-        if LIMITED && (x >= limit.0 || y >= limit.0) {
+        let (x, y) = (a[i].hub(), b[j].hub());
+        if LIMITED && (x >= limit || y >= limit) {
             // Sorted ascending: once either side's head reaches the limit,
             // no common hub strictly above the limit remains.
             break;
@@ -138,12 +103,12 @@ pub(crate) fn merge<R: HubRow, const LIMITED: bool, const COUNTED: bool>(
             if COUNTED {
                 common += 1;
             }
-            let d = a.dist(i).sat_add(b.dist(j));
+            let d = a[i].dist().sat_add(b[j].dist());
             if d < best {
                 best = d;
-                count = a.count(i).saturating_mul(b.count(j));
+                count = a[i].count().saturating_mul(b[j].count());
             } else if d == best && d != inf {
-                count = count.saturating_add(a.count(i).saturating_mul(b.count(j)));
+                count = count.saturating_add(a[i].count().saturating_mul(b[j].count()));
             }
             i += 1;
             j += 1;
@@ -163,24 +128,24 @@ pub(crate) fn merge<R: HubRow, const LIMITED: bool, const COUNTED: bool>(
 
 /// `SpcQUERY` over two rows.
 #[inline]
-pub(crate) fn query_rows<R: HubRow>(a: R, b: R) -> (R::Dist, Count) {
-    merge::<R, false, false>(a, b, Rank(0), &mut KernelCounters::new())
+pub(crate) fn query_rows<E: HubEntry>(a: &[E], b: &[E]) -> (E::Dist, Count) {
+    merge::<E, false, false>(a, b, Rank(0), &mut KernelCounters::new())
 }
 
 /// `PreQUERY` over two rows: hubs ranked strictly above `limit` only.
 #[inline]
-pub(crate) fn pre_query_rows<R: HubRow>(a: R, b: R, limit: Rank) -> (R::Dist, Count) {
-    merge::<R, true, false>(a, b, limit, &mut KernelCounters::new())
+pub(crate) fn pre_query_rows<E: HubEntry>(a: &[E], b: &[E], limit: Rank) -> (E::Dist, Count) {
+    merge::<E, true, false>(a, b, limit, &mut KernelCounters::new())
 }
 
 /// Counted `SpcQUERY` over two rows.
 #[inline]
-pub(crate) fn counted_query_rows<R: HubRow>(
-    a: R,
-    b: R,
+pub(crate) fn counted_query_rows<E: HubEntry>(
+    a: &[E],
+    b: &[E],
     counters: &mut KernelCounters,
-) -> (R::Dist, Count) {
-    merge::<R, false, true>(a, b, Rank(0), counters)
+) -> (E::Dist, Count) {
+    merge::<E, false, true>(a, b, Rank(0), counters)
 }
 
 /// `SpcQUERY(s, t)` — Algorithm 1. Returns the shortest distance and the
@@ -773,7 +738,7 @@ pub(crate) mod tests {
             probe.load_labels(a, 6);
             for b in rows {
                 let (mut merged, mut probed) = (KernelCounters::new(), KernelCounters::new());
-                let want = counted_query_rows(*a, b, &mut merged);
+                let want = counted_query_rows(a, b, &mut merged);
                 assert_eq!(probe.query_counted(b, &mut probed), want, "{a:?} / {b:?}");
                 assert_eq!(probed, merged, "{a:?} / {b:?}");
             }

@@ -20,13 +20,16 @@
 //!   len × entry            8 bytes packed | 16 bytes wide (hub, dist, count)
 //! ```
 //!
-//! **v2** ([`encode_flat`] / [`encode_index_v2`]) writes a
-//! [`FlatIndex`]'s CSR columns directly — each column section is
-//! length-prefixed (element count as `u64`) and starts 8-byte aligned, so
-//! a loader reconstructs either representation with four bulk column
-//! reads and zero per-entry decoding: [`decode_flat`] rebuilds the flat
-//! snapshot as-is, and [`decode_index`] thaws it into a live index by
-//! appending each already-sorted row ([`LabelSet::push_descending`]).
+//! **v2** ([`encode_flat`] / [`encode_index_v2`]) stores the label rows
+//! as CSR columns (compressed sparse rows: per-vertex `offsets` into the
+//! `hubs`, `dists` and `counts` columns). Each column section is
+//! length-prefixed (element count as `u64`) and starts 8-byte aligned. The
+//! encoders write the columns straight from label rows, live or published;
+//! the decoder reads each vertex's slice of the three columns straight into
+//! one shared row of a [`FlatIndex`], and [`decode_index`] thaws that
+//! snapshot into a live index without copying a row
+//! ([`crate::flat::Snapshot::thaw`]). [`put_index_v2`] appends the image
+//! to a caller's buffer (the serving layer's checkpoint embeds it).
 //!
 //! ```text
 //! magic  "DSPC"            4 bytes
@@ -49,14 +52,23 @@
 //! Footer-less v2 files (written before the footer existed) still decode —
 //! the footer is detected by its trailing marker.
 //!
+//! Neither v1 nor a footer-less v2 file can detect every damage by
+//! checksum, so every decoded row of either version must obey the rules
+//! of a stored row ([`crate::index::LabelIndex::check_invariants`]: sorted
+//! unique hubs, the owner's self label, no hub ranked below the owner,
+//! finite distances, non-zero counts); a row that breaks one fails with
+//! [`CodecError::BadColumns`] instead of reaching the query kernels.
+//!
 //! [`load_index`] and [`decode_index`] accept both versions.
 
-use crate::flat::FlatIndex;
+use crate::flat::{FlatIndex, Snapshot};
 use crate::index::SpcIndex;
-use crate::label::{packed, Count, LabelEntry, LabelSet, Rank};
+use crate::label::{check_row, packed, LabelEntry, Rank, SharedRows};
 use crate::order::{OrderingStrategy, RankMap};
+use crate::shard::even_bounds;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dspc_graph::VertexId;
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"DSPC";
 const VERSION: u32 = 1;
@@ -112,8 +124,11 @@ pub enum CodecError {
     Truncated,
     /// The rank permutation is invalid.
     BadRankMap,
-    /// The v2 column sections are inconsistent (offsets not monotone, or
-    /// column lengths disagreeing with each other or the header).
+    /// A decoded row breaks the rules of a stored row (unsorted or
+    /// repeated hubs, a missing self label, a hub ranked below the row's
+    /// owner, an infinite distance, a zero count), or the v2 column
+    /// sections are inconsistent (offsets not monotone, or column lengths
+    /// disagreeing with each other or the header).
     BadColumns,
     /// A checksum mismatch in the named section — the bytes were damaged
     /// after writing (bit rot, torn write, hostile edit). The payload names
@@ -128,7 +143,7 @@ impl std::fmt::Display for CodecError {
             CodecError::BadVersion(v) => write!(f, "unsupported DSPC index version {v}"),
             CodecError::Truncated => write!(f, "truncated DSPC index"),
             CodecError::BadRankMap => write!(f, "corrupt rank permutation"),
-            CodecError::BadColumns => write!(f, "inconsistent DSPC flat columns"),
+            CodecError::BadColumns => write!(f, "inconsistent DSPC label rows"),
             CodecError::Corrupt(section) => {
                 write!(f, "corrupt DSPC '{section}' section (checksum mismatch)")
             }
@@ -191,24 +206,56 @@ fn peek_version(data: &[u8]) -> Result<u32, CodecError> {
 
 /// Deserializes an index previously produced by [`encode_index`] (v1) or
 /// [`encode_flat`]/[`encode_index_v2`] (v2). The explicit rank permutation
-/// stored in the file is restored exactly. A v2 input reconstructs the
-/// live representation without per-entry decoding: four bulk column reads,
-/// then one ordered append pass per vertex.
+/// stored in the file is restored exactly. The decoded rows
+/// ([`decode_flat`]) become the live index's rows as they are, shared
+/// until each is first written.
 pub fn decode_index(data: &[u8]) -> Result<SpcIndex, CodecError> {
+    decode_flat(data).map(|flat| flat.thaw())
+}
+
+/// Deserializes a snapshot from either format, one shared row per vertex.
+pub fn decode_flat(data: &[u8]) -> Result<FlatIndex, CodecError> {
     match peek_version(data)? {
-        VERSION => decode_index_v1(data),
-        VERSION_FLAT => Ok(decode_flat_v2(data)?.thaw()),
+        VERSION => decode_v1(data),
+        VERSION_FLAT => decode_v2(data),
         v => Err(CodecError::BadVersion(v)),
     }
 }
 
-fn decode_index_v1(mut data: &[u8]) -> Result<SpcIndex, CodecError> {
+/// The rank map of a file's `vertex_at` permutation (rank → vertex id),
+/// which must be a bijection on `0..n`.
+fn rank_map(vertex_at: &[u32]) -> Result<RankMap, CodecError> {
+    let mut seen = vec![false; vertex_at.len()];
+    for &v in vertex_at {
+        match seen.get_mut(v as usize) {
+            Some(slot) if !*slot => *slot = true,
+            _ => return Err(CodecError::BadRankMap),
+        }
+    }
+    Ok(RankMap::from_rank_order(
+        vertex_at,
+        OrderingStrategy::Identity,
+    ))
+}
+
+/// A one-shard snapshot of decoded `rows` (vertex `v`'s is `rows[v]`),
+/// each of which must obey the rules of a stored row.
+fn decoded(rows: Vec<Arc<[LabelEntry]>>, ranks: RankMap) -> Result<FlatIndex, CodecError> {
+    for (v, row) in rows.iter().enumerate() {
+        check_row(row, ranks.rank(VertexId::from_index(v))).map_err(|_| CodecError::BadColumns)?;
+    }
+    let bounds = even_bounds(rows.len(), 1);
+    let rows = SharedRows::copied_from(rows.into_iter());
+    Ok(Snapshot::from_parts(vec![rows], ranks, bounds))
+}
+
+fn decode_v1(mut data: &[u8]) -> Result<FlatIndex, CodecError> {
     if data.remaining() < 20 {
         return Err(CodecError::Truncated);
     }
     data.advance(8); // magic + version, validated by the caller
     let flags = data.get_u32_le();
-    let is_packed = flags & FLAG_PACKED != 0;
+    let entry_size = if flags & FLAG_PACKED != 0 { 8 } else { 16 };
     let n = data.get_u64_le() as usize;
     // Lengths come from the file and are unverified: overflow is damage.
     if n.checked_mul(4)
@@ -216,122 +263,125 @@ fn decode_index_v1(mut data: &[u8]) -> Result<SpcIndex, CodecError> {
     {
         return Err(CodecError::Truncated);
     }
-    let mut vertex_at = Vec::with_capacity(n);
+    let vertex_at: Vec<u32> = (0..n).map(|_| data.get_u32_le()).collect();
+    let ranks = rank_map(&vertex_at)?;
+    let mut rows = Vec::with_capacity(n);
     for _ in 0..n {
-        vertex_at.push(data.get_u32_le());
-    }
-    {
-        let mut seen = vec![false; n];
-        for &v in &vertex_at {
-            if v as usize >= n || seen[v as usize] {
-                return Err(CodecError::BadRankMap);
-            }
-            seen[v as usize] = true;
-        }
-    }
-    let ranks = RankMap::from_rank_order(&vertex_at, OrderingStrategy::Identity);
-    let mut index = SpcIndex::self_labeled(ranks);
-    for v in 0..n {
         if data.remaining() < 4 {
             return Err(CodecError::Truncated);
         }
         let len = data.get_u32_le() as usize;
-        let entry_size = if is_packed { 8 } else { 16 };
         if len
             .checked_mul(entry_size)
             .is_none_or(|bytes| data.remaining() < bytes)
         {
             return Err(CodecError::Truncated);
         }
-        let mut restored = LabelSet::new();
-        for _ in 0..len {
-            let e = if is_packed {
+        let entry = |data: &mut &[u8]| {
+            if entry_size == 8 {
                 packed::unpack(packed::PackedLabel(data.get_u64_le()))
             } else {
-                let hub = Rank(data.get_u32_le());
-                let dist = data.get_u32_le();
-                let count = data.get_u64_le();
-                LabelEntry { hub, dist, count }
-            };
-            restored.upsert(e);
-        }
-        *index.label_set_mut(VertexId(v as u32)) = restored;
+                let (hub, dist) = (Rank(data.get_u32_le()), data.get_u32_le());
+                LabelEntry::new(hub, dist, data.get_u64_le())
+            }
+        };
+        rows.push((0..len).map(|_| entry(&mut data)).collect());
     }
-    Ok(index)
+    decoded(rows, ranks)
 }
 
-fn pad_to_8(buf: &mut BytesMut) {
-    while !buf.len().is_multiple_of(8) {
-        buf.put_u8(0);
-    }
+/// Bytes of the v2 image of an index over `n` vertices holding `entries`
+/// label entries: what [`encode_index_v2`] returns and [`put_index_v2`]
+/// appends.
+pub fn v2_image_len(n: usize, entries: usize) -> usize {
+    let padded = |bytes: usize| bytes.next_multiple_of(8);
+    padded(20 + 4 * n)
+        + padded(8 + 4 * (n + 1))
+        + 2 * padded(8 + 4 * entries)
+        + 8
+        + 8 * entries
+        + FOOTER_LEN
 }
 
-/// Serializes a flat snapshot in the v2 columnar layout: header, rank
-/// permutation, then the four length-prefixed, 8-byte-aligned column
-/// sections, written with bulk copies, closed by the per-section checksum
-/// footer.
-pub fn encode_flat(flat: &FlatIndex) -> Bytes {
-    let cols = flat.columns();
-    let n = flat.num_vertices();
-    let e = flat.num_entries();
-    let mut buf = BytesMut::with_capacity(64 + n * 8 + e * 16 + FOOTER_LEN);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION_FLAT);
-    buf.put_u32_le(0); // flags
-    buf.put_u64_le(n as u64);
-    for r in 0..n {
-        buf.put_u32_le(flat.ranks().vertex(Rank(r as u32)).0);
-    }
-    pad_to_8(&mut buf);
-    let mut ends = [0usize; 5];
-    ends[0] = buf.len();
-    let put_u32s = |buf: &mut BytesMut, xs: &[u32]| {
-        buf.put_u64_le(xs.len() as u64);
-        for &x in xs {
-            buf.put_u32_le(x);
+/// Appends the v2 image of the rows `row(v)`, `v` in `0..n`, under `ranks`
+/// to `out`: header, rank permutation, the four length-prefixed column
+/// sections (aligned to 8 bytes from the image's first byte), and the
+/// per-section checksum footer.
+fn put_v2<'a>(out: &mut Vec<u8>, ranks: &RankMap, row: impl Fn(usize) -> &'a [LabelEntry]) {
+    let n = ranks.len();
+    let base = out.len();
+    let pad = |out: &mut Vec<u8>| {
+        while !(out.len() - base).is_multiple_of(8) {
+            out.put_u8(0);
         }
-        pad_to_8(buf);
     };
-    put_u32s(&mut buf, cols.offsets());
-    ends[1] = buf.len();
-    put_u32s(&mut buf, cols.hubs());
-    ends[2] = buf.len();
-    put_u32s(&mut buf, cols.dists());
-    ends[3] = buf.len();
-    buf.put_u64_le(cols.counts().len() as u64);
-    for &c in cols.counts() {
-        buf.put_u64_le(c);
+    out.put_slice(MAGIC);
+    out.put_u32_le(VERSION_FLAT);
+    out.put_u32_le(0); // flags
+    out.put_u64_le(n as u64);
+    for r in 0..n {
+        out.put_u32_le(ranks.vertex(Rank(r as u32)).0);
     }
-    ends[4] = buf.len();
+    pad(out);
+    let mut ends = [0usize; 5];
+    ends[0] = out.len();
+    out.put_u64_le(n as u64 + 1);
+    out.put_u32_le(0);
+    let mut entries = 0usize;
+    for v in 0..n {
+        entries += row(v).len();
+        out.put_u32_le(u32::try_from(entries).expect("v2 image exceeds the u32 offset space"));
+    }
+    pad(out);
+    ends[1] = out.len();
+    let column = |out: &mut Vec<u8>, put: fn(&mut Vec<u8>, &LabelEntry)| {
+        out.put_u64_le(entries as u64);
+        for e in (0..n).flat_map(&row) {
+            put(out, e);
+        }
+        pad(out);
+    };
+    column(out, |out, e| out.put_u32_le(e.hub.0));
+    ends[2] = out.len();
+    column(out, |out, e| out.put_u32_le(e.dist));
+    ends[3] = out.len();
+    column(out, |out, e| out.put_u64_le(e.count));
+    ends[4] = out.len();
     // Checksum footer: one crc64 per section, then the trailing marker the
     // decoder detects the footer by.
-    let mut crcs = [0u64; 5];
-    let mut start = 0usize;
-    for (i, &end) in ends.iter().enumerate() {
-        crcs[i] = crc64(&buf.as_ref()[start..end]);
+    let mut start = base;
+    let crcs = ends.map(|end| {
+        let crc = crc64(&out[start..end]);
         start = end;
+        crc
+    });
+    for crc in crcs {
+        out.put_u64_le(crc);
     }
-    for c in crcs {
-        buf.put_u64_le(c);
-    }
-    buf.put_slice(FOOTER_MAGIC);
-    buf.freeze()
+    out.put_slice(FOOTER_MAGIC);
 }
 
-/// Serializes a live index in the v2 columnar layout (freeze + encode).
+/// Serializes a snapshot in the v2 columnar layout.
+pub fn encode_flat(flat: &FlatIndex) -> Bytes {
+    let mut out = Vec::with_capacity(v2_image_len(flat.num_vertices(), flat.num_entries()));
+    put_v2(&mut out, flat.ranks(), |v| flat.rows().row(v));
+    out.into()
+}
+
+/// Serializes a live index in the v2 columnar layout, straight from its
+/// rows: the bytes [`encode_flat`] writes for its frozen copy.
 pub fn encode_index_v2(index: &SpcIndex) -> Bytes {
-    encode_flat(&FlatIndex::freeze(index))
+    let mut out = Vec::with_capacity(v2_image_len(index.num_vertices(), index.num_entries()));
+    put_index_v2(index, &mut out);
+    out.into()
 }
 
-/// Deserializes a flat snapshot from either format: a v2 input is four
-/// bulk column reads; a v1 input decodes the live representation and
-/// freezes it.
-pub fn decode_flat(data: &[u8]) -> Result<FlatIndex, CodecError> {
-    match peek_version(data)? {
-        VERSION => Ok(FlatIndex::freeze(&decode_index_v1(data)?)),
-        VERSION_FLAT => decode_flat_v2(data),
-        v => Err(CodecError::BadVersion(v)),
-    }
+/// Appends [`encode_index_v2`]'s bytes to `out`, which should have room
+/// for [`v2_image_len`] more.
+pub fn put_index_v2(index: &SpcIndex, out: &mut Vec<u8>) {
+    put_v2(out, index.ranks(), |v| {
+        index.label_set(VertexId::from_index(v)).entries()
+    });
 }
 
 /// Splits a v2 input into its body and (when present) the five per-section
@@ -349,73 +399,44 @@ fn split_footer(data: &[u8]) -> (&[u8], Option<[u64; 5]>) {
     (&data[..body_len], Some(crcs))
 }
 
-fn decode_flat_v2(data: &[u8]) -> Result<FlatIndex, CodecError> {
+fn decode_v2(data: &[u8]) -> Result<FlatIndex, CodecError> {
     let (body, footer) = split_footer(data);
-    let mut pos = 8usize; // magic + version, validated by the caller
-    let read_u32 = |pos: &mut usize| -> Result<u32, CodecError> {
-        let end = pos.checked_add(4).ok_or(CodecError::Truncated)?;
-        let bytes = body.get(*pos..end).ok_or(CodecError::Truncated)?;
-        *pos = end;
-        Ok(u32::from_le_bytes(bytes.try_into().expect("4 bytes")))
-    };
+    let mut pos = 12usize; // magic + version (validated by the caller), flags
     let read_u64 = |pos: &mut usize| -> Result<u64, CodecError> {
         let end = pos.checked_add(8).ok_or(CodecError::Truncated)?;
         let bytes = body.get(*pos..end).ok_or(CodecError::Truncated)?;
         *pos = end;
         Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
     };
-    let align8 = |pos: &mut usize| -> Result<(), CodecError> {
-        let aligned = pos.checked_add(7).ok_or(CodecError::Truncated)? & !7;
+    // `len` values of `width` bytes at `pos`, then padding to 8 bytes.
+    // Lengths are read before the checksums are verified: an overflowing
+    // product is damage, not a size.
+    let values = |pos: &mut usize, len: usize, width: usize| -> Result<&[u8], CodecError> {
+        let bytes = len.checked_mul(width).ok_or(CodecError::Truncated)?;
+        let end = pos.checked_add(bytes).ok_or(CodecError::Truncated)?;
+        let section = body.get(*pos..end).ok_or(CodecError::Truncated)?;
+        let aligned = end.checked_add(7).ok_or(CodecError::Truncated)? & !7;
         if aligned > body.len() {
             return Err(CodecError::Truncated);
         }
         *pos = aligned;
-        Ok(())
+        Ok(section)
     };
-    let _flags = read_u32(&mut pos)?;
+    let column = |pos: &mut usize, width: usize| -> Result<&[u8], CodecError> {
+        let len = read_u64(pos)? as usize;
+        values(pos, len, width)
+    };
     let n = read_u64(&mut pos)? as usize;
-    // Lengths are read before the checksums are verified: an overflowing
-    // product is damage, not a size.
-    let fits = |pos: usize, len: usize, width: usize| {
-        len.checked_mul(width)
-            .is_some_and(|bytes| body.len().saturating_sub(pos) >= bytes)
-    };
-    if !fits(pos, n, 4) {
-        return Err(CodecError::Truncated);
-    }
-    let mut vertex_at = Vec::with_capacity(n);
-    for _ in 0..n {
-        vertex_at.push(read_u32(&mut pos)?);
-    }
-    align8(&mut pos)?;
+    let vertex_at = values(&mut pos, n, 4)?;
     let mut ends = [0usize; 5];
     ends[0] = pos;
-    let read_u32_col = |pos: &mut usize| -> Result<Vec<u32>, CodecError> {
-        let len = read_u64(pos)? as usize;
-        if !fits(*pos, len, 4) {
-            return Err(CodecError::Truncated);
-        }
-        let mut col = Vec::with_capacity(len);
-        for _ in 0..len {
-            col.push(read_u32(pos)?);
-        }
-        align8(pos)?;
-        Ok(col)
-    };
-    let offsets = read_u32_col(&mut pos)?;
+    let offsets = column(&mut pos, 4)?;
     ends[1] = pos;
-    let hubs = read_u32_col(&mut pos)?;
+    let hubs = column(&mut pos, 4)?;
     ends[2] = pos;
-    let dists = read_u32_col(&mut pos)?;
+    let dists = column(&mut pos, 4)?;
     ends[3] = pos;
-    let counts_len = read_u64(&mut pos)? as usize;
-    if !fits(pos, counts_len, 8) {
-        return Err(CodecError::Truncated);
-    }
-    let mut counts: Vec<Count> = Vec::with_capacity(counts_len);
-    for _ in 0..counts_len {
-        counts.push(read_u64(&mut pos)?);
-    }
+    let counts = column(&mut pos, 8)?;
     ends[4] = pos;
     // Bytes past the counts section must be a valid footer (split off
     // above). Anything else means the file was damaged near its end.
@@ -432,22 +453,32 @@ fn decode_flat_v2(data: &[u8]) -> Result<FlatIndex, CodecError> {
             start = end;
         }
     }
+    let u32s = |col: &[u8]| -> Vec<u32> {
+        let word = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4 bytes"));
+        col.chunks_exact(4).map(word).collect()
+    };
+    let ranks = rank_map(&u32s(vertex_at))?;
+    let offsets = u32s(offsets);
+    let entries = hubs.len() / 4;
+    if offsets.len() != n + 1
+        || offsets[0] != 0
+        || offsets.windows(2).any(|w| w[0] > w[1])
+        || offsets[n] as usize != entries
+        || dists.len() / 4 != entries
+        || counts.len() / 8 != entries
     {
-        let mut seen = vec![false; n];
-        for &v in &vertex_at {
-            if v as usize >= n || seen[v as usize] {
-                return Err(CodecError::BadRankMap);
-            }
-            seen[v as usize] = true;
-        }
-    }
-    if offsets.len() != n + 1 {
         return Err(CodecError::BadColumns);
     }
-    let cols = crate::flat::FlatColumns::from_raw(offsets, hubs, dists, counts)
-        .map_err(|_| CodecError::BadColumns)?;
-    let ranks = RankMap::from_rank_order(&vertex_at, OrderingStrategy::Identity);
-    Ok(FlatIndex::from_parts(cols, ranks))
+    let entry = |k: usize| {
+        let u32_at = |col: &[u8]| u32::from_le_bytes(col[4 * k..4 * k + 4].try_into().expect("4"));
+        let count = u64::from_le_bytes(counts[8 * k..8 * k + 8].try_into().expect("8 bytes"));
+        LabelEntry::new(Rank(u32_at(hubs)), u32_at(dists), count)
+    };
+    let rows = offsets
+        .windows(2)
+        .map(|w| (w[0] as usize..w[1] as usize).map(&entry).collect())
+        .collect();
+    decoded(rows, ranks)
 }
 
 /// Writes an index to a file (v1, the compact interchange form).
@@ -561,9 +592,9 @@ mod tests {
 
     /// Equality up to the `OrderingStrategy` provenance tag, which the
     /// file format does not carry (the explicit permutation does): same
-    /// columns, same rank order.
+    /// rows, same rank order.
     fn assert_flat_equiv(a: &FlatIndex, b: &FlatIndex) {
-        assert_eq!(a.columns(), b.columns());
+        assert_eq!(a.rows(), b.rows());
         assert_eq!(a.num_vertices(), b.num_vertices());
         for r in 0..a.num_vertices() as u32 {
             assert_eq!(a.ranks().vertex(Rank(r)), b.ranks().vertex(Rank(r)));
@@ -612,6 +643,22 @@ mod tests {
         assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), 2);
         let off_len = u64::from_le_bytes(bytes[72..80].try_into().unwrap());
         assert_eq!(off_len, 13); // n + 1 offsets
+    }
+
+    #[test]
+    fn v2_image_len_is_exact_and_appends_anywhere() {
+        let mut rng = StdRng::seed_from_u64(3);
+        for n in 0..9 {
+            let g = erdos_renyi_gnm(n, n / 2, &mut rng);
+            let index = build_index(&g, OrderingStrategy::Degree);
+            let bytes = encode_index_v2(&index);
+            assert_eq!(bytes.len(), v2_image_len(n, index.num_entries()));
+            // Appended at an unaligned offset, the image keeps its bytes:
+            // sections align from the image's first byte.
+            let mut out = vec![7u8; 3];
+            put_index_v2(&index, &mut out);
+            assert_eq!(&out[3..], &bytes[..]);
+        }
     }
 
     #[test]

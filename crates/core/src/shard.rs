@@ -1,23 +1,24 @@
 //! Vertex-range shard attribution for published snapshots, the undirected
-//! snapshot's copying constructors, and the epoch-stamped snapshot wrapper
-//! the serving layer publishes.
+//! snapshot's re-bounding constructors, and the epoch-stamped snapshot
+//! wrapper the serving layer publishes.
 //!
 //! Every published [`crate::flat::Snapshot`] keeps vertex-range `bounds`
 //! ([`even_bounds`]) only to attribute the kernel's deterministic work
 //! counters to the shard that owns the query's source vertex; the rows
 //! themselves are not split. [`ShardedFlatIndex`] is the undirected
-//! instance, what the serving layer hands readers for an undirected
-//! engine. Its `query_counted` runs the same merge kernel as the live
-//! index and [`crate::flat::FlatIndex`]; the serving readers answer
-//! through its `query_pinned`, the pinned hub probe of
-//! [`crate::query::RowPin`]. Answers and `merge_steps` are
+//! instance, the same type as [`crate::flat::FlatIndex`], and what the
+//! serving layer hands readers for an undirected engine. Its
+//! `query_counted` runs the same merge kernel as the live index; the
+//! serving readers answer through its `query_pinned`, the pinned hub probe
+//! of [`crate::query::RowPin`]. Answers and `merge_steps` are
 //! **bit-identical** across all of them (`tests/shard_equivalence.rs`,
 //! `tests/pinned_reads.rs`).
 //!
-//! The undirected instance keeps its name and the copying constructors
-//! from the v2 columns ([`ShardedFlatIndex::from_flat`] /
-//! [`ShardedFlatIndex::with_bounds`]) because the wall-clock benchmark in
-//! `perfbench/` compiles against them; the serving path publishes.
+//! The undirected instance keeps its name and the constructors that
+//! re-bound a frozen or loaded snapshot's shared rows
+//! ([`ShardedFlatIndex::from_flat`] / [`ShardedFlatIndex::with_bounds`])
+//! because the wall-clock benchmark in `perfbench/` compiles against them;
+//! the serving path publishes.
 //!
 //! [`EpochSnapshot`] stamps any snapshot with the epoch that froze it. The
 //! serving layer (`dspc-serve`) publishes `Arc<EpochSnapshot<_>>` values at
@@ -29,7 +30,6 @@ use crate::flat::{FlatIndex, FlatScratch, Snapshot};
 use crate::label::{LabelEntry, SharedRows};
 use crate::query::QueryResult;
 use dspc_graph::VertexId;
-use std::sync::Arc;
 
 /// Evenly spaced shard boundaries over an `n`-vertex id space: `shards + 1`
 /// non-decreasing values from `0` to `n`, ranges differing in size by at
@@ -53,14 +53,13 @@ pub fn even_bounds(n: usize, shards: usize) -> Vec<u32> {
 pub type ShardedFlatIndex = Snapshot<Undirected>;
 
 impl ShardedFlatIndex {
-    /// Copies `flat` into a snapshot over `shards` evenly sized vertex
-    /// ranges.
+    /// `flat`'s rows, shared, over `shards` evenly sized vertex ranges.
     pub fn from_flat(flat: &FlatIndex, shards: usize) -> Self {
         Self::with_bounds(flat, &even_bounds(flat.num_vertices(), shards))
             .expect("even bounds are always valid")
     }
 
-    /// Copies `flat` into a snapshot split at explicit `bounds`
+    /// `flat`'s rows, shared, split at explicit `bounds`
     /// (`bounds[0] = 0`, non-decreasing, last element = vertex count) —
     /// uneven ranges and empty shards are allowed. Errors on malformed
     /// bounds.
@@ -78,9 +77,8 @@ impl ShardedFlatIndex {
         if *bounds.last().unwrap() as usize != n {
             return Err("bounds must end at the vertex count");
         }
-        let rows = (0..n).map(|v| flat.row_entries(v).collect::<Arc<[LabelEntry]>>());
         Ok(Snapshot::from_parts(
-            vec![SharedRows::copied_from(rows)],
+            vec![flat.rows().reshared()],
             flat.ranks().clone(),
             bounds.to_vec(),
         ))

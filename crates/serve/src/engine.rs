@@ -7,7 +7,7 @@
 use dspc::dynamic::Dynamic;
 use dspc::engine::Variant;
 use dspc::query::RowPin;
-use dspc::{FlatScratch, KernelCounters, Snapshot, UpdateStats};
+use dspc::{FlatScratch, KernelCounters, RankMap, Snapshot, UpdateStats};
 use dspc_graph::VertexId;
 
 /// A frozen, immutable index representation the read path can serve from.
@@ -28,8 +28,9 @@ pub trait ServingSnapshot: Send + Sync + 'static {
     /// Number of shards this snapshot attributes kernel counters to.
     fn shard_count(&self) -> usize;
 
-    /// Size of the vertex id space the snapshot answers over.
-    fn num_vertices(&self) -> usize;
+    /// The vertex order the snapshot's labels were computed under; its
+    /// length is the vertex id space the snapshot answers over.
+    fn ranks(&self) -> &RankMap;
 
     /// Label rows this snapshot copied when it was made; every other row
     /// is shared with the previous publication.
@@ -71,8 +72,8 @@ impl<V: Variant> ServingSnapshot for Snapshot<V> {
         self.num_shards()
     }
 
-    fn num_vertices(&self) -> usize {
-        Snapshot::num_vertices(self)
+    fn ranks(&self) -> &RankMap {
+        Snapshot::ranks(self)
     }
 
     fn rows_copied(&self) -> usize {
@@ -134,8 +135,9 @@ pub trait ServingEngine: Send + 'static {
     /// what a freshly frozen snapshot answers.
     fn query_live(&self, s: VertexId, t: VertexId) -> <Self::Snapshot as ServingSnapshot>::Answer;
 
-    /// Size of the live graph's vertex id space.
-    fn num_vertices(&self) -> usize;
+    /// The live index's vertex order; its length is the live graph's
+    /// vertex id space.
+    fn ranks(&self) -> &RankMap;
 }
 
 /// Every facade, whichever its variant: the epoch batch applies through
@@ -161,7 +163,7 @@ where
         V::query(self.index(), s, t).into()
     }
 
-    fn num_vertices(&self) -> usize {
-        V::capacity(self.graph())
+    fn ranks(&self) -> &RankMap {
+        self.index().ranks()
     }
 }

@@ -44,8 +44,9 @@
 //! an append) is dropped and the WAL truncated to the last valid prefix;
 //! corruption *before* the final record fails loudly with
 //! [`JournalError::Corrupt`]. Because the state decode is exact (the graph
-//! adjacency invariant is order-independent and the flat index thaws back
-//! bit-identically) and replay regroups batches exactly as the live server
+//! adjacency invariant is order-independent, and the decoded label rows
+//! become the engine's rows bit-identically, shared until first written)
+//! and replay regroups batches exactly as the live server
 //! coalesced them, a recovered server answers queries and accumulates
 //! maintenance counters bit-identically to one that never crashed —
 //! `tests/fault_injection.rs` proves this for every scripted failpoint.
@@ -55,9 +56,9 @@ use bytes::{BufMut, BytesMut};
 use dspc::directed::ArcUpdate;
 use dspc::dynamic::GraphUpdate;
 use dspc::policy::MaintenancePolicy;
-use dspc::serialize::{crc64, decode_flat, encode_flat, CodecError};
+use dspc::serialize::{crc64, decode_flat, put_index_v2, v2_image_len, CodecError};
 use dspc::weighted::WeightedUpdate;
-use dspc::{DynamicSpc, FlatIndex, MaintenanceThreads, OrderingStrategy};
+use dspc::{DynamicSpc, MaintenanceCounters, MaintenanceThreads, OrderingStrategy};
 use dspc_graph::{UndirectedGraph, VertexId};
 use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
@@ -366,13 +367,18 @@ pub trait DurableEngine: ServingEngine {
 
 /// Upper bound on a state image's bytes outside the vertex slots, edge
 /// list and v2 image: magic, version, kind, strategy, threads, update
-/// pressure, the policy section, the three length prefixes and the CRC.
-const STATE_FIXED_LEN: usize = 160;
+/// pressure, the policy section, the re-rank totals, the three length
+/// prefixes and the CRC.
+const STATE_FIXED_LEN: usize = 288;
 /// An image without a policy section: the engine runs
 /// [`MaintenancePolicy::NEVER`] and its policy never rebuilt.
 const STATE_KIND_DYNAMIC: u8 = 1;
 /// An image with a policy section: the policy and its rebuild count.
 const STATE_KIND_POLICY: u8 = 2;
+/// An image with a policy section followed by the policy's cumulative
+/// re-rank counters ([`DynamicSpc::rerank_totals`]), written only when
+/// they are not all zero.
+const STATE_KIND_RERANKED: u8 = 3;
 
 fn encode_strategy(buf: &mut Vec<u8>, s: OrderingStrategy) {
     let (tag, seed) = match s {
@@ -391,24 +397,27 @@ fn encode_option(buf: &mut Vec<u8>, field: Option<u64>) {
 }
 
 impl DurableEngine for DynamicSpc {
-    /// Builds the state image in one `Vec` sized up front: at its peak it
-    /// holds the encoded v2 image and the state that embeds it, two copies
-    /// of the index rather than three. The policy section is written only
-    /// when there is a policy or a rebuild count to restore.
+    /// Builds the state image in one `Vec` sized up front, writing the v2
+    /// image of the index straight from its rows into it
+    /// ([`put_index_v2`]): the image is the only copy of the labels beside
+    /// the live index. The policy section is written only when there is a
+    /// policy, a rebuild count or re-rank totals to restore, and the totals
+    /// only when they are not all zero.
     fn encode_state(&self) -> Vec<u8> {
         let policy = self.policy();
-        let with_policy = policy != MaintenancePolicy::NEVER || self.rebuilds() != 0;
-        let flat_bytes = encode_flat(&FlatIndex::freeze(self.index()));
+        let reranked = self.rerank_totals() != MaintenanceCounters::default();
+        let with_policy = policy != MaintenancePolicy::NEVER || self.rebuilds() != 0 || reranked;
+        let index = self.index();
+        let image_len = v2_image_len(index.num_vertices(), index.num_entries());
         let g = self.graph();
-        let mut buf = Vec::with_capacity(
-            flat_bytes.len() + g.capacity() + 8 * g.num_edges() + STATE_FIXED_LEN,
-        );
+        let mut buf =
+            Vec::with_capacity(image_len + g.capacity() + 8 * g.num_edges() + STATE_FIXED_LEN);
         buf.put_slice(STATE_MAGIC);
         buf.put_u32_le(STATE_VERSION);
-        buf.put_u8(if with_policy {
-            STATE_KIND_POLICY
-        } else {
-            STATE_KIND_DYNAMIC
+        buf.put_u8(match (reranked, with_policy) {
+            (true, _) => STATE_KIND_RERANKED,
+            (false, true) => STATE_KIND_POLICY,
+            (false, false) => STATE_KIND_DYNAMIC,
         });
         encode_strategy(&mut buf, self.strategy());
         let fixed = match self.maintenance_threads() {
@@ -430,6 +439,30 @@ impl DurableEngine for DynamicSpc {
             buf.put_u64_le(policy.batched_swap_budget as u64);
             buf.put_u64_le(self.rebuilds() as u64);
         }
+        if reranked {
+            let t = self.rerank_totals();
+            for count in [
+                t.renew_count,
+                t.renew_dist,
+                t.inserted,
+                t.removed,
+                t.hubs_processed,
+                t.classify_sweeps,
+                t.multi_far_sweeps,
+                t.vertices_visited,
+                t.agenda_hubs,
+                t.waves,
+                t.max_wave_width,
+                t.steal_events,
+                t.rerank_swaps,
+                t.rerank_sweeps,
+                t.removal_probes,
+                t.prune_probes,
+            ] {
+                buf.put_u64_le(count as u64);
+            }
+            buf.put_u8(t.isolated_fast_path as u8);
+        }
         buf.put_u64_le(g.capacity() as u64);
         for slot in 0..g.capacity() {
             buf.put_u8(g.contains_vertex(VertexId(slot as u32)) as u8);
@@ -439,9 +472,10 @@ impl DurableEngine for DynamicSpc {
             buf.put_u32_le(u.0);
             buf.put_u32_le(v.0);
         }
-        buf.put_u64_le(flat_bytes.len() as u64);
-        buf.put_slice(&flat_bytes);
-        drop(flat_bytes);
+        buf.put_u64_le(image_len as u64);
+        let image_start = buf.len();
+        put_index_v2(index, &mut buf);
+        debug_assert_eq!(buf.len() - image_start, image_len, "v2 image length");
         let crc = crc64(&buf);
         buf.put_u64_le(crc);
         buf
@@ -489,7 +523,7 @@ impl DurableEngine for DynamicSpc {
         let updates_since_build = next(&mut rd)? as usize;
         let (policy, rebuilds) = match kind {
             STATE_KIND_DYNAMIC => (MaintenancePolicy::NEVER, 0),
-            STATE_KIND_POLICY => {
+            STATE_KIND_POLICY | STATE_KIND_RERANKED => {
                 let opt = |rd: &mut &[u8]| -> Result<Option<u64>, JournalError> {
                     let flag = take_u8(rd).ok_or_else(|| corrupt("state"))?;
                     let v = take_u64(rd).ok_or_else(|| corrupt("state"))?;
@@ -507,6 +541,31 @@ impl DurableEngine for DynamicSpc {
                 (policy, next(&mut rd)? as usize)
             }
             _ => return Err(corrupt("state")),
+        };
+        let rerank_totals = if kind == STATE_KIND_RERANKED {
+            let mut count = || next(&mut rd).map(|n| n as usize);
+            // Fields are read in the order they are written.
+            MaintenanceCounters {
+                renew_count: count()?,
+                renew_dist: count()?,
+                inserted: count()?,
+                removed: count()?,
+                hubs_processed: count()?,
+                classify_sweeps: count()?,
+                multi_far_sweeps: count()?,
+                vertices_visited: count()?,
+                agenda_hubs: count()?,
+                waves: count()?,
+                max_wave_width: count()?,
+                steal_events: count()?,
+                rerank_swaps: count()?,
+                rerank_sweeps: count()?,
+                removal_probes: count()?,
+                prune_probes: count()?,
+                isolated_fast_path: take_u8(&mut rd).ok_or_else(|| corrupt("state"))? != 0,
+            }
+        } else {
+            MaintenanceCounters::default()
         };
         let capacity = next(&mut rd)? as usize;
         if rd.len() < capacity {
@@ -541,10 +600,11 @@ impl DurableEngine for DynamicSpc {
         if flat.num_vertices() != graph.capacity() {
             return Err(corrupt("state"));
         }
+        // The decoded rows become the engine's, shared until first written.
         let mut d = DynamicSpc::from_parts(graph, flat.thaw(), strategy);
         d.set_maintenance_threads(threads);
         d.set_policy(policy);
-        d.restore_counts(updates_since_build, rebuilds);
+        d.restore_counts(updates_since_build, rebuilds, rerank_totals);
         Ok(d)
     }
 }
@@ -1028,6 +1088,8 @@ pub(crate) fn manifest_exists(dir: &Path) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dspc::serialize::encode_flat;
+    use dspc::FlatIndex;
 
     fn sample_updates() -> Vec<GraphUpdate> {
         vec![
@@ -1275,6 +1337,47 @@ mod tests {
         assert_eq!((r.policy(), r.rebuilds()), (MaintenancePolicy::NEVER, 1));
         let plain = DynamicSpc::build(r.graph().clone(), OrderingStrategy::Degree);
         assert_eq!(kind(&plain.encode_state()), STATE_KIND_DYNAMIC);
+    }
+
+    #[test]
+    fn reranked_state_round_trips_its_totals() {
+        use dspc_graph::UndirectedGraph;
+        let kind = |bytes: &[u8]| bytes[STATE_MAGIC.len() + 4];
+        let g = UndirectedGraph::from_edges(7, &[(0, 1), (1, 2), (2, 3)]);
+        let mut m = DynamicSpc::build(g, OrderingStrategy::Degree);
+        // Every field distinct, so a swapped pair of fields shows.
+        let totals = MaintenanceCounters {
+            renew_count: 1,
+            renew_dist: 2,
+            inserted: 3,
+            removed: 4,
+            hubs_processed: 5,
+            classify_sweeps: 6,
+            multi_far_sweeps: 7,
+            vertices_visited: 8,
+            agenda_hubs: 9,
+            waves: 10,
+            max_wave_width: 11,
+            steal_events: 12,
+            isolated_fast_path: true,
+            rerank_swaps: 13,
+            rerank_sweeps: 14,
+            removal_probes: 15,
+            prune_probes: 16,
+        };
+        m.restore_counts(5, 0, totals);
+        let bytes = m.encode_state();
+        assert_eq!(kind(&bytes), STATE_KIND_RERANKED);
+        let r = DynamicSpc::decode_state(&bytes).unwrap();
+        assert_eq!(r.rerank_totals(), totals);
+        assert_eq!((r.policy(), r.rebuilds()), (MaintenancePolicy::NEVER, 0));
+        assert_eq!(r.updates_since_build(), 5);
+        // The most fixed fields an image carries still fit the capacity
+        // the encoder reserves.
+        let g = m.graph();
+        let flat_len = encode_flat(&FlatIndex::freeze(m.index())).len();
+        let payload = flat_len + g.capacity() + 8 * g.num_edges();
+        assert!(bytes.len() <= payload + STATE_FIXED_LEN);
     }
 
     #[test]

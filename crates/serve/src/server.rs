@@ -9,7 +9,7 @@ use crate::journal::{
 };
 use crate::publish::{Publisher, Subscription};
 use dspc::shard::EpochSnapshot;
-use dspc::{KernelCounters, UpdateStats};
+use dspc::{KernelCounters, Rank, UpdateStats};
 use dspc_graph::VertexId;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -197,17 +197,33 @@ impl<E: ServingEngine> EpochServer<E> {
     /// - If `initial` covers another vertex id space than the engine's
     ///   graph. Its readers would answer for another graph, and a query
     ///   naming a vertex past its rows would fail.
+    /// - If `initial` was computed under another vertex order than the
+    ///   engine's index: its labels then belong to another index. Orders
+    ///   are compared rank by rank, not by the strategy that made them (a
+    ///   decoded file records only the permutation).
     pub fn warm_start(engine: E, initial: E::Snapshot, config: ServeConfig) -> Self {
         let (loaded, published) = (initial.shard_count(), config.shards.max(1));
         assert_eq!(
             loaded, published,
             "warm-start snapshot has {loaded} shards, but the server publishes {published}"
         );
-        let (covered, live) = (initial.num_vertices(), engine.num_vertices());
+        let (frozen, live) = (initial.ranks(), engine.ranks());
+        let (covered, vertices) = (frozen.len(), live.len());
         assert_eq!(
-            covered, live,
-            "warm-start snapshot covers {covered} vertices, but the engine has {live}"
+            covered, vertices,
+            "warm-start snapshot covers {covered} vertices, but the engine has {vertices}"
         );
+        let rank = (0..covered as u32)
+            .map(Rank)
+            .find(|&r| frozen.vertex(r) != live.vertex(r));
+        if let Some(r) = rank {
+            panic!(
+                "warm-start snapshot ranks vertex {} at rank {}, but the engine ranks vertex {} there",
+                frozen.vertex(r).0,
+                r.0,
+                live.vertex(r).0
+            );
+        }
         EpochServer::assemble(
             engine,
             Publisher::new(initial),
@@ -816,6 +832,25 @@ mod tests {
         let engine = DynamicSpc::build(triangle, OrderingStrategy::Degree);
         let path = DynamicSpc::build(
             UndirectedGraph::from_edges(3, &[(0, 1), (1, 2)]),
+            OrderingStrategy::Degree,
+        );
+        let snapshot = ShardedFlatIndex::from_flat(&FlatIndex::freeze(path.index()), 1);
+        EpochServer::warm_start(engine, snapshot, ServeConfig { shards: 1 });
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "warm-start snapshot ranks vertex 1 at rank 0, but the engine ranks vertex 2 there"
+    )]
+    fn warm_start_rejects_a_snapshot_under_another_order() {
+        // The same four vertices, but the path 0-1-2-3 orders them
+        // [1, 2, 0, 3] by degree where the triangle with a pendant orders
+        // them [2, 0, 1, 3]: the snapshot would answer SPC(0, 2) = (2, 1)
+        // where the engine answers (1, 1).
+        let triangle = UndirectedGraph::from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
+        let engine = DynamicSpc::build(triangle, OrderingStrategy::Degree);
+        let path = DynamicSpc::build(
+            UndirectedGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]),
             OrderingStrategy::Degree,
         );
         let snapshot = ShardedFlatIndex::from_flat(&FlatIndex::freeze(path.index()), 1);

@@ -9,15 +9,15 @@
 //! [`current_wal_path`]. Reference servers run the identical scripted
 //! stream in a second journal directory without crashing; equivalence
 //! compares the full all-pairs answer table, the epoch clock, the engine's
-//! update-pressure counter, maintenance policy and policy rebuilds, and
-//! every `ServerStats` field except `replayed_batches` (which by design
-//! counts only recovery work).
+//! update-pressure counter, maintenance policy, policy rebuilds and re-rank
+//! totals, and every `ServerStats` field except `replayed_batches` (which
+//! by design counts only recovery work).
 
 use dspc::dynamic::GraphUpdate;
 use dspc::policy::MaintenancePolicy;
 use dspc::query::spc_query;
 use dspc::shard::ShardedFlatIndex;
-use dspc::{DynamicSpc, MaintenanceThreads, OrderingStrategy, UpdateStats};
+use dspc::{DynamicSpc, MaintenanceCounters, MaintenanceThreads, OrderingStrategy, UpdateStats};
 use dspc_graph::generators::random::barabasi_albert;
 use dspc_graph::scratch::ScratchDir;
 use dspc_graph::{UndirectedGraph, VertexId};
@@ -108,8 +108,8 @@ fn journaled_with(
 }
 
 /// The bit-identical claim: answers, epoch clock, pending depth, engine
-/// update pressure, maintenance policy and policy rebuilds, and all stats
-/// except `replayed_batches` must match.
+/// update pressure, maintenance policy, policy rebuilds and re-rank totals,
+/// and all stats except `replayed_batches` must match.
 fn assert_bit_identical(recovered: &EpochServer<DynamicSpc>, reference: &EpochServer<DynamicSpc>) {
     assert_eq!(recovered.epoch(), reference.epoch(), "epoch clock");
     assert_eq!(
@@ -131,6 +131,11 @@ fn assert_bit_identical(recovered: &EpochServer<DynamicSpc>, reference: &EpochSe
         recovered.engine().rebuilds(),
         reference.engine().rebuilds(),
         "policy rebuilds"
+    );
+    assert_eq!(
+        recovered.engine().rerank_totals(),
+        reference.engine().rerank_totals(),
+        "policy re-rank totals"
     );
     let (a, b) = (recovered.stats(), reference.stats());
     assert_eq!(a.rotations, b.rotations, "rotations");
@@ -324,6 +329,44 @@ fn checkpoint_and_recover(policy: MaintenancePolicy, name: &str) -> usize {
     assert_bit_identical(&recovered, &reference);
     assert_next_rotation_identical(&mut recovered, &mut reference, &script[3]);
     recovered.engine().rebuilds()
+}
+
+/// An engine whose tiered policy re-ranked before the checkpoint recovers
+/// its cumulative re-rank totals, and keeps adding to them like its
+/// never-crashed twin.
+#[test]
+fn checkpoint_recovery_keeps_the_rerank_totals() {
+    let mut rng = StdRng::seed_from_u64(0xC4DE);
+    let script = dspc_bench::workload::churn_stream(&base_graph(), 6, 4, &mut rng);
+    let engine = || {
+        let mut e = engine();
+        e.set_policy(MaintenancePolicy {
+            batched_swap_budget: 4096,
+            ..MaintenancePolicy::tiered(0.02, 0.08, 0.95)
+        });
+        e
+    };
+    let run = |dir: &Path| {
+        let mut server = journaled_with(engine(), dir, &script[..4], &[]);
+        let totals = server.engine().rerank_totals();
+        assert!(totals.rerank_swaps > 0, "the churn re-ranked: {totals:?}");
+        server.checkpoint().expect("checkpoint");
+        server.submit(script[4].clone()).expect("journaled submit");
+        server.rotate().expect("valid batch");
+        server
+    };
+    let dir = scratch_dir("checkpoint_rerank");
+    let ref_dir = scratch_dir("checkpoint_rerank_ref");
+    drop(run(dir.path()));
+    let (mut recovered, report) = EpochServer::recover(dir.path(), CFG).expect("recovery");
+    assert_eq!(report.replayed_rotations, 1);
+    let mut reference = run(ref_dir.path());
+    assert_ne!(
+        reference.engine().rerank_totals(),
+        MaintenanceCounters::default()
+    );
+    assert_bit_identical(&recovered, &reference);
+    assert_next_rotation_identical(&mut recovered, &mut reference, &script[5]);
 }
 
 #[test]
@@ -637,8 +680,8 @@ impl ServingEngine for PanicEngine {
         spc_query(self.0.index(), s, t)
     }
 
-    fn num_vertices(&self) -> usize {
-        ServingEngine::num_vertices(&self.0)
+    fn ranks(&self) -> &dspc::RankMap {
+        ServingEngine::ranks(&self.0)
     }
 }
 

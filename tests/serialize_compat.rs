@@ -1,11 +1,15 @@
-//! Serialization format compatibility: a hand-assembled v1 byte fixture
-//! pins the on-disk layout against accidental format drift, and the
+//! Serialization format compatibility: hand-assembled v1 and v2 byte
+//! fixtures pin the on-disk layouts against accidental format drift, the
 //! v1 → v2 migration path (decode packed, re-encode columnar) must
-//! preserve every label bit in both directions. Also covers the serving
-//! layer's warm-start path: a server booted from a `save_flat` file must
-//! answer — and continue maintaining — identically to one built live.
+//! preserve every label bit in both directions, and damage the formats
+//! cannot detect by checksum must never decode into rows that break the
+//! index's rules. Also covers the serving layer's warm-start path: a
+//! server booted from a `save_flat` file must answer — and continue
+//! maintaining — identically to one built live, sharing the loaded rows.
 
-use dspc::serialize::{decode_flat, decode_index, encode_flat, encode_index, encode_index_v2};
+use dspc::serialize::{
+    crc64, decode_flat, decode_index, encode_flat, encode_index, encode_index_v2, CodecError,
+};
 use dspc::{spc_query, FlatIndex, OrderingStrategy, Rank};
 use dspc_graph::{UndirectedGraph, VertexId};
 
@@ -58,6 +62,85 @@ fn golden_v1_fixture_decodes() {
     );
 }
 
+/// The rows of the 3-vertex path `0 - 1 - 2` under the identity order, as
+/// `(hub, dist, count)`.
+const PATH_ROWS: [&[(u32, u32, u64)]; 3] = [
+    &[(0, 0, 1)],
+    &[(0, 1, 1), (1, 0, 1)],
+    &[(0, 2, 1), (1, 1, 1), (2, 0, 1)],
+];
+
+/// Assembles the v2 file of [`PATH_ROWS`] byte by byte, checksum footer
+/// included: header and rank permutation, then the length-prefixed
+/// offsets, hubs, dists and counts columns, each padded to 8 bytes.
+fn golden_v2_bytes() -> Vec<u8> {
+    let mut b: Vec<u8> = Vec::new();
+    b.extend_from_slice(b"DSPC"); // magic
+    b.extend_from_slice(&2u32.to_le_bytes()); // version 2
+    b.extend_from_slice(&0u32.to_le_bytes()); // flags
+    b.extend_from_slice(&3u64.to_le_bytes()); // n = 3
+    for v in [0u32, 1, 2] {
+        b.extend_from_slice(&v.to_le_bytes()); // identity rank order
+    }
+    let mut ends = vec![b.len()]; // 32 bytes: already 8-aligned
+    let entries = || PATH_ROWS.iter().flat_map(|row| row.iter());
+    let mut u32_column = |b: &mut Vec<u8>, column: Vec<u32>| {
+        b.extend_from_slice(&(column.len() as u64).to_le_bytes());
+        for x in column {
+            b.extend_from_slice(&x.to_le_bytes());
+        }
+        b.resize(b.len().next_multiple_of(8), 0);
+        ends.push(b.len());
+    };
+    u32_column(&mut b, vec![0, 1, 3, 6]);
+    u32_column(&mut b, entries().map(|e| e.0).collect());
+    u32_column(&mut b, entries().map(|e| e.1).collect());
+    b.extend_from_slice(&6u64.to_le_bytes());
+    for e in entries() {
+        b.extend_from_slice(&e.2.to_le_bytes());
+    }
+    ends.push(b.len());
+    assert_eq!(ends, [32, 56, 88, 120, 176]);
+    let mut start = 0;
+    for end in ends {
+        let crc = crc64(&b[start..end]);
+        b.extend_from_slice(&crc.to_le_bytes());
+        start = end;
+    }
+    b.extend_from_slice(b"DSPCXSUM"); // footer marker
+    b
+}
+
+#[test]
+fn golden_v2_fixture_decodes() {
+    let v2 = golden_v2_bytes();
+    let flat = decode_flat(&v2).expect("golden v2 bytes must stay decodable");
+    let index = decode_index(&v2).expect("golden v2 bytes must stay decodable");
+    index.check_invariants().unwrap();
+    assert_eq!((flat.num_vertices(), flat.num_entries()), (3, 6));
+    for (v, row) in PATH_ROWS.iter().enumerate() {
+        let decoded = flat
+            .rows()
+            .row(v)
+            .iter()
+            .map(|e| (e.hub.0, e.dist, e.count));
+        assert_eq!(decoded.collect::<Vec<_>>(), row.to_vec());
+    }
+    assert_eq!(
+        spc_query(&index, VertexId(0), VertexId(2)).as_option(),
+        Some((2, 1))
+    );
+    // Both encoders still produce these exact bytes for this index.
+    let g = UndirectedGraph::from_edges(3, &[(0, 1), (1, 2)]);
+    let rebuilt = dspc::build_index(&g, OrderingStrategy::Identity);
+    assert_eq!(encode_index_v2(&rebuilt).as_ref(), v2.as_slice());
+    assert_eq!(
+        encode_flat(&FlatIndex::freeze(&rebuilt)).as_ref(),
+        v2.as_slice()
+    );
+    assert_eq!(encode_flat(&flat).as_ref(), v2.as_slice());
+}
+
 /// v1 files carry no checksums, so damage may decode into a different
 /// index — but a damaged length field must come back as an error, never
 /// as an arithmetic overflow or an oversized allocation.
@@ -78,6 +161,47 @@ fn damaged_v1_lengths_never_panic() {
         let mut bad = v1.clone();
         bad[at] ^= 0x80;
         assert_eq!(decode_index(&bad).err(), Some(CodecError::Truncated));
+    }
+}
+
+/// Neither v1 nor a footer-less v2 file can catch every damage by
+/// checksum, so the decoders check each row against the rules of a stored
+/// row. A hub past the rank space (which the hub probe would index past)
+/// or a row without its self label is rejected, never served.
+#[test]
+fn rows_breaking_the_index_rules_are_rejected() {
+    // Footer-less v2: the last hub, at bytes 84..88, from 2 to 7 (n = 3).
+    let mut v2 = golden_v2_bytes();
+    v2.truncate(176);
+    v2[84..88].copy_from_slice(&7u32.to_le_bytes());
+    assert_eq!(decode_flat(&v2).err(), Some(CodecError::BadColumns));
+    assert_eq!(decode_index(&v2).err(), Some(CodecError::BadColumns));
+    // v1: the last packed word, L(2)'s self label (2, 0, 1), gets hub 9.
+    let mut v1 = golden_v1_bytes();
+    let last = v1.len() - 8;
+    v1[last..].copy_from_slice(&((9u64 << 39) | 1).to_le_bytes());
+    assert_eq!(decode_index(&v1).err(), Some(CodecError::BadColumns));
+    assert_eq!(decode_flat(&v1).err(), Some(CodecError::BadColumns));
+}
+
+/// Every single-bit flip of a v1 or a footer-less v2 file either fails to
+/// decode or decodes into an index that passes `check_invariants`, and
+/// none panics.
+#[test]
+fn single_bit_flips_never_decode_into_a_broken_index() {
+    let mut legacy_v2 = golden_v2_bytes();
+    legacy_v2.truncate(176);
+    for file in [golden_v1_bytes(), legacy_v2] {
+        for at in 0..file.len() {
+            for bit in [0x01u8, 0x04, 0x40, 0x80] {
+                let mut bad = file.clone();
+                bad[at] ^= bit;
+                if let Ok(index) = decode_index(&bad) {
+                    let verdict = index.check_invariants();
+                    assert!(verdict.is_ok(), "bit {bit:#04x} at byte {at}: {verdict:?}");
+                }
+            }
+        }
     }
 }
 
@@ -281,5 +405,42 @@ fn warm_start_server_matches_live_built_server() {
             let (s, t) = (VertexId(s), VertexId(t));
             assert_eq!(warm_reader.query(s, t), live_reader.query(s, t));
         }
+    }
+}
+
+/// A thawed engine shares the loaded rows: warm-started from a file, an
+/// empty rotation copies no row, and every row it publishes is the very
+/// row the file decoded into.
+#[test]
+fn warm_start_from_a_file_shares_the_loaded_rows() {
+    use dspc::serialize::{load_flat, save_flat};
+    use dspc::{DynamicSpc, ShardedFlatIndex};
+    use dspc_graph::generators::random::barabasi_albert;
+    use dspc_graph::scratch::ScratchDir;
+    use dspc_serve::{EpochServer, ServeConfig};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::sync::Arc;
+
+    let g = barabasi_albert(40, 3, &mut StdRng::seed_from_u64(0x5EED));
+    let built = DynamicSpc::build(g.clone(), OrderingStrategy::Degree);
+    let dir = ScratchDir::new("dspc_warm_share").expect("scratch dir");
+    let path = dir.path().join("index.v2");
+    save_flat(&FlatIndex::freeze(built.index()), &path).expect("write snapshot file");
+
+    let loaded = load_flat(&path).expect("read snapshot file");
+    let engine = DynamicSpc::from_parts(g, loaded.thaw(), OrderingStrategy::Degree);
+    // Re-bounding the loaded rows over the server's shards copies none.
+    let initial = ShardedFlatIndex::from_flat(&loaded, 2);
+    assert_eq!(initial.rows_copied(), 0);
+    let mut server = EpochServer::warm_start(engine, initial, ServeConfig { shards: 2 });
+    let mut reader = server.reader();
+    let report = server.rotate().expect("an empty batch applies");
+    assert_eq!(report.rows_copied, 0);
+    assert_eq!(reader.refresh(), 1);
+    let published = reader.snapshot().index().rows();
+    for v in 0..loaded.num_vertices() {
+        let (row, file) = (published.handle(v), loaded.rows().handle(v));
+        assert!(Arc::ptr_eq(row, file), "row {v} was copied");
     }
 }
