@@ -1,7 +1,7 @@
 //! The experiments driver — regenerates the paper's tables and figures.
 //!
 //! ```text
-//! experiments [all|table3|table4|table5|fig7|fig7a|fig7b|fig7c|fig8|fig9|fig10|fig11]
+//! experiments [all|table3|table4|table5|fig7|fig7a|fig7b|fig7c|fig8|fig9|fig10|fig11|ablation]
 //!             [--quick] [--scale X] [--insertions N] [--deletions N]
 //!             [--queries N] [--datasets KEY,KEY,...] [--seed N]
 //! ```
@@ -11,7 +11,7 @@ use dspc_bench::runner;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments [all|table3|table4|table5|fig7|fig7a|fig7b|fig7c|fig8|fig9|fig10|fig11]\n\
+        "usage: experiments [all|table3|table4|table5|fig7|fig7a|fig7b|fig7c|fig8|fig9|fig10|fig11|ablation]\n\
          \x20                 [--quick] [--scale X] [--insertions N] [--deletions N]\n\
          \x20                 [--queries N] [--datasets KEY,KEY,...] [--seed N]"
     );
@@ -68,8 +68,8 @@ fn main() {
         }
     );
 
-    // Table 3, Figure 10 and Figure 11 manage their own graphs; the rest
-    // share one measurement run per dataset.
+    // Table 3, Figure 10, Figure 11 and the ablations manage their own
+    // graphs; the rest share one measurement run per dataset.
     let needs_runs = matches!(
         target.as_str(),
         "all" | "table4" | "table5" | "fig7" | "fig7a" | "fig7b" | "fig7c" | "fig8" | "fig9"
@@ -96,6 +96,7 @@ fn main() {
         "fig9" => println!("{}", exp::fig89::render_fig9(&runs)),
         "fig10" => println!("{}", exp::fig10::run(&cfg)),
         "fig11" => println!("{}", exp::fig11::run(&cfg)),
+        "ablation" => println!("{}", exp::ablation::run(&cfg)),
         "all" => {
             println!("{}", exp::table3::run(&cfg));
             println!("{}", exp::table4::render(&runs));
@@ -107,6 +108,7 @@ fn main() {
             println!("{}", exp::fig10::run(&cfg));
             println!("{}", exp::fig11::run(&cfg));
             println!("{}", exp::table5::render(&runs));
+            println!("{}", exp::ablation::run(&cfg));
         }
         _ => usage(),
     }

@@ -1,8 +1,10 @@
-//! Experiment implementations — one module per table/figure of §4.
+//! Experiment implementations — one module per table/figure of §4, plus
+//! the ablations of §2.2 and §2.3.
 //!
 //! Every experiment takes a [`Config`] and returns its report as a string
 //! (the `experiments` binary prints it; integration tests assert on it).
 
+pub mod ablation;
 pub mod fig10;
 pub mod fig11;
 pub mod fig7;

@@ -1,8 +1,8 @@
 //! # dspc-bench — the experiment harness
 //!
 //! Regenerates every table and figure of the paper's evaluation (§4) on the
-//! synthetic dataset registry (see DESIGN.md §3 for the substitution
-//! rationale):
+//! synthetic dataset registry (see [`datasets`] for the substitution
+//! rationale), and the ablations behind two of its design choices:
 //!
 //! | Experiment | Module | Command |
 //! |---|---|---|
@@ -14,11 +14,11 @@
 //! | Figure 10 (streaming) | [`exp::fig10`] | `experiments fig10` |
 //! | Figure 11 (skewed degrees) | [`exp::fig11`] | `experiments fig11` |
 //! | Table 5 (SR/R sizes) | [`exp::table5`] | `experiments table5` |
+//! | §2.3 (SR-only vs naive sweeps), §2.2 (vertex order) | [`exp::ablation`] | `experiments ablation` |
 //!
 //! `experiments all` runs the shared protocol once and prints everything;
-//! `--quick` shrinks scale and sample counts for smoke runs. Criterion
-//! micro-benchmarks (`cargo bench -p dspc-bench`) cover construction,
-//! query, update, and the two ablations.
+//! `--quick` shrinks scale and sample counts for smoke runs. The
+//! `bench_smoke` binary is the deterministic counter gate CI runs.
 
 pub mod datasets;
 pub mod exp;

@@ -47,10 +47,10 @@ pub type DecSpc = Pipeline<Undirected>;
 mod tests {
     use super::*;
     use crate::build::build_index;
-    use crate::engine::{MaintenanceCounters, Topo, UpdateEngine, REPAIR_PRIMARY};
+    use crate::engine::MaintenanceCounters;
     use crate::index::SpcIndex;
     use crate::order::OrderingStrategy;
-    use crate::query::{spc_query, HubProbe};
+    use crate::query::spc_query;
     use crate::verify::verify_all_pairs;
     use dspc_graph::generators::paper::{figure2_g, figure4_toy, figure5_chain};
     use dspc_graph::generators::random::erdos_renyi_gnm;
@@ -58,24 +58,23 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Algorithm 5 — computes `SR_a, R_a` (BFS from `a`, classifying against
+    /// Algorithm 5 — `SR_a, R_a` (the sweep from `a`, classifying against
     /// queries to `b`) and symmetrically `SR_b, R_b`, on the pre-deletion
-    /// graph. (Callers wanting the sets alongside a real deletion use
-    /// [`crate::dynamic::Dynamic::delete_edge_with_sets`]; this standalone
-    /// entry backs the paper-example tests.)
+    /// graph, as Algorithm 4 computes them. The deletion itself runs on a
+    /// copy, without the §3.2.3 fast path.
     fn srr_search(g: &UndirectedGraph, index: &SpcIndex, a: VertexId, b: VertexId) -> SrrOutcome {
-        let mut engine = UpdateEngine::new(g.capacity());
-        let mut probe = HubProbe::new(g.capacity());
-        let mut stats = MaintenanceCounters::default();
-        let mut topo = Topo::new(g, index, &mut probe, REPAIR_PRIMARY);
-        let (sr_a, r_a) = engine.srr_pass(&mut topo, a, b, 1, &mut stats);
-        let (sr_b, r_b) = engine.srr_pass(&mut topo, b, a, 1, &mut stats);
-        SrrOutcome {
-            sr_a,
-            sr_b,
-            r_a,
-            r_b,
-        }
+        let (mut g, mut index) = (g.clone(), index.clone());
+        DecSpc::new(g.capacity())
+            .delete_one(
+                &mut g,
+                &mut index,
+                (a, b),
+                |g| g.delete_edge(a, b),
+                false,
+                1,
+            )
+            .unwrap()
+            .1
     }
 
     fn delete_and_verify(
@@ -265,15 +264,16 @@ mod tests {
                 let mut slow_idx = build_index(&slow_g, OrderingStrategy::Degree);
                 let mut engine = DecSpc::new(g0.capacity());
                 engine
-                    .delete_edge_with_mode(&mut fast_g, &mut fast_idx, a, b, DecMode::SrOnly, 1)
+                    .delete_edge(&mut fast_g, &mut fast_idx, a, b, 1)
                     .unwrap();
+                // Algorithm 4 itself, which never takes the fast path.
                 engine
-                    .delete_edge_with_mode(
+                    .delete_one(
                         &mut slow_g,
                         &mut slow_idx,
-                        a,
-                        b,
-                        DecMode::SrOnlyNoFastPath,
+                        (a, b),
+                        |g| g.delete_edge(a, b),
+                        false,
                         1,
                     )
                     .unwrap();
@@ -311,7 +311,6 @@ mod tests {
                 match mode {
                     DecMode::SrOnly => total_sr += stats.hubs_processed,
                     DecMode::NaiveAffected => total_naive += stats.hubs_processed,
-                    DecMode::SrOnlyNoFastPath => unreachable!("not exercised here"),
                 }
             }
         }

@@ -92,12 +92,6 @@ impl DirectedSpcIndex {
     pub fn label(&self, side: Side, v: VertexId) -> &LabelSet {
         self.row(v, side.family())
     }
-
-    /// Raw mutable label set for `side` of `v` ([`LabelIndex::row_mut`]).
-    #[inline]
-    pub fn label_mut(&mut self, side: Side, v: VertexId) -> &mut LabelSet {
-        self.row_mut(v, side.family())
-    }
 }
 
 /// `SPC(s → t)`: merge `L_out(s)` with `L_in(t)`.
@@ -184,7 +178,7 @@ mod tests {
     fn invariant_checker_catches_infinite_distance() {
         let ranks = RankMap::from_rank_order(&[0, 1, 2], OrderingStrategy::Identity);
         let mut idx = DirectedSpcIndex::self_labeled(ranks);
-        idx.label_mut(Side::In, VertexId(2))
+        idx.row_mut(VertexId(2), Side::In.family())
             .upsert(LabelEntry::new(Rank(0), INF_DIST, 1));
         assert!(idx.check_invariants().is_err());
     }

@@ -38,9 +38,9 @@
 //! state to readers as an immutable snapshot, sharing every label row the
 //! epoch left unchanged with the previous one; a snapshot does not follow
 //! later updates, so each epoch publishes its own. The same boundary is
-//! what makes query fan-out safe — [`crate::parallel::par_batch_query_auto`]
-//! may spread a read burst across threads against the immutable index
-//! *between* epochs, with no locking anywhere.
+//! what makes concurrent reads safe: any number of threads may query one
+//! published snapshot while the next epoch is applied, with no locking
+//! anywhere.
 //!
 //! ```
 //! use dspc::dynamic::GraphUpdate;
@@ -466,9 +466,9 @@ impl<V: Variant> Dynamic<V> {
     /// [`UpdateStats`]. The [`MaintenancePolicy`] runs once, after the whole
     /// batch, and its re-rank counters join the aggregate.
     ///
-    /// This is the write-side epoch boundary the serving story assumes:
-    /// [`crate::parallel::par_batch_query`] fans queries out between
-    /// batches, and the index is never observed mid-batch.
+    /// This is the write-side epoch boundary the serving layer relies on:
+    /// readers query the snapshot [`Dynamic::publish`] hands out after a
+    /// batch, and the index is never observed mid-batch.
     ///
     /// Validation mirrors [`Dynamic::apply_stream`]: each edge op must be
     /// valid against the state left by the ops before it (inserting a

@@ -5,8 +5,9 @@
 //!
 //! [`Pipeline::delete_one`] is the paper's single-edge Algorithm 4:
 //! classify both sides of the edge with `SrrSEARCH` on the pre-deletion
-//! graph, apply the mutation, then run one `DecUPDATE` sweep per `SR` hub
-//! in rank order, repairing the opposite side.
+//! graph (one [`UpdateEngine::multi_far_pass`] per side, against the one
+//! far endpoint), apply the mutation, then run one `DecUPDATE` sweep per
+//! `SR` hub in rank order, repairing the opposite side.
 //!
 //! [`Pipeline::delete_edges`] generalizes it to an edge set:
 //!
@@ -77,7 +78,8 @@ fn worker_count(threads: usize) -> usize {
 
 /// Which affected-hub set drives the update sweeps — the ablation knob
 /// behind the paper's §2.3 argument that prior SD-Index definitions of
-/// "affected" give no reduction for SPC.
+/// "affected" give no reduction for SPC. `experiments ablation` compares
+/// the two per deletion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum DecMode {
     /// The paper's DecSPC: sweeps only from `SR` hubs (Definition 3.10).
@@ -86,12 +88,8 @@ pub enum DecMode {
     /// Naive baseline: treat *every* affected vertex (`SR ∪ R`, the
     /// `|sd(v,a) − sd(v,b)| = 1` set of \[8\]) as a hub to update from.
     /// Correct but wasteful — the extra sweeps only insert redundant
-    /// (accurate) labels; benchmarked in `ablation_dec`.
+    /// (accurate) labels.
     NaiveAffected,
-    /// The paper's DecSPC with the §3.2.3 isolated-vertex fast path
-    /// disabled — used by tests to prove the fast path is a pure
-    /// optimization (identical resulting queries).
-    SrOnlyNoFastPath,
 }
 
 /// The affected-vertex sets computed by `SrrSEARCH` — Table 5 reports their
@@ -307,19 +305,22 @@ impl<V: Variant> Pipeline<V> {
         let mut stats = MaintenanceCounters::default();
         let [fam_a, fam_b] = side_families::<V>();
 
-        // Phase 1 — SrrSEARCH on G_i (edge still present). A side's sweep
-        // walks the view its hubs pin.
+        // Phase 1 — SrrSEARCH on G_i (edge still present): one sweep per
+        // side against its far endpoint, walking the view its hubs pin.
         let srr = {
             let Worker { engine, probes, .. } = &mut self.workers[0];
+            let agg = &mut self.agg;
             let mut classify = |near, far, family| {
                 let view = pinned_family::<V>(family);
-                engine.srr_pass(
-                    &mut Topo::new(g, &*index, &mut probes[0], view),
+                let columns = engine.multi_far_pass(
+                    &mut [Topo::new(g, &*index, &mut probes[0], view)],
                     near,
-                    far,
-                    len,
+                    &[(far, len)],
                     &mut stats,
-                )
+                );
+                let (mut sr, mut r) = (Vec::new(), Vec::new());
+                agg.classify(&columns, &mut sr, &mut r);
+                (sr, r)
             };
             let (sr_a, r_a) = classify(a, b, fam_a);
             let (sr_b, r_b) = classify(b, a, fam_b);
@@ -395,10 +396,8 @@ impl<V: Variant> Pipeline<V> {
         threads: usize,
     ) -> dspc_graph::Result<(MaintenanceCounters, SrrOutcome)> {
         V::edge_len(g, a, b).ok_or(GraphError::MissingEdge(a, b))?;
-        if mode != DecMode::SrOnlyNoFastPath {
-            if let Some(stats) = V::pendant_fast_path(g, index, a, b)? {
-                return Ok((stats, SrrOutcome::default()));
-            }
+        if let Some(stats) = V::pendant_fast_path(g, index, a, b)? {
+            return Ok((stats, SrrOutcome::default()));
         }
         let promote = mode == DecMode::NaiveAffected;
         self.delete_one(g, index, (a, b), |g| V::delete(g, a, b), promote, threads)

@@ -10,10 +10,13 @@
 //!   Seeded at the hub itself with `(0, 1)` over rows that hold no
 //!   `(h, ·, ·)` entry, it is HP-SPC's hub-pushing sweep (§2.2):
 //!   construction and adjacent-rank re-rank run on it.
-//! * **`srr_pass`** — Algorithm 5's `SrrSEARCH` (one side): a full counting
-//!   sweep on the pre-mutation graph classifying every vertex with a
-//!   shortest path through the edge into `SR` (hub must re-sweep) or `R`
-//!   (labels may change, no sweep needed).
+//! * **`multi_far_pass`** — Algorithm 5's `SrrSEARCH` (one side): a full
+//!   counting sweep on the pre-mutation graph from one endpoint, against
+//!   every doomed edge's far endpoint at once. Its per-far columns,
+//!   summed per far endpoint ([`aggregate_far_columns`]), classify every
+//!   vertex with a shortest path through a doomed edge into `SR` (hub
+//!   must re-sweep) or `R` (labels may change, no sweep needed). A
+//!   single-edge deletion runs it with one far endpoint per side.
 //! * **`dec_pass`** — Algorithm 6's `DecUPDATE`: a rank-pruned counting
 //!   sweep from an affected hub on the post-mutation graph, repairing
 //!   labels of the opposite side's `SR ∪ R`, followed by a removal pass
@@ -183,8 +186,9 @@ pub struct MaintenanceCounters {
     /// Affected hubs processed (one per repair sweep: `inc_pass` or
     /// `dec_pass`).
     pub hubs_processed: usize,
-    /// Classification sweeps performed (`srr_pass` /
-    /// [`UpdateEngine::multi_far_pass`] invocations).
+    /// Classification sweeps performed ([`UpdateEngine::multi_far_pass`]
+    /// invocations: two per single-edge deletion, one per distinct
+    /// endpoint of a batch).
     pub classify_sweeps: usize,
     /// Classification sweeps that classified against two or more far
     /// endpoints at once (the multi-far amortization win: always
@@ -553,9 +557,10 @@ impl RepairAgenda {
         }
     }
 
-    /// Merges one `srr_pass` outcome (one edge side) into the agenda: the
-    /// `SR` hubs get `family` repair flags, and every classified vertex
-    /// (`SR ∪ R`) joins the receiver union.
+    /// Merges one classified far group (the `SR` and `R` sets of one far
+    /// endpoint, [`aggregate_far_columns`]) into the agenda: the `SR` hubs
+    /// get `family` repair flags, and every classified vertex (`SR ∪ R`)
+    /// joins the receiver union.
     pub fn note_side(
         &mut self,
         sr: &[VertexId],
@@ -697,10 +702,32 @@ impl FarAggregator {
         }
     }
 
-    /// Starts a new far group.
-    fn begin(&mut self) {
+    /// Classifies one far group, the columns of every doomed edge into
+    /// one far endpoint, into `(SR, R)` in first-contribution order:
+    /// condition **A**, or condition **B** with the *summed*
+    /// through-count — every shortest path to the far endpoint crosses
+    /// some doomed edge of the group.
+    pub(crate) fn classify<'c>(
+        &mut self,
+        columns: impl IntoIterator<Item = &'c FarColumn>,
+        sr: &mut Vec<VertexId>,
+        r: &mut Vec<VertexId>,
+    ) {
         self.epoch += 1;
         self.order.clear();
+        for col in columns {
+            self.add_column(col);
+        }
+        sr.clear();
+        r.clear();
+        for &v in &self.order {
+            let i = v.index();
+            if self.common[i] || self.through[i] == self.qc[i] {
+                sr.push(v);
+            } else {
+                r.push(v);
+            }
+        }
     }
 
     /// Folds one column of the current far group in.
@@ -717,22 +744,6 @@ impl FarAggregator {
                 self.through[i] = self.through[i].saturating_add(c.through);
                 debug_assert_eq!(self.qc[i], c.qc, "inconsistent SpcQUERY across columns");
                 self.common[i] |= c.common_hub;
-            }
-        }
-    }
-
-    /// Classifies the current group into `(SR, R)`: condition **A**, or
-    /// condition **B** with the *summed* through-count — every shortest
-    /// path to the far endpoint crosses some doomed edge of the group.
-    fn finish(&mut self, sr: &mut Vec<VertexId>, r: &mut Vec<VertexId>) {
-        sr.clear();
-        r.clear();
-        for &v in &self.order {
-            let i = v.index();
-            if self.common[i] || self.through[i] == self.qc[i] {
-                sr.push(v);
-            } else {
-                r.push(v);
             }
         }
     }
@@ -763,11 +774,7 @@ pub fn aggregate_far_columns(
     }
     let (mut sr, mut r) = (Vec::new(), Vec::new());
     for (_, cols) in groups {
-        agg.begin();
-        for col in cols {
-            agg.add_column(col);
-        }
-        agg.finish(&mut sr, &mut r);
+        agg.classify(cols, &mut sr, &mut r);
         agenda.note_side(&sr, &r, family, &mut rank_of);
     }
 }
@@ -918,49 +925,10 @@ impl<D: LabelDist> UpdateEngine<D> {
         }
     }
 
-    /// Algorithm 5 (one side) — full counting sweep from `near` on the
-    /// pre-mutation graph, classifying every vertex with a shortest path to
-    /// `far` through the edge (of length `edge_len`) into `(SR, R)`.
-    pub fn srr_pass<T: ReadTopology<Dist = D>>(
-        &mut self,
-        topo: &mut T,
-        near: VertexId,
-        far: VertexId,
-        edge_len: D,
-        stats: &mut MaintenanceCounters,
-    ) -> (Vec<VertexId>, Vec<VertexId>) {
-        let mut sr = Vec::new();
-        let mut r = Vec::new();
-        stats.classify_sweeps += 1;
-        topo.load_probe(far);
-        self.reset_sweep();
-        self.seed(T::DIJKSTRA, near, D::ZERO, 1);
-        let mut head = 0usize;
-        while let Some(v) = self.pop_frontier(T::DIJKSTRA, &mut head) {
-            stats.vertices_visited += 1;
-            let dv = self.dist[v as usize];
-            let (qd, qc) = topo.probe_query(VertexId(v));
-            // Prune: no shortest path from v to `far` crosses the edge.
-            if qd == D::INF || dv.sat_add(edge_len) != qd {
-                continue;
-            }
-            let vr = topo.rank(v);
-            // Condition A: common hub of both endpoints.
-            // Condition B: *every* shortest path to `far` crosses the edge.
-            if topo.is_common_hub(vr, near, far) || self.count[v as usize] == qc {
-                sr.push(VertexId(v));
-            } else {
-                r.push(VertexId(v));
-            }
-            let cv = self.count[v as usize];
-            self.expand_all(topo, v, dv, cv);
-        }
-        (sr, r)
-    }
-
-    /// The multi-far generalization of [`srr_pass`](Self::srr_pass): one
-    /// counting sweep from `near` classifying against *every* doomed
-    /// partner endpoint in `fars` at once, instead of one sweep per edge.
+    /// Algorithm 5 (one side), generalized to several doomed edges: one
+    /// full counting sweep from `near` on the pre-mutation graph,
+    /// classifying against *every* doomed partner endpoint in `fars` at
+    /// once, instead of one sweep per edge.
     ///
     /// `views[j]` answers `SpcQUERY(fars[j], ·)` (each view gets its own
     /// pinned probe); rank, adjacency, and the condition-**A** test are
@@ -972,8 +940,8 @@ impl<D: LabelDist> UpdateEngine<D> {
     /// `D[u] + w(u,v) = D[v]` then `sd(u, far_j) = D[u] + len_j` by the
     /// triangle inequality both ways), so the union cone contains every
     /// far's complete shortest-path DAG and `C[v] = spc(near, v)` is exact
-    /// for every candidate — single-far calls traverse bit-identically to
-    /// `srr_pass`.
+    /// for every candidate. With one far endpoint the sweep is the paper's
+    /// `SrrSEARCH` exactly: it expands only the candidates.
     ///
     /// Rather than classifying into `(SR, R)` directly, the sweep returns
     /// one [`FarColumn`] per far so [`aggregate_far_columns`] can sum

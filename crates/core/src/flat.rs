@@ -252,13 +252,6 @@ impl<V: Variant> Snapshot<V> {
         self.bounds.partition_point(|&b| b <= v.0) - 1
     }
 
-    /// Label entries, every family, of the vertices shard `i` owns.
-    pub fn shard_entries(&self, i: usize) -> usize {
-        let owned = self.bounds[i] as usize..self.bounds[i + 1] as usize;
-        let rows = |f: &SharedRows<V::Entry>| owned.clone().map(|v| f.row(v).len()).sum::<usize>();
-        self.rows.iter().map(rows).sum()
-    }
-
     /// `SpcQUERY(s, t)` against the snapshot.
     pub fn query(&self, s: VertexId, t: VertexId) -> V::Answer {
         self.query_with(&mut FlatScratch, s, t)

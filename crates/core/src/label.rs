@@ -399,14 +399,6 @@ impl<E: HubEntry> LabelRow<E> {
         }
     }
 
-    /// In-memory size in bytes (wide format) of the *live* entries alone —
-    /// `len × size_of::<E>()`. See [`LabelRow::memory_byte_size`] for the
-    /// real heap footprint.
-    #[inline]
-    pub fn byte_size(&self) -> usize {
-        self.len() * std::mem::size_of::<E>()
-    }
-
     /// Actual in-memory footprint of this row: the `LabelRow` itself plus
     /// the heap block behind it. An owned row's block is sized by
     /// *capacity*, not length — after churn-heavy maintenance capacity
@@ -419,12 +411,6 @@ impl<E: HubEntry> LabelRow<E> {
             Row::Shared(a) => a.len() * std::mem::size_of::<E>() + 2 * std::mem::size_of::<usize>(),
         };
         std::mem::size_of::<Self>() + heap
-    }
-
-    /// Size in bytes under the paper's packed 64-bit encoding.
-    #[inline]
-    pub fn packed_byte_size(&self) -> usize {
-        self.len() * 8
     }
 
     /// Structural invariants: strictly increasing hub ranks.
@@ -598,15 +584,6 @@ mod tests {
         l.upsert(e(5, 0, 1));
         assert_eq!(l.reset_to_self(Rank(5)), 2);
         assert_eq!(l.entries(), &[e(5, 0, 1)]);
-    }
-
-    #[test]
-    fn byte_sizes() {
-        let mut l = LabelSet::new();
-        l.upsert(e(0, 1, 1));
-        l.upsert(e(1, 1, 1));
-        assert_eq!(l.packed_byte_size(), 16);
-        assert_eq!(l.byte_size(), 2 * std::mem::size_of::<LabelEntry>());
     }
 
     #[test]

@@ -75,7 +75,6 @@ pub mod index;
 pub mod label;
 pub mod order;
 pub mod parallel;
-pub mod paths;
 pub mod policy;
 pub mod query;
 pub mod reorder;
@@ -93,7 +92,7 @@ pub use flat::{
 pub use index::{IndexStats, LabelIndex, SpcIndex};
 pub use label::{Count, LabelEntry, LabelSet, Rank, INF_DIST};
 pub use order::{OrderingStrategy, RankMap};
-pub use parallel::{MaintenanceThreads, QueryEngine};
+pub use parallel::MaintenanceThreads;
 pub use query::{pre_query, spc_query, QueryResult};
 pub use reorder::rerank_adjacent;
 pub use shard::{EpochSnapshot, ShardedFlatIndex};

@@ -176,12 +176,6 @@ impl RankMap {
         r
     }
 
-    /// The paper's `v ≤ u` relation: does `a` rank at least as high as `b`?
-    #[inline]
-    pub fn ranks_at_least(&self, a: VertexId, b: VertexId) -> bool {
-        self.rank_of[a.index()] <= self.rank_of[b.index()]
-    }
-
     /// Swaps the vertices at ranks `r` and `r + 1` — the primitive
     /// [`crate::reorder`] repairs around. The map stays a bijection; only
     /// the two adjacent positions change.
@@ -311,16 +305,6 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a.vertex_at, c.vertex_at);
         assert!(a.validate() && c.validate());
-    }
-
-    #[test]
-    fn ranks_at_least_matches_paper_relation() {
-        let g = star_graph(3);
-        let rm = RankMap::build(&g, OrderingStrategy::Degree);
-        // Center (0) ranks highest: 0 ≤ 1 and 0 ≤ 2.
-        assert!(rm.ranks_at_least(VertexId(0), VertexId(1)));
-        assert!(!rm.ranks_at_least(VertexId(2), VertexId(0)));
-        assert!(rm.ranks_at_least(VertexId(1), VertexId(1)));
     }
 
     #[test]

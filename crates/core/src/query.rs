@@ -201,12 +201,6 @@ pub fn pre_query(index: &SpcIndex, s: VertexId, t: VertexId) -> QueryResult {
     QueryResult { dist, count }
 }
 
-/// Distance-only convenience wrapper over [`spc_query`].
-pub fn dist_query(index: &SpcIndex, s: VertexId, t: VertexId) -> Option<u32> {
-    let r = spc_query(index, s, t);
-    r.is_connected().then_some(r.dist)
-}
-
 /// Fast repeated queries against one pinned hub-side label row, over any
 /// entry type (`u32` hop or `u64` weighted distances).
 ///
@@ -571,7 +565,6 @@ pub(crate) mod tests {
             spc_query(&idx, VertexId(0), VertexId(2)),
             QueryResult::DISCONNECTED
         );
-        assert_eq!(dist_query(&idx, VertexId(0), VertexId(2)), None);
     }
 
     #[test]

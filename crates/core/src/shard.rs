@@ -26,10 +26,8 @@
 //! every answer against the exact epoch the reader observed.
 
 use crate::engine::{Undirected, REPAIR_PRIMARY};
-use crate::flat::{FlatIndex, FlatScratch, Snapshot};
+use crate::flat::{FlatIndex, Snapshot};
 use crate::label::{LabelEntry, SharedRows};
-use crate::query::QueryResult;
-use dspc_graph::VertexId;
 
 /// Evenly spaced shard boundaries over an `n`-vertex id space: `shards + 1`
 /// non-decreasing values from `0` to `n`, ranges differing in size by at
@@ -90,19 +88,6 @@ impl ShardedFlatIndex {
     }
 }
 
-impl crate::parallel::QueryEngine for ShardedFlatIndex {
-    type Scratch = FlatScratch;
-
-    fn make_scratch(&self) -> Self::Scratch {
-        FlatScratch::new()
-    }
-
-    #[inline]
-    fn query_one(&self, scratch: &mut Self::Scratch, s: VertexId, t: VertexId) -> QueryResult {
-        self.query_with(scratch, s, t)
-    }
-}
-
 /// A snapshot stamped with the epoch that froze it.
 ///
 /// The serving layer publishes one of these per epoch boundary; readers
@@ -131,21 +116,17 @@ impl<S> EpochSnapshot<S> {
     pub fn index(&self) -> &S {
         &self.index
     }
-
-    /// Unwraps.
-    pub fn into_inner(self) -> S {
-        self.index
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::build_index;
-    use crate::flat::KernelCounters;
+    use crate::flat::{FlatScratch, KernelCounters};
     use crate::order::OrderingStrategy;
     use crate::query::{pre_query, spc_query};
     use dspc_graph::generators::random::barabasi_albert;
+    use dspc_graph::VertexId;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -209,7 +190,7 @@ mod tests {
         let flat = FlatIndex::freeze(&idx);
         // Lopsided split with an empty middle shard.
         let sharded = ShardedFlatIndex::with_bounds(&flat, &[0, 1, 1, 29, 30]).unwrap();
-        assert_eq!(sharded.shard_entries(1), 0);
+        assert_eq!(&sharded.bounds()[1..3], &[1, 1], "shard 1 owns no vertex");
         assert_eq!(sharded.shard_of(VertexId(0)), 0);
         assert_eq!(sharded.shard_of(VertexId(1)), 2);
         assert_eq!(sharded.shard_of(VertexId(29)), 3);
@@ -236,7 +217,6 @@ mod tests {
             snap.index().query(VertexId(0), VertexId(2)).as_option(),
             Some((2, 1))
         );
-        let back = snap.into_inner();
-        assert_eq!(back.num_vertices(), 3);
+        assert_eq!(snap.index().num_vertices(), 3);
     }
 }

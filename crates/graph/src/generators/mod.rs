@@ -3,8 +3,9 @@
 //! The paper evaluates on ten web-scale SNAP/Konect/LAW graphs that cannot be
 //! downloaded in this environment, so the benchmark harness substitutes
 //! synthetic generators whose structural properties (scale-free degree skew,
-//! small diameter, dense cores) drive the same algorithmic behaviour — see
-//! DESIGN.md §3 for the substitution argument.
+//! small diameter, dense cores) drive the same algorithmic behaviour — the
+//! dataset registry of the `dspc-bench` crate (`crates/bench/src/datasets.rs`)
+//! gives the substitution argument.
 //!
 //! Three families are provided:
 //!

@@ -51,11 +51,6 @@ impl<S> Publisher<S> {
         self.tail.snap.epoch()
     }
 
-    /// The newest published snapshot.
-    pub fn latest(&self) -> &EpochSnapshot<S> {
-        &self.tail.snap
-    }
-
     /// Publishes `snap` as the next epoch and returns its stamp. Readers
     /// see it as soon as the forward pointer is set — one atomic store.
     pub fn publish(&mut self, snap: S) -> u64 {

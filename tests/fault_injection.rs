@@ -687,7 +687,7 @@ impl ServingEngine for PanicEngine {
 
 #[test]
 fn readers_keep_serving_across_a_panicked_rotation() {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     let script = scripted_batches(2);
     let server = EpochServer::new(PanicEngine(engine()), CFG);
@@ -699,8 +699,11 @@ fn readers_keep_serving_across_a_panicked_rotation() {
     handle.rotate().expect("valid batch");
 
     let stop = AtomicBool::new(false);
+    // Readers that have answered a query inside their loop: each bumps it
+    // (Release) once, and the main thread waits on it (Acquire).
+    let started = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        let stop = &stop;
+        let (stop, started) = (&stop, &started);
         let joins: Vec<_> = (0..3)
             .map(|_| {
                 let mut reader = reader.fork();
@@ -716,11 +719,24 @@ fn readers_keep_serving_across_a_panicked_rotation() {
                         assert_eq!(epoch, 1, "no epoch may be published by a failed rotation");
                         assert_eq!(got, want);
                         served += 1;
+                        if served == 1 {
+                            started.fetch_add(1, Ordering::Release);
+                        }
                     }
                     served
                 })
             })
             .collect();
+
+        // Every reader answers before the poisoned batch goes in, so each
+        // serves across the failed rotation however the threads are
+        // scheduled. A reader that finished already has panicked, and its
+        // join below reports it.
+        while started.load(Ordering::Acquire) < joins.len()
+            && !joins.iter().any(|j| j.is_finished())
+        {
+            std::thread::yield_now();
+        }
 
         // The poisoned batch panics the engine mid-rotation. The panic is
         // contained: the caller gets the quarantined batch back, the

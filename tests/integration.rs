@@ -152,34 +152,6 @@ fn applications_survive_churn() {
 }
 
 #[test]
-fn parallel_queries_agree_with_sequential_after_updates() {
-    let mut rng = StdRng::seed_from_u64(0x1005);
-    let g = barabasi_albert(200, 3, &mut rng);
-    let mut dspc = DynamicSpc::build(g, OrderingStrategy::Degree);
-    for _ in 0..15 {
-        loop {
-            let a = VertexId(rng.gen_range(0..200));
-            let b = VertexId(rng.gen_range(0..200));
-            if a != b && !dspc.graph().has_edge(a, b) {
-                dspc.insert_edge(a, b).unwrap();
-                break;
-            }
-        }
-    }
-    let pairs: Vec<_> = (0..500)
-        .map(|_| {
-            (
-                VertexId(rng.gen_range(0..200)),
-                VertexId(rng.gen_range(0..200)),
-            )
-        })
-        .collect();
-    let seq = dspc::parallel::batch_query(dspc.index(), &pairs);
-    let par = dspc::parallel::par_batch_query(dspc.index(), &pairs, 4);
-    assert_eq!(seq, par);
-}
-
-#[test]
 fn edge_list_io_feeds_the_index() {
     // Write a generated graph to the SNAP text format, read it back, build
     // and verify — the ingestion path a real deployment would use.
