@@ -135,16 +135,6 @@ impl Dynamic<Directed> {
     pub fn delete_arc(&mut self, a: VertexId, b: VertexId) -> dspc_graph::Result<UpdateStats> {
         self.delete_edge(a, b)
     }
-
-    /// Deletes a *set* of arcs as one epoch ([`Dynamic::delete_edges`]):
-    /// one repair sweep per distinct affected hub per label family, against
-    /// the residual graph with the whole set already absent.
-    pub fn delete_arcs(
-        &mut self,
-        arcs: &[(VertexId, VertexId)],
-    ) -> dspc_graph::Result<UpdateStats> {
-        self.delete_edges(arcs)
-    }
 }
 
 #[cfg(test)]

@@ -78,7 +78,7 @@ use crate::label::{Count, LabelDist, Rank};
 use crate::order::OrderingStrategy;
 use crate::parallel::MaintenanceThreads;
 use crate::policy::MaintenancePolicy;
-use dspc_graph::{GraphError, Result, VertexId};
+use dspc_graph::{Graph, GraphError, Result, VertexId};
 use std::cmp::Ordering;
 use std::ops::{Deref, DerefMut};
 
@@ -170,7 +170,7 @@ pub enum GraphUpdate {
 /// [`Variant`] `V`.
 #[derive(Debug)]
 pub struct Dynamic<V: Variant> {
-    graph: V::Graph,
+    graph: Graph<V>,
     index: LabelIndex<V>,
     /// The scratch every update, build, rebuild and re-rank runs on.
     pipeline: Pipeline<V>,
@@ -191,8 +191,8 @@ pub type DynamicSpc = Dynamic<Undirected>;
 
 impl<V: Variant> Dynamic<V> {
     /// Builds the index for `graph` under `strategy` and wraps both.
-    pub fn build(graph: V::Graph, strategy: OrderingStrategy) -> Self {
-        let mut pipeline = Pipeline::new(V::capacity(&graph));
+    pub fn build(graph: Graph<V>, strategy: OrderingStrategy) -> Self {
+        let mut pipeline = Pipeline::new(graph.capacity());
         let index = pipeline.build(&graph, strategy);
         Self::assemble(graph, index, pipeline, strategy)
     }
@@ -206,8 +206,8 @@ impl<V: Variant> Dynamic<V> {
     ///
     /// The caller asserts `index` is exact for `graph`; the id spaces must
     /// at least agree (checked here).
-    pub fn from_parts(graph: V::Graph, index: LabelIndex<V>, strategy: OrderingStrategy) -> Self {
-        let cap = V::capacity(&graph);
+    pub fn from_parts(graph: Graph<V>, index: LabelIndex<V>, strategy: OrderingStrategy) -> Self {
+        let cap = graph.capacity();
         assert_eq!(
             index.num_vertices(),
             cap,
@@ -217,7 +217,7 @@ impl<V: Variant> Dynamic<V> {
     }
 
     fn assemble(
-        graph: V::Graph,
+        graph: Graph<V>,
         index: LabelIndex<V>,
         pipeline: Pipeline<V>,
         strategy: OrderingStrategy,
@@ -262,7 +262,7 @@ impl<V: Variant> Dynamic<V> {
 
     /// The underlying graph (read-only; mutations must flow through this
     /// facade to keep the index consistent).
-    pub fn graph(&self) -> &V::Graph {
+    pub fn graph(&self) -> &Graph<V> {
         &self.graph
     }
 
@@ -344,7 +344,7 @@ impl<V: Variant> Dynamic<V> {
                     .insert_edge(&self.graph, &mut self.index, a, b)
             }
             Ordering::Greater => {
-                let mutate = |g: &mut V::Graph| V::set_payload(g, a, b, w);
+                let mutate = |g: &mut Graph<V>| V::set_payload(g, a, b, w);
                 let threads = self.maintenance_threads.resolve();
                 let (graph, index) = (&mut self.graph, &mut self.index);
                 self.pipeline
@@ -402,7 +402,7 @@ impl<V: Variant> Dynamic<V> {
     /// Adds an isolated vertex: O(1) on the index (§3 — only its self
     /// labels join, at the lowest rank).
     pub fn add_vertex(&mut self) -> VertexId {
-        let v = V::add_vertex(&mut self.graph);
+        let v = self.graph.add_vertex();
         self.index.append_vertex(v);
         self.updates_since_build += 1;
         v
@@ -412,7 +412,7 @@ impl<V: Variant> Dynamic<V> {
     /// through the multi-edge repair path (one global agenda instead of a
     /// per-edge DecSPC cascade), then the id is retired.
     pub fn delete_vertex(&mut self, v: VertexId) -> Result<UpdateStats> {
-        if !V::contains(&self.graph, v) {
+        if !self.graph.contains_vertex(v) {
             return Err(GraphError::UnknownVertex(v));
         }
         let mut total = self.delete_edges(&V::incident(&self.graph, v))?;
@@ -484,7 +484,7 @@ impl<V: Variant> Dynamic<V> {
         let mut replayed = false;
         for &u in updates {
             let graph = &self.graph;
-            let contains = |v| V::contains(graph, v);
+            let contains = |v| graph.contains_vertex(v);
             match V::op(u) {
                 UpdateOp::Insert(a, b, w) => {
                     check_endpoints(a, b, contains)?;
@@ -526,7 +526,7 @@ impl<V: Variant> Dynamic<V> {
                 UpdateOp::Insert(a, b, w) => V::insert(&mut g, a, b, w)?,
                 UpdateOp::Delete(a, b) => V::delete(&mut g, a, b)?,
                 UpdateOp::Rewrite(a, b, w) => V::set_payload(&mut g, a, b, w)?,
-                UpdateOp::InsertVertex => drop(V::add_vertex(&mut g)),
+                UpdateOp::InsertVertex => drop(g.add_vertex()),
                 UpdateOp::DeleteVertex(v) => V::remove_vertex(&mut g, v)?,
             }
         }
@@ -589,7 +589,7 @@ impl<V: Variant> Dynamic<V> {
     }
 
     /// Consumes the facade, returning the graph and index.
-    pub fn into_parts(self) -> (V::Graph, LabelIndex<V>) {
+    pub fn into_parts(self) -> (Graph<V>, LabelIndex<V>) {
         (self.graph, self.index)
     }
 }

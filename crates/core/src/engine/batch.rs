@@ -204,7 +204,6 @@ pub struct EdgeCoalescer<W: Copy> {
     slot: HashMap<(u32, u32), usize>,
     /// First-touch order, for deterministic iteration.
     folds: Vec<EdgeFold<W>>,
-    ops_folded: usize,
 }
 
 impl<W: Copy> EdgeCoalescer<W> {
@@ -213,18 +212,12 @@ impl<W: Copy> EdgeCoalescer<W> {
         EdgeCoalescer {
             slot: HashMap::new(),
             folds: Vec::new(),
-            ops_folded: 0,
         }
     }
 
     /// Whether any ops were folded since the last [`drain`](Self::drain).
     pub fn is_empty(&self) -> bool {
         self.folds.is_empty()
-    }
-
-    /// Number of raw ops folded since the last drain.
-    pub fn ops_folded(&self) -> usize {
-        self.ops_folded
     }
 
     fn entry(&mut self, key: (u32, u32), current: impl FnOnce() -> Option<W>) -> &mut EdgeFold<W> {
@@ -254,7 +247,6 @@ impl<W: Copy> EdgeCoalescer<W> {
         w: W,
         current: impl FnOnce() -> Option<W>,
     ) -> dspc_graph::Result<()> {
-        self.ops_folded += 1;
         let fold = self.entry(key, current);
         if fold.folded.is_some() {
             return Err(GraphError::DuplicateEdge(VertexId(key.0), VertexId(key.1)));
@@ -270,7 +262,6 @@ impl<W: Copy> EdgeCoalescer<W> {
         key: (u32, u32),
         current: impl FnOnce() -> Option<W>,
     ) -> dspc_graph::Result<()> {
-        self.ops_folded += 1;
         let fold = self.entry(key, current);
         if fold.folded.is_none() {
             return Err(GraphError::MissingEdge(VertexId(key.0), VertexId(key.1)));
@@ -287,7 +278,6 @@ impl<W: Copy> EdgeCoalescer<W> {
         w: W,
         current: impl FnOnce() -> Option<W>,
     ) -> dspc_graph::Result<()> {
-        self.ops_folded += 1;
         let fold = self.entry(key, current);
         if fold.folded.is_none() {
             return Err(GraphError::MissingEdge(VertexId(key.0), VertexId(key.1)));
@@ -300,7 +290,6 @@ impl<W: Copy> EdgeCoalescer<W> {
     /// order and resets the coalescer for the next segment.
     pub fn drain(&mut self) -> Vec<NetEdgeEffect<W>> {
         self.slot.clear();
-        self.ops_folded = 0;
         self.folds
             .drain(..)
             .map(|f| (f.key, f.initial, f.folded))
@@ -382,10 +371,8 @@ mod tests {
         let mut co: EdgeCoalescer<u32> = EdgeCoalescer::new();
         co.fold_rewrite((0, 1), 5, || Some(2)).unwrap();
         co.fold_rewrite((0, 1), 9, || unreachable!()).unwrap();
-        assert_eq!(co.ops_folded(), 2);
         assert_eq!(co.drain(), vec![((0, 1), Some(2), Some(9))]);
         assert!(co.is_empty());
-        assert_eq!(co.ops_folded(), 0);
         // Post-drain, the live state is consulted afresh.
         co.fold_insert((0, 1), 3, || None).unwrap();
         assert_eq!(co.drain(), vec![((0, 1), None, Some(3))]);

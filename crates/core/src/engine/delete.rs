@@ -60,7 +60,7 @@ use crate::index::LabelIndex;
 use crate::label::Rank;
 use crate::parallel::fan_out;
 use crate::query::HubProbe;
-use dspc_graph::{GraphError, VertexId};
+use dspc_graph::{Graph, GraphError, VertexId};
 
 /// Repair sweeps speculated side by side when the thread budget exceeds
 /// one. A larger block leaves the workers idle less often (a block ends
@@ -156,7 +156,7 @@ impl<V: Variant> Worker<V> {
     /// Runs `sweep` read-only against `index` into a recycled log.
     fn speculate(
         &mut self,
-        g: &V::Graph,
+        g: &Graph<V>,
         index: &LabelIndex<V>,
         marks: &Marks,
         holders: &[HubHolders; 2],
@@ -270,7 +270,7 @@ impl<V: Variant> Pipeline<V> {
 
     /// Checks a deletion set before anything mutates: every edge present,
     /// none named twice. Returns each edge's length, in order.
-    fn validate(g: &V::Graph, edges: &[(VertexId, VertexId)]) -> dspc_graph::Result<Vec<V::Dist>> {
+    fn validate(g: &Graph<V>, edges: &[(VertexId, VertexId)]) -> dspc_graph::Result<Vec<V::Dist>> {
         let mut keys = Vec::with_capacity(edges.len());
         let mut lens = Vec::with_capacity(edges.len());
         for &(a, b) in edges {
@@ -293,15 +293,15 @@ impl<V: Variant> Pipeline<V> {
     /// counters and the affected sets, the same at any thread count.
     pub fn delete_one(
         &mut self,
-        g: &mut V::Graph,
+        g: &mut Graph<V>,
         index: &mut LabelIndex<V>,
         (a, b): (VertexId, VertexId),
-        mutate: impl FnOnce(&mut V::Graph) -> dspc_graph::Result<()>,
+        mutate: impl FnOnce(&mut Graph<V>) -> dspc_graph::Result<()>,
         promote_receivers: bool,
         threads: usize,
     ) -> dspc_graph::Result<(MaintenanceCounters, SrrOutcome)> {
         let len = V::edge_len(g, a, b).ok_or(GraphError::MissingEdge(a, b))?;
-        self.ensure_capacity(V::capacity(g), threads);
+        self.ensure_capacity(g.capacity(), threads);
         let mut stats = MaintenanceCounters::default();
         let [fam_a, fam_b] = side_families::<V>();
 
@@ -375,7 +375,7 @@ impl<V: Variant> Pipeline<V> {
     /// affected sets (Table 5; empty on the fast path).
     pub fn delete_edge(
         &mut self,
-        g: &mut V::Graph,
+        g: &mut Graph<V>,
         index: &mut LabelIndex<V>,
         a: VertexId,
         b: VertexId,
@@ -388,7 +388,7 @@ impl<V: Variant> Pipeline<V> {
     /// (the ablation hook).
     pub fn delete_edge_with_mode(
         &mut self,
-        g: &mut V::Graph,
+        g: &mut Graph<V>,
         index: &mut LabelIndex<V>,
         a: VertexId,
         b: VertexId,
@@ -419,12 +419,12 @@ impl<V: Variant> Pipeline<V> {
     /// first mutation; on error nothing is applied.
     pub fn delete_edges(
         &mut self,
-        g: &mut V::Graph,
+        g: &mut Graph<V>,
         index: &mut LabelIndex<V>,
         edges: &[(VertexId, VertexId)],
         threads: usize,
     ) -> dspc_graph::Result<MaintenanceCounters> {
-        let single = |p: &mut Self, g: &mut V::Graph, index: &mut LabelIndex<V>, (a, b)| {
+        let single = |p: &mut Self, g: &mut Graph<V>, index: &mut LabelIndex<V>, (a, b)| {
             p.delete_edge(g, index, a, b, threads)
                 .map(|(stats, _)| stats)
         };
@@ -453,12 +453,12 @@ impl<V: Variant> Pipeline<V> {
     /// their lengths), deletes them all, and repairs one global agenda.
     fn delete_batch(
         &mut self,
-        g: &mut V::Graph,
+        g: &mut Graph<V>,
         index: &mut LabelIndex<V>,
         doomed: &[(VertexId, VertexId, V::Dist)],
         threads: usize,
     ) -> dspc_graph::Result<MaintenanceCounters> {
-        self.ensure_capacity(V::capacity(g), threads);
+        self.ensure_capacity(g.capacity(), threads);
         let mut stats = MaintenanceCounters::default();
 
         // Phase 1 — classification on the pre-deletion graph, merged into
@@ -503,7 +503,7 @@ impl<V: Variant> Pipeline<V> {
     /// commit of their block changed what they read.
     fn repair(
         &mut self,
-        g: &V::Graph,
+        g: &Graph<V>,
         index: &mut LabelIndex<V>,
         sweeps: &[Sweep],
         holders: &[HubHolders; 2],
@@ -560,7 +560,7 @@ impl<V: Variant> Pipeline<V> {
     /// receiver whose row they wrote flipped ([`RepairLog`]).
     fn still_holds(
         &mut self,
-        g: &V::Graph,
+        g: &Graph<V>,
         index: &LabelIndex<V>,
         sweep: &Sweep,
         log: &mut RepairLog<V::Dist>,
@@ -581,7 +581,7 @@ impl<V: Variant> Pipeline<V> {
     /// families, so they classify as two task sets.
     fn classify(
         &mut self,
-        g: &V::Graph,
+        g: &Graph<V>,
         index: &LabelIndex<V>,
         doomed: &[(VertexId, VertexId, V::Dist)],
         threads: usize,
@@ -614,7 +614,7 @@ impl<V: Variant> Pipeline<V> {
                 &mut self.workers[..workers],
                 |Worker { engine, probes, .. }, task| {
                     while probes.len() < task.fars.len() {
-                        probes.push(HubProbe::new(V::capacity(g)));
+                        probes.push(HubProbe::new(g.capacity()));
                     }
                     let mut views: Vec<_> = probes[..task.fars.len()]
                         .iter_mut()

@@ -16,7 +16,7 @@ use super::{merge_affected, MaintenanceCounters, Pipeline, ReadTopology, Topo, V
 use crate::index::LabelIndex;
 use crate::label::{HubEntry, LabelDist, Rank};
 use crate::order::{OrderingStrategy, RankMap};
-use dspc_graph::VertexId;
+use dspc_graph::{Graph, VertexId};
 
 /// Checks that `swaps` is strictly ascending with no two positions closer
 /// than 2 (so every pair owns its two ranks exclusively) and in range.
@@ -47,13 +47,13 @@ impl<V: Variant> Pipeline<V> {
     /// direction may already have refreshed it), and vice versa.
     pub fn insert_edge(
         &mut self,
-        g: &V::Graph,
+        g: &Graph<V>,
         index: &mut LabelIndex<V>,
         a: VertexId,
         b: VertexId,
     ) -> MaintenanceCounters {
         let len = V::edge_len(g, a, b).expect("IncSPC runs after the graph mutation");
-        let (engine, probe) = self.first_worker(V::capacity(g));
+        let (engine, probe) = self.first_worker(g.capacity());
         let mut stats = MaintenanceCounters::default();
         let [fam_a, fam_b] = side_families::<V>();
         let aff = merge_affected(index.row(a, fam_a).entries(), index.row(b, fam_b).entries());
@@ -77,16 +77,16 @@ impl<V: Variant> Pipeline<V> {
     }
 
     /// HP-SPC: builds the index of `g` under a fresh `strategy` order.
-    pub fn build(&mut self, g: &V::Graph, strategy: OrderingStrategy) -> LabelIndex<V> {
-        let ranks = RankMap::from_degrees(V::capacity(g), strategy, |v| V::degree(g, v));
+    pub fn build(&mut self, g: &Graph<V>, strategy: OrderingStrategy) -> LabelIndex<V> {
+        let ranks = RankMap::from_degrees(g.capacity(), strategy, |v| V::degree(g, v));
         self.rebuild(g, ranks)
     }
 
     /// HP-SPC under an existing order — the reconstruction baseline, which
     /// reuses the maintained index's order so comparisons are label for
     /// label.
-    pub fn rebuild(&mut self, g: &V::Graph, ranks: RankMap) -> LabelIndex<V> {
-        let cap = V::capacity(g);
+    pub fn rebuild(&mut self, g: &Graph<V>, ranks: RankMap) -> LabelIndex<V> {
+        let cap = g.capacity();
         assert_eq!(ranks.len(), cap, "rank map must cover the graph id space");
         let mut index = LabelIndex::with_empty_rows(ranks);
         let mut stats = MaintenanceCounters::default();
@@ -107,7 +107,7 @@ impl<V: Variant> Pipeline<V> {
     /// names a position without a successor.
     pub fn rerank(
         &mut self,
-        g: &V::Graph,
+        g: &Graph<V>,
         index: &mut LabelIndex<V>,
         swaps: &[Rank],
     ) -> MaintenanceCounters {
@@ -161,14 +161,14 @@ impl<V: Variant> Pipeline<V> {
     /// rank first — so every emission of the sweep is an insertion.
     fn push_hub(
         &mut self,
-        g: &V::Graph,
+        g: &Graph<V>,
         index: &mut LabelIndex<V>,
         r: Rank,
         stats: &mut MaintenanceCounters,
     ) {
         let h = index.vertex(r);
-        let present = V::contains(g, h);
-        let (engine, probe) = self.first_worker(V::capacity(g));
+        let present = g.contains_vertex(h);
+        let (engine, probe) = self.first_worker(g.capacity());
         for &family in families::<V>() {
             if present {
                 let renewed = (stats.renew_count, stats.renew_dist);

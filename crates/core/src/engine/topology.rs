@@ -29,18 +29,22 @@ use crate::label::{Count, HubEntry, LabelDist, LabelEntry, Rank};
 use crate::query::{query_rows, HubProbe, QueryResult};
 use crate::weighted::{WLabelEntry, WQueryResult, WeightedUpdate};
 use dspc_graph::weighted::{WDist, Weight, WeightedGraph};
-use dspc_graph::{DirectedGraph, GraphError, UndirectedGraph, VertexId};
+use dspc_graph::{DirectedGraph, Graph, GraphError, GraphKind, UndirectedGraph, VertexId};
 use std::fmt::Debug;
 use std::ops::{Deref, DerefMut};
 
+/// The three variants are the graph kinds: a variant's graph is
+/// [`Graph<V>`], and its [`GraphKind::DIRECTED`] says whether its edges are
+/// arcs with `L_in` / `L_out` rather than edges with one `L`.
+pub use dspc_graph::{Directed, Undirected, Weighted};
+
 /// What the shared drivers, the label store and the facade need of one
-/// graph variant: its graph, distance domain and label entries, how a
-/// sweep walks it, and the facade's update vocabulary. Label families are
-/// named by the [`super::RepairAgenda`] flags: [`REPAIR_PRIMARY`] is `L`
-/// (or `L_in` for arcs) and [`REPAIR_SECONDARY`] is `L_out`.
-pub trait Variant: Sized + 'static {
-    /// The graph.
-    type Graph: Clone + Sync;
+/// graph kind beyond its [`Graph<V>`]: its distance domain and label
+/// entries, how a sweep walks it, and the facade's update vocabulary. Label
+/// families are named by the [`super::RepairAgenda`] flags:
+/// [`REPAIR_PRIMARY`] is `L` (or `L_in` for arcs) and [`REPAIR_SECONDARY`]
+/// is `L_out`.
+pub trait Variant: GraphKind {
     /// The distance domain.
     type Dist: LabelDist;
     /// A label-row entry.
@@ -52,36 +56,27 @@ pub trait Variant: Sized + 'static {
     /// What a query answers: a distance (or `INF`) and a count.
     type Answer: From<(Self::Dist, Count)> + Copy + PartialEq + Debug + Send + 'static;
 
-    /// Arcs with `L_in` / `L_out` rather than edges with one `L`.
-    const DIRECTED: bool;
-
     /// Whether sweeps must settle in distance order (Dijkstra) rather than
     /// FIFO order (unit-length BFS).
     const DIJKSTRA: bool;
 
-    /// The graph's id-space size.
-    fn capacity(g: &Self::Graph) -> usize;
-
-    /// Whether `v` is a live vertex of `g`.
-    fn contains(g: &Self::Graph, v: VertexId) -> bool;
-
     /// The degree [`crate::order::OrderingStrategy::Degree`] ranks `v` by
     /// (in + out for arcs).
-    fn degree(g: &Self::Graph, v: VertexId) -> usize;
+    fn degree(g: &Graph<Self>, v: VertexId) -> usize;
 
     /// Length of edge `(a, b)`, or `None` when it is absent.
-    fn edge_len(g: &Self::Graph, a: VertexId, b: VertexId) -> Option<Self::Dist>;
+    fn edge_len(g: &Graph<Self>, a: VertexId, b: VertexId) -> Option<Self::Dist>;
 
     /// The key under which two deletions name the same edge.
     fn edge_key(a: VertexId, b: VertexId) -> (u32, u32);
 
     /// Removes edge `(a, b)` from the graph.
-    fn delete(g: &mut Self::Graph, a: VertexId, b: VertexId) -> dspc_graph::Result<()>;
+    fn delete(g: &mut Graph<Self>, a: VertexId, b: VertexId) -> dspc_graph::Result<()>;
 
     /// Visits each neighbor a sweep repairing `family` steps to from `v`,
     /// with the edge's length: along arcs for `L_in`, against them for
     /// `L_out`, every edge otherwise.
-    fn for_each_neighbor<F: FnMut(u32, Self::Dist)>(g: &Self::Graph, v: u32, family: u8, f: F);
+    fn for_each_neighbor<F: FnMut(u32, Self::Dist)>(g: &Graph<Self>, v: u32, family: u8, f: F);
 
     /// `SpcQUERY(s, t)` on the live labels: `L(s)` merged with `L(t)`, or
     /// `L_out(s)` with `L_in(t)` for arcs.
@@ -96,7 +91,7 @@ pub trait Variant: Sized + 'static {
     fn op(update: Self::Update) -> UpdateOp<Self::Payload>;
 
     /// The payload of edge `(a, b)`, or `None` when it is absent.
-    fn payload(g: &Self::Graph, a: VertexId, b: VertexId) -> Option<Self::Payload>;
+    fn payload(g: &Graph<Self>, a: VertexId, b: VertexId) -> Option<Self::Payload>;
 
     /// Rejects a payload no edge may carry, before anything mutates.
     fn check_payload(_w: Self::Payload) -> dspc_graph::Result<()> {
@@ -105,7 +100,7 @@ pub trait Variant: Sized + 'static {
 
     /// Inserts edge `(a, b)` carrying `w` into the graph.
     fn insert(
-        g: &mut Self::Graph,
+        g: &mut Graph<Self>,
         a: VertexId,
         b: VertexId,
         w: Self::Payload,
@@ -114,7 +109,7 @@ pub trait Variant: Sized + 'static {
     /// Sets the payload of the present edge `(a, b)` to `w`. A unit
     /// payload never changes, so by default this does nothing.
     fn set_payload(
-        _g: &mut Self::Graph,
+        _g: &mut Graph<Self>,
         _a: VertexId,
         _b: VertexId,
         _w: Self::Payload,
@@ -122,22 +117,19 @@ pub trait Variant: Sized + 'static {
         Ok(())
     }
 
-    /// Adds an isolated vertex to the graph.
-    fn add_vertex(g: &mut Self::Graph) -> VertexId;
-
     /// Retires vertex `v` and every edge at it.
-    fn remove_vertex(g: &mut Self::Graph, v: VertexId) -> dspc_graph::Result<()>;
+    fn remove_vertex(g: &mut Graph<Self>, v: VertexId) -> dspc_graph::Result<()>;
 
     /// The edges at `v`: `(v, u)` per neighbor, out-arcs then in-arcs for
     /// arcs.
-    fn incident(g: &Self::Graph, v: VertexId) -> Vec<(VertexId, VertexId)>;
+    fn incident(g: &Graph<Self>, v: VertexId) -> Vec<(VertexId, VertexId)>;
 
     /// The §3.2.3 isolated-vertex fast path: when deleting the present
     /// edge `(a, b)` strands an endpoint no label uses as a hub, deletes
     /// the edge, empties that endpoint's row down to its self label, and
     /// returns the counters. Undirected only; elsewhere it never applies.
     fn pendant_fast_path(
-        _g: &mut Self::Graph,
+        _g: &mut Graph<Self>,
         _index: &mut LabelIndex<Self>,
         _a: VertexId,
         _b: VertexId,
@@ -196,7 +188,7 @@ pub(crate) fn source_family<V: Variant>() -> u8 {
 /// through `I`, the pinned-hub probe, and the family the sweep reads and
 /// writes.
 pub struct Topo<'a, V: Variant, I> {
-    g: &'a V::Graph,
+    g: &'a Graph<V>,
     index: I,
     probe: &'a mut HubProbe<V::Entry>,
     family: u8,
@@ -204,7 +196,7 @@ pub struct Topo<'a, V: Variant, I> {
 
 impl<'a, V: Variant, I: Deref<Target = LabelIndex<V>>> Topo<'a, V, I> {
     /// Borrows graph, index, and probe for one sweep over `family`.
-    pub fn new(g: &'a V::Graph, index: I, probe: &'a mut HubProbe<V::Entry>, family: u8) -> Self {
+    pub fn new(g: &'a Graph<V>, index: I, probe: &'a mut HubProbe<V::Entry>, family: u8) -> Self {
         Topo {
             g,
             index,
@@ -281,27 +273,14 @@ impl<V: Variant, I: DerefMut<Target = LabelIndex<V>>> LabelTopology for Topo<'_,
 
 /// The undirected variant ([`crate::DynamicSpc`]): unit-length edges and
 /// one label family.
-#[derive(Clone, Debug)]
-pub enum Undirected {}
-
 impl Variant for Undirected {
-    type Graph = UndirectedGraph;
     type Dist = u32;
     type Entry = LabelEntry;
     type Payload = ();
     type Update = GraphUpdate;
     type Answer = QueryResult;
 
-    const DIRECTED: bool = false;
     const DIJKSTRA: bool = false;
-
-    fn capacity(g: &UndirectedGraph) -> usize {
-        g.capacity()
-    }
-
-    fn contains(g: &UndirectedGraph, v: VertexId) -> bool {
-        g.contains_vertex(v)
-    }
 
     fn degree(g: &UndirectedGraph, v: VertexId) -> usize {
         g.degree(v)
@@ -343,10 +322,6 @@ impl Variant for Undirected {
         g.insert_edge(a, b)
     }
 
-    fn add_vertex(g: &mut UndirectedGraph) -> VertexId {
-        g.add_vertex()
-    }
-
     fn remove_vertex(g: &mut UndirectedGraph, v: VertexId) -> dspc_graph::Result<()> {
         g.delete_vertex(v).map(drop)
     }
@@ -385,27 +360,14 @@ impl Variant for Undirected {
 
 /// The directed variant ([`crate::directed::DynamicDirectedSpc`]): arcs,
 /// with `L_in` as the primary family and `L_out` as the secondary one.
-#[derive(Clone, Debug)]
-pub enum Directed {}
-
 impl Variant for Directed {
-    type Graph = DirectedGraph;
     type Dist = u32;
     type Entry = LabelEntry;
     type Payload = ();
     type Update = ArcUpdate;
     type Answer = QueryResult;
 
-    const DIRECTED: bool = true;
     const DIJKSTRA: bool = false;
-
-    fn capacity(g: &DirectedGraph) -> usize {
-        g.capacity()
-    }
-
-    fn contains(g: &DirectedGraph, v: VertexId) -> bool {
-        g.contains_vertex(v)
-    }
 
     fn degree(g: &DirectedGraph, v: VertexId) -> usize {
         g.out_degree(v) + g.in_degree(v)
@@ -451,10 +413,6 @@ impl Variant for Directed {
         g.insert_arc(a, b)
     }
 
-    fn add_vertex(g: &mut DirectedGraph) -> VertexId {
-        g.add_vertex()
-    }
-
     fn remove_vertex(g: &mut DirectedGraph, v: VertexId) -> dspc_graph::Result<()> {
         g.delete_vertex(v).map(drop)
     }
@@ -468,27 +426,14 @@ impl Variant for Directed {
 
 /// The weighted variant ([`crate::weighted::DynamicWeightedSpc`]):
 /// positive integer weights, `u64` distances, one label family.
-#[derive(Clone, Debug)]
-pub enum Weighted {}
-
 impl Variant for Weighted {
-    type Graph = WeightedGraph;
     type Dist = WDist;
     type Entry = WLabelEntry;
     type Payload = Weight;
     type Update = WeightedUpdate;
     type Answer = WQueryResult;
 
-    const DIRECTED: bool = false;
     const DIJKSTRA: bool = true;
-
-    fn capacity(g: &WeightedGraph) -> usize {
-        g.capacity()
-    }
-
-    fn contains(g: &WeightedGraph, v: VertexId) -> bool {
-        g.contains_vertex(v)
-    }
 
     fn degree(g: &WeightedGraph, v: VertexId) -> usize {
         g.degree(v)
@@ -548,10 +493,6 @@ impl Variant for Weighted {
         w: Weight,
     ) -> dspc_graph::Result<()> {
         g.set_weight(a, b, w).map(drop)
-    }
-
-    fn add_vertex(g: &mut WeightedGraph) -> VertexId {
-        g.add_vertex()
     }
 
     fn remove_vertex(g: &mut WeightedGraph, v: VertexId) -> dspc_graph::Result<()> {

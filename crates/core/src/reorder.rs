@@ -32,6 +32,7 @@
 use crate::engine::{MaintenanceCounters, Pipeline, Variant};
 use crate::index::LabelIndex;
 use crate::label::Rank;
+use dspc_graph::Graph;
 
 /// Applies a sorted, non-overlapping run of adjacent swaps to `index` and
 /// repairs it so the result is bit-identical to a fresh build at the
@@ -40,11 +41,11 @@ use crate::label::Rank;
 /// `::<Weighted>`. [`crate::DynamicSpc::rerank_adjacent`] runs the same
 /// repair on the facade's own scratch.
 pub fn rerank_adjacent<V: Variant>(
-    g: &V::Graph,
+    g: &Graph<V>,
     index: &mut LabelIndex<V>,
     swaps: &[Rank],
 ) -> MaintenanceCounters {
-    Pipeline::<V>::new(V::capacity(g)).rerank(g, index, swaps)
+    Pipeline::<V>::new(g.capacity()).rerank(g, index, swaps)
 }
 
 #[cfg(test)]

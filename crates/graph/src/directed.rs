@@ -1,267 +1,104 @@
-//! Directed dynamic graph — substrate for the Appendix C.1 extension.
+//! Directed dynamic graph — substrate for the Appendix C.1 extension: the
+//! [`Graph`] store of kind [`Directed`].
 //!
-//! Stores both out- and in-adjacency so the directed SPC-Index can run
-//! forward BFSs (populating `L_in` of reached vertices) and backward BFSs
-//! (populating `L_out`) symmetrically.
+//! Each arc is stored in its tail's out-list and its head's in-list, so the
+//! directed SPC-Index can run forward BFSs (populating `L_in` of reached
+//! vertices) and backward BFSs (populating `L_out`) symmetrically.
 
-use crate::{GraphError, Result, VertexId};
+use crate::store::{Graph, GraphKind};
+use crate::{Result, VertexId};
 
-/// A directed, unweighted, simple dynamic graph with stable vertex ids.
-#[derive(Clone, Debug, Default)]
-pub struct DirectedGraph {
-    out_adj: Vec<Vec<u32>>,
-    in_adj: Vec<Vec<u32>>,
-    alive: Vec<bool>,
-    n_alive: usize,
-    m: usize,
+/// The directed kind: a slot is the neighbour's id, and an arc's second
+/// copy sits in its head's in-list.
+#[derive(Clone, Debug)]
+pub enum Directed {}
+
+impl GraphKind for Directed {
+    type Slot = u32;
+
+    const DIRECTED: bool = true;
+
+    #[inline]
+    fn target(slot: u32) -> u32 {
+        slot
+    }
+
+    #[inline]
+    fn retarget(_: u32, to: u32) -> u32 {
+        to
+    }
 }
 
-impl DirectedGraph {
-    /// Creates an empty graph.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// A directed, unweighted, simple dynamic graph with stable vertex ids.
+pub type DirectedGraph = Graph<Directed>;
 
-    /// Creates a graph with `n` isolated vertices.
-    pub fn with_vertices(n: usize) -> Self {
-        DirectedGraph {
-            out_adj: vec![Vec::new(); n],
-            in_adj: vec![Vec::new(); n],
-            alive: vec![true; n],
-            n_alive: n,
-            m: 0,
-        }
-    }
-
+impl Graph<Directed> {
     /// Bulk-builds from arcs `(u, v)` meaning `u → v`. Duplicates and self
     /// loops are dropped.
     pub fn from_arcs(n: usize, arcs: &[(u32, u32)]) -> Self {
-        let mut out_adj = vec![Vec::new(); n];
-        let mut in_adj = vec![Vec::new(); n];
-        for &(u, v) in arcs {
-            if u == v {
-                continue;
-            }
-            assert!(
-                (u as usize) < n && (v as usize) < n,
-                "arc endpoint out of range"
-            );
-            out_adj[u as usize].push(v);
-            in_adj[v as usize].push(u);
-        }
-        let mut m = 0;
-        for list in &mut out_adj {
-            list.sort_unstable();
-            list.dedup();
-            m += list.len();
-        }
-        for list in &mut in_adj {
-            list.sort_unstable();
-            list.dedup();
-        }
-        DirectedGraph {
-            out_adj,
-            in_adj,
-            alive: vec![true; n],
-            n_alive: n,
-            m,
-        }
-    }
-
-    /// Total id space, including deleted vertices.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.out_adj.len()
-    }
-
-    /// Number of alive vertices.
-    #[inline]
-    pub fn num_vertices(&self) -> usize {
-        self.n_alive
+        Self::from_pairs(n, arcs)
     }
 
     /// Number of arcs.
     #[inline]
     pub fn num_arcs(&self) -> usize {
-        self.m
-    }
-
-    /// Whether `v` is a valid, alive vertex.
-    #[inline]
-    pub fn contains_vertex(&self, v: VertexId) -> bool {
-        v.index() < self.alive.len() && self.alive[v.index()]
-    }
-
-    /// Adds a fresh isolated vertex.
-    pub fn add_vertex(&mut self) -> VertexId {
-        let id = VertexId::from_index(self.out_adj.len());
-        self.out_adj.push(Vec::new());
-        self.in_adj.push(Vec::new());
-        self.alive.push(true);
-        self.n_alive += 1;
-        id
+        self.edge_count()
     }
 
     /// Out-degree of `v`.
     #[inline]
     pub fn out_degree(&self, v: VertexId) -> usize {
-        self.out_adj[v.index()].len()
+        self.slots(v).len()
     }
 
     /// In-degree of `v`.
     #[inline]
     pub fn in_degree(&self, v: VertexId) -> usize {
-        self.in_adj[v.index()].len()
+        self.in_slots(v).len()
     }
 
     /// Sorted out-neighbors (`v → w`).
     #[inline]
     pub fn out_neighbors(&self, v: VertexId) -> &[u32] {
-        &self.out_adj[v.index()]
+        self.slots(v)
     }
 
     /// Sorted in-neighbors (`w → v`).
     #[inline]
     pub fn in_neighbors(&self, v: VertexId) -> &[u32] {
-        &self.in_adj[v.index()]
+        self.in_slots(v)
     }
 
     /// Whether arc `u → v` exists.
     #[inline]
     pub fn has_arc(&self, u: VertexId, v: VertexId) -> bool {
-        if u.index() >= self.out_adj.len() || v.index() >= self.out_adj.len() {
-            return false;
-        }
-        self.out_adj[u.index()].binary_search(&v.0).is_ok()
-    }
-
-    fn check_vertex(&self, v: VertexId) -> Result<()> {
-        if self.contains_vertex(v) {
-            Ok(())
-        } else {
-            Err(GraphError::UnknownVertex(v))
-        }
+        self.find(u, v).is_some()
     }
 
     /// Inserts arc `u → v`.
     pub fn insert_arc(&mut self, u: VertexId, v: VertexId) -> Result<()> {
-        if u == v {
-            return Err(GraphError::SelfLoop(u));
-        }
-        self.check_vertex(u)?;
-        self.check_vertex(v)?;
-        let pos = match self.out_adj[u.index()].binary_search(&v.0) {
-            Ok(_) => return Err(GraphError::DuplicateEdge(u, v)),
-            Err(p) => p,
-        };
-        self.out_adj[u.index()].insert(pos, v.0);
-        let pos_in = self.in_adj[v.index()]
-            .binary_search(&u.0)
-            .expect_err("in/out adjacency out of sync");
-        self.in_adj[v.index()].insert(pos_in, u.0);
-        self.m += 1;
-        Ok(())
+        self.link(u, v.0)
     }
 
     /// Deletes arc `u → v`.
     pub fn delete_arc(&mut self, u: VertexId, v: VertexId) -> Result<()> {
-        self.check_vertex(u)?;
-        self.check_vertex(v)?;
-        let pos = self.out_adj[u.index()]
-            .binary_search(&v.0)
-            .map_err(|_| GraphError::MissingEdge(u, v))?;
-        self.out_adj[u.index()].remove(pos);
-        let pos_in = self.in_adj[v.index()]
-            .binary_search(&u.0)
-            .expect("in/out adjacency out of sync");
-        self.in_adj[v.index()].remove(pos_in);
-        self.m -= 1;
-        Ok(())
+        self.unlink(u, v).map(drop)
     }
 
     /// Deletes vertex `v` and all incident arcs. Returns `(in_neighbors,
     /// out_neighbors)` so callers can replay the arc deletions through the
     /// decremental index update.
     pub fn delete_vertex(&mut self, v: VertexId) -> Result<(Vec<VertexId>, Vec<VertexId>)> {
-        self.check_vertex(v)?;
-        let outs = std::mem::take(&mut self.out_adj[v.index()]);
-        let ins = std::mem::take(&mut self.in_adj[v.index()]);
-        for &w in &outs {
-            let pos = self.in_adj[w as usize]
-                .binary_search(&v.0)
-                .expect("in/out adjacency out of sync");
-            self.in_adj[w as usize].remove(pos);
-        }
-        for &w in &ins {
-            let pos = self.out_adj[w as usize]
-                .binary_search(&v.0)
-                .expect("in/out adjacency out of sync");
-            self.out_adj[w as usize].remove(pos);
-        }
-        self.m -= outs.len() + ins.len();
-        self.alive[v.index()] = false;
-        self.n_alive -= 1;
+        let (outs, ins) = self.retire(v)?;
         Ok((
             ins.into_iter().map(VertexId).collect(),
             outs.into_iter().map(VertexId).collect(),
         ))
     }
 
-    /// Iterates alive vertices in increasing id order.
-    pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.alive
-            .iter()
-            .enumerate()
-            .filter(|(_, &a)| a)
-            .map(|(i, _)| VertexId::from_index(i))
-    }
-
     /// Iterates all arcs `(u, v)` meaning `u → v`.
     pub fn arcs(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        self.out_adj.iter().enumerate().flat_map(|(u, list)| {
-            list.iter()
-                .map(move |&v| (VertexId::from_index(u), VertexId(v)))
-        })
-    }
-
-    /// Structural validation: in/out symmetry, sortedness, arc count.
-    pub fn validate(&self) -> Result<()> {
-        let mut arcs = 0usize;
-        for (u, list) in self.out_adj.iter().enumerate() {
-            let mut prev: Option<u32> = None;
-            for &v in list {
-                if v as usize == u {
-                    return Err(GraphError::SelfLoop(VertexId::from_index(u)));
-                }
-                if let Some(p) = prev {
-                    if p >= v {
-                        return Err(GraphError::Parse {
-                            line: 0,
-                            message: format!("out-adjacency of v{u} not sorted"),
-                        });
-                    }
-                }
-                prev = Some(v);
-                if self.in_adj[v as usize].binary_search(&(u as u32)).is_err() {
-                    return Err(GraphError::MissingEdge(
-                        VertexId::from_index(u),
-                        VertexId(v),
-                    ));
-                }
-                arcs += 1;
-            }
-        }
-        let in_count: usize = self.in_adj.iter().map(Vec::len).sum();
-        if arcs != self.m || in_count != self.m {
-            return Err(GraphError::Parse {
-                line: 0,
-                message: format!(
-                    "arc count mismatch: out={arcs}, in={in_count}, m={}",
-                    self.m
-                ),
-            });
-        }
-        Ok(())
+        self.each_edge().map(|(u, v)| (VertexId(u), VertexId(v)))
     }
 
     /// Builds the undirected symmetrization — the paper converts its directed
@@ -275,6 +112,7 @@ impl DirectedGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphError;
 
     #[test]
     fn insert_and_query_arcs() {

@@ -4,10 +4,15 @@
 //! (Feng et al., *“DSPC: Efficiently Answering Shortest Path Counting on
 //! Dynamic Graphs”*, EDBT 2024) depends on:
 //!
-//! * [`UndirectedGraph`] — the paper's primary object: an undirected,
-//!   unweighted dynamic graph supporting edge/vertex insertion and deletion,
-//! * [`DirectedGraph`] and [`WeightedGraph`] — the substrates of the paper's
-//!   Appendix C extensions,
+//! * [`Graph<K>`](Graph) — one simple dynamic graph store, written once
+//!   over a [`GraphKind`]: the id space, alive flags, sorted adjacency with
+//!   both copies of every edge kept in step, vertex retirement and
+//!   validation. Its three kinds are aliased:
+//!   * [`UndirectedGraph`] — the paper's primary object: an undirected,
+//!     unweighted dynamic graph supporting edge/vertex insertion and
+//!     deletion,
+//!   * [`DirectedGraph`] and [`WeightedGraph`] — the substrates of the
+//!     paper's Appendix C extensions,
 //! * [`generators`] — synthetic stand-ins for the paper's SNAP/Konect/LAW
 //!   datasets (Erdős–Rényi, Barabási–Albert, Watts–Strogatz, power-law
 //!   configuration model, and classic topologies),
@@ -53,16 +58,18 @@ pub mod ids;
 pub mod io;
 pub mod scratch;
 pub mod stats;
+mod store;
 pub mod traversal;
 pub mod undirected;
 pub mod weighted;
 
-pub use directed::DirectedGraph;
+pub use directed::{Directed, DirectedGraph};
 pub use error::GraphError;
 pub use ids::VertexId;
 pub use stats::GraphStats;
-pub use undirected::UndirectedGraph;
-pub use weighted::{Weight, WeightedGraph};
+pub use store::{Graph, GraphKind};
+pub use undirected::{Undirected, UndirectedGraph};
+pub use weighted::{Weight, Weighted, WeightedGraph};
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, GraphError>;

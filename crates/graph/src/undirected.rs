@@ -1,118 +1,55 @@
 //! The paper's primary substrate: an undirected, unweighted, *simple*
-//! dynamic graph.
-//!
-//! Design notes:
-//!
-//! * Adjacency lists are kept **sorted by vertex id**, so `has_edge` is a
-//!   binary search and neighbor iteration is deterministic — determinism
-//!   matters because the DSPC update algorithms are compared against full
-//!   reconstruction and both must see identical graphs.
-//! * Deleting a vertex retires its id rather than renumbering: the SPC-Index
-//!   stores per-vertex label sets indexed by id, so ids must be stable under
-//!   deletion (the paper models vertex deletion as deleting all incident
-//!   edges, §3).
-//! * Parallel edges and self loops are rejected: shortest path counting is
-//!   defined on simple graphs (§2.1).
+//! dynamic graph, the [`Graph`] store of kind [`Undirected`]. The store
+//! keeps ids, sorted adjacency and both copies of every edge; this module
+//! adds the undirected vocabulary.
 
-use crate::{GraphError, Result, VertexId};
+use crate::store::{Graph, GraphKind};
+use crate::{Result, VertexId};
 
-/// An undirected, unweighted dynamic graph with stable vertex ids.
-#[derive(Clone, Debug, Default)]
-pub struct UndirectedGraph {
-    /// `adj[v]` is the sorted list of neighbors of `v`.
-    adj: Vec<Vec<u32>>,
-    /// `alive[v]` is false once `v` has been deleted.
-    alive: Vec<bool>,
-    /// Number of alive vertices.
-    n_alive: usize,
-    /// Number of edges.
-    m: usize,
+/// The undirected kind: a slot is the neighbour's id, and an edge's second
+/// copy sits in the other endpoint's list.
+#[derive(Clone, Debug)]
+pub enum Undirected {}
+
+impl GraphKind for Undirected {
+    type Slot = u32;
+
+    const DIRECTED: bool = false;
+
+    #[inline]
+    fn target(slot: u32) -> u32 {
+        slot
+    }
+
+    #[inline]
+    fn retarget(_: u32, to: u32) -> u32 {
+        to
+    }
 }
 
-impl UndirectedGraph {
-    /// Creates an empty graph with no vertices.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// An undirected, unweighted dynamic graph with stable vertex ids.
+pub type UndirectedGraph = Graph<Undirected>;
 
-    /// Creates a graph with `n` isolated vertices, ids `0..n`.
-    pub fn with_vertices(n: usize) -> Self {
-        UndirectedGraph {
-            adj: vec![Vec::new(); n],
-            alive: vec![true; n],
-            n_alive: n,
-            m: 0,
-        }
-    }
-
+impl Graph<Undirected> {
     /// Bulk-builds a graph from an edge list over vertices `0..n`.
     ///
     /// Duplicate edges and self loops are silently dropped, mirroring the
     /// paper's preprocessing of the SNAP datasets (directed inputs are
     /// symmetrized, multi-edges collapsed).
     pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
-        let mut adj = vec![Vec::new(); n];
-        for &(u, v) in edges {
-            if u == v {
-                continue;
-            }
-            let (ui, vi) = (u as usize, v as usize);
-            assert!(ui < n && vi < n, "edge endpoint out of range");
-            adj[ui].push(v);
-            adj[vi].push(u);
-        }
-        let mut m = 0;
-        for list in &mut adj {
-            list.sort_unstable();
-            list.dedup();
-            m += list.len();
-        }
-        debug_assert!(m % 2 == 0);
-        UndirectedGraph {
-            adj,
-            alive: vec![true; n],
-            n_alive: n,
-            m: m / 2,
-        }
-    }
-
-    /// Total id space (`0..capacity()`), including deleted vertices.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// Number of alive vertices (the paper's `n`).
-    #[inline]
-    pub fn num_vertices(&self) -> usize {
-        self.n_alive
+        Self::from_pairs(n, edges)
     }
 
     /// Number of edges (the paper's `m`).
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.m
-    }
-
-    /// Whether `v` is a valid, alive vertex.
-    #[inline]
-    pub fn contains_vertex(&self, v: VertexId) -> bool {
-        v.index() < self.alive.len() && self.alive[v.index()]
-    }
-
-    /// Adds a fresh isolated vertex and returns its id.
-    pub fn add_vertex(&mut self) -> VertexId {
-        let id = VertexId::from_index(self.adj.len());
-        self.adj.push(Vec::new());
-        self.alive.push(true);
-        self.n_alive += 1;
-        id
+        self.edge_count()
     }
 
     /// Degree of `v` (the paper's `deg(v)`).
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        self.adj[v.index()].len()
+        self.slots(v).len()
     }
 
     /// Sorted neighbor slice of `v` (the paper's `nbr(v)`).
@@ -121,62 +58,25 @@ impl UndirectedGraph {
     /// returns the raw `u32` slice without wrapping.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[u32] {
-        &self.adj[v.index()]
+        self.slots(v)
     }
 
     /// Whether edge `(u, v)` exists.
     #[inline]
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        if u.index() >= self.adj.len() || v.index() >= self.adj.len() {
-            return false;
-        }
-        self.adj[u.index()].binary_search(&v.0).is_ok()
-    }
-
-    fn check_vertex(&self, v: VertexId) -> Result<()> {
-        if self.contains_vertex(v) {
-            Ok(())
-        } else {
-            Err(GraphError::UnknownVertex(v))
-        }
+        self.find(u, v).is_some()
     }
 
     /// Inserts edge `(u, v)`.
     ///
     /// Rejects self loops, unknown endpoints, and duplicates.
     pub fn insert_edge(&mut self, u: VertexId, v: VertexId) -> Result<()> {
-        if u == v {
-            return Err(GraphError::SelfLoop(u));
-        }
-        self.check_vertex(u)?;
-        self.check_vertex(v)?;
-        let pos_u = match self.adj[u.index()].binary_search(&v.0) {
-            Ok(_) => return Err(GraphError::DuplicateEdge(u, v)),
-            Err(p) => p,
-        };
-        self.adj[u.index()].insert(pos_u, v.0);
-        let pos_v = self.adj[v.index()]
-            .binary_search(&u.0)
-            .expect_err("adjacency symmetry violated");
-        self.adj[v.index()].insert(pos_v, u.0);
-        self.m += 1;
-        Ok(())
+        self.link(u, v.0)
     }
 
     /// Deletes edge `(u, v)`.
     pub fn delete_edge(&mut self, u: VertexId, v: VertexId) -> Result<()> {
-        self.check_vertex(u)?;
-        self.check_vertex(v)?;
-        let pos_u = self.adj[u.index()]
-            .binary_search(&v.0)
-            .map_err(|_| GraphError::MissingEdge(u, v))?;
-        self.adj[u.index()].remove(pos_u);
-        let pos_v = self.adj[v.index()]
-            .binary_search(&u.0)
-            .expect("adjacency symmetry violated");
-        self.adj[v.index()].remove(pos_v);
-        self.m -= 1;
-        Ok(())
+        self.unlink(u, v).map(drop)
     }
 
     /// Deletes vertex `v`, removing its incident edges.
@@ -185,37 +85,13 @@ impl UndirectedGraph {
     /// sequence of edge deletions (§3), and callers replay exactly this list
     /// through `DecSPC`.
     pub fn delete_vertex(&mut self, v: VertexId) -> Result<Vec<VertexId>> {
-        self.check_vertex(v)?;
-        let neighbors = std::mem::take(&mut self.adj[v.index()]);
-        for &u in &neighbors {
-            let pos = self.adj[u as usize]
-                .binary_search(&v.0)
-                .expect("adjacency symmetry violated");
-            self.adj[u as usize].remove(pos);
-        }
-        self.m -= neighbors.len();
-        self.alive[v.index()] = false;
-        self.n_alive -= 1;
+        let (neighbors, _) = self.retire(v)?;
         Ok(neighbors.into_iter().map(VertexId).collect())
-    }
-
-    /// Iterates alive vertex ids in increasing order.
-    pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.alive
-            .iter()
-            .enumerate()
-            .filter(|(_, &a)| a)
-            .map(|(i, _)| VertexId::from_index(i))
     }
 
     /// Iterates every edge once as `(u, v)` with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        self.adj.iter().enumerate().flat_map(|(u, list)| {
-            let u32u = u as u32;
-            list.iter()
-                .take_while(move |&&v| v < u32u)
-                .map(move |&v| (VertexId(v), VertexId(u32u)))
-        })
+        self.each_edge().map(|(u, v)| (VertexId(v), VertexId(u)))
     }
 
     /// Picks an arbitrary existing edge by dense index, useful for sampling
@@ -226,61 +102,19 @@ impl UndirectedGraph {
 
     /// Maximum degree over alive vertices.
     pub fn max_degree(&self) -> usize {
-        self.adj.iter().map(Vec::len).max().unwrap_or(0)
+        self.vertices().map(|v| self.degree(v)).max().unwrap_or(0)
     }
 
     /// Sum of degrees (== 2m); sanity hook for tests.
     pub fn degree_sum(&self) -> usize {
-        self.adj.iter().map(Vec::len).sum()
-    }
-
-    /// Debug-time structural validation: symmetry, sortedness, no self
-    /// loops, edge count consistency, no edges at dead vertices.
-    pub fn validate(&self) -> Result<()> {
-        let mut half_edges = 0usize;
-        for (u, list) in self.adj.iter().enumerate() {
-            if !self.alive[u] && !list.is_empty() {
-                return Err(GraphError::UnknownVertex(VertexId::from_index(u)));
-            }
-            let mut prev: Option<u32> = None;
-            for &v in list {
-                if v as usize == u {
-                    return Err(GraphError::SelfLoop(VertexId::from_index(u)));
-                }
-                if let Some(p) = prev {
-                    if p >= v {
-                        return Err(GraphError::Parse {
-                            line: 0,
-                            message: format!("adjacency of v{u} not strictly sorted"),
-                        });
-                    }
-                }
-                prev = Some(v);
-                if self.adj[v as usize].binary_search(&(u as u32)).is_err() {
-                    return Err(GraphError::MissingEdge(
-                        VertexId::from_index(u),
-                        VertexId(v),
-                    ));
-                }
-                half_edges += 1;
-            }
-        }
-        if half_edges != 2 * self.m {
-            return Err(GraphError::Parse {
-                line: 0,
-                message: format!(
-                    "edge count mismatch: {} half-edges, m={}",
-                    half_edges, self.m
-                ),
-            });
-        }
-        Ok(())
+        self.vertices().map(|v| self.degree(v)).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphError;
 
     fn path(n: usize) -> UndirectedGraph {
         let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
@@ -325,24 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn self_loop_rejected() {
-        let mut g = UndirectedGraph::with_vertices(1);
-        assert!(matches!(
-            g.insert_edge(VertexId(0), VertexId(0)),
-            Err(GraphError::SelfLoop(_))
-        ));
-    }
-
-    #[test]
-    fn unknown_vertex_rejected() {
-        let mut g = UndirectedGraph::with_vertices(2);
-        assert!(matches!(
-            g.insert_edge(VertexId(0), VertexId(5)),
-            Err(GraphError::UnknownVertex(_))
-        ));
-    }
-
-    #[test]
     fn delete_edge() {
         let mut g = path(3);
         g.delete_edge(VertexId(0), VertexId(1)).unwrap();
@@ -368,18 +184,6 @@ mod tests {
             Err(GraphError::UnknownVertex(_))
         ));
         assert_eq!(g.vertices().count(), 4);
-        g.validate().unwrap();
-    }
-
-    #[test]
-    fn add_vertex_after_delete_gets_fresh_id() {
-        let mut g = path(3);
-        g.delete_vertex(VertexId(1)).unwrap();
-        let v = g.add_vertex();
-        assert_eq!(v, VertexId(3));
-        assert_eq!(g.num_vertices(), 3);
-        g.insert_edge(v, VertexId(0)).unwrap();
-        assert!(g.has_edge(VertexId(3), VertexId(0)));
         g.validate().unwrap();
     }
 
@@ -414,12 +218,5 @@ mod tests {
     fn max_degree() {
         let g = UndirectedGraph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
         assert_eq!(g.max_degree(), 3);
-    }
-
-    #[test]
-    fn validate_catches_m_mismatch() {
-        let mut g = path(3);
-        g.m = 5;
-        assert!(g.validate().is_err());
     }
 }

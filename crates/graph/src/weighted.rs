@@ -1,5 +1,5 @@
 //! Weighted undirected dynamic graph — substrate for the Appendix C.2
-//! extension.
+//! extension: the [`Graph`] store of kind [`Weighted`].
 //!
 //! Weights are positive integers (`u32`), accumulated into `u64` distances.
 //! Integer weights keep shortest-path *counting* exact: with floats, two
@@ -7,6 +7,7 @@
 //! would silently corrupt counts. The paper's weighted extension only needs
 //! comparable, additive weights, so this loses no generality.
 
+use crate::store::{Graph, GraphKind};
 use crate::{GraphError, Result, VertexId};
 
 /// Edge weight type (positive integer).
@@ -18,32 +19,36 @@ pub type WDist = u64;
 /// Sentinel for "unreachable" weighted distance.
 pub const WDIST_INF: WDist = WDist::MAX;
 
-/// An undirected, weighted, simple dynamic graph with stable vertex ids.
-#[derive(Clone, Debug, Default)]
-pub struct WeightedGraph {
-    /// `adj[v]` sorted by neighbor id; parallel `w[v][i]` weight.
-    adj: Vec<Vec<(u32, Weight)>>,
-    alive: Vec<bool>,
-    n_alive: usize,
-    m: usize,
+/// The weighted kind: a slot is `(neighbour, weight)`, an edge's second
+/// copy sits in the other endpoint's list with the same weight, and a
+/// weight must be positive.
+#[derive(Clone, Debug)]
+pub enum Weighted {}
+
+impl GraphKind for Weighted {
+    type Slot = (u32, Weight);
+
+    const DIRECTED: bool = false;
+
+    #[inline]
+    fn target((v, _): (u32, Weight)) -> u32 {
+        v
+    }
+
+    #[inline]
+    fn retarget((_, w): (u32, Weight), to: u32) -> (u32, Weight) {
+        (to, w)
+    }
+
+    fn admits((_, w): (u32, Weight)) -> bool {
+        w > 0
+    }
 }
 
-impl WeightedGraph {
-    /// Creates an empty graph.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// An undirected, weighted, simple dynamic graph with stable vertex ids.
+pub type WeightedGraph = Graph<Weighted>;
 
-    /// Creates a graph with `n` isolated vertices.
-    pub fn with_vertices(n: usize) -> Self {
-        WeightedGraph {
-            adj: vec![Vec::new(); n],
-            alive: vec![true; n],
-            n_alive: n,
-            m: 0,
-        }
-    }
-
+impl Graph<Weighted> {
     /// Bulk-builds from `(u, v, w)` triples. Later duplicates overwrite
     /// earlier ones; self loops and zero weights are rejected by assertion.
     pub fn from_weighted_edges(n: usize, edges: &[(u32, u32, Weight)]) -> Self {
@@ -62,209 +67,60 @@ impl WeightedGraph {
         g
     }
 
-    /// Total id space.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// Number of alive vertices.
-    #[inline]
-    pub fn num_vertices(&self) -> usize {
-        self.n_alive
-    }
-
     /// Number of edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.m
-    }
-
-    /// Whether `v` is alive.
-    #[inline]
-    pub fn contains_vertex(&self, v: VertexId) -> bool {
-        v.index() < self.alive.len() && self.alive[v.index()]
-    }
-
-    /// Adds a fresh isolated vertex.
-    pub fn add_vertex(&mut self) -> VertexId {
-        let id = VertexId::from_index(self.adj.len());
-        self.adj.push(Vec::new());
-        self.alive.push(true);
-        self.n_alive += 1;
-        id
+        self.edge_count()
     }
 
     /// Degree of `v`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        self.adj[v.index()].len()
+        self.slots(v).len()
     }
 
     /// Sorted `(neighbor, weight)` slice of `v`.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[(u32, Weight)] {
-        &self.adj[v.index()]
+        self.slots(v)
     }
 
     /// Weight of edge `(u, v)`, if present.
     pub fn weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
-        if u.index() >= self.adj.len() {
-            return None;
-        }
-        self.adj[u.index()]
-            .binary_search_by_key(&v.0, |&(n, _)| n)
-            .ok()
-            .map(|i| self.adj[u.index()][i].1)
+        self.find(u, v).map(|(_, w)| w)
     }
 
     /// Whether edge `(u, v)` exists.
     #[inline]
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        self.weight(u, v).is_some()
-    }
-
-    fn check_vertex(&self, v: VertexId) -> Result<()> {
-        if self.contains_vertex(v) {
-            Ok(())
-        } else {
-            Err(GraphError::UnknownVertex(v))
-        }
+        self.find(u, v).is_some()
     }
 
     /// Inserts edge `(u, v)` with weight `w > 0`.
     pub fn insert_edge(&mut self, u: VertexId, v: VertexId, w: Weight) -> Result<()> {
-        if u == v {
-            return Err(GraphError::SelfLoop(u));
-        }
-        if w == 0 {
-            return Err(GraphError::InvalidWeight(0.0));
-        }
-        self.check_vertex(u)?;
-        self.check_vertex(v)?;
-        let pos = match self.adj[u.index()].binary_search_by_key(&v.0, |&(n, _)| n) {
-            Ok(_) => return Err(GraphError::DuplicateEdge(u, v)),
-            Err(p) => p,
-        };
-        self.adj[u.index()].insert(pos, (v.0, w));
-        let pos_v = self.adj[v.index()]
-            .binary_search_by_key(&u.0, |&(n, _)| n)
-            .expect_err("weighted adjacency symmetry violated");
-        self.adj[v.index()].insert(pos_v, (u.0, w));
-        self.m += 1;
-        Ok(())
+        self.link(u, (v.0, w))
     }
 
     /// Changes the weight of an existing edge; returns the old weight.
     pub fn set_weight(&mut self, u: VertexId, v: VertexId, w: Weight) -> Result<Weight> {
-        if w == 0 {
-            return Err(GraphError::InvalidWeight(0.0));
-        }
-        self.check_vertex(u)?;
-        self.check_vertex(v)?;
-        let pos = self.adj[u.index()]
-            .binary_search_by_key(&v.0, |&(n, _)| n)
-            .map_err(|_| GraphError::MissingEdge(u, v))?;
-        let old = self.adj[u.index()][pos].1;
-        self.adj[u.index()][pos].1 = w;
-        let pos_v = self.adj[v.index()]
-            .binary_search_by_key(&u.0, |&(n, _)| n)
-            .expect("weighted adjacency symmetry violated");
-        self.adj[v.index()][pos_v].1 = w;
-        Ok(old)
+        self.relink(u, (v.0, w)).map(|(_, old)| old)
     }
 
     /// Deletes edge `(u, v)`; returns its weight.
     pub fn delete_edge(&mut self, u: VertexId, v: VertexId) -> Result<Weight> {
-        self.check_vertex(u)?;
-        self.check_vertex(v)?;
-        let pos = self.adj[u.index()]
-            .binary_search_by_key(&v.0, |&(n, _)| n)
-            .map_err(|_| GraphError::MissingEdge(u, v))?;
-        let (_, w) = self.adj[u.index()].remove(pos);
-        let pos_v = self.adj[v.index()]
-            .binary_search_by_key(&u.0, |&(n, _)| n)
-            .expect("weighted adjacency symmetry violated");
-        self.adj[v.index()].remove(pos_v);
-        self.m -= 1;
-        Ok(w)
+        self.unlink(u, v).map(|(_, w)| w)
     }
 
     /// Deletes vertex `v`; returns `(neighbor, weight)` pairs removed.
     pub fn delete_vertex(&mut self, v: VertexId) -> Result<Vec<(VertexId, Weight)>> {
-        self.check_vertex(v)?;
-        let list = std::mem::take(&mut self.adj[v.index()]);
-        for &(u, _) in &list {
-            let pos = self.adj[u as usize]
-                .binary_search_by_key(&v.0, |&(n, _)| n)
-                .expect("weighted adjacency symmetry violated");
-            self.adj[u as usize].remove(pos);
-        }
-        self.m -= list.len();
-        self.alive[v.index()] = false;
-        self.n_alive -= 1;
+        let (list, _) = self.retire(v)?;
         Ok(list.into_iter().map(|(u, w)| (VertexId(u), w)).collect())
-    }
-
-    /// Iterates alive vertices.
-    pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.alive
-            .iter()
-            .enumerate()
-            .filter(|(_, &a)| a)
-            .map(|(i, _)| VertexId::from_index(i))
     }
 
     /// Iterates edges once as `(u, v, w)` with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId, Weight)> + '_ {
-        self.adj.iter().enumerate().flat_map(|(u, list)| {
-            let u32u = u as u32;
-            list.iter()
-                .take_while(move |&&(v, _)| v < u32u)
-                .map(move |&(v, w)| (VertexId(v), VertexId(u32u), w))
-        })
-    }
-
-    /// Structural validation.
-    pub fn validate(&self) -> Result<()> {
-        let mut half = 0usize;
-        for (u, list) in self.adj.iter().enumerate() {
-            let mut prev: Option<u32> = None;
-            for &(v, w) in list {
-                if v as usize == u {
-                    return Err(GraphError::SelfLoop(VertexId::from_index(u)));
-                }
-                if w == 0 {
-                    return Err(GraphError::InvalidWeight(0.0));
-                }
-                if let Some(p) = prev {
-                    if p >= v {
-                        return Err(GraphError::Parse {
-                            line: 0,
-                            message: format!("weighted adjacency of v{u} not sorted"),
-                        });
-                    }
-                }
-                prev = Some(v);
-                match self.adj[v as usize].binary_search_by_key(&(u as u32), |&(n, _)| n) {
-                    Ok(i) if self.adj[v as usize][i].1 == w => {}
-                    _ => {
-                        return Err(GraphError::MissingEdge(
-                            VertexId::from_index(u),
-                            VertexId(v),
-                        ))
-                    }
-                }
-                half += 1;
-            }
-        }
-        if half != 2 * self.m {
-            return Err(GraphError::Parse {
-                line: 0,
-                message: "weighted edge count mismatch".into(),
-            });
-        }
-        Ok(())
+        self.each_edge()
+            .map(|(u, (v, w))| (VertexId(v), VertexId(u), w))
     }
 }
 

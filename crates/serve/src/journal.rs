@@ -613,11 +613,11 @@ impl DurableEngine for DynamicSpc {
 // Paths, manifest, atomic writes
 // ---------------------------------------------------------------------------
 
-fn manifest_path(dir: &Path) -> PathBuf {
+pub(crate) fn manifest_path(dir: &Path) -> PathBuf {
     dir.join("MANIFEST")
 }
 
-fn state_path(dir: &Path, generation: u64) -> PathBuf {
+pub(crate) fn state_path(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("state-{generation}.dspc"))
 }
 
@@ -634,7 +634,7 @@ pub fn current_wal_path(dir: impl AsRef<Path>) -> Result<PathBuf, JournalError> 
 }
 
 /// Writes `data` to `path` atomically: temp file, sync, rename, sync dir.
-fn write_atomic(path: &Path, data: &[u8]) -> io::Result<()> {
+pub(crate) fn write_atomic(path: &Path, data: &[u8]) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = File::create(&tmp)?;
@@ -679,7 +679,7 @@ fn read_manifest(dir: &Path) -> Result<(u64, u64), JournalError> {
 
 /// Removes orphan generation files a mid-checkpoint crash left behind
 /// (anything not belonging to the authoritative generation). Best-effort.
-fn remove_orphans(dir: &Path, keep_generation: u64) {
+pub(crate) fn remove_orphans(dir: &Path, keep_generation: u64) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
     };
@@ -820,7 +820,11 @@ impl<U: JournalUpdate> Journal<U> {
 
     /// Reopens `wal-<generation>.log` for appending, truncated to
     /// `valid_len` (recovery discards any torn tail first).
-    fn reattach(dir: &Path, generation: u64, valid_len: u64) -> Result<Self, JournalError> {
+    pub(crate) fn reattach(
+        dir: &Path,
+        generation: u64,
+        valid_len: u64,
+    ) -> Result<Self, JournalError> {
         let file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -977,8 +981,12 @@ pub(crate) fn parse_wal<U: JournalUpdate>(data: &[u8]) -> Result<WalReplay<U>, J
             }
             (OP_EPOCH, true) => {
                 let epoch = take_u64(&mut body).ok_or_else(|| corrupt("wal-epoch"))?;
-                let expected = header.as_ref().unwrap().epoch + epochs.len() as u64 + 1;
-                if epoch != expected {
+                let expected = header
+                    .as_ref()
+                    .unwrap()
+                    .epoch
+                    .checked_add(epochs.len() as u64 + 1);
+                if Some(epoch) != expected {
                     return Err(corrupt("wal-epoch"));
                 }
                 epochs.push(std::mem::take(&mut current));
@@ -1033,16 +1041,6 @@ pub struct RecoveryReport {
     pub dropped_tail_bytes: u64,
 }
 
-/// Stage 1 of a checkpoint: the new generation's state file (atomic).
-pub(crate) fn write_checkpoint_state(
-    dir: &Path,
-    generation: u64,
-    state: &[u8],
-) -> Result<(), JournalError> {
-    write_atomic(&state_path(dir, generation), state)?;
-    Ok(())
-}
-
 /// Stages 2+3 of a checkpoint: the new generation's WAL (header plus the
 /// re-journaled pending batches), then the `MANIFEST` commit. Returns the
 /// new journal and the WAL bytes written.
@@ -1056,12 +1054,6 @@ pub(crate) fn commit_checkpoint<U: JournalUpdate>(
     Ok((journal, bytes))
 }
 
-/// Stage 4 of a checkpoint (and recovery hygiene): drop files of every
-/// generation except the authoritative one. Best-effort.
-pub(crate) fn cleanup_generations(dir: &Path, keep_generation: u64) {
-    remove_orphans(dir, keep_generation);
-}
-
 /// Reads the authoritative generation: `(generation, epoch, state bytes,
 /// wal bytes)`.
 pub(crate) fn load_generation(dir: &Path) -> Result<(u64, u64, Vec<u8>, Vec<u8>), JournalError> {
@@ -1071,25 +1063,12 @@ pub(crate) fn load_generation(dir: &Path) -> Result<(u64, u64, Vec<u8>, Vec<u8>)
     Ok((generation, epoch, state, wal))
 }
 
-/// Reopens the WAL for appending after replay truncated its torn tail.
-pub(crate) fn reattach_journal<U: JournalUpdate>(
-    dir: &Path,
-    generation: u64,
-    valid_len: u64,
-) -> Result<Journal<U>, JournalError> {
-    Journal::reattach(dir, generation, valid_len)
-}
-
-/// Whether `dir` already holds an initialized journal.
-pub(crate) fn manifest_exists(dir: &Path) -> bool {
-    manifest_path(dir).exists()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dspc::serialize::encode_flat;
     use dspc::FlatIndex;
+    use dspc_graph::scratch::ScratchDir;
 
     fn sample_updates() -> Vec<GraphUpdate> {
         vec![
@@ -1218,6 +1197,47 @@ mod tests {
                 assert_eq!(offset as usize, first_end);
             }
             other => panic!("expected mid-file corruption error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn wal_parse_rejects_an_epoch_past_u64_max() {
+        let header = CheckpointHeader {
+            epoch: u64::MAX,
+            ..CheckpointHeader::default()
+        };
+        let mut payload = BytesMut::with_capacity(80);
+        header.encode(&mut payload);
+        let mut wal = frame_record(&payload);
+        let mut p = BytesMut::with_capacity(9);
+        p.put_u8(OP_EPOCH);
+        p.put_u64_le(0);
+        wal.put_slice(&frame_record(&p));
+        match parse_wal::<GraphUpdate>(&wal) {
+            Err(JournalError::Corrupt { section, .. }) => assert_eq!(section, "wal-epoch"),
+            other => panic!("expected an epoch error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn recovery_rejects_header_counters_that_overflow() {
+        let scratch = ScratchDir::new("dspc_journal_overflow").unwrap();
+        let dir = scratch.path();
+        let engine = DynamicSpc::build(
+            UndirectedGraph::from_edges(3, &[(0, 1), (1, 2)]),
+            OrderingStrategy::Degree,
+        );
+        write_atomic(&state_path(dir, 1), &engine.encode_state()).unwrap();
+        let header = CheckpointHeader {
+            generation: 1,
+            journal_bytes: u64::MAX,
+            ..CheckpointHeader::default()
+        };
+        commit_checkpoint::<GraphUpdate>(dir, &header, &[]).unwrap();
+        match crate::EpochServer::<DynamicSpc>::recover(dir, crate::ServeConfig { shards: 1 }).err()
+        {
+            Some(JournalError::Corrupt { section, .. }) => assert_eq!(section, "wal-header"),
+            other => panic!("expected a header error, got {other:?}"),
         }
     }
 

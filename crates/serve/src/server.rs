@@ -3,9 +3,9 @@
 
 use crate::engine::{ServingEngine, ServingSnapshot};
 use crate::journal::{
-    cleanup_generations, commit_checkpoint, load_generation, manifest_exists, parse_wal,
-    reattach_journal, write_checkpoint_state, CheckpointHeader, DurableEngine, Failpoint,
-    FaultPlan, Journal, JournalError, RecoveryReport,
+    commit_checkpoint, load_generation, manifest_path, parse_wal, remove_orphans, state_path,
+    write_atomic, CheckpointHeader, DurableEngine, Failpoint, FaultPlan, Journal, JournalError,
+    RecoveryReport,
 };
 use crate::publish::{Publisher, Subscription};
 use dspc::shard::EpochSnapshot;
@@ -456,7 +456,7 @@ impl<E: DurableEngine> EpochServer<E> {
     ) -> Result<Self, JournalError> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        if manifest_exists(dir) {
+        if manifest_path(dir).exists() {
             return Err(JournalError::Io(std::io::Error::new(
                 std::io::ErrorKind::AlreadyExists,
                 "journal directory already initialized; use EpochServer::recover",
@@ -464,7 +464,7 @@ impl<E: DurableEngine> EpochServer<E> {
         }
         let mut server = EpochServer::new(engine, config);
         let state = server.engine.encode_state();
-        write_checkpoint_state(dir, 1, &state)?;
+        write_atomic(&state_path(dir, 1), &state)?;
         let header = CheckpointHeader {
             generation: 1,
             epoch: 0,
@@ -490,7 +490,7 @@ impl<E: DurableEngine> EpochServer<E> {
         };
         let generation = old_generation + 1;
         let state = self.engine.encode_state();
-        write_checkpoint_state(&dir, generation, &state)?;
+        write_atomic(&state_path(&dir, generation), &state)?;
         if self.faults.fires(Failpoint::KillAfterStateFile) {
             self.journal = None;
             return Err(JournalError::InjectedCrash(Failpoint::KillAfterStateFile));
@@ -512,7 +512,7 @@ impl<E: DurableEngine> EpochServer<E> {
         }
         self.stats.journal_bytes += bytes;
         self.journal = Some(journal);
-        cleanup_generations(&dir, generation);
+        remove_orphans(&dir, generation);
         Ok(generation)
     }
 
@@ -531,40 +531,48 @@ impl<E: DurableEngine> EpochServer<E> {
         let (generation, epoch, state, wal) = load_generation(dir)?;
         let mut engine = E::decode_state(&state)?;
         let replay = parse_wal::<E::Update>(&wal)?;
-        if replay.header.generation != generation || replay.header.epoch != epoch {
-            return Err(JournalError::Corrupt {
-                section: "wal-header",
-                offset: 0,
-            });
+        let header = replay.header;
+        let corrupt = || JournalError::Corrupt {
+            section: "wal-header",
+            offset: 0,
+        };
+        if header.generation != generation || header.epoch != epoch {
+            return Err(corrupt());
         }
-        let initial = engine.freeze(config.shards);
+        let replayed_rotations = replay.epochs.len() as u64;
+        let replayed_batches =
+            replay.epochs.iter().map(Vec::len).sum::<usize>() as u64 + replay.pending.len() as u64;
+        let replayed_updates: u64 = replay.epochs.iter().flatten().map(|b| b.len() as u64).sum();
+        // Checksums do not bound the header's counters: one that cannot
+        // absorb what replay adds to it is corrupt.
+        let add = |a: u64, b: u64| a.checked_add(b).ok_or_else(corrupt);
+        add(header.rotations, replayed_rotations)?;
+        add(header.updates_applied, replayed_updates)?;
         let stats = ServerStats {
-            rotations: replay.header.rotations,
-            updates_applied: replay.header.updates_applied,
-            rejected_updates: replay.header.rejected_updates + replay.quarantined_updates,
-            quarantined_rotations: replay.header.quarantined_rotations + replay.quarantine_events,
-            replayed_batches: replay.header.replayed_batches,
+            rotations: header.rotations,
+            updates_applied: header.updates_applied,
+            rejected_updates: add(header.rejected_updates, replay.quarantined_updates)?,
+            quarantined_rotations: add(header.quarantined_rotations, replay.quarantine_events)?,
+            replayed_batches: add(header.replayed_batches, replayed_batches)?,
             // The header counter predates this generation's WAL; the bytes
             // of every acknowledged append since are exactly the WAL's
             // valid length, so the restored counter matches a server that
             // never crashed.
-            journal_bytes: replay.header.journal_bytes + replay.valid_len,
+            journal_bytes: add(header.journal_bytes, replay.valid_len)?,
         };
+        let initial = engine.freeze(config.shards);
         let mut server = EpochServer::assemble(
             engine,
             Publisher::starting_at(initial, epoch),
             config,
             stats,
         );
-        let mut replayed_batches = 0u64;
-        let replayed_rotations = replay.epochs.len() as u64;
         // Replay each committed epoch exactly as the crashed server
         // rotated it: all of its batches into the pending buffer, one
         // coalesced rotation. The journal is not attached yet, so replay
         // does not re-append what the WAL already holds.
         for group in replay.epochs {
             for batch in group {
-                replayed_batches += 1;
                 server.pending.extend(batch);
             }
             server
@@ -573,13 +581,11 @@ impl<E: DurableEngine> EpochServer<E> {
         }
         let mut restored_pending_updates = 0usize;
         for batch in replay.pending {
-            replayed_batches += 1;
             restored_pending_updates += batch.len();
             server.pending.extend(batch);
         }
-        server.stats.replayed_batches += replayed_batches;
-        server.journal = Some(reattach_journal(dir, generation, replay.valid_len)?);
-        cleanup_generations(dir, generation);
+        server.journal = Some(Journal::reattach(dir, generation, replay.valid_len)?);
+        remove_orphans(dir, generation);
         let report = RecoveryReport {
             generation,
             checkpoint_epoch: epoch,

@@ -16,7 +16,7 @@ use dspc::reorder::rerank_adjacent;
 use dspc::verify::{verify_all_pairs, verify_directed_all_pairs, verify_weighted_all_pairs};
 use dspc::weighted::WeightedUpdate;
 use dspc::{rebuild_index, DynamicSpc, GraphUpdate, OrderingStrategy, Rank, RankMap};
-use dspc_graph::{DirectedGraph, UndirectedGraph, VertexId, WeightedGraph};
+use dspc_graph::{DirectedGraph, Graph, UndirectedGraph, VertexId, WeightedGraph};
 use proptest::prelude::*;
 
 /// Strategy: a small random graph as (n, edge list).
@@ -164,7 +164,7 @@ fn weight(a: VertexId, b: VertexId) -> u32 {
 /// each tier fires in its staleness band, leaves the expected counter
 /// signature, keeps the index oracle-exact (`verify`), and a snapshot
 /// published after the batch answers like the re-ranked live index.
-fn tier_transitions<V: Variant>(g: &V::Graph, batch: &[V::Update], verify: impl Fn(&Dynamic<V>)) {
+fn tier_transitions<V: Variant>(g: &Graph<V>, batch: &[V::Update], verify: impl Fn(&Dynamic<V>)) {
     // Measure the staleness the policy will see at decision time.
     let mut probe = Dynamic::<V>::build(g.clone(), OrderingStrategy::Degree);
     probe.apply_batch(batch).unwrap();
@@ -183,7 +183,7 @@ fn tier_transitions<V: Variant>(g: &V::Graph, batch: &[V::Update], verify: impl 
         managed.publish(1);
         managed.apply_batch(batch).unwrap();
         let snapshot = managed.publish(1);
-        let n = V::capacity(managed.graph()) as u32;
+        let n = managed.graph().capacity() as u32;
         for s in (0..n).map(VertexId) {
             for t in (0..n).map(VertexId) {
                 let live: V::Answer = V::query(managed.index(), s, t).into();
