@@ -69,8 +69,8 @@ mod tests {
         let expected = crate::query::tests::table2_index();
         for v in 0..12u32 {
             assert_eq!(
-                index.label_set(VertexId(v)).entries(),
-                expected.label_set(VertexId(v)).entries(),
+                index.label_set(VertexId(v)),
+                expected.label_set(VertexId(v)),
                 "L(v{v})"
             );
         }

@@ -118,15 +118,15 @@ mod tests {
         let (stats, _) = delete_and_verify(&mut g, &mut index, &mut engine, 1, 2);
 
         // Figure 6(d): (v1,1,1) ∈ L(v2) renewed to (v1,2,1).
-        let e = *index.label_of(VertexId(2), VertexId(1)).unwrap();
+        let e = index.label_of(VertexId(2), VertexId(1)).unwrap();
         assert_eq!((e.dist, e.count), (2, 1));
         // (v1,2,1) ∈ L(v3) deleted in the removal pass.
         assert!(index.label_of(VertexId(3), VertexId(1)).is_none());
         // (v1,3,2) ∈ L(v7) renewed to (v1,3,1).
-        let e = *index.label_of(VertexId(7), VertexId(1)).unwrap();
+        let e = index.label_of(VertexId(7), VertexId(1)).unwrap();
         assert_eq!((e.dist, e.count), (3, 1));
         // New label (v2,4,1) inserted into L(v10).
-        let e = *index.label_of(VertexId(10), VertexId(2)).unwrap();
+        let e = index.label_of(VertexId(10), VertexId(2)).unwrap();
         assert_eq!((e.dist, e.count), (4, 1));
         assert!(stats.removed >= 1);
         assert!(stats.inserted >= 1);
@@ -142,9 +142,9 @@ mod tests {
         assert!(index.label_of(VertexId(2), VertexId(1)).is_none()); // w ∉ L(a)
         let mut engine = DecSpc::new(g.capacity());
         delete_and_verify(&mut g, &mut index, &mut engine, 2, 3);
-        let e = *index.label_of(VertexId(4), VertexId(0)).unwrap();
+        let e = index.label_of(VertexId(4), VertexId(0)).unwrap();
         assert_eq!((e.dist, e.count), (6, 1));
-        let e = *index.label_of(VertexId(4), VertexId(1)).unwrap();
+        let e = index.label_of(VertexId(4), VertexId(1)).unwrap();
         assert_eq!((e.dist, e.count), (5, 1));
     }
 
@@ -155,9 +155,9 @@ mod tests {
         let mut engine = DecSpc::new(g.capacity());
         delete_and_verify(&mut g, &mut index, &mut engine, 3, 4);
         // (v1, 3, 1) → (v1, 5, 1) and (v2, 3, 2) → (v2, 3, 1) in L(u).
-        let e = *index.label_of(VertexId(5), VertexId(0)).unwrap();
+        let e = index.label_of(VertexId(5), VertexId(0)).unwrap();
         assert_eq!((e.dist, e.count), (5, 1));
-        let e = *index.label_of(VertexId(5), VertexId(1)).unwrap();
+        let e = index.label_of(VertexId(5), VertexId(1)).unwrap();
         assert_eq!((e.dist, e.count), (3, 1));
     }
 

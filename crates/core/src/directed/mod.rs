@@ -96,7 +96,7 @@ impl DirectedSpcIndex {
 
 /// `SPC(s → t)`: merge `L_out(s)` with `L_in(t)`.
 pub fn directed_spc_query(index: &DirectedSpcIndex, s: VertexId, t: VertexId) -> QueryResult {
-    let (dist, count) = query_rows(index.label_out(s).entries(), index.label_in(t).entries());
+    let (dist, count) = query_rows(index.label_out(s).view(), index.label_in(t).view());
     QueryResult { dist, count }
 }
 
@@ -105,8 +105,8 @@ pub fn directed_spc_query(index: &DirectedSpcIndex, s: VertexId, t: VertexId) ->
 /// [`crate::query::pre_query`].
 pub fn directed_pre_query(index: &DirectedSpcIndex, s: VertexId, t: VertexId) -> QueryResult {
     let (dist, count) = pre_query_rows(
-        index.label_out(s).entries(),
-        index.label_in(t).entries(),
+        index.label_out(s).view(),
+        index.label_in(t).view(),
         index.rank(s),
     );
     QueryResult { dist, count }

@@ -126,7 +126,7 @@ fn family_holders<V: Variant>(
         HubHolders::build(
             sweeps.iter().filter(|s| s.family == family).map(|s| s.hub),
             receivers,
-            |v| index.row(v, family).entries(),
+            |v| index.row(v, family).keys(),
             stats,
         )
     })

@@ -21,7 +21,7 @@
 //! and those are marked updated, which the removal skips anyway.
 
 use super::MaintenanceCounters;
-use crate::label::{HubEntry, Rank};
+use crate::label::{Rank, RowKey};
 use dspc_graph::VertexId;
 
 /// Hub → holder lists of one label family for one repair, in one flat
@@ -41,13 +41,14 @@ pub struct HubHolders {
 impl HubHolders {
     /// Inverts the receivers' label rows over the agenda `hubs` (duplicate
     /// ranks share one slot; slots follow first occurrence). `row(v)`
-    /// returns `v`'s rank-sorted row of the family. Rows are scanned twice
-    /// (count, then fill), each scan stopping past the lowest-ranked agenda
-    /// hub; every scanned entry counts as one `removal_probes` step.
-    pub fn build<'a, E: HubEntry>(
+    /// returns the keys of `v`'s rank-sorted row of the family; no count
+    /// is read. Rows are scanned twice (count, then fill), each scan
+    /// stopping past the lowest-ranked agenda hub; every scanned entry
+    /// counts as one `removal_probes` step.
+    pub fn build<'a, K: RowKey>(
         hubs: impl IntoIterator<Item = Rank>,
         receivers: &[VertexId],
-        mut row: impl FnMut(VertexId) -> &'a [E],
+        mut row: impl FnMut(VertexId) -> &'a [K],
         stats: &mut MaintenanceCounters,
     ) -> HubHolders {
         let hubs: Vec<Rank> = hubs.into_iter().collect();
@@ -71,8 +72,8 @@ impl HubHolders {
                 return;
             }
             for &v in receivers {
-                for e in row(v) {
-                    let Some(&s) = slot.get(e.hub().index()) else {
+                for k in row(v) {
+                    let Some(&s) = slot.get(k.hub().index()) else {
                         break; // rows are rank-sorted: no agenda hub follows
                     };
                     stats.removal_probes += 1;
@@ -115,12 +116,10 @@ impl HubHolders {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::label::LabelEntry;
 
-    fn row(hubs: &[u32]) -> Vec<LabelEntry> {
-        hubs.iter()
-            .map(|&h| LabelEntry::new(Rank(h), 1, 1))
-            .collect()
+    /// The keys of a row over `hubs`.
+    fn row(hubs: &[u32]) -> Vec<u64> {
+        hubs.iter().map(|&h| u64::new(Rank(h), 1)).collect()
     }
 
     #[test]
@@ -128,7 +127,7 @@ mod tests {
         // Receivers 0..3 with two families each, one list per family:
         // family 0 repairs hubs of ranks 1 and 3 (rank 3 listed twice —
         // one slot), family 1 only the hub of rank 1.
-        let rows: Vec<[Vec<LabelEntry>; 2]> = vec![
+        let rows: Vec<[Vec<u64>; 2]> = vec![
             [row(&[0, 1, 3, 7]), row(&[3])],
             [row(&[2, 5]), row(&[])],
             [row(&[1, 4]), row(&[1, 3])],

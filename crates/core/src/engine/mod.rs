@@ -88,7 +88,7 @@
 //! the update vocabulary, graph mutations, and the undirected §3.2.3 fast
 //! path.
 
-use crate::label::{Count, HubEntry, LabelDist, Rank};
+use crate::label::{Count, LabelDist, Rank, RowKey};
 use dspc_graph::VertexId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -271,7 +271,7 @@ impl MaintenanceCounters {
 /// `AFF = hubs(L(a)) ∪ hubs(L(b))` with per-side membership flags,
 /// in descending rank order (ascending rank position) — the snapshot every
 /// incremental update starts from (Algorithm 2 line 2).
-pub fn merge_affected<E: HubEntry>(la: &[E], lb: &[E]) -> Vec<(Rank, bool, bool)> {
+pub fn merge_affected<K: RowKey>(la: &[K], lb: &[K]) -> Vec<(Rank, bool, bool)> {
     let mut aff = Vec::with_capacity(la.len() + lb.len());
     let (mut i, mut j) = (0usize, 0usize);
     while i < la.len() || j < lb.len() {

@@ -14,7 +14,7 @@
 use super::topology::{families, side_families};
 use super::{merge_affected, MaintenanceCounters, Pipeline, ReadTopology, Topo, Variant};
 use crate::index::LabelIndex;
-use crate::label::{HubEntry, LabelDist, Rank};
+use crate::label::{HubEntry, LabelDist, Rank, RowKey};
 use crate::order::{OrderingStrategy, RankMap};
 use dspc_graph::{Graph, VertexId};
 
@@ -56,7 +56,7 @@ impl<V: Variant> Pipeline<V> {
         let (engine, probe) = self.first_worker(g.capacity());
         let mut stats = MaintenanceCounters::default();
         let [fam_a, fam_b] = side_families::<V>();
-        let aff = merge_affected(index.row(a, fam_a).entries(), index.row(b, fam_b).entries());
+        let aff = merge_affected(index.row(a, fam_a).keys(), index.row(b, fam_b).keys());
         let (rank_a, rank_b) = (index.rank(a), index.rank(b));
         for (h_rank, in_a, in_b) in aff {
             let h = index.vertex(h_rank);
@@ -131,9 +131,9 @@ impl<V: Variant> Pipeline<V> {
                 hits.extend(
                     index
                         .row(v, family)
-                        .entries()
+                        .keys()
                         .iter()
-                        .map(HubEntry::hub)
+                        .map(|k| k.hub())
                         .filter(|h| doomed[h.index()]),
                 );
                 for &hub in &hits {

@@ -82,8 +82,8 @@ pub trait Variant: GraphKind {
     /// `L_out(s)` with `L_in(t)` for arcs.
     fn query(index: &LabelIndex<Self>, s: VertexId, t: VertexId) -> (Self::Dist, Count) {
         query_rows(
-            index.row(s, source_family::<Self>()).entries(),
-            index.row(t, REPAIR_PRIMARY).entries(),
+            index.row(s, source_family::<Self>()).view(),
+            index.row(t, REPAIR_PRIMARY).view(),
         )
     }
 
@@ -219,12 +219,12 @@ impl<V: Variant, I: Deref<Target = LabelIndex<V>>> ReadTopology for Topo<'_, V, 
     fn load_probe(&mut self, x: VertexId) {
         let pinned = self.index.row(x, pinned_family::<V>(self.family));
         self.probe
-            .load_labels(pinned.entries(), self.index.ranks().len());
+            .load_labels(pinned.view(), self.index.ranks().len());
     }
 
     #[inline]
     fn probe_query(&self, v: VertexId) -> (V::Dist, Count) {
-        self.probe.query(self.index.row(v, self.family))
+        self.probe.query(self.index.row(v, self.family).view())
     }
 
     #[inline]
@@ -235,7 +235,7 @@ impl<V: Variant, I: Deref<Target = LabelIndex<V>>> ReadTopology for Topo<'_, V, 
         limit: Option<Rank>,
     ) -> (bool, usize) {
         self.probe
-            .certifies_shorter(self.index.row(v, self.family).entries(), bound, limit)
+            .certifies_shorter(self.index.row(v, self.family).keys(), bound, limit)
     }
 
     #[inline]

@@ -3,13 +3,13 @@
 //!
 //! The serving layer publishes one immutable [`Snapshot`] per epoch, one
 //! type for every graph variant. It holds one [`SharedRows`] per label
-//! family — one `Arc<[E]>` handle per vertex, *shared* with the live index
-//! rather than copied out of it — plus the rank map and the shard bounds
-//! that attribute query counters. [`LabelIndex::publish`] turns every row
-//! written since the last publish into a shared row and hands out one
-//! handle per vertex, so a rotation costs `O(n)` handle clones per family
-//! plus the entries the epoch changed; the live index copies a shared row
-//! back to an owned one on its first write (see
+//! family — one `Arc<[u64]>` row block per vertex, *shared* with the live
+//! index rather than copied out of it — plus the rank map and the shard
+//! bounds that attribute query counters. [`LabelIndex::publish`] turns
+//! every row written since the last publish into a shared row and hands
+//! out one handle per vertex, so a rotation costs `O(n)` handle clones per
+//! family plus the entries the epoch changed; the live index copies a
+//! shared row back to an owned one on its first write (see
 //! [`crate::label::LabelRow`]). The copying [`Snapshot::freeze`] remains
 //! for callers that must not touch the live index.
 //!
@@ -147,8 +147,8 @@ impl<V: Variant> Snapshot<V> {
     pub fn freeze(index: &LabelIndex<V>) -> Self {
         let n = index.num_vertices();
         let family = |f| {
-            let rows = (0..n).map(|v| index.row(VertexId::from_index(v), f).entries());
-            SharedRows::copied_from(rows)
+            let rows = (0..n).map(|v| index.row(VertexId::from_index(v), f).copied());
+            SharedRows::from_blocks(rows)
         };
         Snapshot {
             rows: families::<V>().iter().map(|&f| family(f)).collect(),

@@ -65,24 +65,24 @@ mod tests {
         insert_and_verify(&mut g, &mut index, &mut engine, 3, 9);
 
         // Figure 3(d) row 1: L(v9) hub v0 renewed from (v0,4,4) to (v0,2,1).
-        let e = *index.label_of(VertexId(9), VertexId(0)).unwrap();
+        let e = index.label_of(VertexId(9), VertexId(0)).unwrap();
         assert_eq!((e.dist, e.count), (2, 1));
         // Row 2: L(v4) hub v0 count renewed 3 → 4 at distance 3.
-        let e = *index.label_of(VertexId(4), VertexId(0)).unwrap();
+        let e = index.label_of(VertexId(4), VertexId(0)).unwrap();
         assert_eq!((e.dist, e.count), (3, 4));
         // Row 3: L(v10) hub v0 count renewed 1 → 2 at distance 3.
-        let e = *index.label_of(VertexId(10), VertexId(0)).unwrap();
+        let e = index.label_of(VertexId(10), VertexId(0)).unwrap();
         assert_eq!((e.dist, e.count), (3, 2));
         // Hub v1 block: L(v9) hub v1 renewed (v1,3,2) → (v1,3,3).
-        let e = *index.label_of(VertexId(9), VertexId(1)).unwrap();
+        let e = index.label_of(VertexId(9), VertexId(1)).unwrap();
         assert_eq!((e.dist, e.count), (3, 3));
         // Hub v2 block: (v2,3,1) → (v2,2,1) in L(v9); new (v2,3,1) in L(v10).
-        let e = *index.label_of(VertexId(9), VertexId(2)).unwrap();
+        let e = index.label_of(VertexId(9), VertexId(2)).unwrap();
         assert_eq!((e.dist, e.count), (2, 1));
-        let e = *index.label_of(VertexId(10), VertexId(2)).unwrap();
+        let e = index.label_of(VertexId(10), VertexId(2)).unwrap();
         assert_eq!((e.dist, e.count), (3, 1));
         // New hub v3 label at v9: distance 1.
-        let e = *index.label_of(VertexId(9), VertexId(3)).unwrap();
+        let e = index.label_of(VertexId(9), VertexId(3)).unwrap();
         assert_eq!((e.dist, e.count), (1, 1));
     }
 

@@ -20,7 +20,7 @@
 //! only the accessors that name its families.
 
 use crate::engine::{families, family_slot, Undirected, Variant, REPAIR_PRIMARY};
-use crate::label::{check_row, HubEntry, LabelEntry, LabelRow, LabelSet, Rank, SharedRows};
+use crate::label::{check_row, HubEntry, LabelEntry, LabelRow, LabelSet, Rank, RowKey, SharedRows};
 use crate::order::RankMap;
 use dspc_graph::VertexId;
 use serde::{Deserialize, Serialize};
@@ -119,7 +119,7 @@ impl<V: Variant> LabelIndex<V> {
     pub(crate) fn from_shared(families: &[SharedRows<V::Entry>], ranks: RankMap) -> Self {
         let thaw = |f: &SharedRows<V::Entry>| {
             (0..f.num_vertices())
-                .map(|v| LabelRow::from(std::sync::Arc::clone(f.handle(v))))
+                .map(|v| LabelRow::shared(std::sync::Arc::clone(f.handle(v))))
                 .collect()
         };
         LabelIndex {
@@ -200,11 +200,11 @@ impl<V: Variant> LabelIndex<V> {
             let row = &mut family[v.index()];
             if self.hub_counts_valid {
                 let mut had_self = false;
-                for e in row.entries() {
-                    if e.hub() == self_rank {
+                for k in row.keys() {
+                    if k.hub() == self_rank {
                         had_self = true;
                     } else {
-                        self.hub_counts[e.hub().index()] -= 1;
+                        self.hub_counts[k.hub().index()] -= 1;
                     }
                 }
                 if !had_self {
@@ -237,8 +237,8 @@ impl<V: Variant> LabelIndex<V> {
         if !self.hub_counts_valid {
             self.hub_counts.clear();
             self.hub_counts.resize(self.ranks.len(), 0);
-            for e in self.rows.iter().flatten().flat_map(LabelRow::entries) {
-                self.hub_counts[e.hub().index()] += 1;
+            for k in self.rows.iter().flatten().flat_map(LabelRow::keys) {
+                self.hub_counts[k.hub().index()] += 1;
             }
             self.hub_counts_valid = true;
         }
@@ -293,7 +293,7 @@ impl<V: Variant> LabelIndex<V> {
         for (name, family) in names.iter().zip(&self.rows) {
             for (vi, row) in family.iter().enumerate() {
                 let v = VertexId::from_index(vi);
-                check_row(row.entries(), self.ranks.rank(v))
+                check_row(row.view(), self.ranks.rank(v))
                     .map_err(|fault| format!("{name}({v}) {fault}"))?;
             }
         }
@@ -336,7 +336,7 @@ impl SpcIndex {
 
     /// Convenience accessor: the entry `(h, d, c) ∈ L(v)` for hub vertex
     /// `h`, if present.
-    pub fn label_of(&self, v: VertexId, hub_vertex: VertexId) -> Option<&LabelEntry> {
+    pub fn label_of(&self, v: VertexId, hub_vertex: VertexId) -> Option<LabelEntry> {
         self.label_set(v).get(self.rank(hub_vertex))
     }
 }

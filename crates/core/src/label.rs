@@ -8,11 +8,18 @@
 //! plain integer compares and label sets merge in rank order.
 //!
 //! The paper packs each entry into a 64-bit integer (25 bits hub, 10 bits
-//! distance, 29 bits count — §4.1). The in-memory working set uses full-width
-//! fields (web-scale counts overflow 29 bits on adversarial inputs); the
-//! packed form is provided for storage parity and serialization.
+//! distance, 29 bits count — §4.1); that [`packed`] form is kept for
+//! storage parity and serialization. In memory a row keeps full-width
+//! fields (web-scale counts overflow 29 bits on adversarial inputs), split
+//! by use. Every pruned sweep asks at each vertex only whether a higher hub
+//! already certifies a shorter path, a question of hubs and distances,
+//! while counts matter only where a path is kept (Equations (1)–(2)). So a
+//! [`LabelRow`] stores its `(hub, dist)` keys in hub order, then its counts
+//! in the same order, in one block, and a scan that needs no count reads
+//! only the keys.
 
 use serde::{Deserialize, Serialize};
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// A position in the vertex total order; `Rank(0)` is the highest rank.
@@ -141,12 +148,85 @@ impl LabelDist for u64 {
     }
 }
 
-/// A hub label `(hub, dist, count)` over some distance type: what a
-/// [`LabelRow`] stores and the query kernel reads. Implemented by
-/// [`LabelEntry`] and the weighted `WLabelEntry`.
+/// A label entry's `(hub, dist)` key as a row stores it, in `u64` words:
+/// what every prune scan reads, without the entry's count. Implemented
+/// for `u64`, the unweighted key `hub << 32 | dist`, and `[u64; 2]`, the
+/// weighted key `[hub, dist]`.
+pub trait RowKey: Copy + Eq + std::fmt::Debug + Send + Sync + 'static {
+    /// The distance field's type.
+    type Dist: LabelDist;
+    /// `u64` words per key.
+    const WORDS: usize;
+    /// The key of `(hub, dist)`.
+    fn new(hub: Rank, dist: Self::Dist) -> Self;
+    /// Rank of the hub vertex.
+    fn hub(self) -> Rank;
+    /// Shortest distance from the hub.
+    fn dist(self) -> Self::Dist;
+    /// The keys `words` holds (a whole number of keys).
+    fn slice(words: &[u64]) -> &[Self];
+    /// Writes the key into `words`, [`WORDS`](Self::WORDS) of them.
+    fn store(self, words: &mut [u64]);
+}
+
+impl RowKey for u64 {
+    type Dist = u32;
+    const WORDS: usize = 1;
+    #[inline]
+    fn new(hub: Rank, dist: u32) -> u64 {
+        (u64::from(hub.0) << 32) | u64::from(dist)
+    }
+    #[inline]
+    fn hub(self) -> Rank {
+        Rank((self >> 32) as u32)
+    }
+    #[inline]
+    fn dist(self) -> u32 {
+        self as u32
+    }
+    #[inline]
+    fn slice(words: &[u64]) -> &[u64] {
+        words
+    }
+    #[inline]
+    fn store(self, words: &mut [u64]) {
+        words[0] = self;
+    }
+}
+
+impl RowKey for [u64; 2] {
+    type Dist = u64;
+    const WORDS: usize = 2;
+    #[inline]
+    fn new(hub: Rank, dist: u64) -> Self {
+        [u64::from(hub.0), dist]
+    }
+    #[inline]
+    fn hub(self) -> Rank {
+        Rank(self[0] as u32)
+    }
+    #[inline]
+    fn dist(self) -> u64 {
+        self[1]
+    }
+    #[inline]
+    fn slice(words: &[u64]) -> &[[u64; 2]] {
+        words.as_chunks().0
+    }
+    #[inline]
+    fn store(self, words: &mut [u64]) {
+        words.copy_from_slice(&self);
+    }
+}
+
+/// A hub label `(hub, dist, count)` over some distance type: what
+/// [`LabelRow::upsert`] writes and a row's [`iter`](LabelRow::iter)
+/// yields. Implemented by [`LabelEntry`] and the weighted `WLabelEntry`.
 pub trait HubEntry: Copy + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     /// The distance field's type.
     type Dist: LabelDist;
+    /// How a row stores the entry's `(hub, dist)`.
+    type Key: RowKey<Dist = Self::Dist>;
     /// Rank of the hub vertex.
     fn hub(&self) -> Rank;
     /// Shortest distance from the hub.
@@ -159,10 +239,21 @@ pub trait HubEntry: Copy + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     fn self_label(rank: Rank) -> Self {
         Self::new(rank, Self::Dist::ZERO, 1)
     }
+    /// The entry's stored key.
+    #[inline]
+    fn key(&self) -> Self::Key {
+        Self::Key::new(self.hub(), self.dist())
+    }
+    /// The entry of a stored key and its count.
+    #[inline]
+    fn from_key(key: Self::Key, count: Count) -> Self {
+        Self::new(key.hub(), key.dist(), count)
+    }
 }
 
 impl HubEntry for LabelEntry {
     type Dist = u32;
+    type Key = u64;
     #[inline]
     fn hub(&self) -> Rank {
         self.hub
@@ -181,6 +272,98 @@ impl HubEntry for LabelEntry {
     }
 }
 
+/// `u64` words one entry of `E` takes in a row's block: its key and its
+/// count.
+#[inline]
+const fn entry_words<E: HubEntry>() -> usize {
+    E::Key::WORDS + 1
+}
+
+/// A borrowed label row: its keys in hub order, then its counts in the
+/// same order, read from one block. The kernels take rows in this form;
+/// a scan that needs no count reads only [`keys`](Self::keys).
+#[derive(Clone, Copy, PartialEq)]
+pub struct RowRef<'a, E: HubEntry> {
+    keys: &'a [E::Key],
+    counts: &'a [Count],
+}
+
+impl<E: HubEntry> std::fmt::Debug for RowRef<'_, E> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a, E: HubEntry> RowRef<'a, E> {
+    /// The row a block holds: `len` keys, then `len` counts.
+    #[inline]
+    fn of(block: &'a [u64]) -> Self {
+        let len = block.len() / entry_words::<E>();
+        let (keys, counts) = block.split_at(len * E::Key::WORDS);
+        RowRef {
+            keys: E::Key::slice(keys),
+            counts,
+        }
+    }
+
+    /// The `(hub, dist)` keys, sorted by hub rank.
+    #[inline]
+    pub fn keys(self) -> &'a [E::Key] {
+        self.keys
+    }
+
+    /// The counts, in key order.
+    #[inline]
+    pub fn counts(self) -> &'a [Count] {
+        self.counts
+    }
+
+    /// Number of entries.
+    #[inline]
+    pub fn len(self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether the row is empty.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// The `i`-th entry.
+    #[inline]
+    pub fn entry(self, i: usize) -> E {
+        E::from_key(self.keys[i], self.counts[i])
+    }
+
+    /// The entries, sorted by hub rank.
+    #[inline]
+    pub fn iter(self) -> impl ExactSizeIterator<Item = E> + 'a {
+        let counts = self.counts.iter();
+        self.keys
+            .iter()
+            .zip(counts)
+            .map(|(&k, &c)| E::from_key(k, c))
+    }
+
+    /// Where `hub` is (`Ok`) or would be inserted (`Err`). A hub ranked
+    /// below every entry skips the binary search: construction pushes hubs
+    /// in rank order, so each of its lookups and inserts lands there.
+    #[inline]
+    fn search(self, hub: Rank) -> Result<usize, usize> {
+        match self.keys.last() {
+            Some(last) if last.hub() >= hub => self.keys.binary_search_by_key(&hub, |k| k.hub()),
+            _ => Err(self.keys.len()),
+        }
+    }
+
+    /// Entry for `hub`, if present.
+    #[inline]
+    pub fn get(self, hub: Rank) -> Option<E> {
+        self.search(hub).ok().map(|i| self.entry(i))
+    }
+}
+
 /// A vertex's label row `L(v)`: entries sorted by hub rank ascending
 /// (highest-ranked hub first), unique hubs.
 ///
@@ -188,24 +371,35 @@ impl HubEntry for LabelEntry {
 /// queries, and a natural prefix for the paper's `PreQUERY` (stop at the
 /// first hub not higher-ranked than the query source).
 ///
-/// Rows are stored copy-on-write. While the writer mutates a row it owns a
-/// `Vec`; the indexes' publish step ([`SharedRows::publish`]) turns it
-/// into an immutable `Arc<[E]>` that published snapshots hold too.
-/// The first mutation after that copies the row back into an owned `Vec`,
-/// so a snapshot never observes a later write, and a row nobody wrote
-/// since the last publish is handed out again without a copy. Mutators
-/// that would leave the row unchanged (upserting an identical entry,
-/// removing an absent hub) do not copy. A thawed snapshot
-/// ([`crate::flat::Snapshot::thaw`]) hands its rows to the index shared in
-/// the same way, so the rows of a decoded file are copied only on their
-/// first write. Either form is 24 bytes, the size of a bare `Vec`.
+/// A row is one block of `u64` words: its `(hub, dist)` keys
+/// ([`RowKey`]) in hub order, then its counts in the same order. Every
+/// prune scan reads the keys alone, so it pulls no count through the
+/// cache; an entry costs 16 bytes unweighted (an 8-byte key) and 24
+/// weighted (a 16-byte key).
+///
+/// Rows are stored copy-on-write. While the writer mutates a row it owns
+/// the block as a `Vec`; the indexes' publish step
+/// ([`SharedRows::publish`]) turns it into an immutable `Arc<[u64]>` that
+/// published snapshots hold too. The first mutation after that copies the
+/// block back into an owned `Vec`, so a snapshot never observes a later
+/// write, and a row nobody wrote since the last publish is handed out
+/// again without a copy. Mutators that would leave the row unchanged
+/// (upserting an identical entry, removing an absent hub) do not copy. A
+/// thawed snapshot ([`crate::flat::Snapshot::thaw`]) hands its rows to the
+/// index shared in the same way, so the rows of a decoded file are copied
+/// only on their first write. Either form is 24 bytes, the size of a bare
+/// `Vec`.
+#[derive(Clone)]
 pub struct LabelRow<E> {
-    row: Row<E>,
+    block: Block,
+    entry: PhantomData<E>,
 }
 
-enum Row<E> {
-    Owned(Vec<E>),
-    Shared(Arc<[E]>),
+/// A row's block, owned while written and shared once published.
+#[derive(Clone)]
+enum Block {
+    Owned(Vec<u64>),
+    Shared(Arc<[u64]>),
 }
 
 /// The unweighted label row (undirected `L(v)`, directed `L_in` / `L_out`).
@@ -214,33 +408,15 @@ pub type LabelSet = LabelRow<LabelEntry>;
 impl<E> Default for LabelRow<E> {
     fn default() -> Self {
         LabelRow {
-            row: Row::Owned(Vec::new()),
+            block: Block::Owned(Vec::new()),
+            entry: PhantomData,
         }
-    }
-}
-
-impl<E> From<Arc<[E]>> for LabelRow<E> {
-    /// A row shared with `shared`'s other holders until its first write.
-    fn from(shared: Arc<[E]>) -> Self {
-        LabelRow {
-            row: Row::Shared(shared),
-        }
-    }
-}
-
-impl<E: Clone> Clone for LabelRow<E> {
-    fn clone(&self) -> Self {
-        let row = match &self.row {
-            Row::Owned(v) => Row::Owned(v.clone()),
-            Row::Shared(a) => Row::Shared(Arc::clone(a)),
-        };
-        LabelRow { row }
     }
 }
 
 impl<E: HubEntry> PartialEq for LabelRow<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.entries() == other.entries()
+        self.block() == other.block()
     }
 }
 
@@ -248,7 +424,7 @@ impl<E: HubEntry + Eq> Eq for LabelRow<E> {}
 
 impl<E: HubEntry> std::fmt::Debug for LabelRow<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.entries()).finish()
+        self.view().fmt(f)
     }
 }
 
@@ -261,50 +437,93 @@ impl<E: HubEntry> LabelRow<E> {
     /// Row containing only the self label `(rank, 0, 1)` — every vertex
     /// carries its own hub (Table 2's diagonal).
     pub fn self_only(rank: Rank) -> Self {
+        let e = E::self_label(rank);
+        let mut block = vec![e.count(); entry_words::<E>()];
+        e.key().store(&mut block[..E::Key::WORDS]);
         LabelRow {
-            row: Row::Owned(vec![E::self_label(rank)]),
+            block: Block::Owned(block),
+            entry: PhantomData,
         }
+    }
+
+    /// A row over a published or decoded block, shared with the block's
+    /// other holders until its first write.
+    pub(crate) fn shared(block: Arc<[u64]>) -> Self {
+        LabelRow {
+            block: Block::Shared(block),
+            entry: PhantomData,
+        }
+    }
+
+    /// The block: keys, then counts.
+    #[inline]
+    fn block(&self) -> &[u64] {
+        match &self.block {
+            Block::Owned(v) => v,
+            Block::Shared(a) => a,
+        }
+    }
+
+    /// A fresh shared copy of the block (freezes that must not touch the
+    /// live row).
+    pub(crate) fn copied(&self) -> Arc<[u64]> {
+        Arc::from(self.block())
+    }
+
+    /// The row as the kernels read it.
+    #[inline]
+    pub fn view(&self) -> RowRef<'_, E> {
+        RowRef::of(self.block())
     }
 
     /// Number of entries.
     #[inline]
     pub fn len(&self) -> usize {
-        self.entries().len()
+        self.block().len() / entry_words::<E>()
     }
 
     /// Whether the row is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.entries().is_empty()
+        self.block().is_empty()
     }
 
-    /// Sorted entry slice.
+    /// The `(hub, dist)` keys, sorted by hub rank.
     #[inline]
-    pub fn entries(&self) -> &[E] {
-        match &self.row {
-            Row::Owned(v) => v,
-            Row::Shared(a) => a,
-        }
+    pub fn keys(&self) -> &[E::Key] {
+        self.view().keys()
+    }
+
+    /// The counts, in key order.
+    #[inline]
+    pub fn counts(&self) -> &[Count] {
+        self.view().counts()
+    }
+
+    /// The entries, sorted by hub rank.
+    #[inline]
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = E> + '_ {
+        self.view().iter()
     }
 
     /// Whether the row is currently shared with published snapshots (the
     /// next mutation copies it).
     #[cfg(test)]
     fn is_shared(&self) -> bool {
-        matches!(self.row, Row::Shared(_))
+        matches!(self.block, Block::Shared(_))
     }
 
-    /// The owned entries, copying a shared row first.
-    fn owned(&mut self) -> &mut Vec<E> {
-        if let Row::Shared(shared) = &self.row {
-            // One slot of headroom: the commonest first write is an insert.
-            let mut v = Vec::with_capacity(shared.len() + 1);
+    /// The owned block, copying a shared row first.
+    fn owned(&mut self) -> &mut Vec<u64> {
+        if let Block::Shared(shared) = &self.block {
+            // One entry of headroom: the commonest first write is an insert.
+            let mut v = Vec::with_capacity(shared.len() + entry_words::<E>());
             v.extend_from_slice(shared);
-            self.row = Row::Owned(v);
+            self.block = Block::Owned(v);
         }
-        match &mut self.row {
-            Row::Owned(v) => v,
-            Row::Shared(_) => unreachable!("row was just made owned"),
+        match &mut self.block {
+            Block::Owned(v) => v,
+            Block::Shared(_) => unreachable!("row was just made owned"),
         }
     }
 
@@ -312,41 +531,29 @@ impl<E: HubEntry> LabelRow<E> {
     /// Returns the shared handle and whether this call made it (copying
     /// the row once); a row untouched since its last publication is
     /// handed out again as is.
-    fn share(&mut self) -> (Arc<[E]>, bool) {
+    fn share(&mut self) -> (Arc<[u64]>, bool) {
         let mut copied = false;
-        if let Row::Owned(v) = &mut self.row {
-            let shared: Arc<[E]> = std::mem::take(v).into();
-            self.row = Row::Shared(shared);
+        if let Block::Owned(v) = &mut self.block {
+            let shared: Arc<[u64]> = std::mem::take(v).into();
+            self.block = Block::Shared(shared);
             copied = true;
         }
-        match &self.row {
-            Row::Shared(a) => (Arc::clone(a), copied),
-            Row::Owned(_) => unreachable!("row was just shared"),
-        }
-    }
-
-    /// Where `hub` is (`Ok`) or would be inserted (`Err`). A hub ranked
-    /// below every entry skips the binary search: construction pushes hubs
-    /// in rank order, so each of its lookups and inserts lands there.
-    #[inline]
-    fn search(&self, hub: Rank) -> Result<usize, usize> {
-        let entries = self.entries();
-        match entries.last() {
-            Some(last) if last.hub() >= hub => entries.binary_search_by_key(&hub, |e| e.hub()),
-            _ => Err(entries.len()),
+        match &self.block {
+            Block::Shared(a) => (Arc::clone(a), copied),
+            Block::Owned(_) => unreachable!("row was just shared"),
         }
     }
 
     /// Position of `hub`, if present.
     #[inline]
     pub fn position(&self, hub: Rank) -> Option<usize> {
-        self.search(hub).ok()
+        self.view().search(hub).ok()
     }
 
     /// Entry for `hub`, if present.
     #[inline]
-    pub fn get(&self, hub: Rank) -> Option<&E> {
-        self.position(hub).map(|i| &self.entries()[i])
+    pub fn get(&self, hub: Rank) -> Option<E> {
+        self.view().get(hub)
     }
 
     /// Whether `hub` labels this vertex (the paper's `h ∈ L(v)`).
@@ -358,20 +565,53 @@ impl<E: HubEntry> LabelRow<E> {
     /// Inserts or replaces the entry for `e.hub()`. Returns the previous
     /// entry if one existed.
     pub fn upsert(&mut self, e: E) -> Option<E> {
-        match self.search(e.hub()) {
-            Ok(i) if self.entries()[i] == e => Some(e),
-            Ok(i) => Some(std::mem::replace(&mut self.owned()[i], e)),
+        let row = self.view();
+        match row.search(e.hub()) {
+            Ok(i) => {
+                let old = row.entry(i);
+                if old != e {
+                    let (n, kw) = (row.len(), E::Key::WORDS);
+                    let block = self.owned();
+                    e.key().store(&mut block[i * kw..(i + 1) * kw]);
+                    block[n * kw + i] = e.count();
+                }
+                Some(old)
+            }
             Err(i) => {
-                self.owned().insert(i, e);
+                self.insert_at(i, e);
                 None
             }
         }
     }
 
+    /// Inserts `e` as entry `i`: keys from `i` on move up one key, counts
+    /// before `i` move up one key, counts from `i` on one key and one
+    /// count.
+    fn insert_at(&mut self, i: usize, e: E) {
+        let (n, kw) = (self.len(), E::Key::WORDS);
+        let block = self.owned();
+        block.resize((n + 1) * (kw + 1), 0);
+        let counts = n * kw;
+        block.copy_within(counts + i..counts + n, counts + kw + i + 1);
+        block.copy_within(counts..counts + i, counts + kw);
+        block.copy_within(i * kw..counts, (i + 1) * kw);
+        e.key().store(&mut block[i * kw..(i + 1) * kw]);
+        block[counts + kw + i] = e.count();
+    }
+
     /// Removes the entry for `hub`, returning it if present.
     pub fn remove(&mut self, hub: Rank) -> Option<E> {
-        let i = self.position(hub)?;
-        Some(self.owned().remove(i))
+        let row = self.view();
+        let i = row.search(hub).ok()?;
+        let (old, n, kw) = (row.entry(i), row.len(), E::Key::WORDS);
+        // The inverse of `insert_at`, lowest region first.
+        let block = self.owned();
+        let counts = n * kw;
+        block.copy_within((i + 1) * kw..counts, i * kw);
+        block.copy_within(counts..counts + i, counts - kw);
+        block.copy_within(counts + i + 1..counts + n, counts - kw + i);
+        block.truncate((n - 1) * (kw + 1));
+        Some(old)
     }
 
     /// Clears all entries except a fresh self label — used by the isolated
@@ -379,23 +619,23 @@ impl<E: HubEntry> LabelRow<E> {
     /// entries were dropped.
     pub fn reset_to_self(&mut self, rank: Rank) -> usize {
         let fresh = E::self_label(rank);
-        if self.entries() == [fresh] {
+        if self.len() == 1 && self.view().entry(0) == fresh {
             return 0;
         }
         // One binary search instead of a full counting pass: everything
         // drops except a present self label.
         let dropped = self.len() - usize::from(self.contains(rank));
         self.clear_all();
-        self.owned().push(fresh);
+        self.upsert(fresh);
         dropped
     }
 
     /// Removes every entry, self label included (a row about to be
     /// restored from scratch).
     pub fn clear_all(&mut self) {
-        match &mut self.row {
-            Row::Owned(v) => v.clear(),
-            Row::Shared(_) => self.row = Row::Owned(Vec::new()),
+        match &mut self.block {
+            Block::Owned(v) => v.clear(),
+            Block::Shared(_) => self.block = Block::Owned(Vec::new()),
         }
     }
 
@@ -406,16 +646,16 @@ impl<E: HubEntry> LabelRow<E> {
     /// two reference counts (and may be shared with published snapshots).
     #[inline]
     pub fn memory_byte_size(&self) -> usize {
-        let heap = match &self.row {
-            Row::Owned(v) => v.capacity() * std::mem::size_of::<E>(),
-            Row::Shared(a) => a.len() * std::mem::size_of::<E>() + 2 * std::mem::size_of::<usize>(),
+        let words = match &self.block {
+            Block::Owned(v) => v.capacity(),
+            Block::Shared(a) => a.len() + 2,
         };
-        std::mem::size_of::<Self>() + heap
+        std::mem::size_of::<Self>() + words * std::mem::size_of::<u64>()
     }
 
     /// Structural invariants: strictly increasing hub ranks.
     pub fn is_sorted_strict(&self) -> bool {
-        self.entries().windows(2).all(|w| w[0].hub() < w[1].hub())
+        self.keys().windows(2).all(|w| w[0].hub() < w[1].hub())
     }
 }
 
@@ -427,43 +667,55 @@ impl<E: HubEntry> LabelRow<E> {
 /// row, and the codec to every decoded one, so a damaged file is rejected
 /// instead of reaching the query kernels. The error names the first rule
 /// broken.
-pub(crate) fn check_row<E: HubEntry>(entries: &[E], owner: Rank) -> Result<(), String> {
-    if entries.windows(2).any(|w| w[0].hub() >= w[1].hub()) {
+pub(crate) fn check_row<E: HubEntry>(row: RowRef<'_, E>, owner: Rank) -> Result<(), String> {
+    if row.keys().windows(2).any(|w| w[0].hub() >= w[1].hub()) {
         return Err("not strictly sorted by hub rank".into());
     }
-    match entries.binary_search_by_key(&owner, |e| e.hub()) {
-        Ok(i) if entries[i] == E::self_label(owner) => {}
-        Ok(i) => return Err(format!("malformed self label {:?}", entries[i])),
+    match row.search(owner) {
+        Ok(i) if row.entry(i) == E::self_label(owner) => {}
+        Ok(i) => return Err(format!("malformed self label {:?}", row.entry(i))),
         Err(_) => return Err("missing its self label".into()),
     }
-    for e in entries {
-        if e.hub() > owner {
-            return Err(format!("holds a hub ranked below it: {e:?}"));
-        }
-        if e.dist() == E::Dist::INF {
-            return Err(format!("holds an infinite distance: {e:?}"));
-        }
-        if e.count() == 0 {
-            return Err(format!("holds a zero count: {e:?}"));
-        }
+    for (i, &k) in row.keys().iter().enumerate() {
+        let rule = if k.hub() > owner {
+            "holds a hub ranked below it"
+        } else if k.dist() == E::Dist::INF {
+            "holds an infinite distance"
+        } else if row.counts()[i] == 0 {
+            "holds a zero count"
+        } else {
+            continue;
+        };
+        return Err(format!("{rule}: {:?}", row.entry(i)));
     }
     Ok(())
 }
 
-/// One label family as published to readers: an immutable shared handle
-/// per vertex, produced by an index's publish step (sharing every row
-/// written since the previous publish), by a copying constructor, or by
-/// the decoder. Two families are equal when their rows hold the same
-/// entries.
-#[derive(Clone, Debug)]
+/// One label family as published to readers: an immutable shared block
+/// per vertex, in [`LabelRow`]'s layout, produced by an index's publish
+/// step (sharing every row written since the previous publish), by a
+/// copying freeze, or by the decoder. Two families are equal when their
+/// rows hold the same entries.
+#[derive(Clone)]
 pub struct SharedRows<E> {
-    rows: Vec<Arc<[E]>>,
+    rows: Vec<Arc<[u64]>>,
     copied: usize,
+    entry: PhantomData<E>,
 }
 
 impl<E: HubEntry> PartialEq for SharedRows<E> {
     fn eq(&self, other: &Self) -> bool {
         self.rows == other.rows
+    }
+}
+
+impl<E: HubEntry> std::fmt::Debug for SharedRows<E> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let rows = (0..self.num_vertices()).map(|v| self.row(v));
+        f.debug_struct("SharedRows")
+            .field("rows", &rows.collect::<Vec<_>>())
+            .field("copied", &self.copied)
+            .finish()
     }
 }
 
@@ -481,15 +733,24 @@ impl<E: HubEntry> SharedRows<E> {
                 shared
             })
             .collect();
-        SharedRows { rows, copied }
+        SharedRows {
+            rows,
+            copied,
+            entry: PhantomData,
+        }
     }
 
-    /// Takes each row as a fresh allocation (freezes that must not touch
-    /// the live index, the decoder, tests).
-    pub fn copied_from<R: Into<Arc<[E]>>>(rows: impl Iterator<Item = R>) -> Self {
-        let rows: Vec<Arc<[E]>> = rows.map(Into::into).collect();
+    /// Takes each block as a freshly made row (freezes that must not
+    /// touch the live index, the decoder). Each block must be in
+    /// [`LabelRow`]'s layout: keys in hub order, then counts.
+    pub(crate) fn from_blocks(rows: impl Iterator<Item = Arc<[u64]>>) -> Self {
+        let rows: Vec<Arc<[u64]>> = rows.collect();
         let copied = rows.len();
-        SharedRows { rows, copied }
+        SharedRows {
+            rows,
+            copied,
+            entry: PhantomData,
+        }
     }
 
     /// The same rows under a second handle each: nothing is copied.
@@ -497,17 +758,18 @@ impl<E: HubEntry> SharedRows<E> {
         SharedRows {
             rows: self.rows.clone(),
             copied: 0,
+            entry: PhantomData,
         }
     }
 
-    /// Vertex `v`'s sorted entries.
+    /// Vertex `v`'s row.
     #[inline]
-    pub fn row(&self, v: usize) -> &[E] {
-        &self.rows[v]
+    pub fn row(&self, v: usize) -> RowRef<'_, E> {
+        RowRef::of(&self.rows[v])
     }
 
-    /// Vertex `v`'s shared handle (pointer identity shows sharing).
-    pub fn handle(&self, v: usize) -> &Arc<[E]> {
+    /// Vertex `v`'s shared block (pointer identity shows sharing).
+    pub fn handle(&self, v: usize) -> &Arc<[u64]> {
         &self.rows[v]
     }
 
@@ -518,7 +780,7 @@ impl<E: HubEntry> SharedRows<E> {
 
     /// Total entries across all rows.
     pub fn num_entries(&self) -> usize {
-        self.rows.iter().map(|r| r.len()).sum()
+        self.rows.iter().map(|r| r.len()).sum::<usize>() / entry_words::<E>()
     }
 
     /// Rows this family copied when it was made; the rest are shared with
@@ -544,11 +806,15 @@ mod tests {
         LabelEntry::new(Rank(h), d, c)
     }
 
+    fn entries(row: RowRef<'_, LabelEntry>) -> Vec<LabelEntry> {
+        row.iter().collect()
+    }
+
     #[test]
     fn self_only_set() {
         let l = LabelSet::self_only(Rank(5));
         assert_eq!(l.len(), 1);
-        assert_eq!(l.get(Rank(5)), Some(&e(5, 0, 1)));
+        assert_eq!(l.get(Rank(5)), Some(e(5, 0, 1)));
         assert!(l.is_sorted_strict());
     }
 
@@ -560,7 +826,7 @@ mod tests {
         assert_eq!(l.upsert(e(9, 1, 1)), None);
         assert!(l.is_sorted_strict());
         assert_eq!(l.upsert(e(4, 5, 7)), Some(e(4, 2, 1)));
-        assert_eq!(l.get(Rank(4)), Some(&e(4, 5, 7)));
+        assert_eq!(l.get(Rank(4)), Some(e(4, 5, 7)));
         assert_eq!(l.len(), 3);
     }
 
@@ -583,7 +849,7 @@ mod tests {
         l.upsert(e(2, 2, 3));
         l.upsert(e(5, 0, 1));
         assert_eq!(l.reset_to_self(Rank(5)), 2);
-        assert_eq!(l.entries(), &[e(5, 0, 1)]);
+        assert_eq!(entries(l.view()), [e(5, 0, 1)]);
     }
 
     #[test]
@@ -594,6 +860,22 @@ mod tests {
             std::mem::size_of::<LabelRow<crate::weighted::WLabelEntry>>(),
             vec
         );
+    }
+
+    #[test]
+    fn a_published_entry_costs_its_key_and_its_count() {
+        use crate::weighted::WLabelEntry;
+        let mut l = LabelSet::new();
+        let mut w = LabelRow::<WLabelEntry>::new();
+        for h in 0..10 {
+            l.upsert(e(h, h + 1, 2));
+            w.upsert(WLabelEntry::new(Rank(h), u64::from(h) + 1, 2));
+        }
+        let (_, _) = (l.share(), w.share());
+        // The row, its block, and the block's two reference counts.
+        let overhead = std::mem::size_of::<LabelSet>() + 16;
+        assert_eq!(l.memory_byte_size(), overhead + 10 * 16);
+        assert_eq!(w.memory_byte_size(), overhead + 10 * 24);
     }
 
     #[test]
@@ -612,8 +894,8 @@ mod tests {
         // A real write copies; the published row does not see it.
         assert_eq!(l.upsert(e(1, 1, 1)), Some(e(1, 2, 3)));
         assert!(!l.is_shared());
-        assert_eq!(&first[..], &[e(1, 2, 3), e(5, 0, 1)]);
-        assert_eq!(l.entries(), &[e(1, 1, 1), e(5, 0, 1)]);
+        assert_eq!(entries(RowRef::of(&first)), [e(1, 2, 3), e(5, 0, 1)]);
+        assert_eq!(entries(l.view()), [e(1, 1, 1), e(5, 0, 1)]);
         let (next, copied) = l.share();
         assert!(copied && !Arc::ptr_eq(&first, &next));
     }
@@ -640,7 +922,7 @@ mod tests {
             assert!(l.is_shared());
             write(&mut l);
             assert!(!l.is_shared());
-            assert_eq!(&published[..], &[e(1, 2, 3), e(5, 0, 1)]);
+            assert_eq!(entries(RowRef::of(&published)), [e(1, 2, 3), e(5, 0, 1)]);
         }
         // Equality is by content, whatever the storage.
         let mut owned = LabelSet::new();
@@ -661,7 +943,7 @@ mod tests {
             assert_eq!(Arc::ptr_eq(first.handle(v), second.handle(v)), v != 2);
         }
         assert_eq!(second.num_entries(), 5);
-        assert_eq!(second.row(2), &[e(0, 1, 1), e(2, 0, 1)]);
+        assert_eq!(entries(second.row(2)), [e(0, 1, 1), e(2, 0, 1)]);
     }
 
     #[test]

@@ -27,7 +27,9 @@
 
 use crate::flat::KernelCounters;
 use crate::index::SpcIndex;
-use crate::label::{Count, HubEntry, LabelDist, LabelEntry, LabelRow, Rank, SharedRows, INF_DIST};
+use crate::label::{
+    Count, HubEntry, LabelDist, LabelEntry, Rank, RowKey, RowRef, SharedRows, INF_DIST,
+};
 use dspc_graph::VertexId;
 use std::sync::Arc;
 
@@ -67,10 +69,11 @@ impl From<(u32, Count)> for QueryResult {
 }
 
 /// The one label-merge kernel behind every query path — live and published
-/// rows of all three variants. It merges two rows
-/// sorted by hub rank; among common hubs it keeps the minimum
-/// `d_a + d_b` and accumulates `Σ c_a · c_b` over the hubs attaining it
-/// (Equations (1)–(2)), all with saturating arithmetic.
+/// rows of all three variants. It merges the keys of two rows sorted by
+/// hub rank; among common hubs it keeps the minimum `d_a + d_b` and
+/// accumulates `Σ c_a · c_b` over the hubs attaining it (Equations
+/// (1)–(2)), all with saturating arithmetic. A count is read only at a
+/// common hub that attains the minimum so far.
 ///
 /// `LIMITED` stops at the first hub not strictly above `limit`
 /// (`PreQUERY`); `COUNTED` tallies the deterministic work units into
@@ -79,18 +82,21 @@ impl From<(u32, Count)> for QueryResult {
 /// production path compiles without either test.
 #[inline]
 pub(crate) fn merge<E: HubEntry, const LIMITED: bool, const COUNTED: bool>(
-    a: &[E],
-    b: &[E],
+    a: RowRef<'_, E>,
+    b: RowRef<'_, E>,
     limit: Rank,
     counters: &mut KernelCounters,
 ) -> (E::Dist, Count) {
     let inf = E::Dist::INF;
+    let (ka, kb) = (a.keys(), b.keys());
+    // As long as the keys, so an index the loop bounds needs no check.
+    let (ca, cb) = (&a.counts()[..ka.len()], &b.counts()[..kb.len()]);
     let (mut i, mut j) = (0usize, 0usize);
     let mut best = inf;
     let mut count: Count = 0;
     let (mut steps, mut common) = (0u64, 0u64);
-    while i < a.len() && j < b.len() {
-        let (x, y) = (a[i].hub(), b[j].hub());
+    while i < ka.len() && j < kb.len() {
+        let (x, y) = (ka[i].hub(), kb[j].hub());
         if LIMITED && (x >= limit || y >= limit) {
             // Sorted ascending: once either side's head reaches the limit,
             // no common hub strictly above the limit remains.
@@ -103,12 +109,12 @@ pub(crate) fn merge<E: HubEntry, const LIMITED: bool, const COUNTED: bool>(
             if COUNTED {
                 common += 1;
             }
-            let d = a[i].dist().sat_add(b[j].dist());
+            let d = ka[i].dist().sat_add(kb[j].dist());
             if d < best {
                 best = d;
-                count = a[i].count().saturating_mul(b[j].count());
+                count = ca[i].saturating_mul(cb[j]);
             } else if d == best && d != inf {
-                count = count.saturating_add(a[i].count().saturating_mul(b[j].count()));
+                count = count.saturating_add(ca[i].saturating_mul(cb[j]));
             }
             i += 1;
             j += 1;
@@ -128,21 +134,25 @@ pub(crate) fn merge<E: HubEntry, const LIMITED: bool, const COUNTED: bool>(
 
 /// `SpcQUERY` over two rows.
 #[inline]
-pub(crate) fn query_rows<E: HubEntry>(a: &[E], b: &[E]) -> (E::Dist, Count) {
+pub(crate) fn query_rows<E: HubEntry>(a: RowRef<'_, E>, b: RowRef<'_, E>) -> (E::Dist, Count) {
     merge::<E, false, false>(a, b, Rank(0), &mut KernelCounters::new())
 }
 
 /// `PreQUERY` over two rows: hubs ranked strictly above `limit` only.
 #[inline]
-pub(crate) fn pre_query_rows<E: HubEntry>(a: &[E], b: &[E], limit: Rank) -> (E::Dist, Count) {
+pub(crate) fn pre_query_rows<E: HubEntry>(
+    a: RowRef<'_, E>,
+    b: RowRef<'_, E>,
+    limit: Rank,
+) -> (E::Dist, Count) {
     merge::<E, true, false>(a, b, limit, &mut KernelCounters::new())
 }
 
 /// Counted `SpcQUERY` over two rows.
 #[inline]
 pub(crate) fn counted_query_rows<E: HubEntry>(
-    a: &[E],
-    b: &[E],
+    a: RowRef<'_, E>,
+    b: RowRef<'_, E>,
     counters: &mut KernelCounters,
 ) -> (E::Dist, Count) {
     merge::<E, false, true>(a, b, Rank(0), counters)
@@ -151,7 +161,7 @@ pub(crate) fn counted_query_rows<E: HubEntry>(
 /// `SpcQUERY(s, t)` — Algorithm 1. Returns the shortest distance and the
 /// exact number of shortest paths, or [`QueryResult::DISCONNECTED`].
 pub fn spc_query(index: &SpcIndex, s: VertexId, t: VertexId) -> QueryResult {
-    let (dist, count) = query_rows(index.label_set(s).entries(), index.label_set(t).entries());
+    let (dist, count) = query_rows(index.label_set(s).view(), index.label_set(t).view());
     QueryResult { dist, count }
 }
 
@@ -166,8 +176,8 @@ pub fn spc_query_counted(
     t: VertexId,
 ) -> QueryResult {
     let (dist, count) = counted_query_rows(
-        index.label_set(s).entries(),
-        index.label_set(t).entries(),
+        index.label_set(s).view(),
+        index.label_set(t).view(),
         counters,
     );
     QueryResult { dist, count }
@@ -194,8 +204,8 @@ pub fn spc_query_counted(
 /// ```
 pub fn pre_query(index: &SpcIndex, s: VertexId, t: VertexId) -> QueryResult {
     let (dist, count) = pre_query_rows(
-        index.label_set(s).entries(),
-        index.label_set(t).entries(),
+        index.label_set(s).view(),
+        index.label_set(t).view(),
         index.rank(s),
     );
     QueryResult { dist, count }
@@ -210,7 +220,9 @@ pub fn pre_query(index: &SpcIndex, s: VertexId, t: VertexId) -> QueryResult {
 /// DecSPC probes it, so this is the reproduction's hottest path: the
 /// classification sweeps through the counting [`query`](Self::query), the
 /// label-writing sweeps through the early-exit
-/// [`certifies_shorter`](Self::certifies_shorter).
+/// [`certifies_shorter`](Self::certifies_shorter), which reads only the
+/// row's `(hub, dist)` keys. The counting scans read a count of `L(v)`
+/// only at a probe hit.
 ///
 /// Loading is sound for the duration of one rooted sweep: the sweep for
 /// hub `h` only rewrites `(h, ·, ·)` entries in *other* vertices' label
@@ -264,27 +276,33 @@ impl<E: HubEntry> HubProbe<E> {
     /// Pins a sorted label row (`L(h)`, or `L_out(h)` / `L_in(h)` for the
     /// directed extension, whose sweeps pin the family opposite the one
     /// they repair) whose hubs all rank below `rank_capacity`.
-    pub fn load_labels(&mut self, entries: &[E], rank_capacity: usize) {
+    pub fn load_labels(&mut self, row: RowRef<'_, E>, rank_capacity: usize) {
         self.ensure_capacity(rank_capacity);
         self.clear();
-        for e in entries {
-            self.dist[e.hub().index()] = e.dist();
-            self.count[e.hub().index()] = e.count();
-            self.loaded.push(e.hub());
+        // Each key is read once: a store into the probe may alias the row
+        // as far as the compiler knows, so a key read through a reference
+        // after one would be loaded again.
+        let (keys, counts) = (row.keys(), row.counts());
+        let (dist, count) = (&mut self.dist[..], &mut self.count[..]);
+        for (&k, &c) in keys.iter().zip(counts) {
+            let h = k.hub().index();
+            dist[h] = k.dist();
+            count[h] = c;
         }
+        self.loaded.extend(keys.iter().map(|k| k.hub()));
     }
 
     /// `SpcQUERY(h, v)` against the pinned `L(h)`: `(distance, count)`.
     #[inline]
-    pub fn query(&self, lv: &LabelRow<E>) -> (E::Dist, Count) {
-        self.query_limited(lv.entries(), None)
+    pub fn query(&self, lv: RowRef<'_, E>) -> (E::Dist, Count) {
+        self.query_limited(lv, None)
     }
 
     /// The prune test of the label-writing sweeps: whether some pinned hub
     /// ranked strictly above `limit` (any pinned hub when `limit` is
     /// `None`) certifies a path strictly shorter than `bound`, that is
-    /// `dist[h] ⊕ d_v(h) < bound`. Returns the verdict and the number of
-    /// `lv` entries read.
+    /// `dist[h] ⊕ d_v(h) < bound`, over `lv`, the keys of `L(v)`. Returns
+    /// the verdict and the number of keys read.
     ///
     /// The scan stops at the first witnessing hub, at `limit`, or past the
     /// pinned row's last hub, whichever comes first: no entry beyond those
@@ -295,21 +313,21 @@ impl<E: HubEntry> HubProbe<E> {
     #[inline]
     pub fn certifies_shorter(
         &self,
-        lv: &[E],
+        lv: &[E::Key],
         bound: E::Dist,
         limit: Option<Rank>,
     ) -> (bool, usize) {
         let verdict = self.first_witness(lv, bound, limit);
         debug_assert_eq!(
             verdict.0,
-            self.query_limited(lv, limit).0 < bound,
+            self.shortest(lv, limit) < bound,
             "early-exit prune disagrees with the full probe query"
         );
         verdict
     }
 
     #[inline]
-    fn first_witness(&self, lv: &[E], bound: E::Dist, limit: Option<Rank>) -> (bool, usize) {
+    fn first_witness(&self, lv: &[E::Key], bound: E::Dist, limit: Option<Rank>) -> (bool, usize) {
         let Some(&last) = self.loaded.last() else {
             return (false, 0);
         };
@@ -318,46 +336,81 @@ impl<E: HubEntry> HubProbe<E> {
             Some(lim) => last.min(Rank(lim.0 - 1)),
             None => last,
         };
-        for (read, e) in lv.iter().enumerate() {
-            if e.hub() > top {
+        for (read, &k) in lv.iter().enumerate() {
+            let h = k.hub();
+            if h > top {
                 return (false, read);
             }
             // An absent hub reads `INF`, and `INF ⊕ d = INF` never
             // undercuts a bound.
-            if self.dist[e.hub().index()].sat_add(e.dist()) < bound {
+            if self.dist[h.index()].sat_add(k.dist()) < bound {
                 return (true, read + 1);
             }
         }
         (false, lv.len())
     }
 
-    /// The full probe query over hubs ranked strictly above `limit`:
+    /// The probe query's distance over hubs ranked strictly above `limit`:
     /// the reference [`certifies_shorter`](Self::certifies_shorter) is
     /// checked against.
-    #[inline]
-    fn query_limited(&self, lv: &[E], limit: Option<Rank>) -> (E::Dist, Count) {
+    fn shortest(&self, lv: &[E::Key], limit: Option<Rank>) -> E::Dist {
         let inf = E::Dist::INF;
         let mut best = inf;
-        let mut count: Count = 0;
-        for e in lv {
-            if let Some(lim) = limit {
-                if e.hub() >= lim {
-                    break; // sorted ascending — nothing below can qualify
-                }
+        for &k in lv {
+            let h = k.hub();
+            if limit.is_some_and(|lim| h >= lim) {
+                break;
             }
-            let hd = self.dist[e.hub().index()];
+            let hd = self.dist[h.index()];
+            if hd != inf {
+                best = best.min(hd.sat_add(k.dist()));
+            }
+        }
+        best
+    }
+
+    /// The full probe query over hubs ranked strictly above `limit`.
+    #[inline]
+    fn query_limited(&self, lv: RowRef<'_, E>, limit: Option<Rank>) -> (E::Dist, Count) {
+        let Some(&last) = self.loaded.last() else {
+            return (E::Dist::INF, 0);
+        };
+        // Sorted ascending: no hub past the pinned row's last or at the
+        // limit can qualify.
+        let keys = lv.keys();
+        let end =
+            keys.partition_point(|k| k.hub() <= last && limit.is_none_or(|lim| k.hub() < lim));
+        let (best, count, _) = self.scan(&keys[..end], &lv.counts()[..end]);
+        (best, count)
+    }
+
+    /// `SpcQUERY` of the pinned row against the entries `(keys, counts)`,
+    /// none of whose hubs ranks below the pinned row's last: the distance,
+    /// the count, and how many of the hubs are pinned (common hubs). A
+    /// count is read only at a pinned hub that attains the minimum so far.
+    #[inline]
+    fn scan(&self, keys: &[E::Key], counts: &[Count]) -> (E::Dist, Count, usize) {
+        let inf = E::Dist::INF;
+        let dist = &self.dist[..];
+        // As long as `dist`, so a hub that indexes `dist` indexes it too.
+        let pinned = &self.count[..dist.len()];
+        let (mut best, mut count, mut common) = (inf, 0, 0);
+        for (&k, &c) in keys.iter().zip(counts) {
+            let h = k.hub().index();
+            let hd = dist[h];
             if hd == inf {
                 continue;
             }
-            let d = hd.sat_add(e.dist());
+            common += 1;
+            let d = hd.sat_add(k.dist());
             if d < best {
                 best = d;
-                count = self.count[e.hub().index()].saturating_mul(e.count());
+                count = pinned[h].saturating_mul(c);
             } else if d == best && d != inf {
-                count = count.saturating_add(self.count[e.hub().index()].saturating_mul(e.count()));
+                count = count.saturating_add(pinned[h].saturating_mul(c));
             }
         }
-        (best, count)
+        (best, count, common)
     }
 
     /// Counted `SpcQUERY(h, v)` against the pinned `L(h)`: the answer and
@@ -374,41 +427,22 @@ impl<E: HubEntry> HubProbe<E> {
     /// when `b` ends first. Probe hits are the common hubs.
     pub(crate) fn query_counted(
         &self,
-        lv: &[E],
+        lv: RowRef<'_, E>,
         counters: &mut KernelCounters,
     ) -> (E::Dist, Count) {
-        let inf = E::Dist::INF;
-        let mut best = inf;
-        let mut count: Count = 0;
         counters.queries += 1;
         let Some(&last) = self.loaded.last() else {
-            return (best, count);
+            return (E::Dist::INF, 0);
         };
-        let (mut scanned, mut common) = (0usize, 0usize);
-        for e in lv {
-            if e.hub() > last {
-                break;
-            }
-            scanned += 1;
-            let hd = self.dist[e.hub().index()];
-            if hd == inf {
-                continue;
-            }
-            common += 1;
-            let d = hd.sat_add(e.dist());
-            if d < best {
-                best = d;
-                count = self.count[e.hub().index()].saturating_mul(e.count());
-            } else if d == best && d != inf {
-                count = count.saturating_add(self.count[e.hub().index()].saturating_mul(e.count()));
-            }
-        }
-        let pinned = match lv.get(scanned) {
+        let keys = lv.keys();
+        let scanned = keys.partition_point(|k| k.hub() <= last);
+        let (best, count, common) = self.scan(&keys[..scanned], &lv.counts()[..scanned]);
+        let pinned = match keys.get(scanned) {
             // `lv` runs past the pinned row: the merge consumed all of it.
             Some(_) => self.loaded.len(),
-            None => lv
+            None => keys
                 .last()
-                .map_or(0, |e| self.loaded.partition_point(|&h| h <= e.hub())),
+                .map_or(0, |k| self.loaded.partition_point(|&h| h <= k.hub())),
         };
         counters.merge_steps += (pinned + scanned - common) as u64;
         counters.common_hubs += common as u64;
@@ -417,7 +451,7 @@ impl<E: HubEntry> HubProbe<E> {
 }
 
 /// A reader's pinned source row over published rows: a [`HubProbe`]
-/// loaded with the row, and a handle that keeps the row alive.
+/// loaded with the row, and a handle that keeps the row's block alive.
 ///
 /// A query whose source row is the pinned handle (`Arc::ptr_eq`) scans
 /// only the target row; any other query reloads the probe first. Pointer
@@ -429,7 +463,7 @@ impl<E: HubEntry> HubProbe<E> {
 #[derive(Debug)]
 pub struct RowPin<E: HubEntry = LabelEntry> {
     probe: HubProbe<E>,
-    row: Option<Arc<[E]>>,
+    row: Option<Arc<[u64]>>,
 }
 
 impl<E: HubEntry> Default for RowPin<E> {
@@ -450,7 +484,7 @@ impl<E: HubEntry> RowPin<E> {
         &mut self,
         sources: &SharedRows<E>,
         s: VertexId,
-        target: &[E],
+        target: RowRef<'_, E>,
         counters: &mut KernelCounters,
     ) -> (E::Dist, Count) {
         let row = sources.handle(s.index());
@@ -459,7 +493,8 @@ impl<E: HubEntry> RowPin<E> {
             .as_ref()
             .is_some_and(|pinned| Arc::ptr_eq(pinned, row))
         {
-            self.probe.load_labels(row, sources.num_vertices());
+            self.probe
+                .load_labels(sources.row(s.index()), sources.num_vertices());
             self.row = Some(Arc::clone(row));
         }
         self.probe.query_counted(target, counters)
@@ -470,6 +505,7 @@ impl<E: HubEntry> RowPin<E> {
 pub(crate) mod tests {
     use super::*;
     use crate::index::SpcIndex;
+    use crate::label::LabelRow;
     use crate::order::{OrderingStrategy, RankMap};
     use dspc_graph::generators::paper::figure2_g;
 
@@ -594,11 +630,11 @@ pub(crate) mod tests {
         let idx = table2_index();
         let mut probe = HubProbe::new(idx.ranks().len());
         for h in 0..12u32 {
-            probe.load_labels(idx.label_set(VertexId(h)).entries(), idx.ranks().len());
+            probe.load_labels(idx.label_set(VertexId(h)).view(), idx.ranks().len());
             for v in 0..12u32 {
                 let full = spc_query(&idx, VertexId(h), VertexId(v));
                 assert_eq!(
-                    probe.query(idx.label_set(VertexId(v))),
+                    probe.query(idx.label_set(VertexId(v)).view()),
                     (full.dist, full.count),
                     "h=v{h}, v=v{v}"
                 );
@@ -607,7 +643,7 @@ pub(crate) mod tests {
                     assert_eq!(
                         probe
                             .certifies_shorter(
-                                idx.label_set(VertexId(v)).entries(),
+                                idx.label_set(VertexId(v)).keys(),
                                 bound,
                                 Some(idx.rank(VertexId(h)))
                             )
@@ -620,13 +656,22 @@ pub(crate) mod tests {
         }
     }
 
+    /// A row holding `entries`.
+    fn row<E: HubEntry>(entries: &[E]) -> LabelRow<E> {
+        let mut row = LabelRow::new();
+        for &e in entries {
+            row.upsert(e);
+        }
+        row
+    }
+
     /// Checks [`HubProbe::certifies_shorter`] against the full probe query
     /// for one pinned row and target, at every limit (none, and each rank
     /// in `0..=ranks`) and every bound in `bounds`, and that a positive
     /// verdict's last entry read is its witness.
     fn assert_prune_matches_query<E: HubEntry>(
         probe: &HubProbe<E>,
-        lv: &[E],
+        lv: RowRef<'_, E>,
         ranks: u32,
         bounds: &[E::Dist],
     ) {
@@ -634,11 +679,11 @@ pub(crate) mod tests {
         for limit in limits {
             let (best, _) = probe.query_limited(lv, limit);
             for &bound in bounds {
-                let (verdict, read) = probe.certifies_shorter(lv, bound, limit);
+                let (verdict, read) = probe.certifies_shorter(lv.keys(), bound, limit);
                 assert_eq!(verdict, best < bound, "limit {limit:?}, bound {bound:?}");
                 assert!(read <= lv.len());
                 if verdict {
-                    let witness = lv[read - 1];
+                    let witness = lv.keys()[read - 1];
                     assert!(probe.dist[witness.hub().index()].sat_add(witness.dist()) < bound);
                 }
             }
@@ -652,9 +697,9 @@ pub(crate) mod tests {
         let mut probe = HubProbe::new(idx.ranks().len());
         let mut max = 0;
         for h in 0..n {
-            probe.load_labels(idx.label_set(VertexId(h)).entries(), idx.ranks().len());
+            probe.load_labels(idx.label_set(VertexId(h)).view(), idx.ranks().len());
             for v in 0..n {
-                let (d, _) = probe.query(idx.label_set(VertexId(v)));
+                let (d, _) = probe.query(idx.label_set(VertexId(v)).view());
                 if d != INF_DIST {
                     max = max.max(d);
                 }
@@ -662,9 +707,9 @@ pub(crate) mod tests {
         }
         let bounds: Vec<u32> = (0..=max + 1).chain([INF_DIST]).collect();
         for h in 0..n {
-            probe.load_labels(idx.label_set(VertexId(h)).entries(), idx.ranks().len());
+            probe.load_labels(idx.label_set(VertexId(h)).view(), idx.ranks().len());
             for v in 0..n {
-                let lv = idx.label_set(VertexId(v)).entries();
+                let lv = idx.label_set(VertexId(v)).view();
                 assert_prune_matches_query(&probe, lv, n, &bounds);
             }
         }
@@ -686,10 +731,10 @@ pub(crate) mod tests {
         ];
         let bounds = [0, 1, 13, 14, 15, big, u64::MAX - 1, u64::MAX];
         let mut probe = HubProbe::<WLabelEntry>::new(4);
-        for row in pinned {
-            probe.load_labels(row, 4);
-            for lv in targets {
-                assert_prune_matches_query(&probe, lv, 4, &bounds);
+        for pinned in pinned.map(row) {
+            probe.load_labels(pinned.view(), 4);
+            for lv in targets.map(row) {
+                assert_prune_matches_query(&probe, lv.view(), 4, &bounds);
             }
         }
     }
@@ -699,11 +744,11 @@ pub(crate) mod tests {
         let idx = table2_index();
         let mut probe = HubProbe::default();
         for h in 0..12u32 {
-            probe.load_labels(idx.label_set(VertexId(h)).entries(), idx.ranks().len());
+            probe.load_labels(idx.label_set(VertexId(h)).view(), idx.ranks().len());
             for v in 0..12u32 {
                 let (a, b) = (
-                    idx.label_set(VertexId(h)).entries(),
-                    idx.label_set(VertexId(v)).entries(),
+                    idx.label_set(VertexId(h)).view(),
+                    idx.label_set(VertexId(v)).view(),
                 );
                 let (mut merged, mut probed) = (KernelCounters::new(), KernelCounters::new());
                 let want = counted_query_rows(a, b, &mut merged);
@@ -726,10 +771,12 @@ pub(crate) mod tests {
         ];
         // A probe sized to ranks 0..6: target hubs 6 and 7 lie past it and
         // past every pinned row's last hub, so the scan never reaches them.
+        let rows = rows.map(row);
         let mut probe = HubProbe::new(6);
         for a in &rows[..5] {
+            let a = a.view();
             probe.load_labels(a, 6);
-            for b in rows {
+            for b in rows.iter().map(LabelRow::view) {
                 let (mut merged, mut probed) = (KernelCounters::new(), KernelCounters::new());
                 let want = counted_query_rows(a, b, &mut merged);
                 assert_eq!(probe.query_counted(b, &mut probed), want, "{a:?} / {b:?}");
@@ -742,10 +789,10 @@ pub(crate) mod tests {
     fn probe_reload_clears_previous_hub() {
         let idx = table2_index();
         let mut probe = HubProbe::new(idx.ranks().len());
-        probe.load_labels(idx.label_set(VertexId(0)).entries(), idx.ranks().len());
-        let with_v0 = probe.query(idx.label_set(VertexId(9)));
-        probe.load_labels(idx.label_set(VertexId(11)).entries(), idx.ranks().len());
-        let with_v11 = probe.query(idx.label_set(VertexId(9)));
+        probe.load_labels(idx.label_set(VertexId(0)).view(), idx.ranks().len());
+        let with_v0 = probe.query(idx.label_set(VertexId(9)).view());
+        probe.load_labels(idx.label_set(VertexId(11)).view(), idx.ranks().len());
+        let with_v11 = probe.query(idx.label_set(VertexId(9)).view());
         assert_ne!(with_v0, with_v11);
         assert_eq!(with_v11.0, 1 + 4); // via common hub v0 only
     }

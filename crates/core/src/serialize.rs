@@ -23,12 +23,15 @@
 //! **v2** ([`encode_flat`] / [`encode_index_v2`]) stores the label rows
 //! as CSR columns (compressed sparse rows: per-vertex `offsets` into the
 //! `hubs`, `dists` and `counts` columns). Each column section is
-//! length-prefixed (element count as `u64`) and starts 8-byte aligned. The
-//! encoders write the columns straight from label rows, live or published;
-//! the decoder reads each vertex's slice of the three columns straight into
-//! one shared row of a [`FlatIndex`], and [`decode_index`] thaws that
-//! snapshot into a live index without copying a row
-//! ([`crate::flat::Snapshot::thaw`]). [`put_index_v2`] appends the image
+//! length-prefixed (element count as `u64`) and starts 8-byte aligned. A
+//! row holds its `(hub, dist)` keys, then its counts
+//! ([`crate::label::LabelRow`]), so the codec is per-row copies: the
+//! encoders write each row's keys into the hub and distance columns and
+//! its counts into the count column, straight from label rows, live or
+//! published; the decoder builds each vertex's row block from its slices
+//! of the three columns, one shared row of a [`FlatIndex`], and
+//! [`decode_index`] thaws that snapshot into a live index without copying
+//! a row ([`crate::flat::Snapshot::thaw`]). [`put_index_v2`] appends the image
 //! to a caller's buffer (the serving layer's checkpoint embeds it).
 //!
 //! ```text
@@ -63,7 +66,7 @@
 
 use crate::flat::{FlatIndex, Snapshot};
 use crate::index::SpcIndex;
-use crate::label::{check_row, packed, LabelEntry, Rank, SharedRows};
+use crate::label::{check_row, packed, HubEntry, LabelEntry, Rank, RowKey, RowRef, SharedRows};
 use crate::order::{OrderingStrategy, RankMap};
 use crate::shard::even_bounds;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -158,15 +161,9 @@ impl std::error::Error for CodecError {}
 pub fn encode_index(index: &SpcIndex) -> Bytes {
     let n = index.num_vertices();
     let packed_ok = (0..n).all(|v| {
-        index
-            .label_set(VertexId(v as u32))
-            .entries()
-            .iter()
-            .all(|e| {
-                e.hub.0 <= packed::MAX_HUB
-                    && e.dist <= packed::MAX_DIST
-                    && e.count <= packed::MAX_COUNT
-            })
+        index.label_set(VertexId(v as u32)).iter().all(|e| {
+            e.hub.0 <= packed::MAX_HUB && e.dist <= packed::MAX_DIST && e.count <= packed::MAX_COUNT
+        })
     });
     let mut buf = BytesMut::with_capacity(20 + n * 8 + index.num_entries() * 16);
     buf.put_slice(MAGIC);
@@ -179,9 +176,9 @@ pub fn encode_index(index: &SpcIndex) -> Bytes {
     for v in 0..n {
         let ls = index.label_set(VertexId(v as u32));
         buf.put_u32_le(ls.len() as u32);
-        for e in ls.entries() {
+        for e in ls.iter() {
             if packed_ok {
-                buf.put_u64_le(packed::pack(*e).expect("checked packable").0);
+                buf.put_u64_le(packed::pack(e).expect("checked packable").0);
             } else {
                 buf.put_u32_le(e.hub.0);
                 buf.put_u32_le(e.dist);
@@ -238,14 +235,21 @@ fn rank_map(vertex_at: &[u32]) -> Result<RankMap, CodecError> {
     ))
 }
 
-/// A one-shard snapshot of decoded `rows` (vertex `v`'s is `rows[v]`),
-/// each of which must obey the rules of a stored row.
-fn decoded(rows: Vec<Arc<[LabelEntry]>>, ranks: RankMap) -> Result<FlatIndex, CodecError> {
-    for (v, row) in rows.iter().enumerate() {
-        check_row(row, ranks.rank(VertexId::from_index(v))).map_err(|_| CodecError::BadColumns)?;
-    }
+/// The row block of `len` entries: the keys `key(k)`, then the counts
+/// `count(k)`, `k` in `0..len`.
+fn row_block(len: usize, key: impl Fn(usize) -> u64, count: impl Fn(usize) -> u64) -> Arc<[u64]> {
+    (0..len).map(key).chain((0..len).map(count)).collect()
+}
+
+/// A one-shard snapshot of decoded row blocks (vertex `v`'s is
+/// `rows[v]`), each of which must obey the rules of a stored row.
+fn decoded(rows: Vec<Arc<[u64]>>, ranks: RankMap) -> Result<FlatIndex, CodecError> {
     let bounds = even_bounds(rows.len(), 1);
-    let rows = SharedRows::copied_from(rows.into_iter());
+    let rows = SharedRows::<LabelEntry>::from_blocks(rows.into_iter());
+    for v in 0..rows.num_vertices() {
+        check_row(rows.row(v), ranks.rank(VertexId::from_index(v)))
+            .map_err(|_| CodecError::BadColumns)?;
+    }
     Ok(Snapshot::from_parts(vec![rows], ranks, bounds))
 }
 
@@ -285,7 +289,8 @@ fn decode_v1(mut data: &[u8]) -> Result<FlatIndex, CodecError> {
                 LabelEntry::new(hub, dist, data.get_u64_le())
             }
         };
-        rows.push((0..len).map(|_| entry(&mut data)).collect());
+        let entries: Vec<LabelEntry> = (0..len).map(|_| entry(&mut data)).collect();
+        rows.push(row_block(len, |k| entries[k].key(), |k| entries[k].count));
     }
     decoded(rows, ranks)
 }
@@ -306,8 +311,10 @@ pub fn v2_image_len(n: usize, entries: usize) -> usize {
 /// Appends the v2 image of the rows `row(v)`, `v` in `0..n`, under `ranks`
 /// to `out`: header, rank permutation, the four length-prefixed column
 /// sections (aligned to 8 bytes from the image's first byte), and the
-/// per-section checksum footer.
-fn put_v2<'a>(out: &mut Vec<u8>, ranks: &RankMap, row: impl Fn(usize) -> &'a [LabelEntry]) {
+/// per-section checksum footer. Each column is copied row by row: the hub
+/// and distance columns from a row's keys, the count column from its
+/// counts.
+fn put_v2<'a>(out: &mut Vec<u8>, ranks: &RankMap, row: impl Fn(usize) -> RowRef<'a, LabelEntry>) {
     let n = ranks.len();
     let base = out.len();
     let pad = |out: &mut Vec<u8>| {
@@ -334,18 +341,24 @@ fn put_v2<'a>(out: &mut Vec<u8>, ranks: &RankMap, row: impl Fn(usize) -> &'a [La
     }
     pad(out);
     ends[1] = out.len();
-    let column = |out: &mut Vec<u8>, put: fn(&mut Vec<u8>, &LabelEntry)| {
+    let column = |out: &mut Vec<u8>, put: fn(&mut Vec<u8>, RowRef<'a, LabelEntry>)| {
         out.put_u64_le(entries as u64);
-        for e in (0..n).flat_map(&row) {
-            put(out, e);
+        for v in 0..n {
+            put(out, row(v));
         }
         pad(out);
     };
-    column(out, |out, e| out.put_u32_le(e.hub.0));
+    column(out, |out, r| {
+        r.keys().iter().for_each(|k| out.put_u32_le(k.hub().0))
+    });
     ends[2] = out.len();
-    column(out, |out, e| out.put_u32_le(e.dist));
+    column(out, |out, r| {
+        r.keys().iter().for_each(|k| out.put_u32_le(k.dist()))
+    });
     ends[3] = out.len();
-    column(out, |out, e| out.put_u64_le(e.count));
+    column(out, |out, r| {
+        r.counts().iter().for_each(|&c| out.put_u64_le(c))
+    });
     ends[4] = out.len();
     // Checksum footer: one crc64 per section, then the trailing marker the
     // decoder detects the footer by.
@@ -380,7 +393,7 @@ pub fn encode_index_v2(index: &SpcIndex) -> Bytes {
 /// for [`v2_image_len`] more.
 pub fn put_index_v2(index: &SpcIndex, out: &mut Vec<u8>) {
     put_v2(out, index.ranks(), |v| {
-        index.label_set(VertexId::from_index(v)).entries()
+        index.label_set(VertexId::from_index(v)).view()
     });
 }
 
@@ -469,14 +482,22 @@ fn decode_v2(data: &[u8]) -> Result<FlatIndex, CodecError> {
     {
         return Err(CodecError::BadColumns);
     }
-    let entry = |k: usize| {
-        let u32_at = |col: &[u8]| u32::from_le_bytes(col[4 * k..4 * k + 4].try_into().expect("4"));
-        let count = u64::from_le_bytes(counts[8 * k..8 * k + 8].try_into().expect("8 bytes"));
-        LabelEntry::new(Rank(u32_at(hubs)), u32_at(dists), count)
+    let u32_at = |col: &[u8], k: usize| {
+        u32::from_le_bytes(col[4 * k..4 * k + 4].try_into().expect("4 bytes"))
     };
+    let key = |k: usize| <u64 as RowKey>::new(Rank(u32_at(hubs, k)), u32_at(dists, k));
+    let count =
+        |k: usize| u64::from_le_bytes(counts[8 * k..8 * k + 8].try_into().expect("8 bytes"));
     let rows = offsets
         .windows(2)
-        .map(|w| (w[0] as usize..w[1] as usize).map(&entry).collect())
+        .map(|w| {
+            let first = w[0] as usize;
+            row_block(
+                (w[1] - w[0]) as usize,
+                |k| key(first + k),
+                |k| count(first + k),
+            )
+        })
         .collect();
     decoded(rows, ranks)
 }

@@ -157,7 +157,7 @@ pub fn label_census(g: &UndirectedGraph, index: &SpcIndex) -> LabelCensus {
     let mut bfs = BfsCounter::new(g.capacity());
     let mut census = LabelCensus::default();
     for v in g.vertices() {
-        for e in index.label_set(v).entries() {
+        for e in index.label_set(v).iter() {
             let h = index.vertex(e.hub);
             if h == v {
                 census.canonical += 1;
@@ -249,7 +249,7 @@ mod tests {
         let mut index = build_index(&g, OrderingStrategy::Identity);
         // Corrupt one count.
         let r0 = index.rank(VertexId(0));
-        let e = *index.label_set(VertexId(9)).get(r0).unwrap();
+        let e = index.label_set(VertexId(9)).get(r0).unwrap();
         index
             .label_set_mut(VertexId(9))
             .upsert(LabelEntry::new(r0, e.dist, e.count + 1));
@@ -277,11 +277,7 @@ mod tests {
             let built = crate::build::rebuild_index(&g, ranks.clone());
             let truth = espc_ground_truth(&g, &ranks);
             for v in g.vertices() {
-                assert_eq!(
-                    built.label_set(v).entries(),
-                    truth.label_set(v).entries(),
-                    "L({v:?})"
-                );
+                assert_eq!(built.label_set(v), truth.label_set(v), "L({v:?})");
             }
         }
     }

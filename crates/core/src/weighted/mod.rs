@@ -61,6 +61,7 @@ impl WLabelEntry {
 
 impl HubEntry for WLabelEntry {
     type Dist = WDist;
+    type Key = [u64; 2];
     #[inline]
     fn hub(&self) -> Rank {
         self.hub
@@ -129,7 +130,7 @@ impl From<(WDist, Count)> for WQueryResult {
 
 /// Weighted `SpcQUERY(s, t)`.
 pub fn weighted_spc_query(index: &WeightedSpcIndex, s: VertexId, t: VertexId) -> WQueryResult {
-    let (dist, count) = query_rows(index.label_set(s).entries(), index.label_set(t).entries());
+    let (dist, count) = query_rows(index.label_set(s).view(), index.label_set(t).view());
     WQueryResult { dist, count }
 }
 
@@ -137,8 +138,8 @@ pub fn weighted_spc_query(index: &WeightedSpcIndex, s: VertexId, t: VertexId) ->
 /// ranked strictly above `s`.
 pub fn weighted_pre_query(index: &WeightedSpcIndex, s: VertexId, t: VertexId) -> WQueryResult {
     let (dist, count) = pre_query_rows(
-        index.label_set(s).entries(),
-        index.label_set(t).entries(),
+        index.label_set(s).view(),
+        index.label_set(t).view(),
         index.rank(s),
     );
     WQueryResult { dist, count }

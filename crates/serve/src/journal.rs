@@ -1242,6 +1242,39 @@ mod tests {
     }
 
     #[test]
+    fn counters_restored_at_their_limit_saturate() {
+        let scratch = ScratchDir::new("dspc_journal_saturate").unwrap();
+        let dir = scratch.path();
+        let engine = DynamicSpc::build(
+            UndirectedGraph::from_edges(3, &[(0, 1), (1, 2)]),
+            OrderingStrategy::Degree,
+        );
+        write_atomic(&state_path(dir, 1), &engine.encode_state()).unwrap();
+        // The WAL holds only its header record, whose length replay adds
+        // back: the restored counter is exactly `u64::MAX`.
+        let mut payload = BytesMut::with_capacity(80);
+        CheckpointHeader::default().encode(&mut payload);
+        let wal_len = frame_record(&payload).len() as u64;
+        let header = CheckpointHeader {
+            generation: 1,
+            journal_bytes: u64::MAX - wal_len,
+            ..CheckpointHeader::default()
+        };
+        commit_checkpoint::<GraphUpdate>(dir, &header, &[]).unwrap();
+        let config = crate::ServeConfig { shards: 1 };
+        let (mut server, _) = crate::EpochServer::<DynamicSpc>::recover(dir, config).unwrap();
+        assert_eq!(server.stats().journal_bytes, u64::MAX);
+        // A journaled submit and rotation append records: the counter
+        // stays saturated instead of overflowing.
+        server
+            .submit([GraphUpdate::InsertEdge(VertexId(0), VertexId(2))])
+            .unwrap();
+        server.rotate().unwrap();
+        assert_eq!(server.stats().journal_bytes, u64::MAX);
+        assert_eq!(server.stats().rotations, 1);
+    }
+
+    #[test]
     fn wal_parse_requires_a_header_first() {
         let lone = encode_batch_record(&[GraphUpdate::InsertVertex]);
         match parse_wal::<GraphUpdate>(&lone) {

@@ -46,7 +46,9 @@ pub struct RotationReport {
 
 /// Aggregate write-side counters across a server's lifetime. For a
 /// journaled server these survive crashes: they are checkpointed into the
-/// WAL header and restored (plus replay) by [`EpochServer::recover`].
+/// WAL header and restored (plus replay) by [`EpochServer::recover`]. A
+/// restored counter may already sit near `u64::MAX`, so every counter
+/// saturates, as [`dspc::Count`] arithmetic does, instead of overflowing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Snapshots published past the initial one.
@@ -137,6 +139,11 @@ impl<U: std::fmt::Debug> std::fmt::Display for SubmitError<U> {
 }
 
 impl<U: std::fmt::Debug> std::error::Error for SubmitError<U> {}
+
+/// Adds `n` to a [`ServerStats`] counter, saturating at `u64::MAX`.
+fn bump(counter: &mut u64, n: u64) {
+    *counter = counter.saturating_add(n);
+}
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -284,7 +291,7 @@ impl<E: ServingEngine> EpochServer<E> {
                 .append_batch(&batch)
                 .and_then(|n| journal.sync().map(|()| n))
             {
-                Ok(n) => self.stats.journal_bytes += n,
+                Ok(n) => bump(&mut self.stats.journal_bytes, n),
                 Err(error) => {
                     return Err(SubmitError {
                         error,
@@ -382,14 +389,14 @@ impl<E: ServingEngine> EpochServer<E> {
         let snapshot = self.engine.freeze(self.config.shards);
         let rows_copied = snapshot.rows_copied();
         let epoch = self.publisher.publish(snapshot);
-        self.stats.rotations += 1;
-        self.stats.updates_applied += batch.len() as u64;
+        bump(&mut self.stats.rotations, 1);
+        bump(&mut self.stats.updates_applied, batch.len() as u64);
         if let Some(journal) = self.journal.as_mut() {
             match journal
                 .append_epoch(epoch)
                 .and_then(|n| journal.sync().map(|()| n))
             {
-                Ok(n) => self.stats.journal_bytes += n,
+                Ok(n) => bump(&mut self.stats.journal_bytes, n),
                 // The batch WAS applied and published; the marker is
                 // missing, so recovery would replay it against the last
                 // checkpoint — still exact relative to durable state.
@@ -416,15 +423,15 @@ impl<E: ServingEngine> EpochServer<E> {
         batch: Vec<E::Update>,
         kind: RotationFailure,
     ) -> RotationError<E::Update> {
-        self.stats.rejected_updates += batch.len() as u64;
-        self.stats.quarantined_rotations += 1;
+        bump(&mut self.stats.rejected_updates, batch.len() as u64);
+        bump(&mut self.stats.quarantined_rotations, 1);
         let kind = match self.journal.as_mut() {
             Some(journal) => match journal
                 .append_quarantine()
                 .and_then(|n| journal.sync().map(|()| n))
             {
                 Ok(n) => {
-                    self.stats.journal_bytes += n;
+                    bump(&mut self.stats.journal_bytes, n);
                     kind
                 }
                 Err(e) => RotationFailure::Journal(e),
@@ -471,7 +478,7 @@ impl<E: DurableEngine> EpochServer<E> {
             ..CheckpointHeader::default()
         };
         let (journal, bytes) = commit_checkpoint::<E::Update>(dir, &header, &[])?;
-        server.stats.journal_bytes += bytes;
+        bump(&mut server.stats.journal_bytes, bytes);
         server.journal = Some(journal);
         Ok(server)
     }
@@ -510,7 +517,7 @@ impl<E: DurableEngine> EpochServer<E> {
             self.journal = None;
             return Err(JournalError::InjectedCrash(Failpoint::KillAfterManifest));
         }
-        self.stats.journal_bytes += bytes;
+        bump(&mut self.stats.journal_bytes, bytes);
         self.journal = Some(journal);
         remove_orphans(&dir, generation);
         Ok(generation)

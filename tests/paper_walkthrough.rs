@@ -68,7 +68,6 @@ fn table2_is_reproduced_exactly() {
     for &(vertex, expected) in TABLE2 {
         let got: Vec<(u32, u32, u64)> = index
             .label_set(v(vertex))
-            .entries()
             .iter()
             .map(|e| (e.hub.0, e.dist, e.count))
             .collect();

@@ -3,13 +3,18 @@
 //! brute-force oracle, and the core data structures must uphold their
 //! invariants.
 
-use dspc::label::{packed, LabelEntry, LabelSet, Rank};
+use dspc::label::{
+    packed, Count, HubEntry, LabelDist, LabelEntry, LabelRow, LabelSet, Rank, RowKey, SharedRows,
+};
 use dspc::verify::verify_all_pairs;
+use dspc::weighted::WLabelEntry;
 use dspc::{DynamicSpc, OrderingStrategy};
 use dspc_graph::traversal::bfs::BfsCounter;
 use dspc_graph::traversal::bibfs::BiBfsCounter;
 use dspc_graph::{UndirectedGraph, VertexId};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Strategy: a small random graph as (n, edge list).
 fn graph_strategy(max_n: usize) -> impl Strategy<Value = UndirectedGraph> {
@@ -28,6 +33,74 @@ enum Op {
     Insert(usize),
     /// Delete the i-th existing edge (mod count).
     Delete(usize),
+}
+
+/// Hub ranks the split-row model check draws from.
+const ROW_HUBS: u32 = 40;
+
+/// One step of the split-row model check: an op code (0–4 upsert, 5–6
+/// remove, 7 reset to self, 8 clear, 9 publish), then the hub, distance
+/// and count the op uses.
+type RowStep = (u8, u32, u64, u64);
+
+/// Drives one [`LabelRow`] through `steps` against a sorted-map model.
+/// After every step the row's keys ascend strictly, and its keys, counts,
+/// `len`, `get` and `contains` agree with the model; every family
+/// published earlier still holds what it held (copy-on-write); and a row
+/// no mutator touched since its last publish republishes the same handle.
+fn model_check_row<E: HubEntry>(steps: &[RowStep], entry: impl Fn(u32, u64, Count) -> E) {
+    let mut row = LabelRow::<E>::new();
+    let mut model: BTreeMap<Rank, (E::Dist, Count)> = BTreeMap::new();
+    let mut published: Vec<(SharedRows<E>, Vec<E>)> = Vec::new();
+    let mut touched = true;
+    for &(op, hub, dist, count) in steps {
+        let hub = Rank(hub);
+        match op {
+            0..=4 => {
+                let e = entry(hub.0, dist, count);
+                let old = row.upsert(e).map(|o| (o.dist(), o.count()));
+                assert_eq!(old, model.insert(hub, (e.dist(), e.count())));
+            }
+            5 | 6 => {
+                let old = row.remove(hub).map(|o| (o.dist(), o.count()));
+                assert_eq!(old, model.remove(&hub));
+            }
+            7 => {
+                let dropped = model.len() - usize::from(model.contains_key(&hub));
+                assert_eq!(row.reset_to_self(hub), dropped);
+                model.clear();
+                model.insert(hub, (<E::Dist as LabelDist>::ZERO, 1));
+            }
+            8 => {
+                row.clear_all();
+                model.clear();
+            }
+            _ => {
+                let family = SharedRows::publish(std::slice::from_mut(&mut row));
+                if let (false, Some((last, _))) = (touched, published.last()) {
+                    assert!(Arc::ptr_eq(family.handle(0), last.handle(0)));
+                }
+                published.push((family, row.iter().collect()));
+            }
+        }
+        touched = op < 9;
+        let keys = row.keys();
+        assert!(keys.windows(2).all(|w| w[0].hub() < w[1].hub()));
+        let want: Vec<(Rank, E::Dist)> = model.iter().map(|(&h, &(d, _))| (h, d)).collect();
+        let got: Vec<(Rank, E::Dist)> = keys.iter().map(|k| (k.hub(), k.dist())).collect();
+        assert_eq!(got, want);
+        let counts: Vec<Count> = model.values().map(|&(_, c)| c).collect();
+        assert_eq!(row.counts(), &counts[..]);
+        assert_eq!(row.len(), model.len());
+        for h in (0..ROW_HUBS).map(Rank) {
+            let got = row.get(h).map(|e| (e.dist(), e.count()));
+            assert_eq!(got, model.get(&h).copied());
+            assert_eq!(row.contains(h), model.contains_key(&h));
+        }
+        for (family, held) in &published {
+            assert_eq!(&family.row(0).iter().collect::<Vec<_>>(), held);
+        }
+    }
 }
 
 fn ops_strategy(len: usize) -> impl Strategy<Value = Vec<Op>> {
@@ -146,6 +219,17 @@ proptest! {
             let e = ls.get(Rank(hub)).unwrap();
             prop_assert_eq!((e.dist, e.count), (dist, count));
         }
+    }
+
+    /// The split row (keys, then counts, in one copy-on-write block) is
+    /// a sorted map under every mutator and publication, unweighted and
+    /// weighted alike.
+    #[test]
+    fn split_rows_match_a_sorted_map_model(
+        steps in proptest::collection::vec((0u8..10, 0..ROW_HUBS, 0u64..1 << 40, 1u64..u64::MAX), 0..80)
+    ) {
+        model_check_row(&steps, |h, d, c| LabelEntry::new(Rank(h), d as u32, c));
+        model_check_row(&steps, |h, d, c| WLabelEntry::new(Rank(h), d, c));
     }
 
     /// Index serialization round-trips any freshly built index.

@@ -16,12 +16,14 @@
 //! rotations rewrite the rows it holds.
 
 use dspc::dynamic::GraphUpdate;
+use dspc::serialize::{decode_flat, encode_flat};
 use dspc::shard::{even_bounds, ShardedFlatIndex};
 use dspc::{
     pre_query, spc_query, DynamicSpc, FlatIndex, FlatScratch, KernelCounters, OrderingStrategy,
     QueryResult,
 };
 use dspc_graph::generators::classic::grid_graph;
+use dspc_graph::scratch::ScratchDir;
 use dspc_graph::traversal::bfs::BfsCounter;
 use dspc_graph::{UndirectedGraph, VertexId};
 use dspc_serve::{EpochServer, ServeConfig};
@@ -251,11 +253,15 @@ proptest! {
 
 /// Path counts overflow `u64` on a 36×36 grid: the corners are 70 apart
 /// with C(70, 35) ≈ 1.1·10²⁰ shortest paths. The live kernel, the flat
-/// columns and the published snapshot must all saturate to `u64::MAX`
-/// (not wrap), before and after a rotation that inserts a chord two
-/// corners see at equal distance. A reader answers through its pinned
-/// source row, so each epoch asks `(corner, far)` twice — a reload, then a
-/// kept pin — and `(far, corner)` once (a reload again).
+/// columns, the published snapshot, a v2 file round trip (encode, decode,
+/// thaw) and a journaled server checkpointed and recovered must all
+/// saturate to `u64::MAX` (not wrap) and agree with the saturating BFS
+/// oracle: before any update, after a rotation that inserts a chord two
+/// corners see at equal distance, and after one that deletes an edge at
+/// the corner, whose repair rewrites saturated counts (C(69, 34) ≈
+/// 5.6·10¹⁹ corner paths remain). A reader answers through
+/// its pinned source row, so each epoch asks `(corner, far)` twice — a
+/// reload, then a kept pin — and `(far, corner)` once (a reload again).
 #[test]
 fn saturated_counts_survive_publication() {
     let side = 36;
@@ -266,19 +272,28 @@ fn saturated_counts_survive_publication() {
         dist: 70,
         count: u64::MAX,
     };
-    let mut server = EpochServer::new(
-        DynamicSpc::build(g, OrderingStrategy::Degree),
-        ServeConfig { shards: 4 },
-    );
+    let config = || ServeConfig { shards: 4 };
+    let dir = ScratchDir::new("dspc_saturated_counts").unwrap();
+    let engine = DynamicSpc::build(g, OrderingStrategy::Degree);
+    let mut server = EpochServer::with_journal(engine, config(), dir.path()).unwrap();
     let mut reader = server.reader();
-    for epoch in 0..2 {
-        if epoch == 1 {
-            server
-                .submit([GraphUpdate::InsertEdge(at(10, 20), at(20, 10))])
-                .unwrap();
+    let mut bfs = BfsCounter::new(side * side);
+    let epochs = [
+        None,
+        Some(GraphUpdate::InsertEdge(at(10, 20), at(20, 10))),
+        Some(GraphUpdate::DeleteEdge(at(0, 0), at(0, 1))),
+    ];
+    for (epoch, update) in (0u64..).zip(epochs) {
+        if let Some(update) = update {
+            server.submit([update]).unwrap();
             assert!(server.rotate().unwrap().rows_copied > 0);
         }
         let engine = server.engine();
+        assert_eq!(
+            bfs.count(engine.graph(), corner, far),
+            saturated.as_option(),
+            "oracle, epoch {epoch}"
+        );
         assert_eq!(
             spc_query(engine.index(), corner, far),
             saturated,
@@ -286,6 +301,13 @@ fn saturated_counts_survive_publication() {
         );
         let flat = FlatIndex::freeze(engine.index());
         assert_eq!(flat.query(corner, far), saturated, "flat, epoch {epoch}");
+        let decoded = decode_flat(&encode_flat(&flat)).unwrap();
+        assert_eq!(decoded.query(corner, far), saturated, "v2, epoch {epoch}");
+        assert_eq!(
+            spc_query(&decoded.thaw(), corner, far),
+            saturated,
+            "thawed v2, epoch {epoch}"
+        );
         assert_eq!(reader.refresh(), epoch);
         for (s, t, path) in [
             (corner, far, "reload"),
@@ -299,6 +321,19 @@ fn saturated_counts_survive_publication() {
             );
         }
     }
+    server.checkpoint().unwrap();
+    drop((reader, server));
+    let (recovered, _) = EpochServer::<DynamicSpc>::recover(dir.path(), config()).unwrap();
+    assert_eq!(
+        spc_query(recovered.engine().index(), corner, far),
+        saturated,
+        "recovered"
+    );
+    assert_eq!(
+        recovered.reader().query(corner, far).1,
+        saturated,
+        "recovered, published"
+    );
 }
 
 /// `even_bounds` invariants at the edges the proptest sizes don't hit.
